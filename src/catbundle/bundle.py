@@ -12,6 +12,11 @@ after splitting both chains into unit steps; the closure is sound by
 construction, and its completeness is cross-checked against an exact
 linear-algebra oracle on a dedicated preset rather than assumed.
 
+Each edge is validated once per space: `edge_endpoints` memoizes the glued
+endpoints of every valid edge, and `mor_endpoints` checks a chain's edges and
+junctions in a single pass. Errors are never cached, so an invalid edge or a
+broken junction raises on every call.
+
 Formal identity morphisms are represented by markers; a marker is identified
 with the class of the neutral edge (zero-length walk, identity decoration)
 at its object, which is a two-sided unit under concatenation.
@@ -110,6 +115,8 @@ class BundleSpace:
         self._unit_s: dict[Unit, BundleObject] = {}
         self._unit_t: dict[Unit, BundleObject] = {}
         self._cc_cache: dict[tuple[str, ...], list[str]] = {}
+        self._ends: dict[QuiverEdge,
+                         tuple[tuple[str, ...], tuple[BundleObject, BundleObject]]] = {}
 
     # ----- transported cocycle values on cosets ----------------------------
 
@@ -215,28 +222,36 @@ class BundleSpace:
             raise SchemaError(f"edge decoration {e.phi!r} is not a morphism coset rep")
 
     def edge_endpoints(self, e: QuiverEdge) -> tuple[BundleObject, BundleObject]:
-        self.validate_edge(e)
-        s = self.canonical_obj(e.chart, e.walk.start, self.q.source[e.phi])
-        t = self.canonical_obj(e.chart, e.walk.end, self.q.target[e.phi])
-        return s, t
+        """Validate e and return its glued (source, target), once per edge.
 
-    def validate_morphism(self, m: BundleMorphism) -> None:
+        Only valid edges are memoized, so an invalid one raises on every call.
+        PathMor equality ignores `visited`, which validation reads, so a hit
+        also needs the same vertex sequence."""
+        hit = self._ends.get(e)
+        if hit is not None and hit[0] == e.walk.visited:
+            return hit[1]
+        self.validate_edge(e)
+        ends = (self.canonical_obj(e.chart, e.walk.start, self.q.source[e.phi]),
+                self.canonical_obj(e.chart, e.walk.end, self.q.target[e.phi]))
+        self._ends[e] = (e.walk.visited, ends)
+        return ends
+
+    def mor_endpoints(self, m: BundleMorphism) -> tuple[BundleObject, BundleObject]:
+        """Validate every edge and every junction of m in one pass and return
+        (source, target)."""
         if m.is_identity:
-            return
-        prev = None
+            return m.at, m.at
+        first = prev = None
         for e in m.edges:
             s, t = self.edge_endpoints(e)
-            if prev is not None and s != prev:
+            if prev is None:
+                first = s
+            elif s != prev:
                 raise CompositionError(
                     f"chain breaks: edge starts at {s} but previous ended at {prev}"
                 )
             prev = t
-
-    def mor_endpoints(self, m: BundleMorphism) -> tuple[BundleObject, BundleObject]:
-        if m.is_identity:
-            return m.at, m.at
-        self.validate_morphism(m)
-        return self.edge_endpoints(m.edges[0])[0], self.edge_endpoints(m.edges[-1])[1]
+        return first, prev
 
     def project(self, m: BundleMorphism) -> PathMor:
         if m.is_identity:
@@ -245,9 +260,6 @@ class BundleSpace:
         for e in m.edges[1:]:
             walk = compose_paths(self.cover, e.walk, walk)
         return walk
-
-    def project_obj(self, x: BundleObject) -> str:
-        return x.vertex
 
     # ----- the right action --------------------------------------------------
 
@@ -341,12 +353,6 @@ class BundleSpace:
         return BundleMorphism.chain(
             QuiverEdge(c, (c,), self._step_walk(step), phi) for c, step, phi in state
         )
-
-    def state_walk(self, state: State) -> PathMor:
-        walk = self._step_walk(state[0][1])
-        for _, step, _phi in state[1:]:
-            walk = compose_paths(self.cover, self._step_walk(step), walk)
-        return walk
 
     def _merge_units(self, u1: Unit, u2: Unit) -> Unit:
         """Fold an adjacent pair into one unit over a fixed common chart.
@@ -524,7 +530,7 @@ class BundleSpace:
                                     q.identity_mor_at(fiber)))
             prev_chart = chart
         m = BundleMorphism.chain(edges)
-        self.validate_morphism(m)
+        self.mor_endpoints(m)
         return m, None
 
     def reduce_to_chart(self, m: BundleMorphism, i: str, indices: tuple[str, ...]):

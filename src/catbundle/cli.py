@@ -36,6 +36,16 @@ def _load(path: str) -> Instance:
     return instance_from_json(text)
 
 
+def _path_len(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {n}")
+    return n
+
+
 def cmd_generate(args: argparse.Namespace) -> int:
     inst = build_instance(args.preset, args.seed, args.noise == "on")
     _emit(instance_to_json(inst), args.out)
@@ -87,7 +97,7 @@ def _parser() -> argparse.ArgumentParser:
     p_chk = sub.add_parser("check", help="run a law-check suite on a document")
     p_chk.add_argument("file")
     p_chk.add_argument("--suite", choices=SUITES, default="all")
-    p_chk.add_argument("--max-path-len", type=int, default=3)
+    p_chk.add_argument("--max-path-len", type=_path_len, default=3)
     p_chk.add_argument("--diagnostic", action="store_true")
     p_chk.add_argument("--out", default=None)
     p_chk.set_defaults(func=cmd_check)

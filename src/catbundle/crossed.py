@@ -290,8 +290,5 @@ class ChainedCrossedModules:
                     if self.G.op(a, b) not in self.tau_tau_p_image:
                         raise SchemaError("chained modules: tau(tau'(J)) is not closed")
 
-    def tau_tau_p(self, j: str) -> str:
-        return self.tau(self.tau_p(j))
-
     def __repr__(self) -> str:
         return f"ChainedCrossedModules({self.name!r})"

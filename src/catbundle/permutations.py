@@ -94,10 +94,6 @@ def klein_four(name: str = "V4") -> FiniteGroup:
     return _group_from_perms(name, perms)
 
 
-def trivial_group(name: str = "E") -> FiniteGroup:
-    return FiniteGroup(name, ["e"], {("e", "e"): "e"}, "e", {"e": "e"})
-
-
 def cyclic_group(n: int, name: str | None = None) -> FiniteGroup:
     """Powers of the n-cycle (12...n), named like every other group here."""
     step = tuple((i + 1) % n for i in range(n))

@@ -34,15 +34,17 @@ class CosetSpace:
     """Left cosets of a subgroup, with the smallest member id as canonical rep."""
 
     def __init__(self, parent: FiniteGroup, subgroup: frozenset[str]):
-        for s in subgroup:
+        # sorted, so the first violation reported does not depend on the hash seed
+        elements = sorted(subgroup)
+        for s in elements:
             if s not in parent.element_set:
                 raise SchemaError(f"coset space: {s!r} is not in {parent.name!r}")
         if parent.identity not in subgroup:
             raise SchemaError("coset space: subgroup misses the identity")
-        for a in subgroup:
+        for a in elements:
             if parent.inverse(a) not in subgroup:
                 raise SchemaError(f"coset space: subgroup not closed under inverse at {a!r}")
-            for b in subgroup:
+            for b in elements:
                 if parent.op(a, b) not in subgroup:
                     raise SchemaError(f"coset space: subgroup not closed at ({a!r}, {b!r})")
         self.parent = parent
@@ -255,6 +257,9 @@ class QuotientCatGroup:
                    "every composable coset pair is realized by members",
                    len(self._compose) == expected,
                    f"{len(self._compose)} composable pairs, expected {expected}")
+        if not rep.ok:
+            # the checks below compose cosets, which needs a total table
+            return rep
 
         witness = None
         for mrep in self.morphisms.reps:
@@ -339,11 +344,6 @@ class QuotientCatGroup:
         if not self.obj_normal:
             raise PreconditionError("object cosets do not form a group here")
         return self.objects.rep(self.obj_parent.op(a, b))
-
-    def obj_inverse(self, a: str) -> str:
-        if not self.obj_normal:
-            raise PreconditionError("object cosets do not form a group here")
-        return self.objects.rep(self.obj_parent.inverse(a))
 
     def mor_product(self, a: str, b: str) -> str:
         if not self.mor_normal:

@@ -217,10 +217,6 @@ class WordOracle:
 
     # ----- the decision procedure --------------------------------------------
 
-    def residual(self, w: Word) -> tuple:
-        bk = self._block_of(w)
-        return self._residuals[bk][w]
-
     def equal(self, w1: Word, w2: Word) -> bool:
         b1, b2 = self._block_of(w1), self._block_of(w2)
         if b1 != b2:

@@ -12,6 +12,7 @@ from catbundle.bundle import (
     check_bundle_axioms,
     enumerate_chains,
 )
+from catbundle.complexes import PathMor
 from catbundle.errors import (
     CompositionError,
     PreconditionError,
@@ -245,3 +246,67 @@ def test_bundle_axioms_on_line5(space_line5):
     assert "bundle.proj.obj_surjective" in ids
     assert "bundle.action.obj_free" in ids
     assert "bundle.compose.representative_free" in ids
+
+
+# ----- each edge is validated once per space, errors are never cached --------
+
+def fresh_space(inst):
+    fc = FunctorialCocycle.from_cocycle(inst.gc)
+    return BundleSpace(fc, build_quotient(inst.chain, variant_for(inst.chain)))
+
+
+def test_invalid_edge_raises_on_every_call(inst_line5):
+    space = fresh_space(inst_line5)
+    q = space.q
+    phi = q.identity_mor_at(q.identity_obj())
+    for step in (("e01", 1), ("e12", 1)):
+        edge = QuiverEdge("1", ("1",), space.cover.walk(step[0][1], [step]), phi)
+        assert space.edge_endpoints(edge) == space.edge_endpoints(edge)
+    # e23 leaves chart 1 = {0, 1, 2}
+    bad = QuiverEdge("1", ("1",), space.cover.walk("2", [("e23", 1)]), phi)
+    for _ in range(2):
+        with pytest.raises(SchemaError):
+            space.edge_endpoints(bad)
+
+
+def test_cached_edge_does_not_vouch_for_a_forged_twin(inst_line5):
+    # PathMor equality ignores `visited`, which validation reads
+    space = fresh_space(inst_line5)
+    q = space.q
+    phi = q.identity_mor_at(q.identity_obj())
+    walk = space.cover.walk("0", [("e01", 1)])
+    space.edge_endpoints(QuiverEdge("1", ("1",), walk, phi))
+    forged = PathMor(walk.start, walk.steps, ("0", "4"))
+    assert forged == walk
+    with pytest.raises(SchemaError):
+        space.edge_endpoints(QuiverEdge("1", ("1",), forged, phi))
+
+
+def test_chain_of_cached_edges_still_checks_junctions(inst_line5):
+    space = fresh_space(inst_line5)
+    q = space.q
+    phi = q.identity_mor_at(q.identity_obj())
+    e1 = QuiverEdge("1", ("1",), space.cover.walk("0", [("e01", 1)]), phi)
+    elsewhere = next(r for r in q.morphisms.reps if q.source[r] != q.target[phi])
+    e2 = QuiverEdge("1", ("1",), space.cover.walk("1", [("e12", 1)]), elsewhere)
+    t1, s2 = space.edge_endpoints(e1)[1], space.edge_endpoints(e2)[0]
+    assert t1 != s2
+    broken = BundleMorphism.chain([e1, e2])
+    with pytest.raises(CompositionError):
+        space.mor_endpoints(broken)
+    ok = BundleMorphism.chain([e1])
+    with pytest.raises(CompositionError):
+        space.mor_compose(broken, ok)
+    with pytest.raises(CompositionError):
+        space.mor_compose(ok, broken)
+
+
+def test_lift_walk_rejects_a_broken_chain(inst_line5):
+    space = fresh_space(inst_line5)
+    for start, step in (("0", ("e01", 1)), ("2", ("e23", 1))):
+        m, err = space.lift_walk(space.cover.walk(start, [step]))
+        assert err is None
+    # steps that do not join: e01 ends at 1, e23 starts at 2
+    gap = PathMor("0", (("e01", 1), ("e23", 1)), ("0", "1", "3"))
+    with pytest.raises(CompositionError):
+        space.lift_walk(gap)

@@ -2,7 +2,12 @@
 diagnostic stream."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import catbundle
 from catbundle.cli import main
 
 
@@ -146,3 +151,60 @@ def test_max_path_len_flag_changes_surface(tmp_path, capsys):
     code, _, _ = run(capsys, "check", str(doc), "--suite", "functorial",
                      "--max-path-len", "1")
     assert code == 0
+
+
+def test_negative_max_path_len_is_usage_error(tmp_path, capsys):
+    doc = tmp_path / "inst.json"
+    run(capsys, "generate", "s3-line5", "--seed", "3", "--out", str(doc))
+    code, out, err = run(capsys, "check", str(doc), "--suite", "functorial",
+                         "--max-path-len", "-1")
+    assert code == 2
+    assert out == ""
+    assert "--max-path-len" in err
+
+
+def _edited(tmp_path, capsys, preset, seed, path, value):
+    """Generate a preset document and overwrite the cell at `path`."""
+    doc_path = tmp_path / "inst.json"
+    run(capsys, "generate", preset, "--seed", str(seed), "--out", str(doc_path))
+    doc = json.loads(doc_path.read_text())
+    cell = doc
+    for key in path[:-1]:
+        cell = cell[key]
+    cell[path[-1]] = value
+    doc_path.write_text(json.dumps(doc))
+    return doc_path
+
+
+def test_quotient_build_on_law_broken_action_fails_cleanly(tmp_path, capsys):
+    # breaking the conjugation action leaves the coset composition table
+    # partial; the interchange check must not compose outside it
+    doc = _edited(tmp_path, capsys, "cycle6-trivial", 3,
+                  ("actions", "conj_outer", "map", "(12)", "e"), "(123)")
+    for suite in ("quotient", "bundle"):
+        code, out, err = run(capsys, "check", str(doc), "--suite", suite,
+                             "--max-path-len", "2")
+        assert code == 1
+        assert "Traceback" not in err
+        report = json.loads(out)
+        assert report["status"] == "fail"
+        build = [c for c in report["checks"] if c["check"] == "quotient.build"]
+        assert build and build[0]["status"] == "fail"
+        assert "does not descend" in build[0]["witness"]
+
+
+def test_coset_witness_does_not_depend_on_hash_seed(tmp_path, capsys):
+    doc = _edited(tmp_path, capsys, "s3-line5", 7,
+                  ("homs", "tau_p", "map", "(123)"), "(13)")
+    src = str(Path(catbundle.__file__).resolve().parent.parent)
+    outs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "catbundle", "check", str(doc),
+             "--suite", "quotient"],
+            capture_output=True, env=env, check=False)
+        assert proc.returncode == 1, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert b"coset space" in outs[0]
