@@ -3,14 +3,37 @@
 Objects are classes of triples (chart, vertex, fiber coset) glued by
 (i, u, a) ~ (j, u, gbar_ji(u) a); the canonical representative lives in the
 smallest chart covering the vertex. Morphisms are classes of chains of
-decorated edges (chart i, chart set I, walk, fiber morphism coset), where a
-chain may be re-indexed edgewise (multiplying the decoration by
-thetabar_ji(walk)) and an adjacent pair may be merged into a common chart and
-re-split across every factorization of its composite decoration. Equality of
-chains is decided by a breadth-first closure over exactly those rewrites
-after splitting both chains into unit steps; the closure is sound by
-construction, and its completeness is cross-checked against an exact
-linear-algebra oracle on a dedicated preset rather than assumed.
+decorated edges (chart i, chart set I, walk, fiber morphism coset) under
+three rewrites: re-index one edge into another chart holding its walk
+(multiplying the decoration by thetabar_ji(walk)); merge an adjacent pair
+into a common chart and re-split it across every factorization of its
+composite decoration; insert or delete the neutral unit (zero-length walk,
+identity decoration).
+
+Equality is decided by a normal form that pushes every decoration to the
+last unit. A chain is split into unit steps and each zero-length unit is
+merged into a neighbour (`_compact`); `component_of` then reads it once from
+left to right. At each junction the running decoration and the next unit's
+are re-indexed into the first chart holding both steps and composed there,
+which re-splits the pair with an identity on the earlier step. Where no
+chart holds both steps, the running decoration is moved to its step's first
+chart, re-split onto a neutral unit at the junction vertex and re-indexed
+along that vertex's identity walk into the next step's first chart. The last
+decoration is moved into its step's first chart. On a base without
+zero-length edges a junction that no rewrite crosses starts a new
+decoration. The key is (source object, walk, decorations).
+
+Soundness: each step is one of the rewrites above, and every chart it picks
+depends on the walk alone, so the units it leaves behind are identities fixed
+by the source object and the walk; equal keys name one chain. Completeness,
+on bases with zero-length edges: over one walk from one object there is at
+most one key per fiber morphism out of the transported source object, and
+the free fiber action makes the classes there a torsor under exactly those
+morphisms, so no class holds two keys. The steps thus form a terminating
+rewriting system with unique normal forms, confluent in the sense of Knuth
+and Bendix (1970). `bundle.mor.torsor` checks the count; a tests-only
+reference that applies the rewrites literally, and the `wordalg` oracle on
+directed bases, check the partition.
 
 Each edge is validated once per space: `edge_endpoints` memoizes the glued
 endpoints of every valid edge, and `mor_endpoints` checks a chain's edges and
@@ -24,7 +47,8 @@ at its object, which is a two-sided unit under concatenation.
 
 from __future__ import annotations
 
-from collections import deque
+import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -39,7 +63,6 @@ from .complexes import (
 from .errors import (
     CompositionError,
     DomainError,
-    InternalInvariantError,
     PreconditionError,
     SchemaError,
 )
@@ -85,7 +108,7 @@ class BundleMorphism:
         return BundleMorphism(None, edges)
 
 
-# unit steps inside closure states: ("v", vertex) stands still, ("e", id, o) moves
+# unit steps of a chain state: ("v", vertex) stands still, ("e", id, o) moves
 Step = tuple
 Unit = tuple  # (chart, Step, phi rep)
 State = tuple  # tuple of Units
@@ -108,9 +131,7 @@ class BundleSpace:
         self.cover = fc.cover
         self._tb_cache: dict[tuple[str, str, str, str], str] = {}
         self._gb_cache: dict[tuple[str, str, str], str] = {}
-        self._comp: dict[State, int] = {}
-        self._members: dict[int, list[State]] = {}
-        self._next_comp = 0
+        self._keys: dict[State, tuple] = {}
         self._sw_cache: dict[Step, PathMor] = {}
         self._unit_s: dict[Unit, BundleObject] = {}
         self._unit_t: dict[Unit, BundleObject] = {}
@@ -211,6 +232,10 @@ class BundleSpace:
     def validate_edge(self, e: QuiverEdge) -> None:
         if e.chart not in e.charts:
             raise SchemaError(f"edge chart {e.chart!r} is not in its index set {e.charts}")
+        if self.cover.walk(e.walk.start, e.walk.steps).visited != e.walk.visited:
+            raise SchemaError(
+                f"edge walk visits {list(e.walk.visited)}, not the vertices of its steps"
+            )
         region = overlap(self.cover, e.charts)
         if not walk_inside(self.cover, e.walk, region):
             raise SchemaError(
@@ -293,7 +318,7 @@ class BundleSpace:
                                     q.mor_product(e.phi, mult)))
         return BundleMorphism.chain(edges)
 
-    # ----- unit-split states and the rewrite closure -------------------------
+    # ----- unit-split states and their normal form ---------------------------
 
     def _step_walk(self, step: Step) -> PathMor:
         w = self._sw_cache.get(step)
@@ -308,6 +333,10 @@ class BundleSpace:
                 else PathMor(v, ((eid, -1),), (v, u))
         self._sw_cache[step] = w
         return w
+
+    def _reindex(self, k: str, c: str, w: PathMor, phi: str) -> str:
+        """Move a decoration over walk w from chart c into chart k."""
+        return phi if k == c else self.q.mor_product(self.thetabar(k, c, w), phi)
 
     def _charts_of(self, visited: tuple[str, ...]) -> list[str]:
         cs = self._cc_cache.get(visited)
@@ -359,21 +388,19 @@ class BundleSpace:
 
         This is the merge half of the pair rewrite, so the folded state stays
         in the congruence class of the original."""
-        q = self.q
         c1, st1, f1 = u1
         c2, st2, f2 = u2
         w1, w2 = self._step_walk(st1), self._step_walk(st2)
         w = compose_paths(self.cover, w2, w1)
         k = self._charts_of(w.visited)[0]
-        a = f1 if k == c1 else q.mor_product(self.thetabar(k, c1, w1), f1)
-        b = f2 if k == c2 else q.mor_product(self.thetabar(k, c2, w2), f2)
+        a, b = self._reindex(k, c1, w1, f1), self._reindex(k, c2, w2, f2)
         if len(w) == 0:
             step: Step = ("v", w.start)
         elif len(w1) == 1:
             step = st1
         else:
             step = st2
-        return (k, step, q.compose_of(b, a))
+        return (k, step, self.q.compose_of(b, a))
 
     def _compact(self, state: State) -> State:
         """Fold every zero-step unit into a neighbor. The result has one unit
@@ -392,19 +419,6 @@ class BundleSpace:
                 n -= 1
         return tuple(units)
 
-    def _unit_decompositions(self, w: PathMor) -> list[tuple[Step, Step]]:
-        allow_id = self.cover.identity_edges
-        if len(w) == 0:
-            return [(("v", w.start), ("v", w.start))] if allow_id else []
-        if len(w) == 1:
-            eid, o = w.steps[0]
-            s: Step = ("e", eid, o)
-            if not allow_id:
-                return []
-            return [(("v", w.start), s), (s, ("v", w.end))]
-        (e1, o1), (e2, o2) = w.steps
-        return [(("e", e1, o1), ("e", e2, o2))]
-
     def _walk_sig(self, state: State) -> tuple:
         steps = []
         for _c, step, _phi in state:
@@ -412,65 +426,39 @@ class BundleSpace:
                 steps.append((step[1], step[2]))
         return (self._step_walk(state[0][1]).start, tuple(steps))
 
-    def _neighbors(self, state: State) -> list[State]:
-        cover, q = self.cover, self.q
-        out = []
-        for p, (c, step, phi) in enumerate(state):
-            wp = self._step_walk(step)
-            for c2 in self._charts_of(wp.visited):
-                if c2 == c:
-                    continue
-                phi2 = q.mor_product(self.thetabar(c2, c, wp), phi)
-                out.append(state[:p] + ((c2, step, phi2),) + state[p + 1:])
-        for p in range(len(state) - 1):
-            c1, st1, f1 = state[p]
-            c2, st2, f2 = state[p + 1]
-            w1, w2 = self._step_walk(st1), self._step_walk(st2)
-            w = compose_paths(cover, w2, w1)
-            decomps = self._unit_decompositions(w)
-            if not decomps:
-                continue
-            for k in self._charts_of(w.visited):
-                a = f1 if k == c1 else q.mor_product(self.thetabar(k, c1, w1), f1)
-                b = f2 if k == c2 else q.mor_product(self.thetabar(k, c2, w2), f2)
-                psi = q.compose_of(b, a)
-                for st_a, st_b in decomps:
-                    for aprime in q.mors_with_source(q.source[psi]):
-                        bprime = q.compose_of(psi, q.mor_co_inverse(aprime))
-                        out.append(
-                            state[:p] + ((k, st_a, aprime), (k, st_b, bprime))
-                            + state[p + 2:]
-                        )
-        return out
-
-    def component_of(self, state: State) -> int:
-        # closure over compacted states only; folding each neighbor keeps the
-        # search inside the congruence class while bounding the state count
+    def component_of(self, state: State) -> tuple:
+        """The normal-form key (source object, walk, decorations) of the class
+        of `state`; two states are equal morphisms exactly when their keys are
+        equal. See the module docstring for the rewrites behind each step."""
         state = self._compact(state)
-        cid = self._comp.get(state)
-        if cid is not None:
-            return cid
-        cid = self._next_comp
-        self._next_comp += 1
-        walk0 = self._walk_sig(state)
-        seen = {state}
-        queue = deque([state])
-        while queue:
-            s = queue.popleft()
-            self._comp[s] = cid
-            for raw in self._neighbors(s):
-                nb = self._compact(raw)
-                if nb in seen:
-                    continue
-                if self._walk_sig(nb) != walk0:
-                    raise InternalInvariantError("a rewrite changed the projected walk")
-                seen.add(nb)
-                queue.append(nb)
-        self._members[cid] = sorted(seen)
-        return cid
-
-    def component_members(self, cid: int) -> list[State]:
-        return self._members[cid]
+        key = self._keys.get(state)
+        if key is not None:
+            return key
+        q, cover = self.q, self.cover
+        decorations = []
+        c, step, a = state[0]
+        for c2, step2, b in state[1:]:
+            w1, w2 = self._step_walk(step), self._step_walk(step2)
+            common = self._charts_of(compose_paths(cover, w2, w1).visited)
+            if common:
+                k = common[0]
+                a = self._reindex(k, c, w1, a)
+            elif cover.identity_edges:
+                # slide a off its step onto the neutral step at the junction,
+                # then re-index it there into the next step's first chart
+                c0, k = self._charts_of(w1.visited)[0], self._charts_of(w2.visited)[0]
+                a = self._reindex(k, c0, cover.identity_walk(w2.start),
+                                  self._reindex(c0, c, w1, a))
+            else:
+                decorations.append(self._reindex(self._charts_of(w1.visited)[0], c, w1, a))
+                c, step, a = c2, step2, b
+                continue
+            c, step, a = k, step2, q.compose_of(self._reindex(k, c2, w2, b), a)
+        w = self._step_walk(step)
+        decorations.append(self._reindex(self._charts_of(w.visited)[0], c, w, a))
+        key = (self.unit_s_obj(state[0]), self._walk_sig(state), tuple(decorations))
+        self._keys[state] = key
+        return key
 
     # ----- equality, composition --------------------------------------------
 
@@ -554,8 +542,7 @@ class BundleSpace:
         state = self.unit_split(m)
         total = None
         for c, step, phi in state:
-            w = self._step_walk(step)
-            a = phi if c == i else self.q.mor_product(self.thetabar(i, c, w), phi)
+            a = self._reindex(i, c, self._step_walk(step), phi)
             total = a if total is None else self.q.compose_of(a, total)
         return walk, total
 
@@ -828,11 +815,10 @@ def check_bundle_axioms(space: BundleSpace, max_len: int = 3,
 
     neutral = q.identity_mor_at(q.identity_obj())
     markers = [BundleMorphism.identity(x) for x in space.objects_all()]
-    chains = [space.to_chain(st) for st in enumerate_chains(space, max_units)]
-    bounded = markers + chains
+    states = enumerate_chains(space, max_units)
 
     witness = None
-    for m in bounded:
+    for m in itertools.chain(markers, map(space.to_chain, states)):
         for psi in q.morphisms.reps:
             acted = space.act_mor(m, psi)
             pr, pm = space.project(acted), space.project(m)
@@ -879,21 +865,25 @@ def check_bundle_axioms(space: BundleSpace, max_len: int = 3,
                "(loop fiber morphisms)",
                witness is None, witness)
 
+    # the distinct compacted states of the bounded chains, grouped by class
+    classes: dict[tuple, dict[State, None]] = {}
+    walk_witness = None
+    for st in states:
+        compacted = space._compact(st)
+        key = space.component_of(compacted)
+        if walk_witness is None and space._walk_sig(st) != key[1]:
+            walk_witness = f"chain {st} is equal to a morphism over another walk"
+        classes.setdefault(key, {})[compacted] = None
+
     witness = None
-    checked = set()
-    for m in chains:
-        st = space.unit_split(m)
-        cid = space.component_of(st)
-        if cid in checked:
-            continue
-        checked.add(cid)
-        members = space.component_members(cid)
-        base = space.to_chain(members[0])
-        for psi in q.morphisms.reps:
+    # members share one key, and the neutral morphism changes no decoration
+    movers = [psi for psi in q.morphisms.reps if psi != neutral]
+    for members in classes.values():
+        base, *others = [space.to_chain(st) for st in members]
+        for psi in movers:
             target = space.act_mor(base, psi)
-            for other in members[1:]:
-                if not space.mor_equal(space.act_mor(space.to_chain(other), psi),
-                                       target):
+            for other in others:
+                if not space.mor_equal(space.act_mor(other, psi), target):
                     witness = f"equal chains act apart under {psi}"
                     break
             if witness:
@@ -904,14 +894,19 @@ def check_bundle_axioms(space: BundleSpace, max_len: int = 3,
                "equal morphisms stay equal under the fiber action",
                witness is None, witness)
 
-    witness = None
-    for cid, members in sorted(space._members.items()):
-        walks = {space._walk_sig(st) for st in members}
-        if len(walks) != 1:
-            witness = f"component {cid} projects to {len(walks)} distinct walks"
-            break
     rep.record("bundle.proj.class_invariant",
                "equal morphisms project to the same base walk",
+               walk_witness is None, walk_witness)
+
+    witness = None
+    for (x, walk), n in Counter(key[:2] for key in classes).items():
+        want = len(q.mors_with_source(x.fiber))
+        if n != want:
+            witness = f"{n} classes over walk {walk} from {x}, expected {want}"
+            break
+    rep.record("bundle.mor.torsor",
+               "the morphism classes over one walk from one object are as many "
+               "as the fiber morphisms out of its fiber object",
                witness is None, witness)
 
     witness = None
@@ -920,10 +915,9 @@ def check_bundle_axioms(space: BundleSpace, max_len: int = 3,
         if pairs_checked > 400:
             break
         t1 = space.mor_endpoints(m1)[1]
-        alts1 = space.component_members(space.component_of(space.unit_split(m1)))[:2]
+        alts1 = list(classes[space.component_of(space.unit_split(m1))])[:2]
         for m2 in by_source_obj.get(t1, ())[:3]:
-            alts2 = space.component_members(
-                space.component_of(space.unit_split(m2)))[:2]
+            alts2 = list(classes[space.component_of(space.unit_split(m2))])[:2]
             comp = space.mor_compose(m1, m2)
             for a1 in alts1:
                 for a2 in alts2:

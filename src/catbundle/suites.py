@@ -87,8 +87,12 @@ def suite_quotient(inst: Instance, max_len: int) -> Report:
 
 def _space_or_failures(inst: Instance, max_len: int):
     """Build the bundle space only over law-clean data; otherwise return the
-    failing precondition report so broken documents fail instead of crashing."""
+    failing precondition report so broken documents fail instead of crashing.
+    The preconditions include the component laws (groups, homomorphisms,
+    actions, Peiffer identities): no bundle is glued over a table that is not
+    a group."""
     pre = Report("bundle")
+    pre.merge(suite_peiffer(inst))
     pre.merge(validate_gerbal(inst.gc))
     pre.merge(check_second_gerbe(inst.gc))
     fc = _functorial_data(inst)

@@ -3,7 +3,8 @@ import pytest
 from catbundle import build_instance, build_quotient
 from catbundle.bundle import BundleSpace
 from catbundle.functorial import FunctorialCocycle
-from catbundle.presets import s3_chain, s4_chain
+from catbundle.gerbal import generate_gerbal
+from catbundle.presets import cover_cycle6, s3_chain, s4_chain
 from catbundle.quotient import variant_for
 
 
@@ -30,6 +31,11 @@ def inst_line5w():
 @pytest.fixture(scope="session")
 def inst_dirline3():
     return build_instance("oracle-dirline3", 3, True)
+
+
+@pytest.fixture(scope="session")
+def inst_cycle6():
+    return build_instance("cycle6-trivial", 1, True)
 
 
 @pytest.fixture(scope="session")
@@ -61,3 +67,18 @@ def space_dirline3(inst_dirline3):
     fc = FunctorialCocycle.from_cocycle(inst_dirline3.gc)
     q = build_quotient(inst_dirline3.chain, variant_for(inst_dirline3.chain))
     return BundleSpace(fc, q)
+
+
+@pytest.fixture(scope="session")
+def space_cycle6(inst_cycle6):
+    fc = FunctorialCocycle.from_cocycle(inst_cycle6.gc)
+    q = build_quotient(inst_cycle6.chain, variant_for(inst_cycle6.chain))
+    return BundleSpace(fc, q)
+
+
+@pytest.fixture(scope="session")
+def space_cycle6_noisy(chain_s3, quotient_s3):
+    # no preset pairs the cycle's chart-free junction at vertex 0 with a
+    # nontrivial transport; seed 3 gives thetabar_13 != identity there
+    gc = generate_gerbal(chain_s3, cover_cycle6(), 3, noise=True)
+    return BundleSpace(FunctorialCocycle.from_cocycle(gc), quotient_s3)

@@ -1,5 +1,5 @@
-"""The glued total space: objects, decorated chains, the rewrite closure
-behind morphism equality, lifts, and local trivializations."""
+"""The glued total space: objects, decorated chains, the normal form behind
+morphism equality, lifts, and local trivializations."""
 
 import pytest
 
@@ -22,6 +22,7 @@ from catbundle.functorial import FunctorialCocycle
 from catbundle.gerbal import generate_gerbal
 from catbundle.presets import cover_line5w
 from catbundle.quotient import build_quotient, variant_for
+from rewrite_reference import RewriteReference
 
 
 def one_step(space, chart, charts, start, step, phi):
@@ -246,6 +247,52 @@ def test_bundle_axioms_on_line5(space_line5):
     assert "bundle.proj.obj_surjective" in ids
     assert "bundle.action.obj_free" in ids
     assert "bundle.compose.representative_free" in ids
+    assert "bundle.mor.torsor" in ids
+
+
+def test_bundle_axioms_on_cycle6(space_cycle6):
+    # charts 1 = {0,1,2} and 3 = {0,4,5} meet only in vertex 0
+    rep = check_bundle_axioms(space_cycle6, max_len=2, max_units=2)
+    assert rep.ok, rep.failures()
+    assert "bundle.mor.torsor" in {c.check_id for c in rep.checks}
+
+
+def test_folds_across_a_vertex_without_common_chart_are_equal(space_cycle6):
+    # no chart holds both e01 backwards and e50 backwards; folding the
+    # neutral-step unit at vertex 0 left or right must give one morphism
+    space = space_cycle6
+    middle = (("1", ("e", "e01", -1), "((123),(12))"),
+              ("1", ("v", "0"), "((12),(12))"),
+              ("3", ("e", "e50", -1), "((12),(123))"))
+    left = (("1", ("e", "e01", -1), "((12),(12))"),
+            ("3", ("e", "e50", -1), "((12),(123))"))
+    right = (("1", ("e", "e01", -1), "((123),(12))"),
+             ("3", ("e", "e50", -1), "((123),(12))"))
+    m, ml, mr = (space.to_chain(st) for st in (middle, left, right))
+    assert space.mor_equal(ml, mr)
+    assert space.mor_equal(m, ml) and space.mor_equal(m, mr)
+
+
+@pytest.mark.parametrize("fixture", ["space_cycle6", "space_cycle6_noisy",
+                                     "space_line5", "space_line5w"])
+def test_rewrite_reference_partition_matches_mor_equal(request, fixture):
+    space = request.getfixturevalue(fixture)
+    ref = RewriteReference(space)
+    reps, by_walk = {}, {}
+    for chain in ref.chains:
+        if len(chain) > 2:
+            continue
+        rep = reps.get(ref.class_of(chain))
+        if rep is None:
+            reps[ref.class_of(chain)] = chain
+            by_walk.setdefault(ref.walk_key(chain), []).append(space.to_chain(chain))
+        else:
+            assert space.mor_equal(space.to_chain(chain), space.to_chain(rep)), chain
+    # distinct reference classes over one walk stay distinct
+    for classes in by_walk.values():
+        for n, m1 in enumerate(classes):
+            for m2 in classes[n + 1:]:
+                assert not space.mor_equal(m1, m2)
 
 
 # ----- each edge is validated once per space, errors are never cached --------
@@ -299,6 +346,15 @@ def test_chain_of_cached_edges_still_checks_junctions(inst_line5):
         space.mor_compose(broken, ok)
     with pytest.raises(CompositionError):
         space.mor_compose(ok, broken)
+
+
+def test_edge_whose_visited_vertices_disagree_with_its_steps_is_rejected(inst_line5):
+    # e01 ends at vertex 1, not 2, though chart 1 = {0, 1, 2} holds both
+    space = fresh_space(inst_line5)
+    phi = space.q.identity_mor_at(space.q.identity_obj())
+    forged = QuiverEdge("1", ("1",), PathMor("0", (("e01", 1),), ("0", "2")), phi)
+    with pytest.raises(SchemaError):
+        space.edge_endpoints(forged)
 
 
 def test_lift_walk_rejects_a_broken_chain(inst_line5):

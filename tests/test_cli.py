@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import catbundle
 from catbundle.cli import main
 
@@ -208,3 +210,17 @@ def test_coset_witness_does_not_depend_on_hash_seed(tmp_path, capsys):
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
     assert b"coset space" in outs[0]
+
+
+@pytest.mark.parametrize("preset, suite", [("s3-line5", "bundle"),
+                                           ("oracle-dirline3", "oracle")])
+def test_suite_fails_on_a_broken_group_table(tmp_path, capsys, preset, suite):
+    # (132)(132) = (132) breaks the A3 table; no bundle is glued over it
+    doc = _edited(tmp_path, capsys, preset, 3,
+                  ("groups", "A3", "mul", "(132)", "(132)"), "(132)")
+    code, out, err = run(capsys, "check", str(doc), "--suite", suite,
+                         "--max-path-len", "1")
+    assert code == 1
+    assert "Traceback" not in err
+    failed = {c["check"] for c in json.loads(out)["checks"] if c["status"] == "fail"}
+    assert any(".component.group." in c for c in failed), failed
