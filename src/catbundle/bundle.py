@@ -40,6 +40,18 @@ endpoints of every valid edge, and `mor_endpoints` checks a chain's edges and
 junctions in a single pass. Errors are never cached, so an invalid edge or a
 broken junction raises on every call.
 
+A morphism's full key (`mor_key`) is its (source, target) pair followed by its
+normal-form key, and `mor_equal` compares the two full keys. Each side is
+validated, split into units and compacted once. So `mor_equal` raises on an
+invalid edge or a broken junction in either argument, whatever the other
+argument's walk. The law battery keys each morphism once and compares keys
+instead of calling `mor_equal` pair by pair. `state_key` keys an enumerated
+unit state without building its chain, and a local trivialization memoizes
+the key of each (walk, fiber morphism) pair for one check. The space also
+memoizes each unit's decoration re-indexed into each chart, and the chart
+that each pair of adjacent steps merges into. Both range over sets fixed by
+the base and the fiber, so neither grows with the number of chains.
+
 Formal identity morphisms are represented by markers; a marker is identified
 with the class of the neutral edge (zero-length walk, identity decoration)
 at its object, which is a two-sided unit under concatenation.
@@ -133,6 +145,8 @@ class BundleSpace:
         self._gb_cache: dict[tuple[str, str, str], str] = {}
         self._keys: dict[State, tuple] = {}
         self._sw_cache: dict[Step, PathMor] = {}
+        self._moved: dict[tuple[str, Unit], str] = {}
+        self._merged_steps: dict[tuple[Step, Step], tuple[str, Step]] = {}
         self._unit_s: dict[Unit, BundleObject] = {}
         self._unit_t: dict[Unit, BundleObject] = {}
         self._cc_cache: dict[tuple[str, ...], list[str]] = {}
@@ -338,6 +352,16 @@ class BundleSpace:
         """Move a decoration over walk w from chart c into chart k."""
         return phi if k == c else self.q.mor_product(self.thetabar(k, c, w), phi)
 
+    def _move_unit(self, k: str, unit: Unit) -> str:
+        """The decoration of `unit` re-indexed into chart k, memoized: there
+        are only (charts x units) of them."""
+        phi = self._moved.get((k, unit))
+        if phi is None:
+            c, step, phi = unit
+            phi = self._reindex(k, c, self._step_walk(step), phi)
+            self._moved[k, unit] = phi
+        return phi
+
     def _charts_of(self, visited: tuple[str, ...]) -> list[str]:
         cs = self._cc_cache.get(visited)
         if cs is None:
@@ -369,13 +393,15 @@ class BundleSpace:
             return (self.neutral_unit(m.at),)
         units: list[Unit] = []
         for e in m.edges:
-            if len(e.walk) == 0:
+            steps = e.walk.steps
+            if not steps:
                 units.append((e.chart, ("v", e.walk.start), e.phi))
                 continue
             # first unit carries the decoration, later units its target unit
-            tail = self.q.identity_mor_at(self.q.target[e.phi])
-            for n, (eid, o) in enumerate(e.walk.steps):
-                units.append((e.chart, ("e", eid, o), e.phi if n == 0 else tail))
+            units.append((e.chart, ("e", *steps[0]), e.phi))
+            if len(steps) > 1:
+                tail = self.q.identity_mor_at(self.q.target[e.phi])
+                units.extend((e.chart, ("e", *step), tail) for step in steps[1:])
         return tuple(units)
 
     def to_chain(self, state: State) -> BundleMorphism:
@@ -388,19 +414,20 @@ class BundleSpace:
 
         This is the merge half of the pair rewrite, so the folded state stays
         in the congruence class of the original."""
-        c1, st1, f1 = u1
-        c2, st2, f2 = u2
-        w1, w2 = self._step_walk(st1), self._step_walk(st2)
-        w = compose_paths(self.cover, w2, w1)
-        k = self._charts_of(w.visited)[0]
-        a, b = self._reindex(k, c1, w1, f1), self._reindex(k, c2, w2, f2)
-        if len(w) == 0:
-            step: Step = ("v", w.start)
-        elif len(w1) == 1:
-            step = st1
-        else:
-            step = st2
-        return (k, step, self.q.compose_of(b, a))
+        st1, st2 = u1[1], u2[1]
+        hit = self._merged_steps.get((st1, st2))
+        if hit is None:
+            w1, w2 = self._step_walk(st1), self._step_walk(st2)
+            w = compose_paths(self.cover, w2, w1)
+            if len(w) == 0:
+                step: Step = ("v", w.start)
+            elif len(w1) == 1:
+                step = st1
+            else:
+                step = st2
+            hit = self._merged_steps[st1, st2] = (self._charts_of(w.visited)[0], step)
+        k, step = hit
+        return (k, step, self.q.compose_of(self._move_unit(k, u2), self._move_unit(k, u1)))
 
     def _compact(self, state: State) -> State:
         """Fold every zero-step unit into a neighbor. The result has one unit
@@ -462,19 +489,22 @@ class BundleSpace:
 
     # ----- equality, composition --------------------------------------------
 
+    def mor_key(self, m: BundleMorphism) -> tuple:
+        """((source, target), normal-form key) of m, after validating m; two
+        morphisms are equal exactly when their keys are equal."""
+        return self.mor_endpoints(m), self.component_of(self.unit_split(m))
+
+    def state_key(self, state: State) -> tuple:
+        """`mor_key(to_chain(state))` for a composable state of valid units, as
+        `enumerate_chains` yields, without building the chain."""
+        return ((self.unit_s_obj(state[0]), self.unit_t_obj(state[-1])),
+                self.component_of(state))
+
     def mor_equal(self, a: BundleMorphism, b: BundleMorphism) -> bool:
+        """Validate both morphisms, then compare their keys."""
         if a.is_identity and b.is_identity:
             return a.at == b.at
-        wa, wb = self.project(a), self.project(b)
-        if (wa.start, wa.steps) != (wb.start, wb.steps):
-            return False
-        if self.mor_endpoints(a) != self.mor_endpoints(b):
-            return False
-        sa = self._compact(self.unit_split(a))
-        sb = self._compact(self.unit_split(b))
-        if sa == sb:
-            return True
-        return self.component_of(sa) == self.component_of(sb)
+        return self.mor_key(a) == self.mor_key(b)
 
     def mor_compose(self, first: BundleMorphism, second: BundleMorphism) -> BundleMorphism:
         """Diagrammatic: first, then second. Needs t(first) = s(second)."""
@@ -539,12 +569,16 @@ class BundleSpace:
         walk = self.project(m)
         if not walk_inside(self.cover, walk, region):
             raise DomainError("the projected walk leaves the overlap")
-        state = self.unit_split(m)
+        return walk, self.reduce_state(self.unit_split(m), i)
+
+    def reduce_state(self, state: State, i: str) -> str:
+        """Re-index every unit of `state` into chart i and compose the
+        decorations: the coset that chart i gives the state's walk."""
         total = None
-        for c, step, phi in state:
-            a = self._reindex(i, c, self._step_walk(step), phi)
+        for unit in state:
+            a = self._move_unit(i, unit)
             total = a if total is None else self.q.compose_of(a, total)
-        return walk, total
+        return total
 
 
 def enumerate_base_walks(cover, max_len: int) -> list[PathMor]:
@@ -641,12 +675,26 @@ class LocalTrivialization:
         return BundleMorphism.chain(
             [QuiverEdge(self.i, self.indices, walk, mrep)])
 
-    def check(self, max_len: int = 3, max_units: int = 3) -> Report:
+    def check(self, max_len: int = 3, max_units: int = 3,
+              chains: Optional[list[State]] = None) -> Report:
+        """The comparison-functor laws over walks of at most max_len steps.
+        `chains` are the bounded chains over the overlap, as
+        `enumerate_chains(space, max_units, self.region)` gives them, for
+        callers that check several charts of one index set."""
         space, q = self.space, self.space.q
         tag = f"triv.{self.i}.{''.join(self.indices)}"
         rep = Report("bundle")
         walks = enumerate_paths(space.cover, self.indices, max_len)
         mreps = q.morphisms.reps
+        pair_keys: dict[tuple, tuple] = {}
+
+        def pair_key(start: str, steps: tuple, phi: str) -> tuple:
+            """mor_key(on_pair(walk, phi)), memoized by (start, steps, phi)."""
+            key = pair_keys.get((start, steps, phi))
+            if key is None:
+                key = space.mor_key(self.on_pair(space.cover.walk(start, steps), phi))
+                pair_keys[start, steps, phi] = key
+            return key
 
         witness = None
         images = set()
@@ -668,8 +716,9 @@ class LocalTrivialization:
         witness = None
         for w in walks:
             for n, m1 in enumerate(mreps):
+                key1 = pair_key(w.start, w.steps, m1)
                 for m2 in mreps[n + 1:]:
-                    if space.mor_equal(self.on_pair(w, m1), self.on_pair(w, m2)):
+                    if pair_key(w.start, w.steps, m2) == key1:
                         witness = (f"({w.start}:{list(w.steps)}, {m1}) and "
                                    f"(same walk, {m2}) map to equal morphisms")
                         break
@@ -682,10 +731,12 @@ class LocalTrivialization:
                    witness is None, witness)
 
         witness = None
-        for st in enumerate_chains(space, max_units, self.region):
-            m = space.to_chain(st)
-            w, phi = space.reduce_to_chart(m, self.i, self.indices)
-            if not space.mor_equal(m, self.on_pair(w, phi)):
+        if chains is None:
+            chains = enumerate_chains(space, max_units, self.region)
+        for st in chains:
+            # unit_split(to_chain(st)) == st, so st is keyed as it stands
+            start, steps = space._walk_sig(st)
+            if space.state_key(st) != pair_key(start, steps, space.reduce_state(st, self.i)):
                 witness = f"chain {st} is not equal to its chart-{self.i} reduction"
                 break
         rep.record(f"{tag}.mor_surjective",
@@ -700,10 +751,10 @@ class LocalTrivialization:
                 w21 = compose_paths(space.cover, w2, w1)
                 for m1 in mreps:
                     for m2 in q.mors_with_source(q.target[m1]):
-                        lhs = self.on_pair(w21, q.compose_of(m2, m1))
+                        lhs = pair_key(w21.start, w21.steps, q.compose_of(m2, m1))
                         rhs = space.mor_compose(self.on_pair(w1, m1),
                                                 self.on_pair(w2, m2))
-                        if not space.mor_equal(lhs, rhs):
+                        if space.mor_key(rhs) != lhs:
                             witness = (f"composite of ({w1.steps}, {m1}) then "
                                        f"({w2.steps}, {m2}) disagrees")
                             break
@@ -720,10 +771,10 @@ class LocalTrivialization:
         witness = None
         for w in walks:
             for m1 in mreps:
+                m = self.on_pair(w, m1)
                 for psi in mreps:
-                    lhs = self.on_pair(w, q.mor_product(m1, psi))
-                    rhs = space.act_mor(self.on_pair(w, m1), psi)
-                    if not space.mor_equal(lhs, rhs):
+                    lhs = pair_key(w.start, w.steps, q.mor_product(m1, psi))
+                    if space.mor_key(space.act_mor(m, psi)) != lhs:
                         witness = f"action by {psi} breaks on ({w.steps}, {m1})"
                         break
                 if witness:
@@ -819,13 +870,14 @@ def check_bundle_axioms(space: BundleSpace, max_len: int = 3,
 
     witness = None
     for m in itertools.chain(markers, map(space.to_chain, states)):
+        pm, key = space.project(m), space.mor_key(m)
         for psi in q.morphisms.reps:
             acted = space.act_mor(m, psi)
-            pr, pm = space.project(acted), space.project(m)
+            pr = space.project(acted)
             if (pr.start, pr.steps) != (pm.start, pm.steps):
                 witness = f"action by {psi} changed a projected walk"
                 break
-            if space.mor_equal(acted, m) != (psi == neutral):
+            if (space.mor_key(acted) == key) != (psi == neutral):
                 witness = f"morphism action by {psi} is not free on {m}"
                 break
         if witness:
@@ -881,9 +933,9 @@ def check_bundle_axioms(space: BundleSpace, max_len: int = 3,
     for members in classes.values():
         base, *others = [space.to_chain(st) for st in members]
         for psi in movers:
-            target = space.act_mor(base, psi)
+            target = space.mor_key(space.act_mor(base, psi))
             for other in others:
-                if not space.mor_equal(space.act_mor(other, psi), target):
+                if space.mor_key(space.act_mor(other, psi)) != target:
                     witness = f"equal chains act apart under {psi}"
                     break
             if witness:
@@ -918,12 +970,12 @@ def check_bundle_axioms(space: BundleSpace, max_len: int = 3,
         alts1 = list(classes[space.component_of(space.unit_split(m1))])[:2]
         for m2 in by_source_obj.get(t1, ())[:3]:
             alts2 = list(classes[space.component_of(space.unit_split(m2))])[:2]
-            comp = space.mor_compose(m1, m2)
+            comp = space.mor_key(space.mor_compose(m1, m2))
             for a1 in alts1:
                 for a2 in alts2:
                     pairs_checked += 1
                     alt = space.mor_compose(space.to_chain(a1), space.to_chain(a2))
-                    if not space.mor_equal(comp, alt):
+                    if space.mor_key(alt) != comp:
                         witness = "composition depends on chain representatives"
                         break
                 if witness:
@@ -936,9 +988,11 @@ def check_bundle_axioms(space: BundleSpace, max_len: int = 3,
                "composition does not depend on the chain representative",
                witness is None, witness)
 
-    fam = index_family(cover)
-    for indices in fam.members:
-        for i in indices:
-            rep.merge(LocalTrivialization(space, i, indices).check(
-                max_len, min(max_len, 3)))
+    # one region's bounded chains at a time, shared by all of its charts
+    max_units = min(max_len, 3)
+    for indices in index_family(cover).members:
+        trivs = [LocalTrivialization(space, i, indices) for i in indices]
+        chains = enumerate_chains(space, max_units, trivs[0].region)
+        for triv in trivs:
+            rep.merge(triv.check(max_len, max_units, chains))
     return rep

@@ -7,6 +7,8 @@ SchemaError; broken laws come back as failed checks with witnesses.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from .bundle import BundleSpace, check_bundle_axioms
 from .crossed import check_tau_image_normal, validate_peiffer
 from .errors import InternalInvariantError, PreconditionError, SchemaError
@@ -85,14 +87,14 @@ def suite_quotient(inst: Instance, max_len: int) -> Report:
     return rep
 
 
-def _space_or_failures(inst: Instance, max_len: int):
+def _space_or_failures(inst: Instance, max_len: int, peiffer: Optional[Report]):
     """Build the bundle space only over law-clean data; otherwise return the
     failing precondition report so broken documents fail instead of crashing.
     The preconditions include the component laws (groups, homomorphisms,
     actions, Peiffer identities): no bundle is glued over a table that is not
-    a group."""
+    a group. `peiffer` is the `suite_peiffer` report when the caller has it."""
     pre = Report("bundle")
-    pre.merge(suite_peiffer(inst))
+    pre.merge(suite_peiffer(inst) if peiffer is None else peiffer)
     pre.merge(validate_gerbal(inst.gc))
     pre.merge(check_second_gerbe(inst.gc))
     fc = _functorial_data(inst)
@@ -108,11 +110,12 @@ def _space_or_failures(inst: Instance, max_len: int):
     return BundleSpace(fc, q, check=False), pre
 
 
-def suite_bundle(inst: Instance, max_len: int) -> Report:
+def suite_bundle(inst: Instance, max_len: int,
+                 peiffer: Optional[Report] = None) -> Report:
     if not inst.cover.identity_edges:
         raise PreconditionError(
             "the bundle suite needs zero-length edges enabled on the base")
-    space, pre = _space_or_failures(inst, max_len)
+    space, pre = _space_or_failures(inst, max_len, peiffer)
     if space is None:
         return pre
     rep = Report("bundle")
@@ -120,11 +123,12 @@ def suite_bundle(inst: Instance, max_len: int) -> Report:
     return rep
 
 
-def suite_oracle(inst: Instance, max_len: int) -> Report:
+def suite_oracle(inst: Instance, max_len: int,
+                 peiffer: Optional[Report] = None) -> Report:
     if not inst.cover.directed or inst.cover.identity_edges:
         raise PreconditionError(
             "the oracle suite needs a directed base with zero-length edges disabled")
-    space, pre = _space_or_failures(inst, max_len)
+    space, pre = _space_or_failures(inst, max_len, peiffer)
     if space is None:
         return pre
     rep = Report("oracle")
@@ -151,14 +155,15 @@ def run_suite(inst: Instance, suite: str, max_len: int = 3) -> Report:
         return suite_oracle(inst, max_len)
     if suite == "all":
         rep = Report("all")
-        rep.merge(suite_peiffer(inst))
+        peiffer = suite_peiffer(inst)
+        rep.merge(peiffer)
         rep.merge(suite_gerbal(inst))
         rep.merge(suite_functorial(inst, max_len))
         rep.merge(suite_naturality(inst, max_len))
         rep.merge(suite_quotient(inst, max_len))
         if inst.cover.identity_edges:
-            rep.merge(suite_bundle(inst, max_len))
+            rep.merge(suite_bundle(inst, max_len, peiffer))
         if inst.cover.directed and not inst.cover.identity_edges:
-            rep.merge(suite_oracle(inst, max_len))
+            rep.merge(suite_oracle(inst, max_len, peiffer))
         return rep
     raise SchemaError(f"unknown suite {suite!r}; choose one of {list(SUITES)}")

@@ -15,6 +15,7 @@ from catbundle.bundle import (
 from catbundle.complexes import PathMor
 from catbundle.errors import (
     CompositionError,
+    DomainError,
     PreconditionError,
     SchemaError,
 )
@@ -355,6 +356,53 @@ def test_edge_whose_visited_vertices_disagree_with_its_steps_is_rejected(inst_li
     forged = QuiverEdge("1", ("1",), PathMor("0", (("e01", 1),), ("0", "2")), phi)
     with pytest.raises(SchemaError):
         space.edge_endpoints(forged)
+
+
+def test_mor_equal_validates_both_arguments_whatever_the_other_walk(inst_line5):
+    # an invalid chain raises from either side, also against a morphism over
+    # another walk, where comparing walks first would answer False unchecked
+    space = fresh_space(inst_line5)
+    q = space.q
+    phi = q.identity_mor_at(q.identity_obj())
+    e1 = QuiverEdge("1", ("1",), space.cover.walk("0", [("e01", 1)]), phi)
+    elsewhere = next(r for r in q.morphisms.reps if q.source[r] != q.target[phi])
+    e2 = QuiverEdge("1", ("1",), space.cover.walk("1", [("e12", 1)]), elsewhere)
+    broken = BundleMorphism.chain([e1, e2])
+    forged = BundleMorphism.chain(
+        [QuiverEdge("1", ("1",), PathMor("0", (("e01", 1),), ("0", "2")), phi)])
+    lifted, _ = space.lift_walk(space.cover.walk("0", [("e01", 1), ("e12", 1)]))
+    others = [lifted, BundleMorphism.chain([e1]),
+              BundleMorphism.identity(space.objects_all()[0])]
+    for bad, error in ((broken, CompositionError), (forged, SchemaError)):
+        for other in others + [bad]:
+            with pytest.raises(error):
+                space.mor_equal(bad, other)
+            with pytest.raises(error):
+                space.mor_equal(other, bad)
+
+
+def test_reduce_to_chart_checks_then_reduces_the_state(space_line5):
+    space, q = space_line5, space_line5.q
+    triv = LocalTrivialization(space, "1", ("1", "2"))
+    for st in enumerate_chains(space, 2, triv.region)[:300]:
+        m = space.to_chain(st)
+        walk, phi = space.reduce_to_chart(m, "1", triv.indices)
+        assert (walk.start, walk.steps) == space._walk_sig(st)
+        assert phi == space.reduce_state(st, "1")
+        assert space.mor_equal(m, triv.on_pair(walk, phi))
+    x = space.canonical_obj("1", sorted(triv.region)[0], q.identity_obj())
+    walk, phi = space.reduce_to_chart(BundleMorphism.identity(x), "1", triv.indices)
+    assert len(walk) == 0 and phi == q.identity_mor_at(x.fiber)
+    with pytest.raises(SchemaError):
+        space.reduce_to_chart(BundleMorphism.identity(x), "3", triv.indices)
+    outside = next(u for u in sorted(space.cover.vertex_set) if u not in triv.region)
+    y = space.canonical_obj(space.cover.smallest_chart(outside), outside, q.identity_obj())
+    with pytest.raises(DomainError):
+        space.reduce_to_chart(BundleMorphism.identity(y), "1", triv.indices)
+    leaving = next(m for m in map(space.to_chain, enumerate_chains(space, 1))
+                   if not set(space.project(m).visited) <= triv.region)
+    with pytest.raises(DomainError):
+        space.reduce_to_chart(leaving, "1", triv.indices)
 
 
 def test_lift_walk_rejects_a_broken_chain(inst_line5):

@@ -1,11 +1,23 @@
 """Suite composition: which checks run where, and how broken inputs surface
 as failing checks rather than crashes."""
 
+import hashlib
+
 import pytest
 
 from catbundle.errors import PreconditionError, SchemaError
 from catbundle.presets import build_instance
+from catbundle.schema import report_to_json
 from catbundle.suites import SUITES, run_suite
+
+# SHA-256 of the `all` report at preset seed 5 with noise. A passing report
+# holds only check ids, laws and statuses, so the two S3 line bases share one.
+GOLDEN_ALL = [
+    ("s3-line5", 3, "0dc368c802c17156a86ad7a3bc1e1f2e664da464fbd597ee7d7e5ce07adc2e7c"),
+    ("s3-line5w", 2, "0dc368c802c17156a86ad7a3bc1e1f2e664da464fbd597ee7d7e5ce07adc2e7c"),
+    ("cycle6-trivial", 4, "d19e83ce502521ff91a0e5a4b1e4f33d0020bff5f89d2622a6b299994d0e8273"),
+    ("oracle-dirline3", 3, "be681f120706fdcb3fc5128ba2495146a50eb7be81bd7243f2ee7104b7053e3c"),
+]
 
 
 def prefixes(rep):
@@ -70,3 +82,9 @@ def test_peiffer_suite_covers_both_modules(inst_line5):
     names = {c.check_id for c in rep.checks}
     assert any("outer" in n for n in names)
     assert any("inner" in n for n in names)
+
+
+@pytest.mark.parametrize("preset,max_len,digest", GOLDEN_ALL)
+def test_all_report_bytes_are_pinned(preset, max_len, digest):
+    rep = run_suite(build_instance(preset, seed=5, noise=True), "all", max_len)
+    assert hashlib.sha256(report_to_json(rep).encode()).hexdigest() == digest
