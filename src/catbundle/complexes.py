@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import CompositionError, SchemaError
-from .report import Report
 
 
 @dataclass(frozen=True)
@@ -194,18 +193,6 @@ class IndexFamily:
     """All index subsets with nonempty overlap, ordered by inclusion."""
     members: tuple[tuple[str, ...], ...]
 
-    def __contains__(self, key: tuple[str, ...]) -> bool:
-        return tuple(key) in set(self.members)
-
-    def downward_closed(self) -> bool:
-        mset = {frozenset(m) for m in self.members}
-        for m in self.members:
-            for r in range(1, len(m)):
-                for sub in combinations(m, r):
-                    if frozenset(sub) not in mset:
-                        return False
-        return True
-
 
 def index_family(c: CoverComplex) -> IndexFamily:
     members = []
@@ -215,41 +202,3 @@ def index_family(c: CoverComplex) -> IndexFamily:
             if overlap(c, combo):
                 members.append(tuple(combo))
     return IndexFamily(tuple(members))
-
-
-def _compare_walk_sets(
-    c: CoverComplex, small: Iterable[str], large: Iterable[str],
-    walks_large: list[PathMor], rep: Report, max_len: int,
-) -> None:
-    """Every walk inside the larger overlap must appear inside the smaller index set's overlap."""
-    walks_small = set(
-        (p.start, p.steps) for p in enumerate_paths(c, small, max_len)
-    )
-    witness = None
-    for p in walks_large:
-        if (p.start, p.steps) not in walks_small:
-            witness = f"walk {p.start}:{list(p.steps)} of {tuple(large)} missing from {tuple(small)}"
-            break
-    rep.record(
-        f"cover.inclusion.{'+'.join(small)}<={'+'.join(large)}",
-        "Mor(U_J) c= Mor(U_I) for I c= J, endpoints unchanged",
-        witness is None, witness,
-    )
-
-
-def inclusion_consistency(c: CoverComplex, max_len: int = 4) -> Report:
-    """Walk sets must be contravariant in the index subset, at every bounded length."""
-    rep = Report("cover")
-    fam = index_family(c)
-    for large in fam.members:
-        walks_large = enumerate_paths(c, large, max_len)
-        lset = frozenset(large)
-        for small in fam.members:
-            if frozenset(small) < lset:
-                _compare_walk_sets(c, small, large, walks_large, rep, max_len)
-    rep.record(
-        "cover.family.downward_closed",
-        "index family is downward closed", fam.downward_closed(),
-        "a subset with nonempty overlap is missing",
-    )
-    return rep

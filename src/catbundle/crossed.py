@@ -173,12 +173,6 @@ def arrow_product(cm: CrossedModule, a2: Arrow, a1: Arrow) -> Arrow:
     return Arrow(cm.H.op(a2.h, cm.alpha(a2.g, a1.h)), cm.G.op(a2.g, a1.g))
 
 
-def arrow_inverse(cm: CrossedModule, a: Arrow) -> Arrow:
-    """Group inverse: (h, g)^-1 = (alpha_{g^-1}(h^-1), g^-1)."""
-    ginv = cm.G.inverse(a.g)
-    return Arrow(cm.alpha(ginv, cm.H.inverse(a.h)), ginv)
-
-
 def arrow_co_inverse(cm: CrossedModule, a: Arrow) -> Arrow:
     """Inverse under composition: (h, g)^{-o} = (h^-1, tau(h) g)."""
     return Arrow(cm.H.inverse(a.h), cm.G.op(cm.tau(a.h), a.g))

@@ -65,10 +65,6 @@ def _require_inside(fc: FunctorialCocycle, indices: tuple[str, ...], walk: PathM
         )
 
 
-def eval_theta_obj(fc: FunctorialCocycle, i: str, k: str, u: str) -> str:
-    return fc.g(i, k, u)
-
-
 def eval_theta(fc: FunctorialCocycle, i: str, k: str, walk: PathMor) -> Arrow:
     _require_inside(fc, (i, k), walk)
     H = fc.chain.H

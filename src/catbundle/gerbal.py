@@ -156,18 +156,6 @@ class DerivedTower:
         self.g = g
         self.h3 = h3
 
-    def g_of(self, i: str, k: str, u: str) -> str:
-        try:
-            return self.g[(i, k, u)]
-        except KeyError:
-            raise DomainError(f"g_{i}{k} is not defined at vertex {u!r}") from None
-
-    def h3_of(self, i: str, k: str, m: str, u: str) -> str:
-        try:
-            return self.h3[(i, k, m, u)]
-        except KeyError:
-            raise DomainError(f"h_{i}{k}{m} is not defined at vertex {u!r}") from None
-
 
 def derive_tower(gc: GerbalCocycle, verify: bool = True) -> DerivedTower:
     """Push h and j down one level; with verify=True both induced relations

@@ -94,17 +94,6 @@ def klein_four(name: str = "V4") -> FiniteGroup:
     return _group_from_perms(name, perms)
 
 
-def cyclic_group(n: int, name: str | None = None) -> FiniteGroup:
-    """Powers of the n-cycle (12...n), named like every other group here."""
-    step = tuple((i + 1) % n for i in range(n))
-    perms = []
-    p = tuple(range(n))
-    for _ in range(n):
-        perms.append(p)
-        p = compose(step, p)
-    return _group_from_perms(name or f"Z{n}", perms)
-
-
 def inclusion_hom(sub: FiniteGroup, big: FiniteGroup, name: str = "incl") -> GroupHom:
     """Inclusion of a permutation subgroup; ids must match element-wise."""
     for x in sub.elements:

@@ -263,11 +263,7 @@ class QuotientCatGroup:
 
         witness = None
         for mrep in self.morphisms.reps:
-            outs = {
-                self.morphisms.rep(self.sd.to_id(arrow_co_inverse(
-                    self.chain.outer, self.sd.to_arrow(x))))
-                for x in self.morphisms.members_of[mrep]
-            }
+            outs = {self.mor_co_inverse(x) for x in self.morphisms.members_of[mrep]}
             if len(outs) != 1:
                 witness = f"composition inverse not constant on coset {mrep!r}"
                 break
@@ -378,9 +374,6 @@ class QuotientCatGroup:
 
     def mors_with_source(self, orep: str) -> list[str]:
         return self._by_source.get(orep, [])
-
-    def q_obj(self, g: str) -> str:
-        return self.objects.rep(g)
 
     def q_mor(self, a: Arrow) -> str:
         return self.morphisms.rep(self.sd.to_id(a))

@@ -3,10 +3,16 @@
 Each suite returns a Report whose serialized form is a pure function of the
 instance. Structural problems (malformed tables, missing entries) raise
 SchemaError; broken laws come back as failed checks with witnesses.
+
+A run reads every stage of the construction from one InstanceContext, which
+builds each stage on first use and only once: a single suite builds just the
+stages it reads, and the `all` report is the concatenation of the reports of
+the single suites that apply to the base.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Optional
 
 from .bundle import BundleSpace, check_bundle_axioms
@@ -22,6 +28,7 @@ from .functorial import (
 )
 from .gerbal import check_second_gerbe, derive_tower, validate_gerbal
 from .quotient import (
+    QuotientCatGroup,
     build_quotient,
     check_classical_cocycle,
     check_JH_normal,
@@ -35,135 +42,141 @@ SUITES = ("peiffer", "gerbal", "functorial", "naturality", "quotient",
           "bundle", "oracle", "all")
 
 
-def _functorial_data(inst: Instance) -> FunctorialCocycle:
-    tower = derive_tower(inst.gc, verify=False)
-    return FunctorialCocycle(inst.gc, tower)
+class InstanceContext:
+    """The stages of the construction over one instance at one walk bound."""
 
+    def __init__(self, inst: Instance, max_len: int = 3):
+        self.inst = inst
+        self.max_len = max_len
 
-def suite_peiffer(inst: Instance) -> Report:
-    rep = Report("peiffer")
-    rep.merge(validate_peiffer(inst.chain.outer))
-    rep.merge(validate_peiffer(inst.chain.inner))
-    rep.merge(check_tau_image_normal(inst.chain.outer))
-    rep.merge(check_tau_image_normal(inst.chain.inner))
-    return rep
-
-
-def suite_gerbal(inst: Instance) -> Report:
-    rep = Report("gerbal")
-    rep.merge(validate_gerbal(inst.gc))
-    rep.merge(check_second_gerbe(inst.gc))
-    return rep
-
-
-def suite_functorial(inst: Instance, max_len: int) -> Report:
-    fc = _functorial_data(inst)
-    rep = Report("functorial")
-    for i, k in all_pairs(fc):
-        rep.merge(check_theta_functorial(fc, i, k, max_len))
-    return rep
-
-
-def suite_naturality(inst: Instance, max_len: int) -> Report:
-    fc = _functorial_data(inst)
-    rep = Report("naturality")
-    for i, k, m in all_triples(fc):
-        rep.merge(check_naturality(fc, i, k, m, max_len))
-        rep.merge(check_product_relation(fc, i, k, m, max_len))
-    return rep
-
-
-def suite_quotient(inst: Instance, max_len: int) -> Report:
-    rep = Report("quotient")
-    rep.merge(check_JH_normal(inst.chain))
-    try:
-        q = build_quotient(inst.chain, variant_for(inst.chain))
-    except (SchemaError, InternalInvariantError) as exc:
-        rep.record("quotient.build", "the coset category carries group structure",
-                   False, str(exc))
+    @cached_property
+    def peiffer(self) -> Report:
+        rep = Report("peiffer")
+        for check in (validate_peiffer, check_tau_image_normal):
+            for cm in (self.inst.chain.outer, self.inst.chain.inner):
+                rep.merge(check(cm))
         return rep
-    rep.merge(q.verification)
-    rep.merge(check_classical_cocycle(_functorial_data(inst), q, max_len))
+
+    @cached_property
+    def gerbal(self) -> Report:
+        rep = Report("gerbal")
+        rep.merge(validate_gerbal(self.inst.gc))
+        rep.merge(check_second_gerbe(self.inst.gc, self.fc.tower))
+        return rep
+
+    @cached_property
+    def fc(self) -> FunctorialCocycle:
+        return FunctorialCocycle(self.inst.gc, derive_tower(self.inst.gc, verify=False))
+
+    @cached_property
+    def quotient(self) -> tuple[Optional[QuotientCatGroup], Report]:
+        """The coset quotient and its classical-cocycle check, or None and the
+        failed `quotient.build` record."""
+        try:
+            q = build_quotient(self.inst.chain, variant_for(self.inst.chain))
+        except (SchemaError, InternalInvariantError) as exc:
+            rep = Report("quotient")
+            rep.record("quotient.build", "the coset category carries group structure",
+                       False, str(exc))
+            return None, rep
+        return q, check_classical_cocycle(self.fc, q, self.max_len)
+
+    @cached_property
+    def space(self) -> tuple[Optional[BundleSpace], Report]:
+        """The glued bundle, or None when a component, cocycle or classical law
+        fails, and the precondition report: broken data fails, never crashes."""
+        pre = Report("bundle")
+        pre.merge(self.peiffer)
+        pre.merge(self.gerbal)
+        q, classical = self.quotient
+        pre.merge(classical)
+        return (BundleSpace(self.fc, q, check=False) if pre.ok else None), pre
+
+
+def suite_peiffer(ctx: InstanceContext) -> Report:
+    return ctx.peiffer
+
+
+def suite_gerbal(ctx: InstanceContext) -> Report:
+    return ctx.gerbal
+
+
+def suite_functorial(ctx: InstanceContext) -> Report:
+    rep = Report("functorial")
+    for i, k in all_pairs(ctx.fc):
+        rep.merge(check_theta_functorial(ctx.fc, i, k, ctx.max_len))
     return rep
 
 
-def _space_or_failures(inst: Instance, max_len: int, peiffer: Optional[Report]):
-    """Build the bundle space only over law-clean data; otherwise return the
-    failing precondition report so broken documents fail instead of crashing.
-    The preconditions include the component laws (groups, homomorphisms,
-    actions, Peiffer identities): no bundle is glued over a table that is not
-    a group. `peiffer` is the `suite_peiffer` report when the caller has it."""
-    pre = Report("bundle")
-    pre.merge(suite_peiffer(inst) if peiffer is None else peiffer)
-    pre.merge(validate_gerbal(inst.gc))
-    pre.merge(check_second_gerbe(inst.gc))
-    fc = _functorial_data(inst)
-    try:
-        q = build_quotient(inst.chain, variant_for(inst.chain))
-    except (SchemaError, InternalInvariantError) as exc:
-        pre.record("quotient.build", "the coset category carries group structure",
-                   False, str(exc))
-        return None, pre
-    pre.merge(check_classical_cocycle(fc, q, max_len))
-    if not pre.ok:
-        return None, pre
-    return BundleSpace(fc, q, check=False), pre
+def suite_naturality(ctx: InstanceContext) -> Report:
+    rep = Report("naturality")
+    for i, k, m in all_triples(ctx.fc):
+        rep.merge(check_naturality(ctx.fc, i, k, m, ctx.max_len))
+        rep.merge(check_product_relation(ctx.fc, i, k, m, ctx.max_len))
+    return rep
 
 
-def suite_bundle(inst: Instance, max_len: int,
-                 peiffer: Optional[Report] = None) -> Report:
-    if not inst.cover.identity_edges:
+def suite_quotient(ctx: InstanceContext) -> Report:
+    rep = Report("quotient")
+    rep.merge(check_JH_normal(ctx.inst.chain))
+    q, classical = ctx.quotient
+    if q is not None:
+        rep.merge(q.verification)
+    rep.merge(classical)
+    return rep
+
+
+def suite_bundle(ctx: InstanceContext) -> Report:
+    if not ctx.inst.cover.identity_edges:
         raise PreconditionError(
             "the bundle suite needs zero-length edges enabled on the base")
-    space, pre = _space_or_failures(inst, max_len, peiffer)
+    space, pre = ctx.space
     if space is None:
         return pre
     rep = Report("bundle")
-    rep.merge(check_bundle_axioms(space, max_len))
+    rep.merge(check_bundle_axioms(space, ctx.max_len))
     return rep
 
 
-def suite_oracle(inst: Instance, max_len: int,
-                 peiffer: Optional[Report] = None) -> Report:
-    if not inst.cover.directed or inst.cover.identity_edges:
+def suite_oracle(ctx: InstanceContext) -> Report:
+    if not ctx.inst.cover.directed or ctx.inst.cover.identity_edges:
         raise PreconditionError(
             "the oracle suite needs a directed base with zero-length edges disabled")
-    space, pre = _space_or_failures(inst, max_len, peiffer)
+    space, pre = ctx.space
     if space is None:
         return pre
     rep = Report("oracle")
-    oracle = WordOracle(space, max_len)
-    rep.merge(check_oracle_agreement(space, max_len, oracle))
-    rep.merge(check_congruence_invariants(space, max_len, oracle))
+    oracle = WordOracle(space, ctx.max_len)
+    rep.merge(check_oracle_agreement(space, ctx.max_len, oracle))
+    rep.merge(check_congruence_invariants(space, ctx.max_len, oracle))
     return rep
 
 
-def run_suite(inst: Instance, suite: str, max_len: int = 3) -> Report:
+def _run(ctx: InstanceContext, suite: str) -> Report:
     if suite == "peiffer":
-        return suite_peiffer(inst)
+        return suite_peiffer(ctx)
     if suite == "gerbal":
-        return suite_gerbal(inst)
+        return suite_gerbal(ctx)
     if suite == "functorial":
-        return suite_functorial(inst, max_len)
+        return suite_functorial(ctx)
     if suite == "naturality":
-        return suite_naturality(inst, max_len)
+        return suite_naturality(ctx)
     if suite == "quotient":
-        return suite_quotient(inst, max_len)
+        return suite_quotient(ctx)
     if suite == "bundle":
-        return suite_bundle(inst, max_len)
+        return suite_bundle(ctx)
     if suite == "oracle":
-        return suite_oracle(inst, max_len)
-    if suite == "all":
-        rep = Report("all")
-        peiffer = suite_peiffer(inst)
-        rep.merge(peiffer)
-        rep.merge(suite_gerbal(inst))
-        rep.merge(suite_functorial(inst, max_len))
-        rep.merge(suite_naturality(inst, max_len))
-        rep.merge(suite_quotient(inst, max_len))
-        if inst.cover.identity_edges:
-            rep.merge(suite_bundle(inst, max_len, peiffer))
-        if inst.cover.directed and not inst.cover.identity_edges:
-            rep.merge(suite_oracle(inst, max_len, peiffer))
-        return rep
+        return suite_oracle(ctx)
     raise SchemaError(f"unknown suite {suite!r}; choose one of {list(SUITES)}")
+
+
+def run_suite(inst: Instance, suite: str, max_len: int = 3) -> Report:
+    ctx = InstanceContext(inst, max_len)
+    if suite != "all":
+        return _run(ctx, suite)
+    cover = inst.cover
+    last = ("bundle",) if cover.identity_edges else ("oracle",) if cover.directed else ()
+    rep = Report("all")
+    for name in ("peiffer", "gerbal", "functorial", "naturality", "quotient") + last:
+        rep.merge(_run(ctx, name))
+    return rep

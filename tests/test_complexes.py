@@ -11,8 +11,6 @@ from catbundle.complexes import (
     CoverComplex,
     compose_paths,
     enumerate_paths,
-    inclusion_consistency,
-    index_family,
     overlap,
     walk_inside,
 )
@@ -175,17 +173,6 @@ def test_strict_false_admits_uncovered_edge():
         {"1": ["0", "1"], "2": ["2"]}, ["1", "2"], strict=False,
     )
     assert c.charts_containing(["1", "2"]) == []
-
-
-def test_index_family_downward_closed():
-    for builder in (cover_line5, cover_line5w, cover_cycle6, cover_dirline3):
-        fam = index_family(builder())
-        assert fam.downward_closed()
-
-
-def test_inclusion_consistency_reports_pass():
-    for builder in (cover_line5, cover_line5w):
-        assert inclusion_consistency(builder(), max_len=3).ok
 
 
 def test_smallest_chart_follows_index_order():

@@ -15,7 +15,6 @@ from catbundle.functorial import (
     eval_T,
     eval_Theta,
     eval_theta,
-    eval_theta_obj,
 )
 from catbundle.gerbal import generate_gerbal
 from catbundle.presets import cover_line5w
@@ -29,7 +28,7 @@ def fc(inst_line5w):
 def test_derived_g_pushes_h_down(fc, inst_line5w):
     chain = inst_line5w.chain
     for (i, k, u), h in inst_line5w.gc.h.items():
-        assert eval_theta_obj(fc, i, k, u) == chain.tau(h)
+        assert fc.g(i, k, u) == chain.tau(h)
 
 
 def test_theta_of_identity_walk_is_identity_arrow(fc):

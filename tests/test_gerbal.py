@@ -126,9 +126,9 @@ def test_derived_tower_pushes_down(inst_line5w):
     gc, chain = inst_line5w.gc, inst_line5w.chain
     tower = derive_tower(gc)
     for (i, k, u), h in gc.h.items():
-        assert tower.g_of(i, k, u) == chain.tau(h)
+        assert tower.g[(i, k, u)] == chain.tau(h)
     for (i, k, m, u), j in gc.j.items():
-        assert tower.h3_of(i, k, m, u) == chain.tau_p(j)
+        assert tower.h3[(i, k, m, u)] == chain.tau_p(j)
 
 
 def test_second_gerbe_relation_holds(inst_line5w):

@@ -15,7 +15,6 @@ from catbundle.errors import SchemaError
 from catbundle.permutations import (
     alternating_group,
     conjugation_action,
-    cyclic_group,
     identity_hom,
     inclusion_hom,
     klein_four,
@@ -76,14 +75,6 @@ def test_composition_convention():
     s3 = symmetric_group(3)
     assert s3.op("(12)", "(123)") == "(23)"
     assert s3.op("(123)", "(12)") == "(13)"
-
-
-def test_cyclic_group():
-    c4 = cyclic_group(4)
-    assert c4.order == 4
-    gen = "(1234)"
-    assert c4.op(gen, gen) == "(13)(24)"
-    assert c4.inverse(gen) == "(1432)"
 
 
 def test_inclusion_hom_maps_names_verbatim():

@@ -110,8 +110,8 @@ def test_source_target_descend(chain_s3, quotient_s3):
     for x in sd.group.elements:
         a = sd.to_arrow(x)
         mrep = q.q_mor(a)
-        assert q.source[mrep] == q.q_obj(sd.source(x))
-        assert q.target[mrep] == q.q_obj(sd.target(x))
+        assert q.source[mrep] == q.objects.rep(sd.source(x))
+        assert q.target[mrep] == q.objects.rep(sd.target(x))
 
 
 def test_compose_descends_on_reps(quotient_s3):

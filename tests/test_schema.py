@@ -18,7 +18,7 @@ from catbundle.schema import (
     instance_to_json,
     report_to_json,
 )
-from catbundle.suites import suite_gerbal
+from catbundle.suites import InstanceContext, suite_gerbal
 
 
 def test_serialization_is_canonical():
@@ -112,7 +112,7 @@ def test_law_breaking_document_loads_then_fails_suites():
     doc["cocycle"]["h"][key] = "(123)" if doc["cocycle"]["h"][key] != "(123)" \
         else "(12)"
     loaded = instance_from_document(doc)
-    rep = suite_gerbal(loaded)
+    rep = suite_gerbal(InstanceContext(loaded))
     assert not rep.ok
     assert rep.failures()[0].witness
 
