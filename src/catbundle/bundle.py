@@ -79,7 +79,7 @@ from .errors import (
     SchemaError,
 )
 from .functorial import FunctorialCocycle, eval_theta
-from .quotient import QuotientCatGroup, check_classical_cocycle
+from .quotient import QuotientCatGroup
 from .report import Report
 
 
@@ -127,17 +127,17 @@ State = tuple  # tuple of Units
 
 
 class BundleSpace:
-    """All bundle-level operations for one validated cocycle and quotient fiber."""
+    """All bundle-level operations for one cocycle and quotient fiber.
 
-    def __init__(self, fc: FunctorialCocycle, q: QuotientCatGroup, check: bool = True):
+    The space re-checks none of its inputs: the `peiffer`, `gerbal` and
+    `quotient` suites check the crossed-module laws, the cocycle relations and
+    the classical cocycle on cosets, and `suites.InstanceContext.space` builds
+    a space only when their reports pass. It refuses only a fiber quotient
+    without group structure."""
+
+    def __init__(self, fc: FunctorialCocycle, q: QuotientCatGroup):
         if not (q.obj_normal and q.mor_normal):
             raise PreconditionError("the fiber quotient must carry group structure")
-        if check:
-            rep = check_classical_cocycle(fc, q, max_len=2)
-            if not rep.ok:
-                raise PreconditionError(
-                    f"classical cocycle check failed: {rep.first_witness()}"
-                )
         self.fc = fc
         self.q = q
         self.cover = fc.cover

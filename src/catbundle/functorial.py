@@ -23,22 +23,18 @@ from __future__ import annotations
 from .complexes import PathMor, enumerate_paths, overlap, walk_inside
 from .crossed import Arrow, arrow_compose, arrow_endpoints, arrow_identity, arrow_product
 from .errors import CompositionError, DomainError
-from .gerbal import DerivedTower, GerbalCocycle, derive_tower, required_pairs, required_triples
+from .gerbal import GerbalCocycle, derive_tower
 from .report import Report
 
 
 class FunctorialCocycle:
     """A cocycle together with its derived tower, exposing walk-level evaluation."""
 
-    def __init__(self, gc: GerbalCocycle, tower: DerivedTower):
+    def __init__(self, gc: GerbalCocycle):
         self.gc = gc
-        self.tower = tower
+        self.tower = derive_tower(gc)
         self.chain = gc.chain
         self.cover = gc.cover
-
-    @classmethod
-    def from_cocycle(cls, gc: GerbalCocycle, verify: bool = True) -> "FunctorialCocycle":
-        return cls(gc, derive_tower(gc, verify=verify))
 
     def h(self, i: str, k: str, u: str) -> str:
         return self.gc.h_of(i, k, u)
@@ -218,11 +214,3 @@ def check_product_relation(fc: FunctorialCocycle, i: str, k: str, m: str,
         witness is None, witness,
     )
     return rep
-
-
-def all_pairs(fc: FunctorialCocycle) -> list[tuple[str, str]]:
-    return required_pairs(fc.cover)
-
-
-def all_triples(fc: FunctorialCocycle) -> list[tuple[str, str, str]]:
-    return required_triples(fc.cover)

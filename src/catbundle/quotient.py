@@ -8,7 +8,8 @@ pair: tau tau'(J) inside the object group and
 inside the arrow group. Objects are left cosets g tau tau'(J), morphisms are
 left cosets (h, g) J_H; source, target, composition, and (when the subgroups
 are normal) the group laws all descend, and every descent is verified
-exhaustively rather than assumed. The variant "full" quotients H x| G; the
+exhaustively rather than assumed. The variant is chosen from tau's image:
+when tau is onto G the variant "full" quotients H x| G, and otherwise the
 variant "tau" quotients H x| tau(H), which is a categorical group even when
 tau is not surjective.
 """
@@ -161,13 +162,11 @@ def variant_for(chain: ChainedCrossedModules) -> str:
 class QuotientCatGroup:
     """Coset objects and coset morphisms with verified categorical structure."""
 
-    def __init__(self, chain: ChainedCrossedModules, variant: str = "full"):
-        if variant not in ("full", "tau"):
-            raise SchemaError(f"unknown quotient variant {variant!r}")
+    def __init__(self, chain: ChainedCrossedModules):
         self.chain = chain
-        self.variant = variant
+        self.variant = variant_for(chain)
         tau_image = frozenset(chain.tau(h) for h in chain.H.elements)
-        if variant == "full":
+        if self.variant == "full":
             self.obj_parent = chain.G
             self.sd = SemidirectProduct(chain.outer)
         else:
@@ -385,8 +384,8 @@ class QuotientCatGroup:
         )
 
 
-def build_quotient(chain: ChainedCrossedModules, variant: str = "full") -> QuotientCatGroup:
-    return QuotientCatGroup(chain, variant)
+def build_quotient(chain: ChainedCrossedModules) -> QuotientCatGroup:
+    return QuotientCatGroup(chain)
 
 
 def check_classical_cocycle(fc: FunctorialCocycle, q: QuotientCatGroup,

@@ -20,19 +20,16 @@ from .crossed import check_tau_image_normal, validate_peiffer
 from .errors import InternalInvariantError, PreconditionError, SchemaError
 from .functorial import (
     FunctorialCocycle,
-    all_pairs,
-    all_triples,
     check_naturality,
     check_product_relation,
     check_theta_functorial,
 )
-from .gerbal import check_second_gerbe, derive_tower, validate_gerbal
+from .gerbal import check_second_gerbe, required_pairs, required_triples, validate_gerbal
 from .quotient import (
     QuotientCatGroup,
     build_quotient,
     check_classical_cocycle,
     check_JH_normal,
-    variant_for,
 )
 from .report import Report
 from .schema import Instance
@@ -66,14 +63,14 @@ class InstanceContext:
 
     @cached_property
     def fc(self) -> FunctorialCocycle:
-        return FunctorialCocycle(self.inst.gc, derive_tower(self.inst.gc, verify=False))
+        return FunctorialCocycle(self.inst.gc)
 
     @cached_property
     def quotient(self) -> tuple[Optional[QuotientCatGroup], Report]:
         """The coset quotient and its classical-cocycle check, or None and the
         failed `quotient.build` record."""
         try:
-            q = build_quotient(self.inst.chain, variant_for(self.inst.chain))
+            q = build_quotient(self.inst.chain)
         except (SchemaError, InternalInvariantError) as exc:
             rep = Report("quotient")
             rep.record("quotient.build", "the coset category carries group structure",
@@ -90,7 +87,7 @@ class InstanceContext:
         pre.merge(self.gerbal)
         q, classical = self.quotient
         pre.merge(classical)
-        return (BundleSpace(self.fc, q, check=False) if pre.ok else None), pre
+        return (BundleSpace(self.fc, q) if pre.ok else None), pre
 
 
 def suite_peiffer(ctx: InstanceContext) -> Report:
@@ -103,14 +100,14 @@ def suite_gerbal(ctx: InstanceContext) -> Report:
 
 def suite_functorial(ctx: InstanceContext) -> Report:
     rep = Report("functorial")
-    for i, k in all_pairs(ctx.fc):
+    for i, k in required_pairs(ctx.fc.cover):
         rep.merge(check_theta_functorial(ctx.fc, i, k, ctx.max_len))
     return rep
 
 
 def suite_naturality(ctx: InstanceContext) -> Report:
     rep = Report("naturality")
-    for i, k, m in all_triples(ctx.fc):
+    for i, k, m in required_triples(ctx.fc.cover):
         rep.merge(check_naturality(ctx.fc, i, k, m, ctx.max_len))
         rep.merge(check_product_relation(ctx.fc, i, k, m, ctx.max_len))
     return rep

@@ -10,9 +10,9 @@ which stay inside the inventory. That makes per-block Gaussian elimination
 over the rationals an exact decision procedure: two words are equal in the
 quotient precisely when their residuals against the echelon basis coincide.
 
-The congruence closure in the bundle module is sound by construction; this
+The one-pass normal form in the bundle module is sound by construction; this
 module is the independent completeness cross-check, so it deliberately avoids
-the closure code path and re-derives everything from the generators.
+the normal-form code path and re-derives everything from the generators.
 """
 
 from __future__ import annotations

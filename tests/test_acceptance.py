@@ -13,13 +13,11 @@ from itertools import combinations
 
 import perm_oracle
 
-from catbundle.bundle import BundleSpace, check_bundle_axioms
+from catbundle.bundle import check_bundle_axioms
 from catbundle.complexes import enumerate_paths, overlap
 from catbundle.crossed import validate_peiffer
 from catbundle.functorial import (
     FunctorialCocycle,
-    all_pairs,
-    all_triples,
     check_naturality,
     check_product_relation,
     check_theta_functorial,
@@ -27,20 +25,20 @@ from catbundle.functorial import (
 )
 from catbundle.gerbal import (
     check_second_gerbe,
+    derive_tower,
     generate_gerbal,
+    required_pairs,
     required_triples,
     validate_gerbal,
 )
 from catbundle.presets import build_instance, cover_line5w
 from catbundle.quotient import (
     build_JH,
-    build_quotient,
     check_JH_normal,
     check_classical_cocycle,
-    variant_for,
 )
 from catbundle.schema import report_to_json
-from catbundle.suites import run_suite
+from catbundle.suites import InstanceContext, run_suite
 from catbundle.wordalg import WordOracle, check_congruence_invariants, check_oracle_agreement
 
 
@@ -70,9 +68,8 @@ _dirline3 = {}
 def _dirline3_setup():
     if not _dirline3:
         inst = build_instance("oracle-dirline3", seed=3, noise=True)
-        fc = FunctorialCocycle.from_cocycle(inst.gc)
-        q = build_quotient(inst.chain, variant_for(inst.chain))
-        space = BundleSpace(fc, q)
+        space, pre = InstanceContext(inst, 2).space
+        assert pre.ok, pre.first_witness()
         _dirline3["space"] = space
         _dirline3["oracle"] = WordOracle(space, 3)
     return _dirline3["space"], _dirline3["oracle"]
@@ -99,7 +96,7 @@ def test_criterion_02_generated_cocycles_and_corruption(chain_s3):
         cover = cover_line5w()
         for seed in range(100):
             gc = generate_gerbal(chain_s3, cover, seed, noise=True)
-            for rep in (validate_gerbal(gc), check_second_gerbe(gc)):
+            for rep in (validate_gerbal(gc), check_second_gerbe(gc, derive_tower(gc))):
                 _report_problems(problems, rep, f"seed {seed}")
             if problems:
                 break
@@ -130,8 +127,8 @@ def test_criterion_03_functoriality_and_endpoint_dependence(chain_s3):
     with criterion(3) as problems:
         cover = cover_line5w()
         for seed in range(20):
-            fc = FunctorialCocycle.from_cocycle(generate_gerbal(chain_s3, cover, seed))
-            for i, k in all_pairs(fc):
+            fc = FunctorialCocycle(generate_gerbal(chain_s3, cover, seed))
+            for i, k in required_pairs(fc.cover):
                 _report_problems(problems, check_theta_functorial(fc, i, k, 3),
                                  f"seed {seed} pair ({i},{k})")
                 by_ends: dict[tuple[str, str], list] = {}
@@ -151,8 +148,8 @@ def test_criterion_04_naturality_and_product_relation(chain_s3):
     with criterion(4) as problems:
         cover = cover_line5w()
         for seed in range(20):
-            fc = FunctorialCocycle.from_cocycle(generate_gerbal(chain_s3, cover, seed))
-            triples = all_triples(fc)
+            fc = FunctorialCocycle(generate_gerbal(chain_s3, cover, seed))
+            triples = required_triples(fc.cover)
             if ("1", "2", "3") not in triples:
                 problems.append("the (1,2,3) triple overlap is missing")
             if not any(len(set(t)) < 3 for t in triples):
@@ -207,7 +204,7 @@ def test_criterion_06_classical_cocycle(chain_s3, quotient_s3):
     with criterion(6) as problems:
         cover = cover_line5w()
         for seed in range(20):
-            fc = FunctorialCocycle.from_cocycle(generate_gerbal(chain_s3, cover, seed))
+            fc = FunctorialCocycle(generate_gerbal(chain_s3, cover, seed))
             rep = check_classical_cocycle(fc, quotient_s3, 3)
             _report_problems(problems, rep, f"seed {seed}")
             ids = {c.check_id for c in rep.checks}
@@ -221,9 +218,10 @@ def test_criterion_07_bundle_axioms():
     with criterion(7) as problems:
         start = time.monotonic()
         inst = build_instance("s3-line5w", seed=7, noise=True)
-        fc = FunctorialCocycle.from_cocycle(inst.gc)
-        q = build_quotient(inst.chain, variant_for(inst.chain))
-        space = BundleSpace(fc, q)
+        space, pre = InstanceContext(inst, 2).space
+        _report_problems(problems, pre, "precondition")
+        if space is None:
+            return
 
         n = len(space.objects_all())
         if n != 10:

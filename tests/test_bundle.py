@@ -5,8 +5,6 @@ import pytest
 
 from catbundle.bundle import (
     BundleMorphism,
-    BundleObject,
-    BundleSpace,
     LocalTrivialization,
     QuiverEdge,
     check_bundle_axioms,
@@ -19,10 +17,10 @@ from catbundle.errors import (
     PreconditionError,
     SchemaError,
 )
-from catbundle.functorial import FunctorialCocycle
 from catbundle.gerbal import generate_gerbal
 from catbundle.presets import cover_line5w
-from catbundle.quotient import build_quotient, variant_for
+from catbundle.schema import Instance
+from catbundle.suites import InstanceContext
 from rewrite_reference import RewriteReference
 
 
@@ -216,10 +214,11 @@ def test_corrupted_data_fails_precondition(chain_s3):
     gc = generate_gerbal(chain_s3, cover, 7, noise=True)
     key = next(k for k in sorted(gc.h) if k[0] != k[1])
     gc.h[key] = next(x for x in chain_s3.H.elements if x != gc.h[key])
-    fc_bad = FunctorialCocycle.from_cocycle(gc, verify=False)
-    q = build_quotient(chain_s3, variant_for(chain_s3))
-    with pytest.raises(PreconditionError):
-        BundleSpace(fc_bad, q)
+    inst = Instance("s3-line5w", 7, True, chain_s3, cover, gc)
+    space, pre = InstanceContext(inst, 2).space
+    assert space is None
+    failed = {c.check_id for c in pre.failures()}
+    assert {"gerbal.relation", "classical.object"} <= failed
 
 
 def test_trivialization_needs_identity_edges(space_dirline3):
@@ -299,8 +298,9 @@ def test_rewrite_reference_partition_matches_mor_equal(request, fixture):
 # ----- each edge is validated once per space, errors are never cached --------
 
 def fresh_space(inst):
-    fc = FunctorialCocycle.from_cocycle(inst.gc)
-    return BundleSpace(fc, build_quotient(inst.chain, variant_for(inst.chain)))
+    space, pre = InstanceContext(inst, 2).space
+    assert pre.ok, pre.first_witness()
+    return space
 
 
 def test_invalid_edge_raises_on_every_call(inst_line5):

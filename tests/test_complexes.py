@@ -12,7 +12,6 @@ from catbundle.complexes import (
     compose_paths,
     enumerate_paths,
     overlap,
-    walk_inside,
 )
 from catbundle.errors import CompositionError, SchemaError
 from catbundle.presets import cover_cycle6, cover_dirline3, cover_line5, cover_line5w

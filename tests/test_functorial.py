@@ -7,8 +7,6 @@ from catbundle.crossed import arrow_endpoints, arrow_identity
 from catbundle.errors import DomainError
 from catbundle.functorial import (
     FunctorialCocycle,
-    all_pairs,
-    all_triples,
     check_naturality,
     check_product_relation,
     check_theta_functorial,
@@ -16,13 +14,13 @@ from catbundle.functorial import (
     eval_Theta,
     eval_theta,
 )
-from catbundle.gerbal import generate_gerbal
+from catbundle.gerbal import generate_gerbal, required_pairs, required_triples
 from catbundle.presets import cover_line5w
 
 
 @pytest.fixture(scope="module")
 def fc(inst_line5w):
-    return FunctorialCocycle.from_cocycle(inst_line5w.gc)
+    return FunctorialCocycle(inst_line5w.gc)
 
 
 def test_derived_g_pushes_h_down(fc, inst_line5w):
@@ -33,7 +31,7 @@ def test_derived_g_pushes_h_down(fc, inst_line5w):
 
 def test_theta_of_identity_walk_is_identity_arrow(fc):
     cm = fc.chain.outer
-    for i, k in all_pairs(fc):
+    for i, k in required_pairs(fc.cover):
         from catbundle.complexes import overlap
         for u in overlap(fc.cover, (i, k)):
             a = eval_theta(fc, i, k, fc.cover.identity_walk(u))
@@ -57,7 +55,7 @@ def test_theta_outside_overlap_is_domain_error(fc):
 
 
 def test_theta_functorial_all_pairs(fc):
-    for i, k in all_pairs(fc):
+    for i, k in required_pairs(fc.cover):
         rep = check_theta_functorial(fc, i, k, max_len=3)
         assert rep.ok, rep.failures()
 
@@ -71,7 +69,7 @@ def test_endpoint_dependence_recorded_per_pair(fc):
 def test_T_endpoints(fc):
     cm = fc.chain.outer
     from catbundle.complexes import overlap
-    for i, k, m in all_triples(fc):
+    for i, k, m in required_triples(fc.cover):
         for u in overlap(fc.cover, (i, k, m)):
             s, t = arrow_endpoints(cm, eval_T(fc, i, k, m, u))
             assert s == cm.G.op(fc.g(i, k, u), fc.g(k, m, u))
@@ -79,26 +77,26 @@ def test_T_endpoints(fc):
 
 
 def test_naturality_all_triples(fc):
-    for i, k, m in all_triples(fc):
+    for i, k, m in required_triples(fc.cover):
         rep = check_naturality(fc, i, k, m, max_len=3)
         assert rep.ok, rep.failures()
 
 
 def test_naturality_includes_degenerate_triples(fc):
-    triples = all_triples(fc)
+    triples = required_triples(fc.cover)
     assert ("1", "1", "1") in triples
     assert ("1", "2", "1") in triples
 
 
 def test_product_relation_all_triples(fc):
-    for i, k, m in all_triples(fc):
+    for i, k, m in required_triples(fc.cover):
         rep = check_product_relation(fc, i, k, m, max_len=3)
         assert rep.ok, rep.failures()
 
 
 def test_Theta_of_identity_walk(fc):
     from catbundle.complexes import overlap
-    for i, k, m in all_triples(fc)[:6]:
+    for i, k, m in required_triples(fc.cover)[:6]:
         for u in overlap(fc.cover, (i, k, m)):
             a = eval_Theta(fc, i, k, m, fc.cover.identity_walk(u))
             assert a.h == "e"
@@ -113,11 +111,11 @@ def test_corrupted_h_caught_by_cross_pair_checks(chain_s3):
     gc = generate_gerbal(chain_s3, cover, 7, noise=True)
     key = next(k for k in sorted(gc.h) if k[0] != k[1])
     gc.h[key] = next(x for x in chain_s3.H.elements if x != gc.h[key])
-    fc_bad = FunctorialCocycle.from_cocycle(gc, verify=False)
+    fc_bad = FunctorialCocycle(gc)
     i, k = key[0], key[1]
     assert check_theta_functorial(fc_bad, i, k, max_len=2).ok
     bad = []
-    for a, b, c in all_triples(fc_bad):
+    for a, b, c in required_triples(fc_bad.cover):
         if {i, k} <= {a, b, c}:
             rep = check_naturality(fc_bad, a, b, c, max_len=2)
             bad.extend(rep.failures())

@@ -5,7 +5,6 @@ import pytest
 
 from catbundle.errors import DomainError, SchemaError
 from catbundle.gerbal import (
-    GerbalCocycle,
     check_second_gerbe,
     derive_tower,
     generate_gerbal,
@@ -22,7 +21,7 @@ def test_generated_data_validates_across_seeds(chain_s3):
     for seed in range(12):
         gc = generate_gerbal(chain_s3, cover, seed, noise=True)
         assert validate_gerbal(gc).ok
-        assert check_second_gerbe(gc).ok
+        assert check_second_gerbe(gc, derive_tower(gc)).ok
 
 
 def test_generation_is_deterministic(chain_s3):
@@ -93,7 +92,7 @@ def test_corrupted_j_is_detected(chain_s3):
     old = gc.j[key]
     gc.j[key] = next(x for x in chain_s3.J.elements if x != old)
     bad_primary = not validate_gerbal(gc).ok
-    bad_second = not check_second_gerbe(gc).ok
+    bad_second = not check_second_gerbe(gc, derive_tower(gc)).ok
     assert bad_primary or bad_second
 
 
@@ -132,7 +131,8 @@ def test_derived_tower_pushes_down(inst_line5w):
 
 
 def test_second_gerbe_relation_holds(inst_line5w):
-    assert check_second_gerbe(inst_line5w.gc).ok
+    gc = inst_line5w.gc
+    assert check_second_gerbe(gc, derive_tower(gc)).ok
 
 
 def test_required_index_tuples_on_line5():

@@ -9,7 +9,7 @@ cosets of V4 inside A4 on raw tuples.
 import perm_oracle as oracle
 import pytest
 
-from catbundle.crossed import Arrow, SemidirectProduct, pair_id
+from catbundle.crossed import SemidirectProduct, pair_id
 from catbundle.errors import SchemaError
 from catbundle.quotient import (
     CosetSpace,
@@ -25,6 +25,10 @@ from catbundle.quotient import (
 def test_variant_detection(chain_s3, chain_s4):
     assert tau_surjective(chain_s3) and variant_for(chain_s3) == "full"
     assert not tau_surjective(chain_s4) and variant_for(chain_s4) == "tau"
+    # the quotient picks its variant from tau's image
+    for chain, variant, n_obj, n_mor in ((chain_s3, "full", 2, 4), (chain_s4, "tau", 3, 9)):
+        q = build_quotient(chain)
+        assert (q.variant, q.objects.size, q.morphisms.size) == (variant, n_obj, n_mor)
 
 
 def test_JH_size_s3(chain_s3):
@@ -158,13 +162,8 @@ def test_coset_space_rejects_non_subgroup(chain_s3):
         CosetSpace(sd.group, frozenset({pair_id("e", "e"), pair_id("(123)", "e")}))
 
 
-def test_build_quotient_unknown_variant(chain_s3):
-    with pytest.raises(SchemaError):
-        build_quotient(chain_s3, "other")
-
-
 def test_classical_cocycle_on_generated_data(inst_line5w, quotient_s3):
     from catbundle.functorial import FunctorialCocycle
-    fc = FunctorialCocycle.from_cocycle(inst_line5w.gc)
+    fc = FunctorialCocycle(inst_line5w.gc)
     rep = check_classical_cocycle(fc, quotient_s3, max_len=3)
     assert rep.ok, rep.failures()
