@@ -49,6 +49,8 @@ class WordOracle:
         self._build_edges()
         self._build_words()
         self._build_basis()
+        self._labels = {w: (bk, r) for bk, res in self._residuals.items()
+                        for w, r in res.items()}
 
     # ----- inventory ---------------------------------------------------------
 
@@ -217,12 +219,18 @@ class WordOracle:
 
     # ----- the decision procedure --------------------------------------------
 
+    def label(self, w: Word) -> tuple:
+        """(block, residual) of an inventory word, read from the echelon data;
+        two words are equal exactly when their labels are."""
+        try:
+            return self._labels[w]
+        except KeyError:
+            raise PreconditionError(
+                f"word {_word_key(w)} is not in the oracle's inventory") from None
+
     def equal(self, w1: Word, w2: Word) -> bool:
-        b1, b2 = self._block_of(w1), self._block_of(w2)
-        if b1 != b2:
-            return False
-        res = self._residuals[b1]
-        return res[w1] == res[w2]
+        """Compare the stored labels of two inventory words."""
+        return self.label(w1) == self.label(w2)
 
     def classes(self, bk: tuple) -> list[list[Word]]:
         groups: dict[tuple, list[Word]] = {}
@@ -237,33 +245,44 @@ class WordOracle:
         return out
 
     def equal_pairs(self) -> list[tuple[Word, Word]]:
-        out = []
-        for bk in sorted(self.blocks):
-            for cls in self.classes(bk):
-                for n, w1 in enumerate(cls):
-                    for w2 in cls[n + 1:]:
-                        out.append((w1, w2))
-        return out
+        words = self.all_words()
+        return [(words[n], words[m])
+                for n, m in _equal_positions([self.label(w) for w in words])]
+
+
+def _equal_positions(labels: list) -> list[tuple[int, int]]:
+    """Every (n, m), n < m, with equal labels, class by class in label order
+    (block, then residual), each class in word order."""
+    classes: dict = {}
+    for n, lab in enumerate(labels):
+        classes.setdefault(lab, []).append(n)
+    return [(n, m) for lab in sorted(classes)
+            for k, n in enumerate(classes[lab]) for m in classes[lab][k + 1:]]
 
 
 def check_oracle_agreement(space: BundleSpace, max_len: int = 3,
                            oracle: WordOracle | None = None) -> Report:
-    """Every word pair, both procedures, zero tolerated disagreements."""
+    """Every word pair, both procedures, zero tolerated disagreements.
+
+    Each word is keyed once with `space.mor_key` and labelled once by the
+    oracle; the pair loop compares stored keys and stored labels in (n, m)
+    order, so the witness names the first disagreeing pair."""
     rep = Report("oracle")
     if oracle is None:
         oracle = WordOracle(space, max_len)
     words = oracle.all_words()
-    mors = {w: oracle.word_to_mor(w) for w in words}
+    labels = [oracle.label(w) for w in words]
+    keys = [space.mor_key(oracle.word_to_mor(w)) for w in words]
 
     witness = None
     n_equal = n_unequal = 0
-    for n, w1 in enumerate(words):
-        for w2 in words[n + 1:]:
-            vo = oracle.equal(w1, w2)
-            vm = space.mor_equal(mors[w1], mors[w2])
+    for n in range(len(words)):
+        for m in range(n + 1, len(words)):
+            vo = labels[n] == labels[m]
+            vm = keys[n] == keys[m]
             if vo != vm:
                 witness = (
-                    f"words {_word_key(w1)} and {_word_key(w2)}: "
+                    f"words {_word_key(words[n])} and {_word_key(words[m])}: "
                     f"linear algebra says {'equal' if vo else 'unequal'}, "
                     f"closure says {'equal' if vm else 'unequal'}"
                 )
@@ -287,39 +306,51 @@ def check_oracle_agreement(space: BundleSpace, max_len: int = 3,
 def check_congruence_invariants(space: BundleSpace, max_len: int = 3,
                                 oracle: WordOracle | None = None) -> Report:
     """Equal words must share projection and endpoints and stay equal under
-    the fiber action."""
+    the fiber action.
+
+    Each word's chain, projection and endpoints are computed once, and the key
+    of `act_mor(word, psi)` once per (word, psi), on the first pair that needs
+    it; the pair loops, in `equal_pairs` order, compare the stored values."""
     rep = Report("oracle")
     if oracle is None:
         oracle = WordOracle(space, max_len)
-    pairs = oracle.equal_pairs()
+    words = oracle.all_words()
+    pairs = _equal_positions([oracle.label(w) for w in words])
+    mors = [oracle.word_to_mor(w) for w in words]
 
     witness = None
-    for w1, w2 in pairs:
-        p1 = space.project(oracle.word_to_mor(w1))
-        p2 = space.project(oracle.word_to_mor(w2))
-        if (p1.start, p1.steps) != (p2.start, p2.steps):
-            witness = f"equal words project apart: {_word_key(w1)} vs {_word_key(w2)}"
+    walks = [(p.start, p.steps) for p in map(space.project, mors)]
+    for n, m in pairs:
+        if walks[n] != walks[m]:
+            witness = (f"equal words project apart: "
+                       f"{_word_key(words[n])} vs {_word_key(words[m])}")
             break
     rep.record("congruence.proj_invariant",
                "equal words project to the same base walk",
                witness is None, witness)
 
     witness = None
-    for w1, w2 in pairs:
-        if space.mor_endpoints(oracle.word_to_mor(w1)) \
-                != space.mor_endpoints(oracle.word_to_mor(w2)):
-            witness = f"equal words with different endpoints: {_word_key(w1)}"
+    ends = [space.mor_endpoints(mor) for mor in mors]
+    for n, m in pairs:
+        if ends[n] != ends[m]:
+            witness = f"equal words with different endpoints: {_word_key(words[n])}"
             break
     rep.record("congruence.endpoints",
                "equal words share source and target objects",
                witness is None, witness)
 
     witness = None
-    for w1, w2 in pairs:
-        m1, m2 = oracle.word_to_mor(w1), oracle.word_to_mor(w2)
+    acted: dict[tuple[int, str], tuple] = {}
+
+    def acted_key(n: int, psi: str) -> tuple:
+        if (n, psi) not in acted:
+            acted[n, psi] = space.mor_key(space.act_mor(mors[n], psi))
+        return acted[n, psi]
+
+    for n, m in pairs:
         for psi in space.q.morphisms.reps:
-            if not space.mor_equal(space.act_mor(m1, psi), space.act_mor(m2, psi)):
-                witness = f"action by {psi} separates an equal pair {_word_key(w1)}"
+            if acted_key(n, psi) != acted_key(m, psi):
+                witness = f"action by {psi} separates an equal pair {_word_key(words[n])}"
                 break
         if witness:
             break

@@ -7,11 +7,14 @@ on the middle one, giving 32 decorated edges; the graded blocks then hold
 the full line, 176 words in total.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from catbundle.errors import PreconditionError
 from catbundle.wordalg import (
     WordOracle,
+    _word_key,
     check_congruence_invariants,
     check_oracle_agreement,
 )
@@ -83,3 +86,99 @@ def test_congruence_invariants(space_dirline3, word_oracle):
     ids = {c.check_id for c in rep.checks}
     assert {"congruence.proj_invariant", "congruence.endpoints",
             "congruence.action_equivariant"} <= ids
+
+
+def test_each_word_and_each_action_keyed_once(space_dirline3, word_oracle, monkeypatch):
+    keyed, acted = [], []
+    real_key, real_act = space_dirline3.mor_key, space_dirline3.act_mor
+
+    def counting_key(m):
+        keyed.append(m.edges)
+        return real_key(m)
+
+    def recording_act(m, psi):
+        acted.append((m.edges, psi))
+        return real_act(m, psi)
+
+    monkeypatch.setattr(space_dirline3, "mor_key", counting_key)
+    monkeypatch.setattr(space_dirline3, "act_mor", recording_act)
+    check_oracle_agreement(space_dirline3, 3, oracle=word_oracle)
+    assert len(keyed) == len(set(keyed)) <= len(word_oracle.all_words())
+    assert not acted
+
+    keyed.clear()
+    check_congruence_invariants(space_dirline3, 3, oracle=word_oracle)
+    # every key is of an acted word, and no (word, psi) is acted on twice
+    assert acted and len(keyed) == len(acted) == len(set(acted))
+
+
+def test_word_outside_the_inventory_is_named(word_oracle):
+    two_step = next(w for w in word_oracle.all_words() if len(w) == 2)
+    undecorated = (replace(two_step[0], phi="not-a-coset"),)
+    for stray in (undecorated, two_step[::-1]):
+        for args in ((stray, two_step), (two_step, stray)):
+            with pytest.raises(PreconditionError) as exc:
+                word_oracle.equal(*args)
+            assert str(_word_key(stray)) in str(exc.value)
+
+
+def _planted(space, monkeypatch, target):
+    """Perturb the key of every morphism `target` picks out."""
+    real_key = space.mor_key
+
+    def key(m):
+        k = real_key(m)
+        return ("planted", k) if target(m) else k
+
+    monkeypatch.setattr(space, "mor_key", key)
+
+
+def test_planted_key_disagreement_names_the_first_pair(space_dirline3, word_oracle,
+                                                       monkeypatch):
+    words = word_oracle.all_words()
+    classes: dict = {}
+    for n, w in enumerate(words):
+        rep = next((r for r in classes if word_oracle.equal(words[r], w)), n)
+        classes.setdefault(rep, []).append(n)
+    cls = next(c for c in classes.values() if len(c) >= 3)
+    first, chosen = cls[0], cls[1]
+    _planted(space_dirline3, monkeypatch, lambda m: m.edges == words[chosen])
+
+    rep = check_oracle_agreement(space_dirline3, 3, oracle=word_oracle)
+    got = {c.check_id: c for c in rep.checks}
+    assert got["oracle.agreement"].status == "fail"
+    assert got["oracle.agreement"].witness == (
+        f"words {_word_key(words[first])} and {_word_key(words[chosen])}: "
+        "linear algebra says equal, closure says unequal")
+    before = [(n, m) for n in range(first + 1) for m in range(n + 1, len(words))
+              if (n, m) < (first, chosen)]
+    n_equal = sum(word_oracle.equal(words[n], words[m]) for n, m in before)
+    assert got["oracle.both_verdicts"].status == "fail"
+    assert got["oracle.both_verdicts"].witness == (
+        f"equal pairs: {n_equal}, unequal pairs: {len(before) - n_equal}")
+
+
+def test_planted_action_disagreement_names_the_first_pair(space_dirline3, word_oracle,
+                                                          monkeypatch):
+    pairs = word_oracle.equal_pairs()
+    chosen = pairs[len(pairs) // 2][1]
+    psi = space_dirline3.q.morphisms.reps[-1]
+    planted = []
+    real_act = space_dirline3.act_mor
+
+    def act(m, p):
+        out = real_act(m, p)
+        if m.edges == chosen and p == psi:
+            planted.append(out)
+        return out
+
+    monkeypatch.setattr(space_dirline3, "act_mor", act)
+    _planted(space_dirline3, monkeypatch, lambda m: any(m is p for p in planted))
+
+    rep = check_congruence_invariants(space_dirline3, 3, oracle=word_oracle)
+    got = {c.check_id: c for c in rep.checks}
+    w1 = next(a for a, b in pairs if chosen in (a, b))
+    assert got["congruence.proj_invariant"].status == got["congruence.endpoints"].status == "pass"
+    assert got["congruence.action_equivariant"].status == "fail"
+    assert got["congruence.action_equivariant"].witness == (
+        f"action by {psi} separates an equal pair {_word_key(w1)}")
