@@ -42,15 +42,26 @@ broken junction raises on every call.
 
 A morphism's full key (`mor_key`) is its (source, target) pair followed by its
 normal-form key, and `mor_equal` compares the two full keys. Each side is
-validated, split into units and compacted once. So `mor_equal` raises on an
-invalid edge or a broken junction in either argument, whatever the other
-argument's walk. The law battery keys each morphism once and compares keys
-instead of calling `mor_equal` pair by pair. `state_key` keys an enumerated
-unit state without building its chain, and a local trivialization memoizes
-the key of each (walk, fiber morphism) pair for one check. The space also
-memoizes each unit's decoration re-indexed into each chart, and the chart
-that each pair of adjacent steps merges into. Both range over sets fixed by
-the base and the fiber, so neither grows with the number of chains.
+validated and split into units once. So `mor_equal` raises on an invalid edge
+or a broken junction in either argument, whatever the other argument's walk.
+`component_of` looks a state up in `_keys` as it is given and compacts only a
+state it has not keyed, storing the key under both that state and its
+compaction; compaction is deterministic, so each distinct state is compacted
+at most once per space, and `_keys` holds raw and compacted states, both
+bounded by the states keyed. The law battery keys each morphism once and
+compares keys instead of calling `mor_equal` pair by pair. `state_key` keys
+an enumerated unit state without building its chain, and a local
+trivialization memoizes the key of each (walk, fiber morphism) pair for one
+check. The space also memoizes each unit's decoration re-indexed into each
+chart, and the chart that each pair of adjacent steps merges into. Both range
+over sets fixed by the base and the fiber, so neither grows with the number
+of chains.
+
+`BundleObject`, `QuiverEdge` and `BundleMorphism` are named tuples, so they
+are built, hashed and compared in C; their reprs are the field-by-field form
+that witnesses embed. `PathMor` is not a tuple: its equality ignores
+`visited`, and an edge hashes and compares through its walk, so the endpoint
+memo still reads `visited` on a hit.
 
 Formal identity morphisms are represented by markers; a marker is identified
 with the class of the neutral edge (zero-length walk, identity decoration)
@@ -61,8 +72,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .complexes import (
     PathMor,
@@ -83,23 +93,20 @@ from .quotient import QuotientCatGroup
 from .report import Report
 
 
-@dataclass(frozen=True)
-class BundleObject:
+class BundleObject(NamedTuple):
     chart: str
     vertex: str
     fiber: str  # object coset rep
 
 
-@dataclass(frozen=True)
-class QuiverEdge:
+class QuiverEdge(NamedTuple):
     chart: str
     charts: tuple[str, ...]  # the index subset I, sorted; chart must be a member
     walk: PathMor
     phi: str  # morphism coset rep
 
 
-@dataclass(frozen=True)
-class BundleMorphism:
+class BundleMorphism(NamedTuple):
     """Either an identity marker at an object, or a nonempty chain of edges."""
     at: Optional[BundleObject]
     edges: tuple[QuiverEdge, ...]
@@ -457,10 +464,23 @@ class BundleSpace:
         """The normal-form key (source object, walk, decorations) of the class
         of `state`; two states are equal morphisms exactly when their keys are
         equal. See the module docstring for the rewrites behind each step."""
-        state = self._compact(state)
         key = self._keys.get(state)
-        if key is not None:
-            return key
+        if key is None:
+            key = self._compact_key(state)[1]
+        return key
+
+    def _compact_key(self, state: State) -> tuple[State, tuple]:
+        """(compacted state, normal-form key) of `state`: compact it once and
+        store the key under both the state as given and its compaction."""
+        compacted = self._compact(state)
+        key = self._keys.get(compacted)
+        if key is None:
+            key = self._normal_form(compacted)
+        self._keys[state] = self._keys[compacted] = key
+        return compacted, key
+
+    def _normal_form(self, state: State) -> tuple:
+        """The key of a compacted state, read once from left to right."""
         q, cover = self.q, self.cover
         decorations = []
         c, step, a = state[0]
@@ -483,9 +503,7 @@ class BundleSpace:
             c, step, a = k, step2, q.compose_of(self._reindex(k, c2, w2, b), a)
         w = self._step_walk(step)
         decorations.append(self._reindex(self._charts_of(w.visited)[0], c, w, a))
-        key = (self.unit_s_obj(state[0]), self._walk_sig(state), tuple(decorations))
-        self._keys[state] = key
-        return key
+        return (self.unit_s_obj(state[0]), self._walk_sig(state), tuple(decorations))
 
     # ----- equality, composition --------------------------------------------
 
@@ -868,6 +886,16 @@ def check_bundle_axioms(space: BundleSpace, max_len: int = 3,
     markers = [BundleMorphism.identity(x) for x in space.objects_all()]
     states = enumerate_chains(space, max_units)
 
+    # the distinct compacted states of the bounded chains, grouped by class;
+    # keying them first compacts each chain once for every check below
+    classes: dict[tuple, dict[State, None]] = {}
+    walk_witness = None
+    for st in states:
+        compacted, key = space._compact_key(st)
+        if walk_witness is None and space._walk_sig(st) != key[1]:
+            walk_witness = f"chain {st} is equal to a morphism over another walk"
+        classes.setdefault(key, {})[compacted] = None
+
     witness = None
     for m in itertools.chain(markers, map(space.to_chain, states)):
         pm, key = space.project(m), space.mor_key(m)
@@ -916,16 +944,6 @@ def check_bundle_axioms(space: BundleSpace, max_len: int = 3,
                "acting on a composite equals composing the acted factors "
                "(loop fiber morphisms)",
                witness is None, witness)
-
-    # the distinct compacted states of the bounded chains, grouped by class
-    classes: dict[tuple, dict[State, None]] = {}
-    walk_witness = None
-    for st in states:
-        compacted = space._compact(st)
-        key = space.component_of(compacted)
-        if walk_witness is None and space._walk_sig(st) != key[1]:
-            walk_witness = f"chain {st} is equal to a morphism over another walk"
-        classes.setdefault(key, {})[compacted] = None
 
     witness = None
     # members share one key, and the neutral morphism changes no decoration

@@ -232,12 +232,6 @@ class WordOracle:
         """Compare the stored labels of two inventory words."""
         return self.label(w1) == self.label(w2)
 
-    def classes(self, bk: tuple) -> list[list[Word]]:
-        groups: dict[tuple, list[Word]] = {}
-        for w in self.blocks[bk]:
-            groups.setdefault(self._residuals[bk][w], []).append(w)
-        return [groups[k] for k in sorted(groups)]
-
     def all_words(self) -> list[Word]:
         out = []
         for bk in sorted(self.blocks):

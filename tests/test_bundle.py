@@ -1,10 +1,13 @@
 """The glued total space: objects, decorated chains, the normal form behind
 morphism equality, lifts, and local trivializations."""
 
+from collections import Counter
+
 import pytest
 
 from catbundle.bundle import (
     BundleMorphism,
+    BundleSpace,
     LocalTrivialization,
     QuiverEdge,
     check_bundle_axioms,
@@ -323,11 +326,13 @@ def test_cached_edge_does_not_vouch_for_a_forged_twin(inst_line5):
     q = space.q
     phi = q.identity_mor_at(q.identity_obj())
     walk = space.cover.walk("0", [("e01", 1)])
-    space.edge_endpoints(QuiverEdge("1", ("1",), walk, phi))
-    forged = PathMor(walk.start, walk.steps, ("0", "4"))
-    assert forged == walk
+    edge = QuiverEdge("1", ("1",), walk, phi)
+    space.edge_endpoints(edge)
+    forged = edge._replace(walk=PathMor(walk.start, walk.steps, ("0", "4")))
+    # one memo key: edges hash and compare through their walks
+    assert forged == edge and hash(forged) == hash(edge)
     with pytest.raises(SchemaError):
-        space.edge_endpoints(QuiverEdge("1", ("1",), forged, phi))
+        space.edge_endpoints(forged)
 
 
 def test_chain_of_cached_edges_still_checks_junctions(inst_line5):
@@ -414,3 +419,33 @@ def test_lift_walk_rejects_a_broken_chain(inst_line5):
     gap = PathMor("0", (("e01", 1), ("e23", 1)), ("0", "1", "3"))
     with pytest.raises(CompositionError):
         space.lift_walk(gap)
+
+
+def test_value_reprs_are_pinned(space_line5w):
+    # witnesses embed these reprs, so they are report bytes
+    space = space_line5w
+    x = space.objects_all()[0]
+    assert repr(x) == "BundleObject(chart='1', vertex='0', fiber='(12)')"
+    assert repr(BundleMorphism.identity(x)) == (
+        "BundleMorphism(at=BundleObject(chart='1', vertex='0', fiber='(12)'), "
+        "edges=())")
+    m, _ = space.lift_walk(space.cover.walk("0", [("e01", 1)]))
+    assert repr(m) == (
+        "BundleMorphism(at=None, edges=(QuiverEdge(chart='1', charts=('1',), "
+        "walk=PathMor(start='0', steps=(('e01', 1),), visited=('0', '1')), "
+        "phi='((123),(123))'),))")
+
+
+def test_battery_compacts_each_state_once(inst_line5w, monkeypatch):
+    space = fresh_space(inst_line5w)
+    seen = Counter()
+    compact = BundleSpace._compact
+
+    def counted(self, state):
+        seen[state] += 1
+        return compact(self, state)
+
+    monkeypatch.setattr(BundleSpace, "_compact", counted)
+    rep = check_bundle_axioms(space, 2)
+    assert rep.ok, rep.failures()
+    assert seen and max(seen.values()) == 1, seen.most_common(3)
