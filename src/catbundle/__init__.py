@@ -5,47 +5,13 @@ base graph, gerbal (h, j) data on overlaps, the derived functorial cocycle,
 the coset quotient that turns it into an honest transition cocycle, and the
 glued total category with its fiberwise group action, local trivializations,
 and a decidable morphism equality cross-checked by exact linear algebra.
+
+Importing the package loads none of its modules: each public name resolves
+on first access, from the module named in `_HOME`, and is then cached here.
+So a CLI verb imports only the layers it runs.
 """
 
-from .bundle import (
-    BundleMorphism,
-    BundleObject,
-    BundleSpace,
-    LocalTrivialization,
-    QuiverEdge,
-    check_bundle_axioms,
-)
-from .complexes import CoverComplex, PathMor, enumerate_paths
-from .crossed import (
-    Arrow,
-    ChainedCrossedModules,
-    CrossedModule,
-    SemidirectProduct,
-    check_tau_image_normal,
-    validate_peiffer,
-)
-from .errors import (
-    CompositionError,
-    DomainError,
-    InternalInvariantError,
-    PreconditionError,
-    SchemaError,
-)
-from .functorial import FunctorialCocycle, check_naturality, check_theta_functorial
-from .gerbal import (
-    GerbalCocycle,
-    check_second_gerbe,
-    derive_tower,
-    generate_gerbal,
-    validate_gerbal,
-)
-from .groups import FiniteGroup, GroupAction, GroupHom
-from .presets import build_instance, preset_names
-from .quotient import QuotientCatGroup, build_quotient, check_JH_normal
-from .report import Report
-from .schema import Instance, instance_from_json, instance_to_json
-from .suites import run_suite
-from .wordalg import WordOracle, check_oracle_agreement
+from importlib import import_module
 
 __version__ = "0.1.0"
 
@@ -94,3 +60,59 @@ __all__ = [
     "validate_gerbal",
     "validate_peiffer",
 ]
+
+# Each public name and the module that defines it; the keys are `__all__`.
+_HOME = {
+    "Arrow": "crossed",
+    "BundleMorphism": "bundle",
+    "BundleObject": "bundle",
+    "BundleSpace": "bundle",
+    "ChainedCrossedModules": "crossed",
+    "CompositionError": "errors",
+    "CoverComplex": "complexes",
+    "CrossedModule": "crossed",
+    "DomainError": "errors",
+    "FiniteGroup": "groups",
+    "FunctorialCocycle": "functorial",
+    "GerbalCocycle": "gerbal",
+    "GroupAction": "groups",
+    "GroupHom": "groups",
+    "Instance": "schema",
+    "InternalInvariantError": "errors",
+    "LocalTrivialization": "bundle",
+    "PathMor": "complexes",
+    "PreconditionError": "errors",
+    "QuiverEdge": "bundle",
+    "QuotientCatGroup": "quotient",
+    "Report": "report",
+    "SchemaError": "errors",
+    "SemidirectProduct": "crossed",
+    "WordOracle": "wordalg",
+    "build_instance": "presets",
+    "build_quotient": "quotient",
+    "check_JH_normal": "quotient",
+    "check_bundle_axioms": "bundle",
+    "check_naturality": "functorial",
+    "check_oracle_agreement": "wordalg",
+    "check_second_gerbe": "gerbal",
+    "check_tau_image_normal": "crossed",
+    "check_theta_functorial": "functorial",
+    "derive_tower": "gerbal",
+    "enumerate_paths": "complexes",
+    "generate_gerbal": "gerbal",
+    "instance_from_json": "schema",
+    "instance_to_json": "schema",
+    "preset_names": "presets",
+    "run_suite": "suites",
+    "validate_gerbal": "gerbal",
+    "validate_peiffer": "crossed",
+}
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

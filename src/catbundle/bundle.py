@@ -59,9 +59,10 @@ of chains.
 
 `BundleObject`, `QuiverEdge` and `BundleMorphism` are named tuples, so they
 are built, hashed and compared in C; their reprs are the field-by-field form
-that witnesses embed. `PathMor` is not a tuple: its equality ignores
-`visited`, and an edge hashes and compares through its walk, so the endpoint
-memo still reads `visited` on a hit.
+that witnesses embed. `PathMor` is a small slotted class, not a tuple: its
+equality and hash read (start, steps) and ignore `visited`, and an edge hashes
+and compares through its walk, so the endpoint memo still reads `visited` on
+a hit.
 
 Formal identity morphisms are represented by markers; a marker is identified
 with the class of the neutral edge (zero-length walk, identity decoration)

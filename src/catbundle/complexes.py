@@ -9,23 +9,48 @@ a length-2 walk, not an identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import CompositionError, SchemaError
 
 
-@dataclass(frozen=True)
 class PathMor:
     """A walk: a start vertex plus a sequence of (edge id, orientation) steps.
 
     orientation +1 traverses the edge from its tail to its head, -1 the other
-    way. `visited` is the full vertex sequence, length len(steps) + 1.
+    way. `visited` is the full vertex sequence, length len(steps) + 1. Walks
+    are immutable, and equality and hashing read (start, steps) only.
     """
+    __slots__ = ("start", "steps", "visited")
+
     start: str
     steps: tuple[tuple[str, int], ...]
-    visited: tuple[str, ...] = field(compare=False)
+    visited: tuple[str, ...]
+
+    def __init__(self, start: str, steps: tuple[tuple[str, int], ...],
+                 visited: tuple[str, ...]):
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "visited", visited)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not PathMor:
+            return NotImplemented
+        return self.start == other.start and self.steps == other.steps
+
+    def __hash__(self) -> int:
+        return hash((self.start, self.steps))
+
+    def __repr__(self) -> str:
+        return (f"PathMor(start={self.start!r}, steps={self.steps!r}, "
+                f"visited={self.visited!r})")
 
     @property
     def end(self) -> str:
@@ -188,8 +213,7 @@ def compose_paths(c: CoverComplex, p2: PathMor, p1: PathMor) -> PathMor:
     return PathMor(p1.start, p1.steps + p2.steps, p1.visited + p2.visited[1:])
 
 
-@dataclass(frozen=True)
-class IndexFamily:
+class IndexFamily(NamedTuple):
     """All index subsets with nonempty overlap, ordered by inclusion."""
     members: tuple[tuple[str, ...], ...]
 

@@ -15,16 +15,14 @@ each law exhaustively and report witnesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import CompositionError, SchemaError
 from .groups import FiniteGroup, GroupAction, GroupHom, validate_action, validate_group, validate_hom
 from .report import Report
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
     """An element (h, g) of H x G, an arrow from g to tau(h) g."""
     h: str
     g: str

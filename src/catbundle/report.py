@@ -9,12 +9,10 @@ so serialized reports are byte-identical across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     check_id: str
     law: str
     status: str  # "pass" or "fail"

@@ -13,8 +13,7 @@ so identical inputs produce byte-identical files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from .complexes import CoverComplex
 from .crossed import ChainedCrossedModules, CrossedModule
@@ -31,8 +30,7 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-@dataclass
-class Instance:
+class Instance(NamedTuple):
     preset: str
     seed: int
     noise: bool

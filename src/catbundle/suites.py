@@ -8,35 +8,36 @@ A run reads every stage of the construction from one InstanceContext, which
 builds each stage on first use and only once: a single suite builds just the
 stages it reads, and the `all` report is the concatenation of the reports of
 the single suites that apply to the base.
+
+Each stage and suite imports its layer on first use: the transition functors
+(`functorial`), the coset quotient (`quotient`), the glued bundle (`bundle`)
+and the word oracle (`wordalg`). So a single suite loads only the layers it
+reads: `peiffer` none of them, `validate` only the transition functors. The
+`all` battery loads every layer, also those its base skips, so a process that
+has run `all` holds the whole construction: the benchmark's layer tracer
+wraps each layer module after replaying `all` in process.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Optional
+from importlib import import_module
+from typing import TYPE_CHECKING, Optional
 
-from .bundle import BundleSpace, check_bundle_axioms
 from .crossed import check_tau_image_normal, validate_peiffer
 from .errors import InternalInvariantError, PreconditionError, SchemaError
-from .functorial import (
-    FunctorialCocycle,
-    check_naturality,
-    check_product_relation,
-    check_theta_functorial,
-)
 from .gerbal import check_second_gerbe, required_pairs, required_triples, validate_gerbal
-from .quotient import (
-    QuotientCatGroup,
-    build_quotient,
-    check_classical_cocycle,
-    check_JH_normal,
-)
 from .report import Report
 from .schema import Instance
-from .wordalg import WordOracle, check_congruence_invariants, check_oracle_agreement
+
+if TYPE_CHECKING:
+    from .bundle import BundleSpace
+    from .functorial import FunctorialCocycle
+    from .quotient import QuotientCatGroup
 
 SUITES = ("peiffer", "gerbal", "functorial", "naturality", "quotient",
           "bundle", "oracle", "all")
+LAYERS = ("functorial", "quotient", "bundle", "wordalg")
 
 
 class InstanceContext:
@@ -63,12 +64,14 @@ class InstanceContext:
 
     @cached_property
     def fc(self) -> FunctorialCocycle:
+        from .functorial import FunctorialCocycle
         return FunctorialCocycle(self.inst.gc)
 
     @cached_property
     def quotient(self) -> tuple[Optional[QuotientCatGroup], Report]:
         """The coset quotient and its classical-cocycle check, or None and the
         failed `quotient.build` record."""
+        from .quotient import build_quotient, check_classical_cocycle
         try:
             q = build_quotient(self.inst.chain)
         except (SchemaError, InternalInvariantError) as exc:
@@ -82,6 +85,7 @@ class InstanceContext:
     def space(self) -> tuple[Optional[BundleSpace], Report]:
         """The glued bundle, or None when a component, cocycle or classical law
         fails, and the precondition report: broken data fails, never crashes."""
+        from .bundle import BundleSpace
         pre = Report("bundle")
         pre.merge(self.peiffer)
         pre.merge(self.gerbal)
@@ -99,6 +103,7 @@ def suite_gerbal(ctx: InstanceContext) -> Report:
 
 
 def suite_functorial(ctx: InstanceContext) -> Report:
+    from .functorial import check_theta_functorial
     rep = Report("functorial")
     for i, k in required_pairs(ctx.fc.cover):
         rep.merge(check_theta_functorial(ctx.fc, i, k, ctx.max_len))
@@ -106,6 +111,7 @@ def suite_functorial(ctx: InstanceContext) -> Report:
 
 
 def suite_naturality(ctx: InstanceContext) -> Report:
+    from .functorial import check_naturality, check_product_relation
     rep = Report("naturality")
     for i, k, m in required_triples(ctx.fc.cover):
         rep.merge(check_naturality(ctx.fc, i, k, m, ctx.max_len))
@@ -114,6 +120,7 @@ def suite_naturality(ctx: InstanceContext) -> Report:
 
 
 def suite_quotient(ctx: InstanceContext) -> Report:
+    from .quotient import check_JH_normal
     rep = Report("quotient")
     rep.merge(check_JH_normal(ctx.inst.chain))
     q, classical = ctx.quotient
@@ -130,6 +137,7 @@ def suite_bundle(ctx: InstanceContext) -> Report:
     space, pre = ctx.space
     if space is None:
         return pre
+    from .bundle import check_bundle_axioms
     rep = Report("bundle")
     rep.merge(check_bundle_axioms(space, ctx.max_len))
     return rep
@@ -142,6 +150,7 @@ def suite_oracle(ctx: InstanceContext) -> Report:
     space, pre = ctx.space
     if space is None:
         return pre
+    from .wordalg import WordOracle, check_congruence_invariants, check_oracle_agreement
     rep = Report("oracle")
     oracle = WordOracle(space, ctx.max_len)
     rep.merge(check_oracle_agreement(space, ctx.max_len, oracle))
@@ -171,6 +180,8 @@ def run_suite(inst: Instance, suite: str, max_len: int = 3) -> Report:
     ctx = InstanceContext(inst, max_len)
     if suite != "all":
         return _run(ctx, suite)
+    for layer in LAYERS:
+        import_module(f".{layer}", __package__)
     cover = inst.cover
     last = ("bundle",) if cover.identity_edges else ("oracle",) if cover.directed else ()
     rep = Report("all")

@@ -224,3 +224,84 @@ def test_suite_fails_on_a_broken_group_table(tmp_path, capsys, preset, suite):
     assert "Traceback" not in err
     failed = {c["check"] for c in json.loads(out)["checks"] if c["status"] == "fail"}
     assert any(".component.group." in c for c in failed), failed
+
+
+# Each run is a fresh interpreter, which reports the modules it loaded beyond
+# those loaded before the package was imported; no arguments, no CLI run.
+FOOTPRINT_CHILD = """\
+import json, sys
+before = set(sys.modules)
+import catbundle
+code = 0
+if len(sys.argv) > 1:
+    from catbundle.cli import main
+    code = main(sys.argv[1:])
+print(json.dumps([code, sorted(set(sys.modules) - before)]))
+"""
+LAYER_MODULES = {"catbundle.bundle", "catbundle.quotient", "catbundle.wordalg"}
+
+
+@pytest.fixture(scope="module")
+def footprint_docs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("footprint")
+    docs = {}
+    for preset in ("s3-line5", "oracle-dirline3"):
+        docs[preset] = root / f"{preset}.json"
+        assert main(["generate", preset, "--seed", "3", "--out", str(docs[preset])]) == 0
+    return docs
+
+
+def loaded_by(*argv):
+    src = str(Path(catbundle.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", FOOTPRINT_CHILD, *argv],
+                          capture_output=True, text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    code, loaded = json.loads(proc.stdout)
+    assert code == 0, proc.stderr
+    return set(loaded)
+
+
+def check_loads(doc, suite, out):
+    return loaded_by("check", str(doc), "--suite", suite, "--max-path-len", "1",
+                     "--out", str(out))
+
+
+@pytest.mark.parametrize("suite", [None, "peiffer", "gerbal", "functorial", "naturality"])
+def test_precondition_verbs_load_no_later_layer(footprint_docs, tmp_path, suite):
+    doc, out = footprint_docs["s3-line5"], tmp_path / "rep.json"
+    if suite is None:
+        loaded = loaded_by("validate", str(doc), "--out", str(out))
+    else:
+        loaded = check_loads(doc, suite, out)
+    assert "catbundle.gerbal" in loaded
+    assert not loaded & (LAYER_MODULES | {"dataclasses"})
+
+
+def test_quotient_verb_loads_the_quotient_only(footprint_docs, tmp_path):
+    loaded = check_loads(footprint_docs["s3-line5"], "quotient", tmp_path / "rep.json")
+    assert "catbundle.quotient" in loaded
+    assert not loaded & {"catbundle.bundle", "catbundle.wordalg", "dataclasses"}
+
+
+def test_bundle_verb_loads_no_word_oracle(footprint_docs, tmp_path):
+    loaded = check_loads(footprint_docs["s3-line5"], "bundle", tmp_path / "rep.json")
+    assert "catbundle.bundle" in loaded
+    assert not loaded & {"catbundle.wordalg", "fractions", "dataclasses"}
+
+
+def test_oracle_verb_loads_the_word_oracle(footprint_docs, tmp_path):
+    loaded = check_loads(footprint_docs["oracle-dirline3"], "oracle", tmp_path / "rep.json")
+    assert LAYER_MODULES <= loaded
+    assert "dataclasses" not in loaded
+
+
+def test_all_battery_loads_every_layer(footprint_docs, tmp_path):
+    # s3-line5 has zero-length edges, so `all` skips the oracle suite here
+    loaded = check_loads(footprint_docs["s3-line5"], "all", tmp_path / "rep.json")
+    assert LAYER_MODULES | {"catbundle.functorial"} <= loaded
+
+
+def test_bare_package_import_loads_no_submodule():
+    loaded = loaded_by()
+    assert "catbundle" in loaded
+    assert not [m for m in loaded if m.startswith("catbundle.")]

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from catbundle import functorial, suites
+from catbundle import functorial, quotient, suites
 from catbundle.errors import PreconditionError, SchemaError
 from catbundle.presets import build_instance, preset_names
 from catbundle.schema import instance_from_document, instance_to_json, report_to_json
@@ -168,8 +168,11 @@ def layer_calls(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
+    # each name is patched where the stage resolves it at call time
+    home = {"derive_tower": functorial, "build_quotient": quotient,
+            "check_classical_cocycle": quotient}
     for name in LAYERS:
-        module = functorial if name == "derive_tower" else suites
+        module = home.get(name, suites)
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     return calls
 
