@@ -22,13 +22,16 @@ GOLDEN_ALL = [
 ]
 
 # One-cell edits of preset documents at seed 3 (the ones tests/test_cli.py
-# builds): (132)(132) = (132) breaks the A3 table, and the changed action cell
-# leaves the coset quotient unbuildable. SHA-256 of each applicable suite's
-# report at max_len 2; these are the failing-report paths.
+# builds): (132)(132) = (132) breaks the A3 table, the changed action cell
+# leaves the coset quotient unbuildable, and the changed h cell breaks the
+# gerbal relation, the classical cocycle and the naturality and product laws.
+# SHA-256 of each applicable suite's report at max_len 2; these are the
+# failing-report paths, so they pin the witness text.
 EDITS = {
     "a3-table": ("s3-line5", ("groups", "A3", "mul", "(132)", "(132)"), "(132)"),
     "conj-action": ("cycle6-trivial", ("actions", "conj_outer", "map", "(12)", "e"),
                     "(123)"),
+    "h-cell": ("s3-line5w", ("cocycle", "h", "1|2|1"), "(123)"),
 }
 GOLDEN_EDITED = [
     ("a3-table", "peiffer", "d2d2e752ff43a13a261e4a96fafe14231cba2cb434ecfd2f3578deca69b4991f"),
@@ -45,6 +48,13 @@ GOLDEN_EDITED = [
     ("conj-action", "quotient", "54e63dfde809e0e5b47fc8de3238a39bc4ff5b5f9b429b6866541677191f6890"),
     ("conj-action", "bundle", "ea6f6382059c202d1e3743d40a7bf7eca14bb6d5dab591559d551bc009b152bd"),
     ("conj-action", "all", "77e5e23a83e17308ec7f882d49b47cf927e61e583acbfc5146c73485e0502e80"),
+    ("h-cell", "peiffer", "afa1a43820bb9b0d859580139f68c5032819df8b00277e75e248e32b222ac960"),
+    ("h-cell", "gerbal", "18337b541a133329f2b79e71aeaf9c939c2254c74e295c5ebba4054d4a3c40cc"),
+    ("h-cell", "functorial", "0602154d39986ce4465d5a10e1cdd2e0a5e68424d6b1b284edf71438b6a79ede"),
+    ("h-cell", "naturality", "a6fc570b82a537cb45b81353f57e45dc2ba7db5a182ff9d581e8eaded3308f42"),
+    ("h-cell", "quotient", "b7eaa96bded576529bd77de518c8149325239264178bdb5526548983d6aa8208"),
+    ("h-cell", "bundle", "bfb5c8eeb8f0af508c6022908a2d82ade9d068dee9eeb7004b6568077e55b9ed"),
+    ("h-cell", "all", "5c075628fae364e719ec9f945f5ac3f0e09520b84d406f3d00569f94982cccc5"),
 ]
 
 # The layers each built once per run; `run_suite(..., "all")` once called
