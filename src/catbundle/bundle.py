@@ -204,49 +204,31 @@ class BundleSpace:
         rep = Report("bundle")
         cover, q = self.cover, self.q
 
-        witness = None
-        for i in cover.index_order:
-            for u in sorted(cover.chart(i)):
-                if self.gbar(i, i, u) != q.identity_obj():
-                    witness = f"gbar_{i}{i}({u}) is not the identity coset"
-                    break
-            if witness:
-                break
-        rep.record("bundle.glue.reflexive", "gbar_ii(u) = identity coset",
-                   witness is None, witness)
+        rep.search("bundle.glue.reflexive", "gbar_ii(u) = identity coset", (
+            f"gbar_{i}{i}({u}) is not the identity coset"
+            for i in cover.index_order for u in sorted(cover.chart(i))
+            if self.gbar(i, i, u) != q.identity_obj()))
 
-        witness = None
-        for i in cover.index_order:
-            for j in cover.index_order:
-                for u in sorted(overlap(cover, (i, j))):
-                    if q.obj_product(self.gbar(i, j, u), self.gbar(j, i, u)) \
-                            != q.identity_obj():
-                        witness = f"gbar_{i}{j}({u}) gbar_{j}{i}({u}) != identity coset"
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        rep.record("bundle.glue.symmetric", "gbar_ij(u) gbar_ji(u) = identity coset",
-                   witness is None, witness)
+        def asymmetries():
+            for i in cover.index_order:
+                for j in cover.index_order:
+                    for u in sorted(overlap(cover, (i, j))):
+                        if q.obj_product(self.gbar(i, j, u), self.gbar(j, i, u)) \
+                                != q.identity_obj():
+                            yield f"gbar_{i}{j}({u}) gbar_{j}{i}({u}) != identity coset"
+        rep.search("bundle.glue.symmetric", "gbar_ij(u) gbar_ji(u) = identity coset",
+                   asymmetries())
 
-        witness = None
-        for i in cover.index_order:
-            for j in cover.index_order:
-                for k in cover.index_order:
-                    for u in sorted(overlap(cover, (i, j, k))):
-                        lhs = q.obj_product(self.gbar(k, j, u), self.gbar(j, i, u))
-                        if lhs != self.gbar(k, i, u):
-                            witness = f"gbar_{k}{j} gbar_{j}{i} != gbar_{k}{i} at {u}"
-                            break
-                    if witness:
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        rep.record("bundle.glue.transitive", "gbar_kj(u) gbar_ji(u) = gbar_ki(u)",
-                   witness is None, witness)
+        def intransitivities():
+            for i in cover.index_order:
+                for j in cover.index_order:
+                    for k in cover.index_order:
+                        for u in sorted(overlap(cover, (i, j, k))):
+                            lhs = q.obj_product(self.gbar(k, j, u), self.gbar(j, i, u))
+                            if lhs != self.gbar(k, i, u):
+                                yield f"gbar_{k}{j} gbar_{j}{i} != gbar_{k}{i} at {u}"
+        rep.search("bundle.glue.transitive", "gbar_kj(u) gbar_ji(u) = gbar_ki(u)",
+                   intransitivities())
         return rep
 
     # ----- edges and chains -------------------------------------------------
@@ -715,107 +697,83 @@ class LocalTrivialization:
                 pair_keys[start, steps, phi] = key
             return key
 
-        witness = None
-        images = set()
-        for u in sorted(self.region):
-            i0 = space.cover.smallest_chart(u)
-            for f in q.objects.reps:
-                a = q.obj_product(space.gbar(self.i, i0, u), f)
-                x = self.on_object(u, a)
-                images.add(x)
-                if x != BundleObject(i0, u, f):
-                    witness = f"object ({u}, {a}) does not land on ({i0}, {u}, {f})"
-        expected = len(self.region) * len(q.objects.reps)
-        if witness is None and len(images) != expected:
-            witness = f"object map image has {len(images)} points, expected {expected}"
-        rep.record(f"{tag}.obj_bijective",
+        def object_misses():
+            images = set()
+            for u in sorted(self.region):
+                i0 = space.cover.smallest_chart(u)
+                for f in q.objects.reps:
+                    a = q.obj_product(space.gbar(self.i, i0, u), f)
+                    x = self.on_object(u, a)
+                    images.add(x)
+                    if x != BundleObject(i0, u, f):
+                        yield f"object ({u}, {a}) does not land on ({i0}, {u}, {f})"
+            # reached only when every object landed
+            expected = len(self.region) * len(q.objects.reps)
+            if len(images) != expected:
+                yield f"object map image has {len(images)} points, expected {expected}"
+        rep.search(f"{tag}.obj_bijective",
                    "the object map is a bijection onto glued classes over the overlap",
-                   witness is None, witness)
+                   object_misses())
 
-        witness = None
-        for w in walks:
-            for n, m1 in enumerate(mreps):
-                key1 = pair_key(w.start, w.steps, m1)
-                for m2 in mreps[n + 1:]:
-                    if pair_key(w.start, w.steps, m2) == key1:
-                        witness = (f"({w.start}:{list(w.steps)}, {m1}) and "
+        def collisions():
+            for w in walks:
+                for n, m1 in enumerate(mreps):
+                    key1 = pair_key(w.start, w.steps, m1)
+                    for m2 in mreps[n + 1:]:
+                        if pair_key(w.start, w.steps, m2) == key1:
+                            yield (f"({w.start}:{list(w.steps)}, {m1}) and "
                                    f"(same walk, {m2}) map to equal morphisms")
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        rep.record(f"{tag}.mor_injective",
-                   "distinct fiber morphisms over one walk stay distinct",
-                   witness is None, witness)
+        rep.search(f"{tag}.mor_injective",
+                   "distinct fiber morphisms over one walk stay distinct", collisions())
 
-        witness = None
         if chains is None:
             chains = enumerate_chains(space, max_units, self.region)
-        for st in chains:
-            # unit_split(to_chain(st)) == st, so st is keyed as it stands
-            start, steps = space._walk_sig(st)
-            if space.state_key(st) != pair_key(start, steps, space.reduce_state(st, self.i)):
-                witness = f"chain {st} is not equal to its chart-{self.i} reduction"
-                break
-        rep.record(f"{tag}.mor_surjective",
-                   "every bounded chain over the overlap is hit by the functor",
-                   witness is None, witness)
 
-        witness = None
-        for w1 in walks:
-            for w2 in walks:
-                if w1.end != w2.start or len(w1) + len(w2) > max_len:
-                    continue
-                w21 = compose_paths(space.cover, w2, w1)
-                for m1 in mreps:
-                    for m2 in q.mors_with_source(q.target[m1]):
-                        lhs = pair_key(w21.start, w21.steps, q.compose_of(m2, m1))
-                        rhs = space.mor_compose(self.on_pair(w1, m1),
-                                                self.on_pair(w2, m2))
-                        if space.mor_key(rhs) != lhs:
-                            witness = (f"composite of ({w1.steps}, {m1}) then "
+        def misses():
+            for st in chains:
+                # unit_split(to_chain(st)) == st, so st is keyed as it stands
+                start, steps = space._walk_sig(st)
+                if space.state_key(st) != pair_key(start, steps, space.reduce_state(st, self.i)):
+                    yield f"chain {st} is not equal to its chart-{self.i} reduction"
+        rep.search(f"{tag}.mor_surjective",
+                   "every bounded chain over the overlap is hit by the functor", misses())
+
+        def bad_composites():
+            for w1 in walks:
+                for w2 in walks:
+                    if w1.end != w2.start or len(w1) + len(w2) > max_len:
+                        continue
+                    w21 = compose_paths(space.cover, w2, w1)
+                    for m1 in mreps:
+                        for m2 in q.mors_with_source(q.target[m1]):
+                            lhs = pair_key(w21.start, w21.steps, q.compose_of(m2, m1))
+                            rhs = space.mor_compose(self.on_pair(w1, m1),
+                                                    self.on_pair(w2, m2))
+                            if space.mor_key(rhs) != lhs:
+                                yield (f"composite of ({w1.steps}, {m1}) then "
                                        f"({w2.steps}, {m2}) disagrees")
-                            break
-                    if witness:
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        rep.record(f"{tag}.functorial",
-                   "the functor preserves composition and identities",
-                   witness is None, witness)
+        rep.search(f"{tag}.functorial",
+                   "the functor preserves composition and identities", bad_composites())
 
-        witness = None
-        for w in walks:
-            for m1 in mreps:
-                m = self.on_pair(w, m1)
-                for psi in mreps:
-                    lhs = pair_key(w.start, w.steps, q.mor_product(m1, psi))
-                    if space.mor_key(space.act_mor(m, psi)) != lhs:
-                        witness = f"action by {psi} breaks on ({w.steps}, {m1})"
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        rep.record(f"{tag}.equivariant",
-                   "the functor intertwines the right fiber actions",
-                   witness is None, witness)
+        def unequivariant():
+            for w in walks:
+                for m1 in mreps:
+                    m = self.on_pair(w, m1)
+                    for psi in mreps:
+                        lhs = pair_key(w.start, w.steps, q.mor_product(m1, psi))
+                        if space.mor_key(space.act_mor(m, psi)) != lhs:
+                            yield f"action by {psi} breaks on ({w.steps}, {m1})"
+        rep.search(f"{tag}.equivariant",
+                   "the functor intertwines the right fiber actions", unequivariant())
 
-        witness = None
-        for w in walks:
-            for m1 in mreps:
-                pr = space.project(self.on_pair(w, m1))
-                if (pr.start, pr.steps) != (w.start, w.steps):
-                    witness = f"projection of ({w.steps}, {m1}) is not the walk itself"
-                    break
-            if witness:
-                break
-        rep.record(f"{tag}.projection",
-                   "projection after the functor returns the base walk",
-                   witness is None, witness)
+        def moved_walks():
+            for w in walks:
+                for m1 in mreps:
+                    pr = space.project(self.on_pair(w, m1))
+                    if (pr.start, pr.steps) != (w.start, w.steps):
+                        yield f"projection of ({w.steps}, {m1}) is not the walk itself"
+        rep.search(f"{tag}.projection",
+                   "projection after the functor returns the base walk", moved_walks())
         return rep
 
 
@@ -826,18 +784,17 @@ def check_bundle_axioms(space: BundleSpace, max_len: int = 3,
     q, cover = space.q, space.cover
     rep = space.check_glue_relation()
 
-    witness = None
-    for u in sorted(cover.vertex_set):
-        for c in cover.charts_containing((u,)):
-            for f in q.objects.reps:
-                x = space.canonical_obj(c, u, f)
-                for c2 in cover.charts_containing((u,)):
-                    f2 = q.obj_product(space.gbar(c2, c, u), f)
-                    if space.canonical_obj(c2, u, f2) != x:
-                        witness = f"({c}, {u}, {f}) and its {c2} transport split"
-    rep.record("bundle.objects.glue_consistent",
-               "glued triples canonicalize to one representative",
-               witness is None, witness)
+    def splits():
+        for u in sorted(cover.vertex_set):
+            for c in cover.charts_containing((u,)):
+                for f in q.objects.reps:
+                    x = space.canonical_obj(c, u, f)
+                    for c2 in cover.charts_containing((u,)):
+                        f2 = q.obj_product(space.gbar(c2, c, u), f)
+                        if space.canonical_obj(c2, u, f2) != x:
+                            yield f"({c}, {u}, {f}) and its {c2} transport split"
+    rep.search("bundle.objects.glue_consistent",
+               "glued triples canonicalize to one representative", splits())
 
     n_objects = len(space.objects_all())
     expected = len(cover.vertex_set) * len(q.objects.reps)
@@ -846,42 +803,32 @@ def check_bundle_axioms(space: BundleSpace, max_len: int = 3,
                n_objects == expected,
                f"{n_objects} classes, expected {expected}")
 
-    witness = None
-    hit = {x.vertex for x in space.objects_all()}
-    if hit != set(cover.vertex_set):
-        witness = f"vertices {sorted(set(cover.vertex_set) - hit)} have empty fibers"
-    rep.record("bundle.proj.obj_surjective",
-               "projection is onto the vertex set", witness is None, witness)
+    empty = sorted(set(cover.vertex_set) - {x.vertex for x in space.objects_all()})
+    rep.record("bundle.proj.obj_surjective", "projection is onto the vertex set",
+               not empty, f"vertices {empty} have empty fibers")
 
-    witness = None
-    for w in enumerate_base_walks(cover, max_len):
-        m, why = space.lift_walk(w)
-        if m is None:
-            witness = why
-            break
-        pr = space.project(m)
-        if (pr.start, pr.steps) != (w.start, w.steps):
-            witness = f"lift of {w.start}:{list(w.steps)} projects elsewhere"
-            break
-    rep.record("bundle.proj.mor_surjective",
-               "every bounded base walk lifts through the projection",
-               witness is None, witness)
+    def unlifted():
+        for w in enumerate_base_walks(cover, max_len):
+            m, why = space.lift_walk(w)
+            if m is None:
+                yield why
+                continue
+            pr = space.project(m)
+            if (pr.start, pr.steps) != (w.start, w.steps):
+                yield f"lift of {w.start}:{list(w.steps)} projects elsewhere"
+    rep.search("bundle.proj.mor_surjective",
+               "every bounded base walk lifts through the projection", unlifted())
 
-    witness = None
-    for x in space.objects_all():
-        for a in q.objects.reps:
-            y = space.act_obj(x, a)
-            if y.vertex != x.vertex:
-                witness = f"action by {a} moved {x} off its vertex"
-                break
-            if (y == x) != (a == q.identity_obj()):
-                witness = f"object action by {a} is not free at {x}"
-                break
-        if witness:
-            break
-    rep.record("bundle.action.obj_free",
-               "the object action is free and projection-invariant",
-               witness is None, witness)
+    def unfree_objects():
+        for x in space.objects_all():
+            for a in q.objects.reps:
+                y = space.act_obj(x, a)
+                if y.vertex != x.vertex:
+                    yield f"action by {a} moved {x} off its vertex"
+                if (y == x) != (a == q.identity_obj()):
+                    yield f"object action by {a} is not free at {x}"
+    rep.search("bundle.action.obj_free",
+               "the object action is free and projection-invariant", unfree_objects())
 
     neutral = q.identity_mor_at(q.identity_obj())
     markers = [BundleMorphism.identity(x) for x in space.objects_all()]
@@ -897,115 +844,92 @@ def check_bundle_axioms(space: BundleSpace, max_len: int = 3,
             walk_witness = f"chain {st} is equal to a morphism over another walk"
         classes.setdefault(key, {})[compacted] = None
 
-    witness = None
-    for m in itertools.chain(markers, map(space.to_chain, states)):
-        pm, key = space.project(m), space.mor_key(m)
-        for psi in q.morphisms.reps:
-            acted = space.act_mor(m, psi)
-            pr = space.project(acted)
-            if (pr.start, pr.steps) != (pm.start, pm.steps):
-                witness = f"action by {psi} changed a projected walk"
-                break
-            if (space.mor_key(acted) == key) != (psi == neutral):
-                witness = f"morphism action by {psi} is not free on {m}"
-                break
-        if witness:
-            break
-    rep.record("bundle.action.mor_free",
+    def unfree_morphisms():
+        for m in itertools.chain(markers, map(space.to_chain, states)):
+            pm, key = space.project(m), space.mor_key(m)
+            for psi in q.morphisms.reps:
+                acted = space.act_mor(m, psi)
+                pr = space.project(acted)
+                if (pr.start, pr.steps) != (pm.start, pm.steps):
+                    yield f"action by {psi} changed a projected walk"
+                if (space.mor_key(acted) == key) != (psi == neutral):
+                    yield f"morphism action by {psi} is not free on {m}"
+    rep.search("bundle.action.mor_free",
                "the morphism action is free, unital, and projection-invariant",
-               witness is None, witness)
+               unfree_morphisms())
 
     loops = [p for p in q.morphisms.reps if q.source[p] == q.target[p]]
-    witness = None
     one_unit = [space.to_chain(st) for st in enumerate_chains(space, 1)]
     by_source_obj: dict[BundleObject, list[BundleMorphism]] = {}
     for m in one_unit:
         by_source_obj.setdefault(space.mor_endpoints(m)[0], []).append(m)
-    for m1 in one_unit:
-        t1 = space.mor_endpoints(m1)[1]
-        for m2 in by_source_obj.get(t1, ()):
-            comp = space.mor_compose(m1, m2)
-            for psi in loops:
-                unit_at = q.identity_mor_at(q.source[psi])
-                lhs = space.act_mor(comp, psi)
-                try:
-                    rhs = space.mor_compose(space.act_mor(m1, unit_at),
-                                            space.act_mor(m2, psi))
-                except CompositionError as exc:
-                    witness = f"exchange composite undefined: {exc}"
-                    break
-                if not space.mor_equal(lhs, rhs):
-                    witness = f"exchange law breaks for {psi} on a 2-chain"
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    rep.record("bundle.action.exchange",
-               "acting on a composite equals composing the acted factors "
-               "(loop fiber morphisms)",
-               witness is None, witness)
 
-    witness = None
+    def exchange_breaks():
+        for m1 in one_unit:
+            t1 = space.mor_endpoints(m1)[1]
+            for m2 in by_source_obj.get(t1, ()):
+                comp = space.mor_compose(m1, m2)
+                for psi in loops:
+                    unit_at = q.identity_mor_at(q.source[psi])
+                    lhs = space.act_mor(comp, psi)
+                    try:
+                        rhs = space.mor_compose(space.act_mor(m1, unit_at),
+                                                space.act_mor(m2, psi))
+                    except CompositionError as exc:
+                        yield f"exchange composite undefined: {exc}"
+                        continue
+                    if not space.mor_equal(lhs, rhs):
+                        yield f"exchange law breaks for {psi} on a 2-chain"
+    rep.search("bundle.action.exchange",
+               "acting on a composite equals composing the acted factors "
+               "(loop fiber morphisms)", exchange_breaks())
+
     # members share one key, and the neutral morphism changes no decoration
     movers = [psi for psi in q.morphisms.reps if psi != neutral]
-    for members in classes.values():
-        base, *others = [space.to_chain(st) for st in members]
-        for psi in movers:
-            target = space.mor_key(space.act_mor(base, psi))
-            for other in others:
-                if space.mor_key(space.act_mor(other, psi)) != target:
-                    witness = f"equal chains act apart under {psi}"
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    rep.record("bundle.action.equivariant",
-               "equal morphisms stay equal under the fiber action",
-               witness is None, witness)
+
+    def split_classes():
+        for members in classes.values():
+            base, *others = [space.to_chain(st) for st in members]
+            for psi in movers:
+                target = space.mor_key(space.act_mor(base, psi))
+                for other in others:
+                    if space.mor_key(space.act_mor(other, psi)) != target:
+                        yield f"equal chains act apart under {psi}"
+    rep.search("bundle.action.equivariant",
+               "equal morphisms stay equal under the fiber action", split_classes())
 
     rep.record("bundle.proj.class_invariant",
                "equal morphisms project to the same base walk",
                walk_witness is None, walk_witness)
 
-    witness = None
-    for (x, walk), n in Counter(key[:2] for key in classes).items():
-        want = len(q.mors_with_source(x.fiber))
-        if n != want:
-            witness = f"{n} classes over walk {walk} from {x}, expected {want}"
-            break
-    rep.record("bundle.mor.torsor",
+    def miscounts():
+        for (x, walk), n in Counter(key[:2] for key in classes).items():
+            want = len(q.mors_with_source(x.fiber))
+            if n != want:
+                yield f"{n} classes over walk {walk} from {x}, expected {want}"
+    rep.search("bundle.mor.torsor",
                "the morphism classes over one walk from one object are as many "
-               "as the fiber morphisms out of its fiber object",
-               witness is None, witness)
+               "as the fiber morphisms out of its fiber object", miscounts())
 
-    witness = None
-    pairs_checked = 0
-    for m1 in one_unit:
-        if pairs_checked > 400:
-            break
-        t1 = space.mor_endpoints(m1)[1]
-        alts1 = list(classes[space.component_of(space.unit_split(m1))])[:2]
-        for m2 in by_source_obj.get(t1, ())[:3]:
-            alts2 = list(classes[space.component_of(space.unit_split(m2))])[:2]
-            comp = space.mor_key(space.mor_compose(m1, m2))
-            for a1 in alts1:
-                for a2 in alts2:
-                    pairs_checked += 1
-                    alt = space.mor_compose(space.to_chain(a1), space.to_chain(a2))
-                    if space.mor_key(alt) != comp:
-                        witness = "composition depends on chain representatives"
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    rep.record("bundle.compose.representative_free",
+    def representative_dependence():
+        pairs_checked = 0
+        for m1 in one_unit:
+            if pairs_checked > 400:
+                return
+            t1 = space.mor_endpoints(m1)[1]
+            alts1 = list(classes[space.component_of(space.unit_split(m1))])[:2]
+            for m2 in by_source_obj.get(t1, ())[:3]:
+                alts2 = list(classes[space.component_of(space.unit_split(m2))])[:2]
+                comp = space.mor_key(space.mor_compose(m1, m2))
+                for a1 in alts1:
+                    for a2 in alts2:
+                        pairs_checked += 1
+                        alt = space.mor_compose(space.to_chain(a1), space.to_chain(a2))
+                        if space.mor_key(alt) != comp:
+                            yield "composition depends on chain representatives"
+    rep.search("bundle.compose.representative_free",
                "composition does not depend on the chain representative",
-               witness is None, witness)
+               representative_dependence())
 
     # one region's bounded chains at a time, shared by all of its charts
     max_units = min(max_len, 3)

@@ -71,7 +71,6 @@ class CoverComplex:
         index_order: Sequence[str],
         directed: bool = False,
         identity_edges: bool = True,
-        strict: bool = True,
     ):
         self.vertices = tuple(vertices)
         self.vertex_set = frozenset(self.vertices)
@@ -103,16 +102,15 @@ class CoverComplex:
             if "|" in u:
                 raise SchemaError(f"cover complex: vertex id {u!r} contains '|'")
 
-        if strict:
-            covered = frozenset().union(*self.cover.values()) if self.cover else frozenset()
-            if covered != self.vertex_set:
-                missing = sorted(self.vertex_set - covered)
-                raise SchemaError(f"cover complex: vertices not covered: {missing}")
-            for e, u, v in self.edges:
-                if not any(u in us and v in us for us in self.cover.values()):
-                    raise SchemaError(
-                        f"cover complex: edge {e!r} has no chart containing both endpoints"
-                    )
+        covered = frozenset().union(*self.cover.values()) if self.cover else frozenset()
+        if covered != self.vertex_set:
+            missing = sorted(self.vertex_set - covered)
+            raise SchemaError(f"cover complex: vertices not covered: {missing}")
+        for e, u, v in self.edges:
+            if not any(u in us and v in us for us in self.cover.values()):
+                raise SchemaError(
+                    f"cover complex: edge {e!r} has no chart containing both endpoints"
+                )
 
         # outgoing unit steps per vertex: (edge id, orientation, next vertex)
         self._steps_from: dict[str, list[tuple[str, int, str]]] = {u: [] for u in self.vertices}

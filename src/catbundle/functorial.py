@@ -92,61 +92,54 @@ def check_theta_functorial(fc: FunctorialCocycle, i: str, k: str, max_len: int =
     walks = enumerate_paths(fc.cover, (i, k), max_len)
     tag = f"{i}{k}"
 
-    witness = None
-    for u in sorted(overlap(fc.cover, (i, k))):
-        got = eval_theta(fc, i, k, fc.cover.identity_walk(u))
-        if got != arrow_identity(cm, fc.g(i, k, u)):
-            witness = f"theta_{tag}(id_{u}) = {got}"
-            break
-    rep.record(f"theta.{tag}.identity", "theta(id_u) = id at g_ik(u)",
-               witness is None, witness)
+    def bad_identities():
+        for u in sorted(overlap(fc.cover, (i, k))):
+            got = eval_theta(fc, i, k, fc.cover.identity_walk(u))
+            if got != arrow_identity(cm, fc.g(i, k, u)):
+                yield f"theta_{tag}(id_{u}) = {got}"
+    rep.search(f"theta.{tag}.identity", "theta(id_u) = id at g_ik(u)", bad_identities())
 
-    witness = None
-    for w in walks:
-        a = eval_theta(fc, i, k, w)
-        if arrow_endpoints(cm, a) != (fc.g(i, k, w.start), fc.g(i, k, w.end)):
-            witness = f"theta_{tag} endpoints wrong on walk {w.start}:{list(w.steps)}"
-            break
-    rep.record(f"theta.{tag}.target", "tau(h_ik(gamma)) g_ik(gamma_0) = g_ik(gamma_1)",
-               witness is None, witness)
+    def bad_targets():
+        for w in walks:
+            a = eval_theta(fc, i, k, w)
+            if arrow_endpoints(cm, a) != (fc.g(i, k, w.start), fc.g(i, k, w.end)):
+                yield f"theta_{tag} endpoints wrong on walk {w.start}:{list(w.steps)}"
+    rep.search(f"theta.{tag}.target", "tau(h_ik(gamma)) g_ik(gamma_0) = g_ik(gamma_1)",
+               bad_targets())
 
-    witness = None
-    for w1 in walks:
-        for w2 in walks:
-            if w1.end != w2.start:
-                continue
-            comp = PathMor(w1.start, w1.steps + w2.steps, w1.visited + w2.visited[1:])
-            lhs = eval_theta(fc, i, k, comp)
-            try:
-                rhs = arrow_compose(cm, eval_theta(fc, i, k, w2),
-                                    eval_theta(fc, i, k, w1))
-            except CompositionError as err:
-                witness = (
-                    f"theta_{tag} images do not compose at "
-                    f"{w1.start}:{list(w1.steps)} then {list(w2.steps)}: {err}"
-                )
-                break
-            if lhs != rhs:
-                witness = (
-                    f"theta_{tag}(gamma2 o gamma1) != theta(gamma2) o theta(gamma1) "
-                    f"at {w1.start}:{list(w1.steps)} then {list(w2.steps)}"
-                )
-                break
-        if witness:
-            break
-    rep.record(f"theta.{tag}.compose", "theta(gamma2 o gamma1) = theta(gamma2) o theta(gamma1)",
-               witness is None, witness)
+    def bad_composites():
+        for w1 in walks:
+            for w2 in walks:
+                if w1.end != w2.start:
+                    continue
+                comp = PathMor(w1.start, w1.steps + w2.steps, w1.visited + w2.visited[1:])
+                lhs = eval_theta(fc, i, k, comp)
+                try:
+                    rhs = arrow_compose(cm, eval_theta(fc, i, k, w2),
+                                        eval_theta(fc, i, k, w1))
+                except CompositionError as err:
+                    yield (
+                        f"theta_{tag} images do not compose at "
+                        f"{w1.start}:{list(w1.steps)} then {list(w2.steps)}: {err}"
+                    )
+                    continue
+                if lhs != rhs:
+                    yield (
+                        f"theta_{tag}(gamma2 o gamma1) != theta(gamma2) o theta(gamma1) "
+                        f"at {w1.start}:{list(w1.steps)} then {list(w2.steps)}"
+                    )
+    rep.search(f"theta.{tag}.compose",
+               "theta(gamma2 o gamma1) = theta(gamma2) o theta(gamma1)", bad_composites())
 
-    witness = None
-    by_ends: dict[tuple[str, str], Arrow] = {}
-    for w in walks:
-        a = eval_theta(fc, i, k, w)
-        prev = by_ends.setdefault((w.start, w.end), a)
-        if prev != a:
-            witness = f"theta_{tag} differs on two walks {w.start} -> {w.end}"
-            break
-    rep.record(f"theta.{tag}.endpoints", "theta(gamma) depends only on (gamma_0, gamma_1)",
-               witness is None, witness)
+    def walk_dependence():
+        by_ends: dict[tuple[str, str], Arrow] = {}
+        for w in walks:
+            a = eval_theta(fc, i, k, w)
+            prev = by_ends.setdefault((w.start, w.end), a)
+            if prev != a:
+                yield f"theta_{tag} differs on two walks {w.start} -> {w.end}"
+    rep.search(f"theta.{tag}.endpoints", "theta(gamma) depends only on (gamma_0, gamma_1)",
+               walk_dependence())
     return rep
 
 
@@ -161,33 +154,30 @@ def check_naturality(fc: FunctorialCocycle, i: str, k: str, m: str,
     cm = fc.chain.outer
     tag = f"{i}{k}{m}"
 
-    witness = None
-    for u in sorted(overlap(fc.cover, (i, k, m))):
-        _, tgt = arrow_endpoints(cm, eval_T(fc, i, k, m, u))
-        if tgt != fc.g(i, m, u):
-            witness = f"t(T_{tag}({u})) = {tgt!r} != g_im({u}) = {fc.g(i, m, u)!r}"
-            break
-    rep.record(f"naturality.{tag}.T_target", "t(T_ikm(u)) = g_im(u)",
-               witness is None, witness)
+    def bad_targets():
+        for u in sorted(overlap(fc.cover, (i, k, m))):
+            _, tgt = arrow_endpoints(cm, eval_T(fc, i, k, m, u))
+            if tgt != fc.g(i, m, u):
+                yield f"t(T_{tag}({u})) = {tgt!r} != g_im({u}) = {fc.g(i, m, u)!r}"
+    rep.search(f"naturality.{tag}.T_target", "t(T_ikm(u)) = g_im(u)", bad_targets())
 
-    witness = None
-    for w in enumerate_paths(fc.cover, (i, k, m), max_len):
-        try:
-            lhs = arrow_compose(
-                cm, eval_T(fc, i, k, m, w.end),
-                arrow_product(cm, eval_theta(fc, i, k, w), eval_theta(fc, k, m, w)),
-            )
-            rhs = arrow_compose(cm, eval_theta(fc, i, m, w), eval_T(fc, i, k, m, w.start))
-        except CompositionError as err:
-            witness = f"square at walk {w.start}:{list(w.steps)} does not compose: {err}"
-            break
-        if lhs != rhs:
-            witness = f"square fails at walk {w.start}:{list(w.steps)}: {lhs} != {rhs}"
-            break
-    rep.record(
+    def bad_squares():
+        for w in enumerate_paths(fc.cover, (i, k, m), max_len):
+            try:
+                lhs = arrow_compose(
+                    cm, eval_T(fc, i, k, m, w.end),
+                    arrow_product(cm, eval_theta(fc, i, k, w), eval_theta(fc, k, m, w)),
+                )
+                rhs = arrow_compose(cm, eval_theta(fc, i, m, w), eval_T(fc, i, k, m, w.start))
+            except CompositionError as err:
+                yield f"square at walk {w.start}:{list(w.steps)} does not compose: {err}"
+                continue
+            if lhs != rhs:
+                yield f"square fails at walk {w.start}:{list(w.steps)}: {lhs} != {rhs}"
+    rep.search(
         f"naturality.{tag}.square",
         "T(gamma_1) o (theta_ik(gamma) . theta_km(gamma)) = theta_im(gamma) o T(gamma_0)",
-        witness is None, witness,
+        bad_squares(),
     )
     return rep
 
@@ -198,19 +188,19 @@ def check_product_relation(fc: FunctorialCocycle, i: str, k: str, m: str,
     rep = Report("product")
     cm = fc.chain.outer
     tag = f"{i}{k}{m}"
-    witness = None
-    for w in enumerate_paths(fc.cover, (i, k, m), max_len):
-        lhs = arrow_product(
-            cm, arrow_product(cm, eval_Theta(fc, i, k, m, w), eval_theta(fc, i, k, w)),
-            eval_theta(fc, k, m, w),
-        )
-        rhs = eval_theta(fc, i, m, w)
-        if lhs != rhs:
-            witness = f"fails at walk {w.start}:{list(w.steps)}: {lhs} != {rhs}"
-            break
-    rep.record(
+
+    def violations():
+        for w in enumerate_paths(fc.cover, (i, k, m), max_len):
+            lhs = arrow_product(
+                cm, arrow_product(cm, eval_Theta(fc, i, k, m, w), eval_theta(fc, i, k, w)),
+                eval_theta(fc, k, m, w),
+            )
+            rhs = eval_theta(fc, i, m, w)
+            if lhs != rhs:
+                yield f"fails at walk {w.start}:{list(w.steps)}: {lhs} != {rhs}"
+    rep.search(
         f"product.{tag}.relation",
         "Theta_ikm(gamma) . theta_ik(gamma) . theta_km(gamma) = theta_im(gamma)",
-        witness is None, witness,
+        violations(),
     )
     return rep

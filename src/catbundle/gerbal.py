@@ -114,36 +114,26 @@ def validate_gerbal(gc: GerbalCocycle) -> Report:
     H = chain.H
     rep = Report("gerbal")
 
-    witness = None
-    for i in gc.cover.index_order:
-        for u in sorted(gc.cover.chart(i)):
-            if gc.h[(i, i, u)] != H.identity:
-                witness = f"h_{i}{i}({u}) = {gc.h[(i, i, u)]!r} != e"
-                break
-        if witness:
-            break
-    rep.record("gerbal.diagonal", "h_ii(u) = e", witness is None, witness)
+    rep.search("gerbal.diagonal", "h_ii(u) = e", (
+        f"h_{i}{i}({u}) = {gc.h[(i, i, u)]!r} != e"
+        for i in gc.cover.index_order for u in sorted(gc.cover.chart(i))
+        if gc.h[(i, i, u)] != H.identity))
 
-    witness = None
-    for i, k, m in required_triples(gc.cover):
-        for u in sorted(overlap(gc.cover, (i, k, m))):
-            lhs = gc.h[(i, m, u)]
-            rhs = H.op(
-                chain.tau_p(gc.j[(i, k, m, u)]),
-                H.op(gc.h[(i, k, u)], gc.h[(k, m, u)]),
-            )
-            if lhs != rhs:
-                witness = (
-                    f"at (i,k,m,u)=({i},{k},{m},{u}): "
-                    f"h_im = {lhs!r} but tau'(j) h_ik h_km = {rhs!r}"
+    def relation_violations():
+        for i, k, m in required_triples(gc.cover):
+            for u in sorted(overlap(gc.cover, (i, k, m))):
+                lhs = gc.h[(i, m, u)]
+                rhs = H.op(
+                    chain.tau_p(gc.j[(i, k, m, u)]),
+                    H.op(gc.h[(i, k, u)], gc.h[(k, m, u)]),
                 )
-                break
-        if witness:
-            break
-    rep.record(
-        "gerbal.relation", "h_im(u) = tau'(j_ikm(u)) h_ik(u) h_km(u)",
-        witness is None, witness,
-    )
+                if lhs != rhs:
+                    yield (
+                        f"at (i,k,m,u)=({i},{k},{m},{u}): "
+                        f"h_im = {lhs!r} but tau'(j) h_ik h_km = {rhs!r}"
+                    )
+    rep.search("gerbal.relation", "h_im(u) = tau'(j_ikm(u)) h_ik(u) h_km(u)",
+               relation_violations())
     return rep
 
 
@@ -177,27 +167,22 @@ def check_second_gerbe(gc: GerbalCocycle, tower: DerivedTower) -> Report:
     chain = gc.chain
     H = chain.H
     rep = Report("gerbal")
-    witness = None
-    for i, j, k, m in required_quadruples(gc.cover):
-        for u in sorted(overlap(gc.cover, (i, j, k, m))):
-            lhs = H.op(
-                tower.h3[(i, j, m, u)],
-                chain.alpha(tower.g[(i, j, u)], tower.h3[(j, k, m, u)]),
-            )
-            rhs = H.op(tower.h3[(i, k, m, u)], tower.h3[(i, j, k, u)])
-            if lhs != rhs:
-                witness = (
-                    f"at (i,j,k,m,u)=({i},{j},{k},{m},{u}): "
-                    f"h_ijm a_(g_ij)(h_jkm) = {lhs!r} != h_ikm h_ijk = {rhs!r}"
+
+    def violations():
+        for i, j, k, m in required_quadruples(gc.cover):
+            for u in sorted(overlap(gc.cover, (i, j, k, m))):
+                lhs = H.op(
+                    tower.h3[(i, j, m, u)],
+                    chain.alpha(tower.g[(i, j, u)], tower.h3[(j, k, m, u)]),
                 )
-                break
-        if witness:
-            break
-    rep.record(
-        "gerbal.second",
-        "h_ijm(u) alpha_g_ij(u)(h_jkm(u)) = h_ikm(u) h_ijk(u)",
-        witness is None, witness,
-    )
+                rhs = H.op(tower.h3[(i, k, m, u)], tower.h3[(i, j, k, u)])
+                if lhs != rhs:
+                    yield (
+                        f"at (i,j,k,m,u)=({i},{j},{k},{m},{u}): "
+                        f"h_ijm a_(g_ij)(h_jkm) = {lhs!r} != h_ikm h_ijk = {rhs!r}"
+                    )
+    rep.search("gerbal.second", "h_ijm(u) alpha_g_ij(u)(h_jkm(u)) = h_ikm(u) h_ijk(u)",
+               violations())
     return rep
 
 

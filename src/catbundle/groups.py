@@ -170,50 +170,39 @@ def validate_group(g: FiniteGroup) -> Report:
     rep = Report("group")
     e = g.identity
 
-    witness = None
-    for a in g.elements:
-        if g.op(e, a) != a or g.op(a, e) != a:
-            witness = f"identity fails at {a!r}: e*{a}={g.op(e, a)!r}, {a}*e={g.op(a, e)!r}"
-            break
-    rep.record(f"group.{g.name}.identity", "e*a = a*e = a", witness is None, witness)
+    rep.search(f"group.{g.name}.identity", "e*a = a*e = a", (
+        f"identity fails at {a!r}: e*{a}={g.op(e, a)!r}, {a}*e={g.op(a, e)!r}"
+        for a in g.elements if g.op(e, a) != a or g.op(a, e) != a))
 
-    witness = None
-    for a in g.elements:
-        b = g.inverse(a)
-        if g.op(a, b) != e or g.op(b, a) != e:
-            witness = f"no inverse for {a!r}: {a}*{b}={g.op(a, b)!r}"
-            break
-    rep.record(f"group.{g.name}.inverse", "a*inv(a) = inv(a)*a = e", witness is None, witness)
+    def bad_inverses():
+        for a in g.elements:
+            b = g.inverse(a)
+            if g.op(a, b) != e or g.op(b, a) != e:
+                yield f"no inverse for {a!r}: {a}*{b}={g.op(a, b)!r}"
+    rep.search(f"group.{g.name}.inverse", "a*inv(a) = inv(a)*a = e", bad_inverses())
 
-    witness = None
-    for a in g.elements:
-        for b in g.elements:
-            ab = g.op(a, b)
-            for c in g.elements:
-                if g.op(ab, c) != g.op(a, g.op(b, c)):
-                    witness = f"({a}*{b})*{c} = {g.op(ab, c)!r} != {a}*({b}*{c})"
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    rep.record(f"group.{g.name}.assoc", "(a*b)*c = a*(b*c)", witness is None, witness)
+    def bad_triples():
+        for a in g.elements:
+            for b in g.elements:
+                ab = g.op(a, b)
+                for c in g.elements:
+                    if g.op(ab, c) != g.op(a, g.op(b, c)):
+                        yield f"({a}*{b})*{c} = {g.op(ab, c)!r} != {a}*({b}*{c})"
+    rep.search(f"group.{g.name}.assoc", "(a*b)*c = a*(b*c)", bad_triples())
     return rep
 
 
 def validate_hom(f: GroupHom) -> Report:
     rep = Report("hom")
-    witness = None
-    for a in f.domain.elements:
-        for b in f.domain.elements:
-            lhs = f(f.domain.op(a, b))
-            rhs = f.codomain.op(f(a), f(b))
-            if lhs != rhs:
-                witness = f"f({a}*{b})={lhs!r} != f({a})*f({b})={rhs!r}"
-                break
-        if witness:
-            break
-    rep.record(f"hom.{f.name}.compose", "f(a*b) = f(a)*f(b)", witness is None, witness)
+
+    def bad_pairs():
+        for a in f.domain.elements:
+            for b in f.domain.elements:
+                lhs = f(f.domain.op(a, b))
+                rhs = f.codomain.op(f(a), f(b))
+                if lhs != rhs:
+                    yield f"f({a}*{b})={lhs!r} != f({a})*f({b})={rhs!r}"
+    rep.search(f"hom.{f.name}.compose", "f(a*b) = f(a)*f(b)", bad_pairs())
 
     ok = f(f.domain.identity) == f.codomain.identity
     rep.record(
@@ -227,49 +216,33 @@ def validate_action(a: GroupAction) -> Report:
     rep = Report("action")
     actor, space = a.actor, a.space
 
-    witness = None
-    for h in space.elements:
-        if a(actor.identity, h) != h:
-            witness = f"e.{h} = {a(actor.identity, h)!r}"
-            break
-    rep.record(f"action.{a.name}.identity", "e.h = h", witness is None, witness)
+    rep.search(f"action.{a.name}.identity", "e.h = h", (
+        f"e.{h} = {a(actor.identity, h)!r}"
+        for h in space.elements if a(actor.identity, h) != h))
 
-    witness = None
-    for g1 in actor.elements:
-        for g2 in actor.elements:
-            g12 = actor.op(g1, g2)
-            for h in space.elements:
-                if a(g12, h) != a(g1, a(g2, h)):
-                    witness = f"(({g1}*{g2}).{h}) != ({g1}.({g2}.{h}))"
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    rep.record(f"action.{a.name}.compose", "(g1*g2).h = g1.(g2.h)", witness is None, witness)
+    def bad_composites():
+        for g1 in actor.elements:
+            for g2 in actor.elements:
+                g12 = actor.op(g1, g2)
+                for h in space.elements:
+                    if a(g12, h) != a(g1, a(g2, h)):
+                        yield f"(({g1}*{g2}).{h}) != ({g1}.({g2}.{h}))"
+    rep.search(f"action.{a.name}.compose", "(g1*g2).h = g1.(g2.h)", bad_composites())
 
-    witness = None
-    for g in actor.elements:
-        seen = set()
-        for h1 in space.elements:
-            seen.add(a(g, h1))
-            for h2 in space.elements:
-                lhs = a(g, space.op(h1, h2))
-                rhs = space.op(a(g, h1), a(g, h2))
-                if lhs != rhs:
-                    witness = f"{g}.({h1}*{h2})={lhs!r} != ({g}.{h1})*({g}.{h2})={rhs!r}"
-                    break
-            if witness:
-                break
-        if witness:
-            break
-        if len(seen) != space.order:
-            witness = f"{g}. is not a bijection of {space.name}"
-            break
-    rep.record(
-        f"action.{a.name}.automorphism",
-        "h -> g.h is an automorphism of the space", witness is None, witness,
-    )
+    def non_automorphisms():
+        for g in actor.elements:
+            seen = set()
+            for h1 in space.elements:
+                seen.add(a(g, h1))
+                for h2 in space.elements:
+                    lhs = a(g, space.op(h1, h2))
+                    rhs = space.op(a(g, h1), a(g, h2))
+                    if lhs != rhs:
+                        yield f"{g}.({h1}*{h2})={lhs!r} != ({g}.{h1})*({g}.{h2})={rhs!r}"
+            if len(seen) != space.order:
+                yield f"{g}. is not a bijection of {space.name}"
+    rep.search(f"action.{a.name}.automorphism",
+               "h -> g.h is an automorphism of the space", non_automorphisms())
     return rep
 
 

@@ -95,59 +95,38 @@ def check_JH_normal(chain: ChainedCrossedModules) -> Report:
         j, h = inner_sd.id_to_pair[x]
         return pair_id(chain.tau_p(j), chain.tau(h))
 
-    witness = None
-    for x in inner_sd.group.elements:
-        for y in inner_sd.group.elements:
-            lhs = taubar(inner_sd.group.op(x, y))
-            rhs = parent.op(taubar(x), taubar(y))
-            if lhs != rhs:
-                witness = f"taubar({x} * {y}) = {lhs!r} != {rhs!r}"
-                break
-        if witness:
-            break
-    rep.record("jh.taubar", "(j,h) -> (tau'(j), tau(h)) is a homomorphism",
-               witness is None, witness)
+    def bad_products():
+        for x in inner_sd.group.elements:
+            for y in inner_sd.group.elements:
+                lhs = taubar(inner_sd.group.op(x, y))
+                rhs = parent.op(taubar(x), taubar(y))
+                if lhs != rhs:
+                    yield f"taubar({x} * {y}) = {lhs!r} != {rhs!r}"
+    rep.search("jh.taubar", "(j,h) -> (tau'(j), tau(h)) is a homomorphism", bad_products())
 
     jh = build_JH(chain)
-    witness = None
-    if parent.identity not in jh:
-        witness = "identity missing"
-    else:
+
+    def subgroup_violations():
+        if parent.identity not in jh:
+            yield "identity missing"
         for a in sorted(jh):
-            if witness:
-                break
             if parent.inverse(a) not in jh:
-                witness = f"inverse of {a!r} leaves J_H"
-                break
+                yield f"inverse of {a!r} leaves J_H"
             for b in sorted(jh):
                 if parent.op(a, b) not in jh:
-                    witness = f"product {a!r} {b!r} leaves J_H"
-                    break
-    rep.record("jh.subgroup", "J_H is a subgroup of H x| G", witness is None, witness)
+                    yield f"product {a!r} {b!r} leaves J_H"
+    rep.search("jh.subgroup", "J_H is a subgroup of H x| G", subgroup_violations())
 
+    def leaks(conjugators):
+        for w in conjugators:
+            for v in sorted(jh):
+                c = parent.conj(w, v)
+                if c not in jh:
+                    yield f"{w} {v} {w}^-1 = {c!r} leaves J_H"
     tau_image = frozenset(chain.tau(h) for h in chain.H.elements)
     conjugators = [x for x in parent.elements if outer_sd.id_to_pair[x][1] in tau_image]
-    witness = None
-    for w in conjugators:
-        for v in sorted(jh):
-            c = parent.conj(w, v)
-            if c not in jh:
-                witness = f"{w} {v} {w}^-1 = {c!r} leaves J_H"
-                break
-        if witness:
-            break
-    rep.record("jh.normal", "J_H is normal in H x| tau(H)", witness is None, witness)
-
-    witness = None
-    for w in parent.elements:
-        for v in sorted(jh):
-            c = parent.conj(w, v)
-            if c not in jh:
-                witness = f"{w} {v} {w}^-1 = {c!r} leaves J_H"
-                break
-        if witness:
-            break
-    rep.record("jh.normal_full", "J_H is normal in all of H x| G", witness is None, witness)
+    rep.search("jh.normal", "J_H is normal in H x| tau(H)", leaks(conjugators))
+    rep.search("jh.normal_full", "J_H is normal in all of H x| G", leaks(parent.elements))
     return rep
 
 
@@ -207,46 +186,44 @@ class QuotientCatGroup:
         rep = Report("quotient")
         par = self.mor_parent
 
-        witness = None
-        for mrep in self.morphisms.reps:
-            ss = {self._member_source(x) for x in self.morphisms.members_of[mrep]}
-            ts = {self._member_target(x) for x in self.morphisms.members_of[mrep]}
-            if len(ss) != 1 or len(ts) != 1:
-                witness = f"coset {mrep!r} has sources {sorted(ss)} targets {sorted(ts)}"
-                break
-            self.source[mrep] = next(iter(ss))
-            self.target[mrep] = next(iter(ts))
-        rep.record("quotient.descent.endpoints",
-                   "source and target are constant on each coset",
-                   witness is None, witness)
-        if witness:
+        # the first two searches fill the endpoint and composition tables as
+        # they scan, so a search that stops at a witness leaves its table partial
+        def split_endpoints():
+            for mrep in self.morphisms.reps:
+                ss = {self._member_source(x) for x in self.morphisms.members_of[mrep]}
+                ts = {self._member_target(x) for x in self.morphisms.members_of[mrep]}
+                if len(ss) != 1 or len(ts) != 1:
+                    yield f"coset {mrep!r} has sources {sorted(ss)} targets {sorted(ts)}"
+                    continue
+                self.source[mrep] = next(iter(ss))
+                self.target[mrep] = next(iter(ts))
+        rep.search("quotient.descent.endpoints",
+                   "source and target are constant on each coset", split_endpoints())
+        if not rep.ok:
             return rep
 
         for mrep in self.morphisms.reps:
             self._by_source.setdefault(self.source[mrep], []).append(mrep)
 
-        witness = None
-        for x2 in par.elements:
-            sx2 = self.sd.source(x2)
-            for x1 in par.elements:
-                if self.sd.target(x1) != sx2:
-                    continue
-                h2, _ = self.sd.id_to_pair[x2]
-                h1, g1 = self.sd.id_to_pair[x1]
-                comp = pair_id(self.chain.H.op(h2, h1), g1)
-                key = (self.morphisms.rep(x2), self.morphisms.rep(x1))
-                got = self.morphisms.rep(comp)
-                if self._compose.setdefault(key, got) != got:
-                    witness = (
-                        f"composition is not constant on cosets at "
-                        f"({key[0]!r}, {key[1]!r})"
-                    )
-                    break
-            if witness:
-                break
-        rep.record("quotient.descent.compose",
+        def split_composites():
+            for x2 in par.elements:
+                sx2 = self.sd.source(x2)
+                for x1 in par.elements:
+                    if self.sd.target(x1) != sx2:
+                        continue
+                    h2, _ = self.sd.id_to_pair[x2]
+                    h1, g1 = self.sd.id_to_pair[x1]
+                    comp = pair_id(self.chain.H.op(h2, h1), g1)
+                    key = (self.morphisms.rep(x2), self.morphisms.rep(x1))
+                    got = self.morphisms.rep(comp)
+                    if self._compose.setdefault(key, got) != got:
+                        yield (
+                            f"composition is not constant on cosets at "
+                            f"({key[0]!r}, {key[1]!r})"
+                        )
+        rep.search("quotient.descent.compose",
                    "(f2 f2') o (f1 f1') = (f2 o f1)(f2' o f1') modulo J_H",
-                   witness is None, witness)
+                   split_composites())
 
         expected = sum(
             1 for m2 in self.morphisms.reps for m1 in self.morphisms.reps
@@ -260,25 +237,22 @@ class QuotientCatGroup:
             # the checks below compose cosets, which needs a total table
             return rep
 
-        witness = None
-        for mrep in self.morphisms.reps:
-            outs = {self.mor_co_inverse(x) for x in self.morphisms.members_of[mrep]}
-            if len(outs) != 1:
-                witness = f"composition inverse not constant on coset {mrep!r}"
-                break
-        rep.record("quotient.descent.co_inverse",
-                   "(h,g) -> (h^-1, tau(h) g) descends to cosets",
-                   witness is None, witness)
+        def split_co_inverses():
+            for mrep in self.morphisms.reps:
+                outs = {self.mor_co_inverse(x) for x in self.morphisms.members_of[mrep]}
+                if len(outs) != 1:
+                    yield f"composition inverse not constant on coset {mrep!r}"
+        rep.search("quotient.descent.co_inverse",
+                   "(h,g) -> (h^-1, tau(h) g) descends to cosets", split_co_inverses())
 
-        witness = None
-        for g in self.obj_parent.elements:
-            x = pair_id(self.chain.H.identity, g)
-            if self.morphisms.rep(x) != self.identity_mor_at(self.objects.rep(g)):
-                witness = f"identity coset at {g!r} is not induced by (e, {g})"
-                break
-        rep.record("quotient.q.identity",
+        def bad_identities():
+            for g in self.obj_parent.elements:
+                x = pair_id(self.chain.H.identity, g)
+                if self.morphisms.rep(x) != self.identity_mor_at(self.objects.rep(g)):
+                    yield f"identity coset at {g!r} is not induced by (e, {g})"
+        rep.search("quotient.q.identity",
                    "the identity morphism of a coset is the class of (e, g)",
-                   witness is None, witness)
+                   bad_identities())
 
         rep.record("quotient.obj_normal",
                    "tau tau'(J) is normal in the object group",
@@ -288,49 +262,36 @@ class QuotientCatGroup:
                    self.mor_normal, "conjugation leaves the subgroup")
 
         if self.mor_normal and self.obj_normal:
-            witness = None
-            for a in self.morphisms.reps:
-                for b in self.morphisms.reps:
-                    ab = self.mor_product(a, b)
-                    if self.source[ab] != self.obj_product(self.source[a], self.source[b]):
-                        witness = f"s({a!r} {b!r}) != s({a!r}) s({b!r})"
-                        break
-                    if self.target[ab] != self.obj_product(self.target[a], self.target[b]):
-                        witness = f"t({a!r} {b!r}) != t({a!r}) t({b!r})"
-                        break
-                if witness:
-                    break
-            rep.record("quotient.st_hom",
+            def non_homomorphic():
+                for a in self.morphisms.reps:
+                    for b in self.morphisms.reps:
+                        ab = self.mor_product(a, b)
+                        if self.source[ab] != self.obj_product(self.source[a], self.source[b]):
+                            yield f"s({a!r} {b!r}) != s({a!r}) s({b!r})"
+                        if self.target[ab] != self.obj_product(self.target[a], self.target[b]):
+                            yield f"t({a!r} {b!r}) != t({a!r}) t({b!r})"
+            rep.search("quotient.st_hom",
                        "source and target are group homomorphisms on cosets",
-                       witness is None, witness)
+                       non_homomorphic())
 
-            witness = None
-            for a2 in self.morphisms.reps:
-                for a1 in self.morphisms.reps:
-                    if self.source[a2] != self.target[a1]:
-                        continue
-                    for b2 in self.morphisms.reps:
-                        for b1 in self.morphisms.reps:
-                            if self.source[b2] != self.target[b1]:
-                                continue
-                            lhs = self.mor_product(
-                                self.compose_of(a2, a1), self.compose_of(b2, b1))
-                            rhs = self.compose_of(
-                                self.mor_product(a2, b2), self.mor_product(a1, b1))
-                            if lhs != rhs:
-                                witness = (
-                                    f"interchange fails at ({a2!r},{a1!r},{b2!r},{b1!r})"
-                                )
-                                break
-                        if witness:
-                            break
-                    if witness:
-                        break
-                if witness:
-                    break
-            rep.record("quotient.interchange",
+            def bad_interchanges():
+                for a2 in self.morphisms.reps:
+                    for a1 in self.morphisms.reps:
+                        if self.source[a2] != self.target[a1]:
+                            continue
+                        for b2 in self.morphisms.reps:
+                            for b1 in self.morphisms.reps:
+                                if self.source[b2] != self.target[b1]:
+                                    continue
+                                lhs = self.mor_product(
+                                    self.compose_of(a2, a1), self.compose_of(b2, b1))
+                                rhs = self.compose_of(
+                                    self.mor_product(a2, b2), self.mor_product(a1, b1))
+                                if lhs != rhs:
+                                    yield f"interchange fails at ({a2!r},{a1!r},{b2!r},{b1!r})"
+            rep.search("quotient.interchange",
                        "(a2 o a1)(b2 o b1) = (a2 b2) o (a1 b1) on cosets",
-                       witness is None, witness)
+                       bad_interchanges())
         return rep
 
     # ----- coset-level operations ------------------------------------------
@@ -405,67 +366,52 @@ def check_classical_cocycle(fc: FunctorialCocycle, q: QuotientCatGroup,
     mor = q.morphisms
     G = q.obj_parent
 
-    witness = None
-    for i, k, m in required_triples(cover):
-        for u in sorted(overlap(cover, (i, k, m))):
-            lhs = obj.rep(G.op(fc.g(i, k, u), fc.g(k, m, u)))
-            rhs = obj.rep(fc.g(i, m, u))
-            if lhs != rhs:
-                witness = f"gbar cocycle fails at ({i},{k},{m},{u})"
-                break
-        if witness:
-            break
-    rep.record("classical.object", "gbar_ik(u) gbar_km(u) = gbar_im(u)",
-               witness is None, witness)
+    def object_violations():
+        for i, k, m in required_triples(cover):
+            for u in sorted(overlap(cover, (i, k, m))):
+                lhs = obj.rep(G.op(fc.g(i, k, u), fc.g(k, m, u)))
+                rhs = obj.rep(fc.g(i, m, u))
+                if lhs != rhs:
+                    yield f"gbar cocycle fails at ({i},{k},{m},{u})"
+    rep.search("classical.object", "gbar_ik(u) gbar_km(u) = gbar_im(u)", object_violations())
 
-    witness = None
-    for i, k in required_pairs(cover):
-        for u in sorted(overlap(cover, (i, k))):
-            if i == k and obj.rep(fc.g(i, i, u)) != q.identity_obj():
-                witness = f"gbar_{i}{i}({u}) is not the identity coset"
-                break
-            both = obj.rep(G.op(fc.g(i, k, u), fc.g(k, i, u)))
-            if both != q.identity_obj():
-                witness = f"gbar_{i}{k}({u}) gbar_{k}{i}({u}) is not the identity coset"
-                break
-        if witness:
-            break
-    rep.record("classical.diagonal",
+    def diagonal_violations():
+        for i, k in required_pairs(cover):
+            for u in sorted(overlap(cover, (i, k))):
+                if i == k and obj.rep(fc.g(i, i, u)) != q.identity_obj():
+                    yield f"gbar_{i}{i}({u}) is not the identity coset"
+                both = obj.rep(G.op(fc.g(i, k, u), fc.g(k, i, u)))
+                if both != q.identity_obj():
+                    yield f"gbar_{i}{k}({u}) gbar_{k}{i}({u}) is not the identity coset"
+    rep.search("classical.diagonal",
                "gbar_ii(u) = identity coset and gbar_ik(u) gbar_ki(u) = identity coset",
-               witness is None, witness)
+               diagonal_violations())
 
-    witness = None
-    for i, k, m in required_triples(cover):
-        for w in enumerate_paths(cover, (i, k, m), max_len):
-            lhs = mor.rep(q.mor_parent.op(
-                q.sd.to_id(eval_theta(fc, i, k, w)),
-                q.sd.to_id(eval_theta(fc, k, m, w)),
-            ))
-            rhs = mor.rep(q.sd.to_id(eval_theta(fc, i, m, w)))
-            if lhs != rhs:
-                witness = (
-                    f"thetabar cocycle fails at ({i},{k},{m}) "
-                    f"walk {w.start}:{list(w.steps)}"
-                )
-                break
-        if witness:
-            break
-    rep.record("classical.morphism",
+    def morphism_violations():
+        for i, k, m in required_triples(cover):
+            for w in enumerate_paths(cover, (i, k, m), max_len):
+                lhs = mor.rep(q.mor_parent.op(
+                    q.sd.to_id(eval_theta(fc, i, k, w)),
+                    q.sd.to_id(eval_theta(fc, k, m, w)),
+                ))
+                rhs = mor.rep(q.sd.to_id(eval_theta(fc, i, m, w)))
+                if lhs != rhs:
+                    yield (
+                        f"thetabar cocycle fails at ({i},{k},{m}) "
+                        f"walk {w.start}:{list(w.steps)}"
+                    )
+    rep.search("classical.morphism",
                "thetabar_ik(gamma) thetabar_km(gamma) = thetabar_im(gamma)",
-               witness is None, witness)
+               morphism_violations())
 
-    witness = None
-    for i, k, m in required_triples(cover):
-        for w in enumerate_paths(cover, (i, k, m), max_len):
-            big_theta = eval_Theta(fc, i, k, m, w)
-            if pair_id(big_theta.h, big_theta.g) not in mor.subgroup:
-                witness = (
-                    f"Theta_{i}{k}{m} at walk {w.start}:{list(w.steps)} "
-                    f"= ({big_theta.h},{big_theta.g}) is outside J_H"
-                )
-                break
-        if witness:
-            break
-    rep.record("classical.defect", "Theta_ikm(gamma) lies in J_H",
-               witness is None, witness)
+    def defects_outside():
+        for i, k, m in required_triples(cover):
+            for w in enumerate_paths(cover, (i, k, m), max_len):
+                big_theta = eval_Theta(fc, i, k, m, w)
+                if pair_id(big_theta.h, big_theta.g) not in mor.subgroup:
+                    yield (
+                        f"Theta_{i}{k}{m} at walk {w.start}:{list(w.steps)} "
+                        f"= ({big_theta.h},{big_theta.g}) is outside J_H"
+                    )
+    rep.search("classical.defect", "Theta_ikm(gamma) lies in J_H", defects_outside())
     return rep

@@ -5,11 +5,17 @@ Entries carry a stable check id, the law in human-readable form, the status,
 and a witness string only when the check failed. Reports are deterministic
 functions of their inputs: no timing, paths, or environment data may enter,
 so serialized reports are byte-identical across runs.
+
+A law check is a search for a counterexample. `Report.search` takes the
+check's witnesses as an iterable, usually a generator that yields one string
+per violation in a fixed scan order, and records the first one, or a pass if
+there is none. It pulls nothing after the first witness, so the scan stops
+there and its cost is that of the prefix up to the first violation.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 
 class CheckResult(NamedTuple):
@@ -37,6 +43,12 @@ class Report:
             self.checks.append(CheckResult(check_id, law, "pass"))
         else:
             self.checks.append(CheckResult(check_id, law, "fail", witness or "unspecified"))
+
+    def search(self, check_id: str, law: str, witnesses: Iterable[str]) -> None:
+        """Record `law` as failed with the first string `witnesses` yields, or
+        as passed if it yields none; the iterable is not resumed after that."""
+        witness = next(iter(witnesses), None)
+        self.record(check_id, law, witness is None, witness)
 
     def merge(self, other: "Report") -> None:
         self.checks.extend(other.checks)

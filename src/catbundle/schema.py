@@ -201,7 +201,7 @@ def instance_from_document(doc: Any) -> Instance:
             raise SchemaError(f"chain.{part} refers to unknown hom {tname!r}")
         mods[part] = CrossedModule(G, H, actions[aname], homs[tname],
                                    name=f"{part} ({H.name} -> {G.name})")
-    chain = ChainedCrossedModules(mods["outer"], mods["inner"], validate=False)
+    chain = ChainedCrossedModules(mods["outer"], mods["inner"])
 
     cover_enc = _need(doc, "cover", dict, "document")
     edges_enc = _need(cover_enc, "edges", list, "cover")

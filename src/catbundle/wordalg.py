@@ -198,24 +198,15 @@ class WordOracle:
                     vec.pop(col, None)
         return vec
 
-    @staticmethod
-    def _reduce_insert(rows: dict[int, dict[int, Fraction]],
+    @classmethod
+    def _reduce_insert(cls, rows: dict[int, dict[int, Fraction]],
                        vec: dict[int, Fraction]) -> None:
-        vec = dict(vec)
-        while vec:
+        """Reduce `vec` and add what is left, normalised, as a new row."""
+        vec = cls._reduce(rows, vec)
+        if vec:
             p = min(vec)
-            row = rows.get(p)
-            if row is None:
-                c = vec[p]
-                rows[p] = {col: val / c for col, val in vec.items()}
-                return
             c = vec[p]
-            for col, val in row.items():
-                nv = vec.get(col, Fraction(0)) - c * val
-                if nv:
-                    vec[col] = nv
-                else:
-                    vec.pop(col, None)
+            rows[p] = {col: val / c for col, val in vec.items()}
 
     # ----- the decision procedure --------------------------------------------
 
@@ -312,28 +303,16 @@ def check_congruence_invariants(space: BundleSpace, max_len: int = 3,
     pairs = _equal_positions([oracle.label(w) for w in words])
     mors = [oracle.word_to_mor(w) for w in words]
 
-    witness = None
     walks = [(p.start, p.steps) for p in map(space.project, mors)]
-    for n, m in pairs:
-        if walks[n] != walks[m]:
-            witness = (f"equal words project apart: "
-                       f"{_word_key(words[n])} vs {_word_key(words[m])}")
-            break
-    rep.record("congruence.proj_invariant",
-               "equal words project to the same base walk",
-               witness is None, witness)
+    rep.search("congruence.proj_invariant", "equal words project to the same base walk", (
+        f"equal words project apart: {_word_key(words[n])} vs {_word_key(words[m])}"
+        for n, m in pairs if walks[n] != walks[m]))
 
-    witness = None
     ends = [space.mor_endpoints(mor) for mor in mors]
-    for n, m in pairs:
-        if ends[n] != ends[m]:
-            witness = f"equal words with different endpoints: {_word_key(words[n])}"
-            break
-    rep.record("congruence.endpoints",
-               "equal words share source and target objects",
-               witness is None, witness)
+    rep.search("congruence.endpoints", "equal words share source and target objects", (
+        f"equal words with different endpoints: {_word_key(words[n])}"
+        for n, m in pairs if ends[n] != ends[m]))
 
-    witness = None
     acted: dict[tuple[int, str], tuple] = {}
 
     def acted_key(n: int, psi: str) -> tuple:
@@ -341,14 +320,8 @@ def check_congruence_invariants(space: BundleSpace, max_len: int = 3,
             acted[n, psi] = space.mor_key(space.act_mor(mors[n], psi))
         return acted[n, psi]
 
-    for n, m in pairs:
-        for psi in space.q.morphisms.reps:
-            if acted_key(n, psi) != acted_key(m, psi):
-                witness = f"action by {psi} separates an equal pair {_word_key(words[n])}"
-                break
-        if witness:
-            break
-    rep.record("congruence.action_equivariant",
-               "the fiber action preserves word equality",
-               witness is None, witness)
+    rep.search("congruence.action_equivariant", "the fiber action preserves word equality", (
+        f"action by {psi} separates an equal pair {_word_key(words[n])}"
+        for n, m in pairs for psi in space.q.morphisms.reps
+        if acted_key(n, psi) != acted_key(m, psi)))
     return rep

@@ -449,3 +449,40 @@ def test_battery_compacts_each_state_once(inst_line5w, monkeypatch):
     rep = check_bundle_axioms(space, 2)
     assert rep.ok, rep.failures()
     assert seen and max(seen.values()) == 1, seen.most_common(3)
+
+
+# ----- a failed check names its first violation in scan order ----------------
+
+def plant_gbar(monkeypatch, space, key):
+    """Shift gbar at one (to, from, vertex) key by a non-identity coset."""
+    q, gbar = space.q, space.gbar
+    shift = next(r for r in q.objects.reps if r != q.identity_obj())
+
+    def planted(*k):
+        val = gbar(*k)
+        return q.obj_product(val, shift) if k == key else val
+    monkeypatch.setattr(space, "gbar", planted)
+
+
+def test_glue_consistent_names_its_first_split(inst_line5, monkeypatch):
+    # gbar_32(2) is read by the glue checks only, so the battery still runs;
+    # both fiber cosets of (2, 2) split from their chart-3 transport
+    space = fresh_space(inst_line5)
+    plant_gbar(monkeypatch, space, ("3", "2", "2"))
+    rep = check_bundle_axioms(space, 1, 1)
+    glue = {c.check_id: c for c in rep.failures()}["bundle.objects.glue_consistent"]
+    first = space.q.objects.reps[0]
+    assert glue.witness == f"(2, 2, {first}) and its 3 transport split"
+
+
+def test_obj_bijective_names_its_first_miss(inst_line5, monkeypatch):
+    # gbar_21(1) moves both fiber cosets over vertex 1 off their glued class
+    space = fresh_space(inst_line5)
+    plant_gbar(monkeypatch, space, ("2", "1", "1"))
+    rep = LocalTrivialization(space, "2", ("1", "2")).check(1, 1)
+    q = space.q
+    first = q.objects.reps[0]
+    moved = q.obj_product(space.gbar("2", "1", "1"), first)
+    assert [(c.check_id, c.witness) for c in rep.failures()] == [
+        ("triv.2.12.obj_bijective",
+         f"object (1, {moved}) does not land on (1, 1, {first})")]

@@ -166,14 +166,6 @@ def test_cover_requires_edges_inside_some_chart():
         )
 
 
-def test_strict_false_admits_uncovered_edge():
-    c = CoverComplex(
-        ["0", "1", "2"], [("a", "0", "1"), ("b", "1", "2")],
-        {"1": ["0", "1"], "2": ["2"]}, ["1", "2"], strict=False,
-    )
-    assert c.charts_containing(["1", "2"]) == []
-
-
 def test_smallest_chart_follows_index_order():
     c = cover_line5()
     assert c.smallest_chart("2") == "1"

@@ -103,19 +103,11 @@ def test_trivial_action_with_identity_tau_breaks_peiffer():
     assert any(c.witness for c in rep.failures())
 
 
-def test_chain_constructor_rejects_broken_laws():
-    s3 = symmetric_group(3)
-    broken = CrossedModule(s3, s3, trivial_action(s3, s3), identity_hom(s3, "tau"),
-                           name="broken")
-    with pytest.raises(SchemaError):
-        ChainedCrossedModules(broken, broken, "bad")
-
-
 def test_chain_constructor_defers_when_asked():
     s3 = symmetric_group(3)
     broken = CrossedModule(s3, s3, trivial_action(s3, s3), identity_hom(s3, "tau"),
                            name="broken")
-    chain = ChainedCrossedModules(broken, broken, "bad", validate=False)
+    chain = ChainedCrossedModules(broken, broken, "bad")
     assert not validate_peiffer(chain.outer).ok
 
 
