@@ -82,6 +82,7 @@ from .complexes import (
     index_family,
     overlap,
     walk_inside,
+    walks_within,
 )
 from .errors import (
     CompositionError,
@@ -552,26 +553,6 @@ class BundleSpace:
         self.mor_endpoints(m)
         return m, None
 
-    def reduce_to_chart(self, m: BundleMorphism, i: str, indices: tuple[str, ...]):
-        """Transport every unit into chart i and compose the decorations,
-        producing the (walk, coset) pair representing m over the overlap of
-        `indices`. Sound: each transport is an edgewise re-index and each
-        merge is an admissible pair merge."""
-        region = overlap(self.cover, indices)
-        if i not in indices:
-            raise SchemaError(f"chart {i!r} is not in {indices}")
-        if m.is_identity:
-            if m.at.vertex not in region:
-                raise DomainError("identity marker sits outside the overlap")
-            fiber = m.at.fiber
-            if m.at.chart != i:
-                fiber = self.q.obj_product(self.gbar(i, m.at.chart, m.at.vertex), fiber)
-            return self.cover.identity_walk(m.at.vertex), self.q.identity_mor_at(fiber)
-        walk = self.project(m)
-        if not walk_inside(self.cover, walk, region):
-            raise DomainError("the projected walk leaves the overlap")
-        return walk, self.reduce_state(self.unit_split(m), i)
-
     def reduce_state(self, state: State, i: str) -> str:
         """Re-index every unit of `state` into chart i and compose the
         decorations: the coset that chart i gives the state's walk."""
@@ -584,17 +565,7 @@ class BundleSpace:
 
 def enumerate_base_walks(cover, max_len: int) -> list[PathMor]:
     """All walks in the base graph up to max_len steps, identities included."""
-    out = [cover.identity_walk(u) for u in sorted(cover.vertex_set)]
-    frontier = list(out)
-    for _ in range(max_len):
-        nxt = []
-        for p in frontier:
-            for e, o, v in cover.steps_from(p.end):
-                nxt.append(PathMor(p.start, p.steps + ((e, o),), p.visited + (v,)))
-        nxt.sort(key=lambda p: (p.start, p.steps))
-        out.extend(nxt)
-        frontier = nxt
-    return out
+    return walks_within(cover, cover.vertex_set, max_len)
 
 
 def enumerate_units(space: BundleSpace, region: Optional[frozenset] = None) -> list[Unit]:

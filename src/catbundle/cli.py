@@ -16,7 +16,7 @@ from .errors import PreconditionError, SchemaError
 from .presets import build_instance, preset_names
 from .report import Report
 from .schema import Instance, instance_from_json, instance_to_json, report_to_json
-from .suites import SUITES, InstanceContext, run_suite, suite_gerbal, suite_peiffer
+from .suites import SUITES, InstanceContext, run_suite
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -55,8 +55,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     ctx = InstanceContext(_load(args.file))
     rep = Report("validate")
-    rep.merge(suite_peiffer(ctx))
-    rep.merge(suite_gerbal(ctx))
+    rep.merge(ctx.peiffer)
+    rep.merge(ctx.gerbal)
     _emit(report_to_json(rep), args.out)
     return 0 if rep.ok else 1
 

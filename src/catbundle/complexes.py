@@ -186,7 +186,12 @@ def enumerate_paths(c: CoverComplex, indices: Iterable[str], max_len: int = 4) -
 
     Deterministic order: by length, then start vertex, then step sequence.
     """
-    region = overlap(c, indices)
+    return walks_within(c, overlap(c, indices), max_len)
+
+
+def walks_within(c: CoverComplex, region: frozenset[str], max_len: int) -> list[PathMor]:
+    """All walks of length <= max_len through vertices of `region` only, in
+    the order of `enumerate_paths`."""
     verts = sorted(region)
     out: list[PathMor] = [c.identity_walk(u) for u in verts]
     frontier = list(out)

@@ -132,9 +132,9 @@ def arrow_compose(cm: CrossedModule, a2: Arrow, a1: Arrow) -> Arrow:
 
 
 def arrow_product(cm: CrossedModule, a2: Arrow, a1: Arrow) -> Arrow:
-    """Semidirect product (h2, g2)(h1, g1) = (h2 alpha_g2(h1), g2 g1)."""
-    arrow_endpoints(cm, a2)
-    arrow_endpoints(cm, a1)
+    """Semidirect product (h2, g2)(h1, g1) = (h2 alpha_g2(h1), g2 g1).
+
+    Unchecked: its callers pass arrows built from tables checked at load."""
     return Arrow(cm.H.op(a2.h, cm.alpha(a2.g, a1.h)), cm.G.op(a2.g, a1.g))
 
 

@@ -14,6 +14,10 @@ and a walk-level defect
 
     Theta_ikm(gamma) = (h_ikm(gamma_1) h_ikm(gamma_0)^{-1}, g_ikm(gamma_0)).
 
+The cocycle's tables are dense and checked when it is built, so each
+evaluation checks only that its walk or vertex lies in the overlap, once, and
+then reads the h, g and h_ikm tables directly.
+
 The checks below verify functoriality, the naturality square relating T and
 theta, and the product relation Theta theta_ik theta_km = theta_im.
 """
@@ -36,21 +40,8 @@ class FunctorialCocycle:
         self.chain = gc.chain
         self.cover = gc.cover
 
-    def h(self, i: str, k: str, u: str) -> str:
-        return self.gc.h_of(i, k, u)
-
     def g(self, i: str, k: str, u: str) -> str:
-        if u not in overlap(self.cover, (i, k)):
-            raise DomainError(f"g_{i}{k} is not defined at vertex {u!r}")
         return self.tower.g[(i, k, u)]
-
-    def h3(self, i: str, k: str, m: str, u: str) -> str:
-        if u not in overlap(self.cover, (i, k, m)):
-            raise DomainError(f"h_{i}{k}{m} is not defined at vertex {u!r}")
-        return self.tower.h3[(i, k, m, u)]
-
-    def g3(self, i: str, k: str, m: str, u: str) -> str:
-        return self.chain.tau(self.h3(i, k, m, u))
 
 
 def _require_inside(fc: FunctorialCocycle, indices: tuple[str, ...], walk: PathMor) -> None:
@@ -63,24 +54,25 @@ def _require_inside(fc: FunctorialCocycle, indices: tuple[str, ...], walk: PathM
 
 def eval_theta(fc: FunctorialCocycle, i: str, k: str, walk: PathMor) -> Arrow:
     _require_inside(fc, (i, k), walk)
-    H = fc.chain.H
+    H, h = fc.chain.H, fc.gc.h
     u0, u1 = walk.start, walk.end
-    return Arrow(H.op(fc.h(i, k, u1), H.inverse(fc.h(i, k, u0))), fc.g(i, k, u0))
+    return Arrow(H.op(h[(i, k, u1)], H.inverse(h[(i, k, u0)])), fc.tower.g[(i, k, u0)])
 
 
 def eval_T(fc: FunctorialCocycle, i: str, k: str, m: str, u: str) -> Arrow:
     if u not in overlap(fc.cover, (i, k, m)):
         raise DomainError(f"T_{i}{k}{m} is not defined at vertex {u!r}")
-    return Arrow(fc.h3(i, k, m, u), fc.chain.G.op(fc.g(i, k, u), fc.g(k, m, u)))
+    g = fc.tower.g
+    return Arrow(fc.tower.h3[(i, k, m, u)], fc.chain.G.op(g[(i, k, u)], g[(k, m, u)]))
 
 
 def eval_Theta(fc: FunctorialCocycle, i: str, k: str, m: str, walk: PathMor) -> Arrow:
     _require_inside(fc, (i, k, m), walk)
-    H = fc.chain.H
+    H, h3 = fc.chain.H, fc.tower.h3
     u0, u1 = walk.start, walk.end
     return Arrow(
-        H.op(fc.h3(i, k, m, u1), H.inverse(fc.h3(i, k, m, u0))),
-        fc.g3(i, k, m, u0),
+        H.op(h3[(i, k, m, u1)], H.inverse(h3[(i, k, m, u0)])),
+        fc.chain.tau(h3[(i, k, m, u0)]),
     )
 
 

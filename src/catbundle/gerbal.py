@@ -7,8 +7,10 @@ triple and every vertex of its overlap is
 
     h_im(u) = tau'(j_ikm(u)) h_ik(u) h_km(u)
 
-with the diagonal normalized to h_ii(u) = e. Table gaps or unknown ids are
-schema errors; law violations are reported with witnesses.
+with the diagonal normalized to h_ii(u) = e. A missing or extra table entry,
+or a value outside its group, is a schema error raised when a GerbalCocycle
+is built, so every later layer reads the tables without re-checking them;
+law violations are reported with witnesses.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from itertools import product
 
 from .complexes import CoverComplex, overlap
 from .crossed import ChainedCrossedModules
-from .errors import DomainError, InternalInvariantError, SchemaError
+from .errors import InternalInvariantError, SchemaError
 from .prng import SplitMix64
 from .report import Report
 
@@ -58,58 +60,27 @@ class GerbalCocycle:
         self.cover = cover
         self.h = dict(h)
         self.j = dict(j)
-
-    def h_of(self, i: str, k: str, u: str) -> str:
-        if u not in overlap(self.cover, (i, k)):
-            raise DomainError(f"h_{i}{k} is not defined at vertex {u!r}")
-        try:
-            return self.h[(i, k, u)]
-        except KeyError:
-            raise SchemaError(f"missing h entry for ({i}, {k}, {u})") from None
-
-    def j_of(self, i: str, k: str, m: str, u: str) -> str:
-        if u not in overlap(self.cover, (i, k, m)):
-            raise DomainError(f"j_{i}{k}{m} is not defined at vertex {u!r}")
-        try:
-            return self.j[(i, k, m, u)]
-        except KeyError:
-            raise SchemaError(f"missing j entry for ({i}, {k}, {m}, {u})") from None
-
-
-def _check_domains(gc: GerbalCocycle) -> None:
-    """Dense tables exactly: a missing or extra entry is a schema error."""
-    H, J = gc.chain.H, gc.chain.J
-    need_h = set()
-    for i, k in required_pairs(gc.cover):
-        for u in overlap(gc.cover, (i, k)):
-            need_h.add((i, k, u))
-    if set(gc.h) != need_h:
-        missing = sorted(need_h - set(gc.h))
-        extra = sorted(set(gc.h) - need_h)
-        if missing:
-            raise SchemaError(f"h table is missing entries, first: {missing[0]}")
-        raise SchemaError(f"h table has entries outside overlaps, first: {extra[0]}")
-    need_j = set()
-    for i, k, m in required_triples(gc.cover):
-        for u in overlap(gc.cover, (i, k, m)):
-            need_j.add((i, k, m, u))
-    if set(gc.j) != need_j:
-        missing = sorted(need_j - set(gc.j))
-        extra = sorted(set(gc.j) - need_j)
-        if missing:
-            raise SchemaError(f"j table is missing entries, first: {missing[0]}")
-        raise SchemaError(f"j table has entries outside overlaps, first: {extra[0]}")
-    for key, val in gc.h.items():
-        if val not in H.element_set:
-            raise SchemaError(f"h{key} = {val!r} is not in {H.name!r}")
-    for key, val in gc.j.items():
-        if val not in J.element_set:
-            raise SchemaError(f"j{key} = {val!r} is not in {J.name!r}")
+        # dense tables exactly, then group membership: checked here once, so
+        # every later layer reads the tables without re-checking a key
+        need_h = {(i, k, u) for i, k in required_pairs(cover)
+                  for u in overlap(cover, (i, k))}
+        need_j = {(i, k, m, u) for i, k, m in required_triples(cover)
+                  for u in overlap(cover, (i, k, m))}
+        for name, table, need in (("h", self.h, need_h), ("j", self.j, need_j)):
+            if table.keys() != need:
+                missing = sorted(need - table.keys())
+                if missing:
+                    raise SchemaError(f"{name} table is missing entries, first: {missing[0]}")
+                extra = sorted(table.keys() - need)
+                raise SchemaError(f"{name} table has entries outside overlaps, first: {extra[0]}")
+        for name, table, group in (("h", self.h, chain.H), ("j", self.j, chain.J)):
+            for key, val in table.items():
+                if val not in group.element_set:
+                    raise SchemaError(f"{name}{key} = {val!r} is not in {group.name!r}")
 
 
 def validate_gerbal(gc: GerbalCocycle) -> Report:
     """Diagonal normalization and the defining relation at every ordered triple."""
-    _check_domains(gc)
     chain = gc.chain
     H = chain.H
     rep = Report("gerbal")

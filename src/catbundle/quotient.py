@@ -123,7 +123,7 @@ def check_JH_normal(chain: ChainedCrossedModules) -> Report:
                 c = parent.conj(w, v)
                 if c not in jh:
                     yield f"{w} {v} {w}^-1 = {c!r} leaves J_H"
-    tau_image = frozenset(chain.tau(h) for h in chain.H.elements)
+    tau_image = chain.tau.image()
     conjugators = [x for x in parent.elements if outer_sd.id_to_pair[x][1] in tau_image]
     rep.search("jh.normal", "J_H is normal in H x| tau(H)", leaks(conjugators))
     rep.search("jh.normal_full", "J_H is normal in all of H x| G", leaks(parent.elements))
@@ -131,7 +131,7 @@ def check_JH_normal(chain: ChainedCrossedModules) -> Report:
 
 
 def tau_surjective(chain: ChainedCrossedModules) -> bool:
-    return frozenset(chain.tau(h) for h in chain.H.elements) == chain.G.element_set
+    return chain.tau.image() == chain.G.element_set
 
 
 def variant_for(chain: ChainedCrossedModules) -> str:
@@ -144,7 +144,7 @@ class QuotientCatGroup:
     def __init__(self, chain: ChainedCrossedModules):
         self.chain = chain
         self.variant = variant_for(chain)
-        tau_image = frozenset(chain.tau(h) for h in chain.H.elements)
+        tau_image = chain.tau.image()
         if self.variant == "full":
             self.obj_parent = chain.G
             self.sd = SemidirectProduct(chain.outer)

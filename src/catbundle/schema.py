@@ -5,6 +5,9 @@ crossed modules sharing the middle group, the covered base, and the dense
 (h, j) cocycle tables. Loading rebuilds everything structurally but defers
 all law checking to the suites: a document with a broken law must load and
 then fail its report, while a document with a malformed table must not load.
+The cocycle tables are checked once, by the GerbalCocycle constructor: a
+missing or extra entry, or a value outside its group, is a SchemaError here,
+so every verb refuses such a document before any suite runs.
 
 Serialization is canonical: sorted keys, two-space indent, trailing newline,
 so identical inputs produce byte-identical files.

@@ -2,7 +2,11 @@
 
 Each suite returns a Report whose serialized form is a pure function of the
 instance. Structural problems (malformed tables, missing entries) raise
-SchemaError; broken laws come back as failed checks with witnesses.
+SchemaError; broken laws come back as failed checks with witnesses. A suite
+that reads an earlier battery's data reports that battery's failed checks
+instead of running its own laws on broken data: `gerbal` and `quotient` gate
+on `peiffer`, `functorial` and `naturality` on `peiffer` and `gerbal`, and
+`bundle` and `oracle` on the glued space's preconditions.
 
 A run reads every stage of the construction from one InstanceContext, which
 builds each stage on first use and only once: a single suite builds just the
@@ -94,15 +98,28 @@ class InstanceContext:
         return (BundleSpace(self.fc, q) if pre.ok else None), pre
 
 
+def _gate(ctx: InstanceContext, name: str, *layers: str) -> Optional[Report]:
+    """The merged reports of the stages `layers` of `ctx`, if one of them
+    fails, else None: a suite reports the broken data it reads instead of
+    running its own laws on it."""
+    rep = Report(name)
+    for layer in layers:
+        rep.merge(getattr(ctx, layer))
+    return None if rep.ok else rep
+
+
 def suite_peiffer(ctx: InstanceContext) -> Report:
     return ctx.peiffer
 
 
 def suite_gerbal(ctx: InstanceContext) -> Report:
-    return ctx.gerbal
+    return _gate(ctx, "gerbal", "peiffer") or ctx.gerbal
 
 
 def suite_functorial(ctx: InstanceContext) -> Report:
+    gated = _gate(ctx, "functorial", "peiffer", "gerbal")
+    if gated is not None:
+        return gated
     from .functorial import check_theta_functorial
     rep = Report("functorial")
     for i, k in required_pairs(ctx.fc.cover):
@@ -111,6 +128,9 @@ def suite_functorial(ctx: InstanceContext) -> Report:
 
 
 def suite_naturality(ctx: InstanceContext) -> Report:
+    gated = _gate(ctx, "naturality", "peiffer", "gerbal")
+    if gated is not None:
+        return gated
     from .functorial import check_naturality, check_product_relation
     rep = Report("naturality")
     for i, k, m in required_triples(ctx.fc.cover):
@@ -120,8 +140,16 @@ def suite_naturality(ctx: InstanceContext) -> Report:
 
 
 def suite_quotient(ctx: InstanceContext) -> Report:
+    gated = _gate(ctx, "quotient", "peiffer")
+    if gated is not None:
+        q, build = ctx.quotient
+        if q is None:
+            gated.merge(build)
+        return gated
     from .quotient import check_JH_normal
     rep = Report("quotient")
+    # before the quotient is built: the check's own semidirect product is
+    # freed first, so the two never peak in memory together
     rep.merge(check_JH_normal(ctx.inst.chain))
     q, classical = ctx.quotient
     if q is not None:

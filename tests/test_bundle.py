@@ -16,7 +16,6 @@ from catbundle.bundle import (
 from catbundle.complexes import PathMor
 from catbundle.errors import (
     CompositionError,
-    DomainError,
     PreconditionError,
     SchemaError,
 )
@@ -386,28 +385,14 @@ def test_mor_equal_validates_both_arguments_whatever_the_other_walk(inst_line5):
                 space.mor_equal(other, bad)
 
 
-def test_reduce_to_chart_checks_then_reduces_the_state(space_line5):
-    space, q = space_line5, space_line5.q
+def test_reduce_state_is_the_chart_coset_of_a_chain(space_line5):
+    space = space_line5
     triv = LocalTrivialization(space, "1", ("1", "2"))
     for st in enumerate_chains(space, 2, triv.region)[:300]:
         m = space.to_chain(st)
-        walk, phi = space.reduce_to_chart(m, "1", triv.indices)
+        walk = space.project(m)
         assert (walk.start, walk.steps) == space._walk_sig(st)
-        assert phi == space.reduce_state(st, "1")
-        assert space.mor_equal(m, triv.on_pair(walk, phi))
-    x = space.canonical_obj("1", sorted(triv.region)[0], q.identity_obj())
-    walk, phi = space.reduce_to_chart(BundleMorphism.identity(x), "1", triv.indices)
-    assert len(walk) == 0 and phi == q.identity_mor_at(x.fiber)
-    with pytest.raises(SchemaError):
-        space.reduce_to_chart(BundleMorphism.identity(x), "3", triv.indices)
-    outside = next(u for u in sorted(space.cover.vertex_set) if u not in triv.region)
-    y = space.canonical_obj(space.cover.smallest_chart(outside), outside, q.identity_obj())
-    with pytest.raises(DomainError):
-        space.reduce_to_chart(BundleMorphism.identity(y), "1", triv.indices)
-    leaving = next(m for m in map(space.to_chain, enumerate_chains(space, 1))
-                   if not set(space.project(m).visited) <= triv.region)
-    with pytest.raises(DomainError):
-        space.reduce_to_chart(leaving, "1", triv.indices)
+        assert space.mor_equal(m, triv.on_pair(walk, space.reduce_state(st, "1")))
 
 
 def test_lift_walk_rejects_a_broken_chain(inst_line5):

@@ -1,10 +1,13 @@
 """Local cocycle data: generation, validation, the derived tower and the
 second-layer relation, plus detection of injected corruption."""
 
+import re
+
 import pytest
 
-from catbundle.errors import DomainError, SchemaError
+from catbundle.errors import SchemaError
 from catbundle.gerbal import (
+    GerbalCocycle,
     check_second_gerbe,
     derive_tower,
     generate_gerbal,
@@ -59,7 +62,7 @@ def test_diagonal_is_identity(inst_line5w):
     gc = inst_line5w.gc
     for i in gc.cover.index_order:
         for u in gc.cover.chart(i):
-            assert gc.h_of(i, i, u) == "e"
+            assert gc.h[(i, i, u)] == "e"
 
 
 def test_relation_holds_pointwise(inst_line5w):
@@ -67,9 +70,9 @@ def test_relation_holds_pointwise(inst_line5w):
     from catbundle.complexes import overlap
     for i, k, m in required_triples(gc.cover):
         for u in overlap(gc.cover, (i, k, m)):
-            lhs = gc.h_of(i, m, u)
-            rhs = chain.H.op(chain.tau_p(gc.j_of(i, k, m, u)),
-                             chain.H.op(gc.h_of(i, k, u), gc.h_of(k, m, u)))
+            lhs = gc.h[(i, m, u)]
+            rhs = chain.H.op(chain.tau_p(gc.j[(i, k, m, u)]),
+                             chain.H.op(gc.h[(i, k, u)], gc.h[(k, m, u)]))
             assert lhs == rhs
 
 
@@ -99,26 +102,22 @@ def test_corrupted_j_is_detected(chain_s3):
 def test_missing_entry_is_a_schema_error(chain_s3):
     cover = cover_line5w()
     gc = generate_gerbal(chain_s3, cover, 7, noise=True)
-    key = next(iter(sorted(gc.h)))
-    del gc.h[key]
-    with pytest.raises(SchemaError):
-        validate_gerbal(gc)
+    h = dict(gc.h)
+    key = next(iter(sorted(h)))
+    del h[key]
+    message = f"h table is missing entries, first: {key}"
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        GerbalCocycle(chain_s3, cover, h, gc.j)
 
 
 def test_out_of_group_value_is_a_schema_error(chain_s3):
     cover = cover_line5w()
     gc = generate_gerbal(chain_s3, cover, 7, noise=True)
-    key = next(iter(sorted(gc.h)))
-    gc.h[key] = "(12345)"
-    with pytest.raises(SchemaError):
-        validate_gerbal(gc)
-
-
-def test_h_of_outside_overlap_is_a_domain_error(inst_line5):
-    gc = inst_line5.gc
-    # vertex 0 lies in chart 1 only, so the (2,3) overlap misses it
-    with pytest.raises(DomainError):
-        gc.h_of("2", "3", "0")
+    h = dict(gc.h)
+    key = next(iter(sorted(h)))
+    h[key] = "(12345)"
+    with pytest.raises(SchemaError, match=re.escape(f"h{key} = '(12345)' is not in 'S3'")):
+        GerbalCocycle(chain_s3, cover, h, gc.j)
 
 
 def test_derived_tower_pushes_down(inst_line5w):

@@ -1,11 +1,12 @@
 """JSON interchange: canonical bytes, full round trips, and the difference
-between malformed documents (refused) and law-breaking documents (loaded,
-then failed by suites)."""
+between malformed documents (refused at load, by every verb) and law-breaking
+documents (loaded, then failed by suites)."""
 
 import json
 
 import pytest
 
+from catbundle.cli import main
 from catbundle.errors import SchemaError
 from catbundle.presets import build_instance
 from catbundle.report import Report
@@ -133,3 +134,21 @@ def test_canonical_json_sorts_and_terminates():
     text = canonical_json({"b": 1, "a": [2, 1]})
     assert text.index('"a"') < text.index('"b"')
     assert text.endswith("\n")
+
+
+# j_121(2) = (12) lies in S3 but not in A3, the group j takes its values in
+MALFORMED_J = "error: j('1', '2', '1', '2') = '(12)' is not in 'A3'\n"
+
+
+@pytest.mark.parametrize("argv", [["validate"]] + [
+    ["check", "--suite", suite] for suite in
+    ("peiffer", "gerbal", "functorial", "naturality", "quotient", "bundle", "all")],
+    ids=lambda argv: argv[-1])
+def test_cocycle_value_outside_its_group_is_refused_by_every_verb(tmp_path, capsys, argv):
+    doc = document_from_instance(build_instance("cycle6-trivial", 1, True))
+    doc["cocycle"]["j"]["1|2|1|2"] = "(12)"
+    path = tmp_path / "inst.json"
+    path.write_text(canonical_json(doc))
+    code = main([argv[0], str(path)] + argv[1:])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", MALFORMED_J)

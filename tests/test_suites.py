@@ -26,7 +26,10 @@ GOLDEN_ALL = [
 # leaves the coset quotient unbuildable, and the changed h cell breaks the
 # gerbal relation, the classical cocycle and the naturality and product laws.
 # SHA-256 of each applicable suite's report at max_len 2; these are the
-# failing-report paths, so they pin the witness text.
+# failing-report paths, so they pin the witness text. A suite that reads a
+# failed layer reports that layer's checks instead of its own laws, so the
+# two group-law edits show their peiffer failures in every suite, and the
+# h-cell edit its gerbal failures in functorial and naturality.
 EDITS = {
     "a3-table": ("s3-line5", ("groups", "A3", "mul", "(132)", "(132)"), "(132)"),
     "conj-action": ("cycle6-trivial", ("actions", "conj_outer", "map", "(12)", "e"),
@@ -35,26 +38,26 @@ EDITS = {
 }
 GOLDEN_EDITED = [
     ("a3-table", "peiffer", "d2d2e752ff43a13a261e4a96fafe14231cba2cb434ecfd2f3578deca69b4991f"),
-    ("a3-table", "gerbal", "35114c2a8b5b26c1674176bbebe59ef70ac6b71b0625e53c12e05ab2c7cce7ae"),
-    ("a3-table", "functorial", "0602154d39986ce4465d5a10e1cdd2e0a5e68424d6b1b284edf71438b6a79ede"),
-    ("a3-table", "naturality", "323eb7dbe0a9581f44af804fde12b34387eb96f8ccc1d87d91f0afcad68c8d31"),
-    ("a3-table", "quotient", "9a7807a23d9112534bbacde69a6fd32f81706d3763550f88d3c8d421fc5d891e"),
+    ("a3-table", "gerbal", "557be47831a845ab65ed0f94bf52a3b46d6f163f868be411a6af1baf59aa8e04"),
+    ("a3-table", "functorial", "1bbac35dd048c0e6b34d3bb35088c65f99525c1422d9088cd1e09f1a6054541f"),
+    ("a3-table", "naturality", "e7d0c80746102f88b55ad7e2dbac84b19f8bfa51577b35eac95fa31a2fb60bdf"),
+    ("a3-table", "quotient", "f1986f9abdf8721fad784a12dcfbde98b6ee96defe80e896fde8f979c000c223"),
     ("a3-table", "bundle", "d4d2c4b7c9a641ca665cd698a1fe900a838d38a688689e6f3ff2ae74528a6d80"),
-    ("a3-table", "all", "68e08a71ea6c83b22d9bc7942f480b4d8b559c4cc4b5dda07ef92da5b6f59af4"),
+    ("a3-table", "all", "fc1a6efba233f62cddc45f8fe18be2d57412610a238f74d1078adb73bc20afa7"),
     ("conj-action", "peiffer", "432a2b5ccd1ba6a216281091a4200a06298dec835685b0c2b61b629e8dfe1850"),
-    ("conj-action", "gerbal", "35114c2a8b5b26c1674176bbebe59ef70ac6b71b0625e53c12e05ab2c7cce7ae"),
-    ("conj-action", "functorial", "0602154d39986ce4465d5a10e1cdd2e0a5e68424d6b1b284edf71438b6a79ede"),
-    ("conj-action", "naturality", "fa548e70099fdc74de2f5a1e7c3a43e6ce9cf412fd47d87f879032915421f99b"),
-    ("conj-action", "quotient", "54e63dfde809e0e5b47fc8de3238a39bc4ff5b5f9b429b6866541677191f6890"),
+    ("conj-action", "gerbal", "23911f2e26ea7db81c57ae6ef8daba01af08a77bc091d13c9b9a2f7f0b53e9cc"),
+    ("conj-action", "functorial", "7d1796815392bfc37abda3b58340fe85d2d7979c74bda7f65242a7722425a99c"),
+    ("conj-action", "naturality", "ce95462f6ed6e36fdc06faf9000b578cbbd1b4d96e24fa12dbcbc01a0daac477"),
+    ("conj-action", "quotient", "d2ef9f98937a555eb33dd5a2bd33496f4dfe296c32daca9b2fd7bd6876919194"),
     ("conj-action", "bundle", "ea6f6382059c202d1e3743d40a7bf7eca14bb6d5dab591559d551bc009b152bd"),
-    ("conj-action", "all", "77e5e23a83e17308ec7f882d49b47cf927e61e583acbfc5146c73485e0502e80"),
+    ("conj-action", "all", "50c1678d685d758d81fe53651b5817c6ad8eeb7f65d3fe1a4edaec1904602622"),
     ("h-cell", "peiffer", "afa1a43820bb9b0d859580139f68c5032819df8b00277e75e248e32b222ac960"),
     ("h-cell", "gerbal", "18337b541a133329f2b79e71aeaf9c939c2254c74e295c5ebba4054d4a3c40cc"),
-    ("h-cell", "functorial", "0602154d39986ce4465d5a10e1cdd2e0a5e68424d6b1b284edf71438b6a79ede"),
-    ("h-cell", "naturality", "a6fc570b82a537cb45b81353f57e45dc2ba7db5a182ff9d581e8eaded3308f42"),
+    ("h-cell", "functorial", "3a8c8e3439995200ad3389afef487194c4b2b8129560605928c6b6d64a064ab6"),
+    ("h-cell", "naturality", "6ca91d786f69726ecdc494635a08c18e9f764c06846eb09bbd667f092d7ce3c3"),
     ("h-cell", "quotient", "b7eaa96bded576529bd77de518c8149325239264178bdb5526548983d6aa8208"),
     ("h-cell", "bundle", "bfb5c8eeb8f0af508c6022908a2d82ade9d068dee9eeb7004b6568077e55b9ed"),
-    ("h-cell", "all", "5c075628fae364e719ec9f945f5ac3f0e09520b84d406f3d00569f94982cccc5"),
+    ("h-cell", "all", "6cf44596a3aec7e19dd7ff84c4461b674f90a63fb00d7e85fa54e6a31a04f6d3"),
 ]
 
 # The layers each built once per run; `run_suite(..., "all")` once called
@@ -194,7 +197,8 @@ def test_all_builds_each_layer_once(layer_calls, fixture, request):
 
 
 def test_a_single_suite_builds_only_the_layers_it_reads(layer_calls, inst_line5):
+    # functorial gates on the gerbal battery, but never reads the quotient
     run_suite(inst_line5, "functorial", 2)
     assert layer_calls == {"derive_tower": 1, "build_quotient": 0,
-                           "check_classical_cocycle": 0, "validate_gerbal": 0,
-                           "check_second_gerbe": 0}
+                           "check_classical_cocycle": 0, "validate_gerbal": 1,
+                           "check_second_gerbe": 1}
