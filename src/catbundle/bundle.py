@@ -201,7 +201,9 @@ class BundleSpace:
         return out
 
     def check_glue_relation(self) -> Report:
-        """(i,u,a) ~ (j,u,gbar_ji(u) a) must be reflexive, symmetric, transitive."""
+        """(i,u,a) ~ (j,u,gbar_ji(u) a) must be reflexive, symmetric, transitive,
+        and its classes, which `canonical_obj` reaches from every (chart,
+        vertex, coset) triple, are one per vertex and fiber coset."""
         rep = Report("bundle")
         cover, q = self.cover, self.q
 
@@ -230,6 +232,30 @@ class BundleSpace:
                                 yield f"gbar_{k}{j} gbar_{j}{i} != gbar_{k}{i} at {u}"
         rep.search("bundle.glue.transitive", "gbar_kj(u) gbar_ji(u) = gbar_ki(u)",
                    intransitivities())
+
+        triples = [(c, u, f) for u in sorted(cover.vertex_set)
+                   for c in cover.charts_containing((u,)) for f in q.objects.reps]
+
+        def splits():
+            for c, u, f in triples:
+                x = self.canonical_obj(c, u, f)
+                for c2 in cover.charts_containing((u,)):
+                    f2 = q.obj_product(self.gbar(c2, c, u), f)
+                    if self.canonical_obj(c2, u, f2) != x:
+                        yield f"({c}, {u}, {f}) and its {c2} transport split"
+        rep.search("bundle.objects.glue_consistent",
+                   "glued triples canonicalize to one representative", splits())
+
+        classes = {self.canonical_obj(*t) for t in triples}
+        expected = len(cover.vertex_set) * len(q.objects.reps)
+        rep.record("bundle.objects.count",
+                   "one glued object class per vertex and fiber coset",
+                   len(classes) == expected,
+                   f"{len(classes)} classes, expected {expected}")
+
+        empty = sorted(set(cover.vertex_set) - {x.vertex for x in classes})
+        rep.record("bundle.proj.obj_surjective", "projection is onto the vertex set",
+                   not empty, f"vertices {empty} have empty fibers")
         return rep
 
     # ----- edges and chains -------------------------------------------------
@@ -754,29 +780,6 @@ def check_bundle_axioms(space: BundleSpace, max_len: int = 3,
     right action, congruence sanity, and every local trivialization."""
     q, cover = space.q, space.cover
     rep = space.check_glue_relation()
-
-    def splits():
-        for u in sorted(cover.vertex_set):
-            for c in cover.charts_containing((u,)):
-                for f in q.objects.reps:
-                    x = space.canonical_obj(c, u, f)
-                    for c2 in cover.charts_containing((u,)):
-                        f2 = q.obj_product(space.gbar(c2, c, u), f)
-                        if space.canonical_obj(c2, u, f2) != x:
-                            yield f"({c}, {u}, {f}) and its {c2} transport split"
-    rep.search("bundle.objects.glue_consistent",
-               "glued triples canonicalize to one representative", splits())
-
-    n_objects = len(space.objects_all())
-    expected = len(cover.vertex_set) * len(q.objects.reps)
-    rep.record("bundle.objects.count",
-               "one glued object class per vertex and fiber coset",
-               n_objects == expected,
-               f"{n_objects} classes, expected {expected}")
-
-    empty = sorted(set(cover.vertex_set) - {x.vertex for x in space.objects_all()})
-    rep.record("bundle.proj.obj_surjective", "projection is onto the vertex set",
-               not empty, f"vertices {empty} have empty fibers")
 
     def unlifted():
         for w in enumerate_base_walks(cover, max_len):

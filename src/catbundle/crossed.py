@@ -9,13 +9,14 @@ an action alpha of G on H subject to two compatibility identities:
 Arrows (h, g) in H x G carry two structures at once. As a category:
 source (h, g) = g, target (h, g) = tau(h) g, and (h2, g2) o (h1, g1) =
 (h2 h1, g1) when g2 = tau(h1) g1. As a group: the semidirect product
-(h2, g2) (h1, g1) = (h2 alpha_{g2}(h1), g2 g1). The validators below check
-each law exhaustively and report witnesses.
+(h2, g2) (h1, g1) = (h2 alpha_{g2}(h1), g2 g1) and (h, g)^-1 =
+(alpha_{g^-1}(h^-1), g^-1), written only in `arrow_product` and `arrow_inverse`.
+The validators below check each law exhaustively and report witnesses.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Collection, Iterable, NamedTuple, Optional
 
 from .errors import CompositionError, SchemaError
 from .groups import FiniteGroup, GroupAction, GroupHom, validate_action, validate_group, validate_hom
@@ -138,6 +139,12 @@ def arrow_product(cm: CrossedModule, a2: Arrow, a1: Arrow) -> Arrow:
     return Arrow(cm.H.op(a2.h, cm.alpha(a2.g, a1.h)), cm.G.op(a2.g, a1.g))
 
 
+def arrow_inverse(cm: CrossedModule, a: Arrow) -> Arrow:
+    """Semidirect inverse (h, g)^-1 = (alpha_{g^-1}(h^-1), g^-1); unchecked."""
+    gi = cm.G.inverse(a.g)
+    return Arrow(cm.alpha(gi, cm.H.inverse(a.h)), gi)
+
+
 def arrow_co_inverse(cm: CrossedModule, a: Arrow) -> Arrow:
     """Inverse under composition: (h, g)^{-o} = (h^-1, tau(h) g)."""
     return Arrow(cm.H.inverse(a.h), cm.G.op(cm.tau(a.h), a.g))
@@ -156,42 +163,36 @@ def pair_id(h: str, g: str) -> str:
     return f"({h},{g})"
 
 
-class SemidirectProduct:
-    """H x|_alpha G as a FiniteGroup over pair ids, with maps in both directions."""
+def arrows(hs: Iterable[str], gs: Collection[str]) -> list[Arrow]:
+    """The arrows (h, g) with h in `hs` and g in `gs`, in pair-id order."""
+    return sorted((Arrow(h, g) for h in hs for g in gs), key=lambda a: pair_id(*a))
 
-    def __init__(self, cm: CrossedModule, g_subset: Optional[frozenset[str]] = None,
-                 name: Optional[str] = None):
-        gs = sorted(g_subset) if g_subset is not None else list(cm.G.elements)
-        for g in gs:
-            if g not in cm.G.element_set:
-                raise SchemaError(f"semidirect: {g!r} is not in {cm.G.name!r}")
+
+class SemidirectProduct:
+    """H x|_alpha G, or H x| S for a closed subset S of G, as a FiniteGroup
+    over pair ids, with maps in both directions."""
+
+    def __init__(self, cm: CrossedModule, g_subset: Optional[frozenset[str]] = None):
         self.cm = cm
-        pairs = [(h, g) for h in cm.H.elements for g in gs]
-        self.id_to_pair = {pair_id(h, g): (h, g) for h, g in pairs}
-        ids = sorted(self.id_to_pair)
+        gs = cm.G.elements if g_subset is None else g_subset
+        self.id_to_pair = ids = {pair_id(*a): a for a in arrows(cm.H.elements, gs)}
         mul = {}
         inv = {}
-        for x in ids:
-            h2, g2 = self.id_to_pair[x]
-            hi, gi = cm.alpha(cm.G.inverse(g2), cm.H.inverse(h2)), cm.G.inverse(g2)
-            if gi not in set(gs):
+        for x, a2 in ids.items():
+            inv[x] = pair_id(*arrow_inverse(cm, a2))
+            if inv[x] not in ids:
                 raise SchemaError(
-                    f"semidirect: subset of {cm.G.name!r} not closed under inverse at {g2!r}"
+                    f"semidirect: subset of {cm.G.name!r} not closed under inverse at {a2.g!r}"
                 )
-            inv[x] = pair_id(hi, gi)
-            for y in ids:
-                h1, g1 = self.id_to_pair[y]
-                prod = (cm.H.op(h2, cm.alpha(g2, h1)), cm.G.op(g2, g1))
-                px = pair_id(*prod)
-                if px not in self.id_to_pair:
+            for y, a1 in ids.items():
+                px = pair_id(*arrow_product(cm, a2, a1))
+                if px not in ids:
                     raise SchemaError(
-                        f"semidirect: subset of {cm.G.name!r} not closed at ({g2!r}, {g1!r})"
+                        f"semidirect: subset of {cm.G.name!r} not closed at ({a2.g!r}, {a1.g!r})"
                     )
                 mul[(x, y)] = px
-        gname = name or f"{cm.H.name}x|{cm.G.name}"
-        self.group = FiniteGroup(
-            gname, ids, mul, pair_id(cm.H.identity, cm.G.identity), inv
-        )
+        self.group = FiniteGroup(f"{cm.H.name}x|{cm.G.name}", list(ids), mul,
+                                 pair_id(cm.H.identity, cm.G.identity), inv)
 
     def to_id(self, a: Arrow) -> str:
         x = pair_id(a.h, a.g)
@@ -200,11 +201,10 @@ class SemidirectProduct:
         return x
 
     def to_arrow(self, x: str) -> Arrow:
-        h, g = self.id_to_pair[x]
-        return Arrow(h, g)
+        return self.id_to_pair[x]
 
     def source(self, x: str) -> str:
-        return self.id_to_pair[x][1]
+        return self.id_to_pair[x].g
 
     def target(self, x: str) -> str:
         h, g = self.id_to_pair[x]

@@ -264,7 +264,4 @@ def subgroup_as_group(g: FiniteGroup, subset: Iterable[str], name: str) -> Finit
                 raise SchemaError(f"subgroup {name!r}: not closed at ({a!r}, {b!r})")
             mul[(a, b)] = c
     inv = {a: g.inverse(a) for a in sub}
-    perms = None
-    if g.perms is not None:
-        perms = {a: g.perms[a] for a in sub}
-    return FiniteGroup(name, sub, mul, g.identity, inv, _perms=perms)
+    return FiniteGroup(name, sub, mul, g.identity, inv)

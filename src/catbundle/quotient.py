@@ -11,7 +11,9 @@ are normal) the group laws all descend, and every descent is verified
 exhaustively rather than assumed. The variant is chosen from tau's image:
 when tau is onto G the variant "full" quotients H x| G, and otherwise the
 variant "tau" quotients H x| tau(H), which is a categorical group even when
-tau is not surjective.
+tau is not surjective. Products and inverses in H x| G come from
+`crossed.arrow_product` and `arrow_inverse`: the quotient tabulates them once,
+in its SemidirectProduct, and `check_JH_normal` evaluates them on arrows.
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ from .crossed import (
     ChainedCrossedModules,
     SemidirectProduct,
     arrow_co_inverse,
+    arrow_inverse,
+    arrow_product,
+    arrows,
     pair_id,
 )
 from .errors import CompositionError, InternalInvariantError, PreconditionError, SchemaError
@@ -85,48 +90,52 @@ def check_JH_normal(chain: ChainedCrossedModules) -> Report:
     """(a) (j, h) -> (tau'(j), tau(h)) is a homomorphism J x| H -> H x| G,
     checked on every pair; (b) J_H is a subgroup normalized by every element
     of H x| tau(H). A third check conjugates by all of H x| G, which also
-    holds whenever tau tau'(J) is normal in G."""
+    holds whenever tau tau'(J) is normal in G. The laws are evaluated on
+    Arrow values, scanned in pair-id order; no group table is built."""
     rep = Report("jh")
-    outer_sd = SemidirectProduct(chain.outer)
-    inner_sd = SemidirectProduct(chain.inner)
-    parent = outer_sd.group
+    outer, inner = chain.outer, chain.inner
 
-    def taubar(x: str) -> str:
-        j, h = inner_sd.id_to_pair[x]
-        return pair_id(chain.tau_p(j), chain.tau(h))
+    def taubar(a: Arrow) -> Arrow:
+        return Arrow(chain.tau_p(a.h), chain.tau(a.g))
 
     def bad_products():
-        for x in inner_sd.group.elements:
-            for y in inner_sd.group.elements:
-                lhs = taubar(inner_sd.group.op(x, y))
-                rhs = parent.op(taubar(x), taubar(y))
+        pairs = arrows(inner.H.elements, inner.G.elements)
+        for x in pairs:
+            for y in pairs:
+                lhs = taubar(arrow_product(inner, x, y))
+                rhs = arrow_product(outer, taubar(x), taubar(y))
                 if lhs != rhs:
-                    yield f"taubar({x} * {y}) = {lhs!r} != {rhs!r}"
+                    yield (f"taubar({pair_id(*x)} * {pair_id(*y)}) = "
+                           f"{pair_id(*lhs)!r} != {pair_id(*rhs)!r}")
     rep.search("jh.taubar", "(j,h) -> (tau'(j), tau(h)) is a homomorphism", bad_products())
 
-    jh = build_JH(chain)
+    members = arrows(chain.tau_p_image, chain.tau_tau_p_image)
+    jh = frozenset(members)
 
     def subgroup_violations():
-        if parent.identity not in jh:
+        if Arrow(chain.H.identity, chain.G.identity) not in jh:
             yield "identity missing"
-        for a in sorted(jh):
-            if parent.inverse(a) not in jh:
-                yield f"inverse of {a!r} leaves J_H"
-            for b in sorted(jh):
-                if parent.op(a, b) not in jh:
-                    yield f"product {a!r} {b!r} leaves J_H"
+        for a in members:
+            if arrow_inverse(outer, a) not in jh:
+                yield f"inverse of {pair_id(*a)!r} leaves J_H"
+            for b in members:
+                if arrow_product(outer, a, b) not in jh:
+                    yield f"product {pair_id(*a)!r} {pair_id(*b)!r} leaves J_H"
     rep.search("jh.subgroup", "J_H is a subgroup of H x| G", subgroup_violations())
 
     def leaks(conjugators):
         for w in conjugators:
-            for v in sorted(jh):
-                c = parent.conj(w, v)
+            w_inv = arrow_inverse(outer, w)
+            for v in members:
+                c = arrow_product(outer, arrow_product(outer, w, v), w_inv)
                 if c not in jh:
-                    yield f"{w} {v} {w}^-1 = {c!r} leaves J_H"
+                    w_id = pair_id(*w)
+                    yield f"{w_id} {pair_id(*v)} {w_id}^-1 = {pair_id(*c)!r} leaves J_H"
+    everything = arrows(outer.H.elements, outer.G.elements)
     tau_image = chain.tau.image()
-    conjugators = [x for x in parent.elements if outer_sd.id_to_pair[x][1] in tau_image]
-    rep.search("jh.normal", "J_H is normal in H x| tau(H)", leaks(conjugators))
-    rep.search("jh.normal_full", "J_H is normal in all of H x| G", leaks(parent.elements))
+    rep.search("jh.normal", "J_H is normal in H x| tau(H)",
+               leaks([w for w in everything if w.g in tau_image]))
+    rep.search("jh.normal_full", "J_H is normal in all of H x| G", leaks(everything))
     return rep
 
 
@@ -145,14 +154,10 @@ class QuotientCatGroup:
         self.chain = chain
         self.variant = variant_for(chain)
         tau_image = chain.tau.image()
-        if self.variant == "full":
-            self.obj_parent = chain.G
-            self.sd = SemidirectProduct(chain.outer)
-        else:
-            self.obj_parent = subgroup_as_group(
-                chain.G, tau_image, f"tau({chain.H.name})"
-            )
-            self.sd = SemidirectProduct(chain.outer, g_subset=tau_image)
+        self.obj_parent = chain.G if self.variant == "full" else subgroup_as_group(
+            chain.G, tau_image, f"tau({chain.H.name})")
+        # in the "full" variant tau(H) is all of G, so this is H x| G
+        self.sd = SemidirectProduct(chain.outer, tau_image)
         self.mor_parent = self.sd.group
         self.objects = CosetSpace(self.obj_parent, frozenset(chain.tau_tau_p_image))
         self.morphisms = CosetSpace(self.mor_parent, build_JH(chain))
@@ -176,12 +181,6 @@ class QuotientCatGroup:
     def _subgroup_normal(parent: FiniteGroup, sub: frozenset[str]) -> bool:
         return all(parent.conj(g, s) in sub for g in parent.elements for s in sub)
 
-    def _member_source(self, x: str) -> str:
-        return self.objects.rep(self.sd.source(x))
-
-    def _member_target(self, x: str) -> str:
-        return self.objects.rep(self.sd.target(x))
-
     def _verify(self) -> Report:
         rep = Report("quotient")
         par = self.mor_parent
@@ -190,8 +189,9 @@ class QuotientCatGroup:
         # they scan, so a search that stops at a witness leaves its table partial
         def split_endpoints():
             for mrep in self.morphisms.reps:
-                ss = {self._member_source(x) for x in self.morphisms.members_of[mrep]}
-                ts = {self._member_target(x) for x in self.morphisms.members_of[mrep]}
+                members = self.morphisms.members_of[mrep]
+                ss = {self.objects.rep(self.sd.source(x)) for x in members}
+                ts = {self.objects.rep(self.sd.target(x)) for x in members}
                 if len(ss) != 1 or len(ts) != 1:
                     yield f"coset {mrep!r} has sources {sorted(ss)} targets {sorted(ts)}"
                     continue

@@ -11,7 +11,8 @@ on `peiffer`, `functorial` and `naturality` on `peiffer` and `gerbal`, and
 A run reads every stage of the construction from one InstanceContext, which
 builds each stage on first use and only once: a single suite builds just the
 stages it reads, and the `all` report is the concatenation of the reports of
-the single suites that apply to the base.
+the single suites that apply to the base. The quotient and the classical
+cocycle on it are separate stages, so a gated `quotient` suite checks no cocycle.
 
 Each stage and suite imports its layer on first use: the transition functors
 (`functorial`), the coset quotient (`quotient`), the glued bundle (`bundle`)
@@ -73,9 +74,9 @@ class InstanceContext:
 
     @cached_property
     def quotient(self) -> tuple[Optional[QuotientCatGroup], Report]:
-        """The coset quotient and its classical-cocycle check, or None and the
-        failed `quotient.build` record."""
-        from .quotient import build_quotient, check_classical_cocycle
+        """The coset quotient and its verification, or None and the failed
+        `quotient.build` record."""
+        from .quotient import build_quotient
         try:
             q = build_quotient(self.inst.chain)
         except (SchemaError, InternalInvariantError) as exc:
@@ -83,7 +84,15 @@ class InstanceContext:
             rep.record("quotient.build", "the coset category carries group structure",
                        False, str(exc))
             return None, rep
-        return q, check_classical_cocycle(self.fc, q, self.max_len)
+        return q, q.verification
+
+    @cached_property
+    def classical(self) -> Report:
+        """The classical-cocycle check on the quotient, or the failed
+        `quotient.build` record."""
+        from .quotient import check_classical_cocycle
+        q, built = self.quotient
+        return built if q is None else check_classical_cocycle(self.fc, q, self.max_len)
 
     @cached_property
     def space(self) -> tuple[Optional[BundleSpace], Report]:
@@ -93,9 +102,8 @@ class InstanceContext:
         pre = Report("bundle")
         pre.merge(self.peiffer)
         pre.merge(self.gerbal)
-        q, classical = self.quotient
-        pre.merge(classical)
-        return (BundleSpace(self.fc, q) if pre.ok else None), pre
+        pre.merge(self.classical)
+        return (BundleSpace(self.fc, self.quotient[0]) if pre.ok else None), pre
 
 
 def _gate(ctx: InstanceContext, name: str, *layers: str) -> Optional[Report]:
@@ -141,20 +149,17 @@ def suite_naturality(ctx: InstanceContext) -> Report:
 
 def suite_quotient(ctx: InstanceContext) -> Report:
     gated = _gate(ctx, "quotient", "peiffer")
+    q, built = ctx.quotient
     if gated is not None:
-        q, build = ctx.quotient
         if q is None:
-            gated.merge(build)
+            gated.merge(built)
         return gated
     from .quotient import check_JH_normal
     rep = Report("quotient")
-    # before the quotient is built: the check's own semidirect product is
-    # freed first, so the two never peak in memory together
     rep.merge(check_JH_normal(ctx.inst.chain))
-    q, classical = ctx.quotient
+    rep.merge(built)
     if q is not None:
-        rep.merge(q.verification)
-    rep.merge(classical)
+        rep.merge(ctx.classical)
     return rep
 
 
@@ -175,14 +180,15 @@ def suite_oracle(ctx: InstanceContext) -> Report:
     if not ctx.inst.cover.directed or ctx.inst.cover.identity_edges:
         raise PreconditionError(
             "the oracle suite needs a directed base with zero-length edges disabled")
+    rep = Report("oracle")
     space, pre = ctx.space
     if space is None:
-        return pre
+        rep.merge(pre)
+        return rep
     from .wordalg import WordOracle, check_congruence_invariants, check_oracle_agreement
-    rep = Report("oracle")
     oracle = WordOracle(space, ctx.max_len)
-    rep.merge(check_oracle_agreement(space, ctx.max_len, oracle))
-    rep.merge(check_congruence_invariants(space, ctx.max_len, oracle))
+    rep.merge(check_oracle_agreement(space, oracle))
+    rep.merge(check_congruence_invariants(space, oracle))
     return rep
 
 

@@ -245,16 +245,13 @@ def _equal_positions(labels: list) -> list[tuple[int, int]]:
             for k, n in enumerate(classes[lab]) for m in classes[lab][k + 1:]]
 
 
-def check_oracle_agreement(space: BundleSpace, max_len: int = 3,
-                           oracle: WordOracle | None = None) -> Report:
+def check_oracle_agreement(space: BundleSpace, oracle: WordOracle) -> Report:
     """Every word pair, both procedures, zero tolerated disagreements.
 
     Each word is keyed once with `space.mor_key` and labelled once by the
     oracle; the pair loop compares stored keys and stored labels in (n, m)
     order, so the witness names the first disagreeing pair."""
     rep = Report("oracle")
-    if oracle is None:
-        oracle = WordOracle(space, max_len)
     words = oracle.all_words()
     labels = [oracle.label(w) for w in words]
     keys = [space.mor_key(oracle.word_to_mor(w)) for w in words]
@@ -288,8 +285,7 @@ def check_oracle_agreement(space: BundleSpace, max_len: int = 3,
     return rep
 
 
-def check_congruence_invariants(space: BundleSpace, max_len: int = 3,
-                                oracle: WordOracle | None = None) -> Report:
+def check_congruence_invariants(space: BundleSpace, oracle: WordOracle) -> Report:
     """Equal words must share projection and endpoints and stay equal under
     the fiber action.
 
@@ -297,8 +293,6 @@ def check_congruence_invariants(space: BundleSpace, max_len: int = 3,
     of `act_mor(word, psi)` once per (word, psi), on the first pair that needs
     it; the pair loops, in `equal_pairs` order, compare the stored values."""
     rep = Report("oracle")
-    if oracle is None:
-        oracle = WordOracle(space, max_len)
     words = oracle.all_words()
     pairs = _equal_positions([oracle.label(w) for w in words])
     mors = [oracle.word_to_mor(w) for w in words]

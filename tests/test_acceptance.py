@@ -253,7 +253,7 @@ def test_criterion_08_closure_vs_linear_algebra():
         words = oracle.all_words()
         if len(words) != 176:
             problems.append(f"{len(words)} words enumerated, expected 176")
-        rep = check_oracle_agreement(space, 3, oracle)
+        rep = check_oracle_agreement(space, oracle)
         _report_problems(problems, rep, "agreement")
         ids = {c.check_id for c in rep.checks}
         if not {"oracle.agreement", "oracle.both_verdicts"} <= ids:
@@ -268,7 +268,7 @@ def test_criterion_09_congruence_invariants():
         space, oracle = _dirline3_setup()
         if not oracle.equal_pairs():
             problems.append("no equal pairs discovered, nothing to test")
-        rep = check_congruence_invariants(space, 3, oracle)
+        rep = check_congruence_invariants(space, oracle)
         _report_problems(problems, rep, "invariants")
         ids = {c.check_id for c in rep.checks}
         missing = {"congruence.proj_invariant", "congruence.endpoints",

@@ -7,6 +7,7 @@ import pytest
 
 from catbundle.bundle import (
     BundleMorphism,
+    BundleObject,
     BundleSpace,
     LocalTrivialization,
     QuiverEdge,
@@ -64,6 +65,30 @@ def test_canonical_obj_respects_glue(space_line5):
 def test_glue_relation_report(space_line5w):
     rep = space_line5w.check_glue_relation()
     assert rep.ok, rep.failures()
+
+
+def faulty_canonical_objs(space):
+    """Two faulty `canonical_obj`s: one that forgets the transport to the
+    smallest chart, one that sends every triple to the first vertex."""
+    rep_of = space.q.objects.rep
+    v0 = sorted(space.cover.vertex_set)[0]
+    i0 = space.cover.smallest_chart(v0)
+    return {
+        "no_transport": lambda i, u, f: BundleObject(i, u, rep_of(f)),
+        "one_vertex": lambda i, u, f: BundleObject(i0, v0, rep_of(f)),
+    }
+
+
+@pytest.mark.parametrize("plant,fails", [
+    ("no_transport", "bundle.objects.count"),
+    ("one_vertex", "bundle.proj.obj_surjective"),
+])
+def test_object_checks_fail_on_a_planted_canonical_obj(space_line5, monkeypatch,
+                                                       plant, fails):
+    monkeypatch.setattr(space_line5, "canonical_obj", faulty_canonical_objs(space_line5)[plant])
+    status = {c.check_id: c.status for c in space_line5.check_glue_relation().checks}
+    assert status[fails] == "fail"
+    assert all(status[c] == "pass" for c in status if c.startswith("bundle.glue."))
 
 
 def test_act_obj_is_a_free_right_action(space_line5):

@@ -222,7 +222,9 @@ def test_suite_fails_on_a_broken_group_table(tmp_path, capsys, preset, suite):
                          "--max-path-len", "1")
     assert code == 1
     assert "Traceback" not in err
-    failed = {c["check"] for c in json.loads(out)["checks"] if c["status"] == "fail"}
+    report = json.loads(out)
+    assert report["suite"] == suite
+    failed = {c["check"] for c in report["checks"] if c["status"] == "fail"}
     assert any(".component.group." in c for c in failed), failed
 
 

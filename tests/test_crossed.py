@@ -19,6 +19,7 @@ from catbundle.crossed import (
     arrow_compose,
     arrow_endpoints,
     arrow_identity,
+    arrow_inverse,
     arrow_product,
     check_tau_image_normal,
     validate_peiffer,
@@ -153,12 +154,20 @@ def test_interchange_law(chain_s3, data):
     assert lhs == rhs
 
 
+@pytest.fixture(scope="module")
+def semidirect_products(chain_s3, chain_s4):
+    return [(cm, SemidirectProduct(cm)) for chain in (chain_s3, chain_s4)
+            for cm in (chain.outer, chain.inner)]
+
+
 @settings(max_examples=60)
 @given(st.data())
-def test_product_matches_semidirect_group(chain_s3, data):
-    cm = chain_s3.outer
-    sd = SemidirectProduct(cm)
-    x = data.draw(st.sampled_from(sd.group.elements))
-    y = data.draw(st.sampled_from(sd.group.elements))
-    via_arrows = arrow_product(cm, sd.to_arrow(x), sd.to_arrow(y))
-    assert sd.to_id(via_arrows) == sd.group.op(x, y)
+def test_product_matches_semidirect_group(semidirect_products, data):
+    for cm, sd in semidirect_products:
+        x = data.draw(st.sampled_from(sd.group.elements))
+        y = data.draw(st.sampled_from(sd.group.elements))
+        a = sd.to_arrow(x)
+        assert sd.to_id(arrow_product(cm, a, sd.to_arrow(y))) == sd.group.op(x, y)
+        assert sd.to_id(arrow_inverse(cm, a)) == sd.group.inverse(x)
+        # the inverse law itself, independent of the table
+        assert arrow_product(cm, a, arrow_inverse(cm, a)) == (cm.H.identity, cm.G.identity)

@@ -6,11 +6,14 @@ inversions in perm_oracle), and the s4 object count from enumerating left
 cosets of V4 inside A4 on raw tuples.
 """
 
+import json
+
 import perm_oracle as oracle
 import pytest
 
 from catbundle.crossed import SemidirectProduct, pair_id
 from catbundle.errors import SchemaError
+from catbundle.groups import FiniteGroup
 from catbundle.quotient import (
     CosetSpace,
     build_JH,
@@ -20,6 +23,7 @@ from catbundle.quotient import (
     tau_surjective,
     variant_for,
 )
+from catbundle.schema import instance_from_document, instance_to_json
 
 
 def test_variant_detection(chain_s3, chain_s4):
@@ -49,6 +53,19 @@ def test_JH_normal_s3(chain_s3):
 def test_JH_normal_s4(chain_s4):
     rep = check_JH_normal(chain_s4)
     assert rep.ok, rep.failures()
+
+
+def test_JH_normal_builds_no_group_table(chain_s4, monkeypatch):
+    # the laws are evaluated on arrows; H x| G on S4 would be 288 elements
+    built = []
+    init = FiniteGroup.__init__
+
+    def counted(self, name, *args, **kwargs):
+        built.append(name)
+        init(self, name, *args, **kwargs)
+    monkeypatch.setattr(FiniteGroup, "__init__", counted)
+    assert check_JH_normal(chain_s4).ok
+    assert built == []
 
 
 def test_conjugation_budget_matches_group_orders(chain_s3, chain_s4):
@@ -160,6 +177,15 @@ def test_coset_space_rejects_non_subgroup(chain_s3):
     # ((123),e) squared is ((132),e), which the subset misses
     with pytest.raises(SchemaError):
         CosetSpace(sd.group, frozenset({pair_id("e", "e"), pair_id("(123)", "e")}))
+
+
+def test_build_names_a_tau_image_that_is_no_subgroup(inst_line5):
+    # the object group tau(H) is built before the arrow group H x| tau(H),
+    # so a failed build names tau's image, not the semidirect product
+    doc = json.loads(instance_to_json(inst_line5))
+    doc["homs"]["tau"]["map"]["(23)"] = "e"
+    with pytest.raises(SchemaError, match=r"^subgroup 'tau\(S3\)': not closed"):
+        build_quotient(instance_from_document(doc).chain)
 
 
 def test_classical_cocycle_on_generated_data(inst_line5w, quotient_s3):

@@ -196,6 +196,16 @@ def test_all_builds_each_layer_once(layer_calls, fixture, request):
     assert layer_calls == dict.fromkeys(LAYERS, 1)
 
 
+@pytest.mark.parametrize("suite,checked", [("quotient", 0), ("bundle", 1), ("all", 1)])
+def test_the_gated_quotient_suite_checks_no_cocycle(layer_calls, suite, checked):
+    # the A3 edit fails peiffer but the quotient still builds: the quotient
+    # suite reports the failures without checking the cocycle on that data,
+    # while the bundle's preconditions still include the classical checks
+    assert not run_suite(edited_instance("a3-table"), suite, 2).ok
+    assert layer_calls["build_quotient"] == 1
+    assert layer_calls["check_classical_cocycle"] == checked
+
+
 def test_a_single_suite_builds_only_the_layers_it_reads(layer_calls, inst_line5):
     # functorial gates on the gerbal battery, but never reads the quotient
     run_suite(inst_line5, "functorial", 2)

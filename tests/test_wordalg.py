@@ -77,12 +77,12 @@ def test_cross_block_words_never_equal(word_oracle):
 
 
 def test_agreement_with_closure(space_dirline3, word_oracle):
-    rep = check_oracle_agreement(space_dirline3, 3, oracle=word_oracle)
+    rep = check_oracle_agreement(space_dirline3, word_oracle)
     assert rep.ok, rep.failures()
 
 
 def test_congruence_invariants(space_dirline3, word_oracle):
-    rep = check_congruence_invariants(space_dirline3, 3, oracle=word_oracle)
+    rep = check_congruence_invariants(space_dirline3, word_oracle)
     assert rep.ok, rep.failures()
     ids = {c.check_id for c in rep.checks}
     assert {"congruence.proj_invariant", "congruence.endpoints",
@@ -103,12 +103,12 @@ def test_each_word_and_each_action_keyed_once(space_dirline3, word_oracle, monke
 
     monkeypatch.setattr(space_dirline3, "mor_key", counting_key)
     monkeypatch.setattr(space_dirline3, "act_mor", recording_act)
-    check_oracle_agreement(space_dirline3, 3, oracle=word_oracle)
+    check_oracle_agreement(space_dirline3, word_oracle)
     assert len(keyed) == len(set(keyed)) <= len(word_oracle.all_words())
     assert not acted
 
     keyed.clear()
-    check_congruence_invariants(space_dirline3, 3, oracle=word_oracle)
+    check_congruence_invariants(space_dirline3, word_oracle)
     # every key is of an acted word, and no (word, psi) is acted on twice
     assert acted and len(keyed) == len(acted) == len(set(acted))
 
@@ -145,7 +145,7 @@ def test_planted_key_disagreement_names_the_first_pair(space_dirline3, word_orac
     first, chosen = cls[0], cls[1]
     _planted(space_dirline3, monkeypatch, lambda m: m.edges == words[chosen])
 
-    rep = check_oracle_agreement(space_dirline3, 3, oracle=word_oracle)
+    rep = check_oracle_agreement(space_dirline3, word_oracle)
     got = {c.check_id: c for c in rep.checks}
     assert got["oracle.agreement"].status == "fail"
     assert got["oracle.agreement"].witness == (
@@ -176,7 +176,7 @@ def test_planted_action_disagreement_names_the_first_pair(space_dirline3, word_o
     monkeypatch.setattr(space_dirline3, "act_mor", act)
     _planted(space_dirline3, monkeypatch, lambda m: any(m is p for p in planted))
 
-    rep = check_congruence_invariants(space_dirline3, 3, oracle=word_oracle)
+    rep = check_congruence_invariants(space_dirline3, word_oracle)
     got = {c.check_id: c for c in rep.checks}
     w1 = next(a for a, b in pairs if chosen in (a, b))
     assert got["congruence.proj_invariant"].status == got["congruence.endpoints"].status == "pass"
