@@ -48,9 +48,9 @@ or a broken junction in either argument, whatever the other argument's walk.
 state it has not keyed, storing the key under both that state and its
 compaction; compaction is deterministic, so each distinct state is compacted
 at most once per space, and `_keys` holds raw and compacted states, both
-bounded by the states keyed. The law battery keys each morphism once and
-compares keys instead of calling `mor_equal` pair by pair. `state_key` keys
-an enumerated unit state without building its chain, and a local
+bounded by the states keyed. The law battery works on the enumerated unit
+states themselves: it keys each with `state_key`, acts on it with
+`act_state` and composes by concatenation, so it builds no chain. A local
 trivialization memoizes the key of each (walk, fiber morphism) pair for one
 check. The space also memoizes each unit's decoration re-indexed into each
 chart, and the chart that each pair of adjacent steps merges into. Both range
@@ -64,14 +64,17 @@ equality and hash read (start, steps) and ignore `visited`, and an edge hashes
 and compares through its walk, so the endpoint memo still reads `visited` on
 a hit.
 
-Formal identity morphisms are represented by markers; a marker is identified
-with the class of the neutral edge (zero-length walk, identity decoration)
-at its object, which is a two-sided unit under concatenation.
+The right action is written once, in `act_state`: on a unit state it
+multiplies the last unit's decoration by psi and every earlier one by the
+identity coset at the source object of psi. `act_mor` splits a chain into
+units, acts and rebuilds the chain, so on a multi-step edge it returns
+another chain of the same class. The identity at a canonical object x is the
+neutral chain `to_chain((neutral_unit(x),))` (zero-length walk, identity
+decoration), a two-sided unit under concatenation.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from typing import Iterable, NamedTuple, Optional
 
@@ -109,24 +112,15 @@ class QuiverEdge(NamedTuple):
 
 
 class BundleMorphism(NamedTuple):
-    """Either an identity marker at an object, or a nonempty chain of edges."""
-    at: Optional[BundleObject]
+    """A nonempty chain of edges."""
     edges: tuple[QuiverEdge, ...]
-
-    @property
-    def is_identity(self) -> bool:
-        return self.at is not None
-
-    @staticmethod
-    def identity(x: BundleObject) -> "BundleMorphism":
-        return BundleMorphism(x, ())
 
     @staticmethod
     def chain(edges: Iterable[QuiverEdge]) -> "BundleMorphism":
         edges = tuple(edges)
         if not edges:
             raise SchemaError("a morphism chain needs at least one edge")
-        return BundleMorphism(None, edges)
+        return BundleMorphism(edges)
 
 
 # unit steps of a chain state: ("v", vertex) stands still, ("e", id, o) moves
@@ -295,8 +289,6 @@ class BundleSpace:
     def mor_endpoints(self, m: BundleMorphism) -> tuple[BundleObject, BundleObject]:
         """Validate every edge and every junction of m in one pass and return
         (source, target)."""
-        if m.is_identity:
-            return m.at, m.at
         first = prev = None
         for e in m.edges:
             s, t = self.edge_endpoints(e)
@@ -310,8 +302,6 @@ class BundleSpace:
         return first, prev
 
     def project(self, m: BundleMorphism) -> PathMor:
-        if m.is_identity:
-            return self.cover.identity_walk(m.at.vertex)
         walk = m.edges[0].walk
         for e in m.edges[1:]:
             walk = compose_paths(self.cover, e.walk, walk)
@@ -322,32 +312,23 @@ class BundleSpace:
     def act_obj(self, x: BundleObject, obj_rep: str) -> BundleObject:
         return BundleObject(x.chart, x.vertex, self.q.obj_product(x.fiber, obj_rep))
 
-    def _is_identity_coset(self, phi: str) -> bool:
-        return phi == self.q.identity_mor_at(self.q.source[phi])
-
-    def act_mor(self, m: BundleMorphism, psi: str) -> BundleMorphism:
-        """Right action by a morphism coset: the last edge's decoration is
-        multiplied by psi, earlier decorations by the identity coset at the
-        source object of psi."""
+    def act_state(self, state: State, psi: str) -> State:
+        """Right action by a morphism coset on a unit state: the last unit's
+        decoration is multiplied by psi, every earlier one by the identity
+        coset at the source object of psi."""
         q = self.q
         if psi not in q.source:
             raise SchemaError(f"{psi!r} is not a morphism coset rep")
         unit_at_source = q.identity_mor_at(q.source[psi])
-        if m.is_identity:
-            phi = q.mor_product(q.identity_mor_at(m.at.fiber), psi)
-            x = m.at
-            if self._is_identity_coset(phi):
-                return BundleMorphism.identity(
-                    BundleObject(x.chart, x.vertex, q.source[phi]))
-            e = QuiverEdge(x.chart, (x.chart,),
-                           self.cover.identity_walk(x.vertex), phi)
-            return BundleMorphism.chain([e])
-        edges = []
-        for n, e in enumerate(m.edges):
-            mult = psi if n == len(m.edges) - 1 else unit_at_source
-            edges.append(QuiverEdge(e.chart, e.charts, e.walk,
-                                    q.mor_product(e.phi, mult)))
-        return BundleMorphism.chain(edges)
+        *head, (c, step, phi) = state
+        return tuple([(c0, step0, q.mor_product(phi0, unit_at_source))
+                      for c0, step0, phi0 in head]
+                     + [(c, step, q.mor_product(phi, psi))])
+
+    def act_mor(self, m: BundleMorphism, psi: str) -> BundleMorphism:
+        """`act_state` on the units of m; on a multi-step edge the result is
+        another chain of the same class."""
+        return self.to_chain(self.act_state(self.unit_split(m), psi))
 
     # ----- unit-split states and their normal form ---------------------------
 
@@ -406,8 +387,6 @@ class BundleSpace:
         return (x.chart, ("v", x.vertex), self.q.identity_mor_at(x.fiber))
 
     def unit_split(self, m: BundleMorphism) -> State:
-        if m.is_identity:
-            return (self.neutral_unit(m.at),)
         units: list[Unit] = []
         for e in m.edges:
             steps = e.walk.steps
@@ -530,8 +509,6 @@ class BundleSpace:
 
     def mor_equal(self, a: BundleMorphism, b: BundleMorphism) -> bool:
         """Validate both morphisms, then compare their keys."""
-        if a.is_identity and b.is_identity:
-            return a.at == b.at
         return self.mor_key(a) == self.mor_key(b)
 
     def mor_compose(self, first: BundleMorphism, second: BundleMorphism) -> BundleMorphism:
@@ -542,22 +519,19 @@ class BundleSpace:
             raise CompositionError(
                 f"cannot compose: first ends at {t1}, second starts at {s2}"
             )
-        if first.is_identity:
-            return second
-        if second.is_identity:
-            return first
         return BundleMorphism.chain(first.edges + second.edges)
 
     # ----- constructive lifts and reductions ---------------------------------
 
     def lift_walk(self, walk: PathMor):
         """A chain over `walk` starting in the identity fiber coset; returns
-        (morphism, None) or (None, witness) when a step has no covering chart."""
+        (morphism, None) or (None, witness) when a step has no covering chart.
+        A zero-length walk lifts to the neutral chain at its canonical object."""
         q, cover = self.q, self.cover
         if len(walk) == 0:
             x = BundleObject(cover.smallest_chart(walk.start), walk.start,
                              q.identity_obj())
-            return BundleMorphism.identity(x), None
+            return self.to_chain((self.neutral_unit(x),)), None
         edges = []
         fiber = q.identity_obj()
         prev_chart = None
@@ -667,11 +641,8 @@ class LocalTrivialization:
         space, q = self.space, self.space.q
         if not walk_inside(space.cover, walk, self.region):
             raise DomainError(f"walk leaves the overlap of {self.indices}")
-        mrep = q.morphisms.rep(mrep)
-        if len(walk) == 0 and mrep == q.identity_mor_at(q.source[mrep]):
-            return BundleMorphism.identity(self.on_object(walk.start, q.source[mrep]))
         return BundleMorphism.chain(
-            [QuiverEdge(self.i, self.indices, walk, mrep)])
+            [QuiverEdge(self.i, self.indices, walk, q.morphisms.rep(mrep))])
 
     def check(self, max_len: int = 3, max_units: int = 3,
               chains: Optional[list[State]] = None) -> Report:
@@ -774,10 +745,13 @@ class LocalTrivialization:
         return rep
 
 
-def check_bundle_axioms(space: BundleSpace, max_len: int = 3,
-                        max_units: int = 2) -> Report:
+def check_bundle_axioms(space: BundleSpace, max_len: int = 3) -> Report:
     """The bundle-level law battery: gluing, projection surjectivity, free
-    right action, congruence sanity, and every local trivialization."""
+    right action, congruence sanity, and every local trivialization.
+
+    The action and composition laws run on the enumerated unit states of at
+    most two units: each is keyed with `state_key`, acted on with `act_state`
+    and composed by concatenation."""
     q, cover = space.q, space.cover
     rep = space.check_glue_relation()
 
@@ -805,8 +779,7 @@ def check_bundle_axioms(space: BundleSpace, max_len: int = 3,
                "the object action is free and projection-invariant", unfree_objects())
 
     neutral = q.identity_mor_at(q.identity_obj())
-    markers = [BundleMorphism.identity(x) for x in space.objects_all()]
-    states = enumerate_chains(space, max_units)
+    states = enumerate_chains(space, 2)
 
     # the distinct compacted states of the bounded chains, grouped by class;
     # keying them first compacts each chain once for every check below
@@ -818,41 +791,39 @@ def check_bundle_axioms(space: BundleSpace, max_len: int = 3,
             walk_witness = f"chain {st} is equal to a morphism over another walk"
         classes.setdefault(key, {})[compacted] = None
 
+    # every neutral unit, the identity at its object, is a one-unit state
     def unfree_morphisms():
-        for m in itertools.chain(markers, map(space.to_chain, states)):
-            pm, key = space.project(m), space.mor_key(m)
+        for st in states:
+            walk, key = space._walk_sig(st), space.state_key(st)
             for psi in q.morphisms.reps:
-                acted = space.act_mor(m, psi)
-                pr = space.project(acted)
-                if (pr.start, pr.steps) != (pm.start, pm.steps):
+                acted = space.act_state(st, psi)
+                if space._walk_sig(acted) != walk:
                     yield f"action by {psi} changed a projected walk"
-                if (space.mor_key(acted) == key) != (psi == neutral):
-                    yield f"morphism action by {psi} is not free on {m}"
+                if (space.state_key(acted) == key) != (psi == neutral):
+                    yield f"morphism action by {psi} is not free on chain {st}"
     rep.search("bundle.action.mor_free",
                "the morphism action is free, unital, and projection-invariant",
                unfree_morphisms())
 
     loops = [p for p in q.morphisms.reps if q.source[p] == q.target[p]]
-    one_unit = [space.to_chain(st) for st in enumerate_chains(space, 1)]
-    by_source_obj: dict[BundleObject, list[BundleMorphism]] = {}
-    for m in one_unit:
-        by_source_obj.setdefault(space.mor_endpoints(m)[0], []).append(m)
+    one_unit = [st for st in states if len(st) == 1]
+    by_source_obj: dict[BundleObject, list[State]] = {}
+    for st in one_unit:
+        by_source_obj.setdefault(space.unit_s_obj(st[0]), []).append(st)
 
     def exchange_breaks():
-        for m1 in one_unit:
-            t1 = space.mor_endpoints(m1)[1]
-            for m2 in by_source_obj.get(t1, ()):
-                comp = space.mor_compose(m1, m2)
+        for s1 in one_unit:
+            for s2 in by_source_obj.get(space.unit_t_obj(s1[-1]), ()):
                 for psi in loops:
-                    unit_at = q.identity_mor_at(q.source[psi])
-                    lhs = space.act_mor(comp, psi)
-                    try:
-                        rhs = space.mor_compose(space.act_mor(m1, unit_at),
-                                                space.act_mor(m2, psi))
-                    except CompositionError as exc:
-                        yield f"exchange composite undefined: {exc}"
+                    lhs = space.act_state(s1 + s2, psi)
+                    a1 = space.act_state(s1, q.identity_mor_at(q.source[psi]))
+                    a2 = space.act_state(s2, psi)
+                    end1, start2 = space.unit_t_obj(a1[-1]), space.unit_s_obj(a2[0])
+                    if end1 != start2:
+                        yield (f"exchange composite undefined: cannot compose: "
+                               f"first ends at {end1}, second starts at {start2}")
                         continue
-                    if not space.mor_equal(lhs, rhs):
+                    if space.state_key(lhs) != space.state_key(a1 + a2):
                         yield f"exchange law breaks for {psi} on a 2-chain"
     rep.search("bundle.action.exchange",
                "acting on a composite equals composing the acted factors "
@@ -863,11 +834,11 @@ def check_bundle_axioms(space: BundleSpace, max_len: int = 3,
 
     def split_classes():
         for members in classes.values():
-            base, *others = [space.to_chain(st) for st in members]
+            base, *others = members
             for psi in movers:
-                target = space.mor_key(space.act_mor(base, psi))
+                target = space.state_key(space.act_state(base, psi))
                 for other in others:
-                    if space.mor_key(space.act_mor(other, psi)) != target:
+                    if space.state_key(space.act_state(other, psi)) != target:
                         yield f"equal chains act apart under {psi}"
     rep.search("bundle.action.equivariant",
                "equal morphisms stay equal under the fiber action", split_classes())
@@ -887,29 +858,27 @@ def check_bundle_axioms(space: BundleSpace, max_len: int = 3,
 
     def representative_dependence():
         pairs_checked = 0
-        for m1 in one_unit:
+        for s1 in one_unit:
             if pairs_checked > 400:
                 return
-            t1 = space.mor_endpoints(m1)[1]
-            alts1 = list(classes[space.component_of(space.unit_split(m1))])[:2]
-            for m2 in by_source_obj.get(t1, ())[:3]:
-                alts2 = list(classes[space.component_of(space.unit_split(m2))])[:2]
-                comp = space.mor_key(space.mor_compose(m1, m2))
+            alts1 = list(classes[space.component_of(s1)])[:2]
+            for s2 in by_source_obj.get(space.unit_t_obj(s1[-1]), ())[:3]:
+                alts2 = list(classes[space.component_of(s2)])[:2]
+                comp = space.state_key(s1 + s2)
                 for a1 in alts1:
                     for a2 in alts2:
                         pairs_checked += 1
-                        alt = space.mor_compose(space.to_chain(a1), space.to_chain(a2))
-                        if space.mor_key(alt) != comp:
+                        if space.state_key(a1 + a2) != comp:
                             yield "composition depends on chain representatives"
     rep.search("bundle.compose.representative_free",
                "composition does not depend on the chain representative",
                representative_dependence())
 
     # one region's bounded chains at a time, shared by all of its charts
-    max_units = min(max_len, 3)
-    for indices in index_family(cover).members:
+    triv_units = min(max_len, 3)
+    for indices in index_family(cover):
         trivs = [LocalTrivialization(space, i, indices) for i in indices]
-        chains = enumerate_chains(space, max_units, trivs[0].region)
+        chains = enumerate_chains(space, triv_units, trivs[0].region)
         for triv in trivs:
-            rep.merge(triv.check(max_len, max_units, chains))
+            rep.merge(triv.check(max_len, triv_units, chains))
     return rep

@@ -10,7 +10,7 @@ a length-2 walk, not an identity.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import CompositionError, SchemaError
 
@@ -216,16 +216,12 @@ def compose_paths(c: CoverComplex, p2: PathMor, p1: PathMor) -> PathMor:
     return PathMor(p1.start, p1.steps + p2.steps, p1.visited + p2.visited[1:])
 
 
-class IndexFamily(NamedTuple):
+def index_family(c: CoverComplex) -> tuple[tuple[str, ...], ...]:
     """All index subsets with nonempty overlap, ordered by inclusion."""
-    members: tuple[tuple[str, ...], ...]
-
-
-def index_family(c: CoverComplex) -> IndexFamily:
     members = []
     idx = list(c.index_order)
     for r in range(1, len(idx) + 1):
         for combo in combinations(idx, r):
             if overlap(c, combo):
                 members.append(tuple(combo))
-    return IndexFamily(tuple(members))
+    return tuple(members)

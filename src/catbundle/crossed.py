@@ -173,7 +173,6 @@ class SemidirectProduct:
     over pair ids, with maps in both directions."""
 
     def __init__(self, cm: CrossedModule, g_subset: Optional[frozenset[str]] = None):
-        self.cm = cm
         gs = cm.G.elements if g_subset is None else g_subset
         self.id_to_pair = ids = {pair_id(*a): a for a in arrows(cm.H.elements, gs)}
         mul = {}
@@ -202,13 +201,6 @@ class SemidirectProduct:
 
     def to_arrow(self, x: str) -> Arrow:
         return self.id_to_pair[x]
-
-    def source(self, x: str) -> str:
-        return self.id_to_pair[x].g
-
-    def target(self, x: str) -> str:
-        h, g = self.id_to_pair[x]
-        return self.cm.G.op(self.cm.tau(h), g)
 
 
 class ChainedCrossedModules:

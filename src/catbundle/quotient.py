@@ -14,6 +14,7 @@ variant "tau" quotients H x| tau(H), which is a categorical group even when
 tau is not surjective. Products and inverses in H x| G come from
 `crossed.arrow_product` and `arrow_inverse`: the quotient tabulates them once,
 in its SemidirectProduct, and `check_JH_normal` evaluates them on arrows.
+Endpoints and composition come from `arrow_endpoints` and `arrow_compose`.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from .crossed import (
     ChainedCrossedModules,
     SemidirectProduct,
     arrow_co_inverse,
+    arrow_compose,
+    arrow_endpoints,
     arrow_inverse,
     arrow_product,
     arrows,
@@ -183,15 +186,16 @@ class QuotientCatGroup:
 
     def _verify(self) -> Report:
         rep = Report("quotient")
-        par = self.mor_parent
+        par, cm, arrow_of = self.mor_parent, self.chain.outer, self.sd.to_arrow
+        ends = {x: arrow_endpoints(cm, arrow_of(x)) for x in par.elements}
 
         # the first two searches fill the endpoint and composition tables as
         # they scan, so a search that stops at a witness leaves its table partial
         def split_endpoints():
             for mrep in self.morphisms.reps:
                 members = self.morphisms.members_of[mrep]
-                ss = {self.objects.rep(self.sd.source(x)) for x in members}
-                ts = {self.objects.rep(self.sd.target(x)) for x in members}
+                ss = {self.objects.rep(ends[x][0]) for x in members}
+                ts = {self.objects.rep(ends[x][1]) for x in members}
                 if len(ss) != 1 or len(ts) != 1:
                     yield f"coset {mrep!r} has sources {sorted(ss)} targets {sorted(ts)}"
                     continue
@@ -205,15 +209,15 @@ class QuotientCatGroup:
         for mrep in self.morphisms.reps:
             self._by_source.setdefault(self.source[mrep], []).append(mrep)
 
+        # the composable x1 of each x2, in element order
+        by_target: dict[str, list[str]] = {}
+        for x1 in par.elements:
+            by_target.setdefault(ends[x1][1], []).append(x1)
+
         def split_composites():
             for x2 in par.elements:
-                sx2 = self.sd.source(x2)
-                for x1 in par.elements:
-                    if self.sd.target(x1) != sx2:
-                        continue
-                    h2, _ = self.sd.id_to_pair[x2]
-                    h1, g1 = self.sd.id_to_pair[x1]
-                    comp = pair_id(self.chain.H.op(h2, h1), g1)
+                for x1 in by_target.get(ends[x2][0], ()):
+                    comp = pair_id(*arrow_compose(cm, arrow_of(x2), arrow_of(x1)))
                     key = (self.morphisms.rep(x2), self.morphisms.rep(x1))
                     got = self.morphisms.rep(comp)
                     if self._compose.setdefault(key, got) != got:

@@ -115,9 +115,6 @@ class WordOracle:
             walk = compose_paths(self.space.cover, e.walk, walk)
         return (walk.start, walk.steps)
 
-    def word_to_mor(self, w: Word) -> BundleMorphism:
-        return BundleMorphism.chain(w)
-
     # ----- rewrite generators as rational vectors ----------------------------
 
     def _reindex_partners(self, e: QuiverEdge) -> list[QuiverEdge]:
@@ -254,7 +251,7 @@ def check_oracle_agreement(space: BundleSpace, oracle: WordOracle) -> Report:
     rep = Report("oracle")
     words = oracle.all_words()
     labels = [oracle.label(w) for w in words]
-    keys = [space.mor_key(oracle.word_to_mor(w)) for w in words]
+    keys = [space.mor_key(BundleMorphism.chain(w)) for w in words]
 
     witness = None
     n_equal = n_unequal = 0
@@ -295,7 +292,7 @@ def check_congruence_invariants(space: BundleSpace, oracle: WordOracle) -> Repor
     rep = Report("oracle")
     words = oracle.all_words()
     pairs = _equal_positions([oracle.label(w) for w in words])
-    mors = [oracle.word_to_mor(w) for w in words]
+    mors = [BundleMorphism.chain(w) for w in words]
 
     walks = [(p.start, p.steps) for p in map(space.project, mors)]
     rep.search("congruence.proj_invariant", "equal words project to the same base walk", (

@@ -32,6 +32,11 @@ def one_step(space, chart, charts, start, step, phi):
     return BundleMorphism.chain([QuiverEdge(chart, tuple(charts), walk, phi)])
 
 
+def neutral_chain(space, x):
+    """The identity morphism at a canonical object x."""
+    return space.to_chain((space.neutral_unit(x),))
+
+
 def test_object_count_line5w(space_line5w):
     # 5 vertices, 2 fiber object cosets
     assert len(space_line5w.objects_all()) == 10
@@ -104,21 +109,19 @@ def test_act_obj_is_a_free_right_action(space_line5):
                     space.act_obj(x, q.obj_product(a, b))
 
 
-def test_identity_markers_compare_by_object(space_line5):
-    space = space_line5
-    xs = space.objects_all()
-    a, b = xs[0], xs[1]
-    assert space.mor_equal(BundleMorphism.identity(a), BundleMorphism.identity(a))
-    assert not space.mor_equal(BundleMorphism.identity(a), BundleMorphism.identity(b))
-
-
-def test_marker_equals_neutral_zero_length_edge(space_line5):
+def test_neutral_chain_is_a_two_sided_unit(space_line5):
     space, q = space_line5, space_line5.q
-    x = space.canonical_obj("1", "1", q.identity_obj())
-    marker = BundleMorphism.identity(x)
-    edge = QuiverEdge(x.chart, (x.chart,), space.cover.identity_walk("1"),
-                      q.identity_mor_at(x.fiber))
-    assert space.mor_equal(marker, BundleMorphism.chain([edge]))
+    m = one_step(space, "1", ("1",), "1", ("e12", 1), q.morphisms.reps[2])
+    s, t = space.mor_endpoints(m)
+    assert space.mor_equal(space.mor_compose(neutral_chain(space, s), m), m)
+    assert space.mor_equal(space.mor_compose(m, neutral_chain(space, t)), m)
+    # vertex 2 lies in charts 1 and 2: the neutral edge of either is the identity
+    x = space.canonical_obj("2", "2", q.identity_obj())
+    fiber = q.obj_product(space.gbar("2", x.chart, "2"), x.fiber)
+    edge = QuiverEdge("2", ("2",), space.cover.identity_walk("2"),
+                      q.identity_mor_at(fiber))
+    assert x.chart != "2"
+    assert space.mor_equal(neutral_chain(space, x), BundleMorphism.chain([edge]))
 
 
 def test_single_edge_equals_its_reindexing(space_line5):
@@ -156,14 +159,13 @@ def test_act_mor_projection_invariant(space_line5):
         assert space.project(acted).steps == space.project(m).steps
 
 
-def test_act_mor_on_marker_roundtrip(space_line5):
+def test_act_mor_on_neutral_chain_roundtrip(space_line5):
     space, q = space_line5, space_line5.q
-    x = space.canonical_obj("1", "0", q.identity_obj())
-    marker = BundleMorphism.identity(x)
+    identity = neutral_chain(space, space.canonical_obj("1", "0", q.identity_obj()))
     for psi in q.morphisms.reps:
-        acted = space.act_mor(marker, psi)
+        acted = space.act_mor(identity, psi)
         back = space.act_mor(acted, q.mor_inverse(psi))
-        assert space.mor_equal(back, marker)
+        assert space.mor_equal(back, identity)
 
 
 def test_act_mor_by_identity_fixes(space_line5):
@@ -206,11 +208,13 @@ def test_lift_walk_projects_back(space_line5):
         assert (got.start, got.steps) == (walk.start, walk.steps)
 
 
-def test_lift_identity_walk_is_marker(space_line5):
+def test_lift_identity_walk_is_the_neutral_chain(space_line5):
     space = space_line5
     m, err = space.lift_walk(space.cover.identity_walk("2"))
-    assert err is None and m.is_identity
-    assert m.at.fiber == space.q.identity_obj()
+    # the identity fiber coset in the smallest chart holding the vertex
+    x = space.canonical_obj(space.cover.smallest_chart("2"), "2", space.q.identity_obj())
+    assert x.fiber == space.q.identity_obj()
+    assert err is None and m == neutral_chain(space, x)
 
 
 def test_unit_split_then_compact_is_walk_length(space_line5w):
@@ -261,14 +265,16 @@ def test_trivialization_checks_pass_on_line5(space_line5):
 
 def test_trivialization_on_pair_identity_case(space_line5):
     space, q = space_line5, space_line5.q
-    triv = LocalTrivialization(space_line5, "1", ("1",))
-    m = triv.on_pair(space.cover.identity_walk("1"),
+    triv = LocalTrivialization(space_line5, "2", ("2",))
+    m = triv.on_pair(space.cover.identity_walk("2"),
                      q.identity_mor_at(q.identity_obj()))
-    assert m.is_identity
+    x = triv.on_object("2", q.identity_obj())
+    assert space.mor_endpoints(m) == (x, x)
+    assert space.mor_equal(m, neutral_chain(space, x))
 
 
 def test_bundle_axioms_on_line5(space_line5):
-    rep = check_bundle_axioms(space_line5, max_len=2, max_units=2)
+    rep = check_bundle_axioms(space_line5, max_len=2)
     assert rep.ok, rep.failures()
     ids = {c.check_id for c in rep.checks}
     assert "bundle.proj.obj_surjective" in ids
@@ -279,7 +285,7 @@ def test_bundle_axioms_on_line5(space_line5):
 
 def test_bundle_axioms_on_cycle6(space_cycle6):
     # charts 1 = {0,1,2} and 3 = {0,4,5} meet only in vertex 0
-    rep = check_bundle_axioms(space_cycle6, max_len=2, max_units=2)
+    rep = check_bundle_axioms(space_cycle6, max_len=2)
     assert rep.ok, rep.failures()
     assert "bundle.mor.torsor" in {c.check_id for c in rep.checks}
 
@@ -401,7 +407,7 @@ def test_mor_equal_validates_both_arguments_whatever_the_other_walk(inst_line5):
         [QuiverEdge("1", ("1",), PathMor("0", (("e01", 1),), ("0", "2")), phi)])
     lifted, _ = space.lift_walk(space.cover.walk("0", [("e01", 1), ("e12", 1)]))
     others = [lifted, BundleMorphism.chain([e1]),
-              BundleMorphism.identity(space.objects_all()[0])]
+              neutral_chain(space, space.objects_all()[0])]
     for bad, error in ((broken, CompositionError), (forged, SchemaError)):
         for other in others + [bad]:
             with pytest.raises(error):
@@ -436,12 +442,13 @@ def test_value_reprs_are_pinned(space_line5w):
     space = space_line5w
     x = space.objects_all()[0]
     assert repr(x) == "BundleObject(chart='1', vertex='0', fiber='(12)')"
-    assert repr(BundleMorphism.identity(x)) == (
-        "BundleMorphism(at=BundleObject(chart='1', vertex='0', fiber='(12)'), "
-        "edges=())")
+    assert repr(neutral_chain(space, x)) == (
+        "BundleMorphism(edges=(QuiverEdge(chart='1', charts=('1',), "
+        "walk=PathMor(start='0', steps=(), visited=('0',)), "
+        "phi='((123),(12))'),))")
     m, _ = space.lift_walk(space.cover.walk("0", [("e01", 1)]))
     assert repr(m) == (
-        "BundleMorphism(at=None, edges=(QuiverEdge(chart='1', charts=('1',), "
+        "BundleMorphism(edges=(QuiverEdge(chart='1', charts=('1',), "
         "walk=PathMor(start='0', steps=(('e01', 1),), visited=('0', '1')), "
         "phi='((123),(123))'),))")
 
@@ -479,7 +486,7 @@ def test_glue_consistent_names_its_first_split(inst_line5, monkeypatch):
     # both fiber cosets of (2, 2) split from their chart-3 transport
     space = fresh_space(inst_line5)
     plant_gbar(monkeypatch, space, ("3", "2", "2"))
-    rep = check_bundle_axioms(space, 1, 1)
+    rep = check_bundle_axioms(space, 1)
     glue = {c.check_id: c for c in rep.failures()}["bundle.objects.glue_consistent"]
     first = space.q.objects.reps[0]
     assert glue.witness == f"(2, 2, {first}) and its 3 transport split"

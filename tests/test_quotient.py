@@ -11,7 +11,7 @@ import json
 import perm_oracle as oracle
 import pytest
 
-from catbundle.crossed import SemidirectProduct, pair_id
+from catbundle.crossed import SemidirectProduct, arrow_endpoints, pair_id
 from catbundle.errors import SchemaError
 from catbundle.groups import FiniteGroup
 from catbundle.quotient import (
@@ -131,8 +131,9 @@ def test_source_target_descend(chain_s3, quotient_s3):
     for x in sd.group.elements:
         a = sd.to_arrow(x)
         mrep = q.q_mor(a)
-        assert q.source[mrep] == q.objects.rep(sd.source(x))
-        assert q.target[mrep] == q.objects.rep(sd.target(x))
+        s, t = arrow_endpoints(chain_s3.outer, a)
+        assert q.source[mrep] == q.objects.rep(s)
+        assert q.target[mrep] == q.objects.rep(t)
 
 
 def test_compose_descends_on_reps(quotient_s3):

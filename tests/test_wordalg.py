@@ -9,6 +9,7 @@ the full line, 176 words in total.
 
 import pytest
 
+from catbundle.bundle import BundleMorphism
 from catbundle.errors import PreconditionError
 from catbundle.wordalg import (
     WordOracle,
@@ -87,6 +88,32 @@ def test_congruence_invariants(space_dirline3, word_oracle):
     ids = {c.check_id for c in rep.checks}
     assert {"congruence.proj_invariant", "congruence.endpoints",
             "congruence.action_equivariant"} <= ids
+
+
+def act_edgewise(space, word, psi):
+    """The right action edge by edge: the last edge's decoration times psi,
+    each earlier one's times the identity coset at the source of psi, every
+    index set kept."""
+    q = space.q
+    unit = q.identity_mor_at(q.source[psi])
+    return tuple(e._replace(phi=q.mor_product(e.phi, psi if n == len(word) - 1 else unit))
+                 for n, e in enumerate(word))
+
+
+def test_act_mor_agrees_with_the_edgewise_action(space_dirline3, word_oracle):
+    # act_mor splits each edge into unit steps, so on a multi-step edge it
+    # gives another chain; both deciders must put the two in one class
+    space = space_dirline3
+    pairs = rechained = 0
+    for w in word_oracle.all_words():
+        for psi in space.q.morphisms.reps:
+            acted = space.act_mor(BundleMorphism.chain(w), psi)
+            edgewise = BundleMorphism.chain(act_edgewise(space, w, psi))
+            assert word_oracle.label(acted.edges) == word_oracle.label(edgewise.edges)
+            assert space.mor_key(acted) == space.mor_key(edgewise)
+            pairs += 1
+            rechained += acted != edgewise
+    assert pairs == 704 and rechained > 0
 
 
 def test_each_word_and_each_action_keyed_once(space_dirline3, word_oracle, monkeypatch):
