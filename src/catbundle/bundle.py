@@ -51,11 +51,21 @@ at most once per space, and `_keys` holds raw and compacted states, both
 bounded by the states keyed. The law battery works on the enumerated unit
 states themselves: it keys each with `state_key`, acts on it with
 `act_state` and composes by concatenation, so it builds no chain. A local
-trivialization memoizes the key of each (walk, fiber morphism) pair for one
-check. The space also memoizes each unit's decoration re-indexed into each
-chart, and the chart that each pair of adjacent steps merges into. Both range
-over sets fixed by the base and the fiber, so neither grows with the number
-of chains.
+trivialization builds and validates the image `on_pair(walk, phi)` of each
+(walk, fiber morphism) pair once per check and stores its key and its unit
+split. Its `functorial` and `equivariant` checks key unit states: the
+concatenation of two images, and an image acted on by `act_state`. These are
+the keys of the chains that `mor_compose` and `act_mor` build, since
+`unit_split` works edge by edge and `act_mor` only splits a chain, acts with
+`act_state` and rebuilds it; `mor_compose`'s `check_junction` runs on the
+units.
+Its `mor_surjective` check folds each bounded chain onto its prefix
+(`chart_cosets`): a chain's walk and chart coset are its prefix's plus one
+step, and only the chains shorter than the bound are kept, for one check.
+The space also memoizes each unit's decoration re-indexed into each chart,
+and the chart that each pair of adjacent steps merges into. Both range over
+sets fixed by the base and the fiber, so neither grows with the number of
+chains.
 
 `BundleObject`, `QuiverEdge` and `BundleMorphism` are named tuples, so they
 are built, hashed and compared in C; their reprs are the field-by-field form
@@ -76,7 +86,7 @@ decoration), a two-sided unit under concatenation.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .complexes import (
     PathMor,
@@ -511,14 +521,17 @@ class BundleSpace:
         """Validate both morphisms, then compare their keys."""
         return self.mor_key(a) == self.mor_key(b)
 
-    def mor_compose(self, first: BundleMorphism, second: BundleMorphism) -> BundleMorphism:
-        """Diagrammatic: first, then second. Needs t(first) = s(second)."""
-        t1 = self.mor_endpoints(first)[1]
-        s2 = self.mor_endpoints(second)[0]
+    @staticmethod
+    def check_junction(t1: BundleObject, s2: BundleObject) -> None:
+        """Raise unless a morphism ending at t1 composes with one starting at s2."""
         if t1 != s2:
             raise CompositionError(
                 f"cannot compose: first ends at {t1}, second starts at {s2}"
             )
+
+    def mor_compose(self, first: BundleMorphism, second: BundleMorphism) -> BundleMorphism:
+        """Diagrammatic: first, then second. Needs t(first) = s(second)."""
+        self.check_junction(self.mor_endpoints(first)[1], self.mor_endpoints(second)[0])
         return BundleMorphism.chain(first.edges + second.edges)
 
     # ----- constructive lifts and reductions ---------------------------------
@@ -552,15 +565,6 @@ class BundleSpace:
         m = BundleMorphism.chain(edges)
         self.mor_endpoints(m)
         return m, None
-
-    def reduce_state(self, state: State, i: str) -> str:
-        """Re-index every unit of `state` into chart i and compose the
-        decorations: the coset that chart i gives the state's walk."""
-        total = None
-        for unit in state:
-            a = self._move_unit(i, unit)
-            total = a if total is None else self.q.compose_of(a, total)
-        return total
 
 
 def enumerate_base_walks(cover, max_len: int) -> list[PathMor]:
@@ -613,6 +617,32 @@ def enumerate_chains(space: BundleSpace, max_units: int,
     return out
 
 
+def chart_cosets(space: BundleSpace, chains: Iterable[State], i: str,
+                 max_units: int) -> Iterator[tuple[State, tuple, str]]:
+    """(state, walk signature, chart-i coset) of each chain, in order: every
+    unit re-indexed into chart i and the decorations composed, a left fold.
+
+    `chains` lists each chain after its prefix, as `enumerate_chains` does, so
+    a chain's value is its prefix's plus one step and one `compose_of`. Only
+    the values of chains shorter than `max_units` are kept, and only until
+    the generator is dropped."""
+    prefixes: dict[State, tuple[str, tuple, str]] = {}
+    for st in chains:
+        last = st[-1]
+        step = last[1]
+        coset = space._move_unit(i, last)
+        if len(st) == 1:
+            start, steps = space._step_walk(step).start, ()
+        else:
+            start, steps, prefix_coset = prefixes[st[:-1]]
+            coset = space.q.compose_of(coset, prefix_coset)
+        if step[0] == "e":
+            steps += ((step[1], step[2]),)
+        if len(st) < max_units:
+            prefixes[st] = (start, steps, coset)
+        yield st, (start, steps), coset
+
+
 class LocalTrivialization:
     """The comparison functor from (walks inside an overlap) x (fiber 2-group)
     to the bundle restricted over that overlap: chart i carries the data."""
@@ -649,21 +679,36 @@ class LocalTrivialization:
         """The comparison-functor laws over walks of at most max_len steps.
         `chains` are the bounded chains over the overlap, as
         `enumerate_chains(space, max_units, self.region)` gives them, for
-        callers that check several charts of one index set."""
+        callers that check several charts of one index set.
+
+        The image of each (walk, phi) is built, validated, keyed and split
+        into units once. `functorial` keys the concatenated unit states of
+        two images after checking their junction, and `equivariant` keys an
+        image's state acted on by `act_state`; both keys equal those of the
+        chains `mor_compose` and `act_mor` would build. `mor_surjective`
+        reads each chain's chart-i coset from its prefix's (`chart_cosets`)."""
         space, q = self.space, self.space.q
         tag = f"triv.{self.i}.{''.join(self.indices)}"
         rep = Report("bundle")
         walks = enumerate_paths(space.cover, self.indices, max_len)
         mreps = q.morphisms.reps
-        pair_keys: dict[tuple, tuple] = {}
+        pairs: dict[tuple, tuple[tuple, State]] = {}
+
+        def pair(start: str, steps: tuple, phi: str) -> tuple[tuple, State]:
+            """(mor_key, unit_split) of on_pair(walk, phi), memoized by
+            (start, steps, phi): the only place an image is validated and
+            keyed."""
+            hit = pairs.get((start, steps, phi))
+            if hit is None:
+                m = self.on_pair(space.cover.walk(start, steps), phi)
+                hit = pairs[start, steps, phi] = (space.mor_key(m), space.unit_split(m))
+            return hit
 
         def pair_key(start: str, steps: tuple, phi: str) -> tuple:
-            """mor_key(on_pair(walk, phi)), memoized by (start, steps, phi)."""
-            key = pair_keys.get((start, steps, phi))
-            if key is None:
-                key = space.mor_key(self.on_pair(space.cover.walk(start, steps), phi))
-                pair_keys[start, steps, phi] = key
-            return key
+            return pair(start, steps, phi)[0]
+
+        def pair_state(w: PathMor, phi: str) -> State:
+            return pair(w.start, w.steps, phi)[1]
 
         def object_misses():
             images = set()
@@ -698,10 +743,9 @@ class LocalTrivialization:
             chains = enumerate_chains(space, max_units, self.region)
 
         def misses():
-            for st in chains:
-                # unit_split(to_chain(st)) == st, so st is keyed as it stands
-                start, steps = space._walk_sig(st)
-                if space.state_key(st) != pair_key(start, steps, space.reduce_state(st, self.i)):
+            # unit_split(to_chain(st)) == st, so st is keyed as it stands
+            for st, (start, steps), coset in chart_cosets(space, chains, self.i, max_units):
+                if space.state_key(st) != pair_key(start, steps, coset):
                     yield f"chain {st} is not equal to its chart-{self.i} reduction"
         rep.search(f"{tag}.mor_surjective",
                    "every bounded chain over the overlap is hit by the functor", misses())
@@ -715,9 +759,10 @@ class LocalTrivialization:
                     for m1 in mreps:
                         for m2 in q.mors_with_source(q.target[m1]):
                             lhs = pair_key(w21.start, w21.steps, q.compose_of(m2, m1))
-                            rhs = space.mor_compose(self.on_pair(w1, m1),
-                                                    self.on_pair(w2, m2))
-                            if space.mor_key(rhs) != lhs:
+                            s1, s2 = pair_state(w1, m1), pair_state(w2, m2)
+                            space.check_junction(space.unit_t_obj(s1[-1]),
+                                                 space.unit_s_obj(s2[0]))
+                            if space.state_key(s1 + s2) != lhs:
                                 yield (f"composite of ({w1.steps}, {m1}) then "
                                        f"({w2.steps}, {m2}) disagrees")
         rep.search(f"{tag}.functorial",
@@ -726,10 +771,10 @@ class LocalTrivialization:
         def unequivariant():
             for w in walks:
                 for m1 in mreps:
-                    m = self.on_pair(w, m1)
                     for psi in mreps:
                         lhs = pair_key(w.start, w.steps, q.mor_product(m1, psi))
-                        if space.mor_key(space.act_mor(m, psi)) != lhs:
+                        acted = space.act_state(pair_state(w, m1), psi)
+                        if space.state_key(acted) != lhs:
                             yield f"action by {psi} breaks on ({w.steps}, {m1})"
         rep.search(f"{tag}.equivariant",
                    "the functor intertwines the right fiber actions", unequivariant())

@@ -174,6 +174,10 @@ class QuotientCatGroup:
         self.target: dict[str, str] = {}
         self._compose: dict[tuple[str, str], str] = {}
         self._by_source: dict[str, list[str]] = {}
+        # coset products and identities, filled on first use
+        self._obj_products: dict[tuple[str, str], str] = {}
+        self._mor_products: dict[tuple[str, str], str] = {}
+        self._identities: dict[str, str] = {}
         self.verification = self._verify()
         if not self.verification.ok:
             raise InternalInvariantError(
@@ -301,14 +305,20 @@ class QuotientCatGroup:
     # ----- coset-level operations ------------------------------------------
 
     def obj_product(self, a: str, b: str) -> str:
-        if not self.obj_normal:
-            raise PreconditionError("object cosets do not form a group here")
-        return self.objects.rep(self.obj_parent.op(a, b))
+        val = self._obj_products.get((a, b))
+        if val is None:
+            if not self.obj_normal:
+                raise PreconditionError("object cosets do not form a group here")
+            val = self._obj_products[a, b] = self.objects.rep(self.obj_parent.op(a, b))
+        return val
 
     def mor_product(self, a: str, b: str) -> str:
-        if not self.mor_normal:
-            raise PreconditionError("morphism cosets do not form a group here")
-        return self.morphisms.rep(self.mor_parent.op(a, b))
+        val = self._mor_products.get((a, b))
+        if val is None:
+            if not self.mor_normal:
+                raise PreconditionError("morphism cosets do not form a group here")
+            val = self._mor_products[a, b] = self.morphisms.rep(self.mor_parent.op(a, b))
+        return val
 
     def mor_inverse(self, a: str) -> str:
         if not self.mor_normal:
@@ -331,7 +341,11 @@ class QuotientCatGroup:
             ) from None
 
     def identity_mor_at(self, orep: str) -> str:
-        return self.morphisms.rep(pair_id(self.chain.H.identity, orep))
+        val = self._identities.get(orep)
+        if val is None:
+            val = self._identities[orep] = self.morphisms.rep(
+                pair_id(self.chain.H.identity, orep))
+        return val
 
     def identity_obj(self) -> str:
         return self.objects.rep(self.obj_parent.identity)

@@ -11,10 +11,11 @@ from catbundle.bundle import (
     BundleSpace,
     LocalTrivialization,
     QuiverEdge,
+    chart_cosets,
     check_bundle_axioms,
     enumerate_chains,
 )
-from catbundle.complexes import PathMor
+from catbundle.complexes import PathMor, enumerate_paths, index_family
 from catbundle.errors import (
     CompositionError,
     PreconditionError,
@@ -416,14 +417,79 @@ def test_mor_equal_validates_both_arguments_whatever_the_other_walk(inst_line5):
                 space.mor_equal(other, bad)
 
 
-def test_reduce_state_is_the_chart_coset_of_a_chain(space_line5):
-    space = space_line5
+def test_chart_cosets_fold_each_chain_onto_its_prefix(space_line5):
+    # 3-unit chains, so the fold reads prefixes that were folded themselves
+    space, q = space_line5, space_line5.q
     triv = LocalTrivialization(space, "1", ("1", "2"))
-    for st in enumerate_chains(space, 2, triv.region)[:300]:
+    chains = enumerate_chains(space, 3, triv.region)
+    folded = list(chart_cosets(space, chains, "1", 3))
+    assert [st for st, _, _ in folded] == chains
+    assert Counter(map(len, chains))[3] > 1000
+    for st, sig, coset in folded:
+        total = space._move_unit("1", st[0])
+        for unit in st[1:]:
+            total = q.compose_of(space._move_unit("1", unit), total)
+        assert coset == total
         m = space.to_chain(st)
         walk = space.project(m)
-        assert (walk.start, walk.steps) == space._walk_sig(st)
-        assert space.mor_equal(m, triv.on_pair(walk, space.reduce_state(st, "1")))
+        assert (walk.start, walk.steps) == sig
+        assert space.mor_equal(m, triv.on_pair(walk, coset))
+
+
+def test_trivialization_state_keys_are_the_chain_keys(space_line5):
+    # the functorial and equivariant checks key unit states; each key must be
+    # the key of the chain that mor_compose or act_mor builds
+    space, q = space_line5, space_line5.q
+    mreps = q.morphisms.reps
+    for indices in index_family(space.cover):
+        walks = enumerate_paths(space.cover, indices, 2)
+        for i in indices:
+            triv = LocalTrivialization(space, i, indices)
+            for w1 in walks:
+                for m1 in mreps:
+                    f = triv.on_pair(w1, m1)
+                    s1 = space.unit_split(f)
+                    for psi in mreps:
+                        assert space.state_key(space.act_state(s1, psi)) == \
+                            space.mor_key(space.act_mor(f, psi))
+                    for w2 in walks:
+                        if w1.end != w2.start or len(w1) + len(w2) > 2:
+                            continue
+                        for m2 in q.mors_with_source(q.target[m1]):
+                            g = triv.on_pair(w2, m2)
+                            assert space.state_key(s1 + space.unit_split(g)) == \
+                                space.mor_key(space.mor_compose(f, g))
+
+
+def test_an_action_that_does_nothing_fails_the_equivariance_checks(inst_line5, monkeypatch):
+    space = fresh_space(inst_line5)
+    monkeypatch.setattr(space, "act_state", lambda state, psi: state)
+    failed = {c.check_id for c in check_bundle_axioms(space, 2).failures()}
+    equivariant = {f"triv.{i}.{''.join(indices)}.equivariant"
+                   for indices in index_family(space.cover) for i in indices}
+    assert "bundle.action.mor_free" in failed
+    assert equivariant <= failed
+
+
+def test_a_broken_on_pair_fails_composition_at_the_junction(inst_line5, monkeypatch):
+    # the image of every 2-step walk is shifted by a coset off the identity
+    # object, so its ends no longer meet the images it is composed with
+    space = fresh_space(inst_line5)
+    q = space.q
+    shift = next(r for r in q.morphisms.reps if q.source[r] != q.identity_obj())
+    triv = LocalTrivialization(space, "1", ("1",))
+    on_pair = triv.on_pair
+
+    def planted(walk, mrep):
+        m = on_pair(walk, mrep)
+        if len(walk) != 2:
+            return m
+        e = m.edges[0]
+        return BundleMorphism.chain([e._replace(phi=q.mor_product(e.phi, shift))])
+    monkeypatch.setattr(triv, "on_pair", planted)
+    with pytest.raises(CompositionError, match=r"^cannot compose: first ends at ") as err:
+        triv.check(max_len=2, max_units=1)
+    assert "bad_composites" in {entry.name for entry in err.traceback}
 
 
 def test_lift_walk_rejects_a_broken_chain(inst_line5):

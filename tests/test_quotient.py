@@ -194,3 +194,27 @@ def test_classical_cocycle_on_generated_data(inst_line5w, quotient_s3):
     fc = FunctorialCocycle(inst_line5w.gc)
     rep = check_classical_cocycle(fc, quotient_s3, max_len=3)
     assert rep.ok, rep.failures()
+
+
+@pytest.mark.parametrize("chain_fixture", ["chain_s3", "chain_s4"])
+def test_coset_products_are_memoized_and_total(request, chain_fixture):
+    # a fresh quotient, so the first call of each argument pair misses; every
+    # parent element counts, reps and non-reps alike
+    q = build_quotient(request.getfixturevalue(chain_fixture))
+    objs, mors = q.obj_parent.elements, q.mor_parent.elements
+    for _ in range(2):
+        for a in objs:
+            assert q.identity_mor_at(a) == q.morphisms.rep(pair_id(q.chain.H.identity, a))
+            for b in objs:
+                assert q.obj_product(a, b) == q.objects.rep(q.obj_parent.op(a, b))
+        for a in mors:
+            for b in mors:
+                assert q.mor_product(a, b) == q.morphisms.rep(q.mor_parent.op(a, b))
+    a = q.morphisms.reps[0]
+    for _ in range(2):
+        with pytest.raises(SchemaError):
+            q.mor_product(a, "nope")
+        with pytest.raises(SchemaError):
+            q.obj_product("nope", q.identity_obj())
+        with pytest.raises(SchemaError):
+            q.identity_mor_at("nope")
