@@ -39,7 +39,6 @@ __all__ = [
     "QuotientCatGroup",
     "Report",
     "SchemaError",
-    "SemidirectProduct",
     "WordOracle",
     "build_instance",
     "build_quotient",
@@ -86,7 +85,6 @@ _HOME = {
     "QuotientCatGroup": "quotient",
     "Report": "report",
     "SchemaError": "errors",
-    "SemidirectProduct": "crossed",
     "WordOracle": "wordalg",
     "build_instance": "presets",
     "build_quotient": "quotient",

@@ -11,12 +11,14 @@ source (h, g) = g, target (h, g) = tau(h) g, and (h2, g2) o (h1, g1) =
 (h2 h1, g1) when g2 = tau(h1) g1. As a group: the semidirect product
 (h2, g2) (h1, g1) = (h2 alpha_{g2}(h1), g2 g1) and (h, g)^-1 =
 (alpha_{g^-1}(h^-1), g^-1), written only in `arrow_product` and `arrow_inverse`.
-The validators below check each law exhaustively and report witnesses.
+No table of H x| G is built: its users multiply arrows where they need a
+product, and name them by `pair_id`. The validators below check each law
+exhaustively and report witnesses.
 """
 
 from __future__ import annotations
 
-from typing import Collection, Iterable, NamedTuple, Optional
+from typing import Collection, Iterable, NamedTuple
 
 from .errors import CompositionError, SchemaError
 from .groups import FiniteGroup, GroupAction, GroupHom, validate_action, validate_group, validate_hom
@@ -157,7 +159,7 @@ def arrow_identity(cm: CrossedModule, g: str) -> Arrow:
 
 
 # ---------------------------------------------------------------------------
-# semidirect products as explicit groups
+# pair ids
 
 def pair_id(h: str, g: str) -> str:
     return f"({h},{g})"
@@ -166,41 +168,6 @@ def pair_id(h: str, g: str) -> str:
 def arrows(hs: Iterable[str], gs: Collection[str]) -> list[Arrow]:
     """The arrows (h, g) with h in `hs` and g in `gs`, in pair-id order."""
     return sorted((Arrow(h, g) for h in hs for g in gs), key=lambda a: pair_id(*a))
-
-
-class SemidirectProduct:
-    """H x|_alpha G, or H x| S for a closed subset S of G, as a FiniteGroup
-    over pair ids, with maps in both directions."""
-
-    def __init__(self, cm: CrossedModule, g_subset: Optional[frozenset[str]] = None):
-        gs = cm.G.elements if g_subset is None else g_subset
-        self.id_to_pair = ids = {pair_id(*a): a for a in arrows(cm.H.elements, gs)}
-        mul = {}
-        inv = {}
-        for x, a2 in ids.items():
-            inv[x] = pair_id(*arrow_inverse(cm, a2))
-            if inv[x] not in ids:
-                raise SchemaError(
-                    f"semidirect: subset of {cm.G.name!r} not closed under inverse at {a2.g!r}"
-                )
-            for y, a1 in ids.items():
-                px = pair_id(*arrow_product(cm, a2, a1))
-                if px not in ids:
-                    raise SchemaError(
-                        f"semidirect: subset of {cm.G.name!r} not closed at ({a2.g!r}, {a1.g!r})"
-                    )
-                mul[(x, y)] = px
-        self.group = FiniteGroup(f"{cm.H.name}x|{cm.G.name}", list(ids), mul,
-                                 pair_id(cm.H.identity, cm.G.identity), inv)
-
-    def to_id(self, a: Arrow) -> str:
-        x = pair_id(a.h, a.g)
-        if x not in self.id_to_pair:
-            raise SchemaError(f"pair {x!r} is not in {self.group.name!r}")
-        return x
-
-    def to_arrow(self, x: str) -> Arrow:
-        return self.id_to_pair[x]
 
 
 class ChainedCrossedModules:

@@ -24,7 +24,7 @@ theta, and the product relation Theta theta_ik theta_km = theta_im.
 
 from __future__ import annotations
 
-from .complexes import PathMor, enumerate_paths, overlap, walk_inside
+from .complexes import PathMor, compose_paths, enumerate_paths, overlap, walk_inside
 from .crossed import Arrow, arrow_compose, arrow_endpoints, arrow_identity, arrow_product
 from .errors import CompositionError, DomainError
 from .gerbal import GerbalCocycle, derive_tower
@@ -104,8 +104,7 @@ def check_theta_functorial(fc: FunctorialCocycle, i: str, k: str, max_len: int =
             for w2 in walks:
                 if w1.end != w2.start:
                     continue
-                comp = PathMor(w1.start, w1.steps + w2.steps, w1.visited + w2.visited[1:])
-                lhs = eval_theta(fc, i, k, comp)
+                lhs = eval_theta(fc, i, k, compose_paths(fc.cover, w2, w1))
                 try:
                     rhs = arrow_compose(cm, eval_theta(fc, i, k, w2),
                                         eval_theta(fc, i, k, w1))

@@ -31,8 +31,3 @@ class SplitMix64:
             x = self.next64()
             if x < limit:
                 return x % n
-
-    def choice(self, seq):
-        if not seq:
-            raise ValueError("choice() on an empty sequence")
-        return seq[self.below(len(seq))]

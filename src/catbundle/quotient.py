@@ -12,18 +12,20 @@ exhaustively rather than assumed. The variant is chosen from tau's image:
 when tau is onto G the variant "full" quotients H x| G, and otherwise the
 variant "tau" quotients H x| tau(H), which is a categorical group even when
 tau is not surjective. Products and inverses in H x| G come from
-`crossed.arrow_product` and `arrow_inverse`: the quotient tabulates them once,
-in its SemidirectProduct, and `check_JH_normal` evaluates them on arrows.
-Endpoints and composition come from `arrow_endpoints` and `arrow_compose`.
+`crossed.arrow_product` and `arrow_inverse`, evaluated on arrows where they
+are used: the quotient keeps only a pair-id -> Arrow map of H x| tau(H) and
+builds no table of it. Endpoints and composition come from `arrow_endpoints`
+and `arrow_compose`.
 """
 
 from __future__ import annotations
+
+from typing import Callable, Iterable
 
 from .complexes import enumerate_paths, overlap
 from .crossed import (
     Arrow,
     ChainedCrossedModules,
-    SemidirectProduct,
     arrow_co_inverse,
     arrow_compose,
     arrow_endpoints,
@@ -35,47 +37,54 @@ from .crossed import (
 from .errors import CompositionError, InternalInvariantError, PreconditionError, SchemaError
 from .functorial import FunctorialCocycle, eval_Theta, eval_theta
 from .gerbal import required_pairs, required_triples
-from .groups import FiniteGroup, subgroup_as_group
+from .groups import subgroup_as_group
 from .report import Report
 
 
 class CosetSpace:
-    """Left cosets of a subgroup, with the smallest member id as canonical rep."""
+    """Left cosets of a subgroup, with the smallest member id as canonical rep;
+    the parent group is given by its name, ids, identity, product and inverse."""
 
-    def __init__(self, parent: FiniteGroup, subgroup: frozenset[str]):
+    def __init__(self, name: str, elements: Iterable[str], identity: str,
+                 op: Callable[[str, str], str], inverse: Callable[[str], str],
+                 subgroup: frozenset[str]):
+        self.name = name
+        self.elements = tuple(elements)
+        self.op = op
+        self.inverse = inverse
+        element_set = frozenset(self.elements)
         # sorted, so the first violation reported does not depend on the hash seed
-        elements = sorted(subgroup)
-        for s in elements:
-            if s not in parent.element_set:
-                raise SchemaError(f"coset space: {s!r} is not in {parent.name!r}")
-        if parent.identity not in subgroup:
+        members = sorted(subgroup)
+        for s in members:
+            if s not in element_set:
+                raise SchemaError(f"coset space: {s!r} is not in {name!r}")
+        if identity not in subgroup:
             raise SchemaError("coset space: subgroup misses the identity")
-        for a in elements:
-            if parent.inverse(a) not in subgroup:
+        for a in members:
+            if inverse(a) not in subgroup:
                 raise SchemaError(f"coset space: subgroup not closed under inverse at {a!r}")
-            for b in elements:
-                if parent.op(a, b) not in subgroup:
+            for b in members:
+                if op(a, b) not in subgroup:
                     raise SchemaError(f"coset space: subgroup not closed at ({a!r}, {b!r})")
-        self.parent = parent
         self.subgroup = frozenset(subgroup)
         self.coset_of: dict[str, str] = {}
-        members: dict[str, tuple[str, ...]] = {}
-        for x in sorted(parent.elements):
+        cosets: dict[str, tuple[str, ...]] = {}
+        for x in sorted(self.elements):
             if x in self.coset_of:
                 continue
-            coset = sorted(parent.op(x, s) for s in subgroup)
+            coset = sorted(op(x, s) for s in subgroup)
             rep = coset[0]
             for y in coset:
                 self.coset_of[y] = rep
-            members[rep] = tuple(coset)
-        self.members_of = members
-        self.reps = tuple(sorted(members))
+            cosets[rep] = tuple(coset)
+        self.members_of = cosets
+        self.reps = tuple(sorted(cosets))
 
     def rep(self, x: str) -> str:
         try:
             return self.coset_of[x]
         except KeyError:
-            raise SchemaError(f"coset space: {x!r} is not in {self.parent.name!r}") from None
+            raise SchemaError(f"coset space: {x!r} is not in {self.name!r}") from None
 
     @property
     def size(self) -> int:
@@ -157,16 +166,18 @@ class QuotientCatGroup:
         self.chain = chain
         self.variant = variant_for(chain)
         tau_image = chain.tau.image()
-        self.obj_parent = chain.G if self.variant == "full" else subgroup_as_group(
+        self.obj_parent = par = chain.G if self.variant == "full" else subgroup_as_group(
             chain.G, tau_image, f"tau({chain.H.name})")
-        # in the "full" variant tau(H) is all of G, so this is H x| G
-        self.sd = SemidirectProduct(chain.outer, tau_image)
-        self.mor_parent = self.sd.group
-        self.objects = CosetSpace(self.obj_parent, frozenset(chain.tau_tau_p_image))
-        self.morphisms = CosetSpace(self.mor_parent, build_JH(chain))
+        # H x| tau(H), which in the "full" variant is H x| G, by pair id
+        self.arrow_of = {pair_id(*a): a for a in arrows(chain.H.elements, tau_image)}
+        self.objects = CosetSpace(par.name, par.elements, par.identity, par.op, par.inverse,
+                                  frozenset(chain.tau_tau_p_image))
+        self.morphisms = CosetSpace(f"{chain.H.name}x|{chain.G.name}", self.arrow_of,
+                                    pair_id(chain.H.identity, chain.G.identity),
+                                    self._arrow_op, self._arrow_inverse, build_JH(chain))
 
-        self.obj_normal = self._subgroup_normal(self.obj_parent, self.objects.subgroup)
-        self.mor_normal = self._subgroup_normal(self.mor_parent, self.morphisms.subgroup)
+        self.obj_normal = self._subgroup_normal(self.objects)
+        self.mor_normal = self._subgroup_normal(self.morphisms)
 
         # source and target per morphism coset, plus the composition table;
         # filled by _verify, which also confirms they are well defined
@@ -184,14 +195,28 @@ class QuotientCatGroup:
                 f"quotient structure does not descend: {self.verification.first_witness()}"
             )
 
+    def arrow(self, x: str) -> Arrow:
+        """The arrow of H x| tau(H) with pair id `x`."""
+        try:
+            return self.arrow_of[x]
+        except KeyError:
+            raise SchemaError(f"pair {x!r} is not in {self.morphisms.name!r}") from None
+
+    def _arrow_op(self, x: str, y: str) -> str:
+        return pair_id(*arrow_product(self.chain.outer, self.arrow(x), self.arrow(y)))
+
+    def _arrow_inverse(self, x: str) -> str:
+        return pair_id(*arrow_inverse(self.chain.outer, self.arrow(x)))
+
     @staticmethod
-    def _subgroup_normal(parent: FiniteGroup, sub: frozenset[str]) -> bool:
-        return all(parent.conj(g, s) in sub for g in parent.elements for s in sub)
+    def _subgroup_normal(space: CosetSpace) -> bool:
+        sub, op = space.subgroup, space.op
+        return all(op(op(g, s), space.inverse(g)) in sub for g in space.elements for s in sub)
 
     def _verify(self) -> Report:
         rep = Report("quotient")
-        par, cm, arrow_of = self.mor_parent, self.chain.outer, self.sd.to_arrow
-        ends = {x: arrow_endpoints(cm, arrow_of(x)) for x in par.elements}
+        cm, arrow_of = self.chain.outer, self.arrow_of
+        ends = {x: arrow_endpoints(cm, a) for x, a in arrow_of.items()}
 
         # the first two searches fill the endpoint and composition tables as
         # they scan, so a search that stops at a witness leaves its table partial
@@ -215,13 +240,13 @@ class QuotientCatGroup:
 
         # the composable x1 of each x2, in element order
         by_target: dict[str, list[str]] = {}
-        for x1 in par.elements:
+        for x1 in arrow_of:
             by_target.setdefault(ends[x1][1], []).append(x1)
 
         def split_composites():
-            for x2 in par.elements:
+            for x2 in arrow_of:
                 for x1 in by_target.get(ends[x2][0], ()):
-                    comp = pair_id(*arrow_compose(cm, arrow_of(x2), arrow_of(x1)))
+                    comp = pair_id(*arrow_compose(cm, arrow_of[x2], arrow_of[x1]))
                     key = (self.morphisms.rep(x2), self.morphisms.rep(x1))
                     got = self.morphisms.rep(comp)
                     if self._compose.setdefault(key, got) != got:
@@ -317,18 +342,16 @@ class QuotientCatGroup:
         if val is None:
             if not self.mor_normal:
                 raise PreconditionError("morphism cosets do not form a group here")
-            val = self._mor_products[a, b] = self.morphisms.rep(self.mor_parent.op(a, b))
+            val = self._mor_products[a, b] = self.morphisms.rep(self._arrow_op(a, b))
         return val
 
     def mor_inverse(self, a: str) -> str:
         if not self.mor_normal:
             raise PreconditionError("morphism cosets do not form a group here")
-        return self.morphisms.rep(self.mor_parent.inverse(a))
+        return self.morphisms.rep(self._arrow_inverse(a))
 
     def mor_co_inverse(self, a: str) -> str:
-        return self.morphisms.rep(
-            self.sd.to_id(arrow_co_inverse(self.chain.outer, self.sd.to_arrow(a)))
-        )
+        return self.morphisms.rep(pair_id(*arrow_co_inverse(self.chain.outer, self.arrow(a))))
 
     def compose_of(self, later: str, earlier: str) -> str:
         """later o earlier on coset reps."""
@@ -354,7 +377,7 @@ class QuotientCatGroup:
         return self._by_source.get(orep, [])
 
     def q_mor(self, a: Arrow) -> str:
-        return self.morphisms.rep(self.sd.to_id(a))
+        return self.morphisms.rep(pair_id(*a))
 
     def __repr__(self) -> str:
         return (
@@ -381,7 +404,6 @@ def check_classical_cocycle(fc: FunctorialCocycle, q: QuotientCatGroup,
     rep = Report("classical")
     cover = fc.cover
     obj = q.objects
-    mor = q.morphisms
     G = q.obj_parent
 
     def object_violations():
@@ -408,11 +430,9 @@ def check_classical_cocycle(fc: FunctorialCocycle, q: QuotientCatGroup,
     def morphism_violations():
         for i, k, m in required_triples(cover):
             for w in enumerate_paths(cover, (i, k, m), max_len):
-                lhs = mor.rep(q.mor_parent.op(
-                    q.sd.to_id(eval_theta(fc, i, k, w)),
-                    q.sd.to_id(eval_theta(fc, k, m, w)),
-                ))
-                rhs = mor.rep(q.sd.to_id(eval_theta(fc, i, m, w)))
+                lhs = q.q_mor(arrow_product(
+                    q.chain.outer, eval_theta(fc, i, k, w), eval_theta(fc, k, m, w)))
+                rhs = q.q_mor(eval_theta(fc, i, m, w))
                 if lhs != rhs:
                     yield (
                         f"thetabar cocycle fails at ({i},{k},{m}) "
@@ -426,7 +446,7 @@ def check_classical_cocycle(fc: FunctorialCocycle, q: QuotientCatGroup,
         for i, k, m in required_triples(cover):
             for w in enumerate_paths(cover, (i, k, m), max_len):
                 big_theta = eval_Theta(fc, i, k, m, w)
-                if pair_id(big_theta.h, big_theta.g) not in mor.subgroup:
+                if pair_id(big_theta.h, big_theta.g) not in q.morphisms.subgroup:
                     yield (
                         f"Theta_{i}{k}{m} at walk {w.start}:{list(w.steps)} "
                         f"= ({big_theta.h},{big_theta.g}) is outside J_H"

@@ -7,7 +7,9 @@ all law checking to the suites: a document with a broken law must load and
 then fail its report, while a document with a malformed table must not load.
 The cocycle tables are checked once, by the GerbalCocycle constructor: a
 missing or extra entry, or a value outside its group, is a SchemaError here,
-so every verb refuses such a document before any suite runs.
+so every verb refuses such a document before any suite runs. Every id and
+table value must be a JSON string, so a value of another type is a
+SchemaError that names its place.
 
 Serialization is canonical: sorted keys, two-space indent, trailing newline,
 so identical inputs produce byte-identical files.
@@ -133,17 +135,31 @@ def _need(doc: Any, key: str, kind: type, where: str) -> Any:
     return val
 
 
+def _string(val: Any, where: str) -> str:
+    if not isinstance(val, str):
+        raise SchemaError(f"{where} must be a string")
+    return val
+
+
+def _strings(val: Any, where: str) -> list[str]:
+    if not isinstance(val, list) or not all(isinstance(x, str) for x in val):
+        raise SchemaError(f"{where} must be a list of strings")
+    return val
+
+
 def _decode_group(name: str, enc: Any) -> FiniteGroup:
-    elements = _need(enc, "elements", list, f"groups.{name}")
-    identity = _need(enc, "identity", str, f"groups.{name}")
-    mul_nested = _need(enc, "mul", dict, f"groups.{name}")
-    inv = _need(enc, "inv", dict, f"groups.{name}")
+    where = f"groups.{name}"
+    elements = _strings(_need(enc, "elements", list, where), f"{where}.elements")
+    identity = _need(enc, "identity", str, where)
+    mul_nested = _need(enc, "mul", dict, where)
+    inv = {a: _string(x, f"{where}.inv.{a}")
+           for a, x in _need(enc, "inv", dict, where).items()}
     mul = {}
     for a, row in mul_nested.items():
         if not isinstance(row, dict):
-            raise SchemaError(f"groups.{name}.mul.{a} must be an object")
+            raise SchemaError(f"{where}.mul.{a} must be an object")
         for b, ab in row.items():
-            mul[(a, b)] = ab
+            mul[(a, b)] = _string(ab, f"{where}.mul.{a}.{b}")
     return FiniteGroup(name, elements, mul, identity, inv)
 
 
@@ -171,8 +187,9 @@ def instance_from_document(doc: Any) -> Instance:
                          f"homs.{name}.domain")
         cod = _group_ref(groups, _need(enc, "codomain", str, f"homs.{name}"),
                          f"homs.{name}.codomain")
-        homs[name] = GroupHom(name, dom, cod,
-                              _need(enc, "map", dict, f"homs.{name}"))
+        table = {x: _string(y, f"homs.{name}.map.{x}")
+                 for x, y in _need(enc, "map", dict, f"homs.{name}").items()}
+        homs[name] = GroupHom(name, dom, cod, table)
     actions = {}
     for name, enc in _need(doc, "actions", dict, "document").items():
         actor = _group_ref(groups, _need(enc, "actor", str, f"actions.{name}"),
@@ -185,7 +202,7 @@ def instance_from_document(doc: Any) -> Instance:
             if not isinstance(row, dict):
                 raise SchemaError(f"actions.{name}.map.{g} must be an object")
             for h, gh in row.items():
-                table[(g, h)] = gh
+                table[(g, h)] = _string(gh, f"actions.{name}.map.{g}.{h}")
         actions[name] = GroupAction(name, actor, space, table)
 
     chain_enc = _need(doc, "chain", dict, "document")
@@ -216,10 +233,11 @@ def instance_from_document(doc: Any) -> Instance:
         edges.append(tuple(item))
     sets_enc = _need(cover_enc, "sets", dict, "cover")
     cover = CoverComplex(
-        vertices=_need(cover_enc, "vertices", list, "cover"),
+        vertices=_strings(_need(cover_enc, "vertices", list, "cover"), "cover.vertices"),
         edges=edges,
-        cover={i: set(vs) for i, vs in sets_enc.items()},
-        index_order=_need(cover_enc, "index_order", list, "cover"),
+        cover={i: set(_strings(vs, f"cover.sets.{i}")) for i, vs in sets_enc.items()},
+        index_order=_strings(_need(cover_enc, "index_order", list, "cover"),
+                             "cover.index_order"),
         directed=_need(cover_enc, "directed", bool, "cover"),
         identity_edges=_need(cover_enc, "identity_edges", bool, "cover"),
     )
@@ -230,14 +248,14 @@ def instance_from_document(doc: Any) -> Instance:
         parts = key.split(SEP)
         if len(parts) != 3:
             raise SchemaError(f"cocycle.h key {key!r} must look like i{SEP}k{SEP}u")
-        h[tuple(parts)] = val
+        h[tuple(parts)] = _string(val, f"cocycle.h.{key}")
     j = {}
     for key, val in _need(cocycle_enc, "j", dict, "cocycle").items():
         parts = key.split(SEP)
         if len(parts) != 4:
             raise SchemaError(
                 f"cocycle.j key {key!r} must look like i{SEP}k{SEP}m{SEP}u")
-        j[tuple(parts)] = val
+        j[tuple(parts)] = _string(val, f"cocycle.j.{key}")
     gc = GerbalCocycle(chain, cover, h, j)
     return Instance(preset=preset, seed=seed, noise=noise, chain=chain,
                     cover=cover, gc=gc)

@@ -14,17 +14,19 @@ from catbundle.crossed import (
     Arrow,
     ChainedCrossedModules,
     CrossedModule,
-    SemidirectProduct,
     arrow_co_inverse,
     arrow_compose,
     arrow_endpoints,
     arrow_identity,
     arrow_inverse,
     arrow_product,
+    arrows,
     check_tau_image_normal,
+    pair_id,
     validate_peiffer,
 )
 from catbundle.errors import CompositionError, SchemaError
+from catbundle.groups import subgroup_as_group
 from catbundle.permutations import (
     identity_hom,
     symmetric_group,
@@ -120,22 +122,47 @@ def test_chain_records_images(chain_s3, chain_s4):
         {"e", "(12)(34)", "(13)(24)", "(14)(23)"})
 
 
+def assert_group_laws(cm, sample):
+    """The semidirect laws of arrow_product and arrow_inverse: identity and
+    inverses at each arrow of `sample`, associativity at each triple."""
+    e = Arrow(cm.H.identity, cm.G.identity)
+    for a in sample:
+        assert arrow_product(cm, e, a) == arrow_product(cm, a, e) == a
+        assert arrow_product(cm, a, arrow_inverse(cm, a)) == e
+        assert arrow_product(cm, arrow_inverse(cm, a), a) == e
+        for b in sample:
+            ab = arrow_product(cm, a, b)
+            for c in sample:
+                assert arrow_product(cm, ab, c) == arrow_product(cm, a, arrow_product(cm, b, c))
+
+
 def test_semidirect_group_is_a_group(chain_s3):
-    sd = SemidirectProduct(chain_s3.outer)
-    assert sd.group.order == 36
-    from catbundle.groups import validate_group
-    assert validate_group(sd.group).ok
+    # exhaustive on S3 x| S3 (36 arrows) and A3 x| S3 (18)
+    for cm, order in ((chain_s3.outer, 36), (chain_s3.inner, 18)):
+        pairs = arrows(cm.H.elements, cm.G.elements)
+        assert len(pairs) == order
+        assert_group_laws(cm, pairs)
 
 
 def test_semidirect_roundtrip(chain_s3):
-    sd = SemidirectProduct(chain_s3.outer)
-    for x in sd.group.elements:
-        assert sd.to_id(sd.to_arrow(x)) == x
+    # pair ids name arrows one to one, and `arrows` lists them in id order
+    cm = chain_s3.outer
+    pairs = arrows(cm.H.elements, cm.G.elements)
+    ids = [pair_id(*a) for a in pairs]
+    assert ids == sorted(set(ids))
+    assert {Arrow(h, g) for h in cm.H.elements for g in cm.G.elements} == set(pairs)
 
 
 def test_semidirect_subset_must_be_closed(chain_s3):
-    with pytest.raises(SchemaError):
-        SemidirectProduct(chain_s3.outer, frozenset({"e", "(12)", "(123)"}))
+    # H x| S is a group only for a subgroup S of G: over S = {e, (12), (123)}
+    # the product of two arrows leaves the pair set, and the subgroup gate that
+    # the quotient passes tau(H) through before naming H x| tau(H) refuses S
+    cm = chain_s3.outer
+    subset = frozenset({"e", "(12)", "(123)"})
+    pairs = set(arrows(cm.H.elements, subset))
+    assert any(arrow_product(cm, a, b) not in pairs for a in pairs for b in pairs)
+    with pytest.raises(SchemaError, match=r"not closed"):
+        subgroup_as_group(cm.G, subset, "S")
 
 
 @settings(max_examples=60)
@@ -154,20 +181,11 @@ def test_interchange_law(chain_s3, data):
     assert lhs == rhs
 
 
-@pytest.fixture(scope="module")
-def semidirect_products(chain_s3, chain_s4):
-    return [(cm, SemidirectProduct(cm)) for chain in (chain_s3, chain_s4)
-            for cm in (chain.outer, chain.inner)]
-
-
 @settings(max_examples=60)
 @given(st.data())
-def test_product_matches_semidirect_group(semidirect_products, data):
-    for cm, sd in semidirect_products:
-        x = data.draw(st.sampled_from(sd.group.elements))
-        y = data.draw(st.sampled_from(sd.group.elements))
-        a = sd.to_arrow(x)
-        assert sd.to_id(arrow_product(cm, a, sd.to_arrow(y))) == sd.group.op(x, y)
-        assert sd.to_id(arrow_inverse(cm, a)) == sd.group.inverse(x)
-        # the inverse law itself, independent of the table
-        assert arrow_product(cm, a, arrow_inverse(cm, a)) == (cm.H.identity, cm.G.identity)
+def test_arrow_group_laws_sampled_on_s4(chain_s4, data):
+    # A4 x| S4 (288 arrows) and V4 x| A4 (48), three arrows at a time
+    for cm in (chain_s4.outer, chain_s4.inner):
+        hs, gs = cm.H.elements, cm.G.elements
+        assert_group_laws(cm, [Arrow(data.draw(st.sampled_from(hs)),
+                                     data.draw(st.sampled_from(gs))) for _ in range(3)])

@@ -37,13 +37,3 @@ def test_below_rejects_nonpositive():
     with pytest.raises(ValueError):
         SplitMix64(0).below(0)
 
-
-def test_choice_uses_every_slot_eventually():
-    r = SplitMix64(42)
-    seen = {r.choice("abc") for _ in range(100)}
-    assert seen == {"a", "b", "c"}
-
-
-def test_choice_on_empty():
-    with pytest.raises(ValueError):
-        SplitMix64(0).choice([])

@@ -11,7 +11,7 @@ import json
 import perm_oracle as oracle
 import pytest
 
-from catbundle.crossed import SemidirectProduct, arrow_endpoints, pair_id
+from catbundle.crossed import arrow_endpoints, arrow_product, arrows, pair_id
 from catbundle.errors import SchemaError
 from catbundle.groups import FiniteGroup
 from catbundle.quotient import (
@@ -55,8 +55,9 @@ def test_JH_normal_s4(chain_s4):
     assert rep.ok, rep.failures()
 
 
-def test_JH_normal_builds_no_group_table(chain_s4, monkeypatch):
-    # the laws are evaluated on arrows; H x| G on S4 would be 288 elements
+@pytest.fixture
+def built_groups(monkeypatch):
+    """The names of the FiniteGroups constructed while the test runs."""
     built = []
     init = FiniteGroup.__init__
 
@@ -64,16 +65,32 @@ def test_JH_normal_builds_no_group_table(chain_s4, monkeypatch):
         built.append(name)
         init(self, name, *args, **kwargs)
     monkeypatch.setattr(FiniteGroup, "__init__", counted)
+    return built
+
+
+def test_JH_normal_builds_no_group_table(chain_s4, built_groups):
+    # the laws are evaluated on arrows; H x| G on S4 would be 288 elements
     assert check_JH_normal(chain_s4).ok
-    assert built == []
+    assert built_groups == []
 
 
-def test_conjugation_budget_matches_group_orders(chain_s3, chain_s4):
-    # the normality sweep sizes quoted elsewhere: |H x| G| * |J_H|
-    sd3 = SemidirectProduct(chain_s3.outer)
-    assert sd3.group.order * len(build_JH(chain_s3)) == 36 * 9
-    sd4 = SemidirectProduct(chain_s4.outer)
-    assert sd4.group.order * len(build_JH(chain_s4)) == 288 * 16
+def test_build_quotient_builds_no_arrow_group_table(chain_s3, chain_s4, built_groups):
+    # the arrows of H x| tau(H) are multiplied where used; only the object
+    # group tau(H) of the "tau" variant is extracted as its own table
+    for chain, expected in ((chain_s3, []), (chain_s4, ["tau(A4)"])):
+        built_groups.clear()
+        assert build_quotient(chain).verification.ok
+        assert built_groups == expected
+
+
+def test_conjugation_budget_matches_group_orders(chain_s3, chain_s4, quotient_s3, quotient_s4):
+    # the normality sweep sizes quoted elsewhere: |H x| G| * |J_H|, and the
+    # quotient's arrows H x| tau(H), all of H x| G only in the "full" variant
+    for chain, q, full, restricted, jh in ((chain_s3, quotient_s3, 36, 36, 9),
+                                           (chain_s4, quotient_s4, 288, 144, 16)):
+        assert len(arrows(chain.H.elements, chain.G.elements)) * len(build_JH(chain)) \
+            == full * jh
+        assert len(q.arrow_of) == len(q.morphisms.elements) == restricted
 
 
 def test_s3_object_count_matches_sign_oracle(quotient_s3):
@@ -116,20 +133,16 @@ def test_descent_verification_ran(quotient_s3, quotient_s4):
 
 def test_q_mor_constant_on_JH_translates(chain_s3, quotient_s3):
     q = quotient_s3
-    sd = SemidirectProduct(chain_s3.outer)
     jh = sorted(build_JH(chain_s3))
-    for x in sd.group.elements:
-        base = q.q_mor(sd.to_arrow(x))
+    for a in q.arrow_of.values():
+        base = q.q_mor(a)
         for t in jh:
-            shifted = sd.to_arrow(sd.group.op(x, t))
-            assert q.q_mor(shifted) == base
+            assert q.q_mor(arrow_product(chain_s3.outer, a, q.arrow(t))) == base
 
 
 def test_source_target_descend(chain_s3, quotient_s3):
     q = quotient_s3
-    sd = SemidirectProduct(chain_s3.outer)
-    for x in sd.group.elements:
-        a = sd.to_arrow(x)
+    for a in q.arrow_of.values():
         mrep = q.q_mor(a)
         s, t = arrow_endpoints(chain_s3.outer, a)
         assert q.source[mrep] == q.objects.rep(s)
@@ -173,11 +186,13 @@ def test_mor_product_and_inverse(quotient_s3):
         assert q.compose_of(co, m) == q.identity_mor_at(q.source[m])
 
 
-def test_coset_space_rejects_non_subgroup(chain_s3):
-    sd = SemidirectProduct(chain_s3.outer)
-    # ((123),e) squared is ((132),e), which the subset misses
-    with pytest.raises(SchemaError):
-        CosetSpace(sd.group, frozenset({pair_id("e", "e"), pair_id("(123)", "e")}))
+def test_coset_space_rejects_non_subgroup(quotient_s3):
+    mor = quotient_s3.morphisms
+    # the inverse of ((123),e) is ((132),e), which the subset misses
+    with pytest.raises(SchemaError, match=r"^coset space: subgroup not closed under inverse "
+                                          r"at '\(\(123\),e\)'$"):
+        CosetSpace(mor.name, mor.elements, pair_id("e", "e"), mor.op, mor.inverse,
+                   frozenset({pair_id("e", "e"), pair_id("(123)", "e")}))
 
 
 def test_build_names_a_tau_image_that_is_no_subgroup(inst_line5):
@@ -201,7 +216,7 @@ def test_coset_products_are_memoized_and_total(request, chain_fixture):
     # a fresh quotient, so the first call of each argument pair misses; every
     # parent element counts, reps and non-reps alike
     q = build_quotient(request.getfixturevalue(chain_fixture))
-    objs, mors = q.obj_parent.elements, q.mor_parent.elements
+    objs, mors, cm = q.obj_parent.elements, q.arrow_of, q.chain.outer
     for _ in range(2):
         for a in objs:
             assert q.identity_mor_at(a) == q.morphisms.rep(pair_id(q.chain.H.identity, a))
@@ -209,11 +224,14 @@ def test_coset_products_are_memoized_and_total(request, chain_fixture):
                 assert q.obj_product(a, b) == q.objects.rep(q.obj_parent.op(a, b))
         for a in mors:
             for b in mors:
-                assert q.mor_product(a, b) == q.morphisms.rep(q.mor_parent.op(a, b))
+                assert q.mor_product(a, b) == q.morphisms.rep(
+                    pair_id(*arrow_product(cm, mors[a], mors[b])))
     a = q.morphisms.reps[0]
     for _ in range(2):
-        with pytest.raises(SchemaError):
-            q.mor_product(a, "nope")
+        for bad in (lambda: q.mor_product(a, "nope"), lambda: q.mor_inverse("nope"),
+                    lambda: q.mor_co_inverse("nope")):
+            with pytest.raises(SchemaError, match=r"^pair 'nope' is not in "):
+                bad()
         with pytest.raises(SchemaError):
             q.obj_product("nope", q.identity_obj())
         with pytest.raises(SchemaError):

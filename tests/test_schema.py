@@ -152,3 +152,35 @@ def test_cocycle_value_outside_its_group_is_refused_by_every_verb(tmp_path, caps
     code = main([argv[0], str(path)] + argv[1:])
     out, err = capsys.readouterr()
     assert (code, out, err) == (2, "", MALFORMED_J)
+
+
+
+# each edit puts a value of the wrong JSON type where an id or a list of ids
+# belongs: the loader names the place and exits 2 instead of crashing on it
+MALFORMED_VALUES = [
+    (("groups", "A3", "elements", 0), 7, "groups.A3.elements must be a list of strings"),
+    (("groups", "A3", "inv", "e"), ["e"], "groups.A3.inv.e must be a string"),
+    (("groups", "A3", "mul", "e", "e"), {"e": "e"}, "groups.A3.mul.e.e must be a string"),
+    (("homs", "tau", "map", "e"), ["e"], "homs.tau.map.e must be a string"),
+    (("actions", "conj_outer", "map", "e", "e"), ["e"],
+     "actions.conj_outer.map.e.e must be a string"),
+    (("cocycle", "h", "1|1|0"), ["e"], "cocycle.h.1|1|0 must be a string"),
+    (("cocycle", "j", "1|1|1|0"), ["e"], "cocycle.j.1|1|1|0 must be a string"),
+    (("cover", "sets", "1"), 7, "cover.sets.1 must be a list of strings"),
+    (("cover", "sets", "1"), "012", "cover.sets.1 must be a list of strings"),
+    (("cover", "vertices", 0), 0, "cover.vertices must be a list of strings"),
+]
+
+
+@pytest.mark.parametrize("path, value, message", MALFORMED_VALUES,
+                         ids=[f"{'.'.join(map(str, p))}={v!r}" for p, v, _ in MALFORMED_VALUES])
+def test_malformed_value_is_refused_with_its_location(tmp_path, capsys, path, value, message):
+    doc = document_from_instance(build_instance("s3-line5", 5, True))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    file = tmp_path / "inst.json"
+    file.write_text(canonical_json(doc))
+    code = main(["validate", str(file)])
+    assert (code, capsys.readouterr()) == (2, ("", f"error: {message}\n"))
