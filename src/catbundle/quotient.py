@@ -172,7 +172,7 @@ class QuotientCatGroup:
         self.arrow_of = {pair_id(*a): a for a in arrows(chain.H.elements, tau_image)}
         self.objects = CosetSpace(par.name, par.elements, par.identity, par.op, par.inverse,
                                   frozenset(chain.tau_tau_p_image))
-        self.morphisms = CosetSpace(f"{chain.H.name}x|{chain.G.name}", self.arrow_of,
+        self.morphisms = CosetSpace(f"{chain.H.name}x|{par.name}", self.arrow_of,
                                     pair_id(chain.H.identity, chain.G.identity),
                                     self._arrow_op, self._arrow_inverse, build_JH(chain))
 

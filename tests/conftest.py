@@ -1,8 +1,22 @@
 import pytest
 
 from catbundle import build_instance, build_quotient
+from catbundle.crossed import ChainedCrossedModules, CrossedModule
 from catbundle.gerbal import generate_gerbal
-from catbundle.presets import cover_cycle6, s3_chain, s4_chain
+from catbundle.groups import GroupHom
+from catbundle.permutations import (
+    alternating_group,
+    conjugation_action,
+    symmetric_group,
+    trivial_action,
+)
+from catbundle.presets import (
+    cover_cycle6,
+    cover_dirline3,
+    cover_line5w,
+    s3_chain,
+    s4_chain,
+)
 from catbundle.schema import Instance
 from catbundle.suites import InstanceContext
 
@@ -23,6 +37,38 @@ def chain_s3():
 @pytest.fixture(scope="session")
 def chain_s4():
     return s4_chain()
+
+
+def a3j3_chain():
+    """A chain whose fiber is not thin. Outer: A3 in S3, acted on by
+    conjugation; inner: a second A3, J3, acted on trivially. Both taus are
+    trivial, and A3 is abelian, so the Peiffer identities hold. The fiber
+    quotient has one object and three morphisms, so a decoration decides a
+    morphism, where on the preset chains the endpoints and walk already do."""
+    s3, a3, j3 = symmetric_group(3), alternating_group(3), alternating_group(3, "J3")
+    outer = CrossedModule(s3, a3, conjugation_action(s3, a3, "conj_outer"),
+                          GroupHom("tau", a3, s3, dict.fromkeys(a3.elements, s3.identity)),
+                          name="a3-outer")
+    inner = CrossedModule(a3, j3, trivial_action(a3, j3, "triv_inner"),
+                          GroupHom("tau_p", j3, a3, dict.fromkeys(j3.elements, a3.identity)),
+                          name="j3-inner")
+    return ChainedCrossedModules(outer, inner, "a3j3-chain")
+
+
+def a3j3_instance(name, cover_builder):
+    """The A3/J3 chain over a preset base, cocycle drawn at seed 5 with noise."""
+    chain, cover = a3j3_chain(), cover_builder()
+    return Instance(name, 5, True, chain, cover, generate_gerbal(chain, cover, 5, noise=True))
+
+
+@pytest.fixture(scope="session")
+def inst_a3j3_line5w():
+    return a3j3_instance("a3j3-line5w", cover_line5w)
+
+
+@pytest.fixture(scope="session")
+def inst_a3j3_dirline3():
+    return a3j3_instance("a3j3-dirline3", cover_dirline3)
 
 
 @pytest.fixture(scope="session")

@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from catbundle import bundle
 from catbundle.bundle import (
     BundleMorphism,
     BundleObject,
@@ -15,7 +16,7 @@ from catbundle.bundle import (
     check_bundle_axioms,
     enumerate_chains,
 )
-from catbundle.complexes import PathMor, enumerate_paths, index_family
+from catbundle.complexes import PathMor, enumerate_paths, index_family, overlap
 from catbundle.errors import (
     CompositionError,
     PreconditionError,
@@ -24,7 +25,7 @@ from catbundle.errors import (
 from catbundle.gerbal import generate_gerbal
 from catbundle.presets import cover_line5w
 from catbundle.schema import Instance
-from catbundle.suites import InstanceContext
+from catbundle.suites import InstanceContext, run_suite
 from rewrite_reference import RewriteReference
 
 
@@ -569,3 +570,98 @@ def test_obj_bijective_names_its_first_miss(inst_line5, monkeypatch):
     assert [(c.check_id, c.witness) for c in rep.failures()] == [
         ("triv.2.12.obj_bijective",
          f"object (1, {moved}) does not land on (1, 1, {first})")]
+
+
+# ----- a multi-chart trivialization takes its verdicts from chart i alone ----
+
+def test_an_on_pair_that_reads_its_index_set_fails_the_multi_chart_laws(
+        inst_a3j3_line5w, monkeypatch):
+    # on the non-thin fiber a swapped decoration keeps the image's endpoints,
+    # so only the comparison of images with chart i's sends J to its scans
+    space = fresh_space(inst_a3j3_line5w)
+    q = space.q
+    a, b = q.identity_mor_at(q.identity_obj()), q.morphisms.reps[0]
+    swap = {a: b, b: a}
+    on_pair = LocalTrivialization.on_pair
+
+    def planted(self, walk, mrep):
+        m = on_pair(self, walk, mrep)
+        if len(self.indices) == 1:
+            return m
+        e = m.edges[0]
+        return BundleMorphism.chain([e._replace(phi=swap.get(e.phi, e.phi))])
+    monkeypatch.setattr(LocalTrivialization, "on_pair", planted)
+    status = {c.check_id: c.status for c in check_bundle_axioms(space, 2).checks}
+    multi = [(i, indices) for indices in index_family(space.cover) if len(indices) > 1
+             for i in indices]
+    assert multi
+    for i, indices in multi:
+        tag = f"triv.{i}.{''.join(indices)}"
+        assert status[f"{tag}.mor_injective"] == "pass"
+        for law in ("mor_surjective", "functorial", "equivariant"):
+            assert status[f"{tag}.{law}"] == "fail", (tag, law)
+    one_chart = [c for c in status if c.startswith("triv.")
+                 and c.split(".")[1] == c.split(".")[2]]
+    assert one_chart and all(status[c] == "pass" for c in one_chart)
+
+
+def test_a_multi_chart_set_finds_its_own_witness_when_chart_i_fails(inst_line5w,
+                                                                    monkeypatch):
+    # every decoration moved into chart 3 is multiplied by the identity at a
+    # non-identity fiber object, so the one-chart check of chart 3 fails and
+    # each J containing 3 scans its own chains, as a check run alone does
+    space = fresh_space(inst_line5w)
+    q, move_unit = space.q, space._move_unit
+    shift = q.identity_mor_at(next(r for r in q.objects.reps if r != q.identity_obj()))
+
+    def planted(k, unit):
+        phi = move_unit(k, unit)
+        return q.mor_product(phi, shift) if k == "3" else phi
+    monkeypatch.setattr(space, "_move_unit", planted)
+    failed = {c.check_id: c.witness for c in check_bundle_axioms(space, 2).failures()}
+    alone = failed["triv.3.3.mor_surjective"]
+    witnesses = set()
+    for indices in index_family(space.cover):
+        if "3" not in indices or len(indices) == 1:
+            continue
+        ours = LocalTrivialization(space, "3", indices).check(2, 2).failures()
+        surjective = f"triv.3.{''.join(indices)}.mor_surjective"
+        assert [c.witness for c in ours if c.check_id == surjective] == [failed[surjective]]
+        witnesses.add(failed[surjective])
+    assert witnesses - {alone}
+
+
+def test_clean_battery_enumerates_only_the_one_chart_regions(inst_line5w, monkeypatch):
+    space = fresh_space(inst_line5w)
+    regions = []
+    enumerate_chains_ = bundle.enumerate_chains
+
+    def counted(space, max_units, region=None):
+        regions.append(region)
+        return enumerate_chains_(space, max_units, region)
+    monkeypatch.setattr(bundle, "enumerate_chains", counted)
+    rep = check_bundle_axioms(space, 2)
+    assert rep.ok, rep.failures()
+    cover = space.cover
+    assert regions == [None] + [overlap(cover, (i,)) for i in cover.index_order]
+    assert len(regions) == 4
+
+
+# ----- decorations decide keys on the non-thin fiber ------------------------
+
+@pytest.mark.parametrize("plant", ["every", "last"])
+@pytest.mark.parametrize("fixture,fails", [
+    ("inst_a3j3_line5w", {"bundle.action.mor_free", "bundle.mor.torsor",
+                          "triv.1.1.mor_injective", "triv.3.123.mor_injective"}),
+    ("inst_a3j3_dirline3", {"oracle.agreement"}),
+])
+def test_a_normal_form_that_drops_decorations_fails_on_the_non_thin_fiber(
+        request, monkeypatch, plant, fixture, fails):
+    normal_form = BundleSpace._normal_form
+
+    def planted(self, state):
+        source, walk, decorations = normal_form(self, state)
+        return source, walk, (() if plant == "every" else decorations[:-1])
+    monkeypatch.setattr(BundleSpace, "_normal_form", planted)
+    rep = run_suite(request.getfixturevalue(fixture), "all", 2)
+    assert fails <= {c.check_id for c in rep.failures()}

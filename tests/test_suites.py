@@ -24,6 +24,13 @@ GOLDEN_ALL = [
     ("s4-line5w", 1, "0b56141b301e1f5e5d516502ff64d51f216484b62d87f788c87f66e00f3fc926"),
 ]
 
+# SHA-256 of the `all` report at length 3 of the A3/J3 chain (conftest.py),
+# whose fiber is not thin, over two preset bases.
+GOLDEN_NON_THIN = [
+    ("inst_a3j3_line5w", "cee738a50f232f7db7631161aa024d4875fbd64a36b9746fbc8050671240f5e5"),
+    ("inst_a3j3_dirline3", "a2b1bd9f5c16f961b413d310b4d69f3a3ba5fbf1248e0a62e2fc21b4f81ab5bb"),
+]
+
 # One-cell edits of preset documents at seed 3 (the ones tests/test_cli.py
 # builds): (132)(132) = (132) breaks the A3 table, the changed action cell
 # leaves the coset quotient unbuildable, and the changed h cell breaks the
@@ -137,6 +144,12 @@ def test_peiffer_suite_covers_both_modules(inst_line5):
 @pytest.mark.parametrize("preset,max_len,digest", GOLDEN_ALL)
 def test_all_report_bytes_are_pinned(preset, max_len, digest):
     rep = run_suite(build_instance(preset, seed=5, noise=True), "all", max_len)
+    assert hashlib.sha256(report_to_json(rep).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("fixture,digest", GOLDEN_NON_THIN)
+def test_non_thin_fiber_report_bytes_are_pinned(request, fixture, digest):
+    rep = run_suite(request.getfixturevalue(fixture), "all", 3)
     assert hashlib.sha256(report_to_json(rep).encode()).hexdigest() == digest
 
 
