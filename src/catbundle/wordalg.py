@@ -1,4 +1,4 @@
-"""Exact linear-algebra oracle for morphism-word equality.
+"""Graded word oracle for morphism-word equality.
 
 Works over a directed base with zero-length edges disabled: then every
 decorated edge advances the base point, so words have at most max_len edges
@@ -6,9 +6,10 @@ and the word inventory is finite. Words are graded by their composite base
 walk; every rewrite generator is homogeneous for that grading (both sides
 share the composite walk and the endpoint objects), so the two-sided ideal
 meets each graded block in the span of the in-block context products, all of
-which stay inside the inventory. That makes per-block Gaussian elimination
-over the rationals an exact decision procedure: two words are equal in the
-quotient precisely when their residuals against the echelon basis coincide.
+which stay inside the inventory. Each such generator is a binomial e_n - e_m,
+and e_a - e_b lies in the span of binomials exactly when a and b are joined
+by a path of generators. So two words are equal in the quotient precisely
+when a union-find over each block's generators puts them in one class.
 
 The one-pass normal form in the bundle module is sound by construction; this
 module is the independent completeness cross-check, so it deliberately avoids
@@ -17,7 +18,6 @@ the normal-form code path and re-derives everything from the generators.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 
 from .bundle import BundleMorphism, BundleSpace, QuiverEdge
@@ -48,9 +48,7 @@ class WordOracle:
         self.max_len = max_len
         self._build_edges()
         self._build_words()
-        self._build_basis()
-        self._labels = {w: (bk, r) for bk, res in self._residuals.items()
-                        for w, r in res.items()}
+        self._build_classes()
 
     # ----- inventory ---------------------------------------------------------
 
@@ -115,7 +113,7 @@ class WordOracle:
             walk = compose_paths(self.space.cover, e.walk, walk)
         return (walk.start, walk.steps)
 
-    # ----- rewrite generators as rational vectors ----------------------------
+    # ----- rewrite generators and their classes ------------------------------
 
     def _reindex_partners(self, e: QuiverEdge) -> list[QuiverEdge]:
         space, q = self.space, self.space.q
@@ -143,73 +141,50 @@ class WordOracle:
                     out.append(QuiverEdge(k, tuple(sub), composite, psi))
         return out
 
-    def _vector(self, bk: tuple, w_plus: Word, w_minus: Word) -> dict[int, Fraction]:
+    def _generators(self, bk: tuple):
+        """(n, m) for each rewrite generator e_n - e_m of block `bk`: a word
+        with one edge re-indexed, or two adjacent edges merged."""
         idx = self.word_index[bk]
         try:
-            a, b = idx[w_plus], idx[w_minus]
+            for n, w in enumerate(self.blocks[bk]):
+                for p, e in enumerate(w):
+                    for e2 in self._reindex_partners(e):
+                        yield n, idx[w[:p] + (e2,) + w[p + 1:]]
+                for p in range(len(w) - 1):
+                    for e3 in self._merges(w[p], w[p + 1]):
+                        yield n, idx[w[:p] + (e3,) + w[p + 2:]]
         except KeyError as exc:
             raise InternalInvariantError(
                 f"rewrite produced a word outside the inventory: {exc}") from exc
-        if a == b:
-            return {}
-        return {a: Fraction(1), b: Fraction(-1)}
 
-    def _build_basis(self) -> None:
-        self.basis: dict[tuple, dict[int, dict[int, Fraction]]] = {}
+    def _build_classes(self) -> None:
+        """One union-find per block whose root is its class's largest index;
+        `basis[bk]` maps each non-root to its parent, so its size is the rank
+        of the block's generators."""
+        self.basis: dict[tuple, dict[int, int]] = {}
+        self._labels: dict[Word, tuple] = {}
         for bk in sorted(self.blocks):
-            rows: dict[int, dict[int, Fraction]] = {}
-            for w in self.blocks[bk]:
-                for p, e in enumerate(w):
-                    for e2 in self._reindex_partners(e):
-                        vec = self._vector(bk, w, w[:p] + (e2,) + w[p + 1:])
-                        self._reduce_insert(rows, vec)
-                for p in range(len(w) - 1):
-                    for e3 in self._merges(w[p], w[p + 1]):
-                        vec = self._vector(bk, w, w[:p] + (e3,) + w[p + 2:])
-                        self._reduce_insert(rows, vec)
-            self.basis[bk] = rows
-        self._residuals: dict[tuple, dict[Word, tuple]] = {}
-        for bk, bl in self.blocks.items():
-            rows = self.basis[bk]
-            res = {}
-            for n, w in enumerate(bl):
-                red = self._reduce(rows, {n: Fraction(1)})
-                res[w] = tuple(sorted(red.items()))
-            self._residuals[bk] = res
+            parent = list(range(len(self.blocks[bk])))
 
-    @staticmethod
-    def _reduce(rows: dict[int, dict[int, Fraction]],
-                vec: dict[int, Fraction]) -> dict[int, Fraction]:
-        vec = dict(vec)
-        while vec:
-            p = min(vec)
-            row = rows.get(p)
-            if row is None:
-                return vec
-            c = vec[p]
-            for col, val in row.items():
-                nv = vec.get(col, Fraction(0)) - c * val
-                if nv:
-                    vec[col] = nv
-                else:
-                    vec.pop(col, None)
-        return vec
+            def find(n: int) -> int:
+                while parent[n] != n:
+                    parent[n] = n = parent[parent[n]]
+                return n
 
-    @classmethod
-    def _reduce_insert(cls, rows: dict[int, dict[int, Fraction]],
-                       vec: dict[int, Fraction]) -> None:
-        """Reduce `vec` and add what is left, normalised, as a new row."""
-        vec = cls._reduce(rows, vec)
-        if vec:
-            p = min(vec)
-            c = vec[p]
-            rows[p] = {col: val / c for col, val in vec.items()}
+            for a, b in self._generators(bk):
+                a, b = find(a), find(b)
+                if a != b:
+                    parent[min(a, b)] = max(a, b)
+            for n, w in enumerate(self.blocks[bk]):
+                self._labels[w] = (bk, find(n))
+            self.basis[bk] = {n: p for n, p in enumerate(parent) if n != p}
 
     # ----- the decision procedure --------------------------------------------
 
     def label(self, w: Word) -> tuple:
-        """(block, residual) of an inventory word, read from the echelon data;
-        two words are equal exactly when their labels are."""
+        """(block, root) of an inventory word: its block's union-find root, the
+        largest index of its class; two words are equal exactly when their
+        labels are."""
         try:
             return self._labels[w]
         except KeyError:
@@ -227,36 +202,45 @@ class WordOracle:
         return out
 
     def equal_pairs(self) -> list[tuple[Word, Word]]:
+        """Every pair of equal words, class by class in label order, each
+        class in word order."""
         words = self.all_words()
-        return [(words[n], words[m])
-                for n, m in _equal_positions([self.label(w) for w in words])]
+        return [(words[n], words[m]) for cls in _classes([self.label(w) for w in words])
+                for n, m in combinations(cls, 2)]
 
 
-def _equal_positions(labels: list) -> list[tuple[int, int]]:
-    """Every (n, m), n < m, with equal labels, class by class in label order
-    (block, then residual), each class in word order."""
+def _classes(labels: list) -> list[list[int]]:
+    """The positions of each label, in label order (block, then root), each
+    class in word order."""
     classes: dict = {}
     for n, lab in enumerate(labels):
         classes.setdefault(lab, []).append(n)
-    return [(n, m) for lab in sorted(classes)
-            for k, n in enumerate(classes[lab]) for m in classes[lab][k + 1:]]
+    return [classes[lab] for lab in sorted(classes)]
 
 
 def check_oracle_agreement(space: BundleSpace, oracle: WordOracle) -> Report:
     """Every word pair, both procedures, zero tolerated disagreements.
 
     Each word is keyed once with `space.mor_key` and labelled once by the
-    oracle; the pair loop compares stored keys and stored labels in (n, m)
-    order, so the witness names the first disagreeing pair."""
+    oracle. The two agree on every pair exactly when labels and keys determine
+    each other, and then the pair counts follow from the class sizes. Only
+    otherwise does the pair loop run, in (n, m) order, so the witness names
+    the first disagreeing pair and the counts stop there."""
     rep = Report("oracle")
     words = oracle.all_words()
     labels = [oracle.label(w) for w in words]
     keys = [space.mor_key(BundleMorphism.chain(w)) for w in words]
 
+    key_of: dict = {}
+    label_of: dict = {}
     witness = None
-    n_equal = n_unequal = 0
-    for n in range(len(words)):
-        for m in range(n + 1, len(words)):
+    if all(key_of.setdefault(lab, key) == key and label_of.setdefault(key, lab) == lab
+           for lab, key in zip(labels, keys)):
+        n_equal = sum(len(cls) * (len(cls) - 1) // 2 for cls in _classes(labels))
+        n_unequal = len(words) * (len(words) - 1) // 2 - n_equal
+    else:
+        n_equal = n_unequal = 0
+        for n, m in combinations(range(len(words)), 2):
             vo = labels[n] == labels[m]
             vm = keys[n] == keys[m]
             if vo != vm:
@@ -270,8 +254,6 @@ def check_oracle_agreement(space: BundleSpace, oracle: WordOracle) -> Report:
                 n_equal += 1
             else:
                 n_unequal += 1
-        if witness:
-            break
     rep.record("oracle.agreement",
                "congruence closure matches exact ideal membership on all pairs",
                witness is None, witness)
@@ -287,12 +269,16 @@ def check_congruence_invariants(space: BundleSpace, oracle: WordOracle) -> Repor
     the fiber action.
 
     Each word's chain, projection and endpoints are computed once, and the key
-    of `act_mor(word, psi)` once per (word, psi), on the first pair that needs
-    it; the pair loops, in `equal_pairs` order, compare the stored values."""
+    of `act_mor(word, psi)` once per (word, psi), on the first comparison that
+    needs it. Each law is an equality, so it compares each member of a class
+    with the class's first member n. If some pair of a class breaks the law,
+    then n and some member do, so the first such (n, m), class by class, is
+    also the first broken pair in `equal_pairs` order."""
     rep = Report("oracle")
     words = oracle.all_words()
-    pairs = _equal_positions([oracle.label(w) for w in words])
+    classes = _classes([oracle.label(w) for w in words])
     mors = [BundleMorphism.chain(w) for w in words]
+    pairs = [(cls[0], m) for cls in classes for m in cls[1:]]
 
     walks = [(p.start, p.steps) for p in map(space.project, mors)]
     rep.search("congruence.proj_invariant", "equal words project to the same base walk", (

@@ -295,6 +295,14 @@ def test_oracle_verb_loads_the_word_oracle(footprint_docs, tmp_path):
     loaded = check_loads(footprint_docs["oracle-dirline3"], "oracle", tmp_path / "rep.json")
     assert LAYER_MODULES <= loaded
     assert "dataclasses" not in loaded
+    # the oracle's classes are union-find components: no rational arithmetic
+    assert not loaded & {"fractions", "decimal"}
+
+
+def test_all_battery_on_a_directed_base_loads_no_rational_arithmetic(footprint_docs, tmp_path):
+    loaded = check_loads(footprint_docs["oracle-dirline3"], "all", tmp_path / "rep.json")
+    assert LAYER_MODULES | {"catbundle.functorial"} <= loaded
+    assert not loaded & {"fractions", "decimal"}
 
 
 def test_all_battery_loads_every_layer(footprint_docs, tmp_path):

@@ -1,4 +1,4 @@
-"""The exact rational oracle for word equality on the directed line base.
+"""The graded word oracle for word equality on the directed line base.
 
 Inventory counts are frozen: with S3 fibers (4 morphism cosets) the three
 directed edges admit 8 single-step chart placements on the outer edges and 4
@@ -8,9 +8,11 @@ the full line, 176 words in total.
 """
 
 import pytest
+from echelon_reference import EchelonReference
 
 from catbundle.bundle import BundleMorphism
 from catbundle.errors import PreconditionError
+from catbundle.suites import InstanceContext
 from catbundle.wordalg import (
     WordOracle,
     _word_key,
@@ -210,3 +212,88 @@ def test_planted_action_disagreement_names_the_first_pair(space_dirline3, word_o
     assert got["congruence.action_equivariant"].status == "fail"
     assert got["congruence.action_equivariant"].witness == (
         f"action by {psi} separates an equal pair {_word_key(w1)}")
+
+
+@pytest.mark.parametrize("fixture,rank", [("inst_dirline3", 152), ("inst_a3j3_dirline3", None)])
+def test_union_find_classes_match_the_echelon_reference(request, fixture, rank):
+    space, pre = InstanceContext(request.getfixturevalue(fixture), 2).space
+    assert pre.ok, pre.first_witness()
+    oracle = WordOracle(space, max_len=3)
+    ref = EchelonReference(oracle)
+
+    def partition(label, words):
+        classes: dict = {}
+        for w in words:
+            classes.setdefault(label(w), set()).add(w)
+        return set(map(frozenset, classes.values()))
+
+    for bk, words in oracle.blocks.items():
+        assert partition(oracle.label, words) == partition(ref.labels.get, words)
+        assert len(oracle.basis[bk]) == len(ref.rows[bk])
+        # each residual is the unit vector at the class's largest index, the
+        # oracle's root, so labels sort classes as residuals did
+        for w in words:
+            assert ref.labels[w] == (bk, ((oracle.label(w)[1], 1),))
+    if rank is not None:
+        assert sum(map(len, oracle.basis.values())) == rank
+
+
+def pair_scan(words, labels, keys):
+    """The first (n, m) on which labels and keys disagree, as the agreement
+    witness, and the equal and unequal pairs before it."""
+    n_equal = n_unequal = 0
+    for n in range(len(words)):
+        for m in range(n + 1, len(words)):
+            vo, vm = labels[n] == labels[m], keys[n] == keys[m]
+            if vo != vm:
+                return (f"words {_word_key(words[n])} and {_word_key(words[m])}: "
+                        f"linear algebra says {'equal' if vo else 'unequal'}, "
+                        f"closure says {'equal' if vm else 'unequal'}"), n_equal, n_unequal
+            n_equal += vo
+            n_unequal += not vo
+    return None, n_equal, n_unequal
+
+
+def test_planted_merge_loss_fails_as_the_pair_scan_does(space_dirline3, monkeypatch):
+    # without merges the oracle splits classes that the normal form joins
+    monkeypatch.setattr(WordOracle, "_merges", lambda self, e1, e2: [])
+    oracle = WordOracle(space_dirline3, max_len=3)
+    ref = EchelonReference(oracle)
+    words = oracle.all_words()
+    keys = [space_dirline3.mor_key(BundleMorphism.chain(w)) for w in words]
+    witness, n_equal, n_unequal = pair_scan(words, [ref.labels[w] for w in words], keys)
+    assert witness.endswith("linear algebra says unequal, closure says equal")
+
+    rep = check_oracle_agreement(space_dirline3, oracle)
+    got = {c.check_id: c for c in rep.checks}
+    assert got["oracle.agreement"].status == got["oracle.both_verdicts"].status == "fail"
+    assert got["oracle.agreement"].witness == witness
+    assert got["oracle.both_verdicts"].witness == (
+        f"equal pairs: {n_equal}, unequal pairs: {n_unequal}")
+
+
+@pytest.mark.parametrize("position", [1, -1])
+def test_planted_action_fault_on_any_member_is_found(space_dirline3, word_oracle,
+                                                     monkeypatch, position):
+    # each member is compared with its class's first one, the second and the
+    # last member included
+    words = word_oracle.all_words()
+    classes: dict = {}
+    for w in words:
+        classes.setdefault(word_oracle.label(w), []).append(w)
+    cls = next(c for c in classes.values() if len(c) >= 3)
+    psi = space_dirline3.q.morphisms.reps[0]
+    real_act = space_dirline3.act_mor
+    planted = []
+
+    def act(m, p):
+        out = real_act(m, p)
+        if m.edges == cls[position] and p == psi:
+            planted.append(out)
+        return out
+
+    monkeypatch.setattr(space_dirline3, "act_mor", act)
+    _planted(space_dirline3, monkeypatch, lambda m: any(m is p for p in planted))
+    got = {c.check_id: c for c in check_congruence_invariants(space_dirline3, word_oracle).checks}
+    assert got["congruence.action_equivariant"].status == "fail"
+    assert got["congruence.action_equivariant"].witness.endswith(str(_word_key(cls[0])))
