@@ -75,11 +75,14 @@ a hit.
 
 The right action is written once, in `act_state`: on a unit state it
 multiplies the last unit's decoration by psi and every earlier one by the
-identity coset at the source object of psi. `act_mor` splits a chain into
-units, acts and rebuilds the chain, so on a multi-step edge it returns
-another chain of the same class. The identity at a canonical object x is the
-neutral chain `to_chain((neutral_unit(x),))` (zero-length walk, identity
-decoration), a two-sided unit under concatenation.
+identity coset at the source object of psi, reading each product from a
+table of decorations per coset, filled on first use (at most cosets x cosets
+entries). The battery's action laws read acted keys from one map of its
+enumerated states. `act_mor` splits a chain into units, acts and rebuilds
+the chain, so on a multi-step edge it returns another chain of the same
+class. The identity at a canonical object x is the neutral chain
+`to_chain((neutral_unit(x),))` (zero-length walk, identity decoration), a
+two-sided unit under concatenation.
 """
 
 from __future__ import annotations
@@ -165,6 +168,8 @@ class BundleSpace:
         self._cc_cache: dict[tuple[str, ...], list[str]] = {}
         self._ends: dict[QuiverEdge,
                          tuple[tuple[str, ...], tuple[BundleObject, BundleObject]]] = {}
+        # psi -> (phi -> phi psi, phi -> phi times the identity at s(psi))
+        self._actions: dict[str, tuple[Callable, Callable]] = {}
 
     # ----- transported cocycle values on cosets ----------------------------
 
@@ -326,14 +331,21 @@ class BundleSpace:
         """Right action by a morphism coset on a unit state: the last unit's
         decoration is multiplied by psi, every earlier one by the identity
         coset at the source object of psi."""
-        q = self.q
-        if psi not in q.source:
-            raise SchemaError(f"{psi!r} is not a morphism coset rep")
-        unit_at_source = q.identity_mor_at(q.source[psi])
-        *head, (c, step, phi) = state
-        return tuple([(c0, step0, q.mor_product(phi0, unit_at_source))
-                      for c0, step0, phi0 in head]
-                     + [(c, step, q.mor_product(phi, psi))])
+        tables = self._actions.get(psi)
+        if tables is None:
+            q = self.q
+            if psi not in q.source:
+                raise SchemaError(f"{psi!r} is not a morphism coset rep")
+            tables = self._actions[psi] = (
+                cache(partial(q.mor_product, b=psi)),
+                cache(partial(q.mor_product, b=q.identity_mor_at(q.source[psi]))))
+        last, head = tables
+        *init, (c, step, phi) = state
+        acted = []
+        for c0, step0, phi0 in init:
+            acted.append((c0, step0, head(phi0)))
+        acted.append((c, step, last(phi)))
+        return tuple(acted)
 
     def act_mor(self, m: BundleMorphism, psi: str) -> BundleMorphism:
         """`act_state` on the units of m; on a multi-step edge the result is
@@ -517,6 +529,14 @@ class BundleSpace:
         return ((self.unit_s_obj(state[0]), self.unit_t_obj(state[-1])),
                 self.component_of(state))
 
+    def composed_key(self, state: State) -> Optional[tuple]:
+        """`state_key` of a state of valid units, or None if some unit does
+        not end where the next one starts."""
+        for u1, u2 in zip(state, state[1:]):
+            if self.unit_t_obj(u1) != self.unit_s_obj(u2):
+                return None
+        return self.state_key(state)
+
     def mor_equal(self, a: BundleMorphism, b: BundleMorphism) -> bool:
         """Validate both morphisms, then compare their keys."""
         return self.mor_key(a) == self.mor_key(b)
@@ -691,9 +711,10 @@ class LocalTrivialization:
         The image of each (walk, phi) is built, validated, keyed and split
         into units once. `functorial` keys the concatenated unit states of
         two images after checking their junction, and `equivariant` keys an
-        image's state acted on by `act_state`; both keys equal those of the
-        chains `mor_compose` and `act_mor` would build. `mor_surjective`
-        reads each chain's chart-i coset from its prefix's (`chart_cosets`).
+        image's state acted on by `act_state` after checking its junctions;
+        both keys equal those of the chains `mor_compose` and `act_mor` would
+        build. `mor_surjective` reads each chain's chart-i coset from its
+        prefix's (`chart_cosets`).
 
         `one_chart`, the checked trivialization of chart i over (i,) alone,
         lends its passed `mor_surjective`, `functorial` and `equivariant`
@@ -799,8 +820,11 @@ class LocalTrivialization:
                 for m1 in mreps:
                     for psi in mreps:
                         lhs = pair_key(w.start, w.steps, q.mor_product(m1, psi))
-                        acted = space.act_state(pair_state(w, m1), psi)
-                        if space.state_key(acted) != lhs:
+                        acted_key = space.composed_key(
+                            space.act_state(pair_state(w, m1), psi))
+                        if acted_key is None:
+                            yield f"action by {psi} breaks a junction of ({w.steps}, {m1})"
+                        elif acted_key != lhs:
                             yield f"action by {psi} breaks on ({w.steps}, {m1})"
         rep.search(f"{tag}.equivariant",
                    "the functor intertwines the right fiber actions",
@@ -872,30 +896,42 @@ def check_bundle_axioms(space: BundleSpace, max_len: int = 3) -> Report:
     states = enumerate_chains(space, 2)
 
     # the distinct compacted states of the bounded chains, grouped by class;
-    # keying them first compacts each chain once for every check below
+    # keying them first compacts each chain once for every check below. The
+    # action laws read an acted state's `state_key` from `keys`; a state not
+    # there is no composable state of enumerated units, so it is keyed only
+    # after its junctions are checked (`composed_key`).
     classes: dict[tuple, dict[State, None]] = {}
+    keys: dict[State, tuple] = {}
     walk_witness = None
     for st in states:
         compacted, key = space._compact_key(st)
         if walk_witness is None and space._walk_sig(st) != key[1]:
             walk_witness = f"chain {st} is equal to a morphism over another walk"
         classes.setdefault(key, {})[compacted] = None
+        keys[st] = space.state_key(st)
+
+    def broken(psi: str, st: State) -> str:
+        return f"action by {psi} breaks a junction of chain {st}"
 
     # every neutral unit, the identity at its object, is a one-unit state
     def unfree_morphisms():
         for st in states:
-            walk, key = space._walk_sig(st), space.state_key(st)
+            walk, key = space._walk_sig(st), keys[st]
             for psi in q.morphisms.reps:
                 acted = space.act_state(st, psi)
                 if space._walk_sig(acted) != walk:
                     yield f"action by {psi} changed a projected walk"
-                if (space.state_key(acted) == key) != (psi == neutral):
+                acted_key = keys.get(acted) or space.composed_key(acted)
+                if acted_key is None:
+                    yield broken(psi, st)
+                elif (acted_key == key) != (psi == neutral):
                     yield f"morphism action by {psi} is not free on chain {st}"
     rep.search("bundle.action.mor_free",
                "the morphism action is free, unital, and projection-invariant",
                unfree_morphisms())
 
     loops = [p for p in q.morphisms.reps if q.source[p] == q.target[p]]
+    units_at = [q.identity_mor_at(q.source[psi]) for psi in loops]
     one_unit = [st for st in states if len(st) == 1]
     by_source_obj: dict[BundleObject, list[State]] = {}
     for st in one_unit:
@@ -903,17 +939,20 @@ def check_bundle_axioms(space: BundleSpace, max_len: int = 3) -> Report:
 
     def exchange_breaks():
         for s1 in one_unit:
+            firsts = [space.act_state(s1, unit) for unit in units_at]
             for s2 in by_source_obj.get(space.unit_t_obj(s1[-1]), ()):
-                for psi in loops:
+                for psi, a1 in zip(loops, firsts):
                     lhs = space.act_state(s1 + s2, psi)
-                    a1 = space.act_state(s1, q.identity_mor_at(q.source[psi]))
                     a2 = space.act_state(s2, psi)
                     end1, start2 = space.unit_t_obj(a1[-1]), space.unit_s_obj(a2[0])
                     if end1 != start2:
                         yield (f"exchange composite undefined: cannot compose: "
                                f"first ends at {end1}, second starts at {start2}")
                         continue
-                    if space.state_key(lhs) != space.state_key(a1 + a2):
+                    lhs_key = keys.get(lhs) or space.composed_key(lhs)
+                    if lhs_key is None:
+                        yield broken(psi, s1 + s2)
+                    elif lhs_key != (keys.get(a1 + a2) or space.state_key(a1 + a2)):
                         yield f"exchange law breaks for {psi} on a 2-chain"
     rep.search("bundle.action.exchange",
                "acting on a composite equals composing the acted factors "
@@ -924,14 +963,20 @@ def check_bundle_axioms(space: BundleSpace, max_len: int = 3) -> Report:
 
     def split_classes():
         for members in classes.values():
-            base, *others = members
             for psi in movers:
-                target = space.state_key(space.act_state(base, psi))
-                for other in others:
-                    if space.state_key(space.act_state(other, psi)) != target:
+                target = None
+                for st in members:
+                    acted = space.act_state(st, psi)
+                    acted_key = keys.get(acted) or space.composed_key(acted)
+                    if acted_key is None:
+                        yield broken(psi, st)
+                    elif target is None:
+                        target = acted_key
+                    elif acted_key != target:
                         yield f"equal chains act apart under {psi}"
     rep.search("bundle.action.equivariant",
                "equal morphisms stay equal under the fiber action", split_classes())
+    del keys
 
     rep.record("bundle.proj.class_invariant",
                "equal morphisms project to the same base walk",

@@ -7,20 +7,19 @@ from .complexes import CoverComplex
 from .crossed import ChainedCrossedModules, CrossedModule
 from .errors import SchemaError
 from .gerbal import generate_gerbal
-from .permutations import (
-    alternating_group,
-    conjugation_action,
-    identity_hom,
-    inclusion_hom,
-    klein_four,
-    symmetric_group,
-)
 from .schema import Instance
 
 
 def s3_chain() -> ChainedCrossedModules:
     """Outer: S3 acting on itself by conjugation with the identity map down.
     Inner: A3 included into S3. tau is onto, so the full variant applies."""
+    from .permutations import (
+        alternating_group,
+        conjugation_action,
+        identity_hom,
+        inclusion_hom,
+        symmetric_group,
+    )
     s3 = symmetric_group(3)
     a3 = alternating_group(3)
     outer = CrossedModule(s3, s3, conjugation_action(s3, s3, "conj_outer"),
@@ -33,6 +32,13 @@ def s3_chain() -> ChainedCrossedModules:
 def s4_chain() -> ChainedCrossedModules:
     """Outer: A4 included into S4. Inner: the Klein four group included into
     A4. tau is not onto, so constructions restrict to its image."""
+    from .permutations import (
+        alternating_group,
+        conjugation_action,
+        inclusion_hom,
+        klein_four,
+        symmetric_group,
+    )
     s4 = symmetric_group(4)
     a4 = alternating_group(4)
     v4 = klein_four()

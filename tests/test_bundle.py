@@ -23,7 +23,7 @@ from catbundle.errors import (
     SchemaError,
 )
 from catbundle.gerbal import generate_gerbal
-from catbundle.presets import cover_line5w
+from catbundle.presets import build_instance, cover_line5w
 from catbundle.schema import Instance
 from catbundle.suites import InstanceContext, run_suite
 from rewrite_reference import RewriteReference
@@ -665,3 +665,91 @@ def test_a_normal_form_that_drops_decorations_fails_on_the_non_thin_fiber(
     monkeypatch.setattr(BundleSpace, "_normal_form", planted)
     rep = run_suite(request.getfixturevalue(fixture), "all", 2)
     assert fails <= {c.check_id for c in rep.failures()}
+
+
+# ----- the action laws under planted actions ----------------------------------
+
+ACTION_LAWS = ("bundle.action.mor_free", "bundle.action.exchange",
+               "bundle.action.equivariant")
+
+
+def plant_act_state(monkeypatch, space, plant):
+    """Replace `act_state` on `space` by `plant(act_state, state, psi)`."""
+    act_state = space.act_state
+    monkeypatch.setattr(space, "act_state", lambda state, psi: plant(act_state, state, psi))
+
+
+def test_action_plant_chart_swap_fails_every_action_law(inst_line5w, monkeypatch):
+    # an acted one-unit state moves, decoration unchanged, to the first other
+    # chart holding its step; two-unit states act as before, so `exchange`
+    # fails only because each acted state comes from its own act_state call
+    space = fresh_space(inst_line5w)
+
+    def swap(act_state, state, psi):
+        acted = act_state(state, psi)
+        if len(state) != 1:
+            return acted
+        (c, step, phi), = acted
+        others = [k for k in space._charts_of(space._step_walk(step).visited) if k != c]
+        return ((others[0], step, phi),) if others else acted
+    plant_act_state(monkeypatch, space, swap)
+    failed = {c.check_id: c.witness for c in check_bundle_axioms(space, 2).failures()}
+    assert [failed.get(law) for law in ACTION_LAWS] == [
+        "morphism action by ((123),(12)) is not free on chain "
+        "(('3', ('v', '1'), '((12),(12))'),)",
+        "exchange law breaks for ((123),(12)) on a 2-chain",
+        "equal chains act apart under ((12),(12))",
+    ]
+    assert failed["triv.1.1.equivariant"] == "action by ((12),(12)) breaks on ((), ((12),(12)))"
+
+
+@pytest.mark.parametrize("plant", [
+    # only the last unit is multiplied
+    lambda act_state, state, psi: state[:-1] + act_state(state[-1:], psi),
+    # a two-unit state keeps its head unit
+    lambda act_state, state, psi: (state[:1] + act_state(state[1:], psi) if len(state) == 2
+                                   else act_state(state, psi)),
+], ids=["last-unit-only", "two-unit-head-kept"])
+def test_action_plant_on_the_head_units_fails_instead_of_raising(inst_line5w, monkeypatch,
+                                                                 plant):
+    # the acted head no longer ends where the acted last unit starts, so the
+    # state does not compose: each law names the chain it acted on
+    space = fresh_space(inst_line5w)
+    plant_act_state(monkeypatch, space, plant)
+    failed = {c.check_id: c.witness for c in check_bundle_axioms(space, 2).failures()}
+    first = "(('1', ('v', '0'), '((12),(12))'), ('1', ('v', '0'), '((12),(123))'))"
+    assert [failed.get(law) for law in ACTION_LAWS] == [
+        f"action by ((12),(12)) breaks a junction of chain {first}",
+        f"action by ((123),(12)) breaks a junction of chain {first}",
+        "action by ((12),(12)) breaks a junction of chain "
+        "(('1', ('e', 'e01', 1), '((12),(12))'), ('1', ('e', 'e01', -1), '((12),(123))'))",
+    ]
+    equivariant = {f"triv.{i}.{''.join(indices)}.equivariant"
+                   for indices in index_family(space.cover) for i in indices}
+    assert equivariant <= set(failed)
+    assert failed["triv.1.1.equivariant"] == (
+        "action by ((12),(12)) breaks a junction of ((('e01', 1), ('e01', -1)), ((12),(12)))")
+
+
+def test_act_state_raises_on_an_unknown_coset_every_call(inst_line5):
+    space = fresh_space(inst_line5)
+    state = enumerate_chains(space, 1)[0]
+    for _ in range(3):
+        with pytest.raises(SchemaError, match="is not a morphism coset rep"):
+            space.act_state(state, "not-a-coset")
+    psi = space.q.morphisms.reps[-1]
+    assert space.act_state(state, psi) == space.act_state(state, psi)
+    with pytest.raises(SchemaError, match="is not a morphism coset rep"):
+        space.act_state(state, "not-a-coset")
+
+
+def test_action_tables_stay_within_units_times_cosets():
+    # each table holds one product per decoration, so none grows with states
+    space = fresh_space(build_instance("s4-line5w", 5, True))
+    rep = check_bundle_axioms(space, 2)
+    assert rep.ok, rep.failures()
+    cosets = len(space.q.morphisms.reps)
+    sizes = [table.cache_info().currsize for pair in space._actions.values() for table in pair]
+    assert len(space._actions) == cosets
+    assert max(sizes) <= cosets
+    assert sum(sizes) <= len(bundle.enumerate_units(space)) * cosets

@@ -277,6 +277,8 @@ def test_precondition_verbs_load_no_later_layer(footprint_docs, tmp_path, suite)
         loaded = check_loads(doc, suite, out)
     assert "catbundle.gerbal" in loaded
     assert not loaded & (LAYER_MODULES | {"dataclasses"})
+    # the preset chains build their permutation groups on first use
+    assert "catbundle.permutations" not in loaded
 
 
 def test_quotient_verb_loads_the_quotient_only(footprint_docs, tmp_path):
@@ -309,6 +311,7 @@ def test_all_battery_loads_every_layer(footprint_docs, tmp_path):
     # s3-line5 has zero-length edges, so `all` skips the oracle suite here
     loaded = check_loads(footprint_docs["s3-line5"], "all", tmp_path / "rep.json")
     assert LAYER_MODULES | {"catbundle.functorial"} <= loaded
+    assert "catbundle.permutations" not in loaded
 
 
 def test_bare_package_import_loads_no_submodule():
