@@ -53,9 +53,8 @@ states themselves: it keys each with `state_key`, acts on it with
 `act_state` and composes by concatenation, so it builds no chain. A local
 trivialization builds, validates, keys and splits the image `on_pair(walk,
 phi)` of each (walk, fiber morphism) pair once per check. Its `functorial`
-and `equivariant` checks key unit states, two images concatenated and an
-image acted on by `act_state`; these are the keys of the chains that
-`mor_compose` and `act_mor` build, since `unit_split` works edge by edge.
+and `equivariant` checks key two images concatenated and an image acted on
+by `act_state` with `composed_key`, the one junction check on unit states.
 Its `mor_surjective` check folds each bounded chain onto its prefix
 (`chart_cosets`). In the battery, a trivialization of chart i over several
 charts restricts the one over chart i alone: where their images agree it
@@ -78,11 +77,10 @@ multiplies the last unit's decoration by psi and every earlier one by the
 identity coset at the source object of psi, reading each product from a
 table of decorations per coset, filled on first use (at most cosets x cosets
 entries). The battery's action laws read acted keys from one map of its
-enumerated states. `act_mor` splits a chain into units, acts and rebuilds
-the chain, so on a multi-step edge it returns another chain of the same
-class. The identity at a canonical object x is the neutral chain
-`to_chain((neutral_unit(x),))` (zero-length walk, identity decoration), a
-two-sided unit under concatenation.
+enumerated states. To act on a chain, act on its `unit_split`; to compose
+two chains, concatenate their edges. The identity at a canonical object x
+is the neutral chain `to_chain((neutral_unit(x),))` (zero-length walk,
+identity decoration), a two-sided unit under concatenation.
 """
 
 from __future__ import annotations
@@ -347,11 +345,6 @@ class BundleSpace:
         acted.append((c, step, last(phi)))
         return tuple(acted)
 
-    def act_mor(self, m: BundleMorphism, psi: str) -> BundleMorphism:
-        """`act_state` on the units of m; on a multi-step edge the result is
-        another chain of the same class."""
-        return self.to_chain(self.act_state(self.unit_split(m), psi))
-
     # ----- unit-split states and their normal form ---------------------------
 
     def _step_walk(self, step: Step) -> PathMor:
@@ -516,7 +509,7 @@ class BundleSpace:
         decorations.append(self._reindex(self._charts_of(w.visited)[0], c, w, a))
         return (self.unit_s_obj(state[0]), self._walk_sig(state), tuple(decorations))
 
-    # ----- equality, composition --------------------------------------------
+    # ----- equality ---------------------------------------------------------
 
     def mor_key(self, m: BundleMorphism) -> tuple:
         """((source, target), normal-form key) of m, after validating m; two
@@ -540,19 +533,6 @@ class BundleSpace:
     def mor_equal(self, a: BundleMorphism, b: BundleMorphism) -> bool:
         """Validate both morphisms, then compare their keys."""
         return self.mor_key(a) == self.mor_key(b)
-
-    @staticmethod
-    def check_junction(t1: BundleObject, s2: BundleObject) -> None:
-        """Raise unless a morphism ending at t1 composes with one starting at s2."""
-        if t1 != s2:
-            raise CompositionError(
-                f"cannot compose: first ends at {t1}, second starts at {s2}"
-            )
-
-    def mor_compose(self, first: BundleMorphism, second: BundleMorphism) -> BundleMorphism:
-        """Diagrammatic: first, then second. Needs t(first) = s(second)."""
-        self.check_junction(self.mor_endpoints(first)[1], self.mor_endpoints(second)[0])
-        return BundleMorphism.chain(first.edges + second.edges)
 
     # ----- constructive lifts and reductions ---------------------------------
 
@@ -671,10 +651,11 @@ class LocalTrivialization:
         if not space.cover.identity_edges:
             raise PreconditionError(
                 "local trivializations need zero-length edges enabled")
+        indices = tuple(indices)
+        region = overlap(space.cover, indices)  # names an unknown chart
         indices = tuple(sorted(indices, key=space.cover.index_order.index))
         if i not in indices:
             raise SchemaError(f"chart {i!r} is not in {indices}")
-        region = overlap(space.cover, indices)
         if not region:
             raise SchemaError(f"the overlap of {indices} is empty")
         self.space = space
@@ -709,12 +690,12 @@ class LocalTrivialization:
         only if `mor_surjective` scans.
 
         The image of each (walk, phi) is built, validated, keyed and split
-        into units once. `functorial` keys the concatenated unit states of
-        two images after checking their junction, and `equivariant` keys an
-        image's state acted on by `act_state` after checking its junctions;
-        both keys equal those of the chains `mor_compose` and `act_mor` would
-        build. `mor_surjective` reads each chain's chart-i coset from its
-        prefix's (`chart_cosets`).
+        into units once, and `projection` reads its walk from its key.
+        `functorial` keys the concatenated states of two images and
+        `equivariant` an image's state acted on by `act_state`, both through
+        `composed_key`: a state that does not compose fails the law.
+        `mor_surjective` reads each chain's chart-i coset from its prefix's
+        (`chart_cosets`).
 
         `one_chart`, the checked trivialization of chart i over (i,) alone,
         lends its passed `mor_surjective`, `functorial` and `equivariant`
@@ -805,10 +786,11 @@ class LocalTrivialization:
                     for m1 in mreps:
                         for m2 in q.mors_with_source(q.target[m1]):
                             lhs = pair_key(w21.start, w21.steps, q.compose_of(m2, m1))
-                            s1, s2 = pair_state(w1, m1), pair_state(w2, m2)
-                            space.check_junction(space.unit_t_obj(s1[-1]),
-                                                 space.unit_s_obj(s2[0]))
-                            if space.state_key(s1 + s2) != lhs:
+                            key = space.composed_key(pair_state(w1, m1) + pair_state(w2, m2))
+                            if key is None:
+                                yield (f"composite of ({w1.steps}, {m1}) then "
+                                       f"({w2.steps}, {m2}) breaks a junction")
+                            elif key != lhs:
                                 yield (f"composite of ({w1.steps}, {m1}) then "
                                        f"({w2.steps}, {m2}) disagrees")
         rep.search(f"{tag}.functorial",
@@ -831,10 +813,10 @@ class LocalTrivialization:
                    () if "equivariant" in carried else unequivariant())
 
         def moved_walks():
+            # the walk of an image's key is the walk of its edges
             for w in walks:
                 for m1 in mreps:
-                    pr = space.project(self.on_pair(w, m1))
-                    if (pr.start, pr.steps) != (w.start, w.steps):
+                    if pair_key(w.start, w.steps, m1)[1][1] != (w.start, w.steps):
                         yield f"projection of ({w.steps}, {m1}) is not the walk itself"
         rep.search(f"{tag}.projection",
                    "projection after the functor returns the base walk", moved_walks())
@@ -861,7 +843,7 @@ def check_bundle_axioms(space: BundleSpace, max_len: int = 3) -> Report:
     `mor_injective` built the image of every walk with every coset rep, and
     the scans read images at coset reps only, so the comparison builds no
     image and covers every image J's scans read. The chart-i coset
-    (`chart_cosets`), `state_key`, `act_state` and the junction check read
+    (`chart_cosets`), `state_key`, `act_state` and `composed_key` read
     units, never `QuiverEdge.charts`, so each comparison J's scan makes is
     one the (i,) scan made. Otherwise J scans as a trivialization checked
     alone does, in the same order, and reports its own first witness. A
@@ -913,18 +895,20 @@ def check_bundle_axioms(space: BundleSpace, max_len: int = 3) -> Report:
     def broken(psi: str, st: State) -> str:
         return f"action by {psi} breaks a junction of chain {st}"
 
-    # every neutral unit, the identity at its object, is a one-unit state
+    # every neutral unit, the identity at its object, is a one-unit state; a
+    # key holds its walk
     def unfree_morphisms():
         for st in states:
-            walk, key = space._walk_sig(st), keys[st]
+            key = keys[st]
             for psi in q.morphisms.reps:
                 acted = space.act_state(st, psi)
-                if space._walk_sig(acted) != walk:
-                    yield f"action by {psi} changed a projected walk"
                 acted_key = keys.get(acted) or space.composed_key(acted)
                 if acted_key is None:
                     yield broken(psi, st)
-                elif (acted_key == key) != (psi == neutral):
+                    continue
+                if acted_key[1][1] != key[1][1]:
+                    yield f"action by {psi} changed a projected walk"
+                if (acted_key == key) != (psi == neutral):
                     yield f"morphism action by {psi} is not free on chain {st}"
     rep.search("bundle.action.mor_free",
                "the morphism action is free, unital, and projection-invariant",
@@ -943,16 +927,16 @@ def check_bundle_axioms(space: BundleSpace, max_len: int = 3) -> Report:
             for s2 in by_source_obj.get(space.unit_t_obj(s1[-1]), ()):
                 for psi, a1 in zip(loops, firsts):
                     lhs = space.act_state(s1 + s2, psi)
-                    a2 = space.act_state(s2, psi)
-                    end1, start2 = space.unit_t_obj(a1[-1]), space.unit_s_obj(a2[0])
-                    if end1 != start2:
-                        yield (f"exchange composite undefined: cannot compose: "
-                               f"first ends at {end1}, second starts at {start2}")
+                    a12 = a1 + space.act_state(s2, psi)
+                    rhs_key = keys.get(a12) or space.composed_key(a12)
+                    if rhs_key is None:
+                        yield (f"exchange composite undefined: the factors of chain "
+                               f"{s1 + s2} acted by {psi} do not compose")
                         continue
                     lhs_key = keys.get(lhs) or space.composed_key(lhs)
                     if lhs_key is None:
                         yield broken(psi, s1 + s2)
-                    elif lhs_key != (keys.get(a1 + a2) or space.state_key(a1 + a2)):
+                    elif lhs_key != rhs_key:
                         yield f"exchange law breaks for {psi} on a 2-chain"
     rep.search("bundle.action.exchange",
                "acting on a composite equals composing the acted factors "

@@ -18,6 +18,7 @@ the normal-form code path and re-derives everything from the generators.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
 
 from .bundle import BundleMorphism, BundleSpace, QuiverEdge
@@ -268,12 +269,15 @@ def check_congruence_invariants(space: BundleSpace, oracle: WordOracle) -> Repor
     """Equal words must share projection and endpoints and stay equal under
     the fiber action.
 
-    Each word's chain, projection and endpoints are computed once, and the key
-    of `act_mor(word, psi)` once per (word, psi), on the first comparison that
-    needs it. Each law is an equality, so it compares each member of a class
-    with the class's first member n. If some pair of a class breaks the law,
-    then n and some member do, so the first such (n, m), class by class, is
-    also the first broken pair in `equal_pairs` order."""
+    Each word's chain, projection and endpoints are computed once. A word
+    compared under the action is split into units once, and its state acted
+    on by psi is keyed with `composed_key` once per (word, psi), on the first
+    comparison that needs it; an acted state that does not compose fails the
+    law with its own witness. Each law is an equality, so it compares each
+    member of a class with the class's first member n. If some pair of a
+    class breaks the law, then n and some member do, so the first such
+    (n, m), class by class, is also the first broken pair in `equal_pairs`
+    order."""
     rep = Report("oracle")
     words = oracle.all_words()
     classes = _classes([oracle.label(w) for w in words])
@@ -290,15 +294,18 @@ def check_congruence_invariants(space: BundleSpace, oracle: WordOracle) -> Repor
         f"equal words with different endpoints: {_word_key(words[n])}"
         for n, m in pairs if ends[n] != ends[m]))
 
-    acted: dict[tuple[int, str], tuple] = {}
+    split = cache(lambda n: space.unit_split(mors[n]))
+    acted_key = cache(lambda n, psi: space.composed_key(space.act_state(split(n), psi)))
 
-    def acted_key(n: int, psi: str) -> tuple:
-        if (n, psi) not in acted:
-            acted[n, psi] = space.mor_key(space.act_mor(mors[n], psi))
-        return acted[n, psi]
-
-    rep.search("congruence.action_equivariant", "the fiber action preserves word equality", (
-        f"action by {psi} separates an equal pair {_word_key(words[n])}"
-        for n, m in pairs for psi in space.q.morphisms.reps
-        if acted_key(n, psi) != acted_key(m, psi)))
+    def separations():
+        for n, m in pairs:
+            for psi in space.q.morphisms.reps:
+                key_n, key_m = acted_key(n, psi), acted_key(m, psi)
+                if key_n is None or key_m is None:
+                    word = words[n if key_n is None else m]
+                    yield f"action by {psi} breaks a junction of word {_word_key(word)}"
+                elif key_n != key_m:
+                    yield f"action by {psi} separates an equal pair {_word_key(words[n])}"
+    rep.search("congruence.action_equivariant", "the fiber action preserves word equality",
+               separations())
     return rep

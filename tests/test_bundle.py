@@ -39,6 +39,16 @@ def neutral_chain(space, x):
     return space.to_chain((space.neutral_unit(x),))
 
 
+def compose(first, second):
+    """Diagrammatic: first, then second, as one chain."""
+    return BundleMorphism.chain(first.edges + second.edges)
+
+
+def act(space, m, psi):
+    """The right action on a chain: `act_state` on its units, rechained."""
+    return space.to_chain(space.act_state(space.unit_split(m), psi))
+
+
 def test_object_count_line5w(space_line5w):
     # 5 vertices, 2 fiber object cosets
     assert len(space_line5w.objects_all()) == 10
@@ -115,8 +125,8 @@ def test_neutral_chain_is_a_two_sided_unit(space_line5):
     space, q = space_line5, space_line5.q
     m = one_step(space, "1", ("1",), "1", ("e12", 1), q.morphisms.reps[2])
     s, t = space.mor_endpoints(m)
-    assert space.mor_equal(space.mor_compose(neutral_chain(space, s), m), m)
-    assert space.mor_equal(space.mor_compose(m, neutral_chain(space, t)), m)
+    assert space.mor_equal(compose(neutral_chain(space, s), m), m)
+    assert space.mor_equal(compose(m, neutral_chain(space, t)), m)
     # vertex 2 lies in charts 1 and 2: the neutral edge of either is the identity
     x = space.canonical_obj("2", "2", q.identity_obj())
     fiber = q.obj_product(space.gbar("2", x.chart, "2"), x.fiber)
@@ -157,7 +167,7 @@ def test_act_mor_projection_invariant(space_line5):
     space, q = space_line5, space_line5.q
     m = one_step(space, "1", ("1",), "0", ("e01", 1), q.morphisms.reps[2])
     for psi in q.morphisms.reps:
-        acted = space.act_mor(m, psi)
+        acted = act(space, m, psi)
         assert space.project(acted).steps == space.project(m).steps
 
 
@@ -165,8 +175,8 @@ def test_act_mor_on_neutral_chain_roundtrip(space_line5):
     space, q = space_line5, space_line5.q
     identity = neutral_chain(space, space.canonical_obj("1", "0", q.identity_obj()))
     for psi in q.morphisms.reps:
-        acted = space.act_mor(identity, psi)
-        back = space.act_mor(acted, q.mor_inverse(psi))
+        acted = act(space, identity, psi)
+        back = act(space, acted, q.mor_inverse(psi))
         assert space.mor_equal(back, identity)
 
 
@@ -174,7 +184,7 @@ def test_act_mor_by_identity_fixes(space_line5):
     space, q = space_line5, space_line5.q
     m = one_step(space, "1", ("1",), "1", ("e12", 1), q.morphisms.reps[1])
     unit = q.identity_mor_at(q.identity_obj())
-    assert space.mor_equal(space.act_mor(m, unit), m)
+    assert space.mor_equal(act(space, m, unit), m)
 
 
 def test_mor_compose_requires_matching_endpoints(space_line5):
@@ -182,10 +192,10 @@ def test_mor_compose_requires_matching_endpoints(space_line5):
     phi = q.morphisms.reps[0]
     m1 = one_step(space, "1", ("1",), "0", ("e01", 1), phi)
     m2 = one_step(space, "1", ("1",), "0", ("e01", 1), phi)
-    t1 = space.mor_endpoints(m1)[1]
-    if space.mor_endpoints(m2)[0] != t1:
-        with pytest.raises(CompositionError):
-            space.mor_compose(m1, m2)
+    assert space.mor_endpoints(m2)[0] != space.mor_endpoints(m1)[1]
+    with pytest.raises(CompositionError):
+        space.mor_endpoints(compose(m1, m2))
+    assert space.composed_key(space.unit_split(m1) + space.unit_split(m2)) is None
 
 
 def test_mor_compose_concatenates_walks(space_line5):
@@ -195,8 +205,10 @@ def test_mor_compose_concatenates_walks(space_line5):
     t = space.mor_endpoints(m1)[1]
     m2 = one_step(space, "1", ("1",), "1", ("e12", 1),
                   q.identity_mor_at(t.fiber))
-    out = space.mor_compose(m1, m2)
+    out = compose(m1, m2)
     assert space.project(out).steps == (("e01", 1), ("e12", 1))
+    assert space.mor_key(out) == \
+        space.composed_key(space.unit_split(m1) + space.unit_split(m2))
 
 
 def test_lift_walk_projects_back(space_line5):
@@ -380,10 +392,10 @@ def test_chain_of_cached_edges_still_checks_junctions(inst_line5):
     with pytest.raises(CompositionError):
         space.mor_endpoints(broken)
     ok = BundleMorphism.chain([e1])
-    with pytest.raises(CompositionError):
-        space.mor_compose(broken, ok)
-    with pytest.raises(CompositionError):
-        space.mor_compose(ok, broken)
+    for first, second in ((broken, ok), (ok, broken)):
+        with pytest.raises(CompositionError):
+            space.mor_endpoints(compose(first, second))
+        assert space.composed_key(space.unit_split(first) + space.unit_split(second)) is None
 
 
 def test_edge_whose_visited_vertices_disagree_with_its_steps_is_rejected(inst_line5):
@@ -439,7 +451,7 @@ def test_chart_cosets_fold_each_chain_onto_its_prefix(space_line5):
 
 def test_trivialization_state_keys_are_the_chain_keys(space_line5):
     # the functorial and equivariant checks key unit states; each key must be
-    # the key of the chain that mor_compose or act_mor builds
+    # the key of the composed or acted chain
     space, q = space_line5, space_line5.q
     mreps = q.morphisms.reps
     for indices in index_family(space.cover):
@@ -452,14 +464,14 @@ def test_trivialization_state_keys_are_the_chain_keys(space_line5):
                     s1 = space.unit_split(f)
                     for psi in mreps:
                         assert space.state_key(space.act_state(s1, psi)) == \
-                            space.mor_key(space.act_mor(f, psi))
+                            space.mor_key(act(space, f, psi))
                     for w2 in walks:
                         if w1.end != w2.start or len(w1) + len(w2) > 2:
                             continue
                         for m2 in q.mors_with_source(q.target[m1]):
                             g = triv.on_pair(w2, m2)
-                            assert space.state_key(s1 + space.unit_split(g)) == \
-                                space.mor_key(space.mor_compose(f, g))
+                            assert space.composed_key(s1 + space.unit_split(g)) == \
+                                space.mor_key(compose(f, g))
 
 
 def test_an_action_that_does_nothing_fails_the_equivariance_checks(inst_line5, monkeypatch):
@@ -488,9 +500,57 @@ def test_a_broken_on_pair_fails_composition_at_the_junction(inst_line5, monkeypa
         e = m.edges[0]
         return BundleMorphism.chain([e._replace(phi=q.mor_product(e.phi, shift))])
     monkeypatch.setattr(triv, "on_pair", planted)
-    with pytest.raises(CompositionError, match=r"^cannot compose: first ends at ") as err:
-        triv.check(max_len=2, max_units=1)
-    assert "bad_composites" in {entry.name for entry in err.traceback}
+    rep = triv.check(max_len=2, max_units=1)
+    assert [(c.check_id, c.witness) for c in rep.failures()] == [
+        ("triv.1.1.functorial",
+         "composite of ((), ((12),(12))) then ((('e01', 1), ('e01', -1)), ((12),(123))) "
+         "breaks a junction")]
+
+
+def test_on_pair_plant_over_the_reversed_step_fails_instead_of_raising(inst_line5,
+                                                                        monkeypatch):
+    # each one-step image runs over its step reversed: it no longer ends where
+    # the next image starts, nor projects to its walk
+    space = fresh_space(inst_line5)
+    triv = LocalTrivialization(space, "1", ("1",))
+    on_pair = triv.on_pair
+
+    def planted(walk, mrep):
+        m = on_pair(walk, mrep)
+        if len(walk) != 1:
+            return m
+        (eid, o), = walk.steps
+        reversed_walk = space.cover.walk(walk.end, [(eid, -o)])
+        return BundleMorphism.chain([m.edges[0]._replace(walk=reversed_walk)])
+    monkeypatch.setattr(triv, "on_pair", planted)
+    rep = triv.check(2, 2)
+    assert [(c.check_id, c.witness) for c in rep.failures()] == [
+        ("triv.1.1.mor_surjective",
+         "chain (('1', ('e', 'e01', 1), '((12),(12))'),) is not equal to its chart-1 reduction"),
+        ("triv.1.1.functorial",
+         "composite of ((), ((12),(12))) then ((('e01', 1),), ((12),(123))) breaks a junction"),
+        ("triv.1.1.projection",
+         "projection of ((('e01', 1),), ((12),(12))) is not the walk itself"),
+    ]
+
+
+def test_trivialization_names_an_unknown_chart(space_line5):
+    with pytest.raises(SchemaError, match="unknown chart index '9'"):
+        LocalTrivialization(space_line5, "1", ("1", "9"))
+
+
+def test_clean_battery_builds_each_trivialization_image_once(monkeypatch):
+    space = fresh_space(build_instance("s4-line5w", 5, True))
+    built = []
+    on_pair = LocalTrivialization.on_pair
+
+    def counted(self, walk, mrep):
+        built.append((self.i, self.indices, walk.start, walk.steps, mrep))
+        return on_pair(self, walk, mrep)
+    monkeypatch.setattr(LocalTrivialization, "on_pair", counted)
+    rep = check_bundle_axioms(space, 2)
+    assert rep.ok, rep.failures()
+    assert len(built) == len(set(built)) == 1908
 
 
 def test_lift_walk_rejects_a_broken_chain(inst_line5):
@@ -729,6 +789,42 @@ def test_action_plant_on_the_head_units_fails_instead_of_raising(inst_line5w, mo
     assert equivariant <= set(failed)
     assert failed["triv.1.1.equivariant"] == (
         "action by ((12),(12)) breaks a junction of ((('e01', 1), ('e01', -1)), ((12),(12)))")
+
+
+def test_action_plant_reversing_a_step_fails_the_projection_half_of_mor_free(
+        inst_line5w, monkeypatch):
+    # off the neutral coset an acted one-unit edge state runs over its step
+    # reversed, so the walk read from its key moves
+    space = fresh_space(inst_line5w)
+    q = space.q
+    neutral = q.identity_mor_at(q.identity_obj())
+
+    def reverse(act_state, state, psi):
+        acted = act_state(state, psi)
+        if len(acted) != 1 or psi == neutral or acted[0][1][0] != "e":
+            return acted
+        (c, (_, eid, o), phi), = acted
+        return ((c, ("e", eid, -o), phi),)
+    plant_act_state(monkeypatch, space, reverse)
+    failed = {c.check_id: c.witness for c in check_bundle_axioms(space, 2).failures()}
+    assert failed["bundle.action.mor_free"] == "action by ((12),(12)) changed a projected walk"
+
+
+def test_action_plant_on_the_neutral_coset_fails_exchange_at_its_factors(inst_line5w,
+                                                                         monkeypatch):
+    # the neutral coset acts on one-unit states as a coset that moves their
+    # target object, so the acted factors of a 2-chain no longer compose
+    space = fresh_space(inst_line5w)
+    q = space.q
+    neutral = q.identity_mor_at(q.identity_obj())
+    mover = next(r for r in q.morphisms.reps if q.source[r] == q.identity_obj() != q.target[r])
+    plant_act_state(monkeypatch, space, lambda act_state, state, psi: act_state(
+        state, mover if len(state) == 1 and psi == neutral else psi))
+    failed = {c.check_id: c.witness for c in check_bundle_axioms(space, 2).failures()}
+    assert failed["bundle.action.exchange"] == (
+        "exchange composite undefined: the factors of chain "
+        "(('1', ('v', '0'), '((12),(12))'), ('1', ('v', '0'), '((12),(123))')) "
+        "acted by ((123),(123)) do not compose")
 
 
 def test_act_state_raises_on_an_unknown_coset_every_call(inst_line5):

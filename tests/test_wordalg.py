@@ -103,13 +103,15 @@ def act_edgewise(space, word, psi):
 
 
 def test_act_mor_agrees_with_the_edgewise_action(space_dirline3, word_oracle):
-    # act_mor splits each edge into unit steps, so on a multi-step edge it
-    # gives another chain; both deciders must put the two in one class
+    # act_state acts on a word's units, so on a multi-step edge the acted
+    # chain differs from the edgewise one; both deciders must put the two in
+    # one class
     space = space_dirline3
     pairs = rechained = 0
     for w in word_oracle.all_words():
         for psi in space.q.morphisms.reps:
-            acted = space.act_mor(BundleMorphism.chain(w), psi)
+            units = space.unit_split(BundleMorphism.chain(w))
+            acted = space.to_chain(space.act_state(units, psi))
             edgewise = BundleMorphism.chain(act_edgewise(space, w, psi))
             assert word_oracle.label(acted.edges) == word_oracle.label(edgewise.edges)
             assert space.mor_key(acted) == space.mor_key(edgewise)
@@ -119,27 +121,34 @@ def test_act_mor_agrees_with_the_edgewise_action(space_dirline3, word_oracle):
 
 
 def test_each_word_and_each_action_keyed_once(space_dirline3, word_oracle, monkeypatch):
-    keyed, acted = [], []
-    real_key, real_act = space_dirline3.mor_key, space_dirline3.act_mor
+    space = space_dirline3
+    keyed, split, acted, acted_keyed = [], [], [], []
 
-    def counting_key(m):
-        keyed.append(m.edges)
-        return real_key(m)
+    def record(name, log, arg):
+        real = getattr(space, name)
 
-    def recording_act(m, psi):
-        acted.append((m.edges, psi))
-        return real_act(m, psi)
+        def recorded(*args):
+            log.append(arg(*args))
+            return real(*args)
+        monkeypatch.setattr(space, name, recorded)
 
-    monkeypatch.setattr(space_dirline3, "mor_key", counting_key)
-    monkeypatch.setattr(space_dirline3, "act_mor", recording_act)
-    check_oracle_agreement(space_dirline3, word_oracle)
+    record("mor_key", keyed, lambda m: m.edges)
+    record("unit_split", split, lambda m: m.edges)
+    record("act_state", acted, lambda state, psi: (state, psi))
+    record("composed_key", acted_keyed, lambda state: state)
+    check_oracle_agreement(space, word_oracle)
     assert len(keyed) == len(set(keyed)) <= len(word_oracle.all_words())
     assert not acted
 
     keyed.clear()
-    check_congruence_invariants(space_dirline3, word_oracle)
-    # every key is of an acted word, and no (word, psi) is acted on twice
-    assert acted and len(keyed) == len(acted) == len(set(acted))
+    split.clear()
+    check_congruence_invariants(space, word_oracle)
+    # each compared word is split once and acted on once per coset (words
+    # with equal units included), and each acted state is keyed once
+    assert not keyed
+    assert split and len(split) == len(set(split))
+    assert len(acted) == len(split) * len(space.q.morphisms.reps)
+    assert len(acted_keyed) == len(acted)
 
 
 def test_word_outside_the_inventory_is_named(word_oracle):
@@ -152,15 +161,33 @@ def test_word_outside_the_inventory_is_named(word_oracle):
             assert str(_word_key(stray)) in str(exc.value)
 
 
-def _planted(space, monkeypatch, target):
-    """Perturb the key of every morphism `target` picks out."""
-    real_key = space.mor_key
+def _planted(space, monkeypatch, target, keyer="mor_key"):
+    """Perturb the key of every morphism, or with `keyer="composed_key"`
+    every state, that `target` picks out."""
+    real_key = getattr(space, keyer)
 
     def key(m):
         k = real_key(m)
         return ("planted", k) if target(m) else k
 
-    monkeypatch.setattr(space, "mor_key", key)
+    monkeypatch.setattr(space, keyer, key)
+
+
+def _plant_acted(space, monkeypatch, word, psi):
+    """Perturb the key of `word`, and of any word with the same units, acted
+    on by psi through `act_state`."""
+    state = space.unit_split(BundleMorphism.chain(word))
+    real_act = space.act_state
+    planted = []
+
+    def act(st, p):
+        out = real_act(st, p)
+        if st == state and p == psi:
+            planted.append(out)
+        return out
+
+    monkeypatch.setattr(space, "act_state", act)
+    _planted(space, monkeypatch, lambda st: any(st is p for p in planted), "composed_key")
 
 
 def test_planted_key_disagreement_names_the_first_pair(space_dirline3, word_oracle,
@@ -193,17 +220,7 @@ def test_planted_action_disagreement_names_the_first_pair(space_dirline3, word_o
     pairs = word_oracle.equal_pairs()
     chosen = pairs[len(pairs) // 2][1]
     psi = space_dirline3.q.morphisms.reps[-1]
-    planted = []
-    real_act = space_dirline3.act_mor
-
-    def act(m, p):
-        out = real_act(m, p)
-        if m.edges == chosen and p == psi:
-            planted.append(out)
-        return out
-
-    monkeypatch.setattr(space_dirline3, "act_mor", act)
-    _planted(space_dirline3, monkeypatch, lambda m: any(m is p for p in planted))
+    _plant_acted(space_dirline3, monkeypatch, chosen, psi)
 
     rep = check_congruence_invariants(space_dirline3, word_oracle)
     got = {c.check_id: c for c in rep.checks}
@@ -283,17 +300,21 @@ def test_planted_action_fault_on_any_member_is_found(space_dirline3, word_oracle
         classes.setdefault(word_oracle.label(w), []).append(w)
     cls = next(c for c in classes.values() if len(c) >= 3)
     psi = space_dirline3.q.morphisms.reps[0]
-    real_act = space_dirline3.act_mor
-    planted = []
-
-    def act(m, p):
-        out = real_act(m, p)
-        if m.edges == cls[position] and p == psi:
-            planted.append(out)
-        return out
-
-    monkeypatch.setattr(space_dirline3, "act_mor", act)
-    _planted(space_dirline3, monkeypatch, lambda m: any(m is p for p in planted))
+    _plant_acted(space_dirline3, monkeypatch, cls[position], psi)
     got = {c.check_id: c for c in check_congruence_invariants(space_dirline3, word_oracle).checks}
     assert got["congruence.action_equivariant"].status == "fail"
     assert got["congruence.action_equivariant"].witness.endswith(str(_word_key(cls[0])))
+
+
+def test_action_plant_on_the_head_units_fails_the_invariants_instead_of_raising(
+        space_dirline3, word_oracle, monkeypatch):
+    # only the last unit is acted on, so a two-unit acted state breaks its
+    # junction: the law names the word instead of raising
+    act_state = space_dirline3.act_state
+    monkeypatch.setattr(space_dirline3, "act_state",
+                        lambda state, psi: state[:-1] + act_state(state[-1:], psi))
+    got = {c.check_id: c for c in check_congruence_invariants(space_dirline3, word_oracle).checks}
+    assert got["congruence.action_equivariant"].witness == (
+        "action by ((12),(12)) breaks a junction of word "
+        "(('0', (('e01', 1),), '1', ('1',), '((12),(12))'), "
+        "('1', (('e12', 1),), '1', ('1',), '((123),(123))'))")
