@@ -12,20 +12,21 @@ from catbundle.bundle import (
     BundleSpace,
     LocalTrivialization,
     QuiverEdge,
-    chart_cosets,
     check_bundle_axioms,
     enumerate_chains,
+    fold_layers,
 )
-from catbundle.complexes import PathMor, enumerate_paths, index_family, overlap
+from catbundle.complexes import PathMor, enumerate_paths, index_family
 from catbundle.errors import (
     CompositionError,
     PreconditionError,
     SchemaError,
 )
 from catbundle.gerbal import generate_gerbal
-from catbundle.presets import build_instance, cover_line5w
+from catbundle.presets import build_instance, cover_cycle6, cover_line5w
 from catbundle.schema import Instance
 from catbundle.suites import InstanceContext, run_suite
+from normal_form_reference import compact, reference_key
 from rewrite_reference import RewriteReference
 
 
@@ -163,7 +164,7 @@ def test_walk_mismatch_short_circuits(space_line5):
     assert not space.mor_equal(m1, m2)
 
 
-def test_act_mor_projection_invariant(space_line5):
+def test_act_state_keeps_the_projection(space_line5):
     space, q = space_line5, space_line5.q
     m = one_step(space, "1", ("1",), "0", ("e01", 1), q.morphisms.reps[2])
     for psi in q.morphisms.reps:
@@ -171,7 +172,7 @@ def test_act_mor_projection_invariant(space_line5):
         assert space.project(acted).steps == space.project(m).steps
 
 
-def test_act_mor_on_neutral_chain_roundtrip(space_line5):
+def test_act_state_on_neutral_chain_roundtrip(space_line5):
     space, q = space_line5, space_line5.q
     identity = neutral_chain(space, space.canonical_obj("1", "0", q.identity_obj()))
     for psi in q.morphisms.reps:
@@ -180,14 +181,14 @@ def test_act_mor_on_neutral_chain_roundtrip(space_line5):
         assert space.mor_equal(back, identity)
 
 
-def test_act_mor_by_identity_fixes(space_line5):
+def test_act_state_by_identity_fixes(space_line5):
     space, q = space_line5, space_line5.q
     m = one_step(space, "1", ("1",), "1", ("e12", 1), q.morphisms.reps[1])
     unit = q.identity_mor_at(q.identity_obj())
     assert space.mor_equal(act(space, m, unit), m)
 
 
-def test_mor_compose_requires_matching_endpoints(space_line5):
+def test_concatenation_requires_matching_endpoints(space_line5):
     space, q = space_line5, space_line5.q
     phi = q.morphisms.reps[0]
     m1 = one_step(space, "1", ("1",), "0", ("e01", 1), phi)
@@ -198,7 +199,7 @@ def test_mor_compose_requires_matching_endpoints(space_line5):
     assert space.composed_key(space.unit_split(m1) + space.unit_split(m2)) is None
 
 
-def test_mor_compose_concatenates_walks(space_line5):
+def test_concatenation_composes_walks(space_line5):
     space, q = space_line5, space_line5.q
     m1 = one_step(space, "1", ("1",), "0", ("e01", 1),
                   q.identity_mor_at(q.identity_obj()))
@@ -235,7 +236,7 @@ def test_unit_split_then_compact_is_walk_length(space_line5w):
     space, q = space_line5w, space_line5w.q
     for st in enumerate_chains(space, 2, frozenset({"1", "2", "3"}))[:400]:
         m = space.to_chain(st)
-        compacted = space._compact(space.unit_split(m))
+        compacted = compact(space, space.unit_split(m))
         walk = space.project(m)
         assert len(compacted) == max(1, len(walk.steps))
         assert space._walk_sig(compacted) == space._walk_sig(st)
@@ -431,22 +432,25 @@ def test_mor_equal_validates_both_arguments_whatever_the_other_walk(inst_line5):
 
 
 def test_chart_cosets_fold_each_chain_onto_its_prefix(space_line5):
-    # 3-unit chains, so the fold reads prefixes that were folded themselves
+    # 3-unit chains, so the layers extend states that were extended
+    # themselves; the distinct layer states reach the (walk, chart-1 coset,
+    # key) of every chain and of nothing else
     space, q = space_line5, space_line5.q
     triv = LocalTrivialization(space, "1", ("1", "2"))
     chains = enumerate_chains(space, 3, triv.region)
-    folded = list(chart_cosets(space, chains, "1", 3))
-    assert [st for st, _, _ in folded] == chains
     assert Counter(map(len, chains))[3] > 1000
-    for st, sig, coset in folded:
+    per_chain = set()
+    for st in chains:
         total = space._move_unit("1", st[0])
         for unit in st[1:]:
             total = q.compose_of(space._move_unit("1", unit), total)
-        assert coset == total
         m = space.to_chain(st)
         walk = space.project(m)
-        assert (walk.start, walk.steps) == sig
-        assert space.mor_equal(m, triv.on_pair(walk, coset))
+        assert space.mor_equal(m, triv.on_pair(walk, total))
+        per_chain.add(((walk.start, walk.steps), total, space.mor_key(m)))
+    layered = list(fold_layers(space, "1", triv.region, 3))
+    assert set(layered) == per_chain
+    assert len(layered) < len(chains)
 
 
 def test_trivialization_state_keys_are_the_chain_keys(space_line5):
@@ -581,18 +585,100 @@ def test_value_reprs_are_pinned(space_line5w):
 
 
 def test_battery_compacts_each_state_once(inst_line5w, monkeypatch):
+    # a two-unit state with a zero-length unit is merged once, into the class
+    # member the battery keys; every later law reads the key from its map.
+    # The trivializations, which key images of their own, are left out.
     space = fresh_space(inst_line5w)
     seen = Counter()
-    compact = BundleSpace._compact
+    merge_units = BundleSpace._merge_units
 
-    def counted(self, state):
-        seen[state] += 1
-        return compact(self, state)
+    def counted(self, u1, u2):
+        seen[u1, u2] += 1
+        return merge_units(self, u1, u2)
 
-    monkeypatch.setattr(BundleSpace, "_compact", counted)
+    monkeypatch.setattr(BundleSpace, "_merge_units", counted)
+    monkeypatch.setattr(bundle, "index_family", lambda cover: [])
     rep = check_bundle_axioms(space, 2)
     assert rep.ok, rep.failures()
     assert seen and max(seen.values()) == 1, seen.most_common(3)
+
+
+# ----- the fold against the two-pass reference --------------------------------
+
+@pytest.mark.parametrize("preset,max_len", [("s3-line5", 3), ("s3-line5w", 2),
+                                            ("s4-line5w", 2), ("cycle6-trivial", 4)])
+def test_fold_matches_the_two_pass_reference_on_every_bounded_chain(preset, max_len):
+    # the chains of at most min(max_len, 3) units that `all` at this bound keys
+    space = fresh_space(build_instance(preset, 5, True))
+    for st in enumerate_chains(space, min(max_len, 3)):
+        assert space.component_of(st) == reference_key(space, st), st
+
+
+@pytest.mark.parametrize("fixture", ["inst_a3j3_line5w", "inst_a3j3_dirline3"])
+def test_fold_matches_the_two_pass_reference_on_the_non_thin_fiber(request, fixture):
+    space = fresh_space(request.getfixturevalue(fixture))
+    for st in enumerate_chains(space, 3):
+        assert space.component_of(st) == reference_key(space, st), st
+
+
+@pytest.mark.parametrize("fixture", ["inst_line5", "inst_a3j3_line5w"])
+def test_fold_matches_the_two_pass_reference_where_no_rewrite_crosses_a_junction(
+        request, fixture):
+    # the cycle without zero-length edges: no chart holds e01 backwards and
+    # e50 backwards, so the fold finishes a decoration at vertex 0
+    chain = request.getfixturevalue(fixture).chain
+    cover = cover_cycle6()
+    cover.identity_edges = False
+    space = fresh_space(Instance("cycle6-edgeless", 3, True, chain, cover,
+                                 generate_gerbal(chain, cover, 3, noise=True)))
+    split = 0
+    for st in enumerate_chains(space, 3):
+        key = space.component_of(st)
+        assert key == reference_key(space, st), st
+        split += len(key[2]) > 1
+    assert split
+
+
+def test_a_clean_mor_surjective_scan_keys_no_chain(inst_line5, monkeypatch):
+    # it folds layer states and compares their keys with the images' keys
+    space = fresh_space(inst_line5)
+    sizes = []
+    fold_layers = bundle.fold_layers
+
+    def watched(*args):
+        sizes.append(len(space._keys))
+        yield from fold_layers(*args)
+        sizes.append(len(space._keys))
+    monkeypatch.setattr(bundle, "fold_layers", watched)
+    monkeypatch.setattr(bundle, "enumerate_chains", None)
+    for indices in index_family(space.cover):
+        rep = LocalTrivialization(space, indices[0], indices).check(3, 3)
+        assert rep.ok, rep.failures()
+    assert len(sizes) == 2 * len(index_family(space.cover))
+    assert sizes[::2] == sizes[1::2]
+
+
+def test_keys_hold_only_battery_states_and_images(monkeypatch):
+    # the memo no longer grows with the trivializations' region chains: on
+    # s3-line5 at length 3 it held 10,268 states, now 1,900, each a two-unit
+    # state, an image, an acted image or two images composed
+    space = fresh_space(build_instance("s3-line5", 5, True))
+    checked = []
+    check = LocalTrivialization.check
+
+    def recorded(self, *args):
+        checked.append(self)
+        return check(self, *args)
+    monkeypatch.setattr(LocalTrivialization, "check", recorded)
+    rep = check_bundle_axioms(space, 3)
+    assert rep.ok, rep.failures()
+    images = {st for triv in checked for _key, st in triv.images.values()}
+    states = set(enumerate_chains(space, 2)) | images
+    states |= {space.act_state(st, psi) for st in images for psi in space.q.morphisms.reps}
+    states |= {a + b for a in images for b in images
+               if space.unit_t_obj(a[-1]) == space.unit_s_obj(b[0])}
+    assert set(space._keys) <= states
+    assert len(space._keys) < len(enumerate_chains(space, 3)) / 5
 
 
 # ----- a failed check names its first violation in scan order ----------------
@@ -691,6 +777,73 @@ def test_a_multi_chart_set_finds_its_own_witness_when_chart_i_fails(inst_line5w,
     assert witnesses - {alone}
 
 
+# the parent revision's witnesses: a failing layered scan rescans the chains
+# in their old order, so the witness bytes stay
+MOVE_UNIT_WITNESSES = {
+    "triv.3.3": (("1", ("v", "0"), "((12),(12))"),),
+    "triv.3.13": (("1", ("v", "0"), "((12),(12))"),),
+    "triv.3.23": (("1", ("v", "1"), "((12),(12))"),),
+    "triv.3.123": (("1", ("v", "1"), "((12),(12))"),),
+}
+COMPOSE_OF_WITNESSES = {
+    "triv.1.1": (("1", ("e", "e01", 1), "((123),e)"), ("1", ("e", "e01", -1), "((132),e)")),
+    "triv.2.2": (("1", ("v", "1"), "((132),e)"), ("1", ("e", "e12", 1), "((132),e)")),
+    "triv.3.3": (("1", ("v", "0"), "((132),e)"), ("1", ("e", "e01", 1), "((132),e)")),
+    "triv.1.12": (("1", ("e", "e12", 1), "((123),e)"), ("1", ("e", "e12", -1), "((132),e)")),
+    "triv.2.12": (("1", ("v", "1"), "((132),e)"), ("1", ("e", "e12", 1), "((132),e)")),
+    "triv.1.13": (("1", ("e", "e01", 1), "((123),e)"), ("1", ("e", "e01", -1), "((132),e)")),
+    "triv.3.13": (("1", ("v", "0"), "((132),e)"), ("1", ("e", "e01", 1), "((132),e)")),
+    "triv.2.23": (("1", ("v", "1"), "((132),e)"), ("1", ("e", "e12", 1), "((132),e)")),
+    "triv.3.23": (("1", ("v", "2"), "((132),e)"), ("1", ("e", "e23", 1), "((123),e)")),
+    "triv.1.123": (("1", ("e", "e12", 1), "((123),e)"), ("1", ("e", "e12", -1), "((132),e)")),
+    "triv.2.123": (("1", ("v", "1"), "((132),e)"), ("1", ("e", "e12", 1), "((132),e)")),
+    "triv.3.123": (("1", ("v", "2"), "((132),e)"), ("1", ("e", "e23", 1), "((123),e)")),
+}
+
+
+def surjective_witnesses(space, max_len):
+    return {c.check_id.rsplit(".", 1)[0]: c.witness
+            for c in check_bundle_axioms(space, max_len).failures()
+            if c.check_id.startswith("triv.") and c.check_id.endswith(".mor_surjective")}
+
+
+def as_witnesses(chains):
+    return {tag: f"chain {chain} is not equal to its chart-{tag.split('.')[1]} reduction"
+            for tag, chain in chains.items()}
+
+
+@pytest.mark.parametrize("max_len", [2, 3])
+def test_move_unit_plant_keeps_the_mor_surjective_witnesses(inst_line5w, monkeypatch,
+                                                             max_len):
+    # chart 3 alone fails, so each set holding 3 rescans its own chains
+    space = fresh_space(inst_line5w)
+    q, move_unit = space.q, space._move_unit
+    shift = q.identity_mor_at(next(r for r in q.objects.reps if r != q.identity_obj()))
+
+    def planted(k, unit):
+        phi = move_unit(k, unit)
+        return q.mor_product(phi, shift) if k == "3" else phi
+    monkeypatch.setattr(space, "_move_unit", planted)
+    assert surjective_witnesses(space, max_len) == as_witnesses(MOVE_UNIT_WITNESSES)
+
+
+@pytest.mark.parametrize("max_len", [2, 3])
+def test_compose_of_plant_keeps_the_mor_surjective_witnesses(inst_a3j3_line5w, monkeypatch,
+                                                              max_len):
+    # on the non-thin fiber a composite of a decoration with itself swaps two
+    # decorations, which the fold and the chart-i cosets both read
+    space = fresh_space(inst_a3j3_line5w)
+    q, compose_of = space.q, space.q.compose_of
+    a, b = q.identity_mor_at(q.identity_obj()), q.morphisms.reps[0]
+    swap = {a: b, b: a}
+
+    def planted(later, earlier):
+        phi = compose_of(later, earlier)
+        return swap.get(phi, phi) if later == earlier else phi
+    monkeypatch.setattr(q, "compose_of", planted)
+    assert surjective_witnesses(space, max_len) == as_witnesses(COMPOSE_OF_WITNESSES)
+
+
 def test_clean_battery_enumerates_only_the_one_chart_regions(inst_line5w, monkeypatch):
     space = fresh_space(inst_line5w)
     regions = []
@@ -702,9 +855,9 @@ def test_clean_battery_enumerates_only_the_one_chart_regions(inst_line5w, monkey
     monkeypatch.setattr(bundle, "enumerate_chains", counted)
     rep = check_bundle_axioms(space, 2)
     assert rep.ok, rep.failures()
-    cover = space.cover
-    assert regions == [None] + [overlap(cover, (i,)) for i in cover.index_order]
-    assert len(regions) == 4
+    # the battery's own two-unit states; a clean mor_surjective scan folds
+    # layer states and enumerates no region, one-chart regions included
+    assert regions == [None]
 
 
 # ----- decorations decide keys on the non-thin fiber ------------------------
@@ -717,12 +870,12 @@ def test_clean_battery_enumerates_only_the_one_chart_regions(inst_line5w, monkey
 ])
 def test_a_normal_form_that_drops_decorations_fails_on_the_non_thin_fiber(
         request, monkeypatch, plant, fixture, fails):
-    normal_form = BundleSpace._normal_form
+    fold_key = BundleSpace._fold_key
 
-    def planted(self, state):
-        source, walk, decorations = normal_form(self, state)
+    def planted(self, folded):
+        source, walk, decorations = fold_key(self, folded)
         return source, walk, (() if plant == "every" else decorations[:-1])
-    monkeypatch.setattr(BundleSpace, "_normal_form", planted)
+    monkeypatch.setattr(BundleSpace, "_fold_key", planted)
     rep = run_suite(request.getfixturevalue(fixture), "all", 2)
     assert fails <= {c.check_id for c in rep.failures()}
 

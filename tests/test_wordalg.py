@@ -9,6 +9,7 @@ the full line, 176 words in total.
 
 import pytest
 from echelon_reference import EchelonReference
+from normal_form_reference import reference_key
 
 from catbundle.bundle import BundleMorphism
 from catbundle.errors import PreconditionError
@@ -102,7 +103,7 @@ def act_edgewise(space, word, psi):
                  for n, e in enumerate(word))
 
 
-def test_act_mor_agrees_with_the_edgewise_action(space_dirline3, word_oracle):
+def test_act_state_agrees_with_the_edgewise_action(space_dirline3, word_oracle):
     # act_state acts on a word's units, so on a multi-step edge the acted
     # chain differs from the edgewise one; both deciders must put the two in
     # one class
@@ -118,6 +119,17 @@ def test_act_mor_agrees_with_the_edgewise_action(space_dirline3, word_oracle):
             pairs += 1
             rechained += acted != edgewise
     assert pairs == 704 and rechained > 0
+
+
+def test_fold_matches_the_two_pass_reference_on_every_word(space_dirline3, word_oracle):
+    # no zero-length edges: a junction that no rewrite crosses starts a new
+    # decoration, which the fold carries in its state
+    space = space_dirline3
+    words = word_oracle.all_words()
+    for w in words:
+        state = space.unit_split(BundleMorphism.chain(w))
+        assert space.component_of(state) == reference_key(space, state), w
+    assert len(words) == 176
 
 
 def test_each_word_and_each_action_keyed_once(space_dirline3, word_oracle, monkeypatch):
