@@ -60,9 +60,9 @@ layer over distinct fold states (`fold_layers`) and keys no chain. In the
 battery, a trivialization of chart i over several charts restricts the one
 over chart i alone: where their images agree it takes chart i's passed
 verdicts without a scan, so a clean battery enumerates no trivialization
-region (`check_bundle_axioms`). The space also memoizes each unit's
-decoration in each chart, the merge chart of each pair of adjacent steps and
-each push of a unit; none grows with the number of chains.
+region (`check_bundle_axioms`). Every chart move of a decoration goes
+through `_move_unit`. It, the merge steps and the pushes are
+`functools.cache` memos on units and steps; none grows with the chains.
 
 `BundleObject`, `QuiverEdge` and `BundleMorphism` are named tuples, so they
 are built, hashed and compared in C; their reprs are the field-by-field form
@@ -85,7 +85,7 @@ identity decoration), a two-sided unit under concatenation.
 from __future__ import annotations
 
 from collections import Counter
-from functools import cache, partial, reduce
+from functools import cache, reduce
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .complexes import (
@@ -155,14 +155,10 @@ class BundleSpace:
         self.fc = fc
         self.q = q
         self.cover = fc.cover
-        self._tb_cache: dict[tuple[str, str, str, str], str] = {}
-        self._gb_cache: dict[tuple[str, str, str], str] = {}
+        self._tb_cache: dict[tuple[str, str, str, tuple[str, ...]], str] = {}
         self._keys: dict[tuple, tuple] = {}
         self._interned: dict[tuple, tuple] = {}  # one object per distinct walk or key
         self._sw_cache: dict[Step, PathMor] = {}
-        self._moved: dict[tuple[str, Unit], str] = {}
-        self._merged_steps: dict[tuple[Step, Step], tuple[str, Step]] = {}
-        self._pushed: dict = {}
         self._unit_s: dict[Unit, BundleObject] = {}
         self._unit_t: dict[Unit, BundleObject] = {}
         self._cc_cache: dict[tuple[str, ...], list[str]] = {}
@@ -170,19 +166,20 @@ class BundleSpace:
                          tuple[tuple[str, ...], tuple[BundleObject, BundleObject]]] = {}
         # psi -> (phi -> phi psi, phi -> phi times the identity at s(psi))
         self._actions: dict[str, tuple[Callable, Callable]] = {}
+        # memos keyed by their arguments
+        self.gbar = cache(self.gbar)
+        self._move_unit = cache(self._move_unit)
+        self._merge_step = cache(self._merge_step)
+        self._absorb = cache(self._absorb)
 
     # ----- transported cocycle values on cosets ----------------------------
 
     def gbar(self, to_chart: str, from_chart: str, u: str) -> str:
-        key = (to_chart, from_chart, u)
-        val = self._gb_cache.get(key)
-        if val is None:
-            val = self.q.objects.rep(self.fc.g(to_chart, from_chart, u))
-            self._gb_cache[key] = val
-        return val
+        return self.q.objects.rep(self.fc.g(to_chart, from_chart, u))
 
     def thetabar(self, to_chart: str, from_chart: str, walk: PathMor) -> str:
-        key = (to_chart, from_chart, walk.start, walk.end)
+        # keyed by all that `eval_theta` reads, its overlap check included
+        key = (to_chart, from_chart, walk.start, walk.visited)
         val = self._tb_cache.get(key)
         if val is None:
             val = self.q.q_mor(eval_theta(self.fc, to_chart, from_chart, walk))
@@ -336,9 +333,9 @@ class BundleSpace:
             q = self.q
             if psi not in q.source:
                 raise SchemaError(f"{psi!r} is not a morphism coset rep")
-            tables = self._actions[psi] = (
-                cache(partial(q.mor_product, b=psi)),
-                cache(partial(q.mor_product, b=q.identity_mor_at(q.source[psi]))))
+            e = q.identity_mor_at(q.source[psi])
+            tables = self._actions[psi] = (cache(lambda phi: q.mor_product(phi, psi)),
+                                           cache(lambda phi: q.mor_product(phi, e)))
         last, head = tables
         *init, (c, step, phi) = state
         acted = []
@@ -363,19 +360,12 @@ class BundleSpace:
         self._sw_cache[step] = w
         return w
 
-    def _reindex(self, k: str, c: str, w: PathMor, phi: str) -> str:
-        """Move a decoration over walk w from chart c into chart k."""
-        return phi if k == c else self.q.mor_product(self.thetabar(k, c, w), phi)
-
     def _move_unit(self, k: str, unit: Unit) -> str:
-        """The decoration of `unit` re-indexed into chart k, memoized: there
-        are only (charts x units) of them."""
-        phi = self._moved.get((k, unit))
-        if phi is None:
-            c, step, phi = unit
-            phi = self._reindex(k, c, self._step_walk(step), phi)
-            self._moved[k, unit] = phi
-        return phi
+        """The decoration of `unit` re-indexed into chart k: the one chart
+        move, with (charts x units) keys."""
+        c, step, phi = unit
+        return phi if k == c else self.q.mor_product(
+            self.thetabar(k, c, self._step_walk(step)), phi)
 
     def _charts_of(self, visited: tuple[str, ...]) -> list[str]:
         cs = self._cc_cache.get(visited)
@@ -427,20 +417,15 @@ class BundleSpace:
 
         This is the merge half of the pair rewrite, so the folded state stays
         in the congruence class of the original."""
-        st1, st2 = u1[1], u2[1]
-        hit = self._merged_steps.get((st1, st2))
-        if hit is None:
-            w1, w2 = self._step_walk(st1), self._step_walk(st2)
-            w = compose_paths(self.cover, w2, w1)
-            if len(w) == 0:
-                step: Step = ("v", w.start)
-            elif len(w1) == 1:
-                step = st1
-            else:
-                step = st2
-            hit = self._merged_steps[st1, st2] = (self._charts_of(w.visited)[0], step)
-        k, step = hit
+        k, step = self._merge_step(u1[1], u2[1])
         return (k, step, self.q.compose_of(self._move_unit(k, u2), self._move_unit(k, u1)))
+
+    def _merge_step(self, st1: Step, st2: Step) -> tuple[str, Step]:
+        """The (first chart, step) of the walk of st1 then st2."""
+        w1, w2 = self._step_walk(st1), self._step_walk(st2)
+        w = compose_paths(self.cover, w2, w1)
+        step = ("v", w.start) if len(w) == 0 else st1 if len(w1) == 1 else st2
+        return self._charts_of(w.visited)[0], step
 
     def _walk_sig(self, state: State) -> tuple:
         steps = []
@@ -484,36 +469,31 @@ class BundleSpace:
 
     def _settle(self, run):
         """A running decoration moved into the first chart of its step."""
-        c, step, a = run
-        w = self._step_walk(step)
-        return self._reindex(self._charts_of(w.visited)[0], c, w, a)
+        return self._move_unit(self._charts_of(self._step_walk(run[1]).visited)[0], run)
 
     def _push(self, src, run, decs, unit):
         """Read one compacted unit into (source object, running triple,
         finished decorations)."""
         if not run:
             return self.unit_s_obj(unit), unit, decs
-        run, settled = self._pushed.get((run, unit)) or self._pushed.setdefault(
-            (run, unit), self._absorb(run, unit))
+        run, settled = self._absorb(run, unit)
         return src, run, decs + settled
 
     def _absorb(self, run, unit):
         cover = self.cover
-        (c, step, a), (c2, step2, b) = run, unit
-        w1, w2 = self._step_walk(step), self._step_walk(step2)
+        w1, w2 = self._step_walk(run[1]), self._step_walk(unit[1])
         common = self._charts_of(compose_paths(cover, w2, w1).visited)
         if common:
             k = common[0]
-            a = self._reindex(k, c, w1, a)
+            a = self._move_unit(k, run)
         elif cover.identity_edges:
-            # slide a off its step onto the neutral step at the junction,
-            # then re-index it there into the next step's first chart
+            # slide the decoration off its step onto the neutral unit at the
+            # junction, then re-index it there into the next step's first chart
             c0, k = self._charts_of(w1.visited)[0], self._charts_of(w2.visited)[0]
-            a = self._reindex(k, c0, cover.identity_walk(w2.start),
-                              self._reindex(c0, c, w1, a))
+            a = self._move_unit(k, (c0, ("v", w2.start), self._move_unit(c0, run)))
         else:
             return unit, (self._settle(run),)
-        return (k, step2, self.q.compose_of(self._reindex(k, c2, w2, b), a)), ()
+        return (k, unit[1], self.q.compose_of(self._move_unit(k, unit), a)), ()
 
     # ----- equality ---------------------------------------------------------
 

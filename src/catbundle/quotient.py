@@ -20,6 +20,7 @@ and `arrow_compose`.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Callable, Iterable
 
 from .complexes import enumerate_paths, overlap
@@ -185,10 +186,10 @@ class QuotientCatGroup:
         self.target: dict[str, str] = {}
         self._compose: dict[tuple[str, str], str] = {}
         self._by_source: dict[str, list[str]] = {}
-        # coset products and identities, filled on first use
-        self._obj_products: dict[tuple[str, str], str] = {}
-        self._mor_products: dict[tuple[str, str], str] = {}
-        self._identities: dict[str, str] = {}
+        # coset products and identities, memoized on first use
+        self.obj_product = cache(self.obj_product)
+        self.mor_product = cache(self.mor_product)
+        self.identity_mor_at = cache(self.identity_mor_at)
         self.verification = self._verify()
         if not self.verification.ok:
             raise InternalInvariantError(
@@ -330,20 +331,14 @@ class QuotientCatGroup:
     # ----- coset-level operations ------------------------------------------
 
     def obj_product(self, a: str, b: str) -> str:
-        val = self._obj_products.get((a, b))
-        if val is None:
-            if not self.obj_normal:
-                raise PreconditionError("object cosets do not form a group here")
-            val = self._obj_products[a, b] = self.objects.rep(self.obj_parent.op(a, b))
-        return val
+        if not self.obj_normal:
+            raise PreconditionError("object cosets do not form a group here")
+        return self.objects.rep(self.obj_parent.op(a, b))
 
     def mor_product(self, a: str, b: str) -> str:
-        val = self._mor_products.get((a, b))
-        if val is None:
-            if not self.mor_normal:
-                raise PreconditionError("morphism cosets do not form a group here")
-            val = self._mor_products[a, b] = self.morphisms.rep(self._arrow_op(a, b))
-        return val
+        if not self.mor_normal:
+            raise PreconditionError("morphism cosets do not form a group here")
+        return self.morphisms.rep(self._arrow_op(a, b))
 
     def mor_inverse(self, a: str) -> str:
         if not self.mor_normal:
@@ -364,11 +359,7 @@ class QuotientCatGroup:
             ) from None
 
     def identity_mor_at(self, orep: str) -> str:
-        val = self._identities.get(orep)
-        if val is None:
-            val = self._identities[orep] = self.morphisms.rep(
-                pair_id(self.chain.H.identity, orep))
-        return val
+        return self.morphisms.rep(pair_id(self.chain.H.identity, orep))
 
     def identity_obj(self) -> str:
         return self.objects.rep(self.obj_parent.identity)

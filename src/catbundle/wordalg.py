@@ -10,6 +10,8 @@ which stay inside the inventory. Each such generator is a binomial e_n - e_m,
 and e_a - e_b lies in the span of binomials exactly when a and b are joined
 by a path of generators. So two words are equal in the quotient precisely
 when a union-find over each block's generators puts them in one class.
+The directed precondition also bounds the oracle's cost, since undirected
+words may backtrack and the inventory then grows far faster with max_len.
 
 The one-pass normal form in the bundle module is sound by construction; this
 module is the independent completeness cross-check, so it deliberately avoids
@@ -22,7 +24,7 @@ from functools import cache
 from itertools import combinations
 
 from .bundle import BundleMorphism, BundleSpace, QuiverEdge
-from .complexes import compose_paths, enumerate_paths, overlap, walk_inside
+from .complexes import compose_paths, enumerate_paths
 from .errors import InternalInvariantError, PreconditionError
 from .report import Report
 
@@ -65,15 +67,10 @@ class WordOracle:
             if wk in seen:
                 continue
             seen.add(wk)
+            # every subset of the charts holding w holds w in its overlap
             charts = cover.charts_containing(w.visited)
-            cl: list[tuple[str, tuple[str, ...]]] = []
-            for r in range(1, len(charts) + 1):
-                for sub in combinations(charts, r):
-                    region = overlap(cover, sub)
-                    if not walk_inside(cover, w, region):
-                        continue
-                    for i in sub:
-                        cl.append((i, tuple(sub)))
+            cl = [(i, sub) for r in range(1, len(charts) + 1)
+                  for sub in combinations(charts, r) for i in sub]
             combos[wk] = cl
             for i, sub in cl:
                 for phi in q.morphisms.reps:

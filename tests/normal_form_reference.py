@@ -6,11 +6,16 @@ unit, and a trailing run merges back into the last one. `normal_form` then
 reads the compacted state once from left to right, pushing every decoration
 to the last unit. `BundleSpace` reads the same key in one left fold over the
 raw units and keeps no compacted state; this module checks that fold. Only
-the space's rewrite primitives (`_merge_units`, `_reindex`, the step walks,
-the charts of a walk and canonical objects) come from the package.
+`_merge_units`, `thetabar`, the coset products, the step walks, the charts
+of a walk and canonical objects come from the package.
 """
 
 from catbundle.complexes import compose_paths
+
+
+def reindex(space, k, c, w, phi):
+    """Move a decoration over walk w from chart c into chart k."""
+    return phi if k == c else space.q.mor_product(space.thetabar(k, c, w), phi)
 
 
 def compact(space, state):
@@ -40,18 +45,18 @@ def normal_form(space, state):
         common = space._charts_of(compose_paths(cover, w2, w1).visited)
         if common:
             k = common[0]
-            a = space._reindex(k, c, w1, a)
+            a = reindex(space, k, c, w1, a)
         elif cover.identity_edges:
             c0, k = space._charts_of(w1.visited)[0], space._charts_of(w2.visited)[0]
-            a = space._reindex(k, c0, cover.identity_walk(w2.start),
-                               space._reindex(c0, c, w1, a))
+            a = reindex(space, k, c0, cover.identity_walk(w2.start),
+                        reindex(space, c0, c, w1, a))
         else:
-            decorations.append(space._reindex(space._charts_of(w1.visited)[0], c, w1, a))
+            decorations.append(reindex(space, space._charts_of(w1.visited)[0], c, w1, a))
             c, step, a = c2, step2, b
             continue
-        c, step, a = k, step2, q.compose_of(space._reindex(k, c2, w2, b), a)
+        c, step, a = k, step2, q.compose_of(reindex(space, k, c2, w2, b), a)
     w = space._step_walk(step)
-    decorations.append(space._reindex(space._charts_of(w.visited)[0], c, w, a))
+    decorations.append(reindex(space, space._charts_of(w.visited)[0], c, w, a))
     return (space.unit_s_obj(state[0]), space._walk_sig(state), tuple(decorations))
 
 

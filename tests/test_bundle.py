@@ -19,6 +19,7 @@ from catbundle.bundle import (
 from catbundle.complexes import PathMor, enumerate_paths, index_family
 from catbundle.errors import (
     CompositionError,
+    DomainError,
     PreconditionError,
     SchemaError,
 )
@@ -135,6 +136,22 @@ def test_neutral_chain_is_a_two_sided_unit(space_line5):
                       q.identity_mor_at(fiber))
     assert x.chart != "2"
     assert space.mor_equal(neutral_chain(space, x), BundleMorphism.chain([edge]))
+
+
+@pytest.mark.parametrize("first", [False, True])
+def test_thetabar_refuses_a_walk_leaving_the_overlap_in_either_order(first):
+    # the walk 1 2 3 2 1 ends where the identity walk at 1 does, but vertex 3
+    # is outside chart 1, so a memo keyed by its endpoints alone would return
+    # the identity walk's value
+    space = fresh_space(build_instance("s3-line5", 7, True))
+    cover = space.cover
+    walk = cover.walk("1", [("e12", 1), ("e23", 1), ("e23", -1), ("e12", -1)])
+    assert "3" not in cover.chart("1")
+    if first:
+        space.thetabar("1", "2", cover.identity_walk("1"))
+    for _ in range(2):
+        with pytest.raises(DomainError, match="leaves the overlap"):
+            space.thetabar("1", "2", walk)
 
 
 def test_single_edge_equals_its_reindexing(space_line5):
@@ -992,13 +1009,36 @@ def test_act_state_raises_on_an_unknown_coset_every_call(inst_line5):
         space.act_state(state, "not-a-coset")
 
 
-def test_action_tables_stay_within_units_times_cosets():
-    # each table holds one product per decoration, so none grows with states
+@pytest.fixture(scope="module")
+def checked_space_s4():
+    """A space after a clean length-2 battery on `s4-line5w` seed 5."""
     space = fresh_space(build_instance("s4-line5w", 5, True))
     rep = check_bundle_axioms(space, 2)
     assert rep.ok, rep.failures()
+    return space
+
+
+def test_action_tables_stay_within_units_times_cosets(checked_space_s4):
+    # each table holds one product per decoration, so none grows with states
+    space = checked_space_s4
     cosets = len(space.q.morphisms.reps)
     sizes = [table.cache_info().currsize for pair in space._actions.values() for table in pair]
     assert len(space._actions) == cosets
     assert max(sizes) <= cosets
     assert sum(sizes) <= len(bundle.enumerate_units(space)) * cosets
+
+
+def test_memos_stay_within_charts_times_units_and_cosets_squared(checked_space_s4):
+    # the memos key units, steps and cosets, never chains, so a clean battery
+    # leaves them bounded whatever the number of chains it keys
+    space = checked_space_s4
+    q, charts = space.q, len(space.cover.index_order)
+    units = bundle.enumerate_units(space)
+    assert len(space._keys) > charts * len(units)
+    assert 0 < space._move_unit.cache_info().currsize <= charts * len(units)
+    assert 0 < space._absorb.cache_info().currsize <= len(units) ** 2
+    steps = {step for _c, step, _phi in units}
+    assert 0 < space._merge_step.cache_info().currsize <= len(steps) ** 2
+    assert 0 < q.mor_product.cache_info().currsize <= len(q.morphisms.reps) ** 2
+    assert 0 < q.obj_product.cache_info().currsize <= len(q.objects.reps) ** 2
+    assert 0 < q.identity_mor_at.cache_info().currsize <= len(q.objects.reps)
