@@ -78,7 +78,7 @@ _HOME = {
     "GroupHom": "groups",
     "Instance": "schema",
     "InternalInvariantError": "errors",
-    "LocalTrivialization": "bundle",
+    "LocalTrivialization": "battery",
     "PathMor": "complexes",
     "PreconditionError": "errors",
     "QuiverEdge": "bundle",
@@ -89,7 +89,7 @@ _HOME = {
     "build_instance": "presets",
     "build_quotient": "quotient",
     "check_JH_normal": "quotient",
-    "check_bundle_axioms": "bundle",
+    "check_bundle_axioms": "battery",
     "check_naturality": "functorial",
     "check_oracle_agreement": "wordalg",
     "check_second_gerbe": "gerbal",

@@ -15,12 +15,13 @@ the single suites that apply to the base. The quotient and the classical
 cocycle on it are separate stages, so a gated `quotient` suite checks no cocycle.
 
 Each stage and suite imports its layer on first use: the transition functors
-(`functorial`), the coset quotient (`quotient`), the glued bundle (`bundle`)
-and the word oracle (`wordalg`). So a single suite loads only the layers it
-reads: `peiffer` none of them, `validate` only the transition functors. The
-`all` battery loads every layer, also those its base skips, so a process that
-has run `all` holds the whole construction: the benchmark's layer tracer
-wraps each layer module after replaying `all` in process.
+(`functorial`), the coset quotient (`quotient`), the glued space (`bundle`),
+its law battery (`battery`) and the word oracle (`wordalg`). So a single
+suite loads only the layers it reads: `peiffer` none of them, `validate` only
+the transition functors, a gated `bundle` or `oracle` no space. `all` loads
+the space with every layer, also those its base skips, and the battery only
+on bases that run `bundle`: the benchmark's layer tracer wraps each layer
+module after replaying `all` in process.
 """
 
 from __future__ import annotations
@@ -98,12 +99,14 @@ class InstanceContext:
     def space(self) -> tuple[Optional[BundleSpace], Report]:
         """The glued bundle, or None when a component, cocycle or classical law
         fails, and the precondition report: broken data fails, never crashes."""
-        from .bundle import BundleSpace
         pre = Report("bundle")
         pre.merge(self.peiffer)
         pre.merge(self.gerbal)
         pre.merge(self.classical)
-        return (BundleSpace(self.fc, self.quotient[0]) if pre.ok else None), pre
+        if not pre.ok:
+            return None, pre
+        from .bundle import BundleSpace
+        return BundleSpace(self.fc, self.quotient[0]), pre
 
 
 def _gate(ctx: InstanceContext, name: str, *layers: str) -> Optional[Report]:
@@ -170,7 +173,7 @@ def suite_bundle(ctx: InstanceContext) -> Report:
     space, pre = ctx.space
     if space is None:
         return pre
-    from .bundle import check_bundle_axioms
+    from .battery import check_bundle_axioms
     rep = Report("bundle")
     rep.merge(check_bundle_axioms(space, ctx.max_len))
     return rep

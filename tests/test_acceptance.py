@@ -13,7 +13,7 @@ from itertools import combinations
 
 import perm_oracle
 
-from catbundle.bundle import check_bundle_axioms
+from catbundle.battery import check_bundle_axioms
 from catbundle.complexes import enumerate_paths, overlap
 from catbundle.crossed import validate_peiffer
 from catbundle.functorial import (

@@ -5,17 +5,14 @@ from collections import Counter
 
 import pytest
 
-from catbundle import bundle
-from catbundle.bundle import (
-    BundleMorphism,
-    BundleObject,
-    BundleSpace,
+from catbundle import battery
+from catbundle.battery import (
     LocalTrivialization,
-    QuiverEdge,
     check_bundle_axioms,
     enumerate_chains,
     fold_layers,
 )
+from catbundle.bundle import BundleMorphism, BundleObject, BundleSpace, QuiverEdge
 from catbundle.complexes import PathMor, enumerate_paths, index_family
 from catbundle.errors import (
     CompositionError,
@@ -614,7 +611,7 @@ def test_battery_compacts_each_state_once(inst_line5w, monkeypatch):
         return merge_units(self, u1, u2)
 
     monkeypatch.setattr(BundleSpace, "_merge_units", counted)
-    monkeypatch.setattr(bundle, "index_family", lambda cover: [])
+    monkeypatch.setattr(battery, "index_family", lambda cover: [])
     rep = check_bundle_axioms(space, 2)
     assert rep.ok, rep.failures()
     assert seen and max(seen.values()) == 1, seen.most_common(3)
@@ -660,14 +657,14 @@ def test_a_clean_mor_surjective_scan_keys_no_chain(inst_line5, monkeypatch):
     # it folds layer states and compares their keys with the images' keys
     space = fresh_space(inst_line5)
     sizes = []
-    fold_layers = bundle.fold_layers
+    fold_layers = battery.fold_layers
 
     def watched(*args):
         sizes.append(len(space._keys))
         yield from fold_layers(*args)
         sizes.append(len(space._keys))
-    monkeypatch.setattr(bundle, "fold_layers", watched)
-    monkeypatch.setattr(bundle, "enumerate_chains", None)
+    monkeypatch.setattr(battery, "fold_layers", watched)
+    monkeypatch.setattr(battery, "enumerate_chains", None)
     for indices in index_family(space.cover):
         rep = LocalTrivialization(space, indices[0], indices).check(3, 3)
         assert rep.ok, rep.failures()
@@ -864,12 +861,12 @@ def test_compose_of_plant_keeps_the_mor_surjective_witnesses(inst_a3j3_line5w, m
 def test_clean_battery_enumerates_only_the_one_chart_regions(inst_line5w, monkeypatch):
     space = fresh_space(inst_line5w)
     regions = []
-    enumerate_chains_ = bundle.enumerate_chains
+    enumerate_chains_ = battery.enumerate_chains
 
     def counted(space, max_units, region=None):
         regions.append(region)
         return enumerate_chains_(space, max_units, region)
-    monkeypatch.setattr(bundle, "enumerate_chains", counted)
+    monkeypatch.setattr(battery, "enumerate_chains", counted)
     rep = check_bundle_axioms(space, 2)
     assert rep.ok, rep.failures()
     # the battery's own two-unit states; a clean mor_surjective scan folds
@@ -1025,7 +1022,7 @@ def test_action_tables_stay_within_units_times_cosets(checked_space_s4):
     sizes = [table.cache_info().currsize for pair in space._actions.values() for table in pair]
     assert len(space._actions) == cosets
     assert max(sizes) <= cosets
-    assert sum(sizes) <= len(bundle.enumerate_units(space)) * cosets
+    assert sum(sizes) <= len(battery.enumerate_units(space)) * cosets
 
 
 def test_memos_stay_within_charts_times_units_and_cosets_squared(checked_space_s4):
@@ -1033,7 +1030,7 @@ def test_memos_stay_within_charts_times_units_and_cosets_squared(checked_space_s
     # leaves them bounded whatever the number of chains it keys
     space = checked_space_s4
     q, charts = space.q, len(space.cover.index_order)
-    units = bundle.enumerate_units(space)
+    units = battery.enumerate_units(space)
     assert len(space._keys) > charts * len(units)
     assert 0 < space._move_unit.cache_info().currsize <= charts * len(units)
     assert 0 < space._absorb.cache_info().currsize <= len(units) ** 2

@@ -229,18 +229,22 @@ def test_suite_fails_on_a_broken_group_table(tmp_path, capsys, preset, suite):
 
 
 # Each run is a fresh interpreter, which reports the modules it loaded beyond
-# those loaded before the package was imported; no arguments, no CLI run.
+# those loaded before the package was imported; no arguments, no CLI run;
+# `--import M`, only `import M`.
 FOOTPRINT_CHILD = """\
-import json, sys
+import importlib, json, sys
 before = set(sys.modules)
 import catbundle
 code = 0
-if len(sys.argv) > 1:
+if sys.argv[1:2] == ["--import"]:
+    importlib.import_module(sys.argv[2])
+elif len(sys.argv) > 1:
     from catbundle.cli import main
     code = main(sys.argv[1:])
 print(json.dumps([code, sorted(set(sys.modules) - before)]))
 """
 LAYER_MODULES = {"catbundle.bundle", "catbundle.quotient", "catbundle.wordalg"}
+BATTERY = "catbundle.battery"
 
 
 @pytest.fixture(scope="module")
@@ -253,13 +257,13 @@ def footprint_docs(tmp_path_factory):
     return docs
 
 
-def loaded_by(*argv):
+def loaded_by(*argv, exit_code=0):
     src = str(Path(catbundle.__file__).resolve().parent.parent)
     proc = subprocess.run([sys.executable, "-c", FOOTPRINT_CHILD, *argv],
                           capture_output=True, text=True, check=True,
                           env=dict(os.environ, PYTHONPATH=src))
     code, loaded = json.loads(proc.stdout)
-    assert code == 0, proc.stderr
+    assert code == exit_code, proc.stderr
     return set(loaded)
 
 
@@ -276,7 +280,7 @@ def test_precondition_verbs_load_no_later_layer(footprint_docs, tmp_path, suite)
     else:
         loaded = check_loads(doc, suite, out)
     assert "catbundle.gerbal" in loaded
-    assert not loaded & (LAYER_MODULES | {"dataclasses"})
+    assert not loaded & (LAYER_MODULES | {BATTERY, "dataclasses"})
     # the preset chains build their permutation groups on first use
     assert "catbundle.permutations" not in loaded
 
@@ -284,19 +288,20 @@ def test_precondition_verbs_load_no_later_layer(footprint_docs, tmp_path, suite)
 def test_quotient_verb_loads_the_quotient_only(footprint_docs, tmp_path):
     loaded = check_loads(footprint_docs["s3-line5"], "quotient", tmp_path / "rep.json")
     assert "catbundle.quotient" in loaded
-    assert not loaded & {"catbundle.bundle", "catbundle.wordalg", "dataclasses"}
+    assert not loaded & {"catbundle.bundle", BATTERY, "catbundle.wordalg", "dataclasses"}
 
 
 def test_bundle_verb_loads_no_word_oracle(footprint_docs, tmp_path):
     loaded = check_loads(footprint_docs["s3-line5"], "bundle", tmp_path / "rep.json")
-    assert "catbundle.bundle" in loaded
+    assert {"catbundle.bundle", BATTERY} <= loaded
     assert not loaded & {"catbundle.wordalg", "fractions", "dataclasses"}
 
 
 def test_oracle_verb_loads_the_word_oracle(footprint_docs, tmp_path):
     loaded = check_loads(footprint_docs["oracle-dirline3"], "oracle", tmp_path / "rep.json")
     assert LAYER_MODULES <= loaded
-    assert "dataclasses" not in loaded
+    # the oracle reads the glued space, never the law battery
+    assert not loaded & {BATTERY, "dataclasses"}
     # the oracle's classes are union-find components: no rational arithmetic
     assert not loaded & {"fractions", "decimal"}
 
@@ -304,13 +309,14 @@ def test_oracle_verb_loads_the_word_oracle(footprint_docs, tmp_path):
 def test_all_battery_on_a_directed_base_loads_no_rational_arithmetic(footprint_docs, tmp_path):
     loaded = check_loads(footprint_docs["oracle-dirline3"], "all", tmp_path / "rep.json")
     assert LAYER_MODULES | {"catbundle.functorial"} <= loaded
-    assert not loaded & {"fractions", "decimal"}
+    # the base runs no bundle suite, so `all` loads the space without its battery
+    assert not loaded & {BATTERY, "fractions", "decimal"}
 
 
 def test_all_battery_loads_every_layer(footprint_docs, tmp_path):
     # s3-line5 has zero-length edges, so `all` skips the oracle suite here
     loaded = check_loads(footprint_docs["s3-line5"], "all", tmp_path / "rep.json")
-    assert LAYER_MODULES | {"catbundle.functorial"} <= loaded
+    assert LAYER_MODULES | {BATTERY, "catbundle.functorial"} <= loaded
     assert "catbundle.permutations" not in loaded
 
 
@@ -318,3 +324,31 @@ def test_bare_package_import_loads_no_submodule():
     loaded = loaded_by()
     assert "catbundle" in loaded
     assert not [m for m in loaded if m.startswith("catbundle.")]
+
+
+def test_bundle_import_loads_no_battery():
+    loaded = loaded_by("--import", "catbundle.bundle")
+    assert "catbundle.bundle" in loaded
+    assert BATTERY not in loaded
+
+
+@pytest.mark.parametrize("preset, suite", [("s3-line5", "bundle"),
+                                           ("oracle-dirline3", "oracle")])
+def test_gated_bundle_verbs_load_no_space(tmp_path, capsys, preset, suite):
+    # a broken group table fails the space's preconditions, so the verb
+    # reports them before importing the glued space
+    doc = _edited(tmp_path, capsys, preset, 3,
+                  ("groups", "A3", "mul", "(132)", "(132)"), "(132)")
+    loaded = loaded_by("check", str(doc), "--suite", suite, "--max-path-len", "1",
+                       "--out", str(tmp_path / "rep.json"), exit_code=1)
+    assert "catbundle.gerbal" in loaded
+    assert not loaded & {"catbundle.bundle", BATTERY, "catbundle.wordalg"}
+
+
+def test_bundle_resolves_the_battery_names_the_layer_tracer_reads():
+    from catbundle import battery, bundle
+    for name in ("check_bundle_axioms", "LocalTrivialization", "enumerate_base_walks"):
+        assert getattr(bundle, name) is getattr(battery, name)
+    # no other battery name is re-exported
+    with pytest.raises(AttributeError, match="^module 'catbundle.bundle' has no attribute"):
+        bundle.fold_layers
