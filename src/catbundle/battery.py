@@ -1,17 +1,17 @@
 """The law battery of a glued `BundleSpace`.
 
-It keys each enumerated unit state through its compaction, acts on it with
-`act_state` and composes by concatenation, so it builds no chain; its action
-laws read acted keys from one map of its enumerated states. A local
-trivialization builds, validates, keys and splits the image
-`on_pair(walk, phi)` of each (walk, fiber morphism) pair once per check. Its
-`functorial` and `equivariant` checks key two images concatenated and an
-image acted on by `act_state` with `composed_key`, the one junction check on
-unit states. `mor_surjective` folds the bounded chains layer by layer over
-distinct fold states (`fold_layers`) and keys no chain. A trivialization of
-chart i over several charts restricts the one over chart i alone: where
-their images agree it takes chart i's passed verdicts without a scan, so a
-clean battery enumerates no trivialization region (`check_bundle_axioms`).
+It keys each enumerated unit state through its compaction and composes by
+concatenation, so it builds no chain; one pass acts each state by each coset
+once with `act_state` for its three action laws. A local trivialization
+builds, validates, keys and splits the image `on_pair(walk, phi)` of each
+(walk, fiber morphism) pair once per check. Its `functorial` and
+`equivariant` checks key two images concatenated and an image acted on by
+`act_state` with `composed_key`, the one junction check on unit states.
+`mor_surjective` folds the bounded chains layer by layer over distinct fold
+states (`fold_layers`) and keys no chain. A trivialization of chart i over
+several charts restricts the one over chart i alone: where their images
+agree it takes chart i's passed verdicts without a scan, so a clean battery
+enumerates no trivialization region (`check_bundle_axioms`).
 """
 
 from __future__ import annotations
@@ -317,8 +317,9 @@ def check_bundle_axioms(space: BundleSpace, max_len: int = 3) -> Report:
     right action, congruence sanity, and every local trivialization.
 
     The action and composition laws run on the enumerated unit states of at
-    most two units: each is keyed through its compaction, acted on with
-    `act_state` and composed by concatenation.
+    most two units: each is keyed through its compaction and composed by
+    concatenation, and one pass acts each by each coset once for the three
+    action laws.
 
     `index_family` lists the one-chart index sets first, and the
     trivialization of chart i over a larger set J is handed the checked one
@@ -326,14 +327,13 @@ def check_bundle_axioms(space: BundleSpace, max_len: int = 3) -> Report:
     that (i,) passed, J passes without a scan when both `mor_injective`
     checks passed and every J image (mor_key, unit_split) of
     `on_pair(walk, phi)` equals the (i,) image. J's region lies inside chart
-    i's, so J's walks and bounded chains are (i,) walks and chains. A passed
-    `mor_injective` built the image of every walk with every coset rep, and
-    the scans read images at coset reps only, so the comparison builds no
-    image and covers every image J's scans read. The chart-i coset, the
-    fold, `act_state` and `composed_key` read units, never
-    `QuiverEdge.charts`, so each comparison J's scan makes is one the (i,)
-    scan made. Otherwise J scans as a trivialization checked alone does and
-    reports its own first witness."""
+    i's, so its walks and bounded chains are (i,)'s. A passed `mor_injective`
+    built the image of every walk with every coset rep, and the scans read
+    images at coset reps only, so the comparison builds no image and covers
+    every image J's scans read. The chart-i coset, the fold, `act_state` and
+    `composed_key` read units, never `QuiverEdge.charts`, so each comparison
+    J's scan makes is one the (i,) scan made. Otherwise J scans as if alone
+    and reports its own first witness."""
     q, cover = space.q, space.cover
     rep = space.check_glue_relation()
 
@@ -367,9 +367,13 @@ def check_bundle_axioms(space: BundleSpace, max_len: int = 3) -> Report:
     # keying them first compacts each chain once for every check below. The
     # action laws read an acted state's `state_key` from `keys`; a state not
     # there is no composable state of enumerated units, so it is keyed only
-    # after its junctions are checked (`composed_key`).
+    # after its junctions are checked (`composed_key`). `added` holds, per
+    # state, the class it adds a member to, or None; `merged`, each added
+    # member that is no enumerated state, by the state it compacts.
     classes: dict[tuple, dict[State, None]] = {}
     keys: dict[State, tuple] = {}
+    added: list[Optional[tuple]] = []
+    merged: dict[State, State] = {}
     walk_witness = None
     for st in states:
         # keyed through its compaction: the fold merges a zero-length unit
@@ -379,77 +383,96 @@ def check_bundle_axioms(space: BundleSpace, max_len: int = 3) -> Report:
         key = space._keys[st] = space.component_of(compacted)
         if walk_witness is None and space._walk_sig(st) != key[1]:
             walk_witness = f"chain {st} is equal to a morphism over another walk"
-        classes.setdefault(key, {})[compacted] = None
+        members = classes.setdefault(key, {})
+        if compacted in members:
+            added.append(None)
+        else:
+            added.append(key)
+            members[compacted] = None
+            if compacted is not st:
+                merged[st] = compacted
         keys[st] = space.state_key(st)
 
     def broken(psi: str, st: State) -> str:
         return f"action by {psi} breaks a junction of chain {st}"
 
-    # every neutral unit, the identity at its object, is a one-unit state; a
-    # key holds its walk
-    def unfree_morphisms():
-        for st in states:
-            key = keys[st]
-            for psi in q.morphisms.reps:
-                acted = space.act_state(st, psi)
-                acted_key = keys.get(acted) or space.composed_key(acted)
-                if acted_key is None:
-                    yield broken(psi, st)
-                    continue
-                if acted_key[1][1] != key[1][1]:
-                    yield f"action by {psi} changed a projected walk"
-                if (acted_key == key) != (psi == neutral):
-                    yield f"morphism action by {psi} is not free on chain {st}"
-    rep.search("bundle.action.mor_free",
-               "the morphism action is free, unital, and projection-invariant",
-               unfree_morphisms())
+    def key_of(state: State) -> Optional[tuple]:
+        return keys.get(state) or space.composed_key(state)
 
-    loops = [p for p in q.morphisms.reps if q.source[p] == q.target[p]]
-    units_at = [q.identity_mor_at(q.source[psi]) for psi in loops]
+    # one pass acts each state by each coset once, and each law keeps the
+    # first witness of its own scan order: `states` lists the one-unit
+    # states, then each s1 + s2 in `exchange`'s order, and reaches each class
+    # member at the state that added it
+    act, composed = space.act_state, space.composed_key
+    reps = q.morphisms.reps
+    # the loops, each with the identity at its source, itself a loop
+    unit_at = {psi: q.identity_mor_at(q.source[psi])
+               for psi in reps if q.source[psi] == q.target[psi]}
+    factors: dict[tuple[Unit, str], State] = {}  # exchange's acted one-unit factors
+    targets: dict[tuple, list] = {}  # class -> its first member's acted keys
+    splits: dict[tuple, str] = {}  # (class, mover) -> its first witness
+    free_witness = exchange_witness = None
+    for st, cls in zip(states, added):
+        key = keys[st]
+        row = []
+        for psi in reps:
+            acted = act(st, psi)
+            acted_key = keys.get(acted) or composed(acted)
+            row.append(acted_key)
+            # every neutral unit, the identity at its object, is a one-unit
+            # state; a key holds its walk
+            if free_witness is None:
+                if acted_key is None:
+                    free_witness = broken(psi, st)
+                elif acted_key[1][1] != key[1][1]:
+                    free_witness = f"action by {psi} changed a projected walk"
+                elif (acted_key == key) != (psi == neutral):
+                    free_witness = f"morphism action by {psi} is not free on chain {st}"
+            if len(st) == 1:
+                if psi in unit_at:
+                    factors[st[0], psi] = acted
+            elif exchange_witness is None and psi in unit_at:
+                a12 = factors[st[0], unit_at[psi]] + factors[st[1], psi]
+                rhs_key = acted_key if a12 == acted else key_of(a12)
+                if rhs_key is None:
+                    exchange_witness = (f"exchange composite undefined: the factors of "
+                                        f"chain {st} acted by {psi} do not compose")
+                elif acted_key is None:
+                    exchange_witness = broken(psi, st)
+                elif acted_key != rhs_key:
+                    exchange_witness = f"exchange law breaks for {psi} on a 2-chain"
+        if cls is None:
+            continue
+        member = merged.get(st, st)
+        if member is not st:
+            row = [psi != neutral and key_of(act(member, psi)) for psi in reps]
+        # members share one key, and the neutral morphism changes no decoration
+        target = targets.setdefault(cls, row)
+        if None not in row and row == target:  # no witness in this member
+            continue
+        for n, psi in enumerate(reps):
+            if psi == neutral or (cls, psi) in splits:
+                continue
+            if row[n] is None:
+                splits[cls, psi] = broken(psi, member)
+            elif row[n] != target[n]:
+                splits[cls, psi] = f"equal chains act apart under {psi}"
+    rep.record("bundle.action.mor_free",
+               "the morphism action is free, unital, and projection-invariant",
+               free_witness is None, free_witness)
+    rep.record("bundle.action.exchange",
+               "acting on a composite equals composing the acted factors "
+               "(loop fiber morphisms)", exchange_witness is None, exchange_witness)
+    split = next((splits[cls, psi] for cls in classes for psi in reps
+                  if (cls, psi) in splits), None)
+    rep.record("bundle.action.equivariant",
+               "equal morphisms stay equal under the fiber action", split is None, split)
+    del added, merged, factors, targets, splits
+
     one_unit = [st for st in states if len(st) == 1]
     by_source_obj: dict[BundleObject, list[State]] = {}
     for st in one_unit:
         by_source_obj.setdefault(space.unit_s_obj(st[0]), []).append(st)
-
-    def exchange_breaks():
-        for s1 in one_unit:
-            firsts = [space.act_state(s1, unit) for unit in units_at]
-            for s2 in by_source_obj.get(space.unit_t_obj(s1[-1]), ()):
-                for psi, a1 in zip(loops, firsts):
-                    lhs = space.act_state(s1 + s2, psi)
-                    a12 = a1 + space.act_state(s2, psi)
-                    rhs_key = keys.get(a12) or space.composed_key(a12)
-                    if rhs_key is None:
-                        yield (f"exchange composite undefined: the factors of chain "
-                               f"{s1 + s2} acted by {psi} do not compose")
-                        continue
-                    lhs_key = keys.get(lhs) or space.composed_key(lhs)
-                    if lhs_key is None:
-                        yield broken(psi, s1 + s2)
-                    elif lhs_key != rhs_key:
-                        yield f"exchange law breaks for {psi} on a 2-chain"
-    rep.search("bundle.action.exchange",
-               "acting on a composite equals composing the acted factors "
-               "(loop fiber morphisms)", exchange_breaks())
-
-    # members share one key, and the neutral morphism changes no decoration
-    movers = [psi for psi in q.morphisms.reps if psi != neutral]
-
-    def split_classes():
-        for members in classes.values():
-            for psi in movers:
-                target = None
-                for st in members:
-                    acted = space.act_state(st, psi)
-                    acted_key = keys.get(acted) or space.composed_key(acted)
-                    if acted_key is None:
-                        yield broken(psi, st)
-                    elif target is None:
-                        target = acted_key
-                    elif acted_key != target:
-                        yield f"equal chains act apart under {psi}"
-    rep.search("bundle.action.equivariant",
-               "equal morphisms stay equal under the fiber action", split_classes())
 
     rep.record("bundle.proj.class_invariant",
                "equal morphisms project to the same base walk",

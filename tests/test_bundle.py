@@ -22,8 +22,10 @@ from catbundle.errors import (
 )
 from catbundle.gerbal import generate_gerbal
 from catbundle.presets import build_instance, cover_cycle6, cover_line5w
+from catbundle.report import Report
 from catbundle.schema import Instance
 from catbundle.suites import InstanceContext, run_suite
+from action_laws_reference import action_law_witnesses
 from normal_form_reference import compact, reference_key
 from rewrite_reference import RewriteReference
 
@@ -906,12 +908,13 @@ def plant_act_state(monkeypatch, space, plant):
     monkeypatch.setattr(space, "act_state", lambda state, psi: plant(act_state, state, psi))
 
 
-def test_action_plant_chart_swap_fails_every_action_law(inst_line5w, monkeypatch):
-    # an acted one-unit state moves, decoration unchanged, to the first other
-    # chart holding its step; two-unit states act as before, so `exchange`
-    # fails only because each acted state comes from its own act_state call
-    space = fresh_space(inst_line5w)
+def neutral_of(space):
+    return space.q.identity_mor_at(space.q.identity_obj())
 
+
+def chart_swap(space):
+    """An acted one-unit state moves, decoration unchanged, to the first
+    other chart holding its step; two-unit states act as before."""
     def swap(act_state, state, psi):
         acted = act_state(state, psi)
         if len(state) != 1:
@@ -919,7 +922,49 @@ def test_action_plant_chart_swap_fails_every_action_law(inst_line5w, monkeypatch
         (c, step, phi), = acted
         others = [k for k in space._charts_of(space._step_walk(step).visited) if k != c]
         return ((others[0], step, phi),) if others else acted
-    plant_act_state(monkeypatch, space, swap)
+    return swap
+
+
+def last_unit_only(space):
+    """Only the last unit is multiplied."""
+    return lambda act_state, state, psi: state[:-1] + act_state(state[-1:], psi)
+
+
+def two_unit_head_kept(space):
+    """A two-unit state keeps its head unit."""
+    return lambda act_state, state, psi: (state[:1] + act_state(state[1:], psi)
+                                          if len(state) == 2 else act_state(state, psi))
+
+
+def reversed_step(space):
+    """Off the neutral coset an acted one-unit edge state runs over its step
+    reversed."""
+    neutral = neutral_of(space)
+
+    def reverse(act_state, state, psi):
+        acted = act_state(state, psi)
+        if len(acted) != 1 or psi == neutral or acted[0][1][0] != "e":
+            return acted
+        (c, (_, eid, o), phi), = acted
+        return ((c, ("e", eid, -o), phi),)
+    return reverse
+
+
+def neutral_moves(space):
+    """The neutral coset acts on one-unit states as a coset that moves their
+    target object."""
+    q = space.q
+    neutral = neutral_of(space)
+    mover = next(r for r in q.morphisms.reps if q.source[r] == q.identity_obj() != q.target[r])
+    return lambda act_state, state, psi: act_state(
+        state, mover if len(state) == 1 and psi == neutral else psi)
+
+
+def test_action_plant_chart_swap_fails_every_action_law(inst_line5w, monkeypatch):
+    # two-unit states act as before, so `exchange` fails only because each
+    # acted state comes from its own act_state call
+    space = fresh_space(inst_line5w)
+    plant_act_state(monkeypatch, space, chart_swap(space))
     failed = {c.check_id: c.witness for c in check_bundle_axioms(space, 2).failures()}
     assert [failed.get(law) for law in ACTION_LAWS] == [
         "morphism action by ((123),(12)) is not free on chain "
@@ -930,19 +975,14 @@ def test_action_plant_chart_swap_fails_every_action_law(inst_line5w, monkeypatch
     assert failed["triv.1.1.equivariant"] == "action by ((12),(12)) breaks on ((), ((12),(12)))"
 
 
-@pytest.mark.parametrize("plant", [
-    # only the last unit is multiplied
-    lambda act_state, state, psi: state[:-1] + act_state(state[-1:], psi),
-    # a two-unit state keeps its head unit
-    lambda act_state, state, psi: (state[:1] + act_state(state[1:], psi) if len(state) == 2
-                                   else act_state(state, psi)),
-], ids=["last-unit-only", "two-unit-head-kept"])
+@pytest.mark.parametrize("plant", [last_unit_only, two_unit_head_kept],
+                         ids=["last-unit-only", "two-unit-head-kept"])
 def test_action_plant_on_the_head_units_fails_instead_of_raising(inst_line5w, monkeypatch,
                                                                  plant):
     # the acted head no longer ends where the acted last unit starts, so the
     # state does not compose: each law names the chain it acted on
     space = fresh_space(inst_line5w)
-    plant_act_state(monkeypatch, space, plant)
+    plant_act_state(monkeypatch, space, plant(space))
     failed = {c.check_id: c.witness for c in check_bundle_axioms(space, 2).failures()}
     first = "(('1', ('v', '0'), '((12),(12))'), ('1', ('v', '0'), '((12),(123))'))"
     assert [failed.get(law) for law in ACTION_LAWS] == [
@@ -960,38 +1000,147 @@ def test_action_plant_on_the_head_units_fails_instead_of_raising(inst_line5w, mo
 
 def test_action_plant_reversing_a_step_fails_the_projection_half_of_mor_free(
         inst_line5w, monkeypatch):
-    # off the neutral coset an acted one-unit edge state runs over its step
-    # reversed, so the walk read from its key moves
+    # the walk read from an acted one-unit edge state's key moves
     space = fresh_space(inst_line5w)
-    q = space.q
-    neutral = q.identity_mor_at(q.identity_obj())
-
-    def reverse(act_state, state, psi):
-        acted = act_state(state, psi)
-        if len(acted) != 1 or psi == neutral or acted[0][1][0] != "e":
-            return acted
-        (c, (_, eid, o), phi), = acted
-        return ((c, ("e", eid, -o), phi),)
-    plant_act_state(monkeypatch, space, reverse)
+    plant_act_state(monkeypatch, space, reversed_step(space))
     failed = {c.check_id: c.witness for c in check_bundle_axioms(space, 2).failures()}
     assert failed["bundle.action.mor_free"] == "action by ((12),(12)) changed a projected walk"
 
 
 def test_action_plant_on_the_neutral_coset_fails_exchange_at_its_factors(inst_line5w,
                                                                          monkeypatch):
-    # the neutral coset acts on one-unit states as a coset that moves their
-    # target object, so the acted factors of a 2-chain no longer compose
+    # the acted factors of a 2-chain no longer compose
     space = fresh_space(inst_line5w)
-    q = space.q
-    neutral = q.identity_mor_at(q.identity_obj())
-    mover = next(r for r in q.morphisms.reps if q.source[r] == q.identity_obj() != q.target[r])
-    plant_act_state(monkeypatch, space, lambda act_state, state, psi: act_state(
-        state, mover if len(state) == 1 and psi == neutral else psi))
+    plant_act_state(monkeypatch, space, neutral_moves(space))
     failed = {c.check_id: c.witness for c in check_bundle_axioms(space, 2).failures()}
     assert failed["bundle.action.exchange"] == (
         "exchange composite undefined: the factors of chain "
         "(('1', ('v', '0'), '((12),(12))'), ('1', ('v', '0'), '((12),(123))')) "
         "acted by ((123),(123)) do not compose")
+
+
+def class_members(space):
+    """The members of each class the battery forms, in its order: the
+    compactions of the enumerated states of at most two units."""
+    classes: dict = {}
+    for st in enumerate_chains(space, 2):
+        compacted = compact(space, st)
+        classes.setdefault(space.component_of(compacted), {})[compacted] = None
+    return [list(members) for members in classes.values()]
+
+
+def member_moved(space):
+    """The second member of the middle class with two acts under the last
+    mover as under the first."""
+    classes = [members for members in class_members(space) if len(members) > 1]
+    member = classes[len(classes) // 2][1]
+    movers = [psi for psi in space.q.morphisms.reps if psi != neutral_of(space)]
+    return lambda act_state, state, psi: act_state(
+        state, movers[0] if state == member and psi == movers[-1] else psi)
+
+
+def second_loop_swapped(space):
+    """A two-unit state acted by the second loop coset has its units swapped."""
+    q = space.q
+    loop = [psi for psi in q.morphisms.reps if q.source[psi] == q.target[psi]][1]
+
+    def swap(act_state, state, psi):
+        acted = act_state(state, psi)
+        return acted[::-1] if len(state) == 2 and psi == loop else acted
+    return swap
+
+
+def unlisted_merges(monkeypatch):
+    """`enumerate_units` leaves out the units of a step's first chart where
+    another chart holds the step, so the compaction of a state with a
+    zero-length unit, a unit of that first chart, is no enumerated state.
+    Such a unit acts under the last mover as under the first."""
+    enumerate_units = battery.enumerate_units
+
+    def listed(space, region=None):
+        def first_of_several(un):
+            charts = space._charts_of(space._step_walk(un[1]).visited)
+            return len(charts) > 1 and un[0] == charts[0]
+        return [un for un in enumerate_units(space, region) if not first_of_several(un)]
+    monkeypatch.setattr(battery, "enumerate_units", listed)
+
+    def plant(space):
+        units = set(listed(space))
+        movers = [psi for psi in space.q.morphisms.reps if psi != neutral_of(space)]
+        return lambda act_state, state, psi: act_state(
+            state, movers[0] if len(state) == 1 and state[0] not in units
+            and psi == movers[-1] else psi)
+    return plant
+
+
+LAWS = set(ACTION_LAWS)
+MOR_FREE, EXCHANGE, EQUIVARIANT = ({law} for law in ACTION_LAWS)
+
+
+def plant_id(v):
+    if isinstance(v, set):
+        return "+".join(sorted(law.rsplit(".", 1)[1] for law in v)) or "passes"
+    return v if isinstance(v, str) else getattr(v, "__name__", "clean")
+
+
+# on the A3/J3 fiber every coset is a loop at its one object: a head unit
+# multiplied by that object's identity is unchanged, and no coset moves a
+# target object, so `neutral_moves` has no mover there
+@pytest.mark.parametrize("fixture,plant,fails", [
+    ("inst_line5w", None, set()),
+    ("inst_line5w", chart_swap, LAWS),
+    ("inst_line5w", last_unit_only, LAWS),
+    ("inst_line5w", two_unit_head_kept, LAWS),
+    ("inst_line5w", reversed_step, LAWS),
+    ("inst_line5w", neutral_moves, MOR_FREE | EXCHANGE),
+    ("inst_line5w", member_moved, EXCHANGE | EQUIVARIANT),
+    ("inst_line5w", second_loop_swapped, MOR_FREE | EXCHANGE),
+    ("inst_line5w", unlisted_merges, EQUIVARIANT),
+    ("inst_a3j3_line5w", None, set()),
+    ("inst_a3j3_line5w", chart_swap, LAWS),
+    ("inst_a3j3_line5w", last_unit_only, set()),
+    ("inst_a3j3_line5w", two_unit_head_kept, set()),
+    ("inst_a3j3_line5w", reversed_step, LAWS),
+    ("inst_a3j3_line5w", member_moved, EXCHANGE | EQUIVARIANT),
+    ("inst_a3j3_line5w", second_loop_swapped, LAWS),
+    ("inst_a3j3_line5w", unlisted_merges, EQUIVARIANT),
+], ids=plant_id)
+def test_action_plant_witnesses_match_the_per_law_reference(request, monkeypatch, fixture,
+                                                            plant, fails):
+    # one pass feeds the three laws; each must report the first witness of
+    # its own scan, as the reference's separate scans do
+    inst = request.getfixturevalue(fixture)
+    monkeypatch.setattr(battery.LocalTrivialization, "check",
+                        lambda self, *args: Report("bundle"))
+    if plant is unlisted_merges:
+        plant = unlisted_merges(monkeypatch)
+    spaces = fresh_space(inst), fresh_space(inst)
+    for space in spaces:
+        if plant is not None:
+            plant_act_state(monkeypatch, space, plant(space))
+    checks = {c.check_id: c for c in check_bundle_axioms(spaces[0], 2).checks}
+    got = [(checks[law].status, checks[law].witness) for law in ACTION_LAWS]
+    assert got == [("pass", None) if w is None else ("fail", w)
+                   for w in action_law_witnesses(spaces[1])]
+    assert {law for law, (status, _) in zip(ACTION_LAWS, got) if status == "fail"} == fails
+
+
+def test_battery_acts_each_state_by_each_coset_once(inst_line5w, monkeypatch):
+    # the trivializations, which act on images of their own, are left out
+    space = fresh_space(inst_line5w)
+    acted = Counter()
+
+    def counted(act_state, state, psi):
+        acted[state, psi] += 1
+        return act_state(state, psi)
+    plant_act_state(monkeypatch, space, counted)
+    monkeypatch.setattr(battery.LocalTrivialization, "check",
+                        lambda self, *args: Report("bundle"))
+    rep = check_bundle_axioms(space, 2)
+    assert rep.ok, rep.failures()
+    assert acted == Counter(
+        {(st, psi): 1 for st in enumerate_chains(space, 2) for psi in space.q.morphisms.reps})
+    assert sum(acted.values()) == 8240
 
 
 def test_act_state_raises_on_an_unknown_coset_every_call(inst_line5):
