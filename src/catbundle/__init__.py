@@ -15,96 +15,29 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Arrow",
-    "BundleMorphism",
-    "BundleObject",
-    "BundleSpace",
-    "ChainedCrossedModules",
-    "CompositionError",
-    "CoverComplex",
-    "CrossedModule",
-    "DomainError",
-    "FiniteGroup",
-    "FunctorialCocycle",
-    "GerbalCocycle",
-    "GroupAction",
-    "GroupHom",
-    "Instance",
-    "InternalInvariantError",
-    "LocalTrivialization",
-    "PathMor",
-    "PreconditionError",
-    "QuiverEdge",
-    "QuotientCatGroup",
-    "Report",
-    "SchemaError",
-    "WordOracle",
-    "build_instance",
-    "build_quotient",
-    "check_JH_normal",
-    "check_bundle_axioms",
-    "check_naturality",
-    "check_oracle_agreement",
-    "check_second_gerbe",
-    "check_tau_image_normal",
-    "check_theta_functorial",
-    "derive_tower",
-    "enumerate_paths",
-    "generate_gerbal",
-    "instance_from_json",
-    "instance_to_json",
-    "preset_names",
-    "run_suite",
-    "validate_gerbal",
-    "validate_peiffer",
-]
-
-# Each public name and the module that defines it; the keys are `__all__`.
-_HOME = {
-    "Arrow": "crossed",
-    "BundleMorphism": "bundle",
-    "BundleObject": "bundle",
-    "BundleSpace": "bundle",
-    "ChainedCrossedModules": "crossed",
-    "CompositionError": "errors",
-    "CoverComplex": "complexes",
-    "CrossedModule": "crossed",
-    "DomainError": "errors",
-    "FiniteGroup": "groups",
-    "FunctorialCocycle": "functorial",
-    "GerbalCocycle": "gerbal",
-    "GroupAction": "groups",
-    "GroupHom": "groups",
-    "Instance": "schema",
-    "InternalInvariantError": "errors",
-    "LocalTrivialization": "battery",
-    "PathMor": "complexes",
-    "PreconditionError": "errors",
-    "QuiverEdge": "bundle",
-    "QuotientCatGroup": "quotient",
-    "Report": "report",
-    "SchemaError": "errors",
-    "WordOracle": "wordalg",
-    "build_instance": "presets",
-    "build_quotient": "quotient",
-    "check_JH_normal": "quotient",
-    "check_bundle_axioms": "battery",
-    "check_naturality": "functorial",
-    "check_oracle_agreement": "wordalg",
-    "check_second_gerbe": "gerbal",
-    "check_tau_image_normal": "crossed",
-    "check_theta_functorial": "functorial",
-    "derive_tower": "gerbal",
-    "enumerate_paths": "complexes",
-    "generate_gerbal": "gerbal",
-    "instance_from_json": "schema",
-    "instance_to_json": "schema",
-    "preset_names": "presets",
-    "run_suite": "suites",
-    "validate_gerbal": "gerbal",
-    "validate_peiffer": "crossed",
+# The public names of each module; every name is listed once.
+_NAMES = {
+    "battery": ("LocalTrivialization", "check_bundle_axioms"),
+    "bundle": ("BundleMorphism", "BundleObject", "BundleSpace", "QuiverEdge"),
+    "complexes": ("CoverComplex", "PathMor", "enumerate_paths"),
+    "crossed": ("Arrow", "ChainedCrossedModules", "CrossedModule", "check_tau_image_normal",
+                "validate_peiffer"),
+    "errors": ("CompositionError", "DomainError", "InternalInvariantError",
+               "PreconditionError", "SchemaError"),
+    "functorial": ("FunctorialCocycle", "check_naturality", "check_theta_functorial"),
+    "gerbal": ("GerbalCocycle", "check_second_gerbe", "derive_tower", "generate_gerbal",
+               "validate_gerbal"),
+    "groups": ("FiniteGroup", "GroupAction", "GroupHom"),
+    "presets": ("build_instance", "preset_names"),
+    "quotient": ("QuotientCatGroup", "build_quotient", "check_JH_normal"),
+    "report": ("Report",),
+    "schema": ("Instance", "instance_from_json", "instance_to_json"),
+    "suites": ("run_suite",),
+    "wordalg": ("WordOracle", "check_oracle_agreement"),
 }
+# each public name and the module that defines it
+_HOME = {name: module for module, names in _NAMES.items() for name in names}
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name: str):

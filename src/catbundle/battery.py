@@ -7,8 +7,8 @@ builds, validates, keys and splits the image `on_pair(walk, phi)` of each
 (walk, fiber morphism) pair once per check. Its `functorial` and
 `equivariant` checks key two images concatenated and an image acted on by
 `act_state` with `composed_key`, the one junction check on unit states.
-`mor_surjective` folds the bounded chains layer by layer over distinct fold
-states (`fold_layers`) and keys no chain. A trivialization of chart i over
+`mor_surjective` folds distinct layer states (`fold_layers`), keys no chain
+and names each state by its first chain. A trivialization of chart i over
 several charts restricts the one over chart i alone: where their images
 agree it takes chart i's passed verdicts without a scan, so a clean battery
 enumerates no trivialization region (`check_bundle_axioms`).
@@ -17,7 +17,6 @@ enumerates no trivialization region (`check_bundle_axioms`).
 from __future__ import annotations
 
 from collections import Counter
-from functools import reduce
 from typing import Iterable, Iterator, Optional
 
 from .bundle import (
@@ -95,39 +94,40 @@ def enumerate_chains(space: BundleSpace, max_units: int,
 
 def fold_layers(space: BundleSpace, i: str, region: frozenset,
                 max_units: int) -> Iterator[tuple]:
-    """(walk signature, chart-i coset, `state_key`) of the chains of 1..max_units
-    units inside the region, once per distinct layer state (walk, source
-    object, fold state, chart-i coset, target object). Each layer extends the
-    last one's states by every unit leaving their target, one `_fold` step
-    and one `compose_of` each. A last layer of two units reads its chains'
-    keys from `_keys`, where the battery stored them, and the scan stores
-    none."""
+    """(walk signature, chart-i coset, `state_key`, chain) of the first chain
+    of 1..max_units units inside the region, in `enumerate_chains` order, to
+    reach each distinct layer state (walk, source object, fold state, chart-i
+    coset, target object). Each layer extends the last one's states by every
+    unit leaving their target, one `_fold` step and one `compose_of` each. A
+    last layer of two units yields each chain in `_keys` with that key."""
+    rows = [(un, space._walk_sig((un,))[1], space._move_unit(i, un), space.unit_t_obj(un))
+            for un in enumerate_units(space, region)]
     by_source: dict = {}
-    for un in enumerate_units(space, region):
-        by_source.setdefault(space.unit_s_obj(un), []).append(
-            (un, space._walk_sig((un,))[1], space._move_unit(i, un), space.unit_t_obj(un)))
-    layer = [((x.vertex, ()), FOLD_START, x, None, x) for x in by_source]
+    for row in rows:
+        by_source.setdefault(space.unit_s_obj(row[0]), []).append(row)
+    # the empty chain before each unit: the first layer keeps the units' order
+    layer = [((), (x.vertex, ()), FOLD_START, x, None, [row])
+             for row in rows for x in [space.unit_s_obj(row[0])]]
     for depth in range(max_units):
-        states = {}
-        for walk, fs, x, coset, y in layer:
-            for un, steps, moved, t in by_source.get(y, ()):
+        states: dict = {}
+        for chain, walk, fs, x, coset, nexts in layer:
+            for un, steps, moved, t in nexts:
                 sig = walk
                 if steps:  # one tuple per walk, however many states run over it
                     sig = (walk[0], walk[1] + steps)
                     sig = space._interned.setdefault(sig, sig)
                 coset2 = moved if coset is None else space.q.compose_of(moved, coset)
-                # the battery keyed every two-unit chain; a parent in the
-                # first layer holds its one unit in its fold state
-                key = depth == 1 and max_units == 2 and space._keys.get((fs[3] or fs[4], un))
+                st = chain + (un,)
+                # the battery keyed every two-unit chain and the scan stores none
+                key = depth == 1 and max_units == 2 and space._keys.get(st)
                 if key:
-                    yield sig, coset2, ((x, t), key)
+                    yield sig, coset2, ((x, t), key), st
                     continue
-                st = (sig, space._fold(fs, un), x, coset2, t)
-                n = len(states)
-                states[st] = None
-                if len(states) > n:
-                    yield sig, st[3], ((x, t), space._fold_key(st[:2]))
-        layer = states
+                fs2 = space._fold(fs, un)
+                if states.setdefault((sig, fs2, x, coset2, t), st) is st:
+                    yield sig, coset2, ((x, t), space._fold_key((sig, fs2))), st
+        layer = ((st, sig, fs, x, coset, by_source.get(t, ()))
+                 for (sig, fs, x, coset, t), st in states.items())
 
 
 class LocalTrivialization:
@@ -179,8 +179,7 @@ class LocalTrivialization:
         state of the bounded chains (`fold_layers`) with its chart-i image:
         chains with equal walk, source, fold state, coset and target have
         equal keys and cosets under every extension, so the layers make every
-        comparison and store no chain. A disagreement rescans
-        `enumerate_chains` in order for the witness.
+        comparison, and a state's first chain is the witness.
 
         `one_chart`, the checked trivialization of chart i over (i,) alone,
         lends its passed `mor_surjective`, `functorial` and `equivariant`
@@ -251,18 +250,12 @@ class LocalTrivialization:
             carried = one_chart.passed
 
         def misses():
-            # unit_split(to_chain(st)) == st, so st is keyed as it stands;
-            # every unit is re-indexed into chart i and the decorations composed
-            for st in enumerate_chains(space, max_units, self.region):
-                coset = reduce(lambda phi, un: q.compose_of(space._move_unit(self.i, un), phi),
-                               st[1:], space._move_unit(self.i, st[0]))
-                if space.state_key(st) != pair_key(*space._walk_sig(st), coset):
+            for sig, coset, key, st in fold_layers(space, self.i, self.region, max_units):
+                if key != pair_key(*sig, coset):
                     yield f"chain {st} is not equal to its chart-{self.i} reduction"
         rep.search(f"{tag}.mor_surjective",
                    "every bounded chain over the overlap is hit by the functor",
-                   () if "mor_surjective" in carried or all(
-                       key == pair_key(*sig, coset) for sig, coset, key
-                       in fold_layers(space, self.i, self.region, max_units)) else misses())
+                   () if "mor_surjective" in carried else misses())
 
         def bad_composites():
             for w1 in walks:
@@ -339,11 +332,7 @@ def check_bundle_axioms(space: BundleSpace, max_len: int = 3) -> Report:
 
     def unlifted():
         for w in enumerate_base_walks(cover, max_len):
-            m, why = space.lift_walk(w)
-            if m is None:
-                yield why
-                continue
-            pr = space.project(m)
+            pr = space.project(space.lift_walk(w))
             if (pr.start, pr.steps) != (w.start, w.steps):
                 yield f"lift of {w.start}:{list(w.steps)} projects elsewhere"
     rep.search("bundle.proj.mor_surjective",

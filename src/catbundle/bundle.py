@@ -496,27 +496,21 @@ class BundleSpace:
 
     # ----- constructive lifts and reductions ---------------------------------
 
-    def lift_walk(self, walk: PathMor):
-        """A chain over `walk` starting in the identity fiber coset; returns
-        (morphism, None) or (None, witness) when a step has no covering chart.
-        A zero-length walk lifts to the neutral chain at its canonical object."""
+    def lift_walk(self, walk: PathMor) -> BundleMorphism:
+        """A chain over `walk` starting in the identity fiber coset, each step
+        in its first chart; a zero-length walk lifts to the neutral chain at
+        its canonical object."""
         q, cover = self.q, self.cover
         if len(walk) == 0:
             x = BundleObject(cover.smallest_chart(walk.start), walk.start,
                              q.identity_obj())
-            return self.to_chain((self.neutral_unit(x),)), None
+            return self.to_chain((self.neutral_unit(x),))
         edges = []
         fiber = q.identity_obj()
         prev_chart = None
         for (eid, o), v0 in zip(walk.steps, walk.visited):
             step_walk = self._step_walk(("e", eid, o))
-            charts = cover.charts_containing(step_walk.visited)
-            if not charts:
-                return None, (
-                    f"step ({eid!r}, {o}) of walk {walk.start}:{list(walk.steps)} "
-                    f"has no chart containing both endpoints"
-                )
-            chart = charts[0]
+            chart = cover.charts_containing(step_walk.visited)[0]
             if prev_chart is not None:
                 fiber = q.obj_product(self.gbar(chart, prev_chart, v0), fiber)
             edges.append(QuiverEdge(chart, (chart,), step_walk,
@@ -524,7 +518,7 @@ class BundleSpace:
             prev_chart = chart
         m = BundleMorphism.chain(edges)
         self.mor_endpoints(m)
-        return m, None
+        return m
 
 
 def __getattr__(name: str):

@@ -233,19 +233,17 @@ def test_lift_walk_projects_back(space_line5):
     for steps in ([("e01", 1)], [("e01", 1), ("e12", 1)],
                   [("e12", 1), ("e12", -1)]):
         walk = space.cover.walk("0" if steps[0][0] == "e01" else "1", steps)
-        m, err = space.lift_walk(walk)
-        assert err is None
-        got = space.project(m)
+        got = space.project(space.lift_walk(walk))
         assert (got.start, got.steps) == (walk.start, walk.steps)
 
 
 def test_lift_identity_walk_is_the_neutral_chain(space_line5):
     space = space_line5
-    m, err = space.lift_walk(space.cover.identity_walk("2"))
+    m = space.lift_walk(space.cover.identity_walk("2"))
     # the identity fiber coset in the smallest chart holding the vertex
     x = space.canonical_obj(space.cover.smallest_chart("2"), "2", space.q.identity_obj())
     assert x.fiber == space.q.identity_obj()
-    assert err is None and m == neutral_chain(space, x)
+    assert m == neutral_chain(space, x)
 
 
 def test_unit_split_then_compact_is_walk_length(space_line5w):
@@ -436,7 +434,7 @@ def test_mor_equal_validates_both_arguments_whatever_the_other_walk(inst_line5):
     broken = BundleMorphism.chain([e1, e2])
     forged = BundleMorphism.chain(
         [QuiverEdge("1", ("1",), PathMor("0", (("e01", 1),), ("0", "2")), phi)])
-    lifted, _ = space.lift_walk(space.cover.walk("0", [("e01", 1), ("e12", 1)]))
+    lifted = space.lift_walk(space.cover.walk("0", [("e01", 1), ("e12", 1)]))
     others = [lifted, BundleMorphism.chain([e1]),
               neutral_chain(space, space.objects_all()[0])]
     for bad, error in ((broken, CompositionError), (forged, SchemaError)):
@@ -447,15 +445,16 @@ def test_mor_equal_validates_both_arguments_whatever_the_other_walk(inst_line5):
                 space.mor_equal(other, bad)
 
 
-def test_chart_cosets_fold_each_chain_onto_its_prefix(space_line5):
+def test_fold_layers_name_each_layer_state_by_its_first_chain_in_order(space_line5):
     # 3-unit chains, so the layers extend states that were extended
     # themselves; the distinct layer states reach the (walk, chart-1 coset,
-    # key) of every chain and of nothing else
+    # key) of every chain and of nothing else, and each yield carries a chain
+    # whose own triple it is, in the order `enumerate_chains` lists them
     space, q = space_line5, space_line5.q
     triv = LocalTrivialization(space, "1", ("1", "2"))
     chains = enumerate_chains(space, 3, triv.region)
     assert Counter(map(len, chains))[3] > 1000
-    per_chain = set()
+    per_chain = {}
     for st in chains:
         total = space._move_unit("1", st[0])
         for unit in st[1:]:
@@ -463,10 +462,14 @@ def test_chart_cosets_fold_each_chain_onto_its_prefix(space_line5):
         m = space.to_chain(st)
         walk = space.project(m)
         assert space.mor_equal(m, triv.on_pair(walk, total))
-        per_chain.add(((walk.start, walk.steps), total, space.mor_key(m)))
+        per_chain[st] = ((walk.start, walk.steps), total, space.mor_key(m))
     layered = list(fold_layers(space, "1", triv.region, 3))
-    assert set(layered) == per_chain
+    assert {item[:3] for item in layered} == set(per_chain.values())
     assert len(layered) < len(chains)
+    assert all(item[:3] == per_chain[item[3]] for item in layered)
+    position = {st: n for n, st in enumerate(chains)}
+    order = [position[item[3]] for item in layered]
+    assert order == sorted(set(order))
 
 
 def test_trivialization_state_keys_are_the_chain_keys(space_line5):
@@ -576,8 +579,7 @@ def test_clean_battery_builds_each_trivialization_image_once(monkeypatch):
 def test_lift_walk_rejects_a_broken_chain(inst_line5):
     space = fresh_space(inst_line5)
     for start, step in (("0", ("e01", 1)), ("2", ("e23", 1))):
-        m, err = space.lift_walk(space.cover.walk(start, [step]))
-        assert err is None
+        assert isinstance(space.lift_walk(space.cover.walk(start, [step])), BundleMorphism)
     # steps that do not join: e01 ends at 1, e23 starts at 2
     gap = PathMor("0", (("e01", 1), ("e23", 1)), ("0", "1", "3"))
     with pytest.raises(CompositionError):
@@ -593,7 +595,7 @@ def test_value_reprs_are_pinned(space_line5w):
         "BundleMorphism(edges=(QuiverEdge(chart='1', charts=('1',), "
         "walk=PathMor(start='0', steps=(), visited=('0',)), "
         "phi='((123),(12))'),))")
-    m, _ = space.lift_walk(space.cover.walk("0", [("e01", 1)]))
+    m = space.lift_walk(space.cover.walk("0", [("e01", 1)]))
     assert repr(m) == (
         "BundleMorphism(edges=(QuiverEdge(chart='1', charts=('1',), "
         "walk=PathMor(start='0', steps=(('e01', 1),), visited=('0', '1')), "
@@ -793,8 +795,9 @@ def test_a_multi_chart_set_finds_its_own_witness_when_chart_i_fails(inst_line5w,
     assert witnesses - {alone}
 
 
-# the parent revision's witnesses: a failing layered scan rescans the chains
-# in their old order, so the witness bytes stay
+# the witnesses of the old scan over `enumerate_chains`: a failing layered
+# scan names each layer state by its first chain in that order, so the
+# witness bytes stay
 MOVE_UNIT_WITNESSES = {
     "triv.3.3": (("1", ("v", "0"), "((12),(12))"),),
     "triv.3.13": (("1", ("v", "0"), "((12),(12))"),),
@@ -831,7 +834,7 @@ def as_witnesses(chains):
 @pytest.mark.parametrize("max_len", [2, 3])
 def test_move_unit_plant_keeps_the_mor_surjective_witnesses(inst_line5w, monkeypatch,
                                                              max_len):
-    # chart 3 alone fails, so each set holding 3 rescans its own chains
+    # chart 3 alone fails, so each set holding 3 scans its own layer states
     space = fresh_space(inst_line5w)
     q, move_unit = space.q, space._move_unit
     shift = q.identity_mor_at(next(r for r in q.objects.reps if r != q.identity_obj()))
@@ -860,7 +863,7 @@ def test_compose_of_plant_keeps_the_mor_surjective_witnesses(inst_a3j3_line5w, m
     assert surjective_witnesses(space, max_len) == as_witnesses(COMPOSE_OF_WITNESSES)
 
 
-def test_clean_battery_enumerates_only_the_one_chart_regions(inst_line5w, monkeypatch):
+def test_clean_battery_enumerates_no_trivialization_region(inst_line5w, monkeypatch):
     space = fresh_space(inst_line5w)
     regions = []
     enumerate_chains_ = battery.enumerate_chains
@@ -871,8 +874,8 @@ def test_clean_battery_enumerates_only_the_one_chart_regions(inst_line5w, monkey
     monkeypatch.setattr(battery, "enumerate_chains", counted)
     rep = check_bundle_axioms(space, 2)
     assert rep.ok, rep.failures()
-    # the battery's own two-unit states; a clean mor_surjective scan folds
-    # layer states and enumerates no region, one-chart regions included
+    # the battery's own two-unit states; mor_surjective folds layer states
+    # and enumerates no region, one-chart regions included
     assert regions == [None]
 
 

@@ -2,8 +2,9 @@
 `dataclasses`, and the package namespace resolves each public name lazily.
 
 A name counts as used when it is read anywhere in its module, appears in a
-string annotation, or is listed in the module's `__all__`. `from __future__`
-imports are directives, not names, and are skipped.
+string annotation, or is listed in a list or tuple display assigned to the
+module's `__all__`. `from __future__` imports are directives, not names, and
+are skipped.
 """
 
 import ast
@@ -44,7 +45,7 @@ def used_names(tree: ast.AST) -> set[str]:
             annotations.append(node.returns)
         elif isinstance(node, ast.AnnAssign):
             annotations.append(node.annotation)
-        elif (isinstance(node, ast.Assign)
+        elif (isinstance(node, ast.Assign) and isinstance(node.value, (ast.List, ast.Tuple))
               and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
             used.update(ast.literal_eval(node.value))
     for ann in annotations:
@@ -79,8 +80,9 @@ def test_no_module_under_src_imports_dataclasses():
     assert not offenders, f"imports dataclasses: {offenders}"
 
 
-def test_the_name_table_is_all():
-    assert list(catbundle._HOME) == catbundle.__all__
+def test_no_public_name_is_listed_under_two_modules():
+    listed = [name for names in catbundle._NAMES.values() for name in names]
+    assert sorted(listed) == catbundle.__all__
 
 
 @pytest.mark.parametrize("name", catbundle.__all__)
