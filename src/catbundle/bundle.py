@@ -40,8 +40,9 @@ directed bases, check the partition.
 
 Each edge is validated once per space: `edge_endpoints` memoizes the glued
 endpoints of every valid edge, and `mor_endpoints` checks a chain's edges and
-junctions in a single pass. Errors are never cached, so an invalid edge or a
-broken junction raises on every call.
+junctions in a single pass. The memos are `functools.cache`, which stores
+nothing when a call raises, so an invalid edge or a broken junction raises on
+every call.
 
 A morphism's full key (`mor_key`) is its (source, target) pair followed by
 its normal-form key, and `mor_equal` compares the two full keys. Each side is
@@ -53,12 +54,9 @@ chart move of a decoration goes through `_move_unit`. It, the merge steps and
 the pushes are `functools.cache` memos on units and steps; none grows with
 the chains.
 
-`BundleObject`, `QuiverEdge` and `BundleMorphism` are named tuples, so they
-are built, hashed and compared in C; their reprs are the field-by-field form
-that witnesses embed. `PathMor` is a small slotted class, not a tuple: its
-equality and hash read (start, steps) and ignore `visited`, and an edge hashes
-and compares through its walk, so the endpoint memo still reads `visited` on
-a hit.
+`BundleObject`, `QuiverEdge` and `BundleMorphism` are named tuples, like
+`PathMor`, so they are built, hashed and compared in C; their reprs are the
+field-by-field form that witnesses embed.
 
 The right action is written once, in `act_state`: on a unit state it
 multiplies the last unit's decoration by psi and every earlier one by the
@@ -129,22 +127,21 @@ class BundleSpace:
         self.fc = fc
         self.q = q
         self.cover = fc.cover
-        self._tb_cache: dict[tuple[str, str, str, tuple[str, ...]], str] = {}
         self._keys: dict[tuple, tuple] = {}
         self._interned: dict[tuple, tuple] = {}  # one object per distinct walk or key
-        self._sw_cache: dict[Step, PathMor] = {}
-        self._unit_s: dict[Unit, BundleObject] = {}
-        self._unit_t: dict[Unit, BundleObject] = {}
-        self._cc_cache: dict[tuple[str, ...], list[str]] = {}
-        self._ends: dict[QuiverEdge,
-                         tuple[tuple[str, ...], tuple[BundleObject, BundleObject]]] = {}
         # psi -> (phi -> phi psi, phi -> phi times the identity at s(psi))
         self._actions: dict[str, tuple[Callable, Callable]] = {}
         # memos keyed by their arguments
         self.gbar = cache(self.gbar)
+        self.thetabar = cache(self.thetabar)
+        self.edge_endpoints = cache(self.edge_endpoints)
+        self._step_walk = cache(self._step_walk)
+        self.unit_s_obj = cache(self.unit_s_obj)
+        self.unit_t_obj = cache(self.unit_t_obj)
         self._move_unit = cache(self._move_unit)
         self._merge_step = cache(self._merge_step)
         self._absorb = cache(self._absorb)
+        self._charts_of = cache(self.cover.charts_containing)
 
     # ----- transported cocycle values on cosets ----------------------------
 
@@ -152,13 +149,8 @@ class BundleSpace:
         return self.q.objects.rep(self.fc.g(to_chart, from_chart, u))
 
     def thetabar(self, to_chart: str, from_chart: str, walk: PathMor) -> str:
-        # keyed by all that `eval_theta` reads, its overlap check included
-        key = (to_chart, from_chart, walk.start, walk.visited)
-        val = self._tb_cache.get(key)
-        if val is None:
-            val = self.q.q_mor(eval_theta(self.fc, to_chart, from_chart, walk))
-            self._tb_cache[key] = val
-        return val
+        # memoized by the whole walk, which is all that `eval_theta` reads
+        return self.q.q_mor(eval_theta(self.fc, to_chart, from_chart, walk))
 
     # ----- objects ----------------------------------------------------------
 
@@ -258,19 +250,10 @@ class BundleSpace:
             raise SchemaError(f"edge decoration {e.phi!r} is not a morphism coset rep")
 
     def edge_endpoints(self, e: QuiverEdge) -> tuple[BundleObject, BundleObject]:
-        """Validate e and return its glued (source, target), once per edge.
-
-        Only valid edges are memoized, so an invalid one raises on every call.
-        PathMor equality ignores `visited`, which validation reads, so a hit
-        also needs the same vertex sequence."""
-        hit = self._ends.get(e)
-        if hit is not None and hit[0] == e.walk.visited:
-            return hit[1]
+        """Validate e and return its glued (source, target), once per edge."""
         self.validate_edge(e)
-        ends = (self.canonical_obj(e.chart, e.walk.start, self.q.source[e.phi]),
+        return (self.canonical_obj(e.chart, e.walk.start, self.q.source[e.phi]),
                 self.canonical_obj(e.chart, e.walk.end, self.q.target[e.phi]))
-        self._ends[e] = (e.walk.visited, ends)
-        return ends
 
     def mor_endpoints(self, m: BundleMorphism) -> tuple[BundleObject, BundleObject]:
         """Validate every edge and every junction of m in one pass and return
@@ -321,18 +304,12 @@ class BundleSpace:
     # ----- unit-split states and their normal form ---------------------------
 
     def _step_walk(self, step: Step) -> PathMor:
-        w = self._sw_cache.get(step)
-        if w is not None:
-            return w
         if step[0] == "v":
-            w = self.cover.identity_walk(step[1])
-        else:
-            _, eid, o = step
-            u, v = self.cover.edge_by_id[eid]
-            w = PathMor(u, ((eid, 1),), (u, v)) if o == 1 \
-                else PathMor(v, ((eid, -1),), (v, u))
-        self._sw_cache[step] = w
-        return w
+            return self.cover.identity_walk(step[1])
+        _, eid, o = step
+        u, v = self.cover.edge_by_id[eid]
+        return PathMor(u, ((eid, 1),), (u, v)) if o == 1 \
+            else PathMor(v, ((eid, -1),), (v, u))
 
     def _move_unit(self, k: str, unit: Unit) -> str:
         """The decoration of `unit` re-indexed into chart k: the one chart
@@ -341,28 +318,13 @@ class BundleSpace:
         return phi if k == c else self.q.mor_product(
             self.thetabar(k, c, self._step_walk(step)), phi)
 
-    def _charts_of(self, visited: tuple[str, ...]) -> list[str]:
-        cs = self._cc_cache.get(visited)
-        if cs is None:
-            cs = self.cover.charts_containing(visited)
-            self._cc_cache[visited] = cs
-        return cs
-
     def unit_s_obj(self, unit: Unit) -> BundleObject:
-        x = self._unit_s.get(unit)
-        if x is None:
-            c, step, phi = unit
-            x = self.canonical_obj(c, self._step_walk(step).start, self.q.source[phi])
-            self._unit_s[unit] = x
-        return x
+        c, step, phi = unit
+        return self.canonical_obj(c, self._step_walk(step).start, self.q.source[phi])
 
     def unit_t_obj(self, unit: Unit) -> BundleObject:
-        x = self._unit_t.get(unit)
-        if x is None:
-            c, step, phi = unit
-            x = self.canonical_obj(c, self._step_walk(step).end, self.q.target[phi])
-            self._unit_t[unit] = x
-        return x
+        c, step, phi = unit
+        return self.canonical_obj(c, self._step_walk(step).end, self.q.target[phi])
 
     def neutral_unit(self, x: BundleObject) -> Unit:
         return (x.chart, ("v", x.vertex), self.q.identity_mor_at(x.fiber))

@@ -72,6 +72,11 @@ def inst_a3j3_dirline3():
 
 
 @pytest.fixture(scope="session")
+def inst_a3j3_cycle6():
+    return a3j3_instance("a3j3-cycle6", cover_cycle6)
+
+
+@pytest.fixture(scope="session")
 def inst_line5():
     return build_instance("s3-line5", 3, True)
 

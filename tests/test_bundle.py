@@ -319,6 +319,55 @@ def test_bundle_axioms_on_cycle6(space_cycle6):
     assert "bundle.mor.torsor" in {c.check_id for c in rep.checks}
 
 
+def class_pair_composites(space):
+    """For each composable pair of the battery's classes of bounded two-unit
+    states, each member keyed through its compaction: the number of member
+    pairs and the set of their composites' keys."""
+    classes: dict[tuple, dict] = {}
+    for st in enumerate_chains(space, 2):
+        compacted = (space._merge_units(*st),) if len(st) == 2 and "v" in (
+            st[0][1][0], st[1][1][0]) else st
+        classes.setdefault(space.state_key(compacted), {})[compacted] = None
+    by_source: dict[BundleObject, list] = {}
+    for (ends, _key), members in classes.items():
+        by_source.setdefault(ends[0], []).append(members)
+    for ((_s, t), _key), members1 in classes.items():
+        for members2 in by_source.get(t, ()):
+            yield len(members1) * len(members2), {
+                space.composed_key(m1 + m2) for m1 in members1 for m2 in members2}
+
+
+@pytest.mark.parametrize("name,max_len", [("s3-line5", 3), ("cycle6-trivial", 4),
+                                          ("inst_a3j3_cycle6", 3), ("inst_a3j3_dirline3", 3)])
+def test_composition_is_representative_free_on_every_pair_of_classes(request, name, max_len):
+    # `bundle.compose.representative_free` samples these composites; here
+    # every member of a class meets every member of every composable class
+    inst = request.getfixturevalue(name) if name.startswith("inst_") \
+        else build_instance(name, 5, True)
+    space, pre = InstanceContext(inst, max_len).space
+    assert pre.ok, pre.first_witness()
+    pairs = list(class_pair_composites(space))
+    for _n, keys in pairs:
+        assert None not in keys and len(keys) == 1, keys
+    assert sum(n for n, _keys in pairs) > len(pairs)
+
+
+def test_a_key_that_reads_the_representative_passes_the_sample_not_every_pair():
+    # keys of three or more units that read the charts of the representative:
+    # no pair the battery samples composes a member whose second unit left
+    # the first unit's chart
+    space = fresh_space(build_instance("s3-line5", 5, True))
+    component_of = space.component_of
+
+    def planted(state):
+        key = component_of(state)
+        return key + ("moved",) if len(state) > 2 and state[1][0] != state[0][0] else key
+    space.component_of = planted
+    rep = check_bundle_axioms(space, 3)
+    assert rep.ok, rep.failures()
+    assert any(len(keys) > 1 for _n, keys in class_pair_composites(space))
+
+
 def test_folds_across_a_vertex_without_common_chart_are_equal(space_cycle6):
     # no chart holds both e01 backwards and e50 backwards; folding the
     # neutral-step unit at vertex 0 left or right must give one morphism
@@ -380,7 +429,7 @@ def test_invalid_edge_raises_on_every_call(inst_line5):
 
 
 def test_cached_edge_does_not_vouch_for_a_forged_twin(inst_line5):
-    # PathMor equality ignores `visited`, which validation reads
+    # a twin whose walk differs only in `visited`, which validation reads
     space = fresh_space(inst_line5)
     q = space.q
     phi = q.identity_mor_at(q.identity_obj())
@@ -388,10 +437,24 @@ def test_cached_edge_does_not_vouch_for_a_forged_twin(inst_line5):
     edge = QuiverEdge("1", ("1",), walk, phi)
     space.edge_endpoints(edge)
     forged = edge._replace(walk=PathMor(walk.start, walk.steps, ("0", "4")))
-    # one memo key: edges hash and compare through their walks
-    assert forged == edge and hash(forged) == hash(edge)
+    # its own memo key: edges compare through all their walks' fields
+    assert forged != edge
     with pytest.raises(SchemaError):
         space.edge_endpoints(forged)
+
+
+def test_forged_twin_raises_on_every_call_and_is_never_memoized(inst_line5):
+    space = fresh_space(inst_line5)
+    q = space.q
+    walk = space.cover.walk("0", [("e01", 1)])
+    edge = QuiverEdge("1", ("1",), walk, q.identity_mor_at(q.identity_obj()))
+    space.edge_endpoints(edge)
+    size = space.edge_endpoints.cache_info().currsize
+    forged = edge._replace(walk=PathMor(walk.start, walk.steps, ("0", "4")))
+    for _ in range(2):
+        with pytest.raises(SchemaError):
+            space.edge_endpoints(forged)
+        assert space.edge_endpoints.cache_info().currsize == size
 
 
 def test_chain_of_cached_edges_still_checks_junctions(inst_line5):
@@ -1188,6 +1251,10 @@ def test_memos_stay_within_charts_times_units_and_cosets_squared(checked_space_s
     assert 0 < space._absorb.cache_info().currsize <= len(units) ** 2
     steps = {step for _c, step, _phi in units}
     assert 0 < space._merge_step.cache_info().currsize <= len(steps) ** 2
+    assert 0 < space._step_walk.cache_info().currsize <= len(steps)
+    assert 0 < space.unit_s_obj.cache_info().currsize <= len(units)
+    assert 0 < space.unit_t_obj.cache_info().currsize <= len(units)
+    assert 0 < space.thetabar.cache_info().currsize <= charts ** 2 * len(steps)
     assert 0 < q.mor_product.cache_info().currsize <= len(q.morphisms.reps) ** 2
     assert 0 < q.obj_product.cache_info().currsize <= len(q.objects.reps) ** 2
     assert 0 < q.identity_mor_at.cache_info().currsize <= len(q.objects.reps)

@@ -1,7 +1,7 @@
 """Value types: their reprs, which witnesses embed, and walk equality.
 
-`Arrow`, `CheckResult` and `Instance` are named tuples; `PathMor` is a slotted
-class whose equality and hash read (start, steps) and ignore `visited`.
+`Arrow`, `CheckResult`, `Instance` and `PathMor` are named tuples, so each
+compares and hashes as its field tuple; a walk's fields include `visited`.
 """
 
 import pytest
@@ -23,13 +23,16 @@ def test_value_reprs_are_pinned():
         "Instance(preset='s3-line5', seed=3, noise=True, chain='chain', cover='cover', gc='gc')"
 
 
-def test_walks_differing_only_in_visited_are_equal():
+def test_walks_are_equal_exactly_when_start_steps_and_visited_are():
     walk = PathMor("0", (("e01", 1),), ("0", "1"))
     twin = PathMor("0", (("e01", 1),), ("0", "2"))
-    assert walk == twin and not walk != twin
-    assert hash(walk) == hash(twin) == hash((walk.start, walk.steps))
-    assert len({walk, twin}) == 1
+    assert walk != twin and not walk == twin
+    assert hash(walk) == hash(("0", (("e01", 1),), ("0", "1")))
+    assert hash(twin) == hash(("0", (("e01", 1),), ("0", "2")))
+    assert len({walk, twin}) == 2
+    assert walk == PathMor("0", (("e01", 1),), ("0", "1"))
     assert walk != PathMor("1", (("e01", 1),), ("0", "1"))
+    assert walk != PathMor("0", (("e01", -1),), ("0", "1"))
     assert walk != ("0", (("e01", 1),))
 
 
