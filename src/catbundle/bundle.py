@@ -73,7 +73,7 @@ from __future__ import annotations
 from functools import cache, reduce
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from .complexes import PathMor, compose_paths, overlap, walk_inside
+from .complexes import PathMor, compose_paths
 from .errors import CompositionError, PreconditionError, SchemaError
 from .functorial import FunctorialCocycle, eval_theta
 from .quotient import QuotientCatGroup
@@ -185,23 +185,19 @@ class BundleSpace:
             if self.gbar(i, i, u) != q.identity_obj()))
 
         def asymmetries():
-            for i in cover.index_order:
-                for j in cover.index_order:
-                    for u in sorted(overlap(cover, (i, j))):
-                        if q.obj_product(self.gbar(i, j, u), self.gbar(j, i, u)) \
-                                != q.identity_obj():
-                            yield f"gbar_{i}{j}({u}) gbar_{j}{i}({u}) != identity coset"
+            for i, j in cover.overlapping(2):
+                for u in sorted(cover.overlap((i, j))):
+                    if q.obj_product(self.gbar(i, j, u), self.gbar(j, i, u)) != q.identity_obj():
+                        yield f"gbar_{i}{j}({u}) gbar_{j}{i}({u}) != identity coset"
         rep.search("bundle.glue.symmetric", "gbar_ij(u) gbar_ji(u) = identity coset",
                    asymmetries())
 
         def intransitivities():
-            for i in cover.index_order:
-                for j in cover.index_order:
-                    for k in cover.index_order:
-                        for u in sorted(overlap(cover, (i, j, k))):
-                            lhs = q.obj_product(self.gbar(k, j, u), self.gbar(j, i, u))
-                            if lhs != self.gbar(k, i, u):
-                                yield f"gbar_{k}{j} gbar_{j}{i} != gbar_{k}{i} at {u}"
+            for i, j, k in cover.overlapping(3):
+                for u in sorted(cover.overlap((i, j, k))):
+                    lhs = q.obj_product(self.gbar(k, j, u), self.gbar(j, i, u))
+                    if lhs != self.gbar(k, i, u):
+                        yield f"gbar_{k}{j} gbar_{j}{i} != gbar_{k}{i} at {u}"
         rep.search("bundle.glue.transitive", "gbar_kj(u) gbar_ji(u) = gbar_ki(u)",
                    intransitivities())
 
@@ -239,12 +235,11 @@ class BundleSpace:
             raise SchemaError(
                 f"edge walk visits {list(e.walk.visited)}, not the vertices of its steps"
             )
-        region = overlap(self.cover, e.charts)
-        if not walk_inside(self.cover, e.walk, region):
+        if not self.cover.overlap(e.charts).issuperset(e.walk.visited):
             raise SchemaError(
                 f"edge walk through {list(e.walk.visited)} leaves the overlap of {e.charts}"
             )
-        if len(e.walk) == 0 and not self.cover.identity_edges:
+        if len(e.walk.steps) == 0 and not self.cover.identity_edges:
             raise SchemaError("zero-length edges are disabled on this base")
         if e.phi not in self.q.source:
             raise SchemaError(f"edge decoration {e.phi!r} is not a morphism coset rep")
@@ -360,7 +355,7 @@ class BundleSpace:
         """The (first chart, step) of the walk of st1 then st2."""
         w1, w2 = self._step_walk(st1), self._step_walk(st2)
         w = compose_paths(self.cover, w2, w1)
-        step = ("v", w.start) if len(w) == 0 else st1 if len(w1) == 1 else st2
+        step = ("v", w.start) if len(w.steps) == 0 else st1 if len(w1.steps) == 1 else st2
         return self._charts_of(w.visited)[0], step
 
     def _walk_sig(self, state: State) -> tuple:
@@ -463,7 +458,7 @@ class BundleSpace:
         in its first chart; a zero-length walk lifts to the neutral chain at
         its canonical object."""
         q, cover = self.q, self.cover
-        if len(walk) == 0:
+        if len(walk.steps) == 0:
             x = BundleObject(cover.smallest_chart(walk.start), walk.start,
                              q.identity_obj())
             return self.to_chain((self.neutral_unit(x),))

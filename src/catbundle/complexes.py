@@ -9,7 +9,8 @@ a length-2 walk, not an identity.
 
 from __future__ import annotations
 
-from itertools import combinations
+from functools import cache
+from itertools import combinations, product
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import CompositionError, SchemaError
@@ -21,8 +22,7 @@ class PathMor(NamedTuple):
     orientation +1 traverses the edge from its tail to its head, -1 the other
     way. `visited` is the full vertex sequence, length len(steps) + 1. A walk
     is a plain value: equal, and hashed alike, exactly when all three fields
-    are. Its length is its number of steps, so `_make` and `_replace`, which
-    check the field count through `len`, refuse it: call `PathMor` instead.
+    are.
     """
     start: str
     steps: tuple[tuple[str, int], ...]
@@ -31,9 +31,6 @@ class PathMor(NamedTuple):
     @property
     def end(self) -> str:
         return self.visited[-1]
-
-    def __len__(self) -> int:
-        return len(self.steps)
 
 
 class CoverComplex:
@@ -96,6 +93,7 @@ class CoverComplex:
                 self._steps_from[v].append((e, -1, u))
         for u in self.vertices:
             self._steps_from[u].sort()
+        self.overlap = cache(self.overlap)
 
     def steps_from(self, u: str) -> list[tuple[str, int, str]]:
         return self._steps_from[u]
@@ -105,6 +103,18 @@ class CoverComplex:
             return self.cover[i]
         except KeyError:
             raise SchemaError(f"cover complex: unknown chart index {i!r}") from None
+
+    def overlap(self, indices: tuple[str, ...]) -> frozenset[str]:
+        """The vertices the charts `indices` share, computed once per tuple.
+        An unknown chart or an empty tuple raises, and so is never cached."""
+        if not indices:
+            raise SchemaError("overlap of an empty index family is not defined")
+        return frozenset.intersection(*(self.chart(i) for i in indices))
+
+    def overlapping(self, r: int) -> list[tuple[str, ...]]:
+        """The ordered r-tuples of chart indices, repeats included, with
+        nonempty overlap, in `product(index_order, repeat=r)` order."""
+        return [t for t in product(self.index_order, repeat=r) if self.overlap(t)]
 
     def identity_walk(self, u: str) -> PathMor:
         if u not in self.vertex_set:
@@ -143,26 +153,12 @@ class CoverComplex:
         return [i for i in self.index_order if vset <= self.cover[i]]
 
 
-def overlap(c: CoverComplex, indices: Iterable[str]) -> frozenset[str]:
-    idx = list(indices)
-    if not idx:
-        raise SchemaError("overlap of an empty index family is not defined")
-    out = c.chart(idx[0])
-    for i in idx[1:]:
-        out = out & c.chart(i)
-    return out
-
-
-def walk_inside(c: CoverComplex, p: PathMor, vertex_set: frozenset[str]) -> bool:
-    return all(v in vertex_set for v in p.visited)
-
-
 def enumerate_paths(c: CoverComplex, indices: Iterable[str], max_len: int = 4) -> list[PathMor]:
     """All walks of length <= max_len staying inside the overlap, identities included.
 
     Deterministic order: by length, then start vertex, then step sequence.
     """
-    return walks_within(c, overlap(c, indices), max_len)
+    return walks_within(c, c.overlap(tuple(indices)), max_len)
 
 
 def walks_within(c: CoverComplex, region: frozenset[str], max_len: int) -> list[PathMor]:
@@ -198,6 +194,6 @@ def index_family(c: CoverComplex) -> tuple[tuple[str, ...], ...]:
     idx = list(c.index_order)
     for r in range(1, len(idx) + 1):
         for combo in combinations(idx, r):
-            if overlap(c, combo):
-                members.append(tuple(combo))
+            if c.overlap(combo):
+                members.append(combo)
     return tuple(members)

@@ -15,8 +15,9 @@ and a walk-level defect
     Theta_ikm(gamma) = (h_ikm(gamma_1) h_ikm(gamma_0)^{-1}, g_ikm(gamma_0)).
 
 The cocycle's tables are dense and checked when it is built, so each
-evaluation checks only that its walk or vertex lies in the overlap, once, and
-then reads the h, g and h_ikm tables directly.
+evaluation checks only that its walk or vertex lies in the overlap, which the
+cover computes once per index tuple, and then reads the h, g and h_ikm tables
+directly.
 
 The checks below verify functoriality, the naturality square relating T and
 theta, and the product relation Theta theta_ik theta_km = theta_im.
@@ -24,7 +25,7 @@ theta, and the product relation Theta theta_ik theta_km = theta_im.
 
 from __future__ import annotations
 
-from .complexes import PathMor, compose_paths, enumerate_paths, overlap, walk_inside
+from .complexes import PathMor, compose_paths, enumerate_paths
 from .crossed import Arrow, arrow_compose, arrow_endpoints, arrow_identity, arrow_product
 from .errors import CompositionError, DomainError
 from .gerbal import GerbalCocycle, derive_tower
@@ -45,8 +46,7 @@ class FunctorialCocycle:
 
 
 def _require_inside(fc: FunctorialCocycle, indices: tuple[str, ...], walk: PathMor) -> None:
-    region = overlap(fc.cover, indices)
-    if not walk_inside(fc.cover, walk, region):
+    if not fc.cover.overlap(indices).issuperset(walk.visited):
         raise DomainError(
             f"walk through {list(walk.visited)} leaves the overlap of {indices}"
         )
@@ -60,7 +60,7 @@ def eval_theta(fc: FunctorialCocycle, i: str, k: str, walk: PathMor) -> Arrow:
 
 
 def eval_T(fc: FunctorialCocycle, i: str, k: str, m: str, u: str) -> Arrow:
-    if u not in overlap(fc.cover, (i, k, m)):
+    if u not in fc.cover.overlap((i, k, m)):
         raise DomainError(f"T_{i}{k}{m} is not defined at vertex {u!r}")
     g = fc.tower.g
     return Arrow(fc.tower.h3[(i, k, m, u)], fc.chain.G.op(g[(i, k, u)], g[(k, m, u)]))
@@ -85,7 +85,7 @@ def check_theta_functorial(fc: FunctorialCocycle, i: str, k: str, max_len: int =
     tag = f"{i}{k}"
 
     def bad_identities():
-        for u in sorted(overlap(fc.cover, (i, k))):
+        for u in sorted(fc.cover.overlap((i, k))):
             got = eval_theta(fc, i, k, fc.cover.identity_walk(u))
             if got != arrow_identity(cm, fc.g(i, k, u)):
                 yield f"theta_{tag}(id_{u}) = {got}"
@@ -146,7 +146,7 @@ def check_naturality(fc: FunctorialCocycle, i: str, k: str, m: str,
     tag = f"{i}{k}{m}"
 
     def bad_targets():
-        for u in sorted(overlap(fc.cover, (i, k, m))):
+        for u in sorted(fc.cover.overlap((i, k, m))):
             _, tgt = arrow_endpoints(cm, eval_T(fc, i, k, m, u))
             if tgt != fc.g(i, m, u):
                 yield f"t(T_{tag}({u})) = {tgt!r} != g_im({u}) = {fc.g(i, m, u)!r}"

@@ -15,39 +15,11 @@ law violations are reported with witnesses.
 
 from __future__ import annotations
 
-from itertools import product
-
-from .complexes import CoverComplex, overlap
+from .complexes import CoverComplex
 from .crossed import ChainedCrossedModules
 from .errors import InternalInvariantError, SchemaError
 from .prng import SplitMix64
 from .report import Report
-
-
-def required_pairs(cover: CoverComplex) -> list[tuple[str, str]]:
-    """Ordered index pairs, diagonal included, with nonempty overlap."""
-    out = []
-    for i in cover.index_order:
-        for k in cover.index_order:
-            if overlap(cover, (i, k)):
-                out.append((i, k))
-    return out
-
-
-def required_triples(cover: CoverComplex) -> list[tuple[str, str, str]]:
-    out = []
-    for i, k, m in product(cover.index_order, repeat=3):
-        if overlap(cover, (i, k, m)):
-            out.append((i, k, m))
-    return out
-
-
-def required_quadruples(cover: CoverComplex) -> list[tuple[str, str, str, str]]:
-    out = []
-    for q in product(cover.index_order, repeat=4):
-        if overlap(cover, q):
-            out.append(q)
-    return out
 
 
 class GerbalCocycle:
@@ -62,10 +34,10 @@ class GerbalCocycle:
         self.j = dict(j)
         # dense tables exactly, then group membership: checked here once, so
         # every later layer reads the tables without re-checking a key
-        need_h = {(i, k, u) for i, k in required_pairs(cover)
-                  for u in overlap(cover, (i, k))}
-        need_j = {(i, k, m, u) for i, k, m in required_triples(cover)
-                  for u in overlap(cover, (i, k, m))}
+        need_h = {(i, k, u) for i, k in cover.overlapping(2)
+                  for u in cover.overlap((i, k))}
+        need_j = {(i, k, m, u) for i, k, m in cover.overlapping(3)
+                  for u in cover.overlap((i, k, m))}
         for name, table, need in (("h", self.h, need_h), ("j", self.j, need_j)):
             if table.keys() != need:
                 missing = sorted(need - table.keys())
@@ -91,8 +63,8 @@ def validate_gerbal(gc: GerbalCocycle) -> Report:
         if gc.h[(i, i, u)] != H.identity))
 
     def relation_violations():
-        for i, k, m in required_triples(gc.cover):
-            for u in sorted(overlap(gc.cover, (i, k, m))):
+        for i, k, m in gc.cover.overlapping(3):
+            for u in sorted(gc.cover.overlap((i, k, m))):
                 lhs = gc.h[(i, m, u)]
                 rhs = H.op(
                     chain.tau_p(gc.j[(i, k, m, u)]),
@@ -140,8 +112,8 @@ def check_second_gerbe(gc: GerbalCocycle, tower: DerivedTower) -> Report:
     rep = Report("gerbal")
 
     def violations():
-        for i, j, k, m in required_quadruples(gc.cover):
-            for u in sorted(overlap(gc.cover, (i, j, k, m))):
+        for i, j, k, m in gc.cover.overlapping(4):
+            for u in sorted(gc.cover.overlap((i, j, k, m))):
                 lhs = H.op(
                     tower.h3[(i, j, m, u)],
                     chain.alpha(tower.g[(i, j, u)], tower.h3[(j, k, m, u)]),
@@ -182,8 +154,8 @@ def generate_gerbal(chain: ChainedCrossedModules, cover: CoverComplex, seed: int
                 f[(i, u)] = H.elements[rng.below(len(H.elements))]
 
     h: dict[tuple[str, str, str], str] = {}
-    for i, k in required_pairs(cover):
-        for u in sorted(overlap(cover, (i, k))):
+    for i, k in cover.overlapping(2):
+        for u in sorted(cover.overlap((i, k))):
             if i == k:
                 h[(i, k, u)] = H.identity
                 continue
@@ -193,8 +165,8 @@ def generate_gerbal(chain: ChainedCrossedModules, cover: CoverComplex, seed: int
             h[(i, k, u)] = H.op(a, H.op(f[(i, u)], H.inverse(f[(k, u)])))
 
     j: dict[tuple[str, str, str, str], str] = {}
-    for i, k, m in required_triples(cover):
-        for u in sorted(overlap(cover, (i, k, m))):
+    for i, k, m in cover.overlapping(3):
+        for u in sorted(cover.overlap((i, k, m))):
             d = H.op(h[(i, m, u)], H.inverse(H.op(h[(i, k, u)], h[(k, m, u)])))
             cands = preimage.get(d)
             if not cands:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from functools import cache
 from typing import Callable, Iterable
 
-from .complexes import enumerate_paths, overlap
+from .complexes import enumerate_paths
 from .crossed import (
     Arrow,
     ChainedCrossedModules,
@@ -37,7 +37,6 @@ from .crossed import (
 )
 from .errors import CompositionError, InternalInvariantError, PreconditionError, SchemaError
 from .functorial import FunctorialCocycle, eval_Theta, eval_theta
-from .gerbal import required_pairs, required_triples
 from .groups import subgroup_as_group
 from .report import Report
 
@@ -398,8 +397,8 @@ def check_classical_cocycle(fc: FunctorialCocycle, q: QuotientCatGroup,
     G = q.obj_parent
 
     def object_violations():
-        for i, k, m in required_triples(cover):
-            for u in sorted(overlap(cover, (i, k, m))):
+        for i, k, m in cover.overlapping(3):
+            for u in sorted(cover.overlap((i, k, m))):
                 lhs = obj.rep(G.op(fc.g(i, k, u), fc.g(k, m, u)))
                 rhs = obj.rep(fc.g(i, m, u))
                 if lhs != rhs:
@@ -407,8 +406,8 @@ def check_classical_cocycle(fc: FunctorialCocycle, q: QuotientCatGroup,
     rep.search("classical.object", "gbar_ik(u) gbar_km(u) = gbar_im(u)", object_violations())
 
     def diagonal_violations():
-        for i, k in required_pairs(cover):
-            for u in sorted(overlap(cover, (i, k))):
+        for i, k in cover.overlapping(2):
+            for u in sorted(cover.overlap((i, k))):
                 if i == k and obj.rep(fc.g(i, i, u)) != q.identity_obj():
                     yield f"gbar_{i}{i}({u}) is not the identity coset"
                 both = obj.rep(G.op(fc.g(i, k, u), fc.g(k, i, u)))
@@ -419,7 +418,7 @@ def check_classical_cocycle(fc: FunctorialCocycle, q: QuotientCatGroup,
                diagonal_violations())
 
     def morphism_violations():
-        for i, k, m in required_triples(cover):
+        for i, k, m in cover.overlapping(3):
             for w in enumerate_paths(cover, (i, k, m), max_len):
                 lhs = q.q_mor(arrow_product(
                     q.chain.outer, eval_theta(fc, i, k, w), eval_theta(fc, k, m, w)))
@@ -434,7 +433,7 @@ def check_classical_cocycle(fc: FunctorialCocycle, q: QuotientCatGroup,
                morphism_violations())
 
     def defects_outside():
-        for i, k, m in required_triples(cover):
+        for i, k, m in cover.overlapping(3):
             for w in enumerate_paths(cover, (i, k, m), max_len):
                 big_theta = eval_Theta(fc, i, k, m, w)
                 if pair_id(big_theta.h, big_theta.g) not in q.morphisms.subgroup:

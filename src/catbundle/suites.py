@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Optional
 
 from .crossed import check_tau_image_normal, validate_peiffer
 from .errors import InternalInvariantError, PreconditionError, SchemaError
-from .gerbal import check_second_gerbe, required_pairs, required_triples, validate_gerbal
+from .gerbal import check_second_gerbe, validate_gerbal
 from .report import Report
 from .schema import Instance
 
@@ -133,7 +133,7 @@ def suite_functorial(ctx: InstanceContext) -> Report:
         return gated
     from .functorial import check_theta_functorial
     rep = Report("functorial")
-    for i, k in required_pairs(ctx.fc.cover):
+    for i, k in ctx.fc.cover.overlapping(2):
         rep.merge(check_theta_functorial(ctx.fc, i, k, ctx.max_len))
     return rep
 
@@ -144,7 +144,7 @@ def suite_naturality(ctx: InstanceContext) -> Report:
         return gated
     from .functorial import check_naturality, check_product_relation
     rep = Report("naturality")
-    for i, k, m in required_triples(ctx.fc.cover):
+    for i, k, m in ctx.fc.cover.overlapping(3):
         rep.merge(check_naturality(ctx.fc, i, k, m, ctx.max_len))
         rep.merge(check_product_relation(ctx.fc, i, k, m, ctx.max_len))
     return rep

@@ -59,7 +59,7 @@ class WordOracle:
         space, cover, q = self.space, self.space.cover, self.space.q
         combos: dict[tuple, list[tuple[str, tuple[str, ...]]]] = {}
         walks = [w for i in cover.index_order
-                 for w in enumerate_paths(cover, (i,), self.max_len) if len(w)]
+                 for w in enumerate_paths(cover, (i,), self.max_len) if w.steps]
         seen = set()
         edges: list[QuiverEdge] = []
         for w in walks:
@@ -90,9 +90,9 @@ class WordOracle:
         while frontier:
             nxt = []
             for w in frontier:
-                used = sum(len(e.walk) for e in w)
+                used = sum(len(e.walk.steps) for e in w)
                 for e in by_source.get(self.t_obj[w[-1]], ()):
-                    if used + len(e.walk) <= self.max_len:
+                    if used + len(e.walk.steps) <= self.max_len:
                         nxt.append(w + (e,))
             words.extend(nxt)
             frontier = nxt

@@ -14,7 +14,7 @@ from itertools import combinations
 import perm_oracle
 
 from catbundle.battery import check_bundle_axioms
-from catbundle.complexes import enumerate_paths, overlap
+from catbundle.complexes import enumerate_paths
 from catbundle.crossed import validate_peiffer
 from catbundle.functorial import (
     FunctorialCocycle,
@@ -27,8 +27,6 @@ from catbundle.gerbal import (
     check_second_gerbe,
     derive_tower,
     generate_gerbal,
-    required_pairs,
-    required_triples,
     validate_gerbal,
 )
 from catbundle.presets import build_instance, cover_line5w
@@ -104,8 +102,8 @@ def test_criterion_02_generated_cocycles_and_corruption(chain_s3):
         # corrupt one off-diagonal table entry sitting inside a genuine
         # triple overlap, then demand a witness that names that location
         gc = generate_gerbal(chain_s3, cover, 17, noise=True)
-        i, k, m = next(t for t in required_triples(cover) if len(set(t)) == 3)
-        u = sorted(overlap(cover, (i, k, m)))[0]
+        i, k, m = next(t for t in cover.overlapping(3) if len(set(t)) == 3)
+        u = sorted(cover.overlap((i, k, m)))[0]
         old = gc.h[(i, k, u)]
         gc.h[(i, k, u)] = next(x for x in chain_s3.H.elements if x != old)
         rep = validate_gerbal(gc)
@@ -128,7 +126,7 @@ def test_criterion_03_functoriality_and_endpoint_dependence(chain_s3):
         cover = cover_line5w()
         for seed in range(20):
             fc = FunctorialCocycle(generate_gerbal(chain_s3, cover, seed))
-            for i, k in required_pairs(fc.cover):
+            for i, k in fc.cover.overlapping(2):
                 _report_problems(problems, check_theta_functorial(fc, i, k, 3),
                                  f"seed {seed} pair ({i},{k})")
                 by_ends: dict[tuple[str, str], list] = {}
@@ -149,7 +147,7 @@ def test_criterion_04_naturality_and_product_relation(chain_s3):
         cover = cover_line5w()
         for seed in range(20):
             fc = FunctorialCocycle(generate_gerbal(chain_s3, cover, seed))
-            triples = required_triples(fc.cover)
+            triples = fc.cover.overlapping(3)
             if ("1", "2", "3") not in triples:
                 problems.append("the (1,2,3) triple overlap is missing")
             if not any(len(set(t)) < 3 for t in triples):

@@ -552,7 +552,7 @@ def test_trivialization_state_keys_are_the_chain_keys(space_line5):
                         assert space.state_key(space.act_state(s1, psi)) == \
                             space.mor_key(act(space, f, psi))
                     for w2 in walks:
-                        if w1.end != w2.start or len(w1) + len(w2) > 2:
+                        if w1.end != w2.start or len(w1.steps) + len(w2.steps) > 2:
                             continue
                         for m2 in q.mors_with_source(q.target[m1]):
                             g = triv.on_pair(w2, m2)
@@ -581,7 +581,7 @@ def test_a_broken_on_pair_fails_composition_at_the_junction(inst_line5, monkeypa
 
     def planted(walk, mrep):
         m = on_pair(walk, mrep)
-        if len(walk) != 2:
+        if len(walk.steps) != 2:
             return m
         e = m.edges[0]
         return BundleMorphism.chain([e._replace(phi=q.mor_product(e.phi, shift))])
@@ -603,7 +603,7 @@ def test_on_pair_plant_over_the_reversed_step_fails_instead_of_raising(inst_line
 
     def planted(walk, mrep):
         m = on_pair(walk, mrep)
-        if len(walk) != 1:
+        if len(walk.steps) != 1:
             return m
         (eid, o), = walk.steps
         reversed_walk = space.cover.walk(walk.end, [(eid, -o)])

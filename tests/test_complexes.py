@@ -11,7 +11,6 @@ from catbundle.complexes import (
     CoverComplex,
     compose_paths,
     enumerate_paths,
-    overlap,
 )
 from catbundle.errors import CompositionError, SchemaError
 from catbundle.presets import cover_cycle6, cover_dirline3, cover_line5, cover_line5w
@@ -53,9 +52,33 @@ def test_line5_shape():
 
 def test_line5w_overlaps():
     c = cover_line5w()
-    assert overlap(c, ["1", "2"]) == frozenset({"1", "2", "3"})
-    assert overlap(c, ["1", "2", "3"]) == frozenset({"1", "2", "3"})
-    assert overlap(c, ["3"]) == c.vertex_set
+    assert c.overlap(("1", "2")) == frozenset({"1", "2", "3"})
+    assert c.overlap(("1", "2", "3")) == frozenset({"1", "2", "3"})
+    assert c.overlap(("3",)) == c.vertex_set
+
+
+def test_overlapping_lists_the_nonempty_tuples_in_product_order():
+    c = cover_line5()
+    assert c.overlapping(1) == [("1",), ("2",), ("3",)]
+    assert c.overlapping(2) == [(i, k) for i in "123" for k in "123"]
+    assert ("1", "3", "1") in c.overlapping(3)
+    # charts 1 and 3 of a three-vertex line share no vertex
+    line3 = CoverComplex(["0", "1", "2"], [("a", "0", "1"), ("b", "1", "2")],
+                         {"1": ["0", "1"], "2": ["1", "2"], "3": ["2"]}, ["1", "2", "3"])
+    assert line3.overlapping(2) == [("1", "1"), ("1", "2"), ("2", "1"), ("2", "2"),
+                                    ("2", "3"), ("3", "2"), ("3", "3")]
+    assert ("1", "2", "3") not in line3.overlapping(3)
+
+
+@pytest.mark.parametrize("indices", [("1", "9"), ("9",), ()])
+def test_bad_overlaps_raise_on_every_call_and_are_not_cached(indices):
+    c = cover_line5()
+    c.overlap(("1", "2"))
+    size = c.overlap.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(SchemaError):
+            c.overlap(indices)
+    assert c.overlap.cache_info().currsize == size
 
 
 def test_cycle6_charts_cover_all_arcs():

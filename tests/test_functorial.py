@@ -14,7 +14,7 @@ from catbundle.functorial import (
     eval_Theta,
     eval_theta,
 )
-from catbundle.gerbal import generate_gerbal, required_pairs, required_triples
+from catbundle.gerbal import generate_gerbal
 from catbundle.presets import cover_line5w
 
 
@@ -31,9 +31,8 @@ def test_derived_g_pushes_h_down(fc, inst_line5w):
 
 def test_theta_of_identity_walk_is_identity_arrow(fc):
     cm = fc.chain.outer
-    for i, k in required_pairs(fc.cover):
-        from catbundle.complexes import overlap
-        for u in overlap(fc.cover, (i, k)):
+    for i, k in fc.cover.overlapping(2):
+        for u in fc.cover.overlap((i, k)):
             a = eval_theta(fc, i, k, fc.cover.identity_walk(u))
             assert a == arrow_identity(cm, fc.g(i, k, u))
 
@@ -55,7 +54,7 @@ def test_theta_outside_overlap_is_domain_error(fc):
 
 
 def test_theta_functorial_all_pairs(fc):
-    for i, k in required_pairs(fc.cover):
+    for i, k in fc.cover.overlapping(2):
         rep = check_theta_functorial(fc, i, k, max_len=3)
         assert rep.ok, rep.failures()
 
@@ -68,36 +67,34 @@ def test_endpoint_dependence_recorded_per_pair(fc):
 
 def test_T_endpoints(fc):
     cm = fc.chain.outer
-    from catbundle.complexes import overlap
-    for i, k, m in required_triples(fc.cover):
-        for u in overlap(fc.cover, (i, k, m)):
+    for i, k, m in fc.cover.overlapping(3):
+        for u in fc.cover.overlap((i, k, m)):
             s, t = arrow_endpoints(cm, eval_T(fc, i, k, m, u))
             assert s == cm.G.op(fc.g(i, k, u), fc.g(k, m, u))
             assert t == fc.g(i, m, u)
 
 
 def test_naturality_all_triples(fc):
-    for i, k, m in required_triples(fc.cover):
+    for i, k, m in fc.cover.overlapping(3):
         rep = check_naturality(fc, i, k, m, max_len=3)
         assert rep.ok, rep.failures()
 
 
 def test_naturality_includes_degenerate_triples(fc):
-    triples = required_triples(fc.cover)
+    triples = fc.cover.overlapping(3)
     assert ("1", "1", "1") in triples
     assert ("1", "2", "1") in triples
 
 
 def test_product_relation_all_triples(fc):
-    for i, k, m in required_triples(fc.cover):
+    for i, k, m in fc.cover.overlapping(3):
         rep = check_product_relation(fc, i, k, m, max_len=3)
         assert rep.ok, rep.failures()
 
 
 def test_Theta_of_identity_walk(fc):
-    from catbundle.complexes import overlap
-    for i, k, m in required_triples(fc.cover)[:6]:
-        for u in overlap(fc.cover, (i, k, m)):
+    for i, k, m in fc.cover.overlapping(3)[:6]:
+        for u in fc.cover.overlap((i, k, m)):
             a = eval_Theta(fc, i, k, m, fc.cover.identity_walk(u))
             assert a.h == "e"
 
@@ -115,7 +112,7 @@ def test_corrupted_h_caught_by_cross_pair_checks(chain_s3):
     i, k = key[0], key[1]
     assert check_theta_functorial(fc_bad, i, k, max_len=2).ok
     bad = []
-    for a, b, c in required_triples(fc_bad.cover):
+    for a, b, c in fc_bad.cover.overlapping(3):
         if {i, k} <= {a, b, c}:
             rep = check_naturality(fc_bad, a, b, c, max_len=2)
             bad.extend(rep.failures())

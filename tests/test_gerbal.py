@@ -11,9 +11,6 @@ from catbundle.gerbal import (
     check_second_gerbe,
     derive_tower,
     generate_gerbal,
-    required_pairs,
-    required_quadruples,
-    required_triples,
     validate_gerbal,
 )
 from catbundle.presets import build_instance, cover_line5w
@@ -67,9 +64,8 @@ def test_diagonal_is_identity(inst_line5w):
 
 def test_relation_holds_pointwise(inst_line5w):
     gc, chain = inst_line5w.gc, inst_line5w.chain
-    from catbundle.complexes import overlap
-    for i, k, m in required_triples(gc.cover):
-        for u in overlap(gc.cover, (i, k, m)):
+    for i, k, m in gc.cover.overlapping(3):
+        for u in gc.cover.overlap((i, k, m)):
             lhs = gc.h[(i, m, u)]
             rhs = chain.H.op(chain.tau_p(gc.j[(i, k, m, u)]),
                              chain.H.op(gc.h[(i, k, u)], gc.h[(k, m, u)]))
@@ -137,12 +133,12 @@ def test_second_gerbe_relation_holds(inst_line5w):
 def test_required_index_tuples_on_line5():
     from catbundle.presets import cover_line5
     cover = cover_line5()
-    pairs = required_pairs(cover)
+    pairs = cover.overlapping(2)
     assert ("1", "2") in pairs and ("2", "1") in pairs
     # (1,3) overlap on line5 is the single vertex 2, still a real pair
     assert ("1", "3") in pairs
-    triples = required_triples(cover)
+    triples = cover.overlapping(3)
     assert ("1", "2", "3") in triples
-    quads = required_quadruples(cover)
+    quads = cover.overlapping(4)
     # only three charts, so every quadruple repeats an index
     assert all(len({i, k, m, n}) <= 3 for i, k, m, n in quads)

@@ -1,14 +1,20 @@
-"""Nothing prints a traceback: single-node edits of preset documents.
+"""Nothing prints a traceback: single-node and single-cell edits of preset
+documents.
 
-Each edit deletes one JSON node of a preset document, or replaces it with
-`null`, `0`, `"zz"`, `[]`, `{}` or `true`. `validate` and
-`check --suite all` then run through `cli.main` in process; each must exit
-0, 1 or 2, never raise.
+A node edit deletes one JSON node of a preset document, or replaces it with
+`null`, `0`, `"zz"`, `[]`, `{}` or `true`; the loader refuses almost all of
+them. A cell edit replaces one group, hom, action or cocycle table cell with
+another element id of the same group, so the document still loads and every
+suite runs on it. `validate` and `check --suite all` then run through
+`cli.main` in process; each must exit 0, 1 or 2 after a node edit and 0 or 1
+after a cell edit, never raise.
 """
 
 import copy
 import json
 import random
+from functools import reduce
+from operator import getitem
 
 import pytest
 
@@ -19,6 +25,8 @@ from catbundle.schema import instance_to_json
 DELETE = object()
 REPLACEMENTS = (DELETE, None, 0, "zz", [], {}, True)
 EDITS_PER_PRESET = 67
+CELL_EDITS_PER_PRESET = 20
+PRESETS = ["s3-line5", "oracle-dirline3", "cycle6-trivial"]
 
 
 def node_paths(node, path=()):
@@ -48,7 +56,36 @@ def edited(doc, path, value):
     return doc
 
 
-@pytest.mark.parametrize("preset", ["s3-line5", "oracle-dirline3", "cycle6-trivial"])
+def table_cells(doc):
+    """(path, group) of every group, hom, action and cocycle table cell, where
+    `group` names the group whose element ids the cell holds."""
+    for name, group in doc["groups"].items():
+        for a, row in group["mul"].items():
+            for b in row:
+                yield ("groups", name, "mul", a, b), name
+        for a in group["inv"]:
+            yield ("groups", name, "inv", a), name
+    for name, hom in doc["homs"].items():
+        for x in hom["map"]:
+            yield ("homs", name, "map", x), hom["codomain"]
+    for name, action in doc["actions"].items():
+        for g, row in action["map"].items():
+            for x in row:
+                yield ("actions", name, "map", g, x), action["space"]
+    chain = doc["chain"]
+    for table, group in (("h", chain["outer"]["H"]), ("j", chain["inner"]["H"])):
+        for key in doc["cocycle"][table]:
+            yield ("cocycle", table, key), group
+
+
+def run_cli(target, allowed, context):
+    for argv in (["validate", str(target)],
+                 ["check", str(target), "--suite", "all", "--max-path-len", "1"]):
+        code = cli.main(argv)
+        assert code in allowed, (*context, argv[0], code)
+
+
+@pytest.mark.parametrize("preset", PRESETS)
 def test_single_node_edits_exit_with_a_code_and_no_traceback(preset, tmp_path, capsys):
     doc = json.loads(instance_to_json(build_instance(preset, 5, True)))
     paths = list(node_paths(doc))
@@ -57,8 +94,20 @@ def test_single_node_edits_exit_with_a_code_and_no_traceback(preset, tmp_path, c
     for _ in range(EDITS_PER_PRESET):
         path, value = rng.choice(paths), rng.choice(REPLACEMENTS)
         target.write_text(json.dumps(edited(doc, path, value)), encoding="utf-8")
-        for argv in (["validate", str(target)],
-                     ["check", str(target), "--suite", "all", "--max-path-len", "1"]):
-            code = cli.main(argv)
-            assert code in (0, 1, 2), (path, value, argv[0], code)
+        run_cli(target, (0, 1, 2), (path, value))
+        capsys.readouterr()
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_single_cell_edits_load_and_exit_with_a_verdict(preset, tmp_path, capsys):
+    doc = json.loads(instance_to_json(build_instance(preset, 5, True)))
+    cells = list(table_cells(doc))
+    rng = random.Random(7)
+    target = tmp_path / "edited.json"
+    for _ in range(CELL_EDITS_PER_PRESET):
+        path, group = rng.choice(cells)
+        old = reduce(getitem, path, doc)
+        value = rng.choice([x for x in doc["groups"][group]["elements"] if x != old])
+        target.write_text(json.dumps(edited(doc, path, value)), encoding="utf-8")
+        run_cli(target, (0, 1), (path, value))
         capsys.readouterr()

@@ -212,6 +212,16 @@ def test_all_builds_each_layer_once(layer_calls, fixture, request):
     assert layer_calls == dict.fromkeys(LAYERS, 1)
 
 
+def test_all_computes_each_overlap_once():
+    # the laws read overlaps of at most four charts: on three charts that is
+    # 3 + 9 + 27 + 81 = 120 index tuples, each intersected once
+    inst = build_instance("s4-line5w", 5, True)
+    assert run_suite(inst, "all", 2).ok
+    charts = len(inst.cover.index_order)
+    info = inst.cover.overlap.cache_info()
+    assert info.misses <= sum(charts ** r for r in range(1, 5)) < info.hits
+
+
 @pytest.mark.parametrize("suite,checked", [("quotient", 0), ("bundle", 1), ("all", 1)])
 def test_the_gated_quotient_suite_checks_no_cocycle(layer_calls, suite, checked):
     # the A3 edit fails peiffer but the quotient still builds: the quotient

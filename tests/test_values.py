@@ -51,3 +51,11 @@ def test_named_tuple_values_hash_as_their_fields():
     assert hash(Arrow("(12)", "e")) == hash(("(12)", "e"))
     result = CheckResult("peiffer.first", "a law", "fail", "w")
     assert hash(result) == hash(("peiffer.first", "a law", "fail", "w"))
+
+
+def test_walks_replace_and_make_round_trip():
+    walk = PathMor("0", (("e01", 1),), ("0", "1"))
+    assert PathMor._make(walk) == walk
+    moved = walk._replace(start="1")
+    assert moved == PathMor("1", (("e01", 1),), ("0", "1"))
+    assert moved._replace(start="0") == walk
