@@ -7,17 +7,19 @@ triple and every vertex of its overlap is
 
     h_im(u) = tau'(j_ikm(u)) h_ik(u) h_km(u)
 
-with the diagonal normalized to h_ii(u) = e. A missing or extra table entry,
-or a value outside its group, is a schema error raised when a GerbalCocycle
-is built, so every later layer reads the tables without re-checking them;
-law violations are reported with witnesses.
+with the diagonal normalized to h_ii(u) = e. Like every table, h and j are
+checked once, by `groups.checked_table`, when a GerbalCocycle is built: a
+missing or extra entry, or a value outside its group, is a SchemaError, so
+every later layer reads the tables without re-checking them. Law violations
+are reported with witnesses.
 """
 
 from __future__ import annotations
 
 from .complexes import CoverComplex
 from .crossed import ChainedCrossedModules
-from .errors import InternalInvariantError, SchemaError
+from .errors import InternalInvariantError
+from .groups import checked_table
 from .prng import SplitMix64
 from .report import Report
 
@@ -30,25 +32,14 @@ class GerbalCocycle:
                  j: dict[tuple[str, str, str, str], str]):
         self.chain = chain
         self.cover = cover
-        self.h = dict(h)
-        self.j = dict(j)
-        # dense tables exactly, then group membership: checked here once, so
-        # every later layer reads the tables without re-checking a key
-        need_h = {(i, k, u) for i, k in cover.overlapping(2)
-                  for u in cover.overlap((i, k))}
-        need_j = {(i, k, m, u) for i, k, m in cover.overlapping(3)
-                  for u in cover.overlap((i, k, m))}
-        for name, table, need in (("h", self.h, need_h), ("j", self.j, need_j)):
-            if table.keys() != need:
-                missing = sorted(need - table.keys())
-                if missing:
-                    raise SchemaError(f"{name} table is missing entries, first: {missing[0]}")
-                extra = sorted(table.keys() - need)
-                raise SchemaError(f"{name} table has entries outside overlaps, first: {extra[0]}")
-        for name, table, group in (("h", self.h, chain.H), ("j", self.j, chain.J)):
-            for key, val in table.items():
-                if val not in group.element_set:
-                    raise SchemaError(f"{name}{key} = {val!r} is not in {group.name!r}")
+        # checked here once, so every later layer reads the tables without
+        # re-checking a key
+        h_keys = sorted((i, k, u) for i, k in cover.overlapping(2)
+                        for u in cover.overlap((i, k)))
+        j_keys = sorted((i, k, m, u) for i, k, m in cover.overlapping(3)
+                        for u in cover.overlap((i, k, m)))
+        self.h = checked_table("h", h, h_keys, chain.H)
+        self.j = checked_table("j", j, j_keys, chain.J)
 
 
 def validate_gerbal(gc: GerbalCocycle) -> Report:

@@ -1,19 +1,43 @@
 """Finite groups, homomorphisms, and actions as explicit lookup tables.
 
-Elements are opaque text ids. Structural problems (missing entries, unknown
-ids, oversized tables) raise SchemaError at construction time; violations of
-the group/hom/action laws are reported by the validate_* functions and never
+Elements are opaque text ids. Structural problems (oversized or duplicate
+element lists, and a table with a missing entry, an extra entry or a value
+outside its group) raise SchemaError at construction time: every table is
+checked once, by `checked_table`, when its object is built. Violations of the
+group/hom/action laws are reported by the validate_* functions and never
 raised, so a caller can inspect witnesses.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional
+from typing import Collection, Hashable, Iterable, Mapping, Optional
 
 from .errors import SchemaError
 from .report import Report
 
 ORDER_CAP = 1024
+
+
+def checked_table(name: str, table: Mapping, keys: Collection[Hashable],
+                  group: FiniteGroup) -> dict:
+    """A copy of `table`, which must hold exactly the distinct `keys`, each
+    with a value in `group`. Scanning `keys` in order, the first missing key or
+    value outside the group is a SchemaError; so is an extra key after that.
+    Messages write a tuple key k as name(*k) and any other key x as name(x)."""
+    def call(key) -> str:
+        return str(key) if isinstance(key, tuple) else f"({key!r})"
+
+    copy = dict(table)
+    for key in keys:
+        if key not in copy:
+            raise SchemaError(f"{name} table is missing entries, first: {call(key)}")
+        if copy[key] not in group.element_set:
+            raise SchemaError(f"{name}{call(key)} = {copy[key]!r} is not in {group.name!r}")
+    if len(copy) != len(keys):
+        wanted = set(keys)
+        extra = next(key for key in copy if key not in wanted)
+        raise SchemaError(f"{name} table has entries outside its keys, first: {call(extra)}")
+    return copy
 
 
 class FiniteGroup:
@@ -51,27 +75,10 @@ class FiniteGroup:
             if "|" in x:
                 raise SchemaError(f"group {name!r}: element id {x!r} contains '|'")
         self.identity = identity
-        self.mul = dict(mul)
-        self.inv = dict(inv)
+        self.inv = checked_table(f"{name}.inv", inv, self.elements, self)
+        self.mul = checked_table(
+            f"{name}.mul", mul, [(a, b) for a in self.elements for b in self.elements], self)
         self.perms = _perms
-        for a in self.elements:
-            if a not in self.inv:
-                raise SchemaError(f"group {name!r}: missing inverse entry for {a!r}")
-            if self.inv[a] not in self.element_set:
-                raise SchemaError(
-                    f"group {name!r}: inverse of {a!r} is unknown id {self.inv[a]!r}"
-                )
-            for b in self.elements:
-                if (a, b) not in self.mul:
-                    raise SchemaError(f"group {name!r}: missing product entry ({a!r}, {b!r})")
-                if self.mul[(a, b)] not in self.element_set:
-                    raise SchemaError(
-                        f"group {name!r}: product ({a!r}, {b!r}) "
-                        f"is unknown id {self.mul[(a, b)]!r}"
-                    )
-        if len(self.mul) != len(self.elements) ** 2:
-            extra = set(self.mul) - {(a, b) for a in self.elements for b in self.elements}
-            raise SchemaError(f"group {name!r}: product table has extra keys {sorted(extra)[:3]}")
 
     def op(self, a: str, b: str) -> str:
         try:
@@ -108,18 +115,7 @@ class GroupHom:
         self.name = name
         self.domain = domain
         self.codomain = codomain
-        self.table = dict(table)
-        for x in domain.elements:
-            if x not in self.table:
-                raise SchemaError(f"hom {name!r}: missing value for {x!r}")
-            if self.table[x] not in codomain.element_set:
-                raise SchemaError(
-                    f"hom {name!r}: value {self.table[x]!r} for {x!r} "
-                    f"is not in {codomain.name!r}"
-                )
-        if len(self.table) != domain.order:
-            extra = set(self.table) - domain.element_set
-            raise SchemaError(f"hom {name!r}: extra keys {sorted(extra)[:3]}")
+        self.table = checked_table(name, table, domain.elements, codomain)
 
     def __call__(self, x: str) -> str:
         try:
@@ -142,18 +138,8 @@ class GroupAction:
         self.name = name
         self.actor = actor
         self.space = space
-        self.table = dict(table)
-        for g in actor.elements:
-            for h in space.elements:
-                if (g, h) not in self.table:
-                    raise SchemaError(f"action {name!r}: missing value for ({g!r}, {h!r})")
-                if self.table[(g, h)] not in space.element_set:
-                    raise SchemaError(
-                        f"action {name!r}: value for ({g!r}, {h!r}) "
-                        f"is unknown id {self.table[(g, h)]!r}"
-                    )
-        if len(self.table) != actor.order * space.order:
-            raise SchemaError(f"action {name!r}: table has extra keys")
+        self.table = checked_table(
+            name, table, [(g, h) for g in actor.elements for h in space.elements], space)
 
     def __call__(self, g: str, h: str) -> str:
         try:

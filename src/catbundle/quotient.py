@@ -210,8 +210,10 @@ class QuotientCatGroup:
 
     @staticmethod
     def _subgroup_normal(space: CosetSpace) -> bool:
+        # the subgroup S is closed, so g = r s conjugates it as its coset rep r
+        # does: g S g^-1 = r (s S s^-1) r^-1 = r S r^-1
         sub, op = space.subgroup, space.op
-        return all(op(op(g, s), space.inverse(g)) in sub for g in space.elements for s in sub)
+        return all(op(op(r, s), space.inverse(r)) in sub for r in space.reps for s in sub)
 
     def _verify(self) -> Report:
         rep = Report("quotient")

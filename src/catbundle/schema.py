@@ -5,11 +5,12 @@ crossed modules sharing the middle group, the covered base, and the dense
 (h, j) cocycle tables. Loading rebuilds everything structurally but defers
 all law checking to the suites: a document with a broken law must load and
 then fail its report, while a document with a malformed table must not load.
-The cocycle tables are checked once, by the GerbalCocycle constructor: a
-missing or extra entry, or a value outside its group, is a SchemaError here,
-so every verb refuses such a document before any suite runs. Every id and
-table value must be a JSON string, so a value of another type is a
-SchemaError that names its place.
+Every table (group products and inverses, the hom and action maps, the h and
+j cocycle cells) is checked once, by `groups.checked_table`, when its object
+is built: a missing or extra entry, or a value outside its group, is a
+SchemaError here, so every verb refuses such a document before any suite
+runs. Every id and table value must be a JSON string, so a value of another
+type is a SchemaError that names its place.
 
 Serialization is canonical: sorted keys, two-space indent, trailing newline,
 so identical inputs produce byte-identical files.
@@ -147,20 +148,27 @@ def _strings(val: Any, where: str) -> list[str]:
     return val
 
 
+def _flat_map(enc: Any, key: str, where: str) -> dict[str, str]:
+    return {a: _string(x, f"{where}.{key}.{a}")
+            for a, x in _need(enc, key, dict, where).items()}
+
+
+def _nested_map(enc: Any, key: str, where: str) -> dict[tuple[str, str], str]:
+    table = {}
+    for a, row in _need(enc, key, dict, where).items():
+        if not isinstance(row, dict):
+            raise SchemaError(f"{where}.{key}.{a} must be an object")
+        for b, ab in row.items():
+            table[(a, b)] = _string(ab, f"{where}.{key}.{a}.{b}")
+    return table
+
+
 def _decode_group(name: str, enc: Any) -> FiniteGroup:
     where = f"groups.{name}"
     elements = _strings(_need(enc, "elements", list, where), f"{where}.elements")
     identity = _need(enc, "identity", str, where)
-    mul_nested = _need(enc, "mul", dict, where)
-    inv = {a: _string(x, f"{where}.inv.{a}")
-           for a, x in _need(enc, "inv", dict, where).items()}
-    mul = {}
-    for a, row in mul_nested.items():
-        if not isinstance(row, dict):
-            raise SchemaError(f"{where}.mul.{a} must be an object")
-        for b, ab in row.items():
-            mul[(a, b)] = _string(ab, f"{where}.mul.{a}.{b}")
-    return FiniteGroup(name, elements, mul, identity, inv)
+    mul = _nested_map(enc, "mul", where)
+    return FiniteGroup(name, elements, mul, identity, _flat_map(enc, "inv", where))
 
 
 def _group_ref(groups: dict[str, FiniteGroup], name: Any, where: str) -> FiniteGroup:
@@ -187,23 +195,15 @@ def instance_from_document(doc: Any) -> Instance:
                          f"homs.{name}.domain")
         cod = _group_ref(groups, _need(enc, "codomain", str, f"homs.{name}"),
                          f"homs.{name}.codomain")
-        table = {x: _string(y, f"homs.{name}.map.{x}")
-                 for x, y in _need(enc, "map", dict, f"homs.{name}").items()}
-        homs[name] = GroupHom(name, dom, cod, table)
+        homs[name] = GroupHom(name, dom, cod, _flat_map(enc, "map", f"homs.{name}"))
     actions = {}
     for name, enc in _need(doc, "actions", dict, "document").items():
         actor = _group_ref(groups, _need(enc, "actor", str, f"actions.{name}"),
                            f"actions.{name}.actor")
         space = _group_ref(groups, _need(enc, "space", str, f"actions.{name}"),
                            f"actions.{name}.space")
-        nested = _need(enc, "map", dict, f"actions.{name}")
-        table = {}
-        for g, row in nested.items():
-            if not isinstance(row, dict):
-                raise SchemaError(f"actions.{name}.map.{g} must be an object")
-            for h, gh in row.items():
-                table[(g, h)] = _string(gh, f"actions.{name}.map.{g}.{h}")
-        actions[name] = GroupAction(name, actor, space, table)
+        actions[name] = GroupAction(name, actor, space,
+                                    _nested_map(enc, "map", f"actions.{name}"))
 
     chain_enc = _need(doc, "chain", dict, "document")
     mods = {}
@@ -243,20 +243,14 @@ def instance_from_document(doc: Any) -> Instance:
     )
 
     cocycle_enc = _need(doc, "cocycle", dict, "document")
-    h = {}
-    for key, val in _need(cocycle_enc, "h", dict, "cocycle").items():
-        parts = key.split(SEP)
-        if len(parts) != 3:
-            raise SchemaError(f"cocycle.h key {key!r} must look like i{SEP}k{SEP}u")
-        h[tuple(parts)] = _string(val, f"cocycle.h.{key}")
-    j = {}
-    for key, val in _need(cocycle_enc, "j", dict, "cocycle").items():
-        parts = key.split(SEP)
-        if len(parts) != 4:
-            raise SchemaError(
-                f"cocycle.j key {key!r} must look like i{SEP}k{SEP}m{SEP}u")
-        j[tuple(parts)] = _string(val, f"cocycle.j.{key}")
-    gc = GerbalCocycle(chain, cover, h, j)
+    cells: dict[str, dict] = {}
+    for name, shape in (("h", "iku"), ("j", "ikmu")):
+        cells[name] = {}
+        for key, val in _flat_map(cocycle_enc, name, "cocycle").items():
+            if key.count(SEP) != len(shape) - 1:
+                raise SchemaError(f"cocycle.{name} key {key!r} must look like {SEP.join(shape)}")
+            cells[name][tuple(key.split(SEP))] = val
+    gc = GerbalCocycle(chain, cover, cells["h"], cells["j"])
     return Instance(preset=preset, seed=seed, noise=noise, chain=chain,
                     cover=cover, gc=gc)
 

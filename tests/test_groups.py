@@ -1,9 +1,12 @@
 """Validators for raw group, hom and action tables, including the failure
 paths a corrupted document exercises."""
 
+import re
+
 import pytest
 
 from catbundle.errors import SchemaError
+from catbundle.gerbal import GerbalCocycle
 from catbundle.groups import (
     FiniteGroup,
     GroupAction,
@@ -14,6 +17,7 @@ from catbundle.groups import (
     validate_hom,
 )
 from catbundle.permutations import alternating_group, symmetric_group, trivial_action
+from catbundle.presets import build_instance
 
 
 def tiny_group():
@@ -96,3 +100,51 @@ def test_subgroup_as_group_rejects_non_closed_subset():
     s4 = symmetric_group(4)
     with pytest.raises(SchemaError):
         subgroup_as_group(s4, ["e", "(12)", "(123)"], "bad")
+
+
+def s3_line5_tables():
+    """Each kind of table of the s3-line5 instance at seed 5, as (table, a
+    function that builds its object again from a replacement table)."""
+    inst = build_instance("s3-line5", 5, True)
+    chain, gc = inst.chain, inst.gc
+    g, tau, alpha = chain.G, chain.tau, chain.alpha
+    return {
+        "group-inverse": (g.inv, lambda t: FiniteGroup(g.name, g.elements, g.mul, g.identity, t)),
+        "group-product": (g.mul, lambda t: FiniteGroup(g.name, g.elements, t, g.identity, g.inv)),
+        "hom": (tau.table, lambda t: GroupHom(tau.name, tau.domain, tau.codomain, t)),
+        "action": (alpha.table, lambda t: GroupAction(alpha.name, alpha.actor, alpha.space, t)),
+        "h": (gc.h, lambda t: GerbalCocycle(chain, inst.cover, t, gc.j)),
+        "j": (gc.j, lambda t: GerbalCocycle(chain, inst.cover, gc.h, t)),
+    }
+
+
+# (kind, table name, its first key, a key outside it, the group of its values),
+# the keys written as the messages write them
+TABLE_KINDS = [
+    ("group-inverse", "S3.inv", "('(12)')", "('zz')", "S3"),
+    ("group-product", "S3.mul", "('(12)', '(12)')", "('(12)', 'zz')", "S3"),
+    ("hom", "tau", "('(12)')", "('zz')", "S3"),
+    ("action", "conj_outer", "('(12)', '(12)')", "('(12)', 'zz')", "S3"),
+    ("h", "h", "('1', '1', '0')", "('1', '1', 'zz')", "S3"),
+    ("j", "j", "('1', '1', '1', '0')", "('1', '1', '1', 'zz')", "A3"),
+]
+
+
+@pytest.mark.parametrize("kind, name, key_text, extra_text, group", TABLE_KINDS,
+                         ids=[k[0] for k in TABLE_KINDS])
+def test_table_refuses_a_missing_an_outside_and_an_extra_entry(
+        kind, name, key_text, extra_text, group):
+    table, build = s3_line5_tables()[kind]
+    key = min(table)
+    extra = "zz" if isinstance(key, str) else key[:-1] + ("zz",)
+    build(table)
+    missing = {k: v for k, v in table.items() if k != key}
+    cases = [
+        (missing, f"{name} table is missing entries, first: {key_text}"),
+        ({**table, key: "zz"}, f"{name}{key_text} = 'zz' is not in '{group}'"),
+        ({**table, extra: table[key]},
+         f"{name} table has entries outside its keys, first: {extra_text}"),
+    ]
+    for bad, message in cases:
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            build(bad)

@@ -15,8 +15,10 @@ import pytest
 from catbundle.crossed import arrow_endpoints, arrow_product, arrows, pair_id
 from catbundle.errors import SchemaError
 from catbundle.groups import FiniteGroup
+from catbundle.permutations import symmetric_group
 from catbundle.quotient import (
     CosetSpace,
+    QuotientCatGroup,
     build_JH,
     build_quotient,
     check_JH_normal,
@@ -240,3 +242,28 @@ def test_coset_products_are_memoized_and_total(request, chain_fixture):
             q.obj_product("nope", q.identity_obj())
         with pytest.raises(SchemaError):
             q.identity_mor_at("nope")
+
+
+def closure(g, gens):
+    """The subgroup of `g` generated by `gens`."""
+    sub, frontier = {g.identity}, [g.identity]
+    while frontier:
+        x = frontier.pop()
+        for y in gens:
+            xy = g.op(x, y)
+            if xy not in sub:
+                sub.add(xy)
+                frontier.append(xy)
+    return frozenset(sub)
+
+
+def test_subgroup_normal_on_coset_reps_matches_the_full_scan():
+    s4 = symmetric_group(4)
+    subgroups = {closure(s4, (a, b)) for a in s4.elements for b in s4.elements}
+    normal = 0
+    for sub in sorted(subgroups, key=sorted):
+        space = CosetSpace(s4.name, s4.elements, s4.identity, s4.op, s4.inverse, sub)
+        full = all(s4.conj(g, s) in sub for g in s4.elements for s in sub)
+        assert QuotientCatGroup._subgroup_normal(space) == full, sorted(sub)
+        normal += full
+    assert (len(subgroups), normal) == (30, 4)

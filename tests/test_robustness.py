@@ -7,10 +7,13 @@ them. A cell edit replaces one group, hom, action or cocycle table cell with
 another element id of the same group, so the document still loads and every
 suite runs on it. `validate` and `check --suite all` then run through
 `cli.main` in process; each must exit 0, 1 or 2 after a node edit and 0 or 1
-after a cell edit, never raise.
+after a cell edit, never raise. Every node edit of one preset also goes
+through the loader alone, which must refuse a pinned set of them with a
+SchemaError and raise nothing else.
 """
 
 import copy
+import hashlib
 import json
 import random
 from functools import reduce
@@ -19,14 +22,20 @@ from operator import getitem
 import pytest
 
 from catbundle import cli
+from catbundle.errors import SchemaError
 from catbundle.presets import build_instance
-from catbundle.schema import instance_to_json
+from catbundle.schema import instance_from_document, instance_to_json
 
 DELETE = object()
 REPLACEMENTS = (DELETE, None, 0, "zz", [], {}, True)
 EDITS_PER_PRESET = 67
 CELL_EDITS_PER_PRESET = 20
 PRESETS = ["s3-line5", "oracle-dirline3", "cycle6-trivial"]
+# every single-node edit of oracle-dirline3 at seed 5, the root included: the
+# number the loader refuses and the SHA-256 of their sorted (path, edit) lines
+ORACLE_EDITS = 1799
+ORACLE_REFUSED = 1787
+ORACLE_REFUSED_SHA256 = "babc613998d12d464640dcdeeb8e4f428ff1584f0efdb432d1a0dd6e687397a3"
 
 
 def node_paths(node, path=()):
@@ -111,3 +120,27 @@ def test_single_cell_edits_load_and_exit_with_a_verdict(preset, tmp_path, capsys
         target.write_text(json.dumps(edited(doc, path, value)), encoding="utf-8")
         run_cli(target, (0, 1), (path, value))
         capsys.readouterr()
+
+
+def refusals(doc):
+    """The number of edits of `doc`, each node deleted or replaced, and the
+    ones `instance_from_document` refuses, as sorted JSON lines [path, edit].
+    Replacing the root hands the loader the replacement, deleting it the
+    DELETE sentinel. Any exception but SchemaError escapes."""
+    paths = [()] + list(node_paths(doc))
+    lines = []
+    for path in paths:
+        for value in REPLACEMENTS:
+            try:
+                instance_from_document(edited(doc, path, value) if path else value)
+            except SchemaError:
+                label = "delete" if value is DELETE else json.dumps(value)
+                lines.append(json.dumps([list(path), label]))
+    return len(paths) * len(REPLACEMENTS), sorted(lines)
+
+
+def test_loader_refuses_the_same_single_node_edits():
+    doc = json.loads(instance_to_json(build_instance("oracle-dirline3", 5, True)))
+    edits, lines = refusals(doc)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (edits, len(lines), digest) == (ORACLE_EDITS, ORACLE_REFUSED, ORACLE_REFUSED_SHA256)
