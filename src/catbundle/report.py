@@ -44,10 +44,18 @@ class Report:
         else:
             self.checks.append(CheckResult(check_id, law, "fail", witness or "unspecified"))
 
-    def search(self, check_id: str, law: str, witnesses: Iterable[str]) -> None:
+    def search(self, check_id: str, law: str, witnesses: Iterable[str],
+               decision: Optional[Iterable[str]] = None) -> None:
         """Record `law` as failed with the first string `witnesses` yields, or
-        as passed if it yields none; the iterable is not resumed after that."""
-        witness = next(iter(witnesses), None)
+        as passed if it yields none; the iterable is not resumed after that.
+        A `decision` decides the law exactly on generators: `witnesses` is
+        read only if it fails, and its own witness stands if they yield none."""
+        if decision is None:
+            witness = next(iter(witnesses), None)
+        else:
+            witness = next(iter(decision), None)
+            if witness is not None:
+                witness = next(iter(witnesses), witness)
         self.record(check_id, law, witness is None, witness)
 
     def merge(self, other: "Report") -> None:

@@ -159,7 +159,7 @@ def suite_quotient(ctx: InstanceContext) -> Report:
         return gated
     from .quotient import check_JH_normal
     rep = Report("quotient")
-    rep.merge(check_JH_normal(ctx.inst.chain))
+    rep.merge(check_JH_normal(ctx.inst.chain, ctx.peiffer))
     rep.merge(built)
     if q is not None:
         rep.merge(ctx.classical)

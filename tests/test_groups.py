@@ -11,12 +11,13 @@ from catbundle.groups import (
     FiniteGroup,
     GroupAction,
     GroupHom,
+    generators,
     subgroup_as_group,
     validate_action,
     validate_group,
     validate_hom,
 )
-from catbundle.permutations import alternating_group, symmetric_group, trivial_action
+from catbundle.permutations import alternating_group, klein_four, symmetric_group, trivial_action
 from catbundle.presets import build_instance
 
 
@@ -51,6 +52,45 @@ def test_validate_group_catches_bad_identity():
     g.mul[("e", "a")] = "e"
     rep = validate_group(g)
     assert not rep.ok
+
+
+def left_bracketed(picks, op):
+    """Every left-bracketed product of `picks`, one or more factors long."""
+    reached, todo = set(), list(picks)
+    while todo:
+        x = todo.pop()
+        if x not in reached:
+            reached.add(x)
+            todo.extend(op(x, p) for p in picks)
+    return reached
+
+
+def non_associative_s3():
+    g = symmetric_group(3)
+    g.mul[("(13)", "(12)")] = "e"
+    return g
+
+
+@pytest.mark.parametrize("group", [symmetric_group(3), symmetric_group(4), alternating_group(4),
+                                   klein_four(), non_associative_s3()],
+                         ids=["S3", "S4", "A4", "V4", "S3-edited"])
+def test_generators_reach_every_element_by_left_bracketed_products(group):
+    picks = generators(group.elements, group.op)
+    assert left_bracketed(picks, group.op) == set(group.elements)
+    # greedy: in element order, each pick is out of reach of the picks before it
+    assert [group.elements.index(p) for p in picks] == sorted(
+        group.elements.index(p) for p in picks)
+    for i, p in enumerate(picks):
+        assert p not in left_bracketed(picks[:i], group.op)
+
+
+def test_lights_test_names_the_full_scans_first_witness():
+    # the first failing triple in scan order has the middle (13), which is
+    # not a generator; a generator middle fails later, at ((123)*(12))*(12)
+    g = non_associative_s3()
+    assert "(13)" not in generators(g.elements, g.op)
+    witness = {c.check_id: c.witness for c in validate_group(g).failures()}["group.S3.assoc"]
+    assert witness.startswith("((12)*(13))*(12) = ")
 
 
 def test_validate_hom_passes_on_inclusion():

@@ -12,10 +12,11 @@ import re
 import perm_oracle as oracle
 import pytest
 
-from catbundle.crossed import arrow_endpoints, arrow_product, arrows, pair_id
+from catbundle.crossed import arrow_endpoints, arrow_product, arrows, pair_id, validate_peiffer
 from catbundle.errors import SchemaError
 from catbundle.groups import FiniteGroup
 from catbundle.permutations import symmetric_group
+from catbundle.presets import s4_chain
 from catbundle.quotient import (
     CosetSpace,
     QuotientCatGroup,
@@ -56,6 +57,23 @@ def test_JH_normal_s3(chain_s3):
 def test_JH_normal_s4(chain_s4):
     rep = check_JH_normal(chain_s4)
     assert rep.ok, rep.failures()
+
+
+def test_JH_normal_without_a_peiffer_verdict_scans_and_catches_a_planted_leak():
+    # (134) is not among the generators of S4, (12), (12)(34) and (123), or of
+    # A4; conjugating by an arrow over it now leaves J_H
+    chain = s4_chain()
+    chain.alpha.table[("(134)", "(12)(34)")] = "(123)"
+    assert not validate_peiffer(chain.outer).ok
+    witness = ("((12)(34),(134)) ((12)(34),(12)(34)) ((12)(34),(134))^-1 = "
+               "'((142),(14)(23))' leaves J_H")
+    rep = check_JH_normal(chain)
+    assert {c.check_id: c.witness for c in rep.failures()} == {
+        "jh.taubar": "taubar(((12)(34),(134)) * ((12)(34),(12)(34))) = "
+                     "'((13)(24),(123))' != '((243),(123))'",
+        "jh.normal": witness,
+        "jh.normal_full": witness,
+    }
 
 
 @pytest.fixture
