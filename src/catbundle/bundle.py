@@ -74,7 +74,7 @@ from functools import cache, reduce
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .complexes import PathMor, compose_paths
-from .errors import CompositionError, PreconditionError, SchemaError
+from .errors import CompositionError, SchemaError
 from .functorial import FunctorialCocycle, eval_theta
 from .quotient import QuotientCatGroup
 from .report import Report
@@ -118,12 +118,9 @@ class BundleSpace:
     The space re-checks none of its inputs: the `peiffer`, `gerbal` and
     `quotient` suites check the crossed-module laws, the cocycle relations and
     the classical cocycle on cosets, and `suites.InstanceContext.space` builds
-    a space only when their reports pass. It refuses only a fiber quotient
-    without group structure."""
+    a space only when their reports pass."""
 
     def __init__(self, fc: FunctorialCocycle, q: QuotientCatGroup):
-        if not (q.obj_normal and q.mor_normal):
-            raise PreconditionError("the fiber quotient must carry group structure")
         self.fc = fc
         self.q = q
         self.cover = fc.cover

@@ -12,7 +12,7 @@ from .schema import Instance
 
 def s3_chain() -> ChainedCrossedModules:
     """Outer: S3 acting on itself by conjugation with the identity map down.
-    Inner: A3 included into S3. tau is onto, so the full variant applies."""
+    Inner: A3 included into S3. tau is onto."""
     from .permutations import (
         alternating_group,
         conjugation_action,

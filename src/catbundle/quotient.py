@@ -8,10 +8,9 @@ pair: tau tau'(J) inside the object group and
 inside the arrow group. Objects are left cosets g tau tau'(J), morphisms are
 left cosets (h, g) J_H; source, target, composition, and (when the subgroups
 are normal) the group laws all descend, and every descent is verified
-exhaustively rather than assumed. The variant is chosen from tau's image:
-when tau is onto G the variant "full" quotients H x| G, and otherwise the
-variant "tau" quotients H x| tau(H), which is a categorical group even when
-tau is not surjective. Products and inverses in H x| G come from
+exhaustively rather than assumed. The object group is tau(H), extracted as
+its own table, and the arrows are H x| tau(H), which is a categorical group
+even when tau is not onto G. Products and inverses in H x| G come from
 `crossed.arrow_product` and `arrow_inverse`, evaluated on arrows where they
 are used: the quotient keeps only a pair-id -> Arrow map of H x| tau(H) and
 builds no table of it. Endpoints and composition come from `arrow_endpoints`
@@ -35,7 +34,7 @@ from .crossed import (
     arrows,
     pair_id,
 )
-from .errors import CompositionError, InternalInvariantError, PreconditionError, SchemaError
+from .errors import CompositionError, InternalInvariantError, SchemaError
 from .functorial import FunctorialCocycle, eval_Theta, eval_theta
 from .groups import generators, subgroup_as_group
 from .report import Report
@@ -166,24 +165,18 @@ def check_JH_normal(chain: ChainedCrossedModules, peiffer: Optional[Report] = No
     return rep
 
 
-def tau_surjective(chain: ChainedCrossedModules) -> bool:
-    return chain.tau.image() == chain.G.element_set
-
-
-def variant_for(chain: ChainedCrossedModules) -> str:
-    return "full" if tau_surjective(chain) else "tau"
-
-
 class QuotientCatGroup:
-    """Coset objects and coset morphisms with verified categorical structure."""
+    """Coset objects and coset morphisms with verified categorical structure.
+
+    The constructor raises InternalInvariantError unless its verification
+    passes, normality of both subgroups included, so coset products and
+    inverses need no check of their own."""
 
     def __init__(self, chain: ChainedCrossedModules):
         self.chain = chain
-        self.variant = variant_for(chain)
         tau_image = chain.tau.image()
-        self.obj_parent = par = chain.G if self.variant == "full" else subgroup_as_group(
-            chain.G, tau_image, f"tau({chain.H.name})")
-        # H x| tau(H), which in the "full" variant is H x| G, by pair id
+        self.obj_parent = par = subgroup_as_group(chain.G, tau_image, f"tau({chain.H.name})")
+        # H x| tau(H) by pair id
         self.arrow_of = {pair_id(*a): a for a in arrows(chain.H.elements, tau_image)}
         self.objects = CosetSpace(par.name, par.elements, par.identity, par.op, par.inverse,
                                   frozenset(chain.tau_tau_p_image))
@@ -347,18 +340,12 @@ class QuotientCatGroup:
     # ----- coset-level operations ------------------------------------------
 
     def obj_product(self, a: str, b: str) -> str:
-        if not self.obj_normal:
-            raise PreconditionError("object cosets do not form a group here")
         return self.objects.rep(self.obj_parent.op(a, b))
 
     def mor_product(self, a: str, b: str) -> str:
-        if not self.mor_normal:
-            raise PreconditionError("morphism cosets do not form a group here")
         return self.morphisms.rep(self._arrow_op(a, b))
 
     def mor_inverse(self, a: str) -> str:
-        if not self.mor_normal:
-            raise PreconditionError("morphism cosets do not form a group here")
         return self.morphisms.rep(self._arrow_inverse(a))
 
     def mor_co_inverse(self, a: str) -> str:
@@ -387,10 +374,7 @@ class QuotientCatGroup:
         return self.morphisms.rep(pair_id(*a))
 
     def __repr__(self) -> str:
-        return (
-            f"QuotientCatGroup({self.variant}, objects={self.objects.size}, "
-            f"morphisms={self.morphisms.size})"
-        )
+        return f"QuotientCatGroup(objects={self.objects.size}, morphisms={self.morphisms.size})"
 
 
 def build_quotient(chain: ChainedCrossedModules) -> QuotientCatGroup:

@@ -24,7 +24,7 @@ from functools import cache
 from itertools import combinations
 
 from .bundle import BundleMorphism, BundleSpace, QuiverEdge
-from .complexes import compose_paths, enumerate_paths
+from .complexes import compose_paths, walks_within
 from .errors import InternalInvariantError, PreconditionError
 from .report import Report
 
@@ -58,20 +58,16 @@ class WordOracle:
     def _build_edges(self) -> None:
         space, cover, q = self.space, self.space.cover, self.space.q
         combos: dict[tuple, list[tuple[str, tuple[str, ...]]]] = {}
-        walks = [w for i in cover.index_order
-                 for w in enumerate_paths(cover, (i,), self.max_len) if w.steps]
-        seen = set()
         edges: list[QuiverEdge] = []
-        for w in walks:
-            wk = (w.start, w.steps)
-            if wk in seen:
+        for w in walks_within(cover, cover.vertex_set, self.max_len):
+            if not w.steps:
                 continue
-            seen.add(wk)
-            # every subset of the charts holding w holds w in its overlap
+            # every subset of the charts holding w holds w in its overlap; a
+            # walk that no chart holds gets no edge
             charts = cover.charts_containing(w.visited)
             cl = [(i, sub) for r in range(1, len(charts) + 1)
                   for sub in combinations(charts, r) for i in sub]
-            combos[wk] = cl
+            combos[(w.start, w.steps)] = cl
             for i, sub in cl:
                 for phi in q.morphisms.reps:
                     edges.append(QuiverEdge(i, sub, w, phi))
@@ -105,11 +101,9 @@ class WordOracle:
             bk: {w: n for n, w in enumerate(bl)} for bk, bl in self.blocks.items()
         }
 
-    def _block_of(self, w: Word) -> tuple:
-        walk = w[0].walk
-        for e in w[1:]:
-            walk = compose_paths(self.space.cover, e.walk, walk)
-        return (walk.start, walk.steps)
+    @staticmethod
+    def _block_of(w: Word) -> tuple:
+        return (w[0].walk.start, tuple(s for e in w for s in e.walk.steps))
 
     # ----- rewrite generators and their classes ------------------------------
 

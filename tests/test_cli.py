@@ -118,6 +118,20 @@ def test_check_diagnostic_lists_checks_on_stderr(tmp_path, capsys):
                        "--diagnostic")
     assert code == 0
     assert "gerbal.relation: pass" in err
+    # on a law-broken document each failed check is followed by its witness,
+    # and the report on stdout is the one written without --diagnostic
+    doc = _edited(tmp_path, capsys, "s3-line5", 3, ("cocycle", "h", "1|2|1"), "(123)")
+    code, plain, err = run(capsys, "check", str(doc), "--suite", "gerbal")
+    assert (code, err) == (1, "")
+    code, out, err = run(capsys, "check", str(doc), "--suite", "gerbal", "--diagnostic")
+    assert code == 1
+    assert out == plain
+    failed = [c for c in json.loads(out)["checks"] if c["status"] == "fail"]
+    assert failed
+    lines = err.splitlines()
+    for c in failed:
+        at = lines.index(f"{c['check']}: fail")
+        assert lines[at + 1] == f"  witness: {c['witness']}"
 
 
 def test_check_oracle_suite_needs_directed_base(tmp_path, capsys):
@@ -158,11 +172,14 @@ def test_max_path_len_flag_changes_surface(tmp_path, capsys):
 def test_negative_max_path_len_is_usage_error(tmp_path, capsys):
     doc = tmp_path / "inst.json"
     run(capsys, "generate", "s3-line5", "--seed", "3", "--out", str(doc))
-    code, out, err = run(capsys, "check", str(doc), "--suite", "functorial",
-                         "--max-path-len", "-1")
-    assert code == 2
-    assert out == ""
-    assert "--max-path-len" in err
+    for value, message in (("-1", "must be at least 0, got -1"),
+                           ("abc", "invalid int value: 'abc'")):
+        code, out, err = run(capsys, "check", str(doc), "--suite", "functorial",
+                             "--max-path-len", value)
+        assert code == 2
+        assert out == ""
+        assert f"--max-path-len: {message}" in err
+        assert "Traceback" not in err
 
 
 def _edited(tmp_path, capsys, preset, seed, path, value):
@@ -176,6 +193,73 @@ def _edited(tmp_path, capsys, preset, seed, path, value):
     cell[path[-1]] = value
     doc_path.write_text(json.dumps(doc))
     return doc_path
+
+
+def _add_tables(doc):
+    """Add the identity hom of A3 and the conjugation of A3 on itself, which
+    is trivial since A3 is abelian."""
+    a3 = doc["groups"]["A3"]["elements"]
+    doc["homs"]["id_A3"] = {"domain": "A3", "codomain": "A3", "map": {x: x for x in a3}}
+    doc["actions"]["conj_A3"] = {"actor": "A3", "space": "A3",
+                                 "map": {g: {x: x for x in a3} for g in a3}}
+
+
+def _rename_chart(doc, old, new):
+    cover = doc["cover"]
+    cover["sets"][new] = cover["sets"].pop(old)
+    cover["index_order"] = [new if i == old else i for i in cover["index_order"]]
+
+
+def _inner_chain_over_A3(doc):
+    _add_tables(doc)
+    doc["chain"]["inner"] = {"G": "A3", "H": "A3", "alpha": "conj_A3", "tau": "id_A3"}
+
+
+def _inner_alpha_acted_on_by_A3(doc):
+    _add_tables(doc)
+    doc["chain"]["inner"]["alpha"] = "conj_A3"
+
+
+# One edit of the s3-line5 document per loader refusal, and the message it
+# must be refused with
+LOADER_REFUSALS = [
+    (lambda d: d["cover"]["vertices"].append("0"),
+     "cover complex: duplicate vertex ids"),
+    (lambda d: d["cover"]["edges"].append(["e01", "1", "2"]),
+     "cover complex: duplicate edge ids"),
+    (lambda d: d["cover"]["index_order"].append("1"),
+     "cover complex: duplicate cover indices"),
+    (lambda d: d["cover"]["vertices"].append("5|6"),
+     "cover complex: vertex id '5|6' contains '|'"),
+    (lambda d: _rename_chart(d, "3", "3|4"),
+     "cover complex: index id '3|4' contains '|'"),
+    (lambda d: d["groups"]["A3"]["elements"].append("e"),
+     "group 'A3': duplicate element ids"),
+    (lambda d: d["groups"]["A3"]["elements"].append("a|b"),
+     "group 'A3': element id 'a|b' contains '|'"),
+    (lambda d: d["chain"]["inner"].update(alpha="conj_outer"),
+     "crossed module 'inner (A3 -> S3)': alpha's space is not H"),
+    (lambda d: d["chain"]["inner"].update(tau="tau"),
+     "crossed module 'inner (A3 -> S3)': tau is not a map H -> G"),
+    (_inner_alpha_acted_on_by_A3,
+     "crossed module 'inner (A3 -> S3)': alpha's actor is not G"),
+    (_inner_chain_over_A3,
+     "chained modules: inner base group must be the outer H"),
+    (lambda d: d["cocycle"]["h"].update({"1|1": d["cocycle"]["h"].pop("1|1|0")}),
+     "cocycle.h key '1|1' must look like i|k|u"),
+]
+
+
+@pytest.mark.parametrize("edit, message", LOADER_REFUSALS,
+                         ids=[m for _, m in LOADER_REFUSALS])
+def test_validate_refuses_a_malformed_document_with_one_line(tmp_path, capsys, edit, message):
+    doc_path = tmp_path / "inst.json"
+    run(capsys, "generate", "s3-line5", "--seed", "3", "--out", str(doc_path))
+    doc = json.loads(doc_path.read_text())
+    edit(doc)
+    doc_path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", str(doc_path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_quotient_build_on_law_broken_action_fails_cleanly(tmp_path, capsys):

@@ -13,7 +13,7 @@ import perm_oracle as oracle
 import pytest
 
 from catbundle.crossed import arrow_endpoints, arrow_product, arrows, pair_id, validate_peiffer
-from catbundle.errors import SchemaError
+from catbundle.errors import InternalInvariantError, SchemaError
 from catbundle.groups import FiniteGroup
 from catbundle.permutations import symmetric_group
 from catbundle.presets import s4_chain
@@ -24,19 +24,15 @@ from catbundle.quotient import (
     build_quotient,
     check_JH_normal,
     check_classical_cocycle,
-    tau_surjective,
-    variant_for,
 )
 from catbundle.schema import instance_from_document, instance_to_json
 
 
 def test_variant_detection(chain_s3, chain_s4):
-    assert tau_surjective(chain_s3) and variant_for(chain_s3) == "full"
-    assert not tau_surjective(chain_s4) and variant_for(chain_s4) == "tau"
-    # the quotient picks its variant from tau's image
-    for chain, variant, n_obj, n_mor in ((chain_s3, "full", 2, 4), (chain_s4, "tau", 3, 9)):
+    # one construction whether tau is onto (S3) or not (S4)
+    for chain, n_obj, n_mor in ((chain_s3, 2, 4), (chain_s4, 3, 9)):
         q = build_quotient(chain)
-        assert (q.variant, q.objects.size, q.morphisms.size) == (variant, n_obj, n_mor)
+        assert (q.objects.size, q.morphisms.size) == (n_obj, n_mor)
 
 
 def test_JH_size_s3(chain_s3):
@@ -97,16 +93,32 @@ def test_JH_normal_builds_no_group_table(chain_s4, built_groups):
 
 def test_build_quotient_builds_no_arrow_group_table(chain_s3, chain_s4, built_groups):
     # the arrows of H x| tau(H) are multiplied where used; only the object
-    # group tau(H) of the "tau" variant is extracted as its own table
-    for chain, expected in ((chain_s3, []), (chain_s4, ["tau(A4)"])):
+    # group tau(H) is extracted as its own table
+    for chain, expected in ((chain_s3, ["tau(S3)"]), (chain_s4, ["tau(A4)"])):
         built_groups.clear()
         assert build_quotient(chain).verification.ok
         assert built_groups == expected
 
 
+@pytest.mark.parametrize("chain_fixture", ["chain_s3", "chain_s4"])
+@pytest.mark.parametrize("planted", ["objects", "morphisms"])
+def test_a_quotient_without_group_structure_is_never_built(request, monkeypatch,
+                                                           chain_fixture, planted):
+    # coset products trust normality unchecked, so the constructor must refuse
+    # a quotient whose object or morphism subgroup is not normal
+    normal = QuotientCatGroup._subgroup_normal
+
+    def plant(space):
+        kind = "morphisms" if "x|" in space.name else "objects"
+        return kind != planted and normal(space)
+    monkeypatch.setattr(QuotientCatGroup, "_subgroup_normal", staticmethod(plant))
+    with pytest.raises(InternalInvariantError, match="conjugation leaves the subgroup$"):
+        build_quotient(request.getfixturevalue(chain_fixture))
+
+
 def test_conjugation_budget_matches_group_orders(chain_s3, chain_s4, quotient_s3, quotient_s4):
     # the normality sweep sizes quoted elsewhere: |H x| G| * |J_H|, and the
-    # quotient's arrows H x| tau(H), all of H x| G only in the "full" variant
+    # quotient's arrows H x| tau(H), all of H x| G only where tau is onto
     for chain, q, full, restricted, jh in ((chain_s3, quotient_s3, 36, 36, 9),
                                            (chain_s4, quotient_s4, 288, 144, 16)):
         assert len(arrows(chain.H.elements, chain.G.elements)) * len(build_JH(chain)) \
@@ -239,7 +251,7 @@ def test_coset_products_are_memoized_and_total(request, chain_fixture):
     q = build_quotient(request.getfixturevalue(chain_fixture))
     objs, mors, cm = q.obj_parent.elements, q.arrow_of, q.chain.outer
     # the arrow group is H x| tau(H), named after the object group
-    arrow_group = {"chain_s3": "S3x|S3", "chain_s4": "A4x|tau(A4)"}[chain_fixture]
+    arrow_group = {"chain_s3": "S3x|tau(S3)", "chain_s4": "A4x|tau(A4)"}[chain_fixture]
     for _ in range(2):
         for a in objs:
             assert q.identity_mor_at(a) == q.morphisms.rep(pair_id(q.chain.H.identity, a))
