@@ -20,8 +20,7 @@ _NAMES = {
     "battery": ("LocalTrivialization", "check_bundle_axioms"),
     "bundle": ("BundleMorphism", "BundleObject", "BundleSpace", "QuiverEdge"),
     "complexes": ("CoverComplex", "PathMor", "enumerate_paths"),
-    "crossed": ("Arrow", "ChainedCrossedModules", "CrossedModule", "check_tau_image_normal",
-                "validate_peiffer"),
+    "crossed": ("Arrow", "ChainedCrossedModules", "CrossedModule", "validate_peiffer"),
     "errors": ("CompositionError", "DomainError", "InternalInvariantError",
                "PreconditionError", "SchemaError"),
     "functorial": ("FunctorialCocycle", "check_naturality", "check_theta_functorial"),

@@ -170,33 +170,12 @@ class BundleSpace:
         return out
 
     def check_glue_relation(self) -> Report:
-        """(i,u,a) ~ (j,u,gbar_ji(u) a) must be reflexive, symmetric, transitive,
-        and its classes, which `canonical_obj` reaches from every (chart,
-        vertex, coset) triple, are one per vertex and fiber coset."""
+        """The classes of (i,u,a) ~ (j,u,gbar_ji(u) a), which `canonical_obj`
+        reaches from every (chart, vertex, coset) triple, are one per vertex
+        and fiber coset. That ~ is an equivalence is `classical.diagonal` and
+        `classical.object`, which pass before a space is built."""
         rep = Report("bundle")
         cover, q = self.cover, self.q
-
-        rep.search("bundle.glue.reflexive", "gbar_ii(u) = identity coset", (
-            f"gbar_{i}{i}({u}) is not the identity coset"
-            for i in cover.index_order for u in sorted(cover.chart(i))
-            if self.gbar(i, i, u) != q.identity_obj()))
-
-        def asymmetries():
-            for i, j in cover.overlapping(2):
-                for u in sorted(cover.overlap((i, j))):
-                    if q.obj_product(self.gbar(i, j, u), self.gbar(j, i, u)) != q.identity_obj():
-                        yield f"gbar_{i}{j}({u}) gbar_{j}{i}({u}) != identity coset"
-        rep.search("bundle.glue.symmetric", "gbar_ij(u) gbar_ji(u) = identity coset",
-                   asymmetries())
-
-        def intransitivities():
-            for i, j, k in cover.overlapping(3):
-                for u in sorted(cover.overlap((i, j, k))):
-                    lhs = q.obj_product(self.gbar(k, j, u), self.gbar(j, i, u))
-                    if lhs != self.gbar(k, i, u):
-                        yield f"gbar_{k}{j} gbar_{j}{i} != gbar_{k}{i} at {u}"
-        rep.search("bundle.glue.transitive", "gbar_kj(u) gbar_ji(u) = gbar_ki(u)",
-                   intransitivities())
 
         triples = [(c, u, f) for u in sorted(cover.vertex_set)
                    for c in cover.charts_containing((u,)) for f in q.objects.reps]

@@ -18,7 +18,7 @@ identities are decided on generators; witnesses come from the full scan.
 
 from __future__ import annotations
 
-from typing import Collection, Iterable, NamedTuple
+from typing import Collection, Iterable, NamedTuple, Optional
 
 from .errors import CompositionError, SchemaError
 from .groups import (
@@ -60,28 +60,35 @@ class CrossedModule:
         return f"CrossedModule({self.name!r})"
 
 
-def validate_peiffer(cm: CrossedModule) -> Report:
+def validate_peiffer(cm: CrossedModule,
+                     groups: Optional[dict[FiniteGroup, bool]] = None) -> Report:
     """Component validity first, then both compatibility identities, decided
-    on generators once the components pass."""
+    on generators once the components pass, and last the normality of tau(H)
+    in G once tau is a homomorphism. `groups` maps each group validated so far
+    to its verdict: a chain hands one dict to both of its modules, so a group
+    the report has already checked is not checked again."""
     rep = Report("peiffer")
+    groups = {} if groups is None else groups
     for g in (cm.G, cm.H):
-        sub = validate_group(g)
-        rep.record(
-            f"peiffer.{cm.name}.component.group.{g.name}",
-            "component is a group", sub.ok, sub.first_witness(),
-        )
-    groups_hold = rep.ok
-    sub = validate_hom(cm.tau)
+        if g not in groups:
+            sub = validate_group(g)
+            groups[g] = sub.ok
+            rep.record(
+                f"peiffer.{cm.name}.component.group.{g.name}",
+                "component is a group", sub.ok, sub.first_witness(),
+            )
+    groups_hold = groups[cm.G] and groups[cm.H]
+    tau_hom = validate_hom(cm.tau)
     rep.record(
         f"peiffer.{cm.name}.component.hom.{cm.tau.name}",
-        "tau is a homomorphism", sub.ok, sub.first_witness(),
+        "tau is a homomorphism", tau_hom.ok, tau_hom.first_witness(),
     )
     sub = validate_action(cm.alpha, groups_hold)
     rep.record(
         f"peiffer.{cm.name}.component.action.{cm.alpha.name}",
         "alpha is an action by automorphisms", sub.ok, sub.first_witness(),
     )
-    laws_hold = rep.ok
+    laws_hold = groups_hold and rep.ok
     g_gens, h_gens = generators(cm.G.elements, cm.G.op), generators(cm.H.elements, cm.H.op)
 
     def first_violations(gs, hs):
@@ -106,23 +113,12 @@ def validate_peiffer(cm: CrossedModule) -> Report:
     rep.search(f"peiffer.{cm.name}.second", "alpha_tau(h)(h') = h h' h^-1",
                second_violations(cm.H.elements, cm.H.elements),
                second_violations(h_gens, h_gens) if laws_hold else None)
-    return rep
 
-
-def check_tau_image_normal(cm: CrossedModule) -> Report:
-    """tau(H) must be a normal subgroup of G; upstream hom failures are reported first."""
-    rep = Report("tau_image")
-    sub = validate_hom(cm.tau)
-    rep.record(
-        f"tau_image.{cm.name}.hom",
-        "tau is a homomorphism", sub.ok, sub.first_witness(),
-    )
-    if not sub.ok:
-        return rep
-    img = cm.tau.image()
-    rep.search(f"tau_image.{cm.name}.normal", "g tau(H) g^-1 = tau(H)", (
-        f"{g} {t} {g}^-1 = {cm.G.conj(g, t)!r} leaves tau(H)"
-        for g in cm.G.elements for t in sorted(img) if cm.G.conj(g, t) not in img))
+    if tau_hom.ok:
+        img = cm.tau.image()
+        rep.search(f"tau_image.{cm.name}.normal", "g tau(H) g^-1 = tau(H)", (
+            f"{g} {t} {g}^-1 = {cm.G.conj(g, t)!r} leaves tau(H)"
+            for g in cm.G.elements for t in sorted(img) if cm.G.conj(g, t) not in img))
     return rep
 
 

@@ -98,54 +98,28 @@ def build_JH(chain: ChainedCrossedModules) -> frozenset[str]:
 
 
 def check_JH_normal(chain: ChainedCrossedModules, peiffer: Optional[Report] = None) -> Report:
-    """(a) (j, h) -> (tau'(j), tau(h)) is a homomorphism J x| H -> H x| G;
-    (b) J_H is a subgroup normalized by every element of H x| tau(H). A third
-    check conjugates by all of H x| G, which also holds whenever tau tau'(J)
-    is normal in G. Handed the chain's passed `peiffer` report, (a) and the
-    normality checks are decided on generators; witnesses come from the full
-    scan in pair-id order. No group table is built."""
+    """J_H is normalized by every arrow of H x| G, which holds whenever
+    tau tau'(J) is normal in G. Handed the chain's passed `peiffer` report,
+    the check is decided on generators; the witness comes from the full scan
+    in pair-id order. No group table is built.
+
+    The Peiffer identities imply the rest of J_H's structure, so it is not
+    checked here: (j, h) -> (tau'(j), tau(h)) is a homomorphism
+    J x| H -> H x| G, as tau'(alpha'_h(j)) = h tau'(j) h^-1 =
+    alpha_tau(h)(tau'(j)); J_H is a subgroup, as alpha_tau(x) conjugates
+    tau'(J) into itself for x in tau'(J); and J_H is normal in H x| tau(H),
+    which `quotient.mor_normal` checks where the coset quotient is built."""
     rep = Report("jh")
-    outer, inner = chain.outer, chain.inner
-    decide = peiffer is not None and peiffer.ok
+    outer = chain.outer
 
-    def taubar(a: Arrow) -> Arrow:
-        return Arrow(chain.tau_p(a.h), chain.tau(a.g))
-
-    def spanning(cm, hs, gs) -> list[Arrow]:
+    def spanning(hs, gs) -> list[Arrow]:
         """The arrows (h, e) and (e, g) over generators of the subgroups `hs`
-        of cm.H and `gs` of cm.G; they generate the arrows hs x gs."""
-        return ([Arrow(h, cm.G.identity) for h in generators(hs, cm.H.op)]
-                + [Arrow(cm.H.identity, g) for g in generators(gs, cm.G.op)])
-
-    pairs = arrows(inner.H.elements, inner.G.elements)
-
-    def bad_products(ys):
-        for x in pairs:
-            for y in ys:
-                lhs = taubar(arrow_product(inner, x, y))
-                rhs = arrow_product(outer, taubar(x), taubar(y))
-                if lhs != rhs:
-                    yield (f"taubar({pair_id(*x)} * {pair_id(*y)}) = "
-                           f"{pair_id(*lhs)!r} != {pair_id(*rhs)!r}")
-    rep.search("jh.taubar", "(j,h) -> (tau'(j), tau(h)) is a homomorphism", bad_products(pairs),
-               bad_products(spanning(inner, inner.H.elements, inner.G.elements))
-               if decide else None)
+        of H and `gs` of G; they generate the arrows hs x gs."""
+        return ([Arrow(h, outer.G.identity) for h in generators(hs, outer.H.op)]
+                + [Arrow(outer.H.identity, g) for g in generators(gs, outer.G.op)])
 
     members = arrows(chain.tau_p_image, chain.tau_tau_p_image)
     jh = frozenset(members)
-
-    def subgroup_violations():
-        if Arrow(chain.H.identity, chain.G.identity) not in jh:
-            yield "identity missing"
-        for a in members:
-            if arrow_inverse(outer, a) not in jh:
-                yield f"inverse of {pair_id(*a)!r} leaves J_H"
-            for b in members:
-                if arrow_product(outer, a, b) not in jh:
-                    yield f"product {pair_id(*a)!r} {pair_id(*b)!r} leaves J_H"
-    rep.search("jh.subgroup", "J_H is a subgroup of H x| G", subgroup_violations())
-    decide = decide and rep.checks[-1].status == "pass"
-    jh_gens = spanning(outer, sorted(chain.tau_p_image), sorted(chain.tau_tau_p_image))
 
     def leaks(conjugators, vs):
         for w in conjugators:
@@ -155,13 +129,12 @@ def check_JH_normal(chain: ChainedCrossedModules, peiffer: Optional[Report] = No
                 if c not in jh:
                     w_id = pair_id(*w)
                     yield f"{w_id} {pair_id(*v)} {w_id}^-1 = {pair_id(*c)!r} leaves J_H"
-    hs, tau_image = outer.H.elements, sorted(chain.tau.image())
-    rep.search("jh.normal", "J_H is normal in H x| tau(H)",
-               leaks(arrows(hs, tau_image), members),
-               leaks(spanning(outer, hs, tau_image), jh_gens) if decide else None)
+    decided = None
+    if peiffer is not None and peiffer.ok:
+        jh_gens = spanning(sorted(chain.tau_p_image), sorted(chain.tau_tau_p_image))
+        decided = leaks(spanning(outer.H.elements, outer.G.elements), jh_gens)
     rep.search("jh.normal_full", "J_H is normal in all of H x| G",
-               leaks(arrows(hs, outer.G.elements), members),
-               leaks(spanning(outer, hs, outer.G.elements), jh_gens) if decide else None)
+               leaks(arrows(outer.H.elements, outer.G.elements), members), decided)
     return rep
 
 

@@ -1,14 +1,17 @@
-"""A reference for the group-level laws that are decided on generators.
+"""A reference for the group-level laws that are decided on generators, and
+for the laws the Peiffer identities imply.
 
 `validate_group`, `validate_action`, `validate_peiffer` and `check_JH_normal`
 decide associativity, an action's `compose` and `automorphism`, both Peiffer
-identities and `jh.taubar`, `jh.normal` and `jh.normal_full` on generating
-sets once the laws they read have passed, and scan in full only to name a
-failure. This module keeps each of those laws as the full scan of every
-triple or pair in the package's scan order, stopping at its first witness, so
-a test can check that both give the same verdicts and witnesses. Only the
-tables, `Arrow`, `arrows` and `pair_id` come from the package: the arrow
-products are read from the tables here.
+identities and `jh.normal_full` on generating sets once the laws they read
+have passed, and scan in full only to name a failure. This module keeps each
+of those laws as the full scan of every triple or pair in the package's scan
+order, stopping at its first witness, so a test can check that both give the
+same verdicts and witnesses. It also keeps the scans of the laws no report
+checks because the Peiffer identities imply them (`implied_scans`), so a test
+can check the implication on chains whose identities hold. Only the tables,
+`Arrow`, `arrows` and `pair_id` come from the package: the arrow products are
+read from the tables here.
 """
 
 from catbundle.crossed import Arrow, arrows, pair_id
@@ -106,6 +109,46 @@ def leaks(chain, conjugators):
                 yield f"{w_id} {pair_id(*v)} {w_id}^-1 = {pair_id(*c)!r} leaves J_H"
 
 
+def subgroup_breaks(chain):
+    product, inverse = semidirect(chain.outer)
+    members = arrows(chain.tau_p_image, chain.tau_tau_p_image)
+    jh = set(members)
+    if Arrow(chain.H.identity, chain.G.identity) not in jh:
+        yield "identity missing"
+    for a in members:
+        if inverse(a) not in jh:
+            yield f"inverse of {pair_id(*a)!r} leaves J_H"
+        for b in members:
+            if product(a, b) not in jh:
+                yield f"product {pair_id(*a)!r} {pair_id(*b)!r} leaves J_H"
+
+
+def tau_image_leaks(cm):
+    G, img = cm.G, set(cm.tau.table.values())
+    for g in G.elements:
+        for t in sorted(img):
+            c = G.mul[G.mul[g, t], G.inv[g]]
+            if c not in img:
+                yield f"{g} {t} {g}^-1 = {c!r} leaves tau(H)"
+
+
+def implied_scans(chain):
+    """{law: its full scan, not yet started} for each law that holds whenever
+    both modules of `chain` pass `validate_peiffer`: taubar is a
+    homomorphism, J_H is a subgroup of H x| G and normal in H x| tau(H), and
+    tau(H) is normal in G for each module."""
+    tau_image = set(chain.tau.table.values())
+    scans = {
+        "jh.taubar": taubar_breaks(chain),
+        "jh.subgroup": subgroup_breaks(chain),
+        "jh.normal": leaks(chain, [w for w in arrows(chain.H.elements, chain.G.elements)
+                                   if w.g in tau_image]),
+    }
+    for cm in (chain.outer, chain.inner):
+        scans[f"tau_image.{cm.name}.normal"] = tau_image_leaks(cm)
+    return scans
+
+
 def group_law_scans(chain):
     """{check id: its full scan, not yet started} for each law above on the
     groups, actions and crossed modules of `chain`; the first witness a scan
@@ -118,9 +161,5 @@ def group_law_scans(chain):
         scans[f"action.{cm.alpha.name}.automorphism"] = automorphism_breaks(cm.alpha)
         scans[f"peiffer.{cm.name}.first"] = first_breaks(cm)
         scans[f"peiffer.{cm.name}.second"] = second_breaks(cm)
-    everything = arrows(chain.H.elements, chain.G.elements)
-    tau_image = set(chain.tau.table.values())
-    scans["jh.taubar"] = taubar_breaks(chain)
-    scans["jh.normal"] = leaks(chain, [w for w in everything if w.g in tau_image])
-    scans["jh.normal_full"] = leaks(chain, everything)
+    scans["jh.normal_full"] = leaks(chain, arrows(chain.H.elements, chain.G.elements))
     return scans

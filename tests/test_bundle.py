@@ -106,7 +106,6 @@ def test_object_checks_fail_on_a_planted_canonical_obj(space_line5, monkeypatch,
     monkeypatch.setattr(space_line5, "canonical_obj", faulty_canonical_objs(space_line5)[plant])
     status = {c.check_id: c.status for c in space_line5.check_glue_relation().checks}
     assert status[fails] == "fail"
-    assert all(status[c] == "pass" for c in status if c.startswith("bundle.glue."))
 
 
 def test_act_obj_is_a_free_right_action(space_line5):

@@ -21,7 +21,6 @@ from catbundle.crossed import (
     arrow_inverse,
     arrow_product,
     arrows,
-    check_tau_image_normal,
     pair_id,
     validate_peiffer,
 )
@@ -29,6 +28,7 @@ from catbundle.errors import CompositionError, SchemaError
 from catbundle.groups import subgroup_as_group
 from catbundle.permutations import (
     identity_hom,
+    inclusion_hom,
     symmetric_group,
     trivial_action,
 )
@@ -92,7 +92,23 @@ def test_peiffer_passes_on_both_chains(chain_s3, chain_s4):
 def test_tau_image_normal_on_both_chains(chain_s3, chain_s4):
     for chain in (chain_s3, chain_s4):
         for cm in (chain.outer, chain.inner):
-            assert check_tau_image_normal(cm).ok
+            status = {c.check_id: c.status for c in validate_peiffer(cm).checks}
+            assert status[f"tau_image.{cm.name}.normal"] == "pass"
+
+
+def test_a_tau_image_that_is_not_normal_is_named():
+    # Z2 = {e, (12)} in S3, acted on trivially: tau is a homomorphism, so the
+    # normality of tau(Z2) is checked, and conjugation by (123) leaves it
+    s3 = symmetric_group(3)
+    z2 = subgroup_as_group(s3, ["e", "(12)"], "Z2")
+    cm = CrossedModule(s3, z2, trivial_action(s3, z2), inclusion_hom(z2, s3, "tau"),
+                       name="z2-in-s3")
+    failed = {c.check_id: c.witness for c in validate_peiffer(cm).failures()}
+    assert failed == {
+        "peiffer.z2-in-s3.first":
+            "tau(alpha_(123)((12))) = '(12)' != (123) tau((12)) (123)^-1 = '(23)'",
+        "tau_image.z2-in-s3.normal": "(123) (12) (123)^-1 = '(23)' leaves tau(H)",
+    }
 
 
 def test_trivial_action_with_identity_tau_breaks_peiffer():

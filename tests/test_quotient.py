@@ -64,12 +64,7 @@ def test_JH_normal_without_a_peiffer_verdict_scans_and_catches_a_planted_leak():
     witness = ("((12)(34),(134)) ((12)(34),(12)(34)) ((12)(34),(134))^-1 = "
                "'((142),(14)(23))' leaves J_H")
     rep = check_JH_normal(chain)
-    assert {c.check_id: c.witness for c in rep.failures()} == {
-        "jh.taubar": "taubar(((12)(34),(134)) * ((12)(34),(12)(34))) = "
-                     "'((13)(24),(123))' != '((243),(123))'",
-        "jh.normal": witness,
-        "jh.normal_full": witness,
-    }
+    assert {c.check_id: c.witness for c in rep.failures()} == {"jh.normal_full": witness}
 
 
 @pytest.fixture
