@@ -10,26 +10,47 @@ import pytest
 from catbundle import functorial, quotient, suites
 from catbundle.errors import PreconditionError, SchemaError
 from catbundle.presets import build_instance, preset_names
+from catbundle.report import CheckResult, Report
 from catbundle.schema import instance_from_document, instance_to_json, report_to_json
 from catbundle.suites import SUITES, run_suite
 
-# SHA-256 of the `all` report at preset seed 5 with noise. A passing report
-# holds only check ids, laws and statuses, so the two S3 line bases share one.
+# Each pin is two SHA-256 digests: of the report's long form
+# (`with_implied_rows`) and of the report itself. The long form also lists
+# each row a report leaves out because another of its rows or the gate it
+# runs behind decides it, so its digest holds still when such a row is
+# dropped, and each case is named by it.
+#
+# The `all` report at preset seed 5 with noise. A passing report holds only
+# check ids, laws and statuses, so the two S3 line bases share one.
 # s4-line5w is the one preset whose fiber is a restricted (tau-image) quotient;
 # its digest is the same at lengths 1 and 2, and length 1 is the cheaper pin.
 GOLDEN_ALL = [
-    ("s3-line5", 3, "4fa6c731ef71a9a93cf8773575a486666977a496b8f94a07bf14ff4741128f2b"),
-    ("s3-line5w", 2, "4fa6c731ef71a9a93cf8773575a486666977a496b8f94a07bf14ff4741128f2b"),
-    ("cycle6-trivial", 4, "857b3320285374e0e10821fc331cbacb7b22315463f32e297de9d78ad831b868"),
-    ("oracle-dirline3", 3, "9fcd7ccf67743fd55416bf178e29b9201cf751a50c9cc99e3a4ae7d4ab6fd69e"),
-    ("s4-line5w", 1, "bdce7e914060d6ed1e7acf2d64eaa115dc2b462c4d4154f3437866a1a31ba32b"),
+    ("s3-line5", 3,
+     "0dc368c802c17156a86ad7a3bc1e1f2e664da464fbd597ee7d7e5ce07adc2e7c",
+     "4fa6c731ef71a9a93cf8773575a486666977a496b8f94a07bf14ff4741128f2b"),
+    ("s3-line5w", 2,
+     "0dc368c802c17156a86ad7a3bc1e1f2e664da464fbd597ee7d7e5ce07adc2e7c",
+     "4fa6c731ef71a9a93cf8773575a486666977a496b8f94a07bf14ff4741128f2b"),
+    ("cycle6-trivial", 4,
+     "d19e83ce502521ff91a0e5a4b1e4f33d0020bff5f89d2622a6b299994d0e8273",
+     "857b3320285374e0e10821fc331cbacb7b22315463f32e297de9d78ad831b868"),
+    ("oracle-dirline3", 3,
+     "be681f120706fdcb3fc5128ba2495146a50eb7be81bd7243f2ee7104b7053e3c",
+     "9fcd7ccf67743fd55416bf178e29b9201cf751a50c9cc99e3a4ae7d4ab6fd69e"),
+    ("s4-line5w", 1,
+     "0b56141b301e1f5e5d516502ff64d51f216484b62d87f788c87f66e00f3fc926",
+     "bdce7e914060d6ed1e7acf2d64eaa115dc2b462c4d4154f3437866a1a31ba32b"),
 ]
 
 # SHA-256 of the `all` report at length 3 of the A3/J3 chain (conftest.py),
 # whose fiber is not thin, over two preset bases.
 GOLDEN_NON_THIN = [
-    ("inst_a3j3_line5w", "ce30216b385041d3fc3ad540e912e7117c2a4dcbd761a7f0cee885daccc50842"),
-    ("inst_a3j3_dirline3", "0d49123255fdbdbb37f84dcd732575e4fde01dfd5a33672bc7c6f718d224eeb8"),
+    ("inst_a3j3_line5w",
+     "cee738a50f232f7db7631161aa024d4875fbd64a36b9746fbc8050671240f5e5",
+     "ce30216b385041d3fc3ad540e912e7117c2a4dcbd761a7f0cee885daccc50842"),
+    ("inst_a3j3_dirline3",
+     "a2b1bd9f5c16f961b413d310b4d69f3a3ba5fbf1248e0a62e2fc21b4f81ab5bb",
+     "0d49123255fdbdbb37f84dcd732575e4fde01dfd5a33672bc7c6f718d224eeb8"),
 ]
 
 # One-cell edits of preset documents at seed 3 (the ones tests/test_cli.py
@@ -48,27 +69,69 @@ EDITS = {
     "h-cell": ("s3-line5w", ("cocycle", "h", "1|2|1"), "(123)"),
 }
 GOLDEN_EDITED = [
-    ("a3-table", "peiffer", "03beda522bb03d21e6832d35bd2eda1a3ffa2508bab47ecb89d0aa368904f07c"),
-    ("a3-table", "gerbal", "64d905e5e4db9621fac069c8bd34a011b95e4fca039e59e8f3866c5d738c5d0b"),
-    ("a3-table", "functorial", "b55dc93885113109fe9003ac8d97410b6ca38db82f531d571d7f0cbf5da65ded"),
-    ("a3-table", "naturality", "3d36b04e74d2616a88503135a4e660dcd6ba73e784a69e57753b9a9aa10e92d6"),
-    ("a3-table", "quotient", "4b407e82623724e2bdea2b90117d48cf82a7feacc6052ec122463553b9070c9d"),
-    ("a3-table", "bundle", "f58383bb25044b79a9d289546c71814d815a3d7a261cbfb4f1c2988ef37d522d"),
-    ("a3-table", "all", "7725e61b9634873af3eb7394e0ac65e0345f962553c732a8fbaea72cab1dd6a2"),
-    ("conj-action", "peiffer", "5507ff117bf6f9eaa8342318bea814db836ca80daa897e37cf5868e43bba35fd"),
-    ("conj-action", "gerbal", "82b87d92cc4bbd58c7112698e079ed68b2e314e527efb6110685fbf01caf0c48"),
-    ("conj-action", "functorial", "6cb6237dfc9dd83138e4c8ea3275b87972e38c24d1f10b5dab26ad33416feeda"),
-    ("conj-action", "naturality", "b28e4ac13fc61794040760340d59a8f7424d34f91bf62d92509a10f170743b64"),
-    ("conj-action", "quotient", "d9e6b1cb091df45de909649e1433ed1aba53890bc77358d38c56f694fa0a81be"),
-    ("conj-action", "bundle", "7b5e95c3983f21b6eb7af2274a913e40a399f98a4b8f9a9e0a3b6fb924f25aeb"),
-    ("conj-action", "all", "7eee881a55a5d46b7686f6c03d99febea0fee596dbb5c56f58436781e01d1159"),
-    ("h-cell", "peiffer", "2a14350c4c4f3169cb631c673c6fd383546a8a87453584d02ad0c7c14cb73847"),
-    ("h-cell", "gerbal", "18337b541a133329f2b79e71aeaf9c939c2254c74e295c5ebba4054d4a3c40cc"),
-    ("h-cell", "functorial", "9ad5b909bc0f92f19cda24dc848e1ce11cce214428775fb7de0cdf9a09d42a13"),
-    ("h-cell", "naturality", "78a28253b6cf8f83e795c0c646f97a79738a8375aeef6ca23fd0087af01340f1"),
-    ("h-cell", "quotient", "fd9b2228edaf463bc1d6fde19bfac1c19a3e5b319e0185a40d99b0388494eedc"),
-    ("h-cell", "bundle", "dad0600619cae3cdc3bb9736090908b5f0d3c02a96a734aa7390ef5b362e332b"),
-    ("h-cell", "all", "9d563f278192c325604a9893a1cdbd6b78e5a0cd7da07d0db8e7e15224754a44"),
+    ("a3-table", "peiffer",
+     "d2d2e752ff43a13a261e4a96fafe14231cba2cb434ecfd2f3578deca69b4991f",
+     "03beda522bb03d21e6832d35bd2eda1a3ffa2508bab47ecb89d0aa368904f07c"),
+    ("a3-table", "gerbal",
+     "557be47831a845ab65ed0f94bf52a3b46d6f163f868be411a6af1baf59aa8e04",
+     "64d905e5e4db9621fac069c8bd34a011b95e4fca039e59e8f3866c5d738c5d0b"),
+    ("a3-table", "functorial",
+     "1bbac35dd048c0e6b34d3bb35088c65f99525c1422d9088cd1e09f1a6054541f",
+     "b55dc93885113109fe9003ac8d97410b6ca38db82f531d571d7f0cbf5da65ded"),
+    ("a3-table", "naturality",
+     "e7d0c80746102f88b55ad7e2dbac84b19f8bfa51577b35eac95fa31a2fb60bdf",
+     "3d36b04e74d2616a88503135a4e660dcd6ba73e784a69e57753b9a9aa10e92d6"),
+    ("a3-table", "quotient",
+     "f1986f9abdf8721fad784a12dcfbde98b6ee96defe80e896fde8f979c000c223",
+     "4b407e82623724e2bdea2b90117d48cf82a7feacc6052ec122463553b9070c9d"),
+    ("a3-table", "bundle",
+     "d4d2c4b7c9a641ca665cd698a1fe900a838d38a688689e6f3ff2ae74528a6d80",
+     "f58383bb25044b79a9d289546c71814d815a3d7a261cbfb4f1c2988ef37d522d"),
+    ("a3-table", "all",
+     "fc1a6efba233f62cddc45f8fe18be2d57412610a238f74d1078adb73bc20afa7",
+     "7725e61b9634873af3eb7394e0ac65e0345f962553c732a8fbaea72cab1dd6a2"),
+    ("conj-action", "peiffer",
+     "432a2b5ccd1ba6a216281091a4200a06298dec835685b0c2b61b629e8dfe1850",
+     "5507ff117bf6f9eaa8342318bea814db836ca80daa897e37cf5868e43bba35fd"),
+    ("conj-action", "gerbal",
+     "23911f2e26ea7db81c57ae6ef8daba01af08a77bc091d13c9b9a2f7f0b53e9cc",
+     "82b87d92cc4bbd58c7112698e079ed68b2e314e527efb6110685fbf01caf0c48"),
+    ("conj-action", "functorial",
+     "7d1796815392bfc37abda3b58340fe85d2d7979c74bda7f65242a7722425a99c",
+     "6cb6237dfc9dd83138e4c8ea3275b87972e38c24d1f10b5dab26ad33416feeda"),
+    ("conj-action", "naturality",
+     "ce95462f6ed6e36fdc06faf9000b578cbbd1b4d96e24fa12dbcbc01a0daac477",
+     "b28e4ac13fc61794040760340d59a8f7424d34f91bf62d92509a10f170743b64"),
+    ("conj-action", "quotient",
+     "d2ef9f98937a555eb33dd5a2bd33496f4dfe296c32daca9b2fd7bd6876919194",
+     "d9e6b1cb091df45de909649e1433ed1aba53890bc77358d38c56f694fa0a81be"),
+    ("conj-action", "bundle",
+     "ea6f6382059c202d1e3743d40a7bf7eca14bb6d5dab591559d551bc009b152bd",
+     "7b5e95c3983f21b6eb7af2274a913e40a399f98a4b8f9a9e0a3b6fb924f25aeb"),
+    ("conj-action", "all",
+     "50c1678d685d758d81fe53651b5817c6ad8eeb7f65d3fe1a4edaec1904602622",
+     "7eee881a55a5d46b7686f6c03d99febea0fee596dbb5c56f58436781e01d1159"),
+    ("h-cell", "peiffer",
+     "afa1a43820bb9b0d859580139f68c5032819df8b00277e75e248e32b222ac960",
+     "2a14350c4c4f3169cb631c673c6fd383546a8a87453584d02ad0c7c14cb73847"),
+    ("h-cell", "gerbal",
+     "18337b541a133329f2b79e71aeaf9c939c2254c74e295c5ebba4054d4a3c40cc",
+     "18337b541a133329f2b79e71aeaf9c939c2254c74e295c5ebba4054d4a3c40cc"),
+    ("h-cell", "functorial",
+     "3a8c8e3439995200ad3389afef487194c4b2b8129560605928c6b6d64a064ab6",
+     "9ad5b909bc0f92f19cda24dc848e1ce11cce214428775fb7de0cdf9a09d42a13"),
+    ("h-cell", "naturality",
+     "6ca91d786f69726ecdc494635a08c18e9f764c06846eb09bbd667f092d7ce3c3",
+     "78a28253b6cf8f83e795c0c646f97a79738a8375aeef6ca23fd0087af01340f1"),
+    ("h-cell", "quotient",
+     "b7eaa96bded576529bd77de518c8149325239264178bdb5526548983d6aa8208",
+     "fd9b2228edaf463bc1d6fde19bfac1c19a3e5b319e0185a40d99b0388494eedc"),
+    ("h-cell", "bundle",
+     "bfb5c8eeb8f0af508c6022908a2d82ade9d068dee9eeb7004b6568077e55b9ed",
+     "dad0600619cae3cdc3bb9736090908b5f0d3c02a96a734aa7390ef5b362e332b"),
+    ("h-cell", "all",
+     "6cf44596a3aec7e19dd7ff84c4461b674f90a63fb00d7e85fa54e6a31a04f6d3",
+     "9d563f278192c325604a9893a1cdbd6b78e5a0cd7da07d0db8e7e15224754a44"),
 ]
 
 # The layers each built once per run; `run_suite(..., "all")` once called
@@ -76,6 +139,60 @@ GOLDEN_EDITED = [
 # derives its own tower, so derive_tower is counted where it is called.
 LAYERS = ("derive_tower", "build_quotient", "check_classical_cocycle",
           "validate_gerbal", "check_second_gerbe")
+
+
+# The rows a report leaves out because its gate decides them: the Peiffer
+# identities imply the J_H laws that jh.normal_full runs behind, and the
+# classical.* checks a bundle space is built behind imply that the gluing
+# relation is an equivalence.
+IMPLIED_JH = (("jh.taubar", "(j,h) -> (tau'(j), tau(h)) is a homomorphism"),
+              ("jh.subgroup", "J_H is a subgroup of H x| G"),
+              ("jh.normal", "J_H is normal in H x| tau(H)"))
+IMPLIED_GLUE = (("bundle.glue.reflexive", "gbar_ii(u) = identity coset"),
+                ("bundle.glue.symmetric", "gbar_ij(u) gbar_ji(u) = identity coset"),
+                ("bundle.glue.transitive", "gbar_kj(u) gbar_ji(u) = gbar_ki(u)"))
+
+
+def with_implied_rows(rep, chain):
+    """`rep` with the rows it leaves out as decided by another row or a gate:
+    a component group under each module that holds it, where the report
+    lists each group once; `tau_image.<cm>.hom`, which repeats the module's
+    tau homomorphism row; and the IMPLIED_JH and IMPLIED_GLUE passes."""
+    modules = (chain.outer, chain.inner)
+    by_id = {c.check_id: c for c in rep.checks}
+    extra = []
+    for c in rep.checks:
+        for cm in modules:
+            if c.check_id == f"peiffer.{cm.name}.component.hom.{cm.tau.name}":
+                extra.append(c._replace(check_id=f"tau_image.{cm.name}.hom"))
+        if c.check_id == f"peiffer.{chain.outer.name}.component.hom.{chain.outer.tau.name}":
+            # one copy of the chain's peiffer rows
+            first = {}
+            for cm in modules:
+                for g in (cm.G, cm.H):
+                    row = f"peiffer.{cm.name}.component.group.{g.name}"
+                    if g in first:
+                        extra.append(by_id[first[g]]._replace(check_id=row))
+                    else:
+                        first[g] = row
+        if c.check_id == "jh.normal_full":
+            extra += [CheckResult(i, law, "pass") for i, law in IMPLIED_JH]
+        if c.check_id == "bundle.objects.glue_consistent":
+            extra += [CheckResult(i, law, "pass") for i, law in IMPLIED_GLUE]
+    out = Report(rep.suite)
+    out.checks = rep.checks + extra
+    return out
+
+
+def pinned(cases):
+    """Each case named by its arguments up to the long-form digest."""
+    return [pytest.param(*c, id="-".join(map(str, c[:-1]))) for c in cases]
+
+
+def assert_pinned(rep, chain, long_digest, digest):
+    assert hashlib.sha256(report_to_json(rep).encode()).hexdigest() == digest
+    long_form = report_to_json(with_implied_rows(rep, chain))
+    assert hashlib.sha256(long_form.encode()).hexdigest() == long_digest
 
 
 def prefixes(rep):
@@ -142,16 +259,16 @@ def test_peiffer_suite_covers_both_modules(inst_line5):
     assert any("inner" in n for n in names)
 
 
-@pytest.mark.parametrize("preset,max_len,digest", GOLDEN_ALL)
-def test_all_report_bytes_are_pinned(preset, max_len, digest):
-    rep = run_suite(build_instance(preset, seed=5, noise=True), "all", max_len)
-    assert hashlib.sha256(report_to_json(rep).encode()).hexdigest() == digest
+@pytest.mark.parametrize("preset,max_len,long_digest,digest", pinned(GOLDEN_ALL))
+def test_all_report_bytes_are_pinned(preset, max_len, long_digest, digest):
+    inst = build_instance(preset, seed=5, noise=True)
+    assert_pinned(run_suite(inst, "all", max_len), inst.chain, long_digest, digest)
 
 
-@pytest.mark.parametrize("fixture,digest", GOLDEN_NON_THIN)
-def test_non_thin_fiber_report_bytes_are_pinned(request, fixture, digest):
-    rep = run_suite(request.getfixturevalue(fixture), "all", 3)
-    assert hashlib.sha256(report_to_json(rep).encode()).hexdigest() == digest
+@pytest.mark.parametrize("fixture,long_digest,digest", pinned(GOLDEN_NON_THIN))
+def test_non_thin_fiber_report_bytes_are_pinned(request, fixture, long_digest, digest):
+    inst = request.getfixturevalue(fixture)
+    assert_pinned(run_suite(inst, "all", 3), inst.chain, long_digest, digest)
 
 
 def edited_instance(edit):
@@ -170,10 +287,10 @@ def applicable(inst):
     return ["peiffer", "gerbal", "functorial", "naturality", "quotient", last]
 
 
-@pytest.mark.parametrize("edit,suite,digest", GOLDEN_EDITED)
-def test_edited_report_bytes_are_pinned(edit, suite, digest):
-    rep = run_suite(edited_instance(edit), suite, 2)
-    assert hashlib.sha256(report_to_json(rep).encode()).hexdigest() == digest
+@pytest.mark.parametrize("edit,suite,long_digest,digest", pinned(GOLDEN_EDITED))
+def test_edited_report_bytes_are_pinned(edit, suite, long_digest, digest):
+    inst = edited_instance(edit)
+    assert_pinned(run_suite(inst, suite, 2), inst.chain, long_digest, digest)
 
 
 @pytest.mark.parametrize("source", preset_names() + sorted(EDITS))
@@ -188,7 +305,7 @@ def test_all_is_the_concatenation_of_the_single_suites(source):
     assert run_suite(inst, "all", max_len).checks == singles
 
 
-@pytest.mark.parametrize("source", preset_names() + [f for f, _ in GOLDEN_NON_THIN]
+@pytest.mark.parametrize("source", preset_names() + [f for f, _, _ in GOLDEN_NON_THIN]
                          + sorted(EDITS))
 def test_no_report_repeats_a_check_id(request, source):
     # each law is checked once per report. `all` runs only on the documents
