@@ -74,7 +74,7 @@ from functools import cache, reduce
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .complexes import PathMor, compose_paths
-from .errors import CompositionError, SchemaError
+from .errors import CompositionError, DomainError, SchemaError
 from .functorial import FunctorialCocycle, eval_theta
 from .quotient import QuotientCatGroup
 from .report import Report
@@ -146,8 +146,13 @@ class BundleSpace:
         return self.q.objects.rep(self.fc.g(to_chart, from_chart, u))
 
     def thetabar(self, to_chart: str, from_chart: str, walk: PathMor) -> str:
-        # memoized by the whole walk, which is all that `eval_theta` reads
-        return self.q.q_mor(eval_theta(self.fc, to_chart, from_chart, walk))
+        # memoized by the whole walk: theta reads only its endpoints, but a
+        # walk between two vertices of the overlap may leave it on the way
+        indices = (to_chart, from_chart)
+        if not self.cover.overlap(indices).issuperset(walk.visited):
+            raise DomainError(
+                f"walk through {list(walk.visited)} leaves the overlap of {indices}")
+        return self.q.q_mor(eval_theta(self.fc, to_chart, from_chart, walk.start, walk.end))
 
     # ----- objects ----------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Finite graph bases with open covers, and bounded walks inside chart overlaps.
+"""Finite graph bases with open covers, and the walks inside chart overlaps.
 
 The base is a finite graph (undirected by default). A cover assigns to each
 index a vertex subset; load-time invariants: the cover is surjective on
@@ -94,6 +94,7 @@ class CoverComplex:
         for u in self.vertices:
             self._steps_from[u].sort()
         self.overlap = cache(self.overlap)
+        self.reachable = cache(self.reachable)
 
     def steps_from(self, u: str) -> list[tuple[str, int, str]]:
         return self._steps_from[u]
@@ -110,6 +111,23 @@ class CoverComplex:
         if not indices:
             raise SchemaError("overlap of an empty index family is not defined")
         return frozenset.intersection(*(self.chart(i) for i in indices))
+
+    def reachable(self, indices: tuple[str, ...]) -> tuple[tuple[str, str], ...]:
+        """The sorted (u0, u1) pairs that a walk inside the overlap of
+        `indices` joins, of any length, (u, u) included; on a directed base
+        only forward. Computed once per tuple, and never cached for a tuple
+        that `overlap` refuses."""
+        region = self.overlap(indices)
+        pairs = []
+        for u in sorted(region):
+            seen, todo = {u}, [u]
+            while todo:
+                for _, _, v in self._steps_from[todo.pop()]:
+                    if v in region and v not in seen:
+                        seen.add(v)
+                        todo.append(v)
+            pairs.extend((u, v) for v in sorted(seen))
+        return tuple(pairs)
 
     def overlapping(self, r: int) -> list[tuple[str, ...]]:
         """The ordered r-tuples of chart indices, repeats included, with

@@ -93,7 +93,7 @@ class InstanceContext:
         `quotient.build` record."""
         from .quotient import check_classical_cocycle
         q, built = self.quotient
-        return built if q is None else check_classical_cocycle(self.fc, q, self.max_len)
+        return built if q is None else check_classical_cocycle(self.fc, q)
 
     @cached_property
     def space(self) -> tuple[Optional[BundleSpace], Report]:
@@ -134,7 +134,7 @@ def suite_functorial(ctx: InstanceContext) -> Report:
     from .functorial import check_theta_functorial
     rep = Report("functorial")
     for i, k in ctx.fc.cover.overlapping(2):
-        rep.merge(check_theta_functorial(ctx.fc, i, k, ctx.max_len))
+        rep.merge(check_theta_functorial(ctx.fc, i, k))
     return rep
 
 
@@ -145,8 +145,8 @@ def suite_naturality(ctx: InstanceContext) -> Report:
     from .functorial import check_naturality, check_product_relation
     rep = Report("naturality")
     for i, k, m in ctx.fc.cover.overlapping(3):
-        rep.merge(check_naturality(ctx.fc, i, k, m, ctx.max_len))
-        rep.merge(check_product_relation(ctx.fc, i, k, m, ctx.max_len))
+        rep.merge(check_naturality(ctx.fc, i, k, m))
+        rep.merge(check_product_relation(ctx.fc, i, k, m))
     return rep
 
 

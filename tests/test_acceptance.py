@@ -9,9 +9,9 @@ lists everything that went wrong, not just the first thing.
 import re
 import time
 from contextlib import contextmanager
-from itertools import combinations
 
 import perm_oracle
+from transition_laws_reference import distances, endpoint_breaks
 
 from catbundle.battery import check_bundle_axioms
 from catbundle.complexes import enumerate_paths
@@ -21,7 +21,6 @@ from catbundle.functorial import (
     check_naturality,
     check_product_relation,
     check_theta_functorial,
-    eval_theta,
 )
 from catbundle.gerbal import (
     check_second_gerbe,
@@ -127,17 +126,14 @@ def test_criterion_03_functoriality_and_endpoint_dependence(chain_s3):
         for seed in range(20):
             fc = FunctorialCocycle(generate_gerbal(chain_s3, cover, seed))
             for i, k in fc.cover.overlapping(2):
-                _report_problems(problems, check_theta_functorial(fc, i, k, 3),
+                _report_problems(problems, check_theta_functorial(fc, i, k),
                                  f"seed {seed} pair ({i},{k})")
-                by_ends: dict[tuple[str, str], list] = {}
-                for w in enumerate_paths(cover, (i, k), 3):
-                    by_ends.setdefault((w.start, w.end), []).append(
-                        eval_theta(fc, i, k, w))
-                for ends, arrows in sorted(by_ends.items()):
-                    if any(a != b for a, b in combinations(arrows, 2)):
-                        problems.append(
-                            f"seed {seed}: theta_{i}{k} differs on two walks "
-                            f"{ends[0]} -> {ends[1]}")
+                # every walk up to the overlap's diameter, which joins every pair
+                reach = max(distances(cover, (i, k)).values())
+                broken = next(endpoint_breaks(fc, i, k, enumerate_paths(cover, (i, k), reach)),
+                              None)
+                if broken:
+                    problems.append(f"seed {seed}: {broken}")
             if problems:
                 break
 
@@ -153,9 +149,9 @@ def test_criterion_04_naturality_and_product_relation(chain_s3):
             if not any(len(set(t)) < 3 for t in triples):
                 problems.append("no degenerate triples were enumerated")
             for i, k, m in triples:
-                _report_problems(problems, check_naturality(fc, i, k, m, 3),
+                _report_problems(problems, check_naturality(fc, i, k, m),
                                  f"seed {seed} triple ({i},{k},{m})")
-                _report_problems(problems, check_product_relation(fc, i, k, m, 3),
+                _report_problems(problems, check_product_relation(fc, i, k, m),
                                  f"seed {seed} triple ({i},{k},{m})")
             if problems:
                 break
@@ -203,7 +199,7 @@ def test_criterion_06_classical_cocycle(chain_s3, quotient_s3):
         cover = cover_line5w()
         for seed in range(20):
             fc = FunctorialCocycle(generate_gerbal(chain_s3, cover, seed))
-            rep = check_classical_cocycle(fc, quotient_s3, 3)
+            rep = check_classical_cocycle(fc, quotient_s3)
             _report_problems(problems, rep, f"seed {seed}")
             ids = {c.check_id for c in rep.checks}
             if not {"classical.object", "classical.morphism"} <= ids:

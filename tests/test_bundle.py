@@ -624,6 +624,29 @@ def test_trivialization_names_an_unknown_chart(space_line5):
         LocalTrivialization(space_line5, "1", ("1", "9"))
 
 
+def test_trivialization_refuses_a_chart_outside_its_index_set(space_line5):
+    with pytest.raises(SchemaError, match=r"chart '3' is not in \('1', '2'\)"):
+        LocalTrivialization(space_line5, "3", ("2", "1"))
+
+
+def test_trivialization_refuses_an_empty_overlap(space_cycle6):
+    # the three arcs of the six-cycle share no vertex
+    with pytest.raises(SchemaError, match="overlap of .* is empty"):
+        LocalTrivialization(space_cycle6, "1", ("1", "2", "3"))
+
+
+def test_trivialization_refuses_objects_and_walks_outside_its_overlap(space_line5):
+    space, q = space_line5, space_line5.q
+    triv = LocalTrivialization(space, "1", ("1", "2"))
+    assert "0" not in triv.region and "1" in triv.region
+    with pytest.raises(DomainError, match="vertex '0' is outside the overlap"):
+        triv.on_object("0", q.identity_obj())
+    # the walk 1 0 1 starts and ends inside the overlap but leaves it
+    walk = space.cover.walk("1", [("e01", -1), ("e01", 1)])
+    with pytest.raises(DomainError, match="walk leaves the overlap"):
+        triv.on_pair(walk, q.identity_mor_at(q.identity_obj()))
+
+
 def test_clean_battery_builds_each_trivialization_image_once(monkeypatch):
     space = fresh_space(build_instance("s4-line5w", 5, True))
     built = []

@@ -81,6 +81,45 @@ def test_bad_overlaps_raise_on_every_call_and_are_not_cached(indices):
     assert c.overlap.cache_info().currsize == size
 
 
+@pytest.mark.parametrize("build", [cover_line5, cover_line5w, cover_cycle6, cover_dirline3])
+def test_reachable_pairs_are_the_endpoints_of_the_walks_inside_each_overlap(build):
+    # a walk longer than the overlap's vertex count joins no new pair
+    c = build()
+    for r in (1, 2, 3):
+        for t in c.overlapping(r):
+            walks = enumerate_paths(c, t, max_len=len(c.overlap(t)))
+            assert c.reachable(t) == tuple(sorted({(w.start, w.end) for w in walks}))
+
+
+def test_reachable_goes_forward_only_on_a_directed_base():
+    c = cover_dirline3()
+    assert c.reachable(("1",)) == (("0", "0"), ("0", "1"), ("0", "2"),
+                                   ("1", "1"), ("1", "2"), ("2", "2"))
+    for t in c.overlapping(2):
+        pairs = c.reachable(t)
+        assert all((u, u) in pairs for u in c.overlap(t))
+        assert all(u0 <= u1 for u0, u1 in pairs)
+
+
+def test_reachable_is_computed_once_per_index_tuple():
+    c = cover_line5w()
+    for _ in range(2):
+        for t in c.overlapping(2):
+            c.reachable(t)
+    info = c.reachable.cache_info()
+    assert info.currsize == info.misses == len(c.overlapping(2))
+
+
+@pytest.mark.parametrize("indices", [("1", "nope"), ()])
+def test_reachable_refuses_an_unknown_chart_and_caches_nothing(indices):
+    c = cover_line5()
+    c.reachable(("1", "2"))
+    for _ in range(2):
+        with pytest.raises(SchemaError):
+            c.reachable(indices)
+    assert c.reachable.cache_info().currsize == 1
+
+
 def test_cycle6_charts_cover_all_arcs():
     c = cover_cycle6()
     assert len(c.vertices) == 6

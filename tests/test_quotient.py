@@ -235,7 +235,7 @@ def test_build_names_a_tau_image_that_is_no_subgroup(inst_line5):
 def test_classical_cocycle_on_generated_data(inst_line5w, quotient_s3):
     from catbundle.functorial import FunctorialCocycle
     fc = FunctorialCocycle(inst_line5w.gc)
-    rep = check_classical_cocycle(fc, quotient_s3, max_len=3)
+    rep = check_classical_cocycle(fc, quotient_s3)
     assert rep.ok, rep.failures()
 
 

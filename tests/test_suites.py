@@ -27,19 +27,19 @@ from catbundle.suites import SUITES, run_suite
 GOLDEN_ALL = [
     ("s3-line5", 3,
      "0dc368c802c17156a86ad7a3bc1e1f2e664da464fbd597ee7d7e5ce07adc2e7c",
-     "4fa6c731ef71a9a93cf8773575a486666977a496b8f94a07bf14ff4741128f2b"),
+     "dedec2f1a9afe6858e805bc99cc9e53c0182acc8991cb3fdbaf605ca0cad5cc6"),
     ("s3-line5w", 2,
      "0dc368c802c17156a86ad7a3bc1e1f2e664da464fbd597ee7d7e5ce07adc2e7c",
-     "4fa6c731ef71a9a93cf8773575a486666977a496b8f94a07bf14ff4741128f2b"),
+     "dedec2f1a9afe6858e805bc99cc9e53c0182acc8991cb3fdbaf605ca0cad5cc6"),
     ("cycle6-trivial", 4,
      "d19e83ce502521ff91a0e5a4b1e4f33d0020bff5f89d2622a6b299994d0e8273",
-     "857b3320285374e0e10821fc331cbacb7b22315463f32e297de9d78ad831b868"),
+     "991e4b9e87aeed10070d3c0fa9e854ff7278fe31bebb2c097a67fca1886467f1"),
     ("oracle-dirline3", 3,
      "be681f120706fdcb3fc5128ba2495146a50eb7be81bd7243f2ee7104b7053e3c",
-     "9fcd7ccf67743fd55416bf178e29b9201cf751a50c9cc99e3a4ae7d4ab6fd69e"),
+     "456ce2cc2a68ad7879c63a7cfddf48645b7f747afd219c119a3d7844315f8ba4"),
     ("s4-line5w", 1,
      "0b56141b301e1f5e5d516502ff64d51f216484b62d87f788c87f66e00f3fc926",
-     "bdce7e914060d6ed1e7acf2d64eaa115dc2b462c4d4154f3437866a1a31ba32b"),
+     "f100979acd2ecbb3a3e03a8ff744735cebe432dbf61938cb4ce841c62d904be6"),
 ]
 
 # SHA-256 of the `all` report at length 3 of the A3/J3 chain (conftest.py),
@@ -47,10 +47,10 @@ GOLDEN_ALL = [
 GOLDEN_NON_THIN = [
     ("inst_a3j3_line5w",
      "cee738a50f232f7db7631161aa024d4875fbd64a36b9746fbc8050671240f5e5",
-     "ce30216b385041d3fc3ad540e912e7117c2a4dcbd761a7f0cee885daccc50842"),
+     "4df3f5d5b079053a947c7ad1e69bcc1a443f3c33830195862ed2a5af2ad6804a"),
     ("inst_a3j3_dirline3",
      "a2b1bd9f5c16f961b413d310b4d69f3a3ba5fbf1248e0a62e2fc21b4f81ab5bb",
-     "0d49123255fdbdbb37f84dcd732575e4fde01dfd5a33672bc7c6f718d224eeb8"),
+     "9e038e0734126dd508a8d004f62d8f892769317200a0b8477f3bc7432b0f43c2"),
 ]
 
 # One-cell edits of preset documents at seed 3 (the ones tests/test_cli.py
@@ -124,14 +124,14 @@ GOLDEN_EDITED = [
      "6ca91d786f69726ecdc494635a08c18e9f764c06846eb09bbd667f092d7ce3c3",
      "78a28253b6cf8f83e795c0c646f97a79738a8375aeef6ca23fd0087af01340f1"),
     ("h-cell", "quotient",
-     "b7eaa96bded576529bd77de518c8149325239264178bdb5526548983d6aa8208",
-     "fd9b2228edaf463bc1d6fde19bfac1c19a3e5b319e0185a40d99b0388494eedc"),
+     "e334713212b843e83441514193047987cd6fc793df80c2c22764ef2388e25819",
+     "9132c495c14334b48bade6c6076978858ad56fbb76444db6bf3a9b446fa9e915"),
     ("h-cell", "bundle",
-     "bfb5c8eeb8f0af508c6022908a2d82ade9d068dee9eeb7004b6568077e55b9ed",
-     "dad0600619cae3cdc3bb9736090908b5f0d3c02a96a734aa7390ef5b362e332b"),
+     "aa4192a90258ea45c3751fc31a826b2ea0744e9b154ad723f74a4529694d782c",
+     "9a58afa4de6f00e255cbec57fd4e39a3dec0af21176e6f40a51d81d2d5a4d34f"),
     ("h-cell", "all",
-     "6cf44596a3aec7e19dd7ff84c4461b674f90a63fb00d7e85fa54e6a31a04f6d3",
-     "9d563f278192c325604a9893a1cdbd6b78e5a0cd7da07d0db8e7e15224754a44"),
+     "d46338d6f21846122356cacf2bcfd9528bbbcc9a0a4391030e782849d82f249d",
+     "13c27b0288c5ab955afe442fd6c1f08c6641b628eda72b1cb41284aa7d20125f"),
 ]
 
 # The layers each built once per run; `run_suite(..., "all")` once called
@@ -141,23 +141,26 @@ LAYERS = ("derive_tower", "build_quotient", "check_classical_cocycle",
           "validate_gerbal", "check_second_gerbe")
 
 
-# The rows a report leaves out because its gate decides them: the Peiffer
-# identities imply the J_H laws that jh.normal_full runs behind, and the
-# classical.* checks a bundle space is built behind imply that the gluing
-# relation is an equivalence.
+# The rows a report leaves out because its gate or a signature decides them:
+# the Peiffer identities imply the J_H laws that jh.normal_full runs behind,
+# the classical.* checks a bundle space is built behind imply that the gluing
+# relation is an equivalence, and theta, which takes a walk's endpoints as its
+# arguments, depends only on them.
 IMPLIED_JH = (("jh.taubar", "(j,h) -> (tau'(j), tau(h)) is a homomorphism"),
               ("jh.subgroup", "J_H is a subgroup of H x| G"),
               ("jh.normal", "J_H is normal in H x| tau(H)"))
 IMPLIED_GLUE = (("bundle.glue.reflexive", "gbar_ii(u) = identity coset"),
                 ("bundle.glue.symmetric", "gbar_ij(u) gbar_ji(u) = identity coset"),
                 ("bundle.glue.transitive", "gbar_kj(u) gbar_ji(u) = gbar_ki(u)"))
+IMPLIED_ENDPOINTS = "theta(gamma) depends only on (gamma_0, gamma_1)"
 
 
 def with_implied_rows(rep, chain):
     """`rep` with the rows it leaves out as decided by another row or a gate:
     a component group under each module that holds it, where the report
     lists each group once; `tau_image.<cm>.hom`, which repeats the module's
-    tau homomorphism row; and the IMPLIED_JH and IMPLIED_GLUE passes."""
+    tau homomorphism row; the IMPLIED_JH and IMPLIED_GLUE passes; and a
+    `theta.<ik>.endpoints` pass beside each `theta.<ik>.compose` row."""
     modules = (chain.outer, chain.inner)
     by_id = {c.check_id: c for c in rep.checks}
     extra = []
@@ -179,6 +182,9 @@ def with_implied_rows(rep, chain):
             extra += [CheckResult(i, law, "pass") for i, law in IMPLIED_JH]
         if c.check_id == "bundle.objects.glue_consistent":
             extra += [CheckResult(i, law, "pass") for i, law in IMPLIED_GLUE]
+        if c.check_id.startswith("theta.") and c.check_id.endswith(".compose"):
+            extra.append(CheckResult(c.check_id.replace(".compose", ".endpoints"),
+                                     IMPLIED_ENDPOINTS, "pass"))
     out = Report(rep.suite)
     out.checks = rep.checks + extra
     return out

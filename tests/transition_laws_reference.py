@@ -1,0 +1,142 @@
+"""A per-walk reference for the transition laws that are checked once per
+reachable vertex pair.
+
+`functorial.check_theta_functorial`, `check_naturality`,
+`check_product_relation` and `quotient.check_classical_cocycle` check each law
+once per pair of vertices that a walk inside the overlap joins, and `.compose`
+once per reachable triple. This module keeps the scans they replaced: every
+walk of `enumerate_paths` up to a bound, and every composable pair of such
+walks for `.compose`, stopping at the first witness. It also keeps
+`theta.<ik>.endpoints`, which no report lists since theta takes a walk's
+endpoints as its arguments. theta, T and Theta are read through the package's
+pair form on (w.start, w.end), looked up on the module at each call, so a test
+that plants a fault in them plants it here too.
+"""
+
+from catbundle import functorial
+from catbundle.complexes import compose_paths, enumerate_paths
+from catbundle.crossed import (
+    arrow_compose,
+    arrow_endpoints,
+    arrow_identity,
+    arrow_product,
+    pair_id,
+)
+from catbundle.errors import CompositionError
+
+
+def theta(fc, i, k, w):
+    return functorial.eval_theta(fc, i, k, w.start, w.end)
+
+
+def identity_breaks(fc, i, k):
+    for u in sorted(fc.cover.overlap((i, k))):
+        if theta(fc, i, k, fc.cover.identity_walk(u)) != arrow_identity(fc.chain.outer,
+                                                                         fc.g(i, k, u)):
+            yield f"theta_{i}{k}(id_{u})"
+
+
+def target_breaks(fc, i, k, walks):
+    for w in walks:
+        if arrow_endpoints(fc.chain.outer, theta(fc, i, k, w)) != (fc.g(i, k, w.start),
+                                                                    fc.g(i, k, w.end)):
+            yield f"theta_{i}{k} endpoints wrong on walk {w.start}:{list(w.steps)}"
+
+
+def compose_breaks(fc, i, k, walks):
+    starting_at, of = {}, {w: theta(fc, i, k, w) for w in walks}
+    for w in walks:
+        starting_at.setdefault(w.start, []).append(w)
+    for w1 in walks:
+        for w2 in starting_at[w1.end]:
+            try:
+                rhs = arrow_compose(fc.chain.outer, of[w2], of[w1])
+            except CompositionError:
+                rhs = None
+            if theta(fc, i, k, compose_paths(fc.cover, w2, w1)) != rhs:
+                yield f"theta_{i}{k} at {w1.start}:{list(w1.steps)} then {list(w2.steps)}"
+
+
+def endpoint_breaks(fc, i, k, walks):
+    by_ends = {}
+    for w in walks:
+        if by_ends.setdefault((w.start, w.end), theta(fc, i, k, w)) != theta(fc, i, k, w):
+            yield f"theta_{i}{k} differs on two walks {w.start} -> {w.end}"
+
+
+def square_breaks(fc, i, k, m, walks):
+    cm, T = fc.chain.outer, functorial.eval_T
+    for w in walks:
+        try:
+            lhs = arrow_compose(cm, T(fc, i, k, m, w.end),
+                                arrow_product(cm, theta(fc, i, k, w), theta(fc, k, m, w)))
+            rhs = arrow_compose(cm, theta(fc, i, m, w), T(fc, i, k, m, w.start))
+        except CompositionError:
+            yield f"square at walk {w.start}:{list(w.steps)} does not compose"
+            continue
+        if lhs != rhs:
+            yield f"square fails at walk {w.start}:{list(w.steps)}"
+
+
+def relation_breaks(fc, i, k, m, walks):
+    cm = fc.chain.outer
+    for w in walks:
+        big = functorial.eval_Theta(fc, i, k, m, w.start, w.end)
+        lhs = arrow_product(cm, arrow_product(cm, big, theta(fc, i, k, w)), theta(fc, k, m, w))
+        if lhs != theta(fc, i, m, w):
+            yield f"product relation at walk {w.start}:{list(w.steps)}"
+
+
+def morphism_breaks(fc, q, max_len):
+    for i, k, m in fc.cover.overlapping(3):
+        for w in enumerate_paths(fc.cover, (i, k, m), max_len):
+            lhs = q.q_mor(arrow_product(fc.chain.outer, theta(fc, i, k, w), theta(fc, k, m, w)))
+            if lhs != q.q_mor(theta(fc, i, m, w)):
+                yield f"thetabar cocycle at ({i},{k},{m}) walk {w.start}:{list(w.steps)}"
+
+
+def defect_breaks(fc, q, max_len):
+    for i, k, m in fc.cover.overlapping(3):
+        for w in enumerate_paths(fc.cover, (i, k, m), max_len):
+            big = functorial.eval_Theta(fc, i, k, m, w.start, w.end)
+            if pair_id(big.h, big.g) not in q.morphisms.subgroup:
+                yield f"Theta_{i}{k}{m} at walk {w.start}:{list(w.steps)} is outside J_H"
+
+
+def walk_scans(fc, q, max_len):
+    """{check id: (the charts whose overlaps it reads, its per-walk scan, not
+    yet started)} for every law above at walk bound `max_len`; a scan that
+    yields no witness is a pass."""
+    cover, scans = fc.cover, {}
+    for i, k in cover.overlapping(2):
+        walks = enumerate_paths(cover, (i, k), max_len)
+        tag, charts = f"theta.{i}{k}", [(i, k)]
+        scans[f"{tag}.identity"] = charts, identity_breaks(fc, i, k)
+        scans[f"{tag}.target"] = charts, target_breaks(fc, i, k, walks)
+        scans[f"{tag}.compose"] = charts, compose_breaks(fc, i, k, walks)
+        scans[f"{tag}.endpoints"] = charts, endpoint_breaks(fc, i, k, walks)
+    triples = cover.overlapping(3)
+    for i, k, m in triples:
+        walks = enumerate_paths(cover, (i, k, m), max_len)
+        scans[f"naturality.{i}{k}{m}.square"] = [(i, k, m)], square_breaks(fc, i, k, m, walks)
+        scans[f"product.{i}{k}{m}.relation"] = [(i, k, m)], relation_breaks(fc, i, k, m, walks)
+    scans["classical.morphism"] = triples, morphism_breaks(fc, q, max_len)
+    scans["classical.defect"] = triples, defect_breaks(fc, q, max_len)
+    return scans
+
+
+def distances(cover, indices):
+    """{(u0, u1): the length of the shortest walk from u0 to u1 inside the
+    overlap of `indices`}, over the pairs such a walk joins. At a bound of at
+    least the largest of them, the overlap's diameter, the walks reach every
+    pair."""
+    region, out = cover.overlap(indices), {}
+    for u in sorted(region):
+        dist, todo = {u: 0}, [u]
+        for x in todo:
+            for _, _, v in cover.steps_from(x):
+                if v in region and v not in dist:
+                    dist[v] = dist[x] + 1
+                    todo.append(v)
+        out.update(((u, v), d) for v, d in dist.items())
+    return out
