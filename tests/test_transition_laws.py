@@ -80,43 +80,42 @@ def far_pairs(fc, at_least):
             for p, d in distances(fc.cover, (i, k)).items() if d >= at_least}
 
 
+def theta_plant(hits):
+    """Move theta on each (chart pair, vertex pair) of `hits`."""
+    def wrap(original):
+        def planted(fc, i, k, u0, u1):
+            got = original(fc, i, k, u0, u1)
+            return moved(fc, got) if ((i, k), (u0, u1)) in hits else got
+        return planted
+    return "eval_theta", wrap
+
+
 def plants(fc):
-    """{name: (function name, wrapper)}: each moves one value family."""
+    """{name: (function name, wrapper)}: each moves one family of values."""
     cover = fc.cover
     # a pair of distinct vertices, over distinct charts where there is one
-    (i, k), one_pair = max((((i, k), p) for i, k in cover.overlapping(2)
+    charts, (u0, u1) = max((((i, k), p) for i, k in cover.overlapping(2)
                             for p in cover.reachable((i, k)) if p[0] != p[1]),
                            key=lambda c: c[0][0] != c[0][1])
     triple = max(cover.overlapping(3), key=lambda t: (len(cover.overlap(t)) > 1, len(set(t))))
     vertex = min(cover.overlap(triple))
-    far = far_pairs(fc, 2)
-
-    def theta_at(hit):
-        def wrap(original):
-            def planted(fc_, a, b, u0, u1):
-                got = original(fc_, a, b, u0, u1)
-                return moved(fc_, got) if hit(a, b, u0, u1) else got
-            return planted
-        return wrap
 
     def T_at(original):
-        def planted(fc_, a, b, c, u):
-            got = original(fc_, a, b, c, u)
-            return moved(fc_, got) if ((a, b, c), u) == (triple, vertex) else got
+        def planted(fc, i, k, m, u):
+            got = original(fc, i, k, m, u)
+            return moved(fc, got) if ((i, k, m), u) == (triple, vertex) else got
         return planted
 
     def Theta_off_diagonal(original):
-        def planted(fc_, a, b, c, u0, u1):
-            got = original(fc_, a, b, c, u0, u1)
-            return moved(fc_, got) if u0 != u1 else got
+        def planted(fc, i, k, m, u0, u1):
+            got = original(fc, i, k, m, u0, u1)
+            return moved(fc, got) if u0 != u1 else got
         return planted
 
     return {
-        "theta-one-pair": ("eval_theta", theta_at(lambda a, b, *p: ((a, b), p) == ((i, k),
-                                                                                 one_pair))),
-        "theta-identity": ("eval_theta", theta_at(lambda a, b, u0, u1: (a, b, u0, u1)
-                                                  == (i, k, one_pair[0], one_pair[0]))),
-        "theta-far": ("eval_theta", theta_at(lambda a, b, *p: ((a, b), p) in far)),
+        "theta-one-pair": theta_plant({(charts, (u0, u1))}),
+        "theta-identity": theta_plant({(charts, (u0, u0))}),
+        "theta-far": theta_plant(far_pairs(fc, 2)),
         "T-one-vertex": ("eval_T", T_at),
         "Theta-off-diagonal": ("eval_Theta", Theta_off_diagonal),
     }
@@ -154,13 +153,7 @@ def test_a_fault_farther_than_the_walk_bound_is_caught_by_the_pair_checks(monkey
     fc, q = FunctorialCocycle(inst.gc), build_quotient(inst.chain)
     far = far_pairs(fc, 3)
     assert far
-
-    def wrap(original):
-        def planted(fc_, a, b, u0, u1):
-            got = original(fc_, a, b, u0, u1)
-            return moved(fc_, got) if ((a, b), (u0, u1)) in far else got
-        return planted
-    plant(monkeypatch, "eval_theta", wrap)
+    plant(monkeypatch, *theta_plant(far))
     assert all(ref == "pass" for ref, _ in reference_statuses(fc, q, 1).values())
     failed = {cid for cid, s in pair_statuses(fc, q).items() if s == "fail"}
     assert {f"theta.{i}{k}.compose" for (i, k), _ in far} <= failed
