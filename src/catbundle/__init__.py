@@ -23,14 +23,15 @@ _NAMES = {
     "crossed": ("Arrow", "ChainedCrossedModules", "CrossedModule", "validate_peiffer"),
     "errors": ("CompositionError", "DomainError", "InternalInvariantError",
                "PreconditionError", "SchemaError"),
-    "functorial": ("FunctorialCocycle", "check_naturality", "check_theta_functorial"),
-    "gerbal": ("GerbalCocycle", "check_second_gerbe", "derive_tower", "generate_gerbal",
+    "functorial": ("check_naturality", "check_theta_functorial"),
+    "generation": ("generate_gerbal", "instance_to_json"),
+    "gerbal": ("FunctorialCocycle", "GerbalCocycle", "check_second_gerbe", "derive_tower",
                "validate_gerbal"),
     "groups": ("FiniteGroup", "GroupAction", "GroupHom"),
     "presets": ("build_instance", "preset_names"),
     "quotient": ("QuotientCatGroup", "build_quotient", "check_JH_normal"),
     "report": ("Report",),
-    "schema": ("Instance", "instance_from_json", "instance_to_json"),
+    "schema": ("Instance", "instance_from_json"),
     "suites": ("run_suite",),
     "wordalg": ("WordOracle", "check_oracle_agreement"),
 }

@@ -75,7 +75,8 @@ from typing import Callable, Iterable, NamedTuple, Optional
 
 from .complexes import PathMor, compose_paths
 from .errors import CompositionError, DomainError, SchemaError
-from .functorial import FunctorialCocycle, eval_theta
+from .functorial import eval_theta
+from .gerbal import FunctorialCocycle
 from .quotient import QuotientCatGroup
 from .report import Report
 

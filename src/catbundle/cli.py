@@ -15,7 +15,7 @@ from typing import Optional
 from .errors import PreconditionError, SchemaError
 from .presets import build_instance, preset_names
 from .report import Report
-from .schema import Instance, instance_from_json, instance_to_json, report_to_json
+from .schema import Instance, instance_from_json, report_to_json
 from .suites import SUITES, InstanceContext, run_suite
 
 
@@ -47,6 +47,7 @@ def _path_len(text: str) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    from .generation import instance_to_json
     inst = build_instance(args.preset, args.seed, args.noise == "on")
     _emit(instance_to_json(inst), args.out)
     return 0

@@ -29,21 +29,8 @@ from __future__ import annotations
 
 from .crossed import Arrow, arrow_compose, arrow_endpoints, arrow_identity, arrow_product
 from .errors import CompositionError
-from .gerbal import GerbalCocycle, derive_tower
+from .gerbal import FunctorialCocycle
 from .report import Report
-
-
-class FunctorialCocycle:
-    """A cocycle together with its derived tower, exposing endpoint evaluation."""
-
-    def __init__(self, gc: GerbalCocycle):
-        self.gc = gc
-        self.tower = derive_tower(gc)
-        self.chain = gc.chain
-        self.cover = gc.cover
-
-    def g(self, i: str, k: str, u: str) -> str:
-        return self.tower.g[(i, k, u)]
 
 
 def eval_theta(fc: FunctorialCocycle, i: str, k: str, u0: str, u1: str) -> Arrow:

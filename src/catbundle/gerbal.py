@@ -1,4 +1,4 @@
-"""Local cocycle data over a covered base, its validation, and its generation.
+"""Local cocycle data over a covered base, its validation, and its derived tower.
 
 The data consists of two dense tables over the cover: h maps (i, k, u) with u
 in the pairwise overlap to the middle group H, and j maps (i, k, m, u) with u
@@ -18,9 +18,7 @@ from __future__ import annotations
 
 from .complexes import CoverComplex
 from .crossed import ChainedCrossedModules
-from .errors import InternalInvariantError
 from .groups import checked_table
-from .prng import SplitMix64
 from .report import Report
 
 
@@ -91,6 +89,19 @@ def derive_tower(gc: GerbalCocycle) -> DerivedTower:
     return DerivedTower(g, h3)
 
 
+class FunctorialCocycle:
+    """A cocycle together with its derived tower, exposing endpoint evaluation."""
+
+    def __init__(self, gc: GerbalCocycle):
+        self.gc = gc
+        self.tower = derive_tower(gc)
+        self.chain = gc.chain
+        self.cover = gc.cover
+
+    def g(self, i: str, k: str, u: str) -> str:
+        return self.tower.g[(i, k, u)]
+
+
 def check_second_gerbe(gc: GerbalCocycle, tower: DerivedTower) -> Report:
     """The compatibility of the derived triple table with itself:
 
@@ -118,51 +129,3 @@ def check_second_gerbe(gc: GerbalCocycle, tower: DerivedTower) -> Report:
     rep.search("gerbal.second", "h_ijm(u) alpha_g_ij(u)(h_jkm(u)) = h_ikm(u) h_ijk(u)",
                violations())
     return rep
-
-
-def generate_gerbal(chain: ChainedCrossedModules, cover: CoverComplex, seed: int,
-                    noise: bool = True, trivial: bool = False) -> GerbalCocycle:
-    """Draw a valid cocycle deterministically from a single seed.
-
-    Construction: draw a local potential f_i per chart vertex, set
-    h_ik = tau'(a_ik) f_i f_k^{-1} with a_ik fresh noise from J (identity when
-    noise is off or i = k), then solve tau'(j_ikm) = h_im (h_ik h_km)^{-1}
-    for the smallest preimage. The discrepancy always lands in tau'(J)
-    because tau'(J) is normal in H; anything else aborts loudly.
-    """
-    H, J = chain.H, chain.J
-    rng = SplitMix64(seed)
-    preimage: dict[str, list[str]] = {}
-    for j in sorted(J.elements):
-        preimage.setdefault(chain.tau_p(j), []).append(j)
-
-    if trivial:
-        f = {(i, u): H.identity for i in cover.index_order for u in sorted(cover.chart(i))}
-    else:
-        f = {}
-        for i in cover.index_order:
-            for u in sorted(cover.chart(i)):
-                f[(i, u)] = H.elements[rng.below(len(H.elements))]
-
-    h: dict[tuple[str, str, str], str] = {}
-    for i, k in cover.overlapping(2):
-        for u in sorted(cover.overlap((i, k))):
-            if i == k:
-                h[(i, k, u)] = H.identity
-                continue
-            a = H.identity
-            if noise and not trivial:
-                a = chain.tau_p(J.elements[rng.below(len(J.elements))])
-            h[(i, k, u)] = H.op(a, H.op(f[(i, u)], H.inverse(f[(k, u)])))
-
-    j: dict[tuple[str, str, str, str], str] = {}
-    for i, k, m in cover.overlapping(3):
-        for u in sorted(cover.overlap((i, k, m))):
-            d = H.op(h[(i, m, u)], H.inverse(H.op(h[(i, k, u)], h[(k, m, u)])))
-            cands = preimage.get(d)
-            if not cands:
-                raise InternalInvariantError(
-                    f"discrepancy {d!r} at ({i},{k},{m},{u}) has no tau' preimage"
-                )
-            j[(i, k, m, u)] = cands[0]
-    return GerbalCocycle(chain, cover, h, j)

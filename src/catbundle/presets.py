@@ -6,7 +6,6 @@ from __future__ import annotations
 from .complexes import CoverComplex
 from .crossed import ChainedCrossedModules, CrossedModule
 from .errors import SchemaError
-from .gerbal import generate_gerbal
 from .schema import Instance
 
 
@@ -114,6 +113,7 @@ def build_instance(preset: str, seed: int = 0, noise: bool = True) -> Instance:
     except KeyError:
         raise SchemaError(
             f"unknown preset {preset!r}; choose one of {preset_names()}") from None
+    from .generation import generate_gerbal
     chain = CHAINS[chain_kind]()
     cover = cover_builder()
     # a trivial preset ignores the noise request; record what actually ran

@@ -34,7 +34,8 @@ from .crossed import (
     pair_id,
 )
 from .errors import CompositionError, InternalInvariantError, SchemaError
-from .functorial import FunctorialCocycle, eval_Theta, eval_theta
+from .functorial import eval_Theta, eval_theta
+from .gerbal import FunctorialCocycle
 from .groups import generators, subgroup_as_group
 from .report import Report
 

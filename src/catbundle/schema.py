@@ -1,4 +1,4 @@
-"""JSON document round-trip for full instances.
+"""The JSON document loader for full instances, and canonical JSON.
 
 A document carries the groups (as explicit multiplication tables), the two
 crossed modules sharing the middle group, the covered base, and the dense
@@ -13,7 +13,8 @@ runs. Every id and table value must be a JSON string, so a value of another
 type is a SchemaError that names its place.
 
 Serialization is canonical: sorted keys, two-space indent, trailing newline,
-so identical inputs produce byte-identical files.
+so identical inputs produce byte-identical files. Reports are written here;
+documents are written by `generation`, which only `generate` loads.
 """
 
 from __future__ import annotations
@@ -43,80 +44,6 @@ class Instance(NamedTuple):
     chain: ChainedCrossedModules
     cover: CoverComplex
     gc: GerbalCocycle
-
-
-def _encode_group(g: FiniteGroup) -> dict:
-    return {
-        "elements": list(g.elements),
-        "identity": g.identity,
-        "mul": {a: {b: g.op(a, b) for b in g.elements} for a in g.elements},
-        "inv": {a: g.inverse(a) for a in g.elements},
-    }
-
-
-def _encode_hom(h: GroupHom) -> dict:
-    return {"domain": h.domain.name, "codomain": h.codomain.name,
-            "map": {x: h(x) for x in h.domain.elements}}
-
-
-def _encode_action(a: GroupAction) -> dict:
-    return {"actor": a.actor.name, "space": a.space.name,
-            "map": {g: {h: a(g, h) for h in a.space.elements}
-                    for g in a.actor.elements}}
-
-
-def document_from_instance(inst: Instance) -> dict:
-    chain = inst.chain
-    groups: dict[str, FiniteGroup] = {}
-    for grp in (chain.G, chain.H, chain.J):
-        known = groups.get(grp.name)
-        if known is not None and known is not grp:
-            raise SchemaError(f"two distinct groups share the name {grp.name!r}")
-        groups[grp.name] = grp
-    homs = {}
-    actions = {}
-    for hom in (chain.tau, chain.tau_p):
-        if hom.name in homs:
-            raise SchemaError(f"two homomorphisms share the name {hom.name!r}")
-        homs[hom.name] = hom
-    for act in (chain.alpha, chain.alpha_p):
-        if act.name in actions:
-            raise SchemaError(f"two actions share the name {act.name!r}")
-        actions[act.name] = act
-    cover = inst.cover
-    for part in list(cover.vertices) + [e for e, _, _ in cover.edges] \
-            + list(cover.index_order):
-        if SEP in part:
-            raise SchemaError(f"identifier {part!r} may not contain {SEP!r}")
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "meta": {"name": inst.preset, "seed": inst.seed, "noise": inst.noise},
-        "groups": {name: _encode_group(g) for name, g in groups.items()},
-        "homs": {name: _encode_hom(h) for name, h in homs.items()},
-        "actions": {name: _encode_action(a) for name, a in actions.items()},
-        "chain": {
-            "outer": {"G": chain.G.name, "H": chain.H.name,
-                      "alpha": chain.alpha.name, "tau": chain.tau.name},
-            "inner": {"G": chain.H.name, "H": chain.J.name,
-                      "alpha": chain.alpha_p.name, "tau": chain.tau_p.name},
-        },
-        "cover": {
-            "vertices": list(cover.vertices),
-            "edges": [[e, u, v] for e, u, v in cover.edges],
-            "sets": {i: sorted(cover.chart(i)) for i in cover.index_order},
-            "index_order": list(cover.index_order),
-            "directed": cover.directed,
-            "identity_edges": cover.identity_edges,
-        },
-        "cocycle": {
-            "h": {SEP.join(key): val for key, val in sorted(inst.gc.h.items())},
-            "j": {SEP.join(key): val for key, val in sorted(inst.gc.j.items())},
-        },
-    }
-
-
-def instance_to_json(inst: Instance) -> str:
-    return canonical_json(document_from_instance(inst))
 
 
 def _need(doc: Any, key: str, kind: type, where: str) -> Any:

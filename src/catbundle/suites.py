@@ -17,11 +17,12 @@ cocycle on it are separate stages, so a gated `quotient` suite checks no cocycle
 Each stage and suite imports its layer on first use: the transition functors
 (`functorial`), the coset quotient (`quotient`), the glued space (`bundle`),
 its law battery (`battery`) and the word oracle (`wordalg`). So a single
-suite loads only the layers it reads: `peiffer` none of them, `validate` only
-the transition functors, a gated `bundle` or `oracle` no space. `all` loads
-the space with every layer, also those its base skips, and the battery only
-on bases that run `bundle`: the benchmark's layer tracer wraps each layer
-module after replaying `all` in process.
+suite loads only the layers it reads: `peiffer`, `gerbal` and `validate` none
+of them, a gated `functorial` or `naturality` no transition functors, and a
+gated `bundle` or `oracle` no space. `all` loads the space with every
+layer, also those its base skips, and the battery only on bases that run
+`bundle`: the benchmark's layer tracer wraps each layer module after
+replaying `all` in process.
 """
 
 from __future__ import annotations
@@ -32,13 +33,12 @@ from typing import TYPE_CHECKING, Optional
 
 from .crossed import validate_peiffer
 from .errors import InternalInvariantError, PreconditionError, SchemaError
-from .gerbal import check_second_gerbe, validate_gerbal
+from .gerbal import FunctorialCocycle, check_second_gerbe, validate_gerbal
 from .report import Report
 from .schema import Instance
 
 if TYPE_CHECKING:
     from .bundle import BundleSpace
-    from .functorial import FunctorialCocycle
     from .quotient import QuotientCatGroup
 
 SUITES = ("peiffer", "gerbal", "functorial", "naturality", "quotient",
@@ -70,7 +70,6 @@ class InstanceContext:
 
     @cached_property
     def fc(self) -> FunctorialCocycle:
-        from .functorial import FunctorialCocycle
         return FunctorialCocycle(self.inst.gc)
 
     @cached_property

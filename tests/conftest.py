@@ -2,7 +2,7 @@ import pytest
 
 from catbundle import build_instance, build_quotient
 from catbundle.crossed import ChainedCrossedModules, CrossedModule
-from catbundle.gerbal import generate_gerbal
+from catbundle.generation import generate_gerbal
 from catbundle.groups import GroupHom
 from catbundle.permutations import (
     alternating_group,

@@ -17,15 +17,15 @@ from catbundle.battery import check_bundle_axioms
 from catbundle.complexes import enumerate_paths
 from catbundle.crossed import validate_peiffer
 from catbundle.functorial import (
-    FunctorialCocycle,
     check_naturality,
     check_product_relation,
     check_theta_functorial,
 )
+from catbundle.generation import generate_gerbal
 from catbundle.gerbal import (
+    FunctorialCocycle,
     check_second_gerbe,
     derive_tower,
-    generate_gerbal,
     validate_gerbal,
 )
 from catbundle.presets import build_instance, cover_line5w

@@ -20,7 +20,7 @@ from catbundle.errors import (
     PreconditionError,
     SchemaError,
 )
-from catbundle.gerbal import generate_gerbal
+from catbundle.generation import generate_gerbal
 from catbundle.presets import build_instance, cover_cycle6, cover_line5w
 from catbundle.report import Report
 from catbundle.schema import Instance

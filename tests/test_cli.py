@@ -329,6 +329,8 @@ print(json.dumps([code, sorted(set(sys.modules) - before)]))
 """
 LAYER_MODULES = {"catbundle.bundle", "catbundle.quotient", "catbundle.wordalg"}
 BATTERY = "catbundle.battery"
+# what only `generate` runs: no `validate` or `check` verb loads it
+GENERATOR = {"catbundle.generation", "catbundle.prng"}
 
 
 @pytest.fixture(scope="module")
@@ -337,7 +339,8 @@ def footprint_docs(tmp_path_factory):
     docs = {}
     for preset in ("s3-line5", "oracle-dirline3"):
         docs[preset] = root / f"{preset}.json"
-        assert main(["generate", preset, "--seed", "3", "--out", str(docs[preset])]) == 0
+        loaded = loaded_by("generate", preset, "--seed", "3", "--out", str(docs[preset]))
+        assert GENERATOR <= loaded
     return docs
 
 
@@ -364,7 +367,9 @@ def test_precondition_verbs_load_no_later_layer(footprint_docs, tmp_path, suite)
     else:
         loaded = check_loads(doc, suite, out)
     assert "catbundle.gerbal" in loaded
-    assert not loaded & (LAYER_MODULES | {BATTERY, "dataclasses"})
+    assert not loaded & (LAYER_MODULES | GENERATOR | {BATTERY, "dataclasses"})
+    # the gerbal data derives its tower without the transition functors
+    assert ("catbundle.functorial" in loaded) == (suite in ("functorial", "naturality"))
     # the preset chains build their permutation groups on first use
     assert "catbundle.permutations" not in loaded
 
@@ -372,20 +377,21 @@ def test_precondition_verbs_load_no_later_layer(footprint_docs, tmp_path, suite)
 def test_quotient_verb_loads_the_quotient_only(footprint_docs, tmp_path):
     loaded = check_loads(footprint_docs["s3-line5"], "quotient", tmp_path / "rep.json")
     assert "catbundle.quotient" in loaded
-    assert not loaded & {"catbundle.bundle", BATTERY, "catbundle.wordalg", "dataclasses"}
+    assert not loaded & ({"catbundle.bundle", BATTERY, "catbundle.wordalg", "dataclasses"}
+                         | GENERATOR)
 
 
 def test_bundle_verb_loads_no_word_oracle(footprint_docs, tmp_path):
     loaded = check_loads(footprint_docs["s3-line5"], "bundle", tmp_path / "rep.json")
     assert {"catbundle.bundle", BATTERY} <= loaded
-    assert not loaded & {"catbundle.wordalg", "fractions", "dataclasses"}
+    assert not loaded & ({"catbundle.wordalg", "fractions", "dataclasses"} | GENERATOR)
 
 
 def test_oracle_verb_loads_the_word_oracle(footprint_docs, tmp_path):
     loaded = check_loads(footprint_docs["oracle-dirline3"], "oracle", tmp_path / "rep.json")
     assert LAYER_MODULES <= loaded
     # the oracle reads the glued space, never the law battery
-    assert not loaded & {BATTERY, "dataclasses"}
+    assert not loaded & ({BATTERY, "dataclasses"} | GENERATOR)
     # the oracle's classes are union-find components: no rational arithmetic
     assert not loaded & {"fractions", "decimal"}
 
@@ -394,14 +400,14 @@ def test_all_battery_on_a_directed_base_loads_no_rational_arithmetic(footprint_d
     loaded = check_loads(footprint_docs["oracle-dirline3"], "all", tmp_path / "rep.json")
     assert LAYER_MODULES | {"catbundle.functorial"} <= loaded
     # the base runs no bundle suite, so `all` loads the space without its battery
-    assert not loaded & {BATTERY, "fractions", "decimal"}
+    assert not loaded & ({BATTERY, "fractions", "decimal"} | GENERATOR)
 
 
 def test_all_battery_loads_every_layer(footprint_docs, tmp_path):
     # s3-line5 has zero-length edges, so `all` skips the oracle suite here
     loaded = check_loads(footprint_docs["s3-line5"], "all", tmp_path / "rep.json")
     assert LAYER_MODULES | {BATTERY, "catbundle.functorial"} <= loaded
-    assert "catbundle.permutations" not in loaded
+    assert not loaded & (GENERATOR | {"catbundle.permutations"})
 
 
 def test_bare_package_import_loads_no_submodule():
@@ -417,16 +423,21 @@ def test_bundle_import_loads_no_battery():
 
 
 @pytest.mark.parametrize("preset, suite", [("s3-line5", "bundle"),
-                                           ("oracle-dirline3", "oracle")])
+                                           ("oracle-dirline3", "oracle"),
+                                           ("s3-line5", "functorial"),
+                                           ("s3-line5", "naturality")])
 def test_gated_bundle_verbs_load_no_space(tmp_path, capsys, preset, suite):
     # a broken group table fails the space's preconditions, so the verb
-    # reports them before importing the glued space
+    # reports them before importing the glued space; it fails `peiffer`, so
+    # the transition-law verbs report it without the transition functors
     doc = _edited(tmp_path, capsys, preset, 3,
                   ("groups", "A3", "mul", "(132)", "(132)"), "(132)")
     loaded = loaded_by("check", str(doc), "--suite", suite, "--max-path-len", "1",
                        "--out", str(tmp_path / "rep.json"), exit_code=1)
     assert "catbundle.gerbal" in loaded
-    assert not loaded & {"catbundle.bundle", BATTERY, "catbundle.wordalg"}
+    assert not loaded & ({"catbundle.bundle", BATTERY, "catbundle.wordalg"} | GENERATOR)
+    if suite in ("functorial", "naturality"):
+        assert "catbundle.functorial" not in loaded
 
 
 def test_bundle_resolves_the_battery_names_the_layer_tracer_reads():

@@ -7,7 +7,6 @@ import pytest
 
 from catbundle.crossed import arrow_endpoints, arrow_identity
 from catbundle.functorial import (
-    FunctorialCocycle,
     check_naturality,
     check_product_relation,
     check_theta_functorial,
@@ -15,7 +14,8 @@ from catbundle.functorial import (
     eval_Theta,
     eval_theta,
 )
-from catbundle.gerbal import generate_gerbal
+from catbundle.generation import generate_gerbal
+from catbundle.gerbal import FunctorialCocycle
 from catbundle.presets import cover_line5w
 
 

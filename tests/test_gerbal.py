@@ -6,11 +6,11 @@ import re
 import pytest
 
 from catbundle.errors import SchemaError
+from catbundle.generation import generate_gerbal
 from catbundle.gerbal import (
     GerbalCocycle,
     check_second_gerbe,
     derive_tower,
-    generate_gerbal,
     validate_gerbal,
 )
 from catbundle.presets import build_instance, cover_line5w

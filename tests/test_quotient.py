@@ -25,7 +25,8 @@ from catbundle.quotient import (
     check_JH_normal,
     check_classical_cocycle,
 )
-from catbundle.schema import instance_from_document, instance_to_json
+from catbundle.generation import instance_to_json
+from catbundle.schema import instance_from_document
 
 
 def test_variant_detection(chain_s3, chain_s4):
@@ -233,7 +234,7 @@ def test_build_names_a_tau_image_that_is_no_subgroup(inst_line5):
 
 
 def test_classical_cocycle_on_generated_data(inst_line5w, quotient_s3):
-    from catbundle.functorial import FunctorialCocycle
+    from catbundle.gerbal import FunctorialCocycle
     fc = FunctorialCocycle(inst_line5w.gc)
     rep = check_classical_cocycle(fc, quotient_s3)
     assert rep.ok, rep.failures()

@@ -24,7 +24,8 @@ import pytest
 from catbundle import cli
 from catbundle.errors import SchemaError
 from catbundle.presets import build_instance
-from catbundle.schema import instance_from_document, instance_to_json
+from catbundle.generation import instance_to_json
+from catbundle.schema import instance_from_document
 
 DELETE = object()
 REPLACEMENTS = (DELETE, None, 0, "zz", [], {}, True)

@@ -3,20 +3,30 @@ between malformed documents (refused at load, by every verb) and law-breaking
 documents (loaded, then failed by suites)."""
 
 import json
+import re
 
 import pytest
 
+import catbundle
 from catbundle.cli import main
+from catbundle.crossed import ChainedCrossedModules, CrossedModule
 from catbundle.errors import SchemaError
-from catbundle.presets import build_instance
+from catbundle.generation import document_from_instance, instance_to_json
+from catbundle.groups import GroupHom
+from catbundle.permutations import (
+    alternating_group,
+    conjugation_action,
+    symmetric_group,
+    trivial_action,
+)
+from catbundle.presets import build_instance, cover_line5
 from catbundle.report import Report
 from catbundle.schema import (
     SCHEMA_VERSION,
+    Instance,
     canonical_json,
-    document_from_instance,
     instance_from_document,
     instance_from_json,
-    instance_to_json,
     report_to_json,
 )
 from catbundle.suites import InstanceContext, suite_gerbal
@@ -184,3 +194,34 @@ def test_malformed_value_is_refused_with_its_location(tmp_path, capsys, path, va
     file.write_text(canonical_json(doc))
     code = main(["validate", str(file)])
     assert (code, capsys.readouterr()) == (2, ("", f"error: {message}\n"))
+
+
+def named_chain(j_name, tau_p_name, alpha_p_name):
+    """A3 in S3 by conjugation, under a second copy of A3 acted on trivially,
+    both taus trivial; the inner module's group, hom and action take the
+    given names."""
+    s3, a3, j3 = symmetric_group(3), alternating_group(3), alternating_group(3, j_name)
+    outer = CrossedModule(s3, a3, conjugation_action(s3, a3, "act"),
+                          GroupHom("tau", a3, s3, dict.fromkeys(a3.elements, s3.identity)))
+    inner = CrossedModule(a3, j3, trivial_action(a3, j3, alpha_p_name),
+                          GroupHom(tau_p_name, j3, a3, dict.fromkeys(j3.elements, a3.identity)))
+    return ChainedCrossedModules(outer, inner)
+
+
+# a document names each group, hom and action once, so the encoder refuses a
+# chain in which two distinct ones share a name
+DUPLICATE_NAMES = [
+    (("A3", "tau_p", "act_p"), "two distinct groups share the name 'A3'"),
+    (("J3", "tau", "act_p"), "two homomorphisms share the name 'tau'"),
+    (("J3", "tau_p", "act"), "two actions share the name 'act'"),
+]
+
+
+@pytest.mark.parametrize("names, message", DUPLICATE_NAMES,
+                         ids=["group", "hom", "action"])
+def test_encoder_refuses_two_parts_that_share_a_name(names, message):
+    chain, cover = named_chain(*names), cover_line5()
+    inst = Instance("named", 5, True, chain, cover,
+                    catbundle.generate_gerbal(chain, cover, 5, noise=True))
+    with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+        catbundle.instance_to_json(inst)

@@ -7,11 +7,12 @@ from collections import Counter
 
 import pytest
 
-from catbundle import functorial, quotient, suites
+from catbundle import gerbal, quotient, suites
 from catbundle.errors import PreconditionError, SchemaError
 from catbundle.presets import build_instance, preset_names
 from catbundle.report import CheckResult, Report
-from catbundle.schema import instance_from_document, instance_to_json, report_to_json
+from catbundle.generation import instance_to_json
+from catbundle.schema import instance_from_document, report_to_json
 from catbundle.suites import SUITES, run_suite
 
 # Each pin is two SHA-256 digests: of the report's long form
@@ -340,7 +341,7 @@ def layer_calls(monkeypatch):
         return wrapper
 
     # each name is patched where the stage resolves it at call time
-    home = {"derive_tower": functorial, "build_quotient": quotient,
+    home = {"derive_tower": gerbal, "build_quotient": quotient,
             "check_classical_cocycle": quotient}
     for name in LAYERS:
         module = home.get(name, suites)

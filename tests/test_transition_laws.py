@@ -16,7 +16,7 @@ from transition_laws_reference import distances, walk_scans
 
 from catbundle import functorial
 from catbundle.crossed import Arrow
-from catbundle.functorial import FunctorialCocycle
+from catbundle.gerbal import FunctorialCocycle
 from catbundle.presets import build_instance, preset_names
 from catbundle.quotient import build_quotient, check_classical_cocycle
 from catbundle.report import Report
