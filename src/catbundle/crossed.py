@@ -18,6 +18,7 @@ identities are decided on generators; witnesses come from the full scan.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Collection, Iterable, NamedTuple, Optional
 
 from .errors import CompositionError, SchemaError
@@ -186,7 +187,7 @@ class ChainedCrossedModules:
     subgroup of G used throughout the quotient constructions.
 
     The chain checks only that the modules share H. Their laws are left to
-    the `peiffer` suite, so a document with broken laws loads and reports
+    its `peiffer` report, so a document with broken laws loads and reports
     failures instead of refusing to load."""
 
     def __init__(self, outer: CrossedModule, inner: CrossedModule, name: str = ""):
@@ -204,6 +205,15 @@ class ChainedCrossedModules:
         self.tau_p = inner.tau
         self.tau_p_image = frozenset(self.tau_p(j) for j in self.J.elements)
         self.tau_tau_p_image = frozenset(self.tau(x) for x in self.tau_p_image)
+
+    @cached_property
+    def peiffer(self) -> Report:
+        """Both modules' `validate_peiffer` reports, outer first; the modules
+        share the middle group, so it is validated once."""
+        rep, groups = Report("peiffer"), {}
+        for cm in (self.outer, self.inner):
+            rep.merge(validate_peiffer(cm, groups))
+        return rep
 
     def __repr__(self) -> str:
         return f"ChainedCrossedModules({self.name!r})"

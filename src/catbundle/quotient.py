@@ -6,27 +6,34 @@ pair: tau tau'(J) inside the object group and
     J_H = { (tau'(j), tau tau'(j')) : j, j' in J }  =  tau'(J) x tau tau'(J)
 
 inside the arrow group. Objects are left cosets g tau tau'(J), morphisms are
-left cosets (h, g) J_H; source, target, composition, and (when the subgroups
-are normal) the group laws all descend, and every descent is verified
-exhaustively rather than assumed. The object group is tau(H), extracted as
-its own table, and the arrows are H x| tau(H), which is a categorical group
-even when tau is not onto G. Products and inverses in H x| G come from
-`crossed.arrow_product` and `arrow_inverse`, evaluated on arrows where they
-are used: the quotient keeps only a pair-id -> Arrow map of H x| tau(H) and
-builds no table of it. Endpoints and composition come from `arrow_endpoints`
-and `arrow_compose`.
+left cosets (h, g) J_H. The object group is tau(H), extracted as its own
+table, and the arrows are H x| tau(H), which is a categorical group even when
+tau is not onto G.
+
+Nothing is searched: the structure descends by algebra once the chain's
+`peiffer` report passes, and the quotient refuses a chain whose report fails.
+The Peiffer identities make J_H a normal sub-2-group of H x| tau(H): a normal
+subgroup whose arrows run inside the normal subgroup tau tau'(J) of tau(H)
+(`check_JH_normal` gives the argument). The quotient of a strict 2-group by a
+normal sub-2-group is a strict 2-group (Brown and Spencer 1976; Baez and
+Lauda, "Higher-dimensional algebra V: 2-groups", 2004). So a coset runs
+between the cosets of any member's endpoints, and cosets compose as
+f2 o f1 = f2 id_s(f2)^-1 f1, which on arrows is `arrow_compose`.
+
+Products and inverses in H x| G come from `crossed.arrow_product` and
+`arrow_inverse`, evaluated on arrows where they are used: the quotient keeps
+only a pair-id -> Arrow map of H x| tau(H) and builds no table of it.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
 from .crossed import (
     Arrow,
     ChainedCrossedModules,
     arrow_co_inverse,
-    arrow_compose,
     arrow_endpoints,
     arrow_inverse,
     arrow_product,
@@ -97,18 +104,20 @@ def build_JH(chain: ChainedCrossedModules) -> frozenset[str]:
     )
 
 
-def check_JH_normal(chain: ChainedCrossedModules, peiffer: Optional[Report] = None) -> Report:
+def check_JH_normal(chain: ChainedCrossedModules) -> Report:
     """J_H is normalized by every arrow of H x| G, which holds whenever
-    tau tau'(J) is normal in G. Handed the chain's passed `peiffer` report,
-    the check is decided on generators; the witness comes from the full scan
-    in pair-id order. No group table is built.
+    tau tau'(J) is normal in G. Once the chain's `peiffer` report passes, the
+    check is decided on generators; the witness comes from the full scan in
+    pair-id order. No group table is built.
 
     The Peiffer identities imply the rest of J_H's structure, so it is not
     checked here: (j, h) -> (tau'(j), tau(h)) is a homomorphism
     J x| H -> H x| G, as tau'(alpha'_h(j)) = h tau'(j) h^-1 =
     alpha_tau(h)(tau'(j)); J_H is a subgroup, as alpha_tau(x) conjugates
-    tau'(J) into itself for x in tau'(J); and J_H is normal in H x| tau(H),
-    which `quotient.mor_normal` checks where the coset quotient is built."""
+    tau'(J) into itself for x in tau'(J); tau tau'(J) is normal in tau(H), as
+    tau(x) tau(tau'(j)) tau(x)^-1 = tau(tau'(alpha'_x(j))); and J_H is normal
+    in H x| tau(H), as alpha_tau(x) is conjugation by x, and conjugation by
+    any h keeps tau'(J). `QuotientCatGroup` builds its cosets on these facts."""
     rep = Report("jh")
     outer = chain.outer
 
@@ -130,7 +139,7 @@ def check_JH_normal(chain: ChainedCrossedModules, peiffer: Optional[Report] = No
                     w_id = pair_id(*w)
                     yield f"{w_id} {pair_id(*v)} {w_id}^-1 = {pair_id(*c)!r} leaves J_H"
     decided = None
-    if peiffer is not None and peiffer.ok:
+    if chain.peiffer.ok:
         jh_gens = spanning(sorted(chain.tau_p_image), sorted(chain.tau_tau_p_image))
         decided = leaks(spanning(outer.H.elements, outer.G.elements), jh_gens)
     rep.search("jh.normal_full", "J_H is normal in all of H x| G",
@@ -139,13 +148,17 @@ def check_JH_normal(chain: ChainedCrossedModules, peiffer: Optional[Report] = No
 
 
 class QuotientCatGroup:
-    """Coset objects and coset morphisms with verified categorical structure.
+    """Coset objects and coset morphisms of a chain whose `peiffer` report
+    passes, with their source, target and composition tables.
 
-    The constructor raises InternalInvariantError unless its verification
-    passes, normality of both subgroups included, so coset products and
-    inverses need no check of their own."""
+    The constructor raises InternalInvariantError on a chain whose `peiffer`
+    report fails: the tables and the coset products and inverses rest on the
+    normality those laws imply, so they need no check of their own."""
 
     def __init__(self, chain: ChainedCrossedModules):
+        if not chain.peiffer.ok:
+            raise InternalInvariantError(
+                f"no quotient of a chain that fails peiffer: {chain.peiffer.first_witness()}")
         self.chain = chain
         tau_image = chain.tau.image()
         self.obj_parent = par = subgroup_as_group(chain.G, tau_image, f"tau({chain.H.name})")
@@ -156,25 +169,27 @@ class QuotientCatGroup:
         self.morphisms = CosetSpace(f"{chain.H.name}x|{par.name}", self.arrow_of,
                                     pair_id(chain.H.identity, chain.G.identity),
                                     self._arrow_op, self._arrow_inverse, build_JH(chain))
-
-        self.obj_normal = self._subgroup_normal(self.objects)
-        self.mor_normal = self._subgroup_normal(self.morphisms)
-
-        # source and target per morphism coset, plus the composition table;
-        # filled by _verify, which also confirms they are well defined
-        self.source: dict[str, str] = {}
-        self.target: dict[str, str] = {}
-        self._compose: dict[tuple[str, str], str] = {}
-        self._by_source: dict[str, list[str]] = {}
         # coset products and identities, memoized on first use
         self.obj_product = cache(self.obj_product)
         self.mor_product = cache(self.mor_product)
         self.identity_mor_at = cache(self.identity_mor_at)
-        self.verification = self._verify()
-        if not self.verification.ok:
-            raise InternalInvariantError(
-                f"quotient structure does not descend: {self.verification.first_witness()}"
-            )
+
+        # a coset runs between the cosets of its rep's endpoints, and cosets
+        # compose as in any strict 2-group: f2 o f1 = f2 id_s(f2)^-1 f1
+        reps = self.morphisms.reps
+        self.source: dict[str, str] = {}
+        self.target: dict[str, str] = {}
+        self._by_source: dict[str, list[str]] = {}
+        for m in reps:
+            s, t = arrow_endpoints(chain.outer, self.arrow_of[m])
+            self.source[m], self.target[m] = self.objects.rep(s), self.objects.rep(t)
+            self._by_source.setdefault(self.source[m], []).append(m)
+        self._compose: dict[tuple[str, str], str] = {}
+        for m2 in reps:
+            left = self.mor_product(m2, self.mor_inverse(self.identity_mor_at(self.source[m2])))
+            for m1 in reps:
+                if self.target[m1] == self.source[m2]:
+                    self._compose[m2, m1] = self.mor_product(left, m1)
 
     def arrow(self, x: str) -> Arrow:
         """The arrow of H x| tau(H) with pair id `x`."""
@@ -188,127 +203,6 @@ class QuotientCatGroup:
 
     def _arrow_inverse(self, x: str) -> str:
         return pair_id(*arrow_inverse(self.chain.outer, self.arrow(x)))
-
-    @staticmethod
-    def _subgroup_normal(space: CosetSpace) -> bool:
-        # the subgroup S is closed, so g = r s conjugates it as its coset rep r
-        # does: g S g^-1 = r (s S s^-1) r^-1 = r S r^-1
-        sub, op = space.subgroup, space.op
-        return all(op(op(r, s), space.inverse(r)) in sub for r in space.reps for s in sub)
-
-    def _verify(self) -> Report:
-        rep = Report("quotient")
-        cm, arrow_of = self.chain.outer, self.arrow_of
-        ends = {x: arrow_endpoints(cm, a) for x, a in arrow_of.items()}
-
-        # the first two searches fill the endpoint and composition tables as
-        # they scan, so a search that stops at a witness leaves its table partial
-        def split_endpoints():
-            for mrep in self.morphisms.reps:
-                members = self.morphisms.members_of[mrep]
-                ss = {self.objects.rep(ends[x][0]) for x in members}
-                ts = {self.objects.rep(ends[x][1]) for x in members}
-                if len(ss) != 1 or len(ts) != 1:
-                    yield f"coset {mrep!r} has sources {sorted(ss)} targets {sorted(ts)}"
-                    continue
-                self.source[mrep] = next(iter(ss))
-                self.target[mrep] = next(iter(ts))
-        rep.search("quotient.descent.endpoints",
-                   "source and target are constant on each coset", split_endpoints())
-        if not rep.ok:
-            return rep
-
-        for mrep in self.morphisms.reps:
-            self._by_source.setdefault(self.source[mrep], []).append(mrep)
-
-        # the composable x1 of each x2, in element order
-        by_target: dict[str, list[str]] = {}
-        for x1 in arrow_of:
-            by_target.setdefault(ends[x1][1], []).append(x1)
-
-        def split_composites():
-            for x2 in arrow_of:
-                for x1 in by_target.get(ends[x2][0], ()):
-                    comp = pair_id(*arrow_compose(cm, arrow_of[x2], arrow_of[x1]))
-                    key = (self.morphisms.rep(x2), self.morphisms.rep(x1))
-                    got = self.morphisms.rep(comp)
-                    if self._compose.setdefault(key, got) != got:
-                        yield (
-                            f"composition is not constant on cosets at "
-                            f"({key[0]!r}, {key[1]!r})"
-                        )
-        rep.search("quotient.descent.compose",
-                   "(f2 f2') o (f1 f1') = (f2 o f1)(f2' o f1') modulo J_H",
-                   split_composites())
-
-        expected = sum(
-            1 for m2 in self.morphisms.reps for m1 in self.morphisms.reps
-            if self.source[m2] == self.target[m1]
-        )
-        rep.record("quotient.descent.compose_total",
-                   "every composable coset pair is realized by members",
-                   len(self._compose) == expected,
-                   f"{len(self._compose)} composable pairs, expected {expected}")
-        if not rep.ok:
-            # the checks below compose cosets, which needs a total table
-            return rep
-
-        def split_co_inverses():
-            for mrep in self.morphisms.reps:
-                outs = {self.mor_co_inverse(x) for x in self.morphisms.members_of[mrep]}
-                if len(outs) != 1:
-                    yield f"composition inverse not constant on coset {mrep!r}"
-        rep.search("quotient.descent.co_inverse",
-                   "(h,g) -> (h^-1, tau(h) g) descends to cosets", split_co_inverses())
-
-        def bad_identities():
-            for g in self.obj_parent.elements:
-                x = pair_id(self.chain.H.identity, g)
-                if self.morphisms.rep(x) != self.identity_mor_at(self.objects.rep(g)):
-                    yield f"identity coset at {g!r} is not induced by (e, {g})"
-        rep.search("quotient.q.identity",
-                   "the identity morphism of a coset is the class of (e, g)",
-                   bad_identities())
-
-        rep.record("quotient.obj_normal",
-                   "tau tau'(J) is normal in the object group",
-                   self.obj_normal, "conjugation leaves the subgroup")
-        rep.record("quotient.mor_normal",
-                   "J_H is normal in the morphism group",
-                   self.mor_normal, "conjugation leaves the subgroup")
-
-        if self.mor_normal and self.obj_normal:
-            def non_homomorphic():
-                for a in self.morphisms.reps:
-                    for b in self.morphisms.reps:
-                        ab = self.mor_product(a, b)
-                        if self.source[ab] != self.obj_product(self.source[a], self.source[b]):
-                            yield f"s({a!r} {b!r}) != s({a!r}) s({b!r})"
-                        if self.target[ab] != self.obj_product(self.target[a], self.target[b]):
-                            yield f"t({a!r} {b!r}) != t({a!r}) t({b!r})"
-            rep.search("quotient.st_hom",
-                       "source and target are group homomorphisms on cosets",
-                       non_homomorphic())
-
-            def bad_interchanges():
-                for a2 in self.morphisms.reps:
-                    for a1 in self.morphisms.reps:
-                        if self.source[a2] != self.target[a1]:
-                            continue
-                        for b2 in self.morphisms.reps:
-                            for b1 in self.morphisms.reps:
-                                if self.source[b2] != self.target[b1]:
-                                    continue
-                                lhs = self.mor_product(
-                                    self.compose_of(a2, a1), self.compose_of(b2, b1))
-                                rhs = self.compose_of(
-                                    self.mor_product(a2, b2), self.mor_product(a1, b1))
-                                if lhs != rhs:
-                                    yield f"interchange fails at ({a2!r},{a1!r},{b2!r},{b1!r})"
-            rep.search("quotient.interchange",
-                       "(a2 o a1)(b2 o b1) = (a2 b2) o (a1 b1) on cosets",
-                       bad_interchanges())
-        return rep
 
     # ----- coset-level operations ------------------------------------------
 

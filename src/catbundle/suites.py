@@ -6,23 +6,27 @@ SchemaError; broken laws come back as failed checks with witnesses. A suite
 that reads an earlier battery's data reports that battery's failed checks
 instead of running its own laws on broken data: `gerbal` and `quotient` gate
 on `peiffer`, `functorial` and `naturality` on `peiffer` and `gerbal`, and
-`bundle` and `oracle` on the glued space's preconditions.
+`bundle` and `oracle` on the glued space's preconditions. The quotient is
+built only behind `peiffer`, where its structure cannot fail, so it records
+no rows of its own.
 
 A run reads every stage of the construction from one InstanceContext, which
 builds each stage on first use and only once: a single suite builds just the
 stages it reads, and the `all` report is the concatenation of the reports of
-the single suites that apply to the base. The quotient and the classical
-cocycle on it are separate stages, so a gated `quotient` suite checks no cocycle.
+the single suites that apply to the base. The `peiffer` report is the
+chain's own, computed once. The quotient and the classical cocycle on it are
+separate stages, and neither runs when `peiffer` fails.
 
 Each stage and suite imports its layer on first use: the transition functors
 (`functorial`), the coset quotient (`quotient`), the glued space (`bundle`),
 its law battery (`battery`) and the word oracle (`wordalg`). So a single
 suite loads only the layers it reads: `peiffer`, `gerbal` and `validate` none
-of them, a gated `functorial` or `naturality` no transition functors, and a
-gated `bundle` or `oracle` no space. `all` loads the space with every
-layer, also those its base skips, and the battery only on bases that run
-`bundle`: the benchmark's layer tracer wraps each layer module after
-replaying `all` in process.
+of them, a gated `functorial` or `naturality` no transition functors, a gated
+`bundle` or `oracle` no space, and a `quotient`, `bundle` or `oracle` suite
+on a chain that fails `peiffer` neither the quotient nor the transition
+functors. `all` loads the space with every layer, also those its base skips,
+and the battery only on bases that run `bundle`: the benchmark's layer tracer
+wraps each layer module after replaying `all` in process.
 """
 
 from __future__ import annotations
@@ -31,8 +35,7 @@ from functools import cached_property
 from importlib import import_module
 from typing import TYPE_CHECKING, Optional
 
-from .crossed import validate_peiffer
-from .errors import InternalInvariantError, PreconditionError, SchemaError
+from .errors import PreconditionError, SchemaError
 from .gerbal import FunctorialCocycle, check_second_gerbe, validate_gerbal
 from .report import Report
 from .schema import Instance
@@ -53,13 +56,9 @@ class InstanceContext:
         self.inst = inst
         self.max_len = max_len
 
-    @cached_property
+    @property
     def peiffer(self) -> Report:
-        # the modules share the middle group, so it is validated once
-        rep, groups = Report("peiffer"), {}
-        for cm in (self.inst.chain.outer, self.inst.chain.inner):
-            rep.merge(validate_peiffer(cm, groups))
-        return rep
+        return self.inst.chain.peiffer
 
     @cached_property
     def gerbal(self) -> Report:
@@ -73,26 +72,21 @@ class InstanceContext:
         return FunctorialCocycle(self.inst.gc)
 
     @cached_property
-    def quotient(self) -> tuple[Optional[QuotientCatGroup], Report]:
-        """The coset quotient and its verification, or None and the failed
-        `quotient.build` record."""
+    def quotient(self) -> Optional[QuotientCatGroup]:
+        """The coset quotient, or None when `peiffer` fails."""
+        if not self.peiffer.ok:
+            return None
         from .quotient import build_quotient
-        try:
-            q = build_quotient(self.inst.chain)
-        except (SchemaError, InternalInvariantError) as exc:
-            rep = Report("quotient")
-            rep.record("quotient.build", "the coset category carries group structure",
-                       False, str(exc))
-            return None, rep
-        return q, q.verification
+        return build_quotient(self.inst.chain)
 
     @cached_property
     def classical(self) -> Report:
-        """The classical-cocycle check on the quotient, or the failed
-        `quotient.build` record."""
+        """The classical-cocycle check on the quotient, empty when `peiffer`
+        fails."""
+        if self.quotient is None:
+            return Report("classical")
         from .quotient import check_classical_cocycle
-        q, built = self.quotient
-        return built if q is None else check_classical_cocycle(self.fc, q)
+        return check_classical_cocycle(self.fc, self.quotient)
 
     @cached_property
     def space(self) -> tuple[Optional[BundleSpace], Report]:
@@ -105,7 +99,7 @@ class InstanceContext:
         if not pre.ok:
             return None, pre
         from .bundle import BundleSpace
-        return BundleSpace(self.fc, self.quotient[0]), pre
+        return BundleSpace(self.fc, self.quotient), pre
 
 
 def _gate(ctx: InstanceContext, name: str, *layers: str) -> Optional[Report]:
@@ -151,17 +145,12 @@ def suite_naturality(ctx: InstanceContext) -> Report:
 
 def suite_quotient(ctx: InstanceContext) -> Report:
     gated = _gate(ctx, "quotient", "peiffer")
-    q, built = ctx.quotient
     if gated is not None:
-        if q is None:
-            gated.merge(built)
         return gated
     from .quotient import check_JH_normal
     rep = Report("quotient")
-    rep.merge(check_JH_normal(ctx.inst.chain, ctx.peiffer))
-    rep.merge(built)
-    if q is not None:
-        rep.merge(ctx.classical)
+    rep.merge(check_JH_normal(ctx.inst.chain))
+    rep.merge(ctx.classical)
     return rep
 
 

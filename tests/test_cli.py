@@ -263,8 +263,8 @@ def test_validate_refuses_a_malformed_document_with_one_line(tmp_path, capsys, e
 
 
 def test_quotient_build_on_law_broken_action_fails_cleanly(tmp_path, capsys):
-    # breaking the conjugation action leaves the coset composition table
-    # partial; the interchange check must not compose outside it
+    # a broken conjugation action fails peiffer, so neither verb builds the
+    # quotient or checks the cocycle on it: they report the failed action
     doc = _edited(tmp_path, capsys, "cycle6-trivial", 3,
                   ("actions", "conj_outer", "map", "(12)", "e"), "(123)")
     for suite in ("quotient", "bundle"):
@@ -274,9 +274,10 @@ def test_quotient_build_on_law_broken_action_fails_cleanly(tmp_path, capsys):
         assert "Traceback" not in err
         report = json.loads(out)
         assert report["status"] == "fail"
-        build = [c for c in report["checks"] if c["check"] == "quotient.build"]
-        assert build and build[0]["status"] == "fail"
-        assert "does not descend" in build[0]["witness"]
+        statuses = {c["check"]: c["status"] for c in report["checks"]}
+        [action] = [c for c in statuses if c.endswith(".component.action.conj_outer")]
+        assert statuses[action] == "fail"
+        assert not [c for c in statuses if c.startswith(("quotient.", "classical."))]
 
 
 def test_coset_witness_does_not_depend_on_hash_seed(tmp_path, capsys):
@@ -293,7 +294,13 @@ def test_coset_witness_does_not_depend_on_hash_seed(tmp_path, capsys):
         assert proc.returncode == 1, proc.stderr
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
-    assert b"coset space" in outs[0]
+    # tau_p is no homomorphism, so the suite reports the peiffer report alone
+    code, peiffer, _ = run(capsys, "check", str(doc), "--suite", "peiffer")
+    assert code == 1
+    checks = json.loads(outs[0])["checks"]
+    assert checks == json.loads(peiffer)["checks"]
+    assert [c["check"] for c in checks if c["check"].endswith(".component.hom.tau_p")
+            and c["status"] == "fail"]
 
 
 @pytest.mark.parametrize("preset, suite", [("s3-line5", "bundle"),
@@ -425,19 +432,19 @@ def test_bundle_import_loads_no_battery():
 @pytest.mark.parametrize("preset, suite", [("s3-line5", "bundle"),
                                            ("oracle-dirline3", "oracle"),
                                            ("s3-line5", "functorial"),
-                                           ("s3-line5", "naturality")])
+                                           ("s3-line5", "naturality"),
+                                           ("s3-line5", "quotient")])
 def test_gated_bundle_verbs_load_no_space(tmp_path, capsys, preset, suite):
     # a broken group table fails the space's preconditions, so the verb
     # reports them before importing the glued space; it fails `peiffer`, so
-    # the transition-law verbs report it without the transition functors
+    # no verb loads the transition functors, and none builds the quotient
     doc = _edited(tmp_path, capsys, preset, 3,
                   ("groups", "A3", "mul", "(132)", "(132)"), "(132)")
     loaded = loaded_by("check", str(doc), "--suite", suite, "--max-path-len", "1",
                        "--out", str(tmp_path / "rep.json"), exit_code=1)
     assert "catbundle.gerbal" in loaded
     assert not loaded & ({"catbundle.bundle", BATTERY, "catbundle.wordalg"} | GENERATOR)
-    if suite in ("functorial", "naturality"):
-        assert "catbundle.functorial" not in loaded
+    assert not loaded & {"catbundle.quotient", "catbundle.functorial"}
 
 
 def test_bundle_resolves_the_battery_names_the_layer_tracer_reads():

@@ -5,7 +5,8 @@ data whose components hold but whose laws fail, some only past the first
 generator, and compares (check id, status, witness) of the package with
 `group_laws_reference`, which scans every triple or pair. On chains of
 subgroups of S4 whose Peiffer identities hold, the reference also scans the
-laws that no report checks because those identities imply them.
+laws that no report checks because those identities imply them, and
+`quotient_reference` the laws of the quotient 2-group.
 """
 
 import random
@@ -45,9 +46,8 @@ from catbundle.permutations import (
     trivial_action,
 )
 from catbundle.presets import s3_chain, s4_chain
-from catbundle.quotient import check_JH_normal
-from catbundle.report import Report
-from test_quotient import closure
+from catbundle.quotient import build_quotient, check_JH_normal
+from test_quotient import assert_the_reference_agrees, closure
 
 
 JH_CHECKS = {"jh.normal_full"}
@@ -55,20 +55,18 @@ JH_CHECKS = {"jh.normal_full"}
 
 def decided(chain, as_suite=False):
     """{check id: (status, witness)} of the package, each validator called as
-    `validate_peiffer` and the `quotient` suite call it: both modules share one
-    dict of group verdicts, as in the `peiffer` suite. `check_JH_normal` is
-    also called after a failed peiffer report, when it scans in full, unless
-    `as_suite` is set."""
+    `validate_peiffer` and the `quotient` suite call it: the chain's `peiffer`
+    report, whose modules share one dict of group verdicts. `check_JH_normal`
+    is also called after a failed peiffer report, when it scans in full,
+    unless `as_suite` is set."""
     groups = {g.name: validate_group(g) for g in (chain.G, chain.H, chain.J)}
     reports = list(groups.values())
-    peiffer, verdicts = Report("peiffer"), {}
     for cm in (chain.outer, chain.inner):
         holds = groups[cm.G.name].ok and groups[cm.H.name].ok
         reports.append(validate_action(cm.alpha, holds))
-        peiffer.merge(validate_peiffer(cm, verdicts))
-    reports.append(peiffer)
-    if peiffer.ok or not as_suite:
-        reports.append(check_JH_normal(chain, peiffer))
+    reports.append(chain.peiffer)
+    if chain.peiffer.ok or not as_suite:
+        reports.append(check_JH_normal(chain))
     return {k: v for rep in reports for k, v in decided_laws(rep).items()}
 
 
@@ -195,11 +193,8 @@ def test_lawful_components_with_failing_identities_match_the_full_scans(name):
 
 def test_the_normal_full_chain_is_decided_on_generators():
     chain = v4_z2_chain()
-    peiffer = Report("peiffer")
-    for cm in (chain.outer, chain.inner):
-        peiffer.merge(validate_peiffer(cm))
-    assert peiffer.ok
-    [row] = check_JH_normal(chain, peiffer).checks
+    assert chain.peiffer.ok
+    [row] = check_JH_normal(chain).checks
     assert row.check_id == "jh.normal_full"
     assert row.witness == next(group_law_scans(chain)["jh.normal_full"])
 
@@ -232,21 +227,24 @@ def subgroup_chains(bound):
 def test_the_peiffer_identities_imply_the_laws_no_report_checks():
     # 218 chains over S4; the bound drops the four with |J| |H| above 96
     # (three of them over S4 itself), whose reference taubar scans take most
-    # of the time
-    chains = normal_full_fails = 0
+    # of the time. The quotient's member scans also check that its tables
+    # are the quotient's; their interchange scan is quartic in the morphism
+    # cosets, so it runs on the chains with at most 36 of them
+    chains = normal_full_fails = interchanged = 0
     for chain in subgroup_chains(96):
-        peiffer, verdicts = Report("peiffer"), {}
-        for cm in (chain.outer, chain.inner):
-            peiffer.merge(validate_peiffer(cm, verdicts))
-        assert peiffer.ok
+        assert chain.peiffer.ok
         for law, scan in implied_scans(chain).items():
             assert next(scan, None) is None, law
-        [row] = check_JH_normal(chain, peiffer).checks
+        [row] = check_JH_normal(chain).checks
         witness = next(group_law_scans(chain)["jh.normal_full"], None)
         assert (row.check_id, row.witness) == ("jh.normal_full", witness)
+        q = build_quotient(chain)
+        interchange = q.morphisms.size <= 36
+        assert_the_reference_agrees(q, interchange)
         chains += 1
         normal_full_fails += witness is not None
-    assert (chains, normal_full_fails) == (214, 18)
+        interchanged += interchange
+    assert (chains, normal_full_fails, interchanged) == (214, 18, 208)
 
 
 def three_element_magma():

@@ -11,15 +11,23 @@ import re
 
 import perm_oracle as oracle
 import pytest
+from quotient_reference import LAWS, descent, subgroup_normal
 
-from catbundle.crossed import arrow_endpoints, arrow_product, arrows, pair_id, validate_peiffer
+from catbundle.crossed import (
+    ChainedCrossedModules,
+    arrow_endpoints,
+    arrow_inverse,
+    arrow_product,
+    arrows,
+    pair_id,
+    validate_peiffer,
+)
 from catbundle.errors import InternalInvariantError, SchemaError
 from catbundle.groups import FiniteGroup
 from catbundle.permutations import symmetric_group
-from catbundle.presets import s4_chain
+from catbundle.presets import s3_chain, s4_chain
 from catbundle.quotient import (
     CosetSpace,
-    QuotientCatGroup,
     build_JH,
     build_quotient,
     check_JH_normal,
@@ -87,29 +95,65 @@ def test_JH_normal_builds_no_group_table(chain_s4, built_groups):
     assert built_groups == []
 
 
+def assert_the_reference_agrees(q, interchange=True):
+    """The member scans of `quotient_reference` pass every law on `q`, and
+    their tables are the quotient's."""
+    rep, tables = descent(q, interchange)
+    assert rep.ok, rep.failures()
+    laws = [check_id for check_id, _ in LAWS]
+    assert [c.check_id for c in rep.checks] == (laws if interchange else laws[:-1])
+    assert tables == (q.source, q.target, q._compose, q._by_source)
+
+
 def test_build_quotient_builds_no_arrow_group_table(chain_s3, chain_s4, built_groups):
     # the arrows of H x| tau(H) are multiplied where used; only the object
     # group tau(H) is extracted as its own table
     for chain, expected in ((chain_s3, ["tau(S3)"]), (chain_s4, ["tau(A4)"])):
         built_groups.clear()
-        assert build_quotient(chain).verification.ok
+        q = build_quotient(chain)
         assert built_groups == expected
+        assert_the_reference_agrees(q)
+
+
+# Edits that fail `peiffer` and leave the planted subgroup not normal:
+# tau tau'(J) in the object group tau(H), or J_H in the arrows H x| tau(H).
+# (table, cell, value) in the chain's outer action `alpha` or inner `tau_p`.
+NON_NORMAL = {
+    ("chain_s3", "objects"): [("tau_p", "(123)", "(12)"), ("tau_p", "(132)", "(12)")],
+    ("chain_s4", "objects"): [("tau_p", "(13)(24)", "e"), ("tau_p", "(14)(23)", "(12)(34)")],
+    ("chain_s3", "morphisms"): [("alpha", ("(12)", "(12)"), "(123)")],
+    ("chain_s4", "morphisms"): [("alpha", ("(134)", "(12)(34)"), "(123)")],
+}
+
+
+def conjugation_leaves(op, inverse, ambient, sub):
+    return any(op(op(w, v), inverse(w)) not in sub for w in ambient for v in sub)
 
 
 @pytest.mark.parametrize("chain_fixture", ["chain_s3", "chain_s4"])
 @pytest.mark.parametrize("planted", ["objects", "morphisms"])
-def test_a_quotient_without_group_structure_is_never_built(request, monkeypatch,
-                                                           chain_fixture, planted):
-    # coset products trust normality unchecked, so the constructor must refuse
-    # a quotient whose object or morphism subgroup is not normal
-    normal = QuotientCatGroup._subgroup_normal
-
-    def plant(space):
-        kind = "morphisms" if "x|" in space.name else "objects"
-        return kind != planted and normal(space)
-    monkeypatch.setattr(QuotientCatGroup, "_subgroup_normal", staticmethod(plant))
-    with pytest.raises(InternalInvariantError, match="conjugation leaves the subgroup$"):
-        build_quotient(request.getfixturevalue(chain_fixture))
+def test_a_quotient_without_group_structure_is_never_built(chain_fixture, planted):
+    # coset products trust normality unchecked, so the constructor refuses
+    # any chain that fails peiffer, and names its first witness
+    chain = {"chain_s3": s3_chain, "chain_s4": s4_chain}[chain_fixture]()
+    for table, cell, value in NON_NORMAL[chain_fixture, planted]:
+        getattr(chain, table).table[cell] = value
+    # a new chain, so the images of tau and tau' read the edited tables
+    chain = ChainedCrossedModules(chain.outer, chain.inner, chain.name)
+    objects, cm = chain.tau.image(), chain.outer
+    if planted == "objects":
+        leaks = conjugation_leaves(chain.G.op, chain.G.inverse, objects,
+                                   chain.tau_tau_p_image)
+    else:
+        leaks = conjugation_leaves(lambda a, b: arrow_product(cm, a, b),
+                                   lambda a: arrow_inverse(cm, a),
+                                   arrows(chain.H.elements, objects),
+                                   frozenset(arrows(chain.tau_p_image, chain.tau_tau_p_image)))
+    assert leaks
+    assert not chain.peiffer.ok
+    with pytest.raises(InternalInvariantError,
+                       match=f"fails peiffer: {re.escape(chain.peiffer.first_witness())}$"):
+        build_quotient(chain)
 
 
 def test_conjugation_budget_matches_group_orders(chain_s3, chain_s4, quotient_s3, quotient_s4):
@@ -153,11 +197,10 @@ def test_every_coset_member_maps_to_its_rep(quotient_s3):
             assert q.morphisms.rep(x) == rep_id
 
 
-def test_descent_verification_ran(quotient_s3, quotient_s4):
-    for q in (quotient_s3, quotient_s4):
-        assert q.verification.ok, q.verification.failures()
-        suffixes = {c.check_id.rsplit(".", 1)[-1] for c in q.verification.checks}
-        assert {"endpoints", "compose", "interchange"} <= suffixes
+def test_descent_verification_ran(quotient_s3, quotient_s4, inst_a3j3_line5w):
+    # the two preset chains, and the A3/J3 chain, whose fiber is not thin
+    for q in (quotient_s3, quotient_s4, build_quotient(inst_a3j3_line5w.chain)):
+        assert_the_reference_agrees(q)
 
 
 def test_q_mor_constant_on_JH_translates(chain_s3, quotient_s3):
@@ -225,12 +268,15 @@ def test_coset_space_rejects_non_subgroup(quotient_s3):
 
 
 def test_build_names_a_tau_image_that_is_no_subgroup(inst_line5):
-    # the object group tau(H) is built before the arrow group H x| tau(H),
-    # so a failed build names tau's image, not the semidirect product
+    # tau is no homomorphism, so its image need be no subgroup: the refusal
+    # comes before any table is built, and names the failed peiffer row
     doc = json.loads(instance_to_json(inst_line5))
     doc["homs"]["tau"]["map"]["(23)"] = "e"
-    with pytest.raises(SchemaError, match=r"^subgroup 'tau\(S3\)': not closed"):
-        build_quotient(instance_from_document(doc).chain)
+    chain = instance_from_document(doc).chain
+    [hom] = [c for c in chain.peiffer.failures() if ".component.hom." in c.check_id]
+    assert hom.witness == chain.peiffer.first_witness()
+    with pytest.raises(InternalInvariantError, match=f"fails peiffer: {re.escape(hom.witness)}$"):
+        build_quotient(chain)
 
 
 def test_classical_cocycle_on_generated_data(inst_line5w, quotient_s3):
@@ -290,6 +336,6 @@ def test_subgroup_normal_on_coset_reps_matches_the_full_scan():
     for sub in sorted(subgroups, key=sorted):
         space = CosetSpace(s4.name, s4.elements, s4.identity, s4.op, s4.inverse, sub)
         full = all(s4.conj(g, s) in sub for g in s4.elements for s in sub)
-        assert QuotientCatGroup._subgroup_normal(space) == full, sorted(sub)
+        assert subgroup_normal(space) == full, sorted(sub)
         normal += full
     assert (len(subgroups), normal) == (30, 4)

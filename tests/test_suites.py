@@ -6,6 +6,7 @@ import json
 from collections import Counter
 
 import pytest
+from quotient_reference import LAWS as IMPLIED_QUOTIENT
 
 from catbundle import gerbal, quotient, suites
 from catbundle.errors import PreconditionError, SchemaError
@@ -28,19 +29,19 @@ from catbundle.suites import SUITES, run_suite
 GOLDEN_ALL = [
     ("s3-line5", 3,
      "0dc368c802c17156a86ad7a3bc1e1f2e664da464fbd597ee7d7e5ce07adc2e7c",
-     "dedec2f1a9afe6858e805bc99cc9e53c0182acc8991cb3fdbaf605ca0cad5cc6"),
+     "bd2103b32f92208feb9d2a02a9dc1cd02fcfe35797b94fdda810beaa6ed5e154"),
     ("s3-line5w", 2,
      "0dc368c802c17156a86ad7a3bc1e1f2e664da464fbd597ee7d7e5ce07adc2e7c",
-     "dedec2f1a9afe6858e805bc99cc9e53c0182acc8991cb3fdbaf605ca0cad5cc6"),
+     "bd2103b32f92208feb9d2a02a9dc1cd02fcfe35797b94fdda810beaa6ed5e154"),
     ("cycle6-trivial", 4,
      "d19e83ce502521ff91a0e5a4b1e4f33d0020bff5f89d2622a6b299994d0e8273",
-     "991e4b9e87aeed10070d3c0fa9e854ff7278fe31bebb2c097a67fca1886467f1"),
+     "2df0435c81af2da6fdf9090183265c21f075a0d57c861ee2d7a1c937b0c9d9aa"),
     ("oracle-dirline3", 3,
      "be681f120706fdcb3fc5128ba2495146a50eb7be81bd7243f2ee7104b7053e3c",
-     "456ce2cc2a68ad7879c63a7cfddf48645b7f747afd219c119a3d7844315f8ba4"),
+     "3db7c94ee55f3dae28a48f7696478789811bc9f3ca033a8a302d38991e9b3ebc"),
     ("s4-line5w", 1,
      "0b56141b301e1f5e5d516502ff64d51f216484b62d87f788c87f66e00f3fc926",
-     "f100979acd2ecbb3a3e03a8ff744735cebe432dbf61938cb4ce841c62d904be6"),
+     "c1732b2e9361a9db6748d5aa139a0d5cf3716a36c9be92fbe568b0bff9913731"),
 ]
 
 # SHA-256 of the `all` report at length 3 of the A3/J3 chain (conftest.py),
@@ -48,16 +49,17 @@ GOLDEN_ALL = [
 GOLDEN_NON_THIN = [
     ("inst_a3j3_line5w",
      "cee738a50f232f7db7631161aa024d4875fbd64a36b9746fbc8050671240f5e5",
-     "4df3f5d5b079053a947c7ad1e69bcc1a443f3c33830195862ed2a5af2ad6804a"),
+     "68881c6fc435bad4835c7889ab9ab458e55bab56d76b6cd46978c0d264244429"),
     ("inst_a3j3_dirline3",
      "a2b1bd9f5c16f961b413d310b4d69f3a3ba5fbf1248e0a62e2fc21b4f81ab5bb",
-     "9e038e0734126dd508a8d004f62d8f892769317200a0b8477f3bc7432b0f43c2"),
+     "c1a00bac4e3698c059fc84b54e68ea92d37bdbb212598a6aa9aa24515df58328"),
 ]
 
 # One-cell edits of preset documents at seed 3 (the ones tests/test_cli.py
 # builds): (132)(132) = (132) breaks the A3 table, the changed action cell
-# leaves the coset quotient unbuildable, and the changed h cell breaks the
-# gerbal relation, the classical cocycle and the naturality and product laws.
+# breaks the outer action, and the changed h cell breaks the gerbal relation,
+# the classical cocycle and the naturality and product laws. No quotient is
+# built on the first two, which fail peiffer.
 # SHA-256 of each applicable suite's report at max_len 2; these are the
 # failing-report paths, so they pin the witness text. A suite that reads a
 # failed layer reports that layer's checks instead of its own laws, so the
@@ -86,11 +88,11 @@ GOLDEN_EDITED = [
      "f1986f9abdf8721fad784a12dcfbde98b6ee96defe80e896fde8f979c000c223",
      "4b407e82623724e2bdea2b90117d48cf82a7feacc6052ec122463553b9070c9d"),
     ("a3-table", "bundle",
-     "d4d2c4b7c9a641ca665cd698a1fe900a838d38a688689e6f3ff2ae74528a6d80",
-     "f58383bb25044b79a9d289546c71814d815a3d7a261cbfb4f1c2988ef37d522d"),
+     "b156499ada1129ae1f0706229c4615f6256769c83fb475b22b4b654cfb4adc16",
+     "6dfa3f45e989866c7f81859a4d2b45598d07e17b226cae2f918ba8d58be03bfe"),
     ("a3-table", "all",
-     "fc1a6efba233f62cddc45f8fe18be2d57412610a238f74d1078adb73bc20afa7",
-     "7725e61b9634873af3eb7394e0ac65e0345f962553c732a8fbaea72cab1dd6a2"),
+     "3b0448487a05b05bf8bc90745ad31189a3ff8573ddf5c08079d0e4b7b9e15cdf",
+     "b92ea4aa6893a47416f993c664a546a62964ce2ddcd5ffd201d4de31a06c216d"),
     ("conj-action", "peiffer",
      "432a2b5ccd1ba6a216281091a4200a06298dec835685b0c2b61b629e8dfe1850",
      "5507ff117bf6f9eaa8342318bea814db836ca80daa897e37cf5868e43bba35fd"),
@@ -104,14 +106,14 @@ GOLDEN_EDITED = [
      "ce95462f6ed6e36fdc06faf9000b578cbbd1b4d96e24fa12dbcbc01a0daac477",
      "b28e4ac13fc61794040760340d59a8f7424d34f91bf62d92509a10f170743b64"),
     ("conj-action", "quotient",
-     "d2ef9f98937a555eb33dd5a2bd33496f4dfe296c32daca9b2fd7bd6876919194",
-     "d9e6b1cb091df45de909649e1433ed1aba53890bc77358d38c56f694fa0a81be"),
+     "4ef921852b778703632d8a6f025cf8fdc97f266594d83ba01af2f0b276e151c7",
+     "01d98e5022de403b6313d9be0f891e6f8a2930d2dec8268b038524c63be99d5b"),
     ("conj-action", "bundle",
-     "ea6f6382059c202d1e3743d40a7bf7eca14bb6d5dab591559d551bc009b152bd",
-     "7b5e95c3983f21b6eb7af2274a913e40a399f98a4b8f9a9e0a3b6fb924f25aeb"),
+     "c563a93e6eee44f42b14238f538040e76a2a7b48a9d9b32f370ead4543422008",
+     "a6eb06a1b703cacc1722fa8985b69aa9a37c989a4e0d9055fb1ffe0a96497a7e"),
     ("conj-action", "all",
-     "50c1678d685d758d81fe53651b5817c6ad8eeb7f65d3fe1a4edaec1904602622",
-     "7eee881a55a5d46b7686f6c03d99febea0fee596dbb5c56f58436781e01d1159"),
+     "909cb3ea6d48d67a85ba511a0371bb197038653be45a6a144d96b28a213d56ed",
+     "f8f03067deb1a75fc31ebc6b5d09fad16b2c212608a1bd50c5a9498574f6882b"),
     ("h-cell", "peiffer",
      "afa1a43820bb9b0d859580139f68c5032819df8b00277e75e248e32b222ac960",
      "2a14350c4c4f3169cb631c673c6fd383546a8a87453584d02ad0c7c14cb73847"),
@@ -126,13 +128,13 @@ GOLDEN_EDITED = [
      "78a28253b6cf8f83e795c0c646f97a79738a8375aeef6ca23fd0087af01340f1"),
     ("h-cell", "quotient",
      "e334713212b843e83441514193047987cd6fc793df80c2c22764ef2388e25819",
-     "9132c495c14334b48bade6c6076978858ad56fbb76444db6bf3a9b446fa9e915"),
+     "53db38a71017c2f6f144251a6bdd1fdffce8903c23a76672c7575198ea6a8849"),
     ("h-cell", "bundle",
      "aa4192a90258ea45c3751fc31a826b2ea0744e9b154ad723f74a4529694d782c",
      "9a58afa4de6f00e255cbec57fd4e39a3dec0af21176e6f40a51d81d2d5a4d34f"),
     ("h-cell", "all",
      "d46338d6f21846122356cacf2bcfd9528bbbcc9a0a4391030e782849d82f249d",
-     "13c27b0288c5ab955afe442fd6c1f08c6641b628eda72b1cb41284aa7d20125f"),
+     "ff6da250acffafb297f60a284c991fcbdbceab1fd3b493e65b7552c4a1d118e5"),
 ]
 
 # The layers each built once per run; `run_suite(..., "all")` once called
@@ -143,10 +145,11 @@ LAYERS = ("derive_tower", "build_quotient", "check_classical_cocycle",
 
 
 # The rows a report leaves out because its gate or a signature decides them:
-# the Peiffer identities imply the J_H laws that jh.normal_full runs behind,
-# the classical.* checks a bundle space is built behind imply that the gluing
-# relation is an equivalence, and theta, which takes a walk's endpoints as its
-# arguments, depends only on them.
+# the Peiffer identities imply the J_H laws that jh.normal_full runs behind
+# and the quotient laws of the member scans in quotient_reference
+# (IMPLIED_QUOTIENT), the classical.* checks a bundle space is built behind
+# imply that the gluing relation is an equivalence, and theta, which takes a
+# walk's endpoints as its arguments, depends only on them.
 IMPLIED_JH = (("jh.taubar", "(j,h) -> (tau'(j), tau(h)) is a homomorphism"),
               ("jh.subgroup", "J_H is a subgroup of H x| G"),
               ("jh.normal", "J_H is normal in H x| tau(H)"))
@@ -160,8 +163,9 @@ def with_implied_rows(rep, chain):
     """`rep` with the rows it leaves out as decided by another row or a gate:
     a component group under each module that holds it, where the report
     lists each group once; `tau_image.<cm>.hom`, which repeats the module's
-    tau homomorphism row; the IMPLIED_JH and IMPLIED_GLUE passes; and a
-    `theta.<ik>.endpoints` pass beside each `theta.<ik>.compose` row."""
+    tau homomorphism row; the IMPLIED_JH, IMPLIED_QUOTIENT and IMPLIED_GLUE
+    passes; and a `theta.<ik>.endpoints` pass beside each
+    `theta.<ik>.compose` row."""
     modules = (chain.outer, chain.inner)
     by_id = {c.check_id: c for c in rep.checks}
     extra = []
@@ -180,7 +184,7 @@ def with_implied_rows(rep, chain):
                     else:
                         first[g] = row
         if c.check_id == "jh.normal_full":
-            extra += [CheckResult(i, law, "pass") for i, law in IMPLIED_JH]
+            extra += [CheckResult(i, law, "pass") for i, law in IMPLIED_JH + IMPLIED_QUOTIENT]
         if c.check_id == "bundle.objects.glue_consistent":
             extra += [CheckResult(i, law, "pass") for i, law in IMPLIED_GLUE]
         if c.check_id.startswith("theta.") and c.check_id.endswith(".compose"):
@@ -367,12 +371,12 @@ def test_all_computes_each_overlap_once():
 
 @pytest.mark.parametrize("suite,checked", [("quotient", 0), ("bundle", 1), ("all", 1)])
 def test_the_gated_quotient_suite_checks_no_cocycle(layer_calls, suite, checked):
-    # the A3 edit fails peiffer but the quotient still builds: the quotient
-    # suite reports the failures without checking the cocycle on that data,
-    # while the bundle's preconditions still include the classical checks
+    # the A3 edit fails peiffer, so no suite builds the quotient or checks
+    # the cocycle on that data; `checked` counts the gerbal batteries, which
+    # the quotient suite does not read and the bundle's preconditions do
     assert not run_suite(edited_instance("a3-table"), suite, 2).ok
-    assert layer_calls["build_quotient"] == 1
-    assert layer_calls["check_classical_cocycle"] == checked
+    assert layer_calls["build_quotient"] == layer_calls["check_classical_cocycle"] == 0
+    assert layer_calls["validate_gerbal"] == checked
 
 
 def test_a_single_suite_builds_only_the_layers_it_reads(layer_calls, inst_line5):
