@@ -36,8 +36,21 @@ from .complexes import (
     index_family,
     walks_within,
 )
-from .errors import DomainError, PreconditionError, SchemaError
-from .report import Report
+from .errors import CompositionError, DomainError, PreconditionError, SchemaError
+from .report import Report, unevaluated
+
+# the rows that read the keys of the bounded states, in report order
+KEYED_LAWS = {
+    "bundle.action.mor_free": "the morphism action is free, unital, and projection-invariant",
+    "bundle.action.exchange":
+        "acting on a composite equals composing the acted factors (loop fiber morphisms)",
+    "bundle.action.equivariant": "equal morphisms stay equal under the fiber action",
+    "bundle.proj.class_invariant": "equal morphisms project to the same base walk",
+    "bundle.mor.torsor": "the morphism classes over one walk from one object are as many "
+                         "as the fiber morphisms out of its fiber object",
+    "bundle.compose.representative_free":
+        "composition does not depend on the chain representative",
+}
 
 
 def enumerate_base_walks(cover, max_len: int) -> list[PathMor]:
@@ -343,6 +356,23 @@ def check_bundle_axioms(space: BundleSpace, max_len: int = 3) -> Report:
     rep.search("bundle.action.obj_free",
                "the object action is free and projection-invariant", unfree_objects())
 
+    _check_keyed_laws(space, rep)
+
+    # index_family lists the one-chart sets first
+    triv_units = min(max_len, 3)
+    one_chart: dict[str, LocalTrivialization] = {}
+    for indices in index_family(cover):
+        for i in indices:
+            triv = LocalTrivialization(space, i, indices)
+            rep.merge(triv.check(max_len, triv_units, one_chart.get(i)))
+            if len(indices) == 1:
+                one_chart[i] = triv
+    return rep
+
+
+def _check_keyed_laws(space: BundleSpace, rep: Report) -> None:
+    """Key the states of at most two units, then record the KEYED_LAWS rows."""
+    q = space.q
     neutral = q.identity_mor_at(q.identity_obj())
     states = enumerate_chains(space, 2)
 
@@ -358,23 +388,29 @@ def check_bundle_axioms(space: BundleSpace, max_len: int = 3) -> Report:
     added: list[Optional[tuple]] = []
     merged: dict[State, State] = {}
     walk_witness = None
-    for st in states:
-        # keyed through its compaction: the fold merges a zero-length unit
-        # into its neighbour
-        compacted = (space._merge_units(*st),) if len(st) == 2 and "v" in (
-            st[0][1][0], st[1][1][0]) else st
-        key = space._keys[st] = space.component_of(compacted)
-        if walk_witness is None and space._walk_sig(st) != key[1]:
-            walk_witness = f"chain {st} is equal to a morphism over another walk"
-        members = classes.setdefault(key, {})
-        if compacted in members:
-            added.append(None)
-        else:
-            added.append(key)
-            members[compacted] = None
-            if compacted is not st:
-                merged[st] = compacted
-        keys[st] = space.state_key(st)
+    try:
+        for st in states:
+            # keyed through its compaction: the fold merges a zero-length unit
+            # into its neighbour
+            compacted = (space._merge_units(*st),) if len(st) == 2 and "v" in (
+                st[0][1][0], st[1][1][0]) else st
+            key = space._keys[st] = space.component_of(compacted)
+            if walk_witness is None and space._walk_sig(st) != key[1]:
+                walk_witness = f"chain {st} is equal to a morphism over another walk"
+            members = classes.setdefault(key, {})
+            if compacted in members:
+                added.append(None)
+            else:
+                added.append(key)
+                members[compacted] = None
+                if compacted is not st:
+                    merged[st] = compacted
+            keys[st] = space.state_key(st)
+    except (CompositionError, DomainError) as err:
+        # each row that reads the keys fails with the state that could not be keyed
+        for check_id, law in KEYED_LAWS.items():
+            rep.record(check_id, law, False, unevaluated(err))
+        return
 
     def broken(psi: str, st: State) -> str:
         return f"action by {psi} breaks a junction of chain {st}"
@@ -440,16 +476,14 @@ def check_bundle_axioms(space: BundleSpace, max_len: int = 3) -> Report:
                 splits[cls, psi] = broken(psi, member)
             elif row[n] != target[n]:
                 splits[cls, psi] = f"equal chains act apart under {psi}"
-    rep.record("bundle.action.mor_free",
-               "the morphism action is free, unital, and projection-invariant",
+    rep.record("bundle.action.mor_free", KEYED_LAWS["bundle.action.mor_free"],
                free_witness is None, free_witness)
-    rep.record("bundle.action.exchange",
-               "acting on a composite equals composing the acted factors "
-               "(loop fiber morphisms)", exchange_witness is None, exchange_witness)
+    rep.record("bundle.action.exchange", KEYED_LAWS["bundle.action.exchange"],
+               exchange_witness is None, exchange_witness)
     split = next((splits[cls, psi] for cls in classes for psi in reps
                   if (cls, psi) in splits), None)
-    rep.record("bundle.action.equivariant",
-               "equal morphisms stay equal under the fiber action", split is None, split)
+    rep.record("bundle.action.equivariant", KEYED_LAWS["bundle.action.equivariant"],
+               split is None, split)
     del added, merged, factors, targets, splits
 
     one_unit = [st for st in states if len(st) == 1]
@@ -457,8 +491,7 @@ def check_bundle_axioms(space: BundleSpace, max_len: int = 3) -> Report:
     for st in one_unit:
         by_source_obj.setdefault(space.unit_s_obj(st[0]), []).append(st)
 
-    rep.record("bundle.proj.class_invariant",
-               "equal morphisms project to the same base walk",
+    rep.record("bundle.proj.class_invariant", KEYED_LAWS["bundle.proj.class_invariant"],
                walk_witness is None, walk_witness)
 
     def miscounts():
@@ -466,9 +499,7 @@ def check_bundle_axioms(space: BundleSpace, max_len: int = 3) -> Report:
             want = len(q.mors_with_source(x.fiber))
             if n != want:
                 yield f"{n} classes over walk {walk} from {x}, expected {want}"
-    rep.search("bundle.mor.torsor",
-               "the morphism classes over one walk from one object are as many "
-               "as the fiber morphisms out of its fiber object", miscounts())
+    rep.search("bundle.mor.torsor", KEYED_LAWS["bundle.mor.torsor"], miscounts())
 
     def representative_dependence():
         pairs_checked = 0
@@ -485,17 +516,4 @@ def check_bundle_axioms(space: BundleSpace, max_len: int = 3) -> Report:
                         if space.state_key(a1 + a2) != comp:
                             yield "composition depends on chain representatives"
     rep.search("bundle.compose.representative_free",
-               "composition does not depend on the chain representative",
-               representative_dependence())
-    del keys, classes, states
-
-    # index_family lists the one-chart sets first
-    triv_units = min(max_len, 3)
-    one_chart: dict[str, LocalTrivialization] = {}
-    for indices in index_family(cover):
-        for i in indices:
-            triv = LocalTrivialization(space, i, indices)
-            rep.merge(triv.check(max_len, triv_units, one_chart.get(i)))
-            if len(indices) == 1:
-                one_chart[i] = triv
-    return rep
+               KEYED_LAWS["bundle.compose.representative_free"], representative_dependence())

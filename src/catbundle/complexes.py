@@ -164,7 +164,8 @@ class CoverComplex:
         for i in self.index_order:
             if u in self.cover[i]:
                 return i
-        raise SchemaError(f"cover complex: vertex {u!r} is not covered")
+        # the constructor refuses an uncovered vertex
+        raise SchemaError(f"cover complex: unknown vertex {u!r}")
 
     def charts_containing(self, vs: Iterable[str]) -> list[str]:
         vset = set(vs)

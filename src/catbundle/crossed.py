@@ -57,17 +57,14 @@ class CrossedModule:
         self.tau = tau
         self.name = name or f"({H.name} -> {G.name})"
 
-    def __repr__(self) -> str:
-        return f"CrossedModule({self.name!r})"
-
 
 def validate_peiffer(cm: CrossedModule,
                      groups: Optional[dict[FiniteGroup, bool]] = None) -> Report:
     """Component validity first, then both compatibility identities, decided
-    on generators once the components pass, and last the normality of tau(H)
-    in G once tau is a homomorphism. `groups` maps each group validated so far
-    to its verdict: a chain hands one dict to both of its modules, so a group
-    the report has already checked is not checked again."""
+    on generators once the components pass. The first identity makes tau(H)
+    normal in G, so that has no row of its own. `groups` maps each group
+    validated so far to its verdict: a chain hands one dict to both of its
+    modules, so a group the report has already checked is not checked again."""
     rep = Report("peiffer")
     groups = {} if groups is None else groups
     for g in (cm.G, cm.H):
@@ -114,12 +111,6 @@ def validate_peiffer(cm: CrossedModule,
     rep.search(f"peiffer.{cm.name}.second", "alpha_tau(h)(h') = h h' h^-1",
                second_violations(cm.H.elements, cm.H.elements),
                second_violations(h_gens, h_gens) if laws_hold else None)
-
-    if tau_hom.ok:
-        img = cm.tau.image()
-        rep.search(f"tau_image.{cm.name}.normal", "g tau(H) g^-1 = tau(H)", (
-            f"{g} {t} {g}^-1 = {cm.G.conj(g, t)!r} leaves tau(H)"
-            for g in cm.G.elements for t in sorted(img) if cm.G.conj(g, t) not in img))
     return rep
 
 
@@ -127,9 +118,7 @@ def validate_peiffer(cm: CrossedModule,
 # arrows
 
 def arrow_endpoints(cm: CrossedModule, a: Arrow) -> tuple[str, str]:
-    """(source, target) = (g, tau(h) g)."""
-    if a.h not in cm.H.element_set or a.g not in cm.G.element_set:
-        raise SchemaError(f"arrow ({a.h!r}, {a.g!r}) is not in H x G for {cm.name!r}")
+    """(source, target) = (g, tau(h) g); unchecked, like `arrow_product`."""
     return a.g, cm.G.op(cm.tau(a.h), a.g)
 
 
@@ -164,8 +153,6 @@ def arrow_co_inverse(cm: CrossedModule, a: Arrow) -> Arrow:
 
 
 def arrow_identity(cm: CrossedModule, g: str) -> Arrow:
-    if g not in cm.G.element_set:
-        raise SchemaError(f"{g!r} is not in {cm.G.name!r}")
     return Arrow(cm.H.identity, g)
 
 
@@ -214,6 +201,3 @@ class ChainedCrossedModules:
         for cm in (self.outer, self.inner):
             rep.merge(validate_peiffer(cm, groups))
         return rep
-
-    def __repr__(self) -> str:
-        return f"ChainedCrossedModules({self.name!r})"

@@ -100,12 +100,6 @@ class FiniteGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, x: str) -> bool:
-        return x in self.element_set
-
-    def __repr__(self) -> str:
-        return f"FiniteGroup({self.name!r}, order={self.order})"
-
 
 class GroupHom:
     """A map between finite groups given by a full value table."""
@@ -126,9 +120,6 @@ class GroupHom:
     def image(self) -> frozenset[str]:
         return frozenset(self.table.values())
 
-    def __repr__(self) -> str:
-        return f"GroupHom({self.name!r}: {self.domain.name} -> {self.codomain.name})"
-
 
 class GroupAction:
     """A left action of `actor` on the group `space`, one table row per actor element."""
@@ -146,9 +137,6 @@ class GroupAction:
             return self.table[(g, h)]
         except KeyError:
             raise SchemaError(f"action {self.name!r}: no value for ({g!r}, {h!r})") from None
-
-    def __repr__(self) -> str:
-        return f"GroupAction({self.name!r}: {self.actor.name} on {self.space.name})"
 
 
 def generators(elements: Iterable[str], op: Callable[[str, str], str]) -> list[str]:
@@ -264,17 +252,12 @@ def validate_action(a: GroupAction, groups_hold: bool = False) -> Report:
 
 
 def subgroup_as_group(g: FiniteGroup, subset: Iterable[str], name: str) -> FiniteGroup:
-    """Extract a subset closed under product and inverse as its own FiniteGroup."""
+    """Extract a subset of a group closed under product as its own
+    FiniteGroup; in a finite group that makes it a subgroup."""
     sub = sorted(set(subset))
     subset_set = set(sub)
-    if g.identity not in subset_set:
-        raise SchemaError(f"subgroup {name!r}: identity missing")
     mul = {}
     for a in sub:
-        if a not in g.element_set:
-            raise SchemaError(f"subgroup {name!r}: {a!r} is not in {g.name!r}")
-        if g.inverse(a) not in subset_set:
-            raise SchemaError(f"subgroup {name!r}: not closed under inverse at {a!r}")
         for b in sub:
             c = g.op(a, b)
             if c not in subset_set:

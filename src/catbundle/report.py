@@ -10,12 +10,21 @@ A law check is a search for a counterexample. `Report.search` takes the
 check's witnesses as an iterable, usually a generator that yields one string
 per violation in a fixed scan order, and records the first one, or a pass if
 there is none. It pulls nothing after the first witness, so the scan stops
-there and its cost is that of the prefix up to the first violation.
+there and its cost is that of the prefix up to the first violation. A
+`CompositionError` or `DomainError` raised while it pulls fails the law with
+the witness "<class>: <message>": the first case that cannot be evaluated.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Optional
+
+from .errors import CompositionError, DomainError
+
+
+def unevaluated(err: Exception) -> str:
+    """The witness of a law whose scan raised `err`."""
+    return f"{type(err).__name__}: {err}"
 
 
 class CheckResult(NamedTuple):
@@ -50,12 +59,15 @@ class Report:
         as passed if it yields none; the iterable is not resumed after that.
         A `decision` decides the law exactly on generators: `witnesses` is
         read only if it fails, and its own witness stands if they yield none."""
-        if decision is None:
-            witness = next(iter(witnesses), None)
-        else:
-            witness = next(iter(decision), None)
-            if witness is not None:
-                witness = next(iter(witnesses), witness)
+        try:
+            if decision is None:
+                witness = next(iter(witnesses), None)
+            else:
+                witness = next(iter(decision), None)
+                if witness is not None:
+                    witness = next(iter(witnesses), witness)
+        except (CompositionError, DomainError) as err:
+            witness = unevaluated(err)
         self.record(check_id, law, witness is None, witness)
 
     def merge(self, other: "Report") -> None:
@@ -78,7 +90,3 @@ class Report:
             "status": "pass" if self.ok else "fail",
             "checks": [c.to_dict() for c in sorted(self.checks, key=lambda c: c.check_id)],
         }
-
-    def __repr__(self) -> str:
-        n_fail = len(self.failures())
-        return f"Report(suite={self.suite!r}, checks={len(self.checks)}, failures={n_fail})"

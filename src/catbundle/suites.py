@@ -13,9 +13,10 @@ no rows of its own.
 A run reads every stage of the construction from one InstanceContext, which
 builds each stage on first use and only once: a single suite builds just the
 stages it reads, and the `all` report is the concatenation of the reports of
-the single suites that apply to the base. The `peiffer` report is the
-chain's own, computed once. The quotient and the classical cocycle on it are
-separate stages, and neither runs when `peiffer` fails.
+the single suites that apply to the base, each check id listed once. The
+`peiffer` report is the chain's own, computed once. The quotient and the
+classical cocycle on it are separate stages, and neither runs when `peiffer`
+fails.
 
 Each stage and suite imports its layer on first use: the transition functors
 (`functorial`), the coset quotient (`quotient`), the glued space (`bundle`),
@@ -209,7 +210,11 @@ def run_suite(inst: Instance, suite: str, max_len: int = 3) -> Report:
         import_module(f".{layer}", __package__)
     cover = inst.cover
     last = ("bundle",) if cover.identity_edges else ("oracle",) if cover.directed else ()
-    rep = Report("all")
+    rep, seen = Report("all"), set()
     for name in ("peiffer", "gerbal", "functorial", "naturality", "quotient") + last:
-        rep.merge(_run(ctx, name))
+        # a gated suite repeats its gate's rows, which an earlier stage listed
+        for c in _run(ctx, name).checks:
+            if c.check_id not in seen:
+                seen.add(c.check_id)
+                rep.checks.append(c)
     return rep

@@ -1,6 +1,8 @@
 """The glued total space: objects, decorated chains, the normal form behind
 morphism equality, lifts, and local trivializations."""
 
+import json
+import re
 from collections import Counter
 
 import pytest
@@ -13,6 +15,7 @@ from catbundle.battery import (
     fold_layers,
 )
 from catbundle.bundle import BundleMorphism, BundleObject, BundleSpace, QuiverEdge
+from catbundle.cli import main
 from catbundle.complexes import PathMor, enumerate_paths, index_family
 from catbundle.errors import (
     CompositionError,
@@ -20,7 +23,7 @@ from catbundle.errors import (
     PreconditionError,
     SchemaError,
 )
-from catbundle.generation import generate_gerbal
+from catbundle.generation import generate_gerbal, instance_to_json
 from catbundle.presets import build_instance, cover_cycle6, cover_line5w
 from catbundle.report import Report
 from catbundle.schema import Instance
@@ -473,6 +476,26 @@ def test_chain_of_cached_edges_still_checks_junctions(inst_line5):
         with pytest.raises(CompositionError):
             space.mor_endpoints(compose(first, second))
         assert space.composed_key(space.unit_split(first) + space.unit_split(second)) is None
+
+
+def test_mor_key_names_an_edge_outside_its_charts_or_cosets(inst_line5):
+    # chart 2 is not in the edge's index set, and no coset has the rep "zz"
+    space = fresh_space(inst_line5)
+    phi = space.q.identity_mor_at(space.q.identity_obj())
+    edge = QuiverEdge("1", ("1",), space.cover.walk("0", [("e01", 1)]), phi)
+    for bad, message in ((edge._replace(chart="2"), "edge chart '2' is not in its index set "
+                                                    "('1',)"),
+                         (edge._replace(phi="zz"), "edge decoration 'zz' is not a morphism "
+                                                   "coset rep")):
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            space.mor_key(BundleMorphism.chain([bad]))
+
+
+def test_canonical_obj_names_a_vertex_outside_its_chart(inst_line5):
+    # chart 1 = {0, 1, 2}
+    space = fresh_space(inst_line5)
+    with pytest.raises(SchemaError, match="^vertex '4' is not in chart '1'$"):
+        space.canonical_obj("1", "4", space.q.identity_obj())
 
 
 def test_edge_whose_visited_vertices_disagree_with_its_steps_is_rejected(inst_line5):
@@ -1280,3 +1303,76 @@ def test_memos_stay_within_charts_times_units_and_cosets_squared(checked_space_s
     assert 0 < q.mor_product.cache_info().currsize <= len(q.morphisms.reps) ** 2
     assert 0 < q.obj_product.cache_info().currsize <= len(q.objects.reps) ** 2
     assert 0 < q.identity_mor_at.cache_info().currsize <= len(q.objects.reps)
+
+
+# ----- planted faults: each plant fails a row, and none raises ---------------
+#
+# The first rows of the planted-fault matrix: each single value of gbar on
+# s3-line5w at preset seed 5, moved to the other object coset. Some of these
+# plants break a lift's junction or leave a bounded state that cannot be
+# keyed; `Report.search` and the battery's keying gate record those as failed
+# rows with the error as the witness, so the battery, the `bundle` suite and
+# the CLI report them and raise nothing.
+
+GBAR_KEYS = [(i, k, u) for cover in [cover_line5w()] for i, k in cover.overlapping(2)
+             for u in sorted(cover.overlap((i, k)))]
+
+
+@pytest.fixture(scope="module")
+def wide_document(tmp_path_factory):
+    inst = build_instance("s3-line5w", 5, True)
+    path = tmp_path_factory.mktemp("plants") / "s3-line5w.json"
+    path.write_text(instance_to_json(inst))
+    return inst, str(path)
+
+
+def plant_other_coset(monkeypatch, key):
+    """Every space built from now on reads the other object coset at gbar `key`."""
+    gbar = BundleSpace.gbar
+
+    def planted(self, *k):
+        value = gbar(self, *k)
+        return next(r for r in self.q.objects.reps if r != value) if k == key else value
+    monkeypatch.setattr(BundleSpace, "gbar", planted)
+
+
+def test_the_gbar_plants_cover_every_value():
+    assert len(GBAR_KEYS) == len(set(GBAR_KEYS)) == 35
+
+
+@pytest.mark.parametrize("key", GBAR_KEYS, ids="".join)
+def test_a_gbar_plant_fails_a_row_and_raises_nothing(wide_document, monkeypatch, capsys, key):
+    inst, path = wide_document
+    plant_other_coset(monkeypatch, key)
+    rep = check_bundle_axioms(fresh_space(inst), 2)
+    assert not rep.ok
+    assert main(["check", path, "--suite", "bundle", "--max-path-len", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out)["checks"] == rep.to_dict()["checks"]
+    assert err == ""
+
+
+def test_a_state_that_cannot_be_keyed_fails_each_row_that_reads_the_keys(
+        wide_document, monkeypatch):
+    # gbar_12(1) breaks the merge of a zero-length unit into its neighbour:
+    # the six keyed rows fail with that error, and the trivializations still run
+    plant_other_coset(monkeypatch, ("1", "2", "1"))
+    rep = check_bundle_axioms(fresh_space(wide_document[0]), 2)
+    witness = "CompositionError: cosets do not compose: target '(123)' != source '(12)'"
+    failed = {c.check_id: c.witness for c in rep.failures()}
+    keyed = battery.KEYED_LAWS
+    assert {i: failed[i] for i in keyed} == dict.fromkeys(keyed, witness)
+    assert "bundle.proj.mor_surjective" not in failed
+    assert sum(c.check_id.startswith("triv.") for c in rep.checks) == 72
+
+
+def test_a_scan_that_raises_fails_its_row_with_the_error(wide_document, monkeypatch):
+    # gbar_11(0) breaks the junction of a lift at vertex 0
+    plant_other_coset(monkeypatch, ("1", "1", "0"))
+    rep = check_bundle_axioms(fresh_space(wide_document[0]), 2)
+    failed = {c.check_id: c.witness for c in rep.failures()}
+    assert failed["bundle.proj.mor_surjective"] == (
+        "CompositionError: chain breaks: edge starts at BundleObject(chart='1', vertex='0', "
+        "fiber='(12)') but previous ended at BundleObject(chart='1', vertex='0', "
+        "fiber='(123)')")
+    assert not any(i in failed for i in battery.KEYED_LAWS)

@@ -233,3 +233,13 @@ def test_smallest_chart_follows_index_order():
     assert c.smallest_chart("2") == "1"
     assert c.smallest_chart("4") == "3"
     assert c.charts_containing(["2"]) == ["1", "2", "3"]
+
+
+def test_an_unknown_vertex_or_edge_is_named():
+    c = cover_line5()
+    for call, message in ((lambda: c.identity_walk("9"), "unknown vertex '9'"),
+                          (lambda: c.walk("9", []), "unknown vertex '9'"),
+                          (lambda: c.walk("0", [("e09", 1)]), "unknown edge 'e09'"),
+                          (lambda: c.smallest_chart("9"), "unknown vertex '9'")):
+        with pytest.raises(SchemaError, match=f"^cover complex: {message}$"):
+            call()

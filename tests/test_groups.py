@@ -8,6 +8,7 @@ import pytest
 from catbundle.errors import SchemaError
 from catbundle.gerbal import GerbalCocycle
 from catbundle.groups import (
+    ORDER_CAP,
     FiniteGroup,
     GroupAction,
     GroupHom,
@@ -188,3 +189,31 @@ def test_table_refuses_a_missing_an_outside_and_an_extra_entry(
     for bad, message in cases:
         with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
             build(bad)
+
+
+def test_an_element_outside_a_table_is_named():
+    g = tiny_group()
+    hom = GroupHom("id", g, g, {"e": "e", "a": "a"})
+    act = GroupAction("triv", g, g, {(x, y): y for x in g.elements for y in g.elements})
+    for call, message in ((lambda: g.inverse("zz"), "group 'Z2': no inverse for 'zz'"),
+                          (lambda: hom("zz"), "hom 'id': no value for 'zz'"),
+                          (lambda: act("zz", "e"), "action 'triv': no value for ('zz', 'e')")):
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            call()
+
+
+def test_a_group_above_the_order_cap_is_refused_before_its_tables_are_read():
+    elements = [str(n) for n in range(ORDER_CAP + 1)]
+    with pytest.raises(SchemaError, match=f"^group 'big': order {ORDER_CAP + 1} exceeds cap "
+                                          f"{ORDER_CAP}$"):
+        FiniteGroup("big", elements, {}, "0", {})
+
+
+def test_an_action_that_is_no_bijection_is_named():
+    # a acts on Z2 by the zero map: a homomorphism that is no bijection, and
+    # no action either, so the automorphism law is named by its full scan
+    g = tiny_group()
+    act = GroupAction("zero", g, g, {("e", "e"): "e", ("e", "a"): "a",
+                                      ("a", "e"): "e", ("a", "a"): "e"})
+    failed = {c.check_id: c.witness for c in validate_action(act, True).failures()}
+    assert failed["action.zero.automorphism"] == "a. is not a bijection of Z2"

@@ -35,6 +35,7 @@ from catbundle.quotient import (
 )
 from catbundle.generation import instance_to_json
 from catbundle.schema import instance_from_document
+from catbundle.suites import run_suite
 
 
 def test_variant_detection(chain_s3, chain_s4):
@@ -258,15 +259,6 @@ def test_mor_product_and_inverse(quotient_s3):
         assert q.compose_of(co, m) == q.identity_mor_at(q.source[m])
 
 
-def test_coset_space_rejects_non_subgroup(quotient_s3):
-    mor = quotient_s3.morphisms
-    # the inverse of ((123),e) is ((132),e), which the subset misses
-    with pytest.raises(SchemaError, match=r"^coset space: subgroup not closed under inverse "
-                                          r"at '\(\(123\),e\)'$"):
-        CosetSpace(mor.name, mor.elements, pair_id("e", "e"), mor.op, mor.inverse,
-                   frozenset({pair_id("e", "e"), pair_id("(123)", "e")}))
-
-
 def test_build_names_a_tau_image_that_is_no_subgroup(inst_line5):
     # tau is no homomorphism, so its image need be no subgroup: the refusal
     # comes before any table is built, and names the failed peiffer row
@@ -334,8 +326,18 @@ def test_subgroup_normal_on_coset_reps_matches_the_full_scan():
     subgroups = {closure(s4, (a, b)) for a in s4.elements for b in s4.elements}
     normal = 0
     for sub in sorted(subgroups, key=sorted):
-        space = CosetSpace(s4.name, s4.elements, s4.identity, s4.op, s4.inverse, sub)
+        space = CosetSpace(s4.name, s4.elements, s4.op, s4.inverse, sub)
         full = all(s4.conj(g, s) in sub for g in s4.elements for s in sub)
         assert subgroup_normal(space) == full, sorted(sub)
         normal += full
     assert (len(subgroups), normal) == (30, 4)
+
+
+def test_a_diagonal_h_cell_off_the_identity_fails_classical_diagonal(inst_line5):
+    # h_11(0) = (12) makes gbar_11(0) = (12), outside the identity coset
+    # tau tau'(A3) = A3; the quotient suite gates on peiffer alone, so it runs
+    doc = json.loads(instance_to_json(inst_line5))
+    doc["cocycle"]["h"]["1|1|0"] = "(12)"
+    rep = run_suite(instance_from_document(doc), "quotient", 2)
+    failed = {c.check_id: c.witness for c in rep.failures()}
+    assert failed["classical.diagonal"] == "gbar_11(0) is not the identity coset"

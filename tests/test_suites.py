@@ -29,19 +29,19 @@ from catbundle.suites import SUITES, run_suite
 GOLDEN_ALL = [
     ("s3-line5", 3,
      "0dc368c802c17156a86ad7a3bc1e1f2e664da464fbd597ee7d7e5ce07adc2e7c",
-     "bd2103b32f92208feb9d2a02a9dc1cd02fcfe35797b94fdda810beaa6ed5e154"),
+     "f0a2dff647ca6bcfbef7e9090f41d48bfe718d6c1e9aceb067dd8e83f98dc754"),
     ("s3-line5w", 2,
      "0dc368c802c17156a86ad7a3bc1e1f2e664da464fbd597ee7d7e5ce07adc2e7c",
-     "bd2103b32f92208feb9d2a02a9dc1cd02fcfe35797b94fdda810beaa6ed5e154"),
+     "f0a2dff647ca6bcfbef7e9090f41d48bfe718d6c1e9aceb067dd8e83f98dc754"),
     ("cycle6-trivial", 4,
      "d19e83ce502521ff91a0e5a4b1e4f33d0020bff5f89d2622a6b299994d0e8273",
-     "2df0435c81af2da6fdf9090183265c21f075a0d57c861ee2d7a1c937b0c9d9aa"),
+     "513945ad2206912700bdfcb6cea5ed8acdf96621ca9ed9c6e57671841febf167"),
     ("oracle-dirline3", 3,
      "be681f120706fdcb3fc5128ba2495146a50eb7be81bd7243f2ee7104b7053e3c",
-     "3db7c94ee55f3dae28a48f7696478789811bc9f3ca033a8a302d38991e9b3ebc"),
+     "ef579dcd2675ba941350520ad2006896f096d53ee9a912a8104f7b931671b733"),
     ("s4-line5w", 1,
      "0b56141b301e1f5e5d516502ff64d51f216484b62d87f788c87f66e00f3fc926",
-     "c1732b2e9361a9db6748d5aa139a0d5cf3716a36c9be92fbe568b0bff9913731"),
+     "b46f9da1168b64da4cc30785abdeaf7a9d3d1df66537b984b268f604f5739e76"),
 ]
 
 # SHA-256 of the `all` report at length 3 of the A3/J3 chain (conftest.py),
@@ -49,10 +49,10 @@ GOLDEN_ALL = [
 GOLDEN_NON_THIN = [
     ("inst_a3j3_line5w",
      "cee738a50f232f7db7631161aa024d4875fbd64a36b9746fbc8050671240f5e5",
-     "68881c6fc435bad4835c7889ab9ab458e55bab56d76b6cd46978c0d264244429"),
+     "431845e8e9d2f1586b1dc9c20470328a6b1314eb2c0e0b26669b1d62ac38c978"),
     ("inst_a3j3_dirline3",
      "a2b1bd9f5c16f961b413d310b4d69f3a3ba5fbf1248e0a62e2fc21b4f81ab5bb",
-     "c1a00bac4e3698c059fc84b54e68ea92d37bdbb212598a6aa9aa24515df58328"),
+     "fa0fdc054e9c2cef024c45550f43dbd28fe8065fa02004b1f3382a20eaf95ccb"),
 ]
 
 # One-cell edits of preset documents at seed 3 (the ones tests/test_cli.py
@@ -74,67 +74,67 @@ EDITS = {
 GOLDEN_EDITED = [
     ("a3-table", "peiffer",
      "d2d2e752ff43a13a261e4a96fafe14231cba2cb434ecfd2f3578deca69b4991f",
-     "03beda522bb03d21e6832d35bd2eda1a3ffa2508bab47ecb89d0aa368904f07c"),
+     "804e4537c3db6e9ec7c11d0e1cbc3b1a4a637ec9eed9f99e986a31340c51ae1e"),
     ("a3-table", "gerbal",
      "557be47831a845ab65ed0f94bf52a3b46d6f163f868be411a6af1baf59aa8e04",
-     "64d905e5e4db9621fac069c8bd34a011b95e4fca039e59e8f3866c5d738c5d0b"),
+     "6231516bcb168e200504da42e45f5a7005a2f6fbad1e6a2f993acc31fb8b0656"),
     ("a3-table", "functorial",
      "1bbac35dd048c0e6b34d3bb35088c65f99525c1422d9088cd1e09f1a6054541f",
-     "b55dc93885113109fe9003ac8d97410b6ca38db82f531d571d7f0cbf5da65ded"),
+     "69cb7144e94db9c7d6bb5ea97a7c975632233ddd323ff8110faa157c33183953"),
     ("a3-table", "naturality",
      "e7d0c80746102f88b55ad7e2dbac84b19f8bfa51577b35eac95fa31a2fb60bdf",
-     "3d36b04e74d2616a88503135a4e660dcd6ba73e784a69e57753b9a9aa10e92d6"),
+     "ce7f3129ce48e41f8e9b0b7a52b30a64ab73afbdc64006b2bfc0e9cc96189628"),
     ("a3-table", "quotient",
      "f1986f9abdf8721fad784a12dcfbde98b6ee96defe80e896fde8f979c000c223",
-     "4b407e82623724e2bdea2b90117d48cf82a7feacc6052ec122463553b9070c9d"),
+     "8e1d993126e9328ed0d13dcad2f949bf8642a707b8ae01c75c72100d71189b83"),
     ("a3-table", "bundle",
      "b156499ada1129ae1f0706229c4615f6256769c83fb475b22b4b654cfb4adc16",
-     "6dfa3f45e989866c7f81859a4d2b45598d07e17b226cae2f918ba8d58be03bfe"),
+     "74dcffe77ac1a50c39a8999266a245cf1c00372207bc091cb3cbad9775548bc4"),
     ("a3-table", "all",
-     "3b0448487a05b05bf8bc90745ad31189a3ff8573ddf5c08079d0e4b7b9e15cdf",
-     "b92ea4aa6893a47416f993c664a546a62964ce2ddcd5ffd201d4de31a06c216d"),
+     "db7a3c52384763397d0497a57f8d64ab9297c2481de99758bca534426236e46b",
+     "5a6ba704933f2c11a2d00007e6836f6e9c2063795840f0df82d6738c31d91f82"),
     ("conj-action", "peiffer",
      "432a2b5ccd1ba6a216281091a4200a06298dec835685b0c2b61b629e8dfe1850",
-     "5507ff117bf6f9eaa8342318bea814db836ca80daa897e37cf5868e43bba35fd"),
+     "814d4221b88c88885b46f5e629d0ac1f4df95c51a299dd3c59186ed8744b0485"),
     ("conj-action", "gerbal",
      "23911f2e26ea7db81c57ae6ef8daba01af08a77bc091d13c9b9a2f7f0b53e9cc",
-     "82b87d92cc4bbd58c7112698e079ed68b2e314e527efb6110685fbf01caf0c48"),
+     "140861a4d32bce4e53a1c3e40c8b2cf876e514d25602659b4733b6957e6c6b12"),
     ("conj-action", "functorial",
      "7d1796815392bfc37abda3b58340fe85d2d7979c74bda7f65242a7722425a99c",
-     "6cb6237dfc9dd83138e4c8ea3275b87972e38c24d1f10b5dab26ad33416feeda"),
+     "0e006d552bf1120f08bb8859471ee7445158259f161a090a6efda2f8afa427e5"),
     ("conj-action", "naturality",
      "ce95462f6ed6e36fdc06faf9000b578cbbd1b4d96e24fa12dbcbc01a0daac477",
-     "b28e4ac13fc61794040760340d59a8f7424d34f91bf62d92509a10f170743b64"),
+     "dc9624fd65d2475734394e5c9c4c110922d34237747138f727a56bb292babff8"),
     ("conj-action", "quotient",
      "4ef921852b778703632d8a6f025cf8fdc97f266594d83ba01af2f0b276e151c7",
-     "01d98e5022de403b6313d9be0f891e6f8a2930d2dec8268b038524c63be99d5b"),
+     "7b77202eed6f9aac4258f9187286247fcdd64106ec4ac2b3eb5a2f93d8db898f"),
     ("conj-action", "bundle",
      "c563a93e6eee44f42b14238f538040e76a2a7b48a9d9b32f370ead4543422008",
-     "a6eb06a1b703cacc1722fa8985b69aa9a37c989a4e0d9055fb1ffe0a96497a7e"),
+     "afda0ae476fb2f7fb4ff417224b6093b12a4e843f40eb1c4ef767dae1ed67f02"),
     ("conj-action", "all",
-     "909cb3ea6d48d67a85ba511a0371bb197038653be45a6a144d96b28a213d56ed",
-     "f8f03067deb1a75fc31ebc6b5d09fad16b2c212608a1bd50c5a9498574f6882b"),
+     "ed8ff0c89a801f5fab41ea0b38dfc5a9198229b36eacb420ca621f12ed03987f",
+     "2e251323968f8e00813b907db9d67c71ca92657f53914d7021da8a333fc11502"),
     ("h-cell", "peiffer",
      "afa1a43820bb9b0d859580139f68c5032819df8b00277e75e248e32b222ac960",
-     "2a14350c4c4f3169cb631c673c6fd383546a8a87453584d02ad0c7c14cb73847"),
+     "42ea9a56726f3dccca1444cbe0726012b225d4c5c5da47823905597b306a1420"),
     ("h-cell", "gerbal",
      "18337b541a133329f2b79e71aeaf9c939c2254c74e295c5ebba4054d4a3c40cc",
      "18337b541a133329f2b79e71aeaf9c939c2254c74e295c5ebba4054d4a3c40cc"),
     ("h-cell", "functorial",
      "3a8c8e3439995200ad3389afef487194c4b2b8129560605928c6b6d64a064ab6",
-     "9ad5b909bc0f92f19cda24dc848e1ce11cce214428775fb7de0cdf9a09d42a13"),
+     "51e462a1b1d97cb4e1afdccb7c5c61e9f9c2d55683895d104a51c8b2ccb5fc0c"),
     ("h-cell", "naturality",
      "6ca91d786f69726ecdc494635a08c18e9f764c06846eb09bbd667f092d7ce3c3",
-     "78a28253b6cf8f83e795c0c646f97a79738a8375aeef6ca23fd0087af01340f1"),
+     "7c284b81fd61881abaee517db97351b11a69dda025bcef2f121c570bb2782900"),
     ("h-cell", "quotient",
      "e334713212b843e83441514193047987cd6fc793df80c2c22764ef2388e25819",
      "53db38a71017c2f6f144251a6bdd1fdffce8903c23a76672c7575198ea6a8849"),
     ("h-cell", "bundle",
      "aa4192a90258ea45c3751fc31a826b2ea0744e9b154ad723f74a4529694d782c",
-     "9a58afa4de6f00e255cbec57fd4e39a3dec0af21176e6f40a51d81d2d5a4d34f"),
+     "29e76b889705edc9a9edbb11cfd563d9531b0f10cafbccd38a503c12dfa2d80e"),
     ("h-cell", "all",
-     "d46338d6f21846122356cacf2bcfd9528bbbcc9a0a4391030e782849d82f249d",
-     "ff6da250acffafb297f60a284c991fcbdbceab1fd3b493e65b7552c4a1d118e5"),
+     "4d3e135d4f1e8d1b561f52cc3c74d6f06ecb50b9652b141562aefd15346784ce",
+     "12be4bbf3855073ee266340b632bd08fdd4920c43e0b32154625392e6f5ee53d"),
 ]
 
 # The layers each built once per run; `run_suite(..., "all")` once called
@@ -157,13 +157,16 @@ IMPLIED_GLUE = (("bundle.glue.reflexive", "gbar_ii(u) = identity coset"),
                 ("bundle.glue.symmetric", "gbar_ij(u) gbar_ji(u) = identity coset"),
                 ("bundle.glue.transitive", "gbar_kj(u) gbar_ji(u) = gbar_ki(u)"))
 IMPLIED_ENDPOINTS = "theta(gamma) depends only on (gamma_0, gamma_1)"
+IMPLIED_NORMAL = "g tau(H) g^-1 = tau(H)"
 
 
 def with_implied_rows(rep, chain):
     """`rep` with the rows it leaves out as decided by another row or a gate:
     a component group under each module that holds it, where the report
     lists each group once; `tau_image.<cm>.hom`, which repeats the module's
-    tau homomorphism row; the IMPLIED_JH, IMPLIED_QUOTIENT and IMPLIED_GLUE
+    tau homomorphism row, and a `tau_image.<cm>.normal` pass beside that row
+    where it passes, as the first Peiffer identity implies that tau(H) is
+    normal in G; the IMPLIED_JH, IMPLIED_QUOTIENT and IMPLIED_GLUE
     passes; and a `theta.<ik>.endpoints` pass beside each
     `theta.<ik>.compose` row."""
     modules = (chain.outer, chain.inner)
@@ -173,6 +176,9 @@ def with_implied_rows(rep, chain):
         for cm in modules:
             if c.check_id == f"peiffer.{cm.name}.component.hom.{cm.tau.name}":
                 extra.append(c._replace(check_id=f"tau_image.{cm.name}.hom"))
+                if c.status == "pass":
+                    extra.append(CheckResult(f"tau_image.{cm.name}.normal", IMPLIED_NORMAL,
+                                             "pass"))
         if c.check_id == f"peiffer.{chain.outer.name}.component.hom.{chain.outer.tau.name}":
             # one copy of the chain's peiffer rows
             first = {}
@@ -306,22 +312,26 @@ def test_edited_report_bytes_are_pinned(edit, suite, long_digest, digest):
 
 @pytest.mark.parametrize("source", preset_names() + sorted(EDITS))
 def test_all_is_the_concatenation_of_the_single_suites(source):
-    # the invariant that lets `all` share one context between its suites
+    # the invariant that lets `all` share one context between its suites:
+    # `all` lists the single suites' rows in order, each check id once, so a
+    # gated suite adds none of the gate rows an earlier suite listed
     if source in EDITS:
         inst = edited_instance(source)
     else:
         inst = build_instance(source, seed=5, noise=True)
     max_len = 1 if source == "s4-line5w" else 2
-    singles = [c for s in applicable(inst) for c in run_suite(inst, s, max_len).checks]
-    assert run_suite(inst, "all", max_len).checks == singles
+    singles = {}
+    for s in applicable(inst):
+        for c in run_suite(inst, s, max_len).checks:
+            singles.setdefault(c.check_id, c)
+    assert run_suite(inst, "all", max_len).checks == list(singles.values())
 
 
 @pytest.mark.parametrize("source", preset_names() + [f for f, _, _ in GOLDEN_NON_THIN]
                          + sorted(EDITS))
 def test_no_report_repeats_a_check_id(request, source):
-    # each law is checked once per report. `all` runs only on the documents
-    # that pass: on an edited one it repeats the failed gate's checks once
-    # per suite that reads the gate, as it concatenates the single suites
+    # each law is checked once per report, also on an edited document, where
+    # each suite that reads a failed gate lists the gate's rows
     if source in EDITS:
         inst = edited_instance(source)
     elif source.startswith("inst_"):
@@ -329,7 +339,7 @@ def test_no_report_repeats_a_check_id(request, source):
     else:
         inst = build_instance(source, seed=5, noise=True)
     max_len = 1 if source == "s4-line5w" else 2
-    for suite in applicable(inst) + ([] if source in EDITS else ["all"]):
+    for suite in applicable(inst) + ["all"]:
         ids = Counter(c.check_id for c in run_suite(inst, suite, max_len).checks)
         assert [i for i, n in ids.items() if n > 1] == [], suite
 
@@ -385,3 +395,8 @@ def test_a_single_suite_builds_only_the_layers_it_reads(layer_calls, inst_line5)
     assert layer_calls == {"derive_tower": 1, "build_quotient": 0,
                            "check_classical_cocycle": 0, "validate_gerbal": 1,
                            "check_second_gerbe": 1}
+
+
+def test_unknown_preset_is_named():
+    with pytest.raises(SchemaError, match="^unknown preset 'nope'; choose one of "):
+        build_instance("nope")

@@ -12,7 +12,11 @@ from echelon_reference import EchelonReference
 from normal_form_reference import reference_key
 
 from catbundle.bundle import BundleMorphism
+from catbundle.complexes import CoverComplex
 from catbundle.errors import PreconditionError
+from catbundle.generation import generate_gerbal
+from catbundle.presets import build_instance
+from catbundle.schema import Instance
 from catbundle.suites import InstanceContext
 from catbundle.wordalg import (
     WordOracle,
@@ -330,3 +334,20 @@ def test_action_plant_on_the_head_units_fails_the_invariants_instead_of_raising(
         "action by ((12),(12)) breaks a junction of word "
         "(('0', (('e01', 1),), '1', ('1',), '((12),(12))'), "
         "('1', (('e12', 1),), '1', ('1',), '((123),(123))'))")
+
+
+def test_oracle_requires_zero_length_edges_disabled():
+    # a directed base with zero-length edges enabled: the oracle suite
+    # refuses it before building the oracle, and the oracle refuses it too
+    directed = build_instance("oracle-dirline3", 5, True)
+    c = directed.cover
+    edges = [(e, *c.edge_by_id[e]) for e in sorted(c.edge_by_id)]
+    cover = CoverComplex(sorted(c.vertex_set), edges, c.cover, c.index_order,
+                         directed=True, identity_edges=True)
+    gc = generate_gerbal(directed.chain, cover, 5, noise=True)
+    inst = Instance("dirline3-with-identities", 5, True, directed.chain, cover, gc)
+    space, pre = InstanceContext(inst, 2).space
+    assert pre.ok
+    with pytest.raises(PreconditionError, match="^the word oracle needs zero-length edges "
+                                                "disabled$"):
+        WordOracle(space, max_len=2)
