@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 import catbundle
+import cli_reference
+from catbundle import cli
 from catbundle.cli import main
 
 
@@ -182,6 +184,101 @@ def test_negative_max_path_len_is_usage_error(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("verb", ["generate", "validate", "check"])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, verb):
+    doc = tmp_path / "inst.json"
+    run(capsys, "generate", "s3-line5", "--seed", "3", "--out", str(doc))
+    target = str(tmp_path / "absent" / "rep.json")
+    first = "s3-line5" if verb == "generate" else str(doc)
+    code, out, err = run(capsys, verb, first, "--out", target)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {target!r}: ")
+    assert err.count("\n") == 1
+
+
+# argv vectors run through `cli._parse` and the argparse reference: the forms
+# README, CI and perfbench use, `--opt=value`, options before the positional
+# argument, `--`, `-h` on every verb, and one vector per usage error
+PARSE_CORPUS = [
+    ["generate", "s3-line5w", "--seed", "7", "--noise", "on", "--out", "inst.json"],
+    ["validate", "inst.json"],
+    ["check", "inst.json", "--suite", "all", "--max-path-len", "3"],
+    ["check", "inst.json", "--suite", "naturality", "--diagnostic"],
+    ["generate", "s3-line5", "--seed", "5", "--out", "smoke.json"],
+    ["validate", "smoke.json", "--out", "/nonexistent/x.json"],
+    ["check", "smoke.json", "--suite", "quotient", "--max-path-len", "2"],
+    ["check", "bad-law.json", "--suite", "peiffer"],
+    ["check", "doc.json", "--suite", "bundle", "--max-path-len", "1", "--out", "rep.json"],
+    ["generate", "cycle6-trivial", "--seed", "-3", "--noise", "off"],
+    ["generate", "oracle-dirline3"],
+    ["check", "doc.json", "--max-path-len=0", "--suite=oracle", "--out="],
+    ["check", "--suite", "gerbal", "--diagnostic", "doc.json"],
+    ["validate", "--out", "-", "-"],
+    ["check", "doc.json", "--max-path-len", "1", "--max-path-len", "2"],
+    ["check", "--", "-doc.json"],
+    ["check", "--suite", "all", "--", "--out"],
+    ["-h"], ["--help"], ["generate", "-h"], ["validate", "--help"], ["check", "doc.json", "-h"],
+    ["check", "doc.json", "extra", "-h"], ["check", "doc.json", "--bogus", "--help"],
+    ["--bogus", "-h"], [], ["frobnicate"], ["--out", "x", "validate", "doc.json"],
+    ["--", "-h"],
+    ["check", "doc.json", "--bogus", "1"], ["validate", "doc.json", "-x"],
+    ["check"], ["validate", "--out", "rep.json"], ["check", "--diagnostic"],
+    ["check", "doc.json", "--max-path-len"], ["check", "doc.json", "--out", "--diagnostic"],
+    ["generate", "--seed", "-h", "s3-line5"],
+    ["validate", "a.json", "b.json"], ["check", "--", "a.json", "b.json"],
+    ["generate", "s3-line5", "--seed", "abc"], ["generate", "s3-line5", "--seed="],
+    ["check", "doc.json", "--max-path-len", "-1"], ["check", "doc.json", "--max-path-len=x"],
+    ["check", "doc.json", "--suite", "nope"], ["generate", "nope"], ["generate", "nope", "-h"],
+    ["generate", "s3-line5", "--noise", "maybe"], ["check", "doc.json", "--diagnostic=yes"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_CORPUS,
+                         ids=lambda argv: " ".join(argv) or "(empty)")
+def test_parser_agrees_with_argparse(capsys, argv):
+    try:
+        reference = vars(cli_reference.parser().parse_args(argv))
+    except SystemExit as exc:
+        reference = exc.code
+    if isinstance(reference, dict):
+        verb, fields = cli._parse(argv)
+        assert {"command": verb, **fields} == reference
+        return
+    assert reference in (0, 2)
+    if reference == 0:
+        assert cli._parse(argv)[1] is None
+    else:
+        with pytest.raises(cli.UsageError):
+            cli._parse(argv)
+    code, out, err = run(capsys, *argv)
+    assert code == reference
+    assert "Traceback" not in err
+    # help goes to stdout, a usage error to stderr ending in its message
+    assert bool(out) == (code == 0) != bool(err)
+    if code == 2:
+        assert err.splitlines()[-1].startswith("catbundle: error: ")
+
+
+def test_abbreviated_options_are_refused(capsys):
+    # the one divergence from the argparse reference, which expands them
+    argv = ["check", "doc.json", "--max", "2", "--diag"]
+    reference = cli_reference.parser().parse_args(argv)
+    assert (reference.max_path_len, reference.diagnostic) == (2, True)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == "catbundle: error: unrecognized arguments: --max 2 --diag"
+
+
+def test_help_lists_each_verb_and_option(capsys):
+    code, out, _ = run(capsys, "--help")
+    assert code == 0
+    assert all(f"  {verb} " in out for verb in ("generate", "validate", "check"))
+    code, out, _ = run(capsys, "check", "-h")
+    assert code == 0
+    assert out.startswith("usage: catbundle check [-h] [--suite {peiffer,")
+    assert "[--max-path-len MAX_PATH_LEN] [--diagnostic] [--out OUT] FILE\n" in out
+
+
 def _edited(tmp_path, capsys, preset, seed, path, value):
     """Generate a preset document and overwrite the cell at `path`."""
     doc_path = tmp_path / "inst.json"
@@ -338,6 +435,10 @@ LAYER_MODULES = {"catbundle.bundle", "catbundle.quotient", "catbundle.wordalg"}
 BATTERY = "catbundle.battery"
 # what only `generate` runs: no `validate` or `check` verb loads it
 GENERATOR = {"catbundle.generation", "catbundle.prng"}
+# what an argparse parser loads, its messages through gettext and locale: no
+# run of `loaded_by`, which covers `generate`, `validate` and every suite,
+# loads any of them
+PARSER_MODULES = {"argparse", "gettext", "locale"}
 
 
 @pytest.fixture(scope="module")
@@ -358,6 +459,7 @@ def loaded_by(*argv, exit_code=0):
                           env=dict(os.environ, PYTHONPATH=src))
     code, loaded = json.loads(proc.stdout)
     assert code == exit_code, proc.stderr
+    assert not PARSER_MODULES & set(loaded)
     return set(loaded)
 
 
