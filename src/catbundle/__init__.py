@@ -1,7 +1,7 @@
 """Categorical principal bundles from local cocycle data over finite bases.
 
 The pipeline: finite groups wired into two chained crossed modules, a covered
-base graph, gerbal (h, j) data on overlaps, the derived functorial cocycle,
+base graph, gerbal (h, j) data on overlaps with the tower it derives,
 the coset quotient that turns it into an honest transition cocycle, and the
 glued total category with its fiberwise group action, local trivializations,
 and a decidable morphism equality cross-checked by exact linear algebra.
@@ -25,8 +25,7 @@ _NAMES = {
                "PreconditionError", "SchemaError"),
     "functorial": ("check_naturality", "check_theta_functorial"),
     "generation": ("generate_gerbal", "instance_to_json"),
-    "gerbal": ("FunctorialCocycle", "GerbalCocycle", "check_second_gerbe", "derive_tower",
-               "validate_gerbal"),
+    "gerbal": ("GerbalCocycle", "check_second_gerbe", "derive_tower", "validate_gerbal"),
     "groups": ("FiniteGroup", "GroupAction", "GroupHom"),
     "presets": ("build_instance", "preset_names"),
     "quotient": ("QuotientCatGroup", "build_quotient", "check_JH_normal"),

@@ -376,35 +376,26 @@ def _check_keyed_laws(space: BundleSpace, rep: Report) -> None:
     neutral = q.identity_mor_at(q.identity_obj())
     states = enumerate_chains(space, 2)
 
-    # the distinct compacted states of the bounded chains, grouped by class;
-    # keying them first compacts each chain once for every check below. The
-    # action laws read an acted state's `state_key` from `keys`; a state not
-    # there is no composable state of enumerated units, so it is keyed only
-    # after its junctions are checked (`composed_key`). `added` holds, per
-    # state, the class it adds a member to, or None; `merged`, each added
-    # member that is no enumerated state, by the state it compacts.
+    # the bounded chains grouped by class; keying them first compacts each
+    # chain once for every check below. The action laws read an acted state's
+    # `state_key` from `keys`; a state not there is no composable state of
+    # enumerated units, so it is keyed only after its junctions are checked
+    # (`composed_key`). A state with a zero-length unit is keyed through its
+    # compaction, an enumerated one-unit state keyed earlier into the same
+    # class, and adds no member of its own.
     classes: dict[tuple, dict[State, None]] = {}
     keys: dict[State, tuple] = {}
-    added: list[Optional[tuple]] = []
-    merged: dict[State, State] = {}
     walk_witness = None
     try:
         for st in states:
-            # keyed through its compaction: the fold merges a zero-length unit
-            # into its neighbour
-            compacted = (space._merge_units(*st),) if len(st) == 2 and "v" in (
-                st[0][1][0], st[1][1][0]) else st
-            key = space._keys[st] = space.component_of(compacted)
+            # the fold merges a zero-length unit into its neighbour
+            merges = len(st) == 2 and "v" in (st[0][1][0], st[1][1][0])
+            key = space._keys[st] = space.component_of(
+                (space._merge_units(*st),) if merges else st)
             if walk_witness is None and space._walk_sig(st) != key[1]:
                 walk_witness = f"chain {st} is equal to a morphism over another walk"
-            members = classes.setdefault(key, {})
-            if compacted in members:
-                added.append(None)
-            else:
-                added.append(key)
-                members[compacted] = None
-                if compacted is not st:
-                    merged[st] = compacted
+            if not merges:
+                classes.setdefault(key, {})[st] = None
             keys[st] = space.state_key(st)
     except (CompositionError, DomainError) as err:
         # each row that reads the keys fails with the state that could not be keyed
@@ -431,7 +422,7 @@ def _check_keyed_laws(space: BundleSpace, rep: Report) -> None:
     targets: dict[tuple, list] = {}  # class -> its first member's acted keys
     splits: dict[tuple, str] = {}  # (class, mover) -> its first witness
     free_witness = exchange_witness = None
-    for st, cls in zip(states, added):
+    for st in states:
         key = keys[st]
         row = []
         for psi in reps:
@@ -460,11 +451,9 @@ def _check_keyed_laws(space: BundleSpace, rep: Report) -> None:
                     exchange_witness = broken(psi, st)
                 elif acted_key != rhs_key:
                     exchange_witness = f"exchange law breaks for {psi} on a 2-chain"
-        if cls is None:
+        cls = space._keys[st]
+        if st not in classes.get(cls, ()):
             continue
-        member = merged.get(st, st)
-        if member is not st:
-            row = [psi != neutral and key_of(act(member, psi)) for psi in reps]
         # members share one key, and the neutral morphism changes no decoration
         target = targets.setdefault(cls, row)
         if None not in row and row == target:  # no witness in this member
@@ -473,7 +462,7 @@ def _check_keyed_laws(space: BundleSpace, rep: Report) -> None:
             if psi == neutral or (cls, psi) in splits:
                 continue
             if row[n] is None:
-                splits[cls, psi] = broken(psi, member)
+                splits[cls, psi] = broken(psi, st)
             elif row[n] != target[n]:
                 splits[cls, psi] = f"equal chains act apart under {psi}"
     rep.record("bundle.action.mor_free", KEYED_LAWS["bundle.action.mor_free"],
@@ -484,7 +473,7 @@ def _check_keyed_laws(space: BundleSpace, rep: Report) -> None:
                   if (cls, psi) in splits), None)
     rep.record("bundle.action.equivariant", KEYED_LAWS["bundle.action.equivariant"],
                split is None, split)
-    del added, merged, factors, targets, splits
+    del factors, targets, splits
 
     one_unit = [st for st in states if len(st) == 1]
     by_source_obj: dict[BundleObject, list[State]] = {}

@@ -76,7 +76,7 @@ from typing import Callable, Iterable, NamedTuple, Optional
 from .complexes import PathMor, compose_paths
 from .errors import CompositionError, DomainError, SchemaError
 from .functorial import eval_theta
-from .gerbal import FunctorialCocycle
+from .gerbal import GerbalCocycle
 from .quotient import QuotientCatGroup
 from .report import Report
 
@@ -121,10 +121,10 @@ class BundleSpace:
     the classical cocycle on cosets, and `suites.InstanceContext.space` builds
     a space only when their reports pass."""
 
-    def __init__(self, fc: FunctorialCocycle, q: QuotientCatGroup):
-        self.fc = fc
+    def __init__(self, gc: GerbalCocycle, q: QuotientCatGroup):
+        self.gc = gc
         self.q = q
-        self.cover = fc.cover
+        self.cover = gc.cover
         self._keys: dict[tuple, tuple] = {}
         self._interned: dict[tuple, tuple] = {}  # one object per distinct walk or key
         # psi -> (phi -> phi psi, phi -> phi times the identity at s(psi))
@@ -144,7 +144,7 @@ class BundleSpace:
     # ----- transported cocycle values on cosets ----------------------------
 
     def gbar(self, to_chart: str, from_chart: str, u: str) -> str:
-        return self.q.objects.rep(self.fc.g(to_chart, from_chart, u))
+        return self.q.objects.rep(self.gc.tower.g[(to_chart, from_chart, u)])
 
     def thetabar(self, to_chart: str, from_chart: str, walk: PathMor) -> str:
         # memoized by the whole walk: theta reads only its endpoints, but a
@@ -153,7 +153,7 @@ class BundleSpace:
         if not self.cover.overlap(indices).issuperset(walk.visited):
             raise DomainError(
                 f"walk through {list(walk.visited)} leaves the overlap of {indices}")
-        return self.q.q_mor(eval_theta(self.fc, to_chart, from_chart, walk.start, walk.end))
+        return self.q.q_mor(eval_theta(self.gc, to_chart, from_chart, walk.start, walk.end))
 
     # ----- objects ----------------------------------------------------------
 

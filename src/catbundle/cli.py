@@ -14,6 +14,7 @@ fresh interpreter.
 
 from __future__ import annotations
 
+import os
 import sys
 from typing import Optional
 
@@ -32,14 +33,21 @@ class UsageError(Exception):
 
 
 def _emit(text: str, out: Optional[str]) -> None:
-    if not out:
-        sys.stdout.write(text)
-        return
     try:
+        if not out:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+            return
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise SchemaError(f"cannot write {out!r}: {exc}") from exc
+        if not out:
+            # the unwritten text stays buffered: send it to the null device,
+            # so that the flush at exit succeeds and prints nothing
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+        raise SchemaError(f"cannot write {repr(out) if out else 'to stdout'}: {exc}") from exc
 
 
 def _load(path: str) -> Instance:
@@ -198,12 +206,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         verb = next((w for w in argv[:1] if w in _VERBS), None)
         print(_usage(verb), f"catbundle: error: {exc}", sep="\n", file=sys.stderr)
         return 2
-    if fields is None:
-        about = [_VERBS[verb][0]] if verb else [
-            _DESCRIPTION, "", *(f"  {v:<9} {h}" for v, (h, *_) in _VERBS.items())]
-        print(_usage(verb), "", *about, sep="\n")
-        return 0
     try:
+        if fields is None:
+            about = [_VERBS[verb][0]] if verb else [
+                _DESCRIPTION, "", *(f"  {v:<9} {h}" for v, (h, *_) in _VERBS.items())]
+            _emit("\n".join([_usage(verb), "", *about, ""]), None)
+            return 0
         return _VERBS[verb][1](**fields)
     except (SchemaError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

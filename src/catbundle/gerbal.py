@@ -10,11 +10,15 @@ triple and every vertex of its overlap is
 with the diagonal normalized to h_ii(u) = e. Like every table, h and j are
 checked once, by `groups.checked_table`, when a GerbalCocycle is built: a
 missing or extra entry, or a value outside its group, is a SchemaError, so
-every later layer reads the tables without re-checking them. Law violations
-are reported with witnesses.
+every later layer reads the tables without re-checking them. The cocycle
+derives its tower on first read, so `generate` never derives one. Law
+violations are reported with witnesses.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
+from typing import NamedTuple
 
 from .complexes import CoverComplex
 from .crossed import ChainedCrossedModules
@@ -38,6 +42,10 @@ class GerbalCocycle:
                         for u in cover.overlap((i, k, m)))
         self.h = checked_table("h", h, h_keys, chain.H)
         self.j = checked_table("j", j, j_keys, chain.J)
+
+    @cached_property
+    def tower(self) -> DerivedTower:
+        return derive_tower(self)
 
 
 def validate_gerbal(gc: GerbalCocycle) -> Report:
@@ -69,13 +77,10 @@ def validate_gerbal(gc: GerbalCocycle) -> Report:
     return rep
 
 
-class DerivedTower:
+class DerivedTower(NamedTuple):
     """The pushed-down tables g_ik = tau(h_ik) and h_ikm = tau'(j_ikm)."""
-
-    def __init__(self, g: dict[tuple[str, str, str], str],
-                 h3: dict[tuple[str, str, str, str], str]):
-        self.g = g
-        self.h3 = h3
+    g: dict[tuple[str, str, str], str]
+    h3: dict[tuple[str, str, str, str], str]
 
 
 def derive_tower(gc: GerbalCocycle) -> DerivedTower:
@@ -89,27 +94,14 @@ def derive_tower(gc: GerbalCocycle) -> DerivedTower:
     return DerivedTower(g, h3)
 
 
-class FunctorialCocycle:
-    """A cocycle together with its derived tower, exposing endpoint evaluation."""
-
-    def __init__(self, gc: GerbalCocycle):
-        self.gc = gc
-        self.tower = derive_tower(gc)
-        self.chain = gc.chain
-        self.cover = gc.cover
-
-    def g(self, i: str, k: str, u: str) -> str:
-        return self.tower.g[(i, k, u)]
-
-
-def check_second_gerbe(gc: GerbalCocycle, tower: DerivedTower) -> Report:
+def check_second_gerbe(gc: GerbalCocycle) -> Report:
     """The compatibility of the derived triple table with itself:
 
         h_ijm(u) alpha_{g_ij(u)}(h_jkm(u)) = h_ikm(u) h_ijk(u)
 
     at every ordered quadruple with nonempty overlap.
     """
-    chain = gc.chain
+    chain, tower = gc.chain, gc.tower
     H = chain.H
     rep = Report("gerbal")
 

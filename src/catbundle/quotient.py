@@ -42,7 +42,7 @@ from .crossed import (
 )
 from .errors import CompositionError, InternalInvariantError, SchemaError
 from .functorial import eval_Theta, eval_theta
-from .gerbal import FunctorialCocycle
+from .gerbal import GerbalCocycle
 from .groups import generators, subgroup_as_group
 from .report import Report
 
@@ -232,7 +232,7 @@ def build_quotient(chain: ChainedCrossedModules) -> QuotientCatGroup:
     return QuotientCatGroup(chain)
 
 
-def check_classical_cocycle(fc: FunctorialCocycle, q: QuotientCatGroup) -> Report:
+def check_classical_cocycle(gc: GerbalCocycle, q: QuotientCatGroup) -> Report:
     """The pushed-down data is a strict cocycle on coset classes:
 
         gbar_ik(u) gbar_km(u) = gbar_im(u)          on object cosets
@@ -246,15 +246,15 @@ def check_classical_cocycle(fc: FunctorialCocycle, q: QuotientCatGroup) -> Repor
     (`CoverComplex.reachable`), which covers walks of every length.
     """
     rep = Report("classical")
-    cover = fc.cover
+    cover, g = gc.cover, gc.tower.g
     obj = q.objects
     G = q.obj_parent
 
     def object_violations():
         for i, k, m in cover.overlapping(3):
             for u in sorted(cover.overlap((i, k, m))):
-                lhs = obj.rep(G.op(fc.g(i, k, u), fc.g(k, m, u)))
-                rhs = obj.rep(fc.g(i, m, u))
+                lhs = obj.rep(G.op(g[(i, k, u)], g[(k, m, u)]))
+                rhs = obj.rep(g[(i, m, u)])
                 if lhs != rhs:
                     yield f"gbar cocycle fails at ({i},{k},{m},{u})"
     rep.search("classical.object", "gbar_ik(u) gbar_km(u) = gbar_im(u)", object_violations())
@@ -262,9 +262,9 @@ def check_classical_cocycle(fc: FunctorialCocycle, q: QuotientCatGroup) -> Repor
     def diagonal_violations():
         for i, k in cover.overlapping(2):
             for u in sorted(cover.overlap((i, k))):
-                if i == k and obj.rep(fc.g(i, i, u)) != q.identity_obj():
+                if i == k and obj.rep(g[(i, i, u)]) != q.identity_obj():
                     yield f"gbar_{i}{i}({u}) is not the identity coset"
-                both = obj.rep(G.op(fc.g(i, k, u), fc.g(k, i, u)))
+                both = obj.rep(G.op(g[(i, k, u)], g[(k, i, u)]))
                 if both != q.identity_obj():
                     yield f"gbar_{i}{k}({u}) gbar_{k}{i}({u}) is not the identity coset"
     rep.search("classical.diagonal",
@@ -274,9 +274,9 @@ def check_classical_cocycle(fc: FunctorialCocycle, q: QuotientCatGroup) -> Repor
     def morphism_violations():
         for i, k, m in cover.overlapping(3):
             for u0, u1 in cover.reachable((i, k, m)):
-                lhs = q.q_mor(arrow_product(q.chain.outer, eval_theta(fc, i, k, u0, u1),
-                                            eval_theta(fc, k, m, u0, u1)))
-                rhs = q.q_mor(eval_theta(fc, i, m, u0, u1))
+                lhs = q.q_mor(arrow_product(q.chain.outer, eval_theta(gc, i, k, u0, u1),
+                                            eval_theta(gc, k, m, u0, u1)))
+                rhs = q.q_mor(eval_theta(gc, i, m, u0, u1))
                 if lhs != rhs:
                     yield f"thetabar cocycle fails at ({i},{k},{m}) pair {u0} -> {u1}"
     rep.search("classical.morphism",
@@ -286,7 +286,7 @@ def check_classical_cocycle(fc: FunctorialCocycle, q: QuotientCatGroup) -> Repor
     def defects_outside():
         for i, k, m in cover.overlapping(3):
             for u0, u1 in cover.reachable((i, k, m)):
-                big_theta = eval_Theta(fc, i, k, m, u0, u1)
+                big_theta = eval_Theta(gc, i, k, m, u0, u1)
                 if pair_id(big_theta.h, big_theta.g) not in q.morphisms.subgroup:
                     yield (
                         f"Theta_{i}{k}{m} at pair {u0} -> {u1} "

@@ -37,7 +37,7 @@ from importlib import import_module
 from typing import TYPE_CHECKING, Optional
 
 from .errors import PreconditionError, SchemaError
-from .gerbal import FunctorialCocycle, check_second_gerbe, validate_gerbal
+from .gerbal import check_second_gerbe, validate_gerbal
 from .report import Report
 from .schema import Instance
 
@@ -65,12 +65,8 @@ class InstanceContext:
     def gerbal(self) -> Report:
         rep = Report("gerbal")
         rep.merge(validate_gerbal(self.inst.gc))
-        rep.merge(check_second_gerbe(self.inst.gc, self.fc.tower))
+        rep.merge(check_second_gerbe(self.inst.gc))
         return rep
-
-    @cached_property
-    def fc(self) -> FunctorialCocycle:
-        return FunctorialCocycle(self.inst.gc)
 
     @cached_property
     def quotient(self) -> Optional[QuotientCatGroup]:
@@ -87,7 +83,7 @@ class InstanceContext:
         if self.quotient is None:
             return Report("classical")
         from .quotient import check_classical_cocycle
-        return check_classical_cocycle(self.fc, self.quotient)
+        return check_classical_cocycle(self.inst.gc, self.quotient)
 
     @cached_property
     def space(self) -> tuple[Optional[BundleSpace], Report]:
@@ -100,7 +96,7 @@ class InstanceContext:
         if not pre.ok:
             return None, pre
         from .bundle import BundleSpace
-        return BundleSpace(self.fc, self.quotient), pre
+        return BundleSpace(self.inst.gc, self.quotient), pre
 
 
 def _gate(ctx: InstanceContext, name: str, *layers: str) -> Optional[Report]:
@@ -126,9 +122,9 @@ def suite_functorial(ctx: InstanceContext) -> Report:
     if gated is not None:
         return gated
     from .functorial import check_theta_functorial
-    rep = Report("functorial")
-    for i, k in ctx.fc.cover.overlapping(2):
-        rep.merge(check_theta_functorial(ctx.fc, i, k))
+    rep, gc = Report("functorial"), ctx.inst.gc
+    for i, k in gc.cover.overlapping(2):
+        rep.merge(check_theta_functorial(gc, i, k))
     return rep
 
 
@@ -137,10 +133,10 @@ def suite_naturality(ctx: InstanceContext) -> Report:
     if gated is not None:
         return gated
     from .functorial import check_naturality, check_product_relation
-    rep = Report("naturality")
-    for i, k, m in ctx.fc.cover.overlapping(3):
-        rep.merge(check_naturality(ctx.fc, i, k, m))
-        rep.merge(check_product_relation(ctx.fc, i, k, m))
+    rep, gc = Report("naturality"), ctx.inst.gc
+    for i, k, m in gc.cover.overlapping(3):
+        rep.merge(check_naturality(gc, i, k, m))
+        rep.merge(check_product_relation(gc, i, k, m))
     return rep
 
 

@@ -23,12 +23,7 @@ from catbundle.functorial import (
     check_theta_functorial,
 )
 from catbundle.generation import generate_gerbal
-from catbundle.gerbal import (
-    FunctorialCocycle,
-    check_second_gerbe,
-    derive_tower,
-    validate_gerbal,
-)
+from catbundle.gerbal import GerbalCocycle, check_second_gerbe, validate_gerbal
 from catbundle.presets import build_instance, cover_line5w
 from catbundle.quotient import (
     build_JH,
@@ -94,7 +89,7 @@ def test_criterion_02_generated_cocycles_and_corruption(chain_s3):
         cover = cover_line5w()
         for seed in range(100):
             gc = generate_gerbal(chain_s3, cover, seed, noise=True)
-            for rep in (validate_gerbal(gc), check_second_gerbe(gc, derive_tower(gc))):
+            for rep in (validate_gerbal(gc), check_second_gerbe(gc)):
                 _report_problems(problems, rep, f"seed {seed}")
             if problems:
                 break
@@ -105,8 +100,8 @@ def test_criterion_02_generated_cocycles_and_corruption(chain_s3):
         i, k, m = next(t for t in cover.overlapping(3) if len(set(t)) == 3)
         u = sorted(cover.overlap((i, k, m)))[0]
         old = gc.h[(i, k, u)]
-        gc.h[(i, k, u)] = next(x for x in chain_s3.H.elements if x != old)
-        rep = validate_gerbal(gc)
+        h = {**gc.h, (i, k, u): next(x for x in chain_s3.H.elements if x != old)}
+        rep = validate_gerbal(GerbalCocycle(chain_s3, cover, h, gc.j))
         if rep.ok:
             problems.append("corrupted table passed validation")
         else:
@@ -125,13 +120,13 @@ def test_criterion_03_functoriality_and_endpoint_dependence(chain_s3):
     with criterion(3) as problems:
         cover = cover_line5w()
         for seed in range(20):
-            fc = FunctorialCocycle(generate_gerbal(chain_s3, cover, seed))
-            for i, k in fc.cover.overlapping(2):
-                _report_problems(problems, check_theta_functorial(fc, i, k),
+            gc = generate_gerbal(chain_s3, cover, seed)
+            for i, k in gc.cover.overlapping(2):
+                _report_problems(problems, check_theta_functorial(gc, i, k),
                                  f"seed {seed} pair ({i},{k})")
                 # every walk up to the overlap's diameter, which joins every pair
                 reach = max(distances(cover, (i, k)).values())
-                broken = next(endpoint_breaks(fc, i, k, enumerate_paths(cover, (i, k), reach)),
+                broken = next(endpoint_breaks(gc, i, k, enumerate_paths(cover, (i, k), reach)),
                               None)
                 if broken:
                     problems.append(f"seed {seed}: {broken}")
@@ -143,16 +138,16 @@ def test_criterion_04_naturality_and_product_relation(chain_s3):
     with criterion(4) as problems:
         cover = cover_line5w()
         for seed in range(20):
-            fc = FunctorialCocycle(generate_gerbal(chain_s3, cover, seed))
-            triples = fc.cover.overlapping(3)
+            gc = generate_gerbal(chain_s3, cover, seed)
+            triples = gc.cover.overlapping(3)
             if ("1", "2", "3") not in triples:
                 problems.append("the (1,2,3) triple overlap is missing")
             if not any(len(set(t)) < 3 for t in triples):
                 problems.append("no degenerate triples were enumerated")
             for i, k, m in triples:
-                _report_problems(problems, check_naturality(fc, i, k, m),
+                _report_problems(problems, check_naturality(gc, i, k, m),
                                  f"seed {seed} triple ({i},{k},{m})")
-                _report_problems(problems, check_product_relation(fc, i, k, m),
+                _report_problems(problems, check_product_relation(gc, i, k, m),
                                  f"seed {seed} triple ({i},{k},{m})")
             if problems:
                 break
@@ -203,8 +198,8 @@ def test_criterion_06_classical_cocycle(chain_s3, quotient_s3):
     with criterion(6) as problems:
         cover = cover_line5w()
         for seed in range(20):
-            fc = FunctorialCocycle(generate_gerbal(chain_s3, cover, seed))
-            rep = check_classical_cocycle(fc, quotient_s3)
+            gc = generate_gerbal(chain_s3, cover, seed)
+            rep = check_classical_cocycle(gc, quotient_s3)
             _report_problems(problems, rep, f"seed {seed}")
             ids = {c.check_id for c in rep.checks}
             if not {"classical.object", "classical.morphism"} <= ids:

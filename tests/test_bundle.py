@@ -24,6 +24,7 @@ from catbundle.errors import (
     SchemaError,
 )
 from catbundle.generation import generate_gerbal, instance_to_json
+from catbundle.gerbal import GerbalCocycle
 from catbundle.presets import build_instance, cover_cycle6, cover_line5w
 from catbundle.report import Report
 from catbundle.schema import Instance
@@ -275,8 +276,9 @@ def test_corrupted_data_fails_precondition(chain_s3):
     cover = cover_line5w()
     gc = generate_gerbal(chain_s3, cover, 7, noise=True)
     key = next(k for k in sorted(gc.h) if k[0] != k[1])
-    gc.h[key] = next(x for x in chain_s3.H.elements if x != gc.h[key])
-    inst = Instance("s3-line5w", 7, True, chain_s3, cover, gc)
+    h = {**gc.h, key: next(x for x in chain_s3.H.elements if x != gc.h[key])}
+    inst = Instance("s3-line5w", 7, True, chain_s3, cover,
+                    GerbalCocycle(chain_s3, cover, h, gc.j))
     space, pre = InstanceContext(inst, 2).space
     assert space is None
     failed = {c.check_id for c in pre.failures()}
@@ -1161,29 +1163,6 @@ def second_loop_swapped(space):
     return swap
 
 
-def unlisted_merges(monkeypatch):
-    """`enumerate_units` leaves out the units of a step's first chart where
-    another chart holds the step, so the compaction of a state with a
-    zero-length unit, a unit of that first chart, is no enumerated state.
-    Such a unit acts under the last mover as under the first."""
-    enumerate_units = battery.enumerate_units
-
-    def listed(space, region=None):
-        def first_of_several(un):
-            charts = space._charts_of(space._step_walk(un[1]).visited)
-            return len(charts) > 1 and un[0] == charts[0]
-        return [un for un in enumerate_units(space, region) if not first_of_several(un)]
-    monkeypatch.setattr(battery, "enumerate_units", listed)
-
-    def plant(space):
-        units = set(listed(space))
-        movers = [psi for psi in space.q.morphisms.reps if psi != neutral_of(space)]
-        return lambda act_state, state, psi: act_state(
-            state, movers[0] if len(state) == 1 and state[0] not in units
-            and psi == movers[-1] else psi)
-    return plant
-
-
 LAWS = set(ACTION_LAWS)
 MOR_FREE, EXCHANGE, EQUIVARIANT = ({law} for law in ACTION_LAWS)
 
@@ -1206,7 +1185,6 @@ def plant_id(v):
     ("inst_line5w", neutral_moves, MOR_FREE | EXCHANGE),
     ("inst_line5w", member_moved, EXCHANGE | EQUIVARIANT),
     ("inst_line5w", second_loop_swapped, MOR_FREE | EXCHANGE),
-    ("inst_line5w", unlisted_merges, EQUIVARIANT),
     ("inst_a3j3_line5w", None, set()),
     ("inst_a3j3_line5w", chart_swap, LAWS),
     ("inst_a3j3_line5w", last_unit_only, set()),
@@ -1214,7 +1192,6 @@ def plant_id(v):
     ("inst_a3j3_line5w", reversed_step, LAWS),
     ("inst_a3j3_line5w", member_moved, EXCHANGE | EQUIVARIANT),
     ("inst_a3j3_line5w", second_loop_swapped, LAWS),
-    ("inst_a3j3_line5w", unlisted_merges, EQUIVARIANT),
 ], ids=plant_id)
 def test_action_plant_witnesses_match_the_per_law_reference(request, monkeypatch, fixture,
                                                             plant, fails):
@@ -1223,8 +1200,6 @@ def test_action_plant_witnesses_match_the_per_law_reference(request, monkeypatch
     inst = request.getfixturevalue(fixture)
     monkeypatch.setattr(battery.LocalTrivialization, "check",
                         lambda self, *args: Report("bundle"))
-    if plant is unlisted_merges:
-        plant = unlisted_merges(monkeypatch)
     spaces = fresh_space(inst), fresh_space(inst)
     for space in spaces:
         if plant is not None:

@@ -196,6 +196,29 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, verb):
     assert err.count("\n") == 1
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["generate", "s3-line5"], ["validate", "DOC"],
+                                  ["check", "DOC"], ["--help"]], ids=lambda a: a[0])
+def test_a_failed_write_to_stdout_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
+    # one error line and exit 2, in process and in a child, which prints
+    # nothing more when it flushes stdout at exit
+    doc = tmp_path / "inst.json"
+    run(capsys, "generate", "s3-line5", "--seed", "3", "--out", str(doc))
+    argv = [str(doc) if word == "DOC" else word for word in argv]
+    src = str(Path(catbundle.__file__).resolve().parent.parent)
+    with open("/dev/full", "w") as full, monkeypatch.context() as m:
+        m.setattr(sys, "stdout", full)
+        code = main(argv)
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "catbundle", *argv],
+                              stdout=full, stderr=subprocess.PIPE, text=True,
+                              env=dict(os.environ, PYTHONPATH=src), check=False)
+    for code, err in ((code, capsys.readouterr().err), (proc.returncode, proc.stderr)):
+        assert code == 2
+        assert err.startswith("error: cannot write to stdout: ")
+        assert err.count("\n") == 1
+
+
 # argv vectors run through `cli._parse` and the argparse reference: the forms
 # README, CI and perfbench use, `--opt=value`, options before the positional
 # argument, `--`, `-h` on every verb, and one vector per usage error

@@ -272,9 +272,7 @@ def test_build_names_a_tau_image_that_is_no_subgroup(inst_line5):
 
 
 def test_classical_cocycle_on_generated_data(inst_line5w, quotient_s3):
-    from catbundle.gerbal import FunctorialCocycle
-    fc = FunctorialCocycle(inst_line5w.gc)
-    rep = check_classical_cocycle(fc, quotient_s3)
+    rep = check_classical_cocycle(inst_line5w.gc, quotient_s3)
     assert rep.ok, rep.failures()
 
 

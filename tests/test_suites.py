@@ -10,6 +10,7 @@ from quotient_reference import LAWS as IMPLIED_QUOTIENT
 
 from catbundle import gerbal, quotient, suites
 from catbundle.errors import PreconditionError, SchemaError
+from catbundle.gerbal import GerbalCocycle
 from catbundle.presets import build_instance, preset_names
 from catbundle.report import CheckResult, Report
 from catbundle.generation import instance_to_json
@@ -138,8 +139,10 @@ GOLDEN_EDITED = [
 ]
 
 # The layers each built once per run; `run_suite(..., "all")` once called
-# derive_tower 6 times and each of the others twice. The functorial cocycle
-# derives its own tower, so derive_tower is counted where it is called.
+# derive_tower 6 times and each of the others twice. A cocycle derives its
+# tower on its first read, through the module-level derive_tower, so that is
+# counted where it is called, once per cocycle; session fixtures share one
+# cocycle, so the counting tests run on `fresh` copies of them.
 LAYERS = ("derive_tower", "build_quotient", "check_classical_cocycle",
           "validate_gerbal", "check_second_gerbe")
 
@@ -262,8 +265,8 @@ def test_oracle_suite_rejected_on_undirected_base(inst_line5):
 def test_bundle_suite_reports_preconditions_on_broken_data(chain_s3):
     inst = build_instance("s3-line5", 11, True)
     key = next(k for k in sorted(inst.gc.h) if k[0] != k[1])
-    inst.gc.h[key] = next(x for x in inst.chain.H.elements
-                          if x != inst.gc.h[key])
+    h = {**inst.gc.h, key: next(x for x in inst.chain.H.elements if x != inst.gc.h[key])}
+    inst = inst._replace(gc=GerbalCocycle(inst.chain, inst.cover, h, inst.gc.j))
     rep = run_suite(inst, "bundle", max_len=2)
     assert not rep.ok
     assert rep.failures()[0].witness
@@ -363,10 +366,39 @@ def layer_calls(monkeypatch):
     return calls
 
 
+def fresh(inst):
+    """`inst` with a cocycle of its own, whose tower nothing has read yet."""
+    gc = inst.gc
+    return inst._replace(gc=GerbalCocycle(inst.chain, inst.cover, gc.h, gc.j))
+
+
 @pytest.mark.parametrize("fixture", ["inst_line5w", "inst_dirline3"])
 def test_all_builds_each_layer_once(layer_calls, fixture, request):
-    assert run_suite(request.getfixturevalue(fixture), "all", 2).ok
+    assert run_suite(fresh(request.getfixturevalue(fixture)), "all", 2).ok
     assert layer_calls == dict.fromkeys(LAYERS, 1)
+
+
+def test_a_cocycle_derives_its_tower_once(layer_calls, inst_line5w):
+    # every run on one cocycle reads the tower derived by the first; the
+    # peiffer suite reads none
+    inst = fresh(inst_line5w)
+    assert run_suite(inst, "peiffer").ok
+    assert layer_calls["derive_tower"] == 0
+    for suite in ("gerbal", "functorial", "naturality", "quotient", "bundle", "all"):
+        assert run_suite(inst, suite, 1).ok
+    assert layer_calls["derive_tower"] == 1
+    assert run_suite(fresh(inst), "naturality", 1).ok
+    assert layer_calls["derive_tower"] == 2
+
+
+def test_generate_derives_no_tower(layer_calls, tmp_path):
+    # the benchmark's traced replay regenerates its documents inside the layer
+    # wrappers and counts one tower per checked document
+    from catbundle.cli import main
+    out = tmp_path / "inst.json"
+    for preset in preset_names():
+        assert main(["generate", preset, "--seed", "3", "--out", str(out)]) == 0
+    assert layer_calls["derive_tower"] == 0
 
 
 def test_all_computes_each_overlap_once():
@@ -386,12 +418,12 @@ def test_the_gated_quotient_suite_checks_no_cocycle(layer_calls, suite, checked)
     # the quotient suite does not read and the bundle's preconditions do
     assert not run_suite(edited_instance("a3-table"), suite, 2).ok
     assert layer_calls["build_quotient"] == layer_calls["check_classical_cocycle"] == 0
-    assert layer_calls["validate_gerbal"] == checked
+    assert layer_calls["validate_gerbal"] == layer_calls["derive_tower"] == checked
 
 
 def test_a_single_suite_builds_only_the_layers_it_reads(layer_calls, inst_line5):
     # functorial gates on the gerbal battery, but never reads the quotient
-    run_suite(inst_line5, "functorial", 2)
+    run_suite(fresh(inst_line5), "functorial", 2)
     assert layer_calls == {"derive_tower": 1, "build_quotient": 0,
                            "check_classical_cocycle": 0, "validate_gerbal": 1,
                            "check_second_gerbe": 1}

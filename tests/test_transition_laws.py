@@ -16,7 +16,6 @@ from transition_laws_reference import distances, walk_scans
 
 from catbundle import functorial
 from catbundle.crossed import Arrow
-from catbundle.gerbal import FunctorialCocycle
 from catbundle.presets import build_instance, preset_names
 from catbundle.quotient import build_quotient, check_classical_cocycle
 from catbundle.report import Report
@@ -30,14 +29,14 @@ def instance(request, source):
     return build_instance(source, seed=5, noise=True)
 
 
-def pair_statuses(fc, q):
+def pair_statuses(gc, q):
     rep = Report("pairs")
-    for i, k in fc.cover.overlapping(2):
-        rep.merge(functorial.check_theta_functorial(fc, i, k))
-    for i, k, m in fc.cover.overlapping(3):
-        rep.merge(functorial.check_naturality(fc, i, k, m))
-        rep.merge(functorial.check_product_relation(fc, i, k, m))
-    rep.merge(check_classical_cocycle(fc, q))
+    for i, k in gc.cover.overlapping(2):
+        rep.merge(functorial.check_theta_functorial(gc, i, k))
+    for i, k, m in gc.cover.overlapping(3):
+        rep.merge(functorial.check_naturality(gc, i, k, m))
+        rep.merge(functorial.check_product_relation(gc, i, k, m))
+    rep.merge(check_classical_cocycle(gc, q))
     return {c.check_id: c.status for c in rep.checks}
 
 
@@ -45,14 +44,14 @@ def pair_statuses(fc, q):
 READS = {"eval_T": ("naturality.",), "eval_Theta": ("product.", "classical.defect")}
 
 
-def reference_statuses(fc, q, max_len, reads=("",)):
+def reference_statuses(gc, q, max_len, reads=("",)):
     """{check id: (status, the largest diameter of the overlaps it reads)} for
     the check ids that start with one of `reads`."""
-    diameter = {t: max(distances(fc.cover, t).values())
-                for r in (2, 3) for t in fc.cover.overlapping(r)}
+    diameter = {t: max(distances(gc.cover, t).values())
+                for r in (2, 3) for t in gc.cover.overlapping(r)}
     return {cid: ("pass" if next(scan, None) is None else "fail",
                   max(diameter[t] for t in charts))
-            for cid, (charts, scan) in walk_scans(fc, q, max_len).items()
+            for cid, (charts, scan) in walk_scans(gc, q, max_len).items()
             if cid.startswith(reads)}
 
 
@@ -67,32 +66,32 @@ def plant(monkeypatch, name, wrap):
             monkeypatch.setattr(module, name, planted)
 
 
-def moved(fc, a):
+def moved(gc, a):
     """`a` with its H part multiplied by a fixed non-identity element."""
-    H = fc.chain.H
+    H = gc.chain.H
     return Arrow(H.op(a.h, next(x for x in H.elements if x != H.identity)), a.g)
 
 
-def far_pairs(fc, at_least):
+def far_pairs(gc, at_least):
     """The (chart pair, vertex pair)s whose shortest walk inside the chart
     pair's overlap has at least `at_least` steps."""
-    return {((i, k), p) for i, k in fc.cover.overlapping(2)
-            for p, d in distances(fc.cover, (i, k)).items() if d >= at_least}
+    return {((i, k), p) for i, k in gc.cover.overlapping(2)
+            for p, d in distances(gc.cover, (i, k)).items() if d >= at_least}
 
 
 def theta_plant(hits):
     """Move theta on each (chart pair, vertex pair) of `hits`."""
     def wrap(original):
-        def planted(fc, i, k, u0, u1):
-            got = original(fc, i, k, u0, u1)
-            return moved(fc, got) if ((i, k), (u0, u1)) in hits else got
+        def planted(gc, i, k, u0, u1):
+            got = original(gc, i, k, u0, u1)
+            return moved(gc, got) if ((i, k), (u0, u1)) in hits else got
         return planted
     return "eval_theta", wrap
 
 
-def plants(fc):
+def plants(gc):
     """{name: (function name, wrapper)}: each moves one family of values."""
-    cover = fc.cover
+    cover = gc.cover
     # a pair of distinct vertices, over distinct charts where there is one
     charts, (u0, u1) = max((((i, k), p) for i, k in cover.overlapping(2)
                             for p in cover.reachable((i, k)) if p[0] != p[1]),
@@ -101,21 +100,21 @@ def plants(fc):
     vertex = min(cover.overlap(triple))
 
     def T_at(original):
-        def planted(fc, i, k, m, u):
-            got = original(fc, i, k, m, u)
-            return moved(fc, got) if ((i, k, m), u) == (triple, vertex) else got
+        def planted(gc, i, k, m, u):
+            got = original(gc, i, k, m, u)
+            return moved(gc, got) if ((i, k, m), u) == (triple, vertex) else got
         return planted
 
     def Theta_off_diagonal(original):
-        def planted(fc, i, k, m, u0, u1):
-            got = original(fc, i, k, m, u0, u1)
-            return moved(fc, got) if u0 != u1 else got
+        def planted(gc, i, k, m, u0, u1):
+            got = original(gc, i, k, m, u0, u1)
+            return moved(gc, got) if u0 != u1 else got
         return planted
 
     return {
         "theta-one-pair": theta_plant({(charts, (u0, u1))}),
         "theta-identity": theta_plant({(charts, (u0, u0))}),
-        "theta-far": theta_plant(far_pairs(fc, 2)),
+        "theta-far": theta_plant(far_pairs(gc, 2)),
         "T-one-vertex": ("eval_T", T_at),
         "Theta-off-diagonal": ("eval_Theta", Theta_off_diagonal),
     }
@@ -124,18 +123,18 @@ def plants(fc):
 @pytest.mark.parametrize("source", SOURCES)
 def test_pair_checks_agree_with_the_walk_scans_at_every_bound(request, monkeypatch, source):
     inst = instance(request, source)
-    fc, q = FunctorialCocycle(inst.gc), build_quotient(inst.chain)
-    cases = [("clean", None)] + list(plants(fc).items())
+    gc, q = inst.gc, build_quotient(inst.chain)
+    cases = [("clean", None)] + list(plants(gc).items())
     for name, planted in cases:
         with monkeypatch.context() as m:
             if planted is not None:
                 plant(m, *planted)
-            pairs = pair_statuses(fc, q)
+            pairs = pair_statuses(gc, q)
             assert (name == "clean") == all(s == "pass" for s in pairs.values()), name
             # a scan that reads theta alone sees no T or Theta plant
             reads = READS.get(planted and planted[0], ("",))
             for max_len in (1, 2, 3, 4):
-                for cid, (ref, reach) in reference_statuses(fc, q, max_len, reads).items():
+                for cid, (ref, reach) in reference_statuses(gc, q, max_len, reads).items():
                     if cid.endswith(".endpoints"):
                         # theta reads its endpoints alone, so this holds
                         assert ref == "pass", (name, cid)
@@ -150,10 +149,10 @@ def test_a_fault_farther_than_the_walk_bound_is_caught_by_the_pair_checks(monkey
     # it reads pairs two steps apart: only a fault at least three steps out
     # escapes it, and s3-line5w's overlaps are up to four steps across
     inst = build_instance("s3-line5w", seed=5, noise=True)
-    fc, q = FunctorialCocycle(inst.gc), build_quotient(inst.chain)
-    far = far_pairs(fc, 3)
+    gc, q = inst.gc, build_quotient(inst.chain)
+    far = far_pairs(gc, 3)
     assert far
     plant(monkeypatch, *theta_plant(far))
-    assert all(ref == "pass" for ref, _ in reference_statuses(fc, q, 1).values())
-    failed = {cid for cid, s in pair_statuses(fc, q).items() if s == "fail"}
+    assert all(ref == "pass" for ref, _ in reference_statuses(gc, q, 1).values())
+    failed = {cid for cid, s in pair_statuses(gc, q).items() if s == "fail"}
     assert {f"theta.{i}{k}.compose" for (i, k), _ in far} <= failed

@@ -25,52 +25,54 @@ from catbundle.crossed import (
 from catbundle.errors import CompositionError
 
 
-def theta(fc, i, k, w):
-    return functorial.eval_theta(fc, i, k, w.start, w.end)
+def theta(gc, i, k, w):
+    return functorial.eval_theta(gc, i, k, w.start, w.end)
 
 
-def identity_breaks(fc, i, k):
-    for u in sorted(fc.cover.overlap((i, k))):
-        if theta(fc, i, k, fc.cover.identity_walk(u)) != arrow_identity(fc.chain.outer,
-                                                                         fc.g(i, k, u)):
+def identity_breaks(gc, i, k):
+    g = gc.tower.g
+    for u in sorted(gc.cover.overlap((i, k))):
+        if theta(gc, i, k, gc.cover.identity_walk(u)) != arrow_identity(gc.chain.outer,
+                                                                         g[(i, k, u)]):
             yield f"theta_{i}{k}(id_{u})"
 
 
-def target_breaks(fc, i, k, walks):
+def target_breaks(gc, i, k, walks):
+    g = gc.tower.g
     for w in walks:
-        if arrow_endpoints(fc.chain.outer, theta(fc, i, k, w)) != (fc.g(i, k, w.start),
-                                                                    fc.g(i, k, w.end)):
+        if arrow_endpoints(gc.chain.outer, theta(gc, i, k, w)) != (g[(i, k, w.start)],
+                                                                    g[(i, k, w.end)]):
             yield f"theta_{i}{k} endpoints wrong on walk {w.start}:{list(w.steps)}"
 
 
-def compose_breaks(fc, i, k, walks):
-    starting_at, of = {}, {w: theta(fc, i, k, w) for w in walks}
+def compose_breaks(gc, i, k, walks):
+    starting_at, of = {}, {w: theta(gc, i, k, w) for w in walks}
     for w in walks:
         starting_at.setdefault(w.start, []).append(w)
     for w1 in walks:
         for w2 in starting_at[w1.end]:
             try:
-                rhs = arrow_compose(fc.chain.outer, of[w2], of[w1])
+                rhs = arrow_compose(gc.chain.outer, of[w2], of[w1])
             except CompositionError:
                 rhs = None
-            if theta(fc, i, k, compose_paths(fc.cover, w2, w1)) != rhs:
+            if theta(gc, i, k, compose_paths(gc.cover, w2, w1)) != rhs:
                 yield f"theta_{i}{k} at {w1.start}:{list(w1.steps)} then {list(w2.steps)}"
 
 
-def endpoint_breaks(fc, i, k, walks):
+def endpoint_breaks(gc, i, k, walks):
     by_ends = {}
     for w in walks:
-        if by_ends.setdefault((w.start, w.end), theta(fc, i, k, w)) != theta(fc, i, k, w):
+        if by_ends.setdefault((w.start, w.end), theta(gc, i, k, w)) != theta(gc, i, k, w):
             yield f"theta_{i}{k} differs on two walks {w.start} -> {w.end}"
 
 
-def square_breaks(fc, i, k, m, walks):
-    cm, T = fc.chain.outer, functorial.eval_T
+def square_breaks(gc, i, k, m, walks):
+    cm, T = gc.chain.outer, functorial.eval_T
     for w in walks:
         try:
-            lhs = arrow_compose(cm, T(fc, i, k, m, w.end),
-                                arrow_product(cm, theta(fc, i, k, w), theta(fc, k, m, w)))
-            rhs = arrow_compose(cm, theta(fc, i, m, w), T(fc, i, k, m, w.start))
+            lhs = arrow_compose(cm, T(gc, i, k, m, w.end),
+                                arrow_product(cm, theta(gc, i, k, w), theta(gc, k, m, w)))
+            rhs = arrow_compose(cm, theta(gc, i, m, w), T(gc, i, k, m, w.start))
         except CompositionError:
             yield f"square at walk {w.start}:{list(w.steps)} does not compose"
             continue
@@ -78,50 +80,50 @@ def square_breaks(fc, i, k, m, walks):
             yield f"square fails at walk {w.start}:{list(w.steps)}"
 
 
-def relation_breaks(fc, i, k, m, walks):
-    cm = fc.chain.outer
+def relation_breaks(gc, i, k, m, walks):
+    cm = gc.chain.outer
     for w in walks:
-        big = functorial.eval_Theta(fc, i, k, m, w.start, w.end)
-        lhs = arrow_product(cm, arrow_product(cm, big, theta(fc, i, k, w)), theta(fc, k, m, w))
-        if lhs != theta(fc, i, m, w):
+        big = functorial.eval_Theta(gc, i, k, m, w.start, w.end)
+        lhs = arrow_product(cm, arrow_product(cm, big, theta(gc, i, k, w)), theta(gc, k, m, w))
+        if lhs != theta(gc, i, m, w):
             yield f"product relation at walk {w.start}:{list(w.steps)}"
 
 
-def morphism_breaks(fc, q, max_len):
-    for i, k, m in fc.cover.overlapping(3):
-        for w in enumerate_paths(fc.cover, (i, k, m), max_len):
-            lhs = q.q_mor(arrow_product(fc.chain.outer, theta(fc, i, k, w), theta(fc, k, m, w)))
-            if lhs != q.q_mor(theta(fc, i, m, w)):
+def morphism_breaks(gc, q, max_len):
+    for i, k, m in gc.cover.overlapping(3):
+        for w in enumerate_paths(gc.cover, (i, k, m), max_len):
+            lhs = q.q_mor(arrow_product(gc.chain.outer, theta(gc, i, k, w), theta(gc, k, m, w)))
+            if lhs != q.q_mor(theta(gc, i, m, w)):
                 yield f"thetabar cocycle at ({i},{k},{m}) walk {w.start}:{list(w.steps)}"
 
 
-def defect_breaks(fc, q, max_len):
-    for i, k, m in fc.cover.overlapping(3):
-        for w in enumerate_paths(fc.cover, (i, k, m), max_len):
-            big = functorial.eval_Theta(fc, i, k, m, w.start, w.end)
+def defect_breaks(gc, q, max_len):
+    for i, k, m in gc.cover.overlapping(3):
+        for w in enumerate_paths(gc.cover, (i, k, m), max_len):
+            big = functorial.eval_Theta(gc, i, k, m, w.start, w.end)
             if pair_id(big.h, big.g) not in q.morphisms.subgroup:
                 yield f"Theta_{i}{k}{m} at walk {w.start}:{list(w.steps)} is outside J_H"
 
 
-def walk_scans(fc, q, max_len):
+def walk_scans(gc, q, max_len):
     """{check id: (the charts whose overlaps it reads, its per-walk scan, not
     yet started)} for every law above at walk bound `max_len`; a scan that
     yields no witness is a pass."""
-    cover, scans = fc.cover, {}
+    cover, scans = gc.cover, {}
     for i, k in cover.overlapping(2):
         walks = enumerate_paths(cover, (i, k), max_len)
         tag, charts = f"theta.{i}{k}", [(i, k)]
-        scans[f"{tag}.identity"] = charts, identity_breaks(fc, i, k)
-        scans[f"{tag}.target"] = charts, target_breaks(fc, i, k, walks)
-        scans[f"{tag}.compose"] = charts, compose_breaks(fc, i, k, walks)
-        scans[f"{tag}.endpoints"] = charts, endpoint_breaks(fc, i, k, walks)
+        scans[f"{tag}.identity"] = charts, identity_breaks(gc, i, k)
+        scans[f"{tag}.target"] = charts, target_breaks(gc, i, k, walks)
+        scans[f"{tag}.compose"] = charts, compose_breaks(gc, i, k, walks)
+        scans[f"{tag}.endpoints"] = charts, endpoint_breaks(gc, i, k, walks)
     triples = cover.overlapping(3)
     for i, k, m in triples:
         walks = enumerate_paths(cover, (i, k, m), max_len)
-        scans[f"naturality.{i}{k}{m}.square"] = [(i, k, m)], square_breaks(fc, i, k, m, walks)
-        scans[f"product.{i}{k}{m}.relation"] = [(i, k, m)], relation_breaks(fc, i, k, m, walks)
-    scans["classical.morphism"] = triples, morphism_breaks(fc, q, max_len)
-    scans["classical.defect"] = triples, defect_breaks(fc, q, max_len)
+        scans[f"naturality.{i}{k}{m}.square"] = [(i, k, m)], square_breaks(gc, i, k, m, walks)
+        scans[f"product.{i}{k}{m}.relation"] = [(i, k, m)], relation_breaks(gc, i, k, m, walks)
+    scans["classical.morphism"] = triples, morphism_breaks(gc, q, max_len)
+    scans["classical.defect"] = triples, defect_breaks(gc, q, max_len)
     return scans
 
 
