@@ -2,22 +2,20 @@
 
 It keys each enumerated unit state through its compaction and composes by
 concatenation, so it builds no chain; one pass acts each state by each coset
-once with `act_state` for its three action laws. A local trivialization
-builds, validates, keys and splits the image `on_pair(walk, phi)` of each
-(walk, fiber morphism) pair once per check. Its `functorial` and
-`equivariant` checks key two images concatenated and an image acted on by
-`act_state` with `composed_key`, the one junction check on unit states.
-`mor_surjective` folds distinct layer states (`fold_layers`), keys no chain
-and names each state by its first chain. A trivialization of chart i over
-several charts restricts the one over chart i alone: where their images
-agree it takes chart i's passed verdicts without a scan, so a clean battery
-enumerates no trivialization region (`check_bundle_axioms`).
+once with `act_state` for its three action laws. The local trivialization of
+a chart builds, validates, keys and splits the image `on_pair(walk, phi)` of
+each (walk, fiber morphism) pair once. Its `functorial` and `equivariant`
+checks key two images concatenated and an image acted on by `act_state` with
+`composed_key`, the one junction check on unit states. `mor_surjective` folds
+distinct layer states (`fold_layers`), keys no chain and names each state by
+its first chain. Over each overlap of two charts the transition functors are
+read back from the two trivializations' images.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .bundle import (
     FOLD_START,
@@ -33,10 +31,9 @@ from .complexes import (
     PathMor,
     compose_paths,
     enumerate_paths,
-    index_family,
     walks_within,
 )
-from .errors import CompositionError, DomainError, PreconditionError, SchemaError
+from .errors import CompositionError, DomainError, PreconditionError
 from .report import Report, unevaluated
 
 # the rows that read the keys of the bounded states, in report order
@@ -142,45 +139,46 @@ def fold_layers(space: BundleSpace, i: str, region: frozenset,
 
 
 class LocalTrivialization:
-    """The comparison functor from (walks inside an overlap) x (fiber 2-group)
-    to the bundle restricted over that overlap: chart i carries the data."""
+    """The comparison functor from (walks inside chart i) x (fiber 2-group)
+    to the bundle restricted over chart i."""
 
-    def __init__(self, space: BundleSpace, i: str, indices: Iterable[str]):
+    def __init__(self, space: BundleSpace, i: str):
         if not space.cover.identity_edges:
             raise PreconditionError(
                 "local trivializations need zero-length edges enabled")
-        indices = tuple(indices)
-        region = space.cover.overlap(indices)  # names an unknown chart
-        indices = tuple(sorted(indices, key=space.cover.index_order.index))
-        if i not in indices:
-            raise SchemaError(f"chart {i!r} is not in {indices}")
-        if not region:
-            raise SchemaError(f"the overlap of {indices} is empty")
         self.space = space
         self.i = i
-        self.indices = indices
-        self.region = region
-        # set when `check` returns: the (mor_key, unit_split) of each image it
-        # built, by (walk start, walk steps, phi), its (max_len, max_units)
-        # and the names of the laws it passed
+        self.region = space.cover.chart(i)  # names an unknown chart
+        # the (mor_key, unit_split) of each image built, by (walk start, walk
+        # steps, phi)
         self.images: dict[tuple, tuple[tuple, State]] = {}
-        self.passed: set[str] = set()
-        self.bounds: Optional[tuple[int, int]] = None
 
     def on_object(self, u: str, orep: str) -> BundleObject:
         if u not in self.region:
-            raise DomainError(f"vertex {u!r} is outside the overlap of {self.indices}")
+            raise DomainError(f"vertex {u!r} is outside chart {self.i!r}")
         return self.space.canonical_obj(self.i, u, orep)
 
     def on_pair(self, walk: PathMor, mrep: str) -> BundleMorphism:
-        space, q = self.space, self.space.q
         if not self.region.issuperset(walk.visited):
-            raise DomainError(f"walk leaves the overlap of {self.indices}")
+            raise DomainError(f"walk leaves chart {self.i!r}")
         return BundleMorphism.chain(
-            [QuiverEdge(self.i, self.indices, walk, q.morphisms.rep(mrep))])
+            [QuiverEdge(self.i, (self.i,), walk, self.space.q.morphisms.rep(mrep))])
 
-    def check(self, max_len: int = 3, max_units: int = 3,
-              one_chart: Optional["LocalTrivialization"] = None) -> Report:
+    def image(self, start: str, steps: tuple, phi: str) -> tuple[tuple, State]:
+        """(mor_key, unit_split) of on_pair(walk, phi), memoized by (start,
+        steps, phi): the only place an image is validated and keyed. It
+        splits the image once, so the state it keeps is the one
+        `component_of` stored its key under."""
+        hit = self.images.get((start, steps, phi))
+        if hit is None:
+            space = self.space
+            m = self.on_pair(space.cover.walk(start, steps), phi)
+            ends = space.mor_endpoints(m)
+            state = space.unit_split(m)
+            hit = self.images[start, steps, phi] = ((ends, space.component_of(state)), state)
+        return hit
+
+    def check(self, max_len: int = 3, max_units: int = 3) -> Report:
         """The comparison-functor laws over walks of at most max_len steps.
 
         Each (walk, phi) image is built, validated, keyed and split into units
@@ -190,38 +188,18 @@ class LocalTrivialization:
         state of the bounded chains (`fold_layers`) with its chart-i image:
         chains with equal walk, source, fold state, coset and target have
         equal keys and cosets under every extension, so the layers make every
-        comparison, and a state's first chain is the witness.
-
-        `one_chart`, the checked trivialization of chart i over (i,) alone,
-        lends its passed `mor_surjective`, `functorial` and `equivariant`
-        verdicts when it ran at the same bounds, both `mor_injective` checks
-        passed and every image built here equals its own
-        (`check_bundle_axioms` gives the argument)."""
+        comparison, and a state's first chain is the witness."""
         space, q = self.space, self.space.q
-        tag = f"triv.{self.i}.{''.join(self.indices)}"
+        tag = f"triv.{self.i}.{self.i}"
         rep = Report("bundle")
-        walks = enumerate_paths(space.cover, self.indices, max_len)
+        walks = enumerate_paths(space.cover, (self.i,), max_len)
         mreps = q.morphisms.reps
-        pairs: dict[tuple, tuple[tuple, State]] = {}
-
-        def pair(start: str, steps: tuple, phi: str) -> tuple[tuple, State]:
-            """(mor_key, unit_split) of on_pair(walk, phi), memoized by
-            (start, steps, phi): the only place an image is validated and
-            keyed. It splits the image once, so the state it keeps is the
-            one `component_of` stored its key under."""
-            hit = pairs.get((start, steps, phi))
-            if hit is None:
-                m = self.on_pair(space.cover.walk(start, steps), phi)
-                ends = space.mor_endpoints(m)
-                state = space.unit_split(m)
-                hit = pairs[start, steps, phi] = ((ends, space.component_of(state)), state)
-            return hit
 
         def pair_key(start: str, steps: tuple, phi: str) -> tuple:
-            return pair(start, steps, phi)[0]
+            return self.image(start, steps, phi)[0]
 
         def pair_state(w: PathMor, phi: str) -> State:
-            return pair(w.start, w.steps, phi)[1]
+            return self.image(w.start, w.steps, phi)[1]
 
         def object_misses():
             # each (u, f) has its own target (i0, u, f), so when every object
@@ -247,22 +225,12 @@ class LocalTrivialization:
         rep.search(f"{tag}.mor_injective",
                    "distinct fiber morphisms over one walk stay distinct", collisions())
 
-        # a passed mor_injective built every image over these walks, so the
-        # comparison builds none
-        carried: set[str] = set()
-        if (one_chart is not None and rep.checks[-1].status == "pass"
-                and one_chart.bounds == (max_len, max_units)
-                and "mor_injective" in one_chart.passed
-                and all(one_chart.images.get(k) == v for k, v in pairs.items())):
-            carried = one_chart.passed
-
         def misses():
             for sig, coset, key, st in fold_layers(space, self.i, self.region, max_units):
                 if key != pair_key(*sig, coset):
                     yield f"chain {st} is not equal to its chart-{self.i} reduction"
         rep.search(f"{tag}.mor_surjective",
-                   "every bounded chain over the overlap is hit by the functor",
-                   () if "mor_surjective" in carried else misses())
+                   "every bounded chain over the overlap is hit by the functor", misses())
 
         def bad_composites():
             for w1 in walks:
@@ -281,8 +249,7 @@ class LocalTrivialization:
                                 yield (f"composite of ({w1.steps}, {m1}) then "
                                        f"({w2.steps}, {m2}) disagrees")
         rep.search(f"{tag}.functorial",
-                   "the functor preserves composition and identities",
-                   () if "functorial" in carried else bad_composites())
+                   "the functor preserves composition and identities", bad_composites())
 
         def unequivariant():
             for w in walks:
@@ -296,8 +263,7 @@ class LocalTrivialization:
                         elif acted_key != lhs:
                             yield f"action by {psi} breaks on ({w.steps}, {m1})"
         rep.search(f"{tag}.equivariant",
-                   "the functor intertwines the right fiber actions",
-                   () if "equivariant" in carried else unequivariant())
+                   "the functor intertwines the right fiber actions", unequivariant())
 
         def moved_walks():
             # the walk of an image's key is the walk of its edges
@@ -307,33 +273,18 @@ class LocalTrivialization:
                         yield f"projection of ({w.steps}, {m1}) is not the walk itself"
         rep.search(f"{tag}.projection",
                    "projection after the functor returns the base walk", moved_walks())
-        self.images, self.bounds = pairs, (max_len, max_units)
-        self.passed = {c.check_id.rsplit(".", 1)[1] for c in rep.checks if c.status == "pass"}
         return rep
 
 
 def check_bundle_axioms(space: BundleSpace, max_len: int = 3) -> Report:
     """The bundle-level law battery: gluing, projection surjectivity, free
-    right action, congruence sanity, and every local trivialization.
+    right action, congruence sanity, the local trivialization of each chart
+    and the transition functors read back over each overlap.
 
     The action and composition laws run on the enumerated unit states of at
     most two units: each is keyed through its compaction and composed by
     concatenation, and one pass acts each by each coset once for the three
-    action laws.
-
-    `index_family` lists the one-chart index sets first, and the
-    trivialization of chart i over a larger set J is handed the checked one
-    over (i,). For each of `mor_surjective`, `functorial` and `equivariant`
-    that (i,) passed, J passes without a scan when both `mor_injective`
-    checks passed and every J image (mor_key, unit_split) of
-    `on_pair(walk, phi)` equals the (i,) image. J's region lies inside chart
-    i's, so its walks and bounded chains are (i,)'s. A passed `mor_injective`
-    built the image of every walk with every coset rep, and the scans read
-    images at coset reps only, so the comparison builds no image and covers
-    every image J's scans read. The chart-i coset, the fold, `act_state` and
-    `composed_key` read units, never `QuiverEdge.charts`, so each comparison
-    J's scan makes is one the (i,) scan made. Otherwise J scans as if alone
-    and reports its own first witness."""
+    action laws."""
     q, cover = space.q, space.cover
     rep = space.check_glue_relation()
 
@@ -358,16 +309,45 @@ def check_bundle_axioms(space: BundleSpace, max_len: int = 3) -> Report:
 
     _check_keyed_laws(space, rep)
 
-    # index_family lists the one-chart sets first
-    triv_units = min(max_len, 3)
-    one_chart: dict[str, LocalTrivialization] = {}
-    for indices in index_family(cover):
-        for i in indices:
-            triv = LocalTrivialization(space, i, indices)
-            rep.merge(triv.check(max_len, triv_units, one_chart.get(i)))
-            if len(indices) == 1:
-                one_chart[i] = triv
+    trivs = {i: LocalTrivialization(space, i) for i in cover.index_order}
+    for triv in trivs.values():
+        rep.merge(triv.check(max_len, min(max_len, 3)))
+    for i, k in cover.overlapping(2):
+        if i != k:
+            _check_transition(space, trivs[i], trivs[k], max_len, rep)
     return rep
+
+
+def _check_transition(space: BundleSpace, ti: LocalTrivialization,
+                      tk: LocalTrivialization, max_len: int, rep: Report) -> None:
+    """Trivialization k after the inverse of trivialization i over their
+    overlap: (u, a) -> (u, gbar_ki(u) a) on objects and (w, phi) -> (w,
+    thetabar_ki(w) phi) on morphisms. Both keys come from the images the
+    trivializations built; one is built here only where a failed
+    `mor_injective` left it unbuilt."""
+    q, cover, i, k = space.q, space.cover, ti.i, tk.i
+
+    def object_moves():
+        for u in sorted(cover.overlap((i, k))):
+            for a in q.objects.reps:
+                b = q.obj_product(space.gbar(k, i, u), a)
+                if tk.on_object(u, b) != ti.on_object(u, a):
+                    yield f"object ({u}, {a}) of chart {i} is not ({u}, {b}) of chart {k}"
+    rep.search(f"transition.{i}{k}.obj",
+               "trivialization k after the inverse of trivialization i is gbar_ki",
+               object_moves())
+
+    def morphism_moves():
+        for w in enumerate_paths(cover, (i, k), max_len):
+            theta = space.thetabar(k, i, w)
+            for phi in q.morphisms.reps:
+                psi = q.mor_product(theta, phi)
+                if ti.image(w.start, w.steps, phi)[0] != tk.image(w.start, w.steps, psi)[0]:
+                    yield (f"({w.start}:{list(w.steps)}, {phi}) of chart {i} is not "
+                           f"(same walk, {psi}) of chart {k}")
+    rep.search(f"transition.{i}{k}.mor",
+               "trivialization k after the inverse of trivialization i is thetabar_ki",
+               morphism_moves())
 
 
 def _check_keyed_laws(space: BundleSpace, rep: Report) -> None:

@@ -10,7 +10,7 @@ a length-2 walk, not an identity.
 from __future__ import annotations
 
 from functools import cache
-from itertools import combinations, product
+from itertools import product
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import CompositionError, SchemaError
@@ -206,13 +206,3 @@ def compose_paths(c: CoverComplex, p2: PathMor, p1: PathMor) -> PathMor:
         )
     return PathMor(p1.start, p1.steps + p2.steps, p1.visited + p2.visited[1:])
 
-
-def index_family(c: CoverComplex) -> tuple[tuple[str, ...], ...]:
-    """All index subsets with nonempty overlap, ordered by inclusion."""
-    members = []
-    idx = list(c.index_order)
-    for r in range(1, len(idx) + 1):
-        for combo in combinations(idx, r):
-            if c.overlap(combo):
-                members.append(combo)
-    return tuple(members)

@@ -173,10 +173,12 @@ def suite_oracle(ctx: InstanceContext) -> Report:
     if space is None:
         rep.merge(pre)
         return rep
-    from .wordalg import WordOracle, check_congruence_invariants, check_oracle_agreement
+    from .wordalg import (WordOracle, check_congruence_invariants, check_oracle_agreement,
+                          word_chains)
     oracle = WordOracle(space, ctx.max_len)
-    rep.merge(check_oracle_agreement(space, oracle))
-    rep.merge(check_congruence_invariants(space, oracle))
+    chains = word_chains(space, oracle)
+    rep.merge(check_oracle_agreement(space, oracle, chains))
+    rep.merge(check_congruence_invariants(space, oracle, chains))
     return rep
 
 

@@ -210,18 +210,31 @@ def _classes(labels: list) -> list[list[int]]:
     return [classes[lab] for lab in sorted(classes)]
 
 
-def check_oracle_agreement(space: BundleSpace, oracle: WordOracle) -> Report:
+def word_chains(space: BundleSpace, oracle: WordOracle) -> list[tuple]:
+    """(chain, (source, target), (walk start, walk steps)) of each word, in
+    `all_words` order: each word is chained, validated and projected once for
+    both checks below."""
+    out = []
+    for w in oracle.all_words():
+        m = BundleMorphism.chain(w)
+        walk = space.project(m)
+        out.append((m, space.mor_endpoints(m), (walk.start, walk.steps)))
+    return out
+
+
+def check_oracle_agreement(space: BundleSpace, oracle: WordOracle, chains: list) -> Report:
     """Every word pair, both procedures, zero tolerated disagreements.
 
-    Each word is keyed once with `space.mor_key` and labelled once by the
-    oracle. The two agree on every pair exactly when labels and keys determine
-    each other, and then the pair counts follow from the class sizes. Only
-    otherwise does the pair loop run, in (n, m) order, so the witness names
-    the first disagreeing pair and the counts stop there."""
+    Each word of `chains` (`word_chains`) is keyed once, as `space.mor_key`
+    keys it, and labelled once by the oracle. The two agree on every pair
+    exactly when labels and keys determine each other, and then the pair
+    counts follow from the class sizes. Only otherwise does the pair loop
+    run, in (n, m) order, so the witness names the first disagreeing pair
+    and the counts stop there."""
     rep = Report("oracle")
     words = oracle.all_words()
     labels = [oracle.label(w) for w in words]
-    keys = [space.mor_key(BundleMorphism.chain(w)) for w in words]
+    keys = [(ends, space.component_of(space.unit_split(m))) for m, ends, _ in chains]
 
     key_of: dict = {}
     label_of: dict = {}
@@ -256,11 +269,12 @@ def check_oracle_agreement(space: BundleSpace, oracle: WordOracle) -> Report:
     return rep
 
 
-def check_congruence_invariants(space: BundleSpace, oracle: WordOracle) -> Report:
+def check_congruence_invariants(space: BundleSpace, oracle: WordOracle,
+                                chains: list) -> Report:
     """Equal words must share projection and endpoints and stay equal under
     the fiber action.
 
-    Each word's chain, projection and endpoints are computed once. A word
+    Each word's chain, endpoints and walk come from `chains`. A word
     compared under the action is split into units once, and its state acted
     on by psi is keyed with `composed_key` once per (word, psi), on the first
     comparison that needs it; an acted state that does not compose fails the
@@ -272,15 +286,13 @@ def check_congruence_invariants(space: BundleSpace, oracle: WordOracle) -> Repor
     rep = Report("oracle")
     words = oracle.all_words()
     classes = _classes([oracle.label(w) for w in words])
-    mors = [BundleMorphism.chain(w) for w in words]
+    mors, ends, walks = zip(*chains)
     pairs = [(cls[0], m) for cls in classes for m in cls[1:]]
 
-    walks = [(p.start, p.steps) for p in map(space.project, mors)]
     rep.search("congruence.proj_invariant", "equal words project to the same base walk", (
         f"equal words project apart: {_word_key(words[n])} vs {_word_key(words[m])}"
         for n, m in pairs if walks[n] != walks[m]))
 
-    ends = [space.mor_endpoints(mor) for mor in mors]
     rep.search("congruence.endpoints", "equal words share source and target objects", (
         f"equal words with different endpoints: {_word_key(words[n])}"
         for n, m in pairs if ends[n] != ends[m]))

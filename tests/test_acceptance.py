@@ -32,7 +32,12 @@ from catbundle.quotient import (
 )
 from catbundle.schema import report_to_json
 from catbundle.suites import InstanceContext, run_suite
-from catbundle.wordalg import WordOracle, check_congruence_invariants, check_oracle_agreement
+from catbundle.wordalg import (
+    WordOracle,
+    check_congruence_invariants,
+    check_oracle_agreement,
+    word_chains,
+)
 
 
 @contextmanager
@@ -247,7 +252,7 @@ def test_criterion_08_closure_vs_linear_algebra():
         words = oracle.all_words()
         if len(words) != 176:
             problems.append(f"{len(words)} words enumerated, expected 176")
-        rep = check_oracle_agreement(space, oracle)
+        rep = check_oracle_agreement(space, oracle, word_chains(space, oracle))
         _report_problems(problems, rep, "agreement")
         ids = {c.check_id for c in rep.checks}
         if not {"oracle.agreement", "oracle.both_verdicts"} <= ids:
@@ -262,7 +267,7 @@ def test_criterion_09_congruence_invariants():
         space, oracle = _dirline3_setup()
         if not oracle.equal_pairs():
             problems.append("no equal pairs discovered, nothing to test")
-        rep = check_congruence_invariants(space, oracle)
+        rep = check_congruence_invariants(space, oracle, word_chains(space, oracle))
         _report_problems(problems, rep, "invariants")
         ids = {c.check_id for c in rep.checks}
         missing = {"congruence.proj_invariant", "congruence.endpoints",

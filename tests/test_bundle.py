@@ -16,7 +16,7 @@ from catbundle.battery import (
 )
 from catbundle.bundle import BundleMorphism, BundleObject, BundleSpace, QuiverEdge
 from catbundle.cli import main
-from catbundle.complexes import PathMor, enumerate_paths, index_family
+from catbundle.complexes import PathMor, enumerate_paths
 from catbundle.errors import (
     CompositionError,
     DomainError,
@@ -32,6 +32,13 @@ from catbundle.suites import InstanceContext, run_suite
 from action_laws_reference import action_law_witnesses
 from normal_form_reference import compact, reference_key
 from rewrite_reference import RewriteReference
+from trivialization_reference import (
+    MultiChartTrivialization,
+    index_family,
+    multi_chart_report,
+    multi_chart_sets,
+    paired_verdicts,
+)
 
 
 def one_step(space, chart, charts, start, step, phi):
@@ -287,18 +294,22 @@ def test_corrupted_data_fails_precondition(chain_s3):
 
 def test_trivialization_needs_identity_edges(space_dirline3):
     with pytest.raises(PreconditionError):
-        LocalTrivialization(space_dirline3, "1", ("1",))
+        LocalTrivialization(space_dirline3, "1")
+    with pytest.raises(PreconditionError):
+        MultiChartTrivialization(space_dirline3, "1", ("1",))
 
 
 def test_trivialization_checks_pass_on_line5(space_line5):
-    triv = LocalTrivialization(space_line5, "1", ("1", "2"))
+    triv = MultiChartTrivialization(space_line5, "1", ("1", "2"))
     rep = triv.check(max_len=2, max_units=2)
+    assert rep.ok, rep.failures()
+    rep = LocalTrivialization(space_line5, "1").check(max_len=2, max_units=2)
     assert rep.ok, rep.failures()
 
 
 def test_trivialization_on_pair_identity_case(space_line5):
     space, q = space_line5, space_line5.q
-    triv = LocalTrivialization(space_line5, "2", ("2",))
+    triv = LocalTrivialization(space_line5, "2")
     m = triv.on_pair(space.cover.identity_walk("2"),
                      q.identity_mor_at(q.identity_obj()))
     x = triv.on_object("2", q.identity_obj())
@@ -538,7 +549,7 @@ def test_fold_layers_name_each_layer_state_by_its_first_chain_in_order(space_lin
     # key) of every chain and of nothing else, and each yield carries a chain
     # whose own triple it is, in the order `enumerate_chains` lists them
     space, q = space_line5, space_line5.q
-    triv = LocalTrivialization(space, "1", ("1", "2"))
+    triv = MultiChartTrivialization(space, "1", ("1", "2"))
     chains = enumerate_chains(space, 3, triv.region)
     assert Counter(map(len, chains))[3] > 1000
     per_chain = {}
@@ -567,7 +578,8 @@ def test_trivialization_state_keys_are_the_chain_keys(space_line5):
     for indices in index_family(space.cover):
         walks = enumerate_paths(space.cover, indices, 2)
         for i in indices:
-            triv = LocalTrivialization(space, i, indices)
+            triv = (LocalTrivialization(space, i) if len(indices) == 1
+                    else MultiChartTrivialization(space, i, indices))
             for w1 in walks:
                 for m1 in mreps:
                     f = triv.on_pair(w1, m1)
@@ -588,6 +600,7 @@ def test_an_action_that_does_nothing_fails_the_equivariance_checks(inst_line5, m
     space = fresh_space(inst_line5)
     monkeypatch.setattr(space, "act_state", lambda state, psi: state)
     failed = {c.check_id for c in check_bundle_axioms(space, 2).failures()}
+    failed |= {c.check_id for c in multi_chart_report(space, 2).failures()}
     equivariant = {f"triv.{i}.{''.join(indices)}.equivariant"
                    for indices in index_family(space.cover) for i in indices}
     assert "bundle.action.mor_free" in failed
@@ -600,7 +613,7 @@ def test_a_broken_on_pair_fails_composition_at_the_junction(inst_line5, monkeypa
     space = fresh_space(inst_line5)
     q = space.q
     shift = next(r for r in q.morphisms.reps if q.source[r] != q.identity_obj())
-    triv = LocalTrivialization(space, "1", ("1",))
+    triv = LocalTrivialization(space, "1")
     on_pair = triv.on_pair
 
     def planted(walk, mrep):
@@ -622,7 +635,7 @@ def test_on_pair_plant_over_the_reversed_step_fails_instead_of_raising(inst_line
     # each one-step image runs over its step reversed: it no longer ends where
     # the next image starts, nor projects to its walk
     space = fresh_space(inst_line5)
-    triv = LocalTrivialization(space, "1", ("1",))
+    triv = LocalTrivialization(space, "1")
     on_pair = triv.on_pair
 
     def planted(walk, mrep):
@@ -646,23 +659,25 @@ def test_on_pair_plant_over_the_reversed_step_fails_instead_of_raising(inst_line
 
 def test_trivialization_names_an_unknown_chart(space_line5):
     with pytest.raises(SchemaError, match="unknown chart index '9'"):
-        LocalTrivialization(space_line5, "1", ("1", "9"))
+        LocalTrivialization(space_line5, "9")
+    with pytest.raises(SchemaError, match="unknown chart index '9'"):
+        MultiChartTrivialization(space_line5, "1", ("1", "9"))
 
 
 def test_trivialization_refuses_a_chart_outside_its_index_set(space_line5):
     with pytest.raises(SchemaError, match=r"chart '3' is not in \('1', '2'\)"):
-        LocalTrivialization(space_line5, "3", ("2", "1"))
+        MultiChartTrivialization(space_line5, "3", ("2", "1"))
 
 
 def test_trivialization_refuses_an_empty_overlap(space_cycle6):
     # the three arcs of the six-cycle share no vertex
     with pytest.raises(SchemaError, match="overlap of .* is empty"):
-        LocalTrivialization(space_cycle6, "1", ("1", "2", "3"))
+        MultiChartTrivialization(space_cycle6, "1", ("1", "2", "3"))
 
 
 def test_trivialization_refuses_objects_and_walks_outside_its_overlap(space_line5):
     space, q = space_line5, space_line5.q
-    triv = LocalTrivialization(space, "1", ("1", "2"))
+    triv = MultiChartTrivialization(space, "1", ("1", "2"))
     assert "0" not in triv.region and "1" in triv.region
     with pytest.raises(DomainError, match="vertex '0' is outside the overlap"):
         triv.on_object("0", q.identity_obj())
@@ -670,19 +685,38 @@ def test_trivialization_refuses_objects_and_walks_outside_its_overlap(space_line
     walk = space.cover.walk("1", [("e01", -1), ("e01", 1)])
     with pytest.raises(DomainError, match="walk leaves the overlap"):
         triv.on_pair(walk, q.identity_mor_at(q.identity_obj()))
+    # chart 2 holds 1, 2 and 3 but not 0, nor the walk 1 0 1
+    alone = LocalTrivialization(space, "2")
+    assert alone.region == space.cover.chart("2") > triv.region
+    with pytest.raises(DomainError, match="vertex '0' is outside chart '2'"):
+        alone.on_object("0", q.identity_obj())
+    with pytest.raises(DomainError, match="walk leaves chart '2'"):
+        alone.on_pair(walk, q.identity_mor_at(q.identity_obj()))
 
 
 def test_clean_battery_builds_each_trivialization_image_once(monkeypatch):
+    # each chart builds the image of each of its walks with each coset rep
+    # once, and the transition rows read those images and build none; each
+    # trivialization over two or more charts builds its own
     space = fresh_space(build_instance("s4-line5w", 5, True))
     built = []
-    on_pair = LocalTrivialization.on_pair
 
-    def counted(self, walk, mrep):
-        built.append((self.i, self.indices, walk.start, walk.steps, mrep))
-        return on_pair(self, walk, mrep)
-    monkeypatch.setattr(LocalTrivialization, "on_pair", counted)
+    def counting(cls):
+        on_pair = cls.on_pair
+
+        def counted(self, walk, mrep):
+            built.append((self.i, getattr(self, "indices", (self.i,)), walk.start,
+                          walk.steps, mrep))
+            return on_pair(self, walk, mrep)
+        monkeypatch.setattr(cls, "on_pair", counted)
+    counting(LocalTrivialization)
+    counting(MultiChartTrivialization)
     rep = check_bundle_axioms(space, 2)
     assert rep.ok, rep.failures()
+    mreps = space.q.morphisms.reps
+    assert built == [(i, (i,), w.start, w.steps, m) for i in space.cover.index_order
+                     for w in enumerate_paths(space.cover, (i,), 2) for m in mreps]
+    assert multi_chart_report(space, 2).ok
     assert len(built) == len(set(built)) == 1908
 
 
@@ -715,7 +749,8 @@ def test_value_reprs_are_pinned(space_line5w):
 def test_battery_compacts_each_state_once(inst_line5w, monkeypatch):
     # a two-unit state with a zero-length unit is merged once, into the class
     # member the battery keys; every later law reads the key from its map.
-    # The trivializations, which key images of their own, are left out.
+    # The trivializations and the transition rows, which key images of their
+    # own, are left out.
     space = fresh_space(inst_line5w)
     seen = Counter()
     merge_units = BundleSpace._merge_units
@@ -725,7 +760,8 @@ def test_battery_compacts_each_state_once(inst_line5w, monkeypatch):
         return merge_units(self, u1, u2)
 
     monkeypatch.setattr(BundleSpace, "_merge_units", counted)
-    monkeypatch.setattr(battery, "index_family", lambda cover: [])
+    monkeypatch.setattr(LocalTrivialization, "check", lambda self, *args: Report("bundle"))
+    monkeypatch.setattr(battery, "_check_transition", lambda *args: None)
     rep = check_bundle_axioms(space, 2)
     assert rep.ok, rep.failures()
     assert seen and max(seen.values()) == 1, seen.most_common(3)
@@ -780,7 +816,9 @@ def test_a_clean_mor_surjective_scan_keys_no_chain(inst_line5, monkeypatch):
     monkeypatch.setattr(battery, "fold_layers", watched)
     monkeypatch.setattr(battery, "enumerate_chains", None)
     for indices in index_family(space.cover):
-        rep = LocalTrivialization(space, indices[0], indices).check(3, 3)
+        triv = (LocalTrivialization(space, indices[0]) if len(indices) == 1
+                else MultiChartTrivialization(space, indices[0], indices))
+        rep = triv.check(3, 3)
         assert rep.ok, rep.failures()
     assert len(sizes) == 2 * len(index_family(space.cover))
     assert sizes[::2] == sizes[1::2]
@@ -837,16 +875,17 @@ def test_obj_bijective_names_its_first_miss(inst_line5, monkeypatch):
     # gbar_21(1) moves both fiber cosets over vertex 1 off their glued class
     space = fresh_space(inst_line5)
     plant_gbar(monkeypatch, space, ("2", "1", "1"))
-    rep = LocalTrivialization(space, "2", ("1", "2")).check(1, 1)
     q = space.q
     first = q.objects.reps[0]
     moved = q.obj_product(space.gbar("2", "1", "1"), first)
-    assert [(c.check_id, c.witness) for c in rep.failures()] == [
-        ("triv.2.12.obj_bijective",
-         f"object (1, {moved}) does not land on (1, 1, {first})")]
+    for triv in (MultiChartTrivialization(space, "2", ("1", "2")),
+                 LocalTrivialization(space, "2")):
+        tag = f"triv.2.{''.join(getattr(triv, 'indices', '2'))}"
+        assert [(c.check_id, c.witness) for c in triv.check(1, 1).failures()] == [
+            (f"{tag}.obj_bijective", f"object (1, {moved}) does not land on (1, 1, {first})")]
 
 
-# ----- a multi-chart trivialization takes its verdicts from chart i alone ----
+# ----- a trivialization over several charts restricts the one over chart i --
 
 def test_an_on_pair_that_reads_its_index_set_fails_the_multi_chart_laws(
         inst_a3j3_line5w, monkeypatch):
@@ -856,7 +895,7 @@ def test_an_on_pair_that_reads_its_index_set_fails_the_multi_chart_laws(
     q = space.q
     a, b = q.identity_mor_at(q.identity_obj()), q.morphisms.reps[0]
     swap = {a: b, b: a}
-    on_pair = LocalTrivialization.on_pair
+    on_pair = MultiChartTrivialization.on_pair
 
     def planted(self, walk, mrep):
         m = on_pair(self, walk, mrep)
@@ -864,10 +903,10 @@ def test_an_on_pair_that_reads_its_index_set_fails_the_multi_chart_laws(
             return m
         e = m.edges[0]
         return BundleMorphism.chain([e._replace(phi=swap.get(e.phi, e.phi))])
-    monkeypatch.setattr(LocalTrivialization, "on_pair", planted)
+    monkeypatch.setattr(MultiChartTrivialization, "on_pair", planted)
     status = {c.check_id: c.status for c in check_bundle_axioms(space, 2).checks}
-    multi = [(i, indices) for indices in index_family(space.cover) if len(indices) > 1
-             for i in indices]
+    status.update((c.check_id, c.status) for c in multi_chart_report(space, 2).checks)
+    multi = multi_chart_sets(space.cover)
     assert multi
     for i, indices in multi:
         tag = f"triv.{i}.{''.join(indices)}"
@@ -893,16 +932,103 @@ def test_a_multi_chart_set_finds_its_own_witness_when_chart_i_fails(inst_line5w,
         return q.mor_product(phi, shift) if k == "3" else phi
     monkeypatch.setattr(space, "_move_unit", planted)
     failed = {c.check_id: c.witness for c in check_bundle_axioms(space, 2).failures()}
+    failed.update((c.check_id, c.witness) for c in multi_chart_report(space, 2).failures())
     alone = failed["triv.3.3.mor_surjective"]
     witnesses = set()
     for indices in index_family(space.cover):
         if "3" not in indices or len(indices) == 1:
             continue
-        ours = LocalTrivialization(space, "3", indices).check(2, 2).failures()
+        ours = MultiChartTrivialization(space, "3", indices).check(2, 2).failures()
         surjective = f"triv.3.{''.join(indices)}.mor_surjective"
         assert [c.witness for c in ours if c.check_id == surjective] == [failed[surjective]]
         witnesses.add(failed[surjective])
     assert witnesses - {alone}
+
+
+def one_chart_rows(space, max_len):
+    """The rows of each chart's trivialization at max_len, as the battery
+    bounds them."""
+    return [c for i in space.cover.index_order
+            for c in LocalTrivialization(space, i).check(max_len, min(max_len, 3)).checks]
+
+
+def wider_than_chart_i(pairs):
+    """The rows of a trivialization over J that fail where chart i passes."""
+    return [(row, status, alone) for row, status, alone in pairs
+            if status == "fail" != alone]
+
+
+@pytest.mark.parametrize("source,max_len", [
+    ("s3-line5", 3), ("s3-line5w", 2), ("s4-line5w", 2), ("cycle6-trivial", 4),
+    ("inst_a3j3_line5w", 2), ("inst_a3j3_line5w", 3), ("inst_a3j3_cycle6", 2),
+    ("inst_a3j3_cycle6", 3)])
+def test_multi_chart_verdicts_equal_chart_i_on_clean_data(request, source, max_len):
+    inst = (request.getfixturevalue(source) if source.startswith("inst_")
+            else build_instance(source, 5, True))
+    space = fresh_space(inst)
+    rows = one_chart_rows(space, max_len)
+    pairs = paired_verdicts(space, rows, max_len)
+    assert pairs and all(status == alone == "pass" for _, status, alone in pairs)
+    # the reference over (i,) alone gives the battery's rows, witnesses included
+    ref = [c for i in space.cover.index_order
+           for c in MultiChartTrivialization(space, i, (i,)).check(max_len, min(max_len, 3))
+           .checks]
+    assert ref == rows
+
+
+def plant_thetabar(monkeypatch, pair, min_steps):
+    """Every space built from now on reads, for the ordered chart pair
+    (k, i) = `pair`, another coset with the same endpoints as thetabar_ki on
+    each walk of at least `min_steps` steps."""
+    thetabar = BundleSpace.thetabar
+
+    def planted(self, k, i, walk):
+        value = thetabar(self, k, i, walk)
+        if (k, i) != pair or len(walk.steps) < min_steps:
+            return value
+        q = self.q
+        return next(r for r in q.morphisms.reps if r != value
+                    and (q.source[r], q.target[r]) == (q.source[value], q.target[value]))
+    monkeypatch.setattr(BundleSpace, "thetabar", planted)
+
+
+THETABAR_PAIRS = [p for p in cover_line5w().overlapping(2) if p[0] != p[1]]
+
+
+@pytest.mark.parametrize("min_steps", [1, 2])
+@pytest.mark.parametrize("fixture,max_len", [
+    ("inst_a3j3_line5w", 2), ("inst_a3j3_cycle6", 2), ("inst_a3j3_cycle6", 3)])
+def test_no_thetabar_plant_fails_a_multi_chart_row_that_chart_i_passes(
+        request, monkeypatch, fixture, max_len, min_steps):
+    # each ordered chart pair moved on walks of at least one or of at least
+    # two steps; on the six-cycle the overlaps are single vertices, so no
+    # plant moves a value there
+    inst = request.getfixturevalue(fixture)
+    failing = 0
+    for pair in THETABAR_PAIRS:
+        plant_thetabar(monkeypatch, pair, min_steps)
+        space = fresh_space(inst)
+        pairs = paired_verdicts(space, one_chart_rows(space, max_len), max_len)
+        assert wider_than_chart_i(pairs) == [], pair
+        failing += any(status == "fail" for _, status, _ in pairs)
+        monkeypatch.undo()
+    assert failing == (6 if fixture == "inst_a3j3_line5w" and min_steps == 1 else 0)
+
+
+@pytest.mark.parametrize("max_len", [2, 3])
+def test_a_two_step_thetabar_plant_fails_only_its_transition_row(inst_a3j3_line5w,
+                                                                 monkeypatch, max_len):
+    # thetabar_21 moved on walks of two or more steps, to another coset with
+    # the same endpoints: the normal form re-indexes single steps only, so
+    # every other row passes, and chart 1's image of the first such walk in
+    # the overlap is not chart 2's image of it re-indexed
+    plant_thetabar(monkeypatch, ("2", "1"), 2)
+    space = fresh_space(inst_a3j3_line5w)
+    rep = check_bundle_axioms(space, max_len)
+    assert [(c.check_id, c.witness) for c in rep.failures()] == [
+        ("transition.12.mor", "(1:[('e12', 1), ('e12', -1)], ((123),e)) of chart 1 is not "
+                              "(same walk, ((132),e)) of chart 2")]
+    assert wider_than_chart_i(paired_verdicts(space, rep.checks, max_len)) == []
 
 
 # the witnesses of the old scan over `enumerate_chains`: a failing layered
@@ -931,8 +1057,11 @@ COMPOSE_OF_WITNESSES = {
 
 
 def surjective_witnesses(space, max_len):
-    return {c.check_id.rsplit(".", 1)[0]: c.witness
-            for c in check_bundle_axioms(space, max_len).failures()
+    """The `mor_surjective` witnesses of the battery's trivializations, then
+    of the ones over two or more charts."""
+    failed = check_bundle_axioms(space, max_len).failures()
+    failed += multi_chart_report(space, max_len).failures()
+    return {c.check_id.rsplit(".", 1)[0]: c.witness for c in failed
             if c.check_id.startswith("triv.") and c.check_id.endswith(".mor_surjective")}
 
 
@@ -1005,8 +1134,11 @@ def test_a_normal_form_that_drops_decorations_fails_on_the_non_thin_fiber(
         source, walk, decorations = fold_key(self, folded)
         return source, walk, (() if plant == "every" else decorations[:-1])
     monkeypatch.setattr(BundleSpace, "_fold_key", planted)
-    rep = run_suite(request.getfixturevalue(fixture), "all", 2)
-    assert fails <= {c.check_id for c in rep.failures()}
+    inst = request.getfixturevalue(fixture)
+    failed = {c.check_id for c in run_suite(inst, "all", 2).failures()}
+    if inst.cover.identity_edges:
+        failed |= {c.check_id for c in multi_chart_report(fresh_space(inst), 2).failures()}
+    assert fails <= failed
 
 
 # ----- the action laws under planted actions ----------------------------------
@@ -1104,6 +1236,7 @@ def test_action_plant_on_the_head_units_fails_instead_of_raising(inst_line5w, mo
         "action by ((12),(12)) breaks a junction of chain "
         "(('1', ('e', 'e01', 1), '((12),(12))'), ('1', ('e', 'e01', -1), '((12),(123))'))",
     ]
+    failed.update((c.check_id, c.witness) for c in multi_chart_report(space, 2).failures())
     equivariant = {f"triv.{i}.{''.join(indices)}.equivariant"
                    for indices in index_family(space.cover) for i in indices}
     assert equivariant <= set(failed)
@@ -1330,15 +1463,19 @@ def test_a_gbar_plant_fails_a_row_and_raises_nothing(wide_document, monkeypatch,
 def test_a_state_that_cannot_be_keyed_fails_each_row_that_reads_the_keys(
         wide_document, monkeypatch):
     # gbar_12(1) breaks the merge of a zero-length unit into its neighbour:
-    # the six keyed rows fail with that error, and the trivializations still run
+    # the six keyed rows fail with that error, and the trivializations and
+    # the transition rows still run, as the ones over two or more charts do
     plant_other_coset(monkeypatch, ("1", "2", "1"))
-    rep = check_bundle_axioms(fresh_space(wide_document[0]), 2)
+    space = fresh_space(wide_document[0])
+    rep = check_bundle_axioms(space, 2)
     witness = "CompositionError: cosets do not compose: target '(123)' != source '(12)'"
     failed = {c.check_id: c.witness for c in rep.failures()}
     keyed = battery.KEYED_LAWS
     assert {i: failed[i] for i in keyed} == dict.fromkeys(keyed, witness)
     assert "bundle.proj.mor_surjective" not in failed
-    assert sum(c.check_id.startswith("triv.") for c in rep.checks) == 72
+    assert sum(c.check_id.startswith("transition.") for c in rep.checks) == 12
+    multi = multi_chart_report(space, 2)
+    assert sum(c.check_id.startswith("triv.") for c in rep.checks + multi.checks) == 72
 
 
 def test_a_scan_that_raises_fails_its_row_with_the_error(wide_document, monkeypatch):
@@ -1351,3 +1488,30 @@ def test_a_scan_that_raises_fails_its_row_with_the_error(wide_document, monkeypa
         "fiber='(12)') but previous ended at BundleObject(chart='1', vertex='0', "
         "fiber='(123)')")
     assert not any(i in failed for i in battery.KEYED_LAWS)
+
+
+@pytest.fixture(scope="module")
+def gbar_plant_verdicts():
+    """Per single-value `gbar` plant on `s3-line5w`@2, the paired verdicts."""
+    inst = build_instance("s3-line5w", 5, True)
+    out = {}
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for key in GBAR_KEYS:
+            plant_other_coset(monkeypatch, key)
+            space = fresh_space(inst)
+            out[key] = paired_verdicts(space, one_chart_rows(space, 2), 2)
+            monkeypatch.undo()
+    return out
+
+
+def test_no_gbar_plant_fails_a_multi_chart_row_that_chart_i_passes(gbar_plant_verdicts):
+    # 21 of the 35 plants fail some row over two or more charts, always with
+    # chart i's row of the same law; 7 fail a row of chart i that no larger
+    # set fails, as the larger sets see less of chart i's region
+    assert {key: wider_than_chart_i(pairs) for key, pairs in gbar_plant_verdicts.items()} \
+        == dict.fromkeys(GBAR_KEYS, [])
+    failing = [key for key, pairs in gbar_plant_verdicts.items()
+               if any(status == "fail" for _, status, _ in pairs)]
+    narrower = [key for key, pairs in gbar_plant_verdicts.items()
+                if any(status == "pass" != alone for _, status, alone in pairs)]
+    assert (len(failing), len(narrower)) == (21, 7)

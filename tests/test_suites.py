@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 from quotient_reference import LAWS as IMPLIED_QUOTIENT
+from trivialization_reference import multi_chart_sets
 
 from catbundle import gerbal, quotient, suites
 from catbundle.errors import PreconditionError, SchemaError
@@ -30,19 +31,19 @@ from catbundle.suites import SUITES, run_suite
 GOLDEN_ALL = [
     ("s3-line5", 3,
      "0dc368c802c17156a86ad7a3bc1e1f2e664da464fbd597ee7d7e5ce07adc2e7c",
-     "f0a2dff647ca6bcfbef7e9090f41d48bfe718d6c1e9aceb067dd8e83f98dc754"),
+     "675c20a2b63f890e353353ea2ea1e99aeb5c87ed4e386eefe0d16a492b64a55a"),
     ("s3-line5w", 2,
      "0dc368c802c17156a86ad7a3bc1e1f2e664da464fbd597ee7d7e5ce07adc2e7c",
-     "f0a2dff647ca6bcfbef7e9090f41d48bfe718d6c1e9aceb067dd8e83f98dc754"),
+     "675c20a2b63f890e353353ea2ea1e99aeb5c87ed4e386eefe0d16a492b64a55a"),
     ("cycle6-trivial", 4,
      "d19e83ce502521ff91a0e5a4b1e4f33d0020bff5f89d2622a6b299994d0e8273",
-     "513945ad2206912700bdfcb6cea5ed8acdf96621ca9ed9c6e57671841febf167"),
+     "991f443fc60c567667c679113ac63c6b1ed62b8c9157788673939c0a58c869aa"),
     ("oracle-dirline3", 3,
      "be681f120706fdcb3fc5128ba2495146a50eb7be81bd7243f2ee7104b7053e3c",
      "ef579dcd2675ba941350520ad2006896f096d53ee9a912a8104f7b931671b733"),
     ("s4-line5w", 1,
      "0b56141b301e1f5e5d516502ff64d51f216484b62d87f788c87f66e00f3fc926",
-     "b46f9da1168b64da4cc30785abdeaf7a9d3d1df66537b984b268f604f5739e76"),
+     "e7a8e919e69bfe0aab086ec05a0d9fccd5beb9df6aabe97addaabda4894f189b"),
 ]
 
 # SHA-256 of the `all` report at length 3 of the A3/J3 chain (conftest.py),
@@ -50,7 +51,7 @@ GOLDEN_ALL = [
 GOLDEN_NON_THIN = [
     ("inst_a3j3_line5w",
      "cee738a50f232f7db7631161aa024d4875fbd64a36b9746fbc8050671240f5e5",
-     "431845e8e9d2f1586b1dc9c20470328a6b1314eb2c0e0b26669b1d62ac38c978"),
+     "50d218b1142aa29ed6717c4a5aad07c6eac327d05805ce3c049d3dc322bede7c"),
     ("inst_a3j3_dirline3",
      "a2b1bd9f5c16f961b413d310b4d69f3a3ba5fbf1248e0a62e2fc21b4f81ab5bb",
      "fa0fdc054e9c2cef024c45550f43dbd28fe8065fa02004b1f3382a20eaf95ccb"),
@@ -163,17 +164,22 @@ IMPLIED_ENDPOINTS = "theta(gamma) depends only on (gamma_0, gamma_1)"
 IMPLIED_NORMAL = "g tau(H) g^-1 = tau(H)"
 
 
-def with_implied_rows(rep, chain):
+def with_implied_rows(rep, inst):
     """`rep` with the rows it leaves out as decided by another row or a gate:
     a component group under each module that holds it, where the report
     lists each group once; `tau_image.<cm>.hom`, which repeats the module's
     tau homomorphism row, and a `tau_image.<cm>.normal` pass beside that row
     where it passes, as the first Peiffer identity implies that tau(H) is
     normal in G; the IMPLIED_JH, IMPLIED_QUOTIENT and IMPLIED_GLUE
-    passes; and a `theta.<ik>.endpoints` pass beside each
-    `theta.<ik>.compose` row."""
+    passes; a `theta.<ik>.endpoints` pass beside each `theta.<ik>.compose`
+    row; and a copy of each `triv.<i>.<i>.<law>` row for each index set J of
+    two or more charts holding i, which restricts it
+    (`trivialization_reference`). The `transition.*` rows, which the report
+    lists since the multi-chart rows went, are left out."""
+    chain = inst.chain
     modules = (chain.outer, chain.inner)
     by_id = {c.check_id: c for c in rep.checks}
+    multi = multi_chart_sets(inst.cover)
     extra = []
     for c in rep.checks:
         for cm in modules:
@@ -199,8 +205,12 @@ def with_implied_rows(rep, chain):
         if c.check_id.startswith("theta.") and c.check_id.endswith(".compose"):
             extra.append(CheckResult(c.check_id.replace(".compose", ".endpoints"),
                                      IMPLIED_ENDPOINTS, "pass"))
+        if c.check_id.startswith("triv."):
+            _, i, _, law = c.check_id.split(".")
+            extra += [c._replace(check_id=f"triv.{i}.{''.join(indices)}.{law}")
+                      for j, indices in multi if j == i]
     out = Report(rep.suite)
-    out.checks = rep.checks + extra
+    out.checks = [c for c in rep.checks if not c.check_id.startswith("transition.")] + extra
     return out
 
 
@@ -209,9 +219,9 @@ def pinned(cases):
     return [pytest.param(*c, id="-".join(map(str, c[:-1]))) for c in cases]
 
 
-def assert_pinned(rep, chain, long_digest, digest):
+def assert_pinned(rep, inst, long_digest, digest):
     assert hashlib.sha256(report_to_json(rep).encode()).hexdigest() == digest
-    long_form = report_to_json(with_implied_rows(rep, chain))
+    long_form = report_to_json(with_implied_rows(rep, inst))
     assert hashlib.sha256(long_form.encode()).hexdigest() == long_digest
 
 
@@ -282,13 +292,13 @@ def test_peiffer_suite_covers_both_modules(inst_line5):
 @pytest.mark.parametrize("preset,max_len,long_digest,digest", pinned(GOLDEN_ALL))
 def test_all_report_bytes_are_pinned(preset, max_len, long_digest, digest):
     inst = build_instance(preset, seed=5, noise=True)
-    assert_pinned(run_suite(inst, "all", max_len), inst.chain, long_digest, digest)
+    assert_pinned(run_suite(inst, "all", max_len), inst, long_digest, digest)
 
 
 @pytest.mark.parametrize("fixture,long_digest,digest", pinned(GOLDEN_NON_THIN))
 def test_non_thin_fiber_report_bytes_are_pinned(request, fixture, long_digest, digest):
     inst = request.getfixturevalue(fixture)
-    assert_pinned(run_suite(inst, "all", 3), inst.chain, long_digest, digest)
+    assert_pinned(run_suite(inst, "all", 3), inst, long_digest, digest)
 
 
 def edited_instance(edit):
@@ -310,7 +320,7 @@ def applicable(inst):
 @pytest.mark.parametrize("edit,suite,long_digest,digest", pinned(GOLDEN_EDITED))
 def test_edited_report_bytes_are_pinned(edit, suite, long_digest, digest):
     inst = edited_instance(edit)
-    assert_pinned(run_suite(inst, suite, 2), inst.chain, long_digest, digest)
+    assert_pinned(run_suite(inst, suite, 2), inst, long_digest, digest)
 
 
 @pytest.mark.parametrize("source", preset_names() + sorted(EDITS))

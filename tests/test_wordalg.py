@@ -17,18 +17,27 @@ from catbundle.errors import PreconditionError
 from catbundle.generation import generate_gerbal
 from catbundle.presets import build_instance
 from catbundle.schema import Instance
-from catbundle.suites import InstanceContext
+from catbundle.suites import InstanceContext, run_suite
 from catbundle.wordalg import (
     WordOracle,
     _word_key,
     check_congruence_invariants,
     check_oracle_agreement,
+    word_chains,
 )
 
 
 @pytest.fixture(scope="module")
 def word_oracle(space_dirline3):
     return WordOracle(space_dirline3, max_len=3)
+
+
+def agreement(space, oracle):
+    return check_oracle_agreement(space, oracle, word_chains(space, oracle))
+
+
+def invariants(space, oracle):
+    return check_congruence_invariants(space, oracle, word_chains(space, oracle))
 
 
 def test_oracle_requires_directed_base(space_line5):
@@ -85,12 +94,12 @@ def test_cross_block_words_never_equal(word_oracle):
 
 
 def test_agreement_with_closure(space_dirline3, word_oracle):
-    rep = check_oracle_agreement(space_dirline3, word_oracle)
+    rep = agreement(space_dirline3, word_oracle)
     assert rep.ok, rep.failures()
 
 
 def test_congruence_invariants(space_dirline3, word_oracle):
-    rep = check_congruence_invariants(space_dirline3, word_oracle)
+    rep = invariants(space_dirline3, word_oracle)
     assert rep.ok, rep.failures()
     ids = {c.check_id for c in rep.checks}
     assert {"congruence.proj_invariant", "congruence.endpoints",
@@ -152,19 +161,37 @@ def test_each_word_and_each_action_keyed_once(space_dirline3, word_oracle, monke
     record("unit_split", split, lambda m: m.edges)
     record("act_state", acted, lambda state, psi: (state, psi))
     record("composed_key", acted_keyed, lambda state: state)
-    check_oracle_agreement(space, word_oracle)
-    assert len(keyed) == len(set(keyed)) <= len(word_oracle.all_words())
+    chains = word_chains(space, word_oracle)
+    check_oracle_agreement(space, word_oracle, chains)
+    # each word is split and keyed once, on the chain `word_chains` built
+    assert not keyed
+    assert len(split) == len(set(split)) == len(word_oracle.all_words())
     assert not acted
 
-    keyed.clear()
     split.clear()
-    check_congruence_invariants(space, word_oracle)
+    check_congruence_invariants(space, word_oracle, chains)
     # each compared word is split once and acted on once per coset (words
     # with equal units included), and each acted state is keyed once
     assert not keyed
     assert split and len(split) == len(set(split))
     assert len(acted) == len(split) * len(space.q.morphisms.reps)
     assert len(acted_keyed) == len(acted)
+
+
+def test_the_oracle_suite_chains_each_word_once(monkeypatch):
+    # both checks read each word's chain, endpoints and walk from one list
+    inst = build_instance("oracle-dirline3", 5, True)
+    built = []
+    chain = BundleMorphism.chain
+
+    def counted(edges):
+        m = chain(edges)
+        built.append(m.edges)
+        return m
+    monkeypatch.setattr(BundleMorphism, "chain", staticmethod(counted))
+    rep = run_suite(inst, "oracle", 3)
+    assert rep.ok, rep.failures()
+    assert len(built) == len(set(built)) == 176
 
 
 def test_word_outside_the_inventory_is_named(word_oracle):
@@ -177,16 +204,15 @@ def test_word_outside_the_inventory_is_named(word_oracle):
             assert str(_word_key(stray)) in str(exc.value)
 
 
-def _planted(space, monkeypatch, target, keyer="mor_key"):
-    """Perturb the key of every morphism, or with `keyer="composed_key"`
-    every state, that `target` picks out."""
-    real_key = getattr(space, keyer)
+def _planted(space, monkeypatch, target):
+    """Perturb the `composed_key` of every state that `target` picks out."""
+    real_key = space.composed_key
 
-    def key(m):
-        k = real_key(m)
-        return ("planted", k) if target(m) else k
+    def key(state):
+        k = real_key(state)
+        return ("planted", k) if target(state) else k
 
-    monkeypatch.setattr(space, keyer, key)
+    monkeypatch.setattr(space, "composed_key", key)
 
 
 def _plant_acted(space, monkeypatch, word, psi):
@@ -203,11 +229,10 @@ def _plant_acted(space, monkeypatch, word, psi):
         return out
 
     monkeypatch.setattr(space, "act_state", act)
-    _planted(space, monkeypatch, lambda st: any(st is p for p in planted), "composed_key")
+    _planted(space, monkeypatch, lambda st: any(st is p for p in planted))
 
 
-def test_planted_key_disagreement_names_the_first_pair(space_dirline3, word_oracle,
-                                                       monkeypatch):
+def test_planted_key_disagreement_names_the_first_pair(space_dirline3, word_oracle):
     words = word_oracle.all_words()
     classes: dict = {}
     for n, w in enumerate(words):
@@ -215,9 +240,12 @@ def test_planted_key_disagreement_names_the_first_pair(space_dirline3, word_orac
         classes.setdefault(rep, []).append(n)
     cls = next(c for c in classes.values() if len(c) >= 3)
     first, chosen = cls[0], cls[1]
-    _planted(space_dirline3, monkeypatch, lambda m: m.edges == words[chosen])
+    # the chosen word's key, and no other, is perturbed through its endpoints
+    chains = word_chains(space_dirline3, word_oracle)
+    chain, ends, walk = chains[chosen]
+    chains[chosen] = (chain, ("planted", ends), walk)
 
-    rep = check_oracle_agreement(space_dirline3, word_oracle)
+    rep = check_oracle_agreement(space_dirline3, word_oracle, chains)
     got = {c.check_id: c for c in rep.checks}
     assert got["oracle.agreement"].status == "fail"
     assert got["oracle.agreement"].witness == (
@@ -238,7 +266,7 @@ def test_planted_action_disagreement_names_the_first_pair(space_dirline3, word_o
     psi = space_dirline3.q.morphisms.reps[-1]
     _plant_acted(space_dirline3, monkeypatch, chosen, psi)
 
-    rep = check_congruence_invariants(space_dirline3, word_oracle)
+    rep = invariants(space_dirline3, word_oracle)
     got = {c.check_id: c for c in rep.checks}
     w1 = next(a for a, b in pairs if chosen in (a, b))
     assert got["congruence.proj_invariant"].status == got["congruence.endpoints"].status == "pass"
@@ -297,7 +325,7 @@ def test_planted_merge_loss_fails_as_the_pair_scan_does(space_dirline3, monkeypa
     witness, n_equal, n_unequal = pair_scan(words, [ref.labels[w] for w in words], keys)
     assert witness.endswith("linear algebra says unequal, closure says equal")
 
-    rep = check_oracle_agreement(space_dirline3, oracle)
+    rep = agreement(space_dirline3, oracle)
     got = {c.check_id: c for c in rep.checks}
     assert got["oracle.agreement"].status == got["oracle.both_verdicts"].status == "fail"
     assert got["oracle.agreement"].witness == witness
@@ -317,7 +345,7 @@ def test_planted_action_fault_on_any_member_is_found(space_dirline3, word_oracle
     cls = next(c for c in classes.values() if len(c) >= 3)
     psi = space_dirline3.q.morphisms.reps[0]
     _plant_acted(space_dirline3, monkeypatch, cls[position], psi)
-    got = {c.check_id: c for c in check_congruence_invariants(space_dirline3, word_oracle).checks}
+    got = {c.check_id: c for c in invariants(space_dirline3, word_oracle).checks}
     assert got["congruence.action_equivariant"].status == "fail"
     assert got["congruence.action_equivariant"].witness.endswith(str(_word_key(cls[0])))
 
@@ -329,7 +357,7 @@ def test_action_plant_on_the_head_units_fails_the_invariants_instead_of_raising(
     act_state = space_dirline3.act_state
     monkeypatch.setattr(space_dirline3, "act_state",
                         lambda state, psi: state[:-1] + act_state(state[-1:], psi))
-    got = {c.check_id: c for c in check_congruence_invariants(space_dirline3, word_oracle).checks}
+    got = {c.check_id: c for c in invariants(space_dirline3, word_oracle).checks}
     assert got["congruence.action_equivariant"].witness == (
         "action by ((12),(12)) breaks a junction of word "
         "(('0', (('e01', 1),), '1', ('1',), '((12),(12))'), "
