@@ -211,30 +211,30 @@ def _classes(labels: list) -> list[list[int]]:
 
 
 def word_chains(space: BundleSpace, oracle: WordOracle) -> list[tuple]:
-    """(chain, (source, target), (walk start, walk steps)) of each word, in
-    `all_words` order: each word is chained, validated and projected once for
+    """(chain, `mor_key`, (walk start, walk steps)) of each word, in
+    `all_words` order: each word is chained, keyed and projected once for
     both checks below."""
     out = []
     for w in oracle.all_words():
         m = BundleMorphism.chain(w)
         walk = space.project(m)
-        out.append((m, space.mor_endpoints(m), (walk.start, walk.steps)))
+        out.append((m, space.mor_key(m), (walk.start, walk.steps)))
     return out
 
 
 def check_oracle_agreement(space: BundleSpace, oracle: WordOracle, chains: list) -> Report:
     """Every word pair, both procedures, zero tolerated disagreements.
 
-    Each word of `chains` (`word_chains`) is keyed once, as `space.mor_key`
-    keys it, and labelled once by the oracle. The two agree on every pair
-    exactly when labels and keys determine each other, and then the pair
-    counts follow from the class sizes. Only otherwise does the pair loop
-    run, in (n, m) order, so the witness names the first disagreeing pair
-    and the counts stop there."""
+    Each word's key comes from `chains` (`word_chains`), and each word is
+    labelled once by the oracle. The two agree on every pair exactly when
+    labels and keys determine each other, and then the pair counts follow
+    from the class sizes. Only otherwise does the pair loop run, in (n, m)
+    order, so the witness names the first disagreeing pair and the counts
+    stop there."""
     rep = Report("oracle")
     words = oracle.all_words()
     labels = [oracle.label(w) for w in words]
-    keys = [(ends, space.component_of(space.unit_split(m))) for m, ends, _ in chains]
+    keys = [key for _, key, _ in chains]
 
     key_of: dict = {}
     label_of: dict = {}
@@ -274,7 +274,7 @@ def check_congruence_invariants(space: BundleSpace, oracle: WordOracle,
     """Equal words must share projection and endpoints and stay equal under
     the fiber action.
 
-    Each word's chain, endpoints and walk come from `chains`. A word
+    Each word's chain, key and walk come from `chains`. A word
     compared under the action is split into units once, and its state acted
     on by psi is keyed with `composed_key` once per (word, psi), on the first
     comparison that needs it; an acted state that does not compose fails the
@@ -286,7 +286,9 @@ def check_congruence_invariants(space: BundleSpace, oracle: WordOracle,
     rep = Report("oracle")
     words = oracle.all_words()
     classes = _classes([oracle.label(w) for w in words])
-    mors, ends, walks = zip(*chains)
+    mors = [m for m, _, _ in chains]
+    ends = [key[0] for _, key, _ in chains]
+    walks = [walk for _, _, walk in chains]
     pairs = [(cls[0], m) for cls in classes for m in cls[1:]]
 
     rep.search("congruence.proj_invariant", "equal words project to the same base walk", (

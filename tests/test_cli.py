@@ -163,6 +163,21 @@ def test_check_oracle_suite_on_dirline3(tmp_path, capsys):
     assert "oracle.agreement" in ids
 
 
+def test_check_oracle_suite_at_length_zero_reports_without_words(tmp_path, capsys):
+    doc = tmp_path / "inst.json"
+    run(capsys, "generate", "oracle-dirline3", "--seed", "5", "--out", str(doc))
+    rep = tmp_path / "rep.json"
+    for suite in ("oracle", "all"):
+        code, _, err = run(capsys, "check", str(doc), "--suite", suite,
+                           "--max-path-len", "0", "--out", str(rep))
+        assert code == 1
+        assert "Traceback" not in err
+        failed = [c for c in json.loads(rep.read_text())["checks"] if c["status"] == "fail"]
+        assert failed == [{"check": "oracle.both_verdicts",
+                           "law": "the comparison exercises equal and unequal pairs",
+                           "status": "fail", "witness": "equal pairs: 0, unequal pairs: 0"}]
+
+
 def test_max_path_len_flag_changes_surface(tmp_path, capsys):
     doc = tmp_path / "inst.json"
     run(capsys, "generate", "s3-line5", "--seed", "3", "--out", str(doc))

@@ -162,10 +162,16 @@ def test_each_word_and_each_action_keyed_once(space_dirline3, word_oracle, monke
     record("act_state", acted, lambda state, psi: (state, psi))
     record("composed_key", acted_keyed, lambda state: state)
     chains = word_chains(space, word_oracle)
+    # each word is keyed once, with one split, on the chain `word_chains` built
+    assert len(keyed) == len(set(keyed)) == len(word_oracle.all_words())
+    assert split == keyed
+
+    keyed.clear()
+    split.clear()
     check_oracle_agreement(space, word_oracle, chains)
-    # each word is split and keyed once, on the chain `word_chains` built
+    # the agreement reads the keys from `chains`
     assert not keyed
-    assert len(split) == len(set(split)) == len(word_oracle.all_words())
+    assert not split
     assert not acted
 
     split.clear()
@@ -192,6 +198,22 @@ def test_the_oracle_suite_chains_each_word_once(monkeypatch):
     rep = run_suite(inst, "oracle", 3)
     assert rep.ok, rep.failures()
     assert len(built) == len(set(built)) == 176
+
+
+def test_the_oracle_suite_reports_on_an_oracle_without_words():
+    # at length 0 the oracle holds no word: every law holds vacuously, and
+    # only the comparison's need for both verdicts fails
+    rep = run_suite(build_instance("oracle-dirline3", 5, True), "oracle", 0)
+    assert rep.to_dict()["checks"] == [
+        {"check": check_id, "law": law, "status": "pass"} for check_id, law in (
+            ("congruence.action_equivariant", "the fiber action preserves word equality"),
+            ("congruence.endpoints", "equal words share source and target objects"),
+            ("congruence.proj_invariant", "equal words project to the same base walk"),
+            ("oracle.agreement",
+             "congruence closure matches exact ideal membership on all pairs"))
+    ] + [{"check": "oracle.both_verdicts",
+          "law": "the comparison exercises equal and unequal pairs",
+          "status": "fail", "witness": "equal pairs: 0, unequal pairs: 0"}]
 
 
 def test_word_outside_the_inventory_is_named(word_oracle):
@@ -240,10 +262,10 @@ def test_planted_key_disagreement_names_the_first_pair(space_dirline3, word_orac
         classes.setdefault(rep, []).append(n)
     cls = next(c for c in classes.values() if len(c) >= 3)
     first, chosen = cls[0], cls[1]
-    # the chosen word's key, and no other, is perturbed through its endpoints
+    # the chosen word's key, and no other, is perturbed
     chains = word_chains(space_dirline3, word_oracle)
-    chain, ends, walk = chains[chosen]
-    chains[chosen] = (chain, ("planted", ends), walk)
+    chain, key, walk = chains[chosen]
+    chains[chosen] = (chain, ("planted", key), walk)
 
     rep = check_oracle_agreement(space_dirline3, word_oracle, chains)
     got = {c.check_id: c for c in rep.checks}
