@@ -22,7 +22,8 @@ from catbundle.suites import SUITES, run_suite
 # (`with_implied_rows`) and of the report itself. The long form also lists
 # each row a report leaves out because another of its rows or the gate it
 # runs behind decides it, so its digest holds still when such a row is
-# dropped, and each case is named by it.
+# dropped. Each case is named by its arguments alone, so a listed byte
+# change moves its digests and keeps its name.
 #
 # The `all` report at preset seed 5 with noise. A passing report holds only
 # check ids, laws and statuses, so the two S3 line bases share one.
@@ -215,8 +216,9 @@ def with_implied_rows(rep, inst):
 
 
 def pinned(cases):
-    """Each case named by its arguments up to the long-form digest."""
-    return [pytest.param(*c, id="-".join(map(str, c[:-1]))) for c in cases]
+    """Each case named by its arguments: (preset, bound), fixture, or (edit,
+    suite), with both digests as values."""
+    return [pytest.param(*c, id="-".join(map(str, c[:-2]))) for c in cases]
 
 
 def assert_pinned(rep, inst, long_digest, digest):
