@@ -321,21 +321,11 @@ def check_bundle_axioms(space: BundleSpace, max_len: int = 3) -> Report:
 def _check_transition(space: BundleSpace, ti: LocalTrivialization,
                       tk: LocalTrivialization, max_len: int, rep: Report) -> None:
     """Trivialization k after the inverse of trivialization i over their
-    overlap: (u, a) -> (u, gbar_ki(u) a) on objects and (w, phi) -> (w,
-    thetabar_ki(w) phi) on morphisms. Both keys come from the images the
-    trivializations built; one is built here only where a failed
-    `mor_injective` left it unbuilt."""
+    overlap is (w, phi) -> (w, thetabar_ki(w) phi) on morphisms. Both keys
+    come from the images the trivializations built; one is built here only
+    where a failed `mor_injective` left it unbuilt. On objects it is (u, a)
+    -> (u, gbar_ki(u) a), which `bundle.objects.glue_consistent` checks."""
     q, cover, i, k = space.q, space.cover, ti.i, tk.i
-
-    def object_moves():
-        for u in sorted(cover.overlap((i, k))):
-            for a in q.objects.reps:
-                b = q.obj_product(space.gbar(k, i, u), a)
-                if tk.on_object(u, b) != ti.on_object(u, a):
-                    yield f"object ({u}, {a}) of chart {i} is not ({u}, {b}) of chart {k}"
-    rep.search(f"transition.{i}{k}.obj",
-               "trivialization k after the inverse of trivialization i is gbar_ki",
-               object_moves())
 
     def morphism_moves():
         for w in enumerate_paths(cover, (i, k), max_len):

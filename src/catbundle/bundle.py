@@ -131,7 +131,6 @@ class BundleSpace:
         self._actions: dict[str, tuple[Callable, Callable]] = {}
         # memos keyed by their arguments
         self.gbar = cache(self.gbar)
-        self.thetabar = cache(self.thetabar)
         self.edge_endpoints = cache(self.edge_endpoints)
         self._step_walk = cache(self._step_walk)
         self.unit_s_obj = cache(self.unit_s_obj)
@@ -147,8 +146,6 @@ class BundleSpace:
         return self.q.objects.rep(self.gc.tower.g[(to_chart, from_chart, u)])
 
     def thetabar(self, to_chart: str, from_chart: str, walk: PathMor) -> str:
-        # memoized by the whole walk: theta reads only its endpoints, but a
-        # walk between two vertices of the overlap may leave it on the way
         indices = (to_chart, from_chart)
         if not self.cover.overlap(indices).issuperset(walk.visited):
             raise DomainError(

@@ -182,7 +182,9 @@ def enumerate_paths(c: CoverComplex, indices: Iterable[str], max_len: int = 4) -
 
 def walks_within(c: CoverComplex, region: frozenset[str], max_len: int) -> list[PathMor]:
     """All walks of length <= max_len through vertices of `region` only, in
-    the order of `enumerate_paths`."""
+    the order of `enumerate_paths`. No layer is sorted: each extends the
+    sorted layer before it walk by walk, each walk by the sorted steps out of
+    its end."""
     verts = sorted(region)
     out: list[PathMor] = [c.identity_walk(u) for u in verts]
     frontier = list(out)
@@ -192,7 +194,6 @@ def walks_within(c: CoverComplex, region: frozenset[str], max_len: int) -> list[
             for e, o, v in c.steps_from(p.end):
                 if v in region:
                     nxt.append(PathMor(p.start, p.steps + ((e, o),), p.visited + (v,)))
-        nxt.sort(key=lambda p: (p.start, p.steps))
         out.extend(nxt)
         frontier = nxt
     return out

@@ -10,7 +10,7 @@ raised, so a caller can inspect witnesses.
 
 from __future__ import annotations
 
-from typing import Callable, Collection, Hashable, Iterable, Mapping, Optional
+from typing import Callable, Collection, Hashable, Iterable, Mapping
 
 from .errors import SchemaError
 from .report import Report
@@ -56,7 +56,6 @@ class FiniteGroup:
         mul: Mapping[tuple[str, str], str],
         identity: str,
         inv: Mapping[str, str],
-        _perms: Optional[dict[str, tuple[int, ...]]] = None,
     ):
         self.name = name
         self.elements = tuple(elements)
@@ -78,7 +77,6 @@ class FiniteGroup:
         self.inv = checked_table(f"{name}.inv", inv, self.elements, self)
         self.mul = checked_table(
             f"{name}.mul", mul, [(a, b) for a in self.elements for b in self.elements], self)
-        self.perms = _perms
 
     def op(self, a: str, b: str) -> str:
         try:

@@ -63,14 +63,13 @@ def cycle_name(p: tuple[int, ...]) -> str:
 def _group_from_perms(name: str, perms: list[tuple[int, ...]]) -> FiniteGroup:
     named = sorted((cycle_name(p), p) for p in perms)
     ids = [nm for nm, _ in named]
-    by_id = dict(named)
     mul = {}
     inv = {}
     for a, pa in named:
         inv[a] = cycle_name(inverse(pa))
         for b, pb in named:
             mul[(a, b)] = cycle_name(compose(pa, pb))
-    return FiniteGroup(name, ids, mul, "e", inv, _perms=by_id)
+    return FiniteGroup(name, ids, mul, "e", inv)
 
 
 def symmetric_group(n: int, name: str | None = None) -> FiniteGroup:
@@ -107,26 +106,14 @@ def identity_hom(g: FiniteGroup, name: str = "id") -> GroupHom:
 
 
 def conjugation_action(actor: FiniteGroup, space: FiniteGroup, name: str = "conj") -> GroupAction:
-    """actor acts on space by g.h = g h g^{-1}, computed on the underlying permutations.
+    """actor acts on space by g.h = g h g^{-1}, read from the actor's table.
 
-    Requires both groups to be permutation groups on the same points and the
-    space to be closed under conjugation by the actor: `GroupAction` refuses a
-    conjugate outside the space.
+    The space's elements must be elements of the actor, and conjugation by
+    the actor must keep them in the space: `GroupAction` refuses a conjugate
+    outside it.
     """
-    pa, ps = actor.perms, space.perms
-    deg_a = {len(p) for p in pa.values()}
-    deg_s = {len(p) for p in ps.values()}
-    if deg_a != deg_s:
-        raise SchemaError(
-            f"{actor.name} and {space.name} permute different point sets"
-        )
-    table = {}
-    for g in actor.elements:
-        pg = pa[g]
-        pg_inv = inverse(pg)
-        for h in space.elements:
-            table[(g, h)] = cycle_name(compose(pg, compose(ps[h], pg_inv)))
-    return GroupAction(name, actor, space, table)
+    return GroupAction(name, actor, space, {
+        (g, h): actor.conj(g, h) for g in actor.elements for h in space.elements})
 
 
 def trivial_action(actor: FiniteGroup, space: FiniteGroup, name: str = "triv") -> GroupAction:

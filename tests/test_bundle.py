@@ -1407,7 +1407,6 @@ def test_memos_stay_within_charts_times_units_and_cosets_squared(checked_space_s
     assert 0 < space._step_walk.cache_info().currsize <= len(steps)
     assert 0 < space.unit_s_obj.cache_info().currsize <= len(units)
     assert 0 < space.unit_t_obj.cache_info().currsize <= len(units)
-    assert 0 < space.thetabar.cache_info().currsize <= charts ** 2 * len(steps)
     assert 0 < q.mor_product.cache_info().currsize <= len(q.morphisms.reps) ** 2
     assert 0 < q.obj_product.cache_info().currsize <= len(q.objects.reps) ** 2
     assert 0 < q.identity_mor_at.cache_info().currsize <= len(q.objects.reps)
@@ -1448,12 +1447,28 @@ def test_the_gbar_plants_cover_every_value():
     assert len(GBAR_KEYS) == len(set(GBAR_KEYS)) == 35
 
 
+@pytest.fixture(scope="module")
+def gbar_plant_spaces(wide_document):
+    """Per single-value `gbar` plant on `s3-line5w`@2, the space built under
+    it and its battery report. A space memoizes the `gbar` it was built
+    with, so it keeps its plant after the patch is undone."""
+    out = {}
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for key in GBAR_KEYS:
+            plant_other_coset(monkeypatch, key)
+            space = fresh_space(wide_document[0])
+            monkeypatch.undo()
+            out[key] = space, check_bundle_axioms(space, 2)
+    return out
+
+
 @pytest.mark.parametrize("key", GBAR_KEYS, ids="".join)
-def test_a_gbar_plant_fails_a_row_and_raises_nothing(wide_document, monkeypatch, capsys, key):
-    inst, path = wide_document
-    plant_other_coset(monkeypatch, key)
-    rep = check_bundle_axioms(fresh_space(inst), 2)
+def test_a_gbar_plant_fails_a_row_and_raises_nothing(wide_document, gbar_plant_spaces,
+                                                     monkeypatch, capsys, key):
+    rep = gbar_plant_spaces[key][1]
     assert not rep.ok
+    plant_other_coset(monkeypatch, key)
+    path = wide_document[1]
     assert main(["check", path, "--suite", "bundle", "--max-path-len", "2"]) == 1
     out, err = capsys.readouterr()
     assert json.loads(out)["checks"] == rep.to_dict()["checks"]
@@ -1473,7 +1488,8 @@ def test_a_state_that_cannot_be_keyed_fails_each_row_that_reads_the_keys(
     keyed = battery.KEYED_LAWS
     assert {i: failed[i] for i in keyed} == dict.fromkeys(keyed, witness)
     assert "bundle.proj.mor_surjective" not in failed
-    assert sum(c.check_id.startswith("transition.") for c in rep.checks) == 12
+    transition = [c.check_id for c in rep.checks if c.check_id.startswith("transition.")]
+    assert len(transition) == 6 and all(i.endswith(".mor") for i in transition)
     multi = multi_chart_report(space, 2)
     assert sum(c.check_id.startswith("triv.") for c in rep.checks + multi.checks) == 72
 
@@ -1491,17 +1507,10 @@ def test_a_scan_that_raises_fails_its_row_with_the_error(wide_document, monkeypa
 
 
 @pytest.fixture(scope="module")
-def gbar_plant_verdicts():
+def gbar_plant_verdicts(gbar_plant_spaces):
     """Per single-value `gbar` plant on `s3-line5w`@2, the paired verdicts."""
-    inst = build_instance("s3-line5w", 5, True)
-    out = {}
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        for key in GBAR_KEYS:
-            plant_other_coset(monkeypatch, key)
-            space = fresh_space(inst)
-            out[key] = paired_verdicts(space, one_chart_rows(space, 2), 2)
-            monkeypatch.undo()
-    return out
+    return {key: paired_verdicts(space, rep.checks, 2)
+            for key, (space, rep) in gbar_plant_spaces.items()}
 
 
 def test_no_gbar_plant_fails_a_multi_chart_row_that_chart_i_passes(gbar_plant_verdicts):
@@ -1515,3 +1524,45 @@ def test_no_gbar_plant_fails_a_multi_chart_row_that_chart_i_passes(gbar_plant_ve
     narrower = [key for key, pairs in gbar_plant_verdicts.items()
                 if any(status == "pass" != alone for _, status, alone in pairs)]
     assert (len(failing), len(narrower)) == (21, 7)
+
+
+# ----- the object read-back is the gluing check --------------------------------
+#
+# The battery once listed a `transition.<i><k>.obj` row per ordered pair of
+# distinct overlapping charts. Each of its comparisons, canonical_obj(k, u,
+# gbar_ki(u) a) against canonical_obj(i, u, a), is one that
+# `bundle.objects.glue_consistent` makes with c = i and c2 = k, so no plant
+# fails it alone.
+
+def object_read_back_misses(space):
+    """(i, k, u, a) where trivialization k after the inverse of trivialization
+    i is not (u, a) -> (u, gbar_ki(u) a) on objects."""
+    q, cover = space.q, space.cover
+    trivs = {i: LocalTrivialization(space, i) for i in cover.index_order}
+    return [(i, k, u, a) for i, k in cover.overlapping(2) if i != k
+            for u in sorted(cover.overlap((i, k))) for a in q.objects.reps
+            if trivs[k].on_object(u, q.obj_product(space.gbar(k, i, u), a))
+            != trivs[i].on_object(u, a)]
+
+
+def glue_status(rep):
+    return next(c.status for c in rep.checks
+                if c.check_id == "bundle.objects.glue_consistent")
+
+
+def test_glue_consistent_fails_under_every_gbar_plant_the_object_read_back_sees(
+        gbar_plant_spaces):
+    seen = [key for key, (space, _) in gbar_plant_spaces.items()
+            if object_read_back_misses(space)]
+    assert {key: glue_status(gbar_plant_spaces[key][1]) for key in seen} \
+        == dict.fromkeys(seen, "fail")
+    assert len(seen) == 22
+
+
+@pytest.mark.parametrize("plant", ["no_transport", "one_vertex"])
+def test_glue_consistent_fails_under_a_canonical_obj_plant_the_object_read_back_sees(
+        wide_document, monkeypatch, plant):
+    space = fresh_space(wide_document[0])
+    monkeypatch.setattr(space, "canonical_obj", faulty_canonical_objs(space)[plant])
+    assert object_read_back_misses(space)
+    assert glue_status(space.check_glue_relation()) == "fail"

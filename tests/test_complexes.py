@@ -5,6 +5,8 @@ plain integer lists, so the recursive enumerator is checked by an unrelated
 method.
 """
 
+from itertools import combinations
+
 import pytest
 
 from catbundle.complexes import (
@@ -159,6 +161,22 @@ def test_enumerate_paths_maxlen0_is_identities():
     c = cover_line5()
     paths = enumerate_paths(c, ["2"], max_len=0)
     assert {(p.start, p.steps) for p in paths} == {("1", ()), ("2", ()), ("3", ())}
+
+
+@pytest.mark.parametrize("builder", [cover_line5, cover_line5w, cover_cycle6,
+                                     cover_dirline3])
+def test_enumerate_paths_lists_walks_by_length_then_start_then_steps(builder):
+    # no sort runs past the zero-step walks: the order comes from extending
+    # each sorted layer in order by the sorted steps out of each end
+    c = builder()
+    for r in range(1, len(c.index_order) + 1):
+        for indices in combinations(c.index_order, r):
+            if not c.overlap(indices):
+                continue
+            for max_len in range(5):
+                order = [(len(p.steps), p.start, p.steps)
+                         for p in enumerate_paths(c, indices, max_len)]
+                assert order == sorted(set(order)), (indices, max_len)
 
 
 @pytest.mark.parametrize("builder", [cover_line5, cover_line5w, cover_cycle6,

@@ -11,6 +11,7 @@ laws that no report checks because those identities imply them, and
 
 import random
 
+import perm_oracle as oracle
 import pytest
 from group_laws_reference import (
     assoc_breaks,
@@ -288,8 +289,9 @@ def relabelled_points():
     and (123) moves e, so `automorphism` fails only past the first generator."""
     s3, a3 = symmetric_group(3), alternating_group(3)
     points = ["e", "(123)", "(132)"]
+    perm_of = oracle.name_table(oracle.sym(3))
     return GroupAction("relabel", s3, a3, {
-        (g, h): points[s3.perms[s3.conj("(13)", g)][points.index(h)]]
+        (g, h): points[perm_of[s3.conj("(13)", g)][points.index(h)]]
         for g in s3.elements for h in a3.elements})
 
 

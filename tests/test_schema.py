@@ -2,6 +2,7 @@
 between malformed documents (refused at load, by every verb) and law-breaking
 documents (loaded, then failed by suites)."""
 
+import hashlib
 import json
 import re
 
@@ -19,7 +20,7 @@ from catbundle.permutations import (
     symmetric_group,
     trivial_action,
 )
-from catbundle.presets import build_instance, cover_line5
+from catbundle.presets import build_instance, cover_line5, preset_names
 from catbundle.report import Report
 from catbundle.schema import (
     SCHEMA_VERSION,
@@ -61,8 +62,30 @@ def test_roundtrip_preserves_everything(inst_line5w):
         assert g_new.mul == g_old.mul
 
 
+# SHA-256 of the generated document of each preset at seed 5, with and
+# without noise; the trivial cocycle of cycle6-trivial has no noise to add
+GENERATED = {
+    ("cycle6-trivial", False): "65aa332e285b0a2a3f7170e4ff27348e6133f07460d638cca8b5f8122eca7c96",
+    ("cycle6-trivial", True): "65aa332e285b0a2a3f7170e4ff27348e6133f07460d638cca8b5f8122eca7c96",
+    ("oracle-dirline3", False): "81f4f9a3e32fed864f9bf1c5d69b2d23b6cc58e8b8fc1ca4286422117642e424",
+    ("oracle-dirline3", True): "5bc17fba0a2ecc18f663b56ed2e8635d01c12156be7bcb2bc64c74933f8eeff7",
+    ("s3-line5", False): "8780b629bf11c29e3a5b18331a07e03d4f6941a1a391ce3ed06fe37bd4b4e7ab",
+    ("s3-line5", True): "c7ce7f247d64ce64e252b20647055f19417caad479aa45bfc6f2d7ee084068bb",
+    ("s3-line5w", False): "6f68032e426e5abd5605eb5b31eceab10e99be5526def1fa304d5dfad3a02333",
+    ("s3-line5w", True): "1accf55f6d9571ed431b9fbbd64be504e657bf0a098a3c0a5fa824a5479165ea",
+    ("s4-line5w", False): "9ea68c80950f000a52fecb7fc0defab67c7d1d793a09caeb2e7b1c5756130c99",
+    ("s4-line5w", True): "264734f47218477a69ef8ac1853a002549222ce9a149b7a8647ed1b7882cfab3",
+}
+
+
+@pytest.mark.parametrize("noise", [False, True])
+@pytest.mark.parametrize("preset", preset_names())
+def test_generated_document_bytes_are_pinned(preset, noise):
+    text = instance_to_json(build_instance(preset, 5, noise))
+    assert hashlib.sha256(text.encode()).hexdigest() == GENERATED[preset, noise]
+
+
 def test_roundtrip_of_every_preset():
-    from catbundle.presets import preset_names
     for name in preset_names():
         inst = build_instance(name, 2, True)
         text = instance_to_json(inst)

@@ -32,19 +32,19 @@ from catbundle.suites import SUITES, run_suite
 GOLDEN_ALL = [
     ("s3-line5", 3,
      "0dc368c802c17156a86ad7a3bc1e1f2e664da464fbd597ee7d7e5ce07adc2e7c",
-     "675c20a2b63f890e353353ea2ea1e99aeb5c87ed4e386eefe0d16a492b64a55a"),
+     "6ad26c3d808aa29e7ef8cd0fdf14febc883328fd0ed5e1ed0809dd8950289249"),
     ("s3-line5w", 2,
      "0dc368c802c17156a86ad7a3bc1e1f2e664da464fbd597ee7d7e5ce07adc2e7c",
-     "675c20a2b63f890e353353ea2ea1e99aeb5c87ed4e386eefe0d16a492b64a55a"),
+     "6ad26c3d808aa29e7ef8cd0fdf14febc883328fd0ed5e1ed0809dd8950289249"),
     ("cycle6-trivial", 4,
      "d19e83ce502521ff91a0e5a4b1e4f33d0020bff5f89d2622a6b299994d0e8273",
-     "991f443fc60c567667c679113ac63c6b1ed62b8c9157788673939c0a58c869aa"),
+     "54099bbf0912d815384f1da1f1cdc3161747f75fab8adeb287b3b425303d4009"),
     ("oracle-dirline3", 3,
      "be681f120706fdcb3fc5128ba2495146a50eb7be81bd7243f2ee7104b7053e3c",
      "ef579dcd2675ba941350520ad2006896f096d53ee9a912a8104f7b931671b733"),
     ("s4-line5w", 1,
      "0b56141b301e1f5e5d516502ff64d51f216484b62d87f788c87f66e00f3fc926",
-     "e7a8e919e69bfe0aab086ec05a0d9fccd5beb9df6aabe97addaabda4894f189b"),
+     "0c6748ccd9d63795c0f059bc4fbf44e60538a84b21938801cc5a1e4d2be7c89e"),
 ]
 
 # SHA-256 of the `all` report at length 3 of the A3/J3 chain (conftest.py),
@@ -52,7 +52,7 @@ GOLDEN_ALL = [
 GOLDEN_NON_THIN = [
     ("inst_a3j3_line5w",
      "cee738a50f232f7db7631161aa024d4875fbd64a36b9746fbc8050671240f5e5",
-     "50d218b1142aa29ed6717c4a5aad07c6eac327d05805ce3c049d3dc322bede7c"),
+     "d203946d2d0ae3f9aa8181382cbf3c4879c6494aab961039cc7b832694494730"),
     ("inst_a3j3_dirline3",
      "a2b1bd9f5c16f961b413d310b4d69f3a3ba5fbf1248e0a62e2fc21b4f81ab5bb",
      "fa0fdc054e9c2cef024c45550f43dbd28fe8065fa02004b1f3382a20eaf95ccb"),
