@@ -31,28 +31,28 @@ from catbundle.suites import SUITES, run_suite
 # its digest is the same at lengths 1 and 2, and length 1 is the cheaper pin.
 GOLDEN_ALL = [
     ("s3-line5", 3,
-     "0dc368c802c17156a86ad7a3bc1e1f2e664da464fbd597ee7d7e5ce07adc2e7c",
-     "6ad26c3d808aa29e7ef8cd0fdf14febc883328fd0ed5e1ed0809dd8950289249"),
+     "cdcece889a703a6a15cbe60842f3780abc556e125223cd035b9ff25e02f65858",
+     "3136bb28f381a722c5f5443431d68f498c3beea41735ebc44cf469d9ed787515"),
     ("s3-line5w", 2,
-     "0dc368c802c17156a86ad7a3bc1e1f2e664da464fbd597ee7d7e5ce07adc2e7c",
-     "6ad26c3d808aa29e7ef8cd0fdf14febc883328fd0ed5e1ed0809dd8950289249"),
+     "cdcece889a703a6a15cbe60842f3780abc556e125223cd035b9ff25e02f65858",
+     "3136bb28f381a722c5f5443431d68f498c3beea41735ebc44cf469d9ed787515"),
     ("cycle6-trivial", 4,
-     "d19e83ce502521ff91a0e5a4b1e4f33d0020bff5f89d2622a6b299994d0e8273",
-     "54099bbf0912d815384f1da1f1cdc3161747f75fab8adeb287b3b425303d4009"),
+     "5057b9ec21b698628fa9bff263fd8e6599b5710ecf8ad858f8d588d0cf8ba9b9",
+     "371fbba30adf3e8c59c8b1245fc820718562c19f42de55f8285075e2f7061a9e"),
     ("oracle-dirline3", 3,
      "be681f120706fdcb3fc5128ba2495146a50eb7be81bd7243f2ee7104b7053e3c",
      "ef579dcd2675ba941350520ad2006896f096d53ee9a912a8104f7b931671b733"),
     ("s4-line5w", 1,
-     "0b56141b301e1f5e5d516502ff64d51f216484b62d87f788c87f66e00f3fc926",
-     "0c6748ccd9d63795c0f059bc4fbf44e60538a84b21938801cc5a1e4d2be7c89e"),
+     "8d06cdeb08e6df077f938bdbf0cd5404983afeb1146e5d6e2d9fdfed95caa313",
+     "94155f9550289699fbce107189a38f44035e2eef0790d6ccd2c12d9be6a0726b"),
 ]
 
 # SHA-256 of the `all` report at length 3 of the A3/J3 chain (conftest.py),
 # whose fiber is not thin, over two preset bases.
 GOLDEN_NON_THIN = [
     ("inst_a3j3_line5w",
-     "cee738a50f232f7db7631161aa024d4875fbd64a36b9746fbc8050671240f5e5",
-     "d203946d2d0ae3f9aa8181382cbf3c4879c6494aab961039cc7b832694494730"),
+     "9ac3518640df7c7b616f7c41884f6d1535331528cb830005e22515ef34049ef4",
+     "0968b4024a2530b1210f83ea642352b48c8f39667fda4324a8bd73ec56fa7ffe"),
     ("inst_a3j3_dirline3",
      "a2b1bd9f5c16f961b413d310b4d69f3a3ba5fbf1248e0a62e2fc21b4f81ab5bb",
      "fa0fdc054e9c2cef024c45550f43dbd28fe8065fa02004b1f3382a20eaf95ccb"),

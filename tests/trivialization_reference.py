@@ -99,7 +99,7 @@ class MultiChartTrivialization:
                     if self.on_object(u, a) != BundleObject(i0, u, f):
                         yield f"object ({u}, {a}) does not land on ({i0}, {u}, {f})"
         rep.search(f"{tag}.obj_bijective",
-                   "the object map is a bijection onto glued classes over the overlap",
+                   "the object map is a bijection onto glued classes over its chart",
                    object_misses())
 
         def collisions():
@@ -118,7 +118,7 @@ class MultiChartTrivialization:
                 if k != self.image(*sig, coset)[0]:
                     yield f"chain {st} is not equal to its chart-{self.i} reduction"
         rep.search(f"{tag}.mor_surjective",
-                   "every bounded chain over the overlap is hit by the functor", misses())
+                   "every bounded chain over its chart is hit by the functor", misses())
 
         def bad_composites():
             for w1 in walks:
