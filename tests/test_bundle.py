@@ -1448,24 +1448,27 @@ def test_the_gbar_plants_cover_every_value():
 
 
 @pytest.fixture(scope="module")
-def gbar_plant_spaces(wide_document):
-    """Per single-value `gbar` plant on `s3-line5w`@2, the space built under
-    it and its battery report. A space memoizes the `gbar` it was built
-    with, so it keeps its plant after the patch is undone."""
+def gbar_plants(wide_document):
+    """Per single-value `gbar` plant on `s3-line5w`@2, read off one space
+    built under it: the battery report, the paired verdicts of the
+    trivializations over two or more charts, and the misses of the object
+    read-back."""
     out = {}
     with pytest.MonkeyPatch.context() as monkeypatch:
         for key in GBAR_KEYS:
             plant_other_coset(monkeypatch, key)
             space = fresh_space(wide_document[0])
+            rep = check_bundle_axioms(space, 2)
+            out[key] = (rep, paired_verdicts(space, rep.checks, 2),
+                        object_read_back_misses(space))
             monkeypatch.undo()
-            out[key] = space, check_bundle_axioms(space, 2)
     return out
 
 
 @pytest.mark.parametrize("key", GBAR_KEYS, ids="".join)
-def test_a_gbar_plant_fails_a_row_and_raises_nothing(wide_document, gbar_plant_spaces,
+def test_a_gbar_plant_fails_a_row_and_raises_nothing(wide_document, gbar_plants,
                                                      monkeypatch, capsys, key):
-    rep = gbar_plant_spaces[key][1]
+    rep = gbar_plants[key][0]
     assert not rep.ok
     plant_other_coset(monkeypatch, key)
     path = wide_document[1]
@@ -1506,22 +1509,16 @@ def test_a_scan_that_raises_fails_its_row_with_the_error(wide_document, monkeypa
     assert not any(i in failed for i in battery.KEYED_LAWS)
 
 
-@pytest.fixture(scope="module")
-def gbar_plant_verdicts(gbar_plant_spaces):
-    """Per single-value `gbar` plant on `s3-line5w`@2, the paired verdicts."""
-    return {key: paired_verdicts(space, rep.checks, 2)
-            for key, (space, rep) in gbar_plant_spaces.items()}
-
-
-def test_no_gbar_plant_fails_a_multi_chart_row_that_chart_i_passes(gbar_plant_verdicts):
+def test_no_gbar_plant_fails_a_multi_chart_row_that_chart_i_passes(gbar_plants):
     # 21 of the 35 plants fail some row over two or more charts, always with
     # chart i's row of the same law; 7 fail a row of chart i that no larger
     # set fails, as the larger sets see less of chart i's region
-    assert {key: wider_than_chart_i(pairs) for key, pairs in gbar_plant_verdicts.items()} \
+    verdicts = {key: pairs for key, (_, pairs, _) in gbar_plants.items()}
+    assert {key: wider_than_chart_i(pairs) for key, pairs in verdicts.items()} \
         == dict.fromkeys(GBAR_KEYS, [])
-    failing = [key for key, pairs in gbar_plant_verdicts.items()
+    failing = [key for key, pairs in verdicts.items()
                if any(status == "fail" for _, status, _ in pairs)]
-    narrower = [key for key, pairs in gbar_plant_verdicts.items()
+    narrower = [key for key, pairs in verdicts.items()
                 if any(status == "pass" != alone for _, status, alone in pairs)]
     assert (len(failing), len(narrower)) == (21, 7)
 
@@ -1551,11 +1548,9 @@ def glue_status(rep):
 
 
 def test_glue_consistent_fails_under_every_gbar_plant_the_object_read_back_sees(
-        gbar_plant_spaces):
-    seen = [key for key, (space, _) in gbar_plant_spaces.items()
-            if object_read_back_misses(space)]
-    assert {key: glue_status(gbar_plant_spaces[key][1]) for key in seen} \
-        == dict.fromkeys(seen, "fail")
+        gbar_plants):
+    seen = {key: glue_status(rep) for key, (rep, _, misses) in gbar_plants.items() if misses}
+    assert seen == dict.fromkeys(seen, "fail")
     assert len(seen) == 22
 
 
