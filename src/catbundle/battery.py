@@ -1,10 +1,12 @@
 """The law battery of a glued `BundleSpace`.
 
-It keys each enumerated unit state through its compaction and composes by
-concatenation, so it builds no chain; one pass acts each state by each coset
-once with `act_state` for its three action laws. The local trivialization of
-a chart builds, validates, keys and splits the image `on_pair(walk, phi)` of
-each (walk, fiber morphism) pair once. Its `functorial` and `equivariant`
+It keys each enumerated unit state of at most two units once, through its
+compaction, and composes by concatenation, so it builds no chain. One pass
+acts each state by each coset once with `act_state`, which reads two dicts
+of decoration products per coset, and decides the three action laws on the
+state's row of acted states and their keys, keeping no row. The local
+trivialization of a chart builds, validates, keys and splits the image
+`on_pair(walk, phi)` of each (walk, fiber morphism) pair once. Its `functorial` and `equivariant`
 checks key two images concatenated and an image acted on by `act_state` with
 `composed_key`, the one junction check on unit states. `mor_surjective` folds
 distinct layer states (`fold_layers`), keys no chain and names each state by
@@ -149,8 +151,6 @@ class LocalTrivialization:
         self.space = space
         self.i = i
         self.region = space.cover.chart(i)  # names an unknown chart
-        # the (mor_key, unit_split) of each image built, by (walk start, walk
-        # steps, phi)
         self.images: dict[tuple, tuple[tuple, State]] = {}
 
     def on_object(self, u: str, orep: str) -> BundleObject:
@@ -181,14 +181,11 @@ class LocalTrivialization:
     def check(self, max_len: int = 3, max_units: int = 3) -> Report:
         """The comparison-functor laws over walks of at most max_len steps.
 
-        Each (walk, phi) image is built, validated, keyed and split into units
-        once; `projection` reads its walk from its key. `functorial` and
-        `equivariant` key two images concatenated and an image acted on
-        through `composed_key`. `mor_surjective` compares each distinct layer
-        state of the bounded chains (`fold_layers`) with its chart-i image:
-        chains with equal walk, source, fold state, coset and target have
-        equal keys and cosets under every extension, so the layers make every
-        comparison, and a state's first chain is the witness."""
+        `mor_surjective` compares each distinct layer state of the bounded
+        chains (`fold_layers`) with its chart-i image: chains with equal walk,
+        source, fold state, coset and target have equal keys and cosets under
+        every extension, so the layers make every comparison, and a state's
+        first chain is the witness."""
         space, q = self.space, self.space.q
         tag = f"triv.{self.i}.{self.i}"
         rep = Report("bundle")
@@ -279,12 +276,7 @@ class LocalTrivialization:
 def check_bundle_axioms(space: BundleSpace, max_len: int = 3) -> Report:
     """The bundle-level law battery: gluing, projection surjectivity, free
     right action, congruence sanity, the local trivialization of each chart
-    and the transition functors read back over each overlap.
-
-    The action and composition laws run on the enumerated unit states of at
-    most two units: each is keyed through its compaction and composed by
-    concatenation, and one pass acts each by each coset once for the three
-    action laws."""
+    and the transition functors read back over each overlap."""
     q, cover = space.q, space.cover
     rep = space.check_glue_relation()
 
@@ -341,24 +333,21 @@ def _check_transition(space: BundleSpace, ti: LocalTrivialization,
 
 
 def _check_keyed_laws(space: BundleSpace, rep: Report) -> None:
-    """Key the states of at most two units, then record the KEYED_LAWS rows."""
+    """Key the states of at most two units, then record the KEYED_LAWS rows.
+
+    A state with a zero-length unit is keyed through its compaction, an
+    enumerated one-unit state keyed earlier into the same class, and adds no
+    member of its own. The action laws read an acted state's `state_key` from
+    `keys`; a state not there is no composable state of enumerated units, so
+    it is keyed only after its junctions are checked (`composed_key`)."""
     q = space.q
     neutral = q.identity_mor_at(q.identity_obj())
     states = enumerate_chains(space, 2)
-
-    # the bounded chains grouped by class; keying them first compacts each
-    # chain once for every check below. The action laws read an acted state's
-    # `state_key` from `keys`; a state not there is no composable state of
-    # enumerated units, so it is keyed only after its junctions are checked
-    # (`composed_key`). A state with a zero-length unit is keyed through its
-    # compaction, an enumerated one-unit state keyed earlier into the same
-    # class, and adds no member of its own.
     classes: dict[tuple, dict[State, None]] = {}
     keys: dict[State, tuple] = {}
     walk_witness = None
     try:
         for st in states:
-            # the fold merges a zero-length unit into its neighbour
             merges = len(st) == 2 and "v" in (st[0][1][0], st[1][1][0])
             key = space._keys[st] = space.component_of(
                 (space._merge_units(*st),) if merges else st)
@@ -366,7 +355,7 @@ def _check_keyed_laws(space: BundleSpace, rep: Report) -> None:
                 walk_witness = f"chain {st} is equal to a morphism over another walk"
             if not merges:
                 classes.setdefault(key, {})[st] = None
-            keys[st] = space.state_key(st)
+            keys[st] = (space.unit_s_obj(st[0]), space.unit_t_obj(st[-1])), key
     except (CompositionError, DomainError) as err:
         # each row that reads the keys fails with the state that could not be keyed
         for check_id, law in KEYED_LAWS.items():
@@ -385,35 +374,36 @@ def _check_keyed_laws(space: BundleSpace, rep: Report) -> None:
     # member at the state that added it
     act, composed = space.act_state, space.composed_key
     reps = q.morphisms.reps
-    # the loops, each with the identity at its source, itself a loop
-    unit_at = {psi: q.identity_mor_at(q.source[psi])
-               for psi in reps if q.source[psi] == q.target[psi]}
-    factors: dict[tuple[Unit, str], State] = {}  # exchange's acted one-unit factors
+    # each loop's position, with the identity at its source, itself a loop
+    loops = [(n, psi, q.identity_mor_at(q.source[psi]))
+             for n, psi in enumerate(reps) if q.source[psi] == q.target[psi]]
+    factors: dict[Unit, dict[str, State]] = {}  # unit -> its acted loop factors
     targets: dict[tuple, list] = {}  # class -> its first member's acted keys
     splits: dict[tuple, str] = {}  # (class, mover) -> its first witness
     free_witness = exchange_witness = None
     for st in states:
         key = keys[st]
-        row = []
-        for psi in reps:
-            acted = act(st, psi)
-            acted_key = keys.get(acted) or composed(acted)
-            row.append(acted_key)
-            # every neutral unit, the identity at its object, is a one-unit
-            # state; a key holds its walk
-            if free_witness is None:
-                if acted_key is None:
-                    free_witness = broken(psi, st)
-                elif acted_key[1][1] != key[1][1]:
-                    free_witness = f"action by {psi} changed a projected walk"
-                elif (acted_key == key) != (psi == neutral):
-                    free_witness = f"morphism action by {psi} is not free on chain {st}"
-            if len(st) == 1:
-                if psi in unit_at:
-                    factors[st[0], psi] = acted
-            elif exchange_witness is None and psi in unit_at:
-                a12 = factors[st[0], unit_at[psi]] + factors[st[1], psi]
-                rhs_key = acted_key if a12 == acted else key_of(a12)
+        acted = [act(st, psi) for psi in reps]
+        row = [keys.get(a) or composed(a) for a in acted]
+        # rows until the first witness: every neutral unit, the identity at
+        # its object, is a one-unit state, and a key holds its walk
+        for psi, acted_key in zip(reps, () if free_witness else row):
+            if acted_key is None:
+                free_witness = broken(psi, st)
+            elif acted_key[1][1] != key[1][1]:
+                free_witness = f"action by {psi} changed a projected walk"
+            elif (acted_key == key) != (psi == neutral):
+                free_witness = f"morphism action by {psi} is not free on chain {st}"
+            else:
+                continue
+            break
+        if len(st) == 1:
+            factors[st[0]] = {psi: acted[n] for n, psi, _ in loops}
+        elif exchange_witness is None:
+            f1, f2 = factors[st[0]], factors[st[1]]
+            for n, psi, unit in loops:
+                a12, acted_key = f1[unit] + f2[psi], row[n]
+                rhs_key = acted_key if a12 == acted[n] else key_of(a12)
                 if rhs_key is None:
                     exchange_witness = (f"exchange composite undefined: the factors of "
                                         f"chain {st} acted by {psi} do not compose")
@@ -421,10 +411,13 @@ def _check_keyed_laws(space: BundleSpace, rep: Report) -> None:
                     exchange_witness = broken(psi, st)
                 elif acted_key != rhs_key:
                     exchange_witness = f"exchange law breaks for {psi} on a 2-chain"
-        cls = space._keys[st]
-        if st not in classes.get(cls, ()):
+                else:
+                    continue
+                break
+        if len(st) == 2 and "v" in (st[0][1][0], st[1][1][0]):  # not a class member
             continue
         # members share one key, and the neutral morphism changes no decoration
+        cls = key[1]
         target = targets.setdefault(cls, row)
         if None not in row and row == target:  # no witness in this member
             continue

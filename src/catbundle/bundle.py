@@ -38,34 +38,33 @@ and Bendix (1970). `bundle.mor.torsor` checks the count; a tests-only
 reference that applies the rewrites literally, and the `wordalg` oracle on
 directed bases, check the partition.
 
-Each edge is validated once per space: `edge_endpoints` memoizes the glued
-endpoints of every valid edge, and `mor_endpoints` checks a chain's edges and
-junctions in a single pass. The memos are `functools.cache`, which stores
-nothing when a call raises, so an invalid edge or a broken junction raises on
-every call.
+`edge_endpoints` validates each edge once per space and memoizes its glued
+endpoints; `mor_endpoints` checks a chain's edges and junctions in one pass.
+The memos are `functools.cache`, which stores nothing when a call raises, so
+an invalid edge or a broken junction raises on every call. thetabar checks
+the overlap, then reads a memo by (to, from, start, end): theta reads only
+a walk's endpoints.
 
-A morphism's full key (`mor_key`) is its (source, target) pair followed by
-its normal-form key, and `mor_equal` compares the two full keys. Each side is
-validated and split into units once. So `mor_equal` raises on an invalid edge
-or a broken junction in either argument, whatever the other argument's walk.
+A morphism's full key (`mor_key`) is its (source, target) pair and its
+normal-form key; `mor_equal` compares two full keys, each side validated and
+split once, so it raises on an invalid edge or junction in either argument.
 `_keys` maps each keyed state to its key, the battery's two-unit states
 included, and `_interned` holds one object per distinct walk and key. Every
 chart move of a decoration goes through `_move_unit`. It, the merge steps and
-the pushes are `functools.cache` memos on units and steps; none grows with
-the chains.
+the pushes are memos on units and steps; none grows with the chains.
 
 `BundleObject`, `QuiverEdge` and `BundleMorphism` are named tuples, like
 `PathMor`, so they are built, hashed and compared in C; their reprs are the
 field-by-field form that witnesses embed.
 
-The right action is written once, in `act_state`: on a unit state it
-multiplies the last unit's decoration by psi and every earlier one by the
-identity coset at the source object of psi, reading each product from a
-table of decorations per coset, filled on first use (at most cosets x cosets
-entries). To act on a chain, act on its `unit_split`; to compose two chains,
-concatenate their edges. The identity at a canonical object x is the neutral
-chain `to_chain((neutral_unit(x),))` (zero-length walk, identity
-decoration), a two-sided unit under concatenation.
+The right action is written once, in `act_state`. Per coset psi it reads
+two plain dicts from decoration to decoration: one multiplies by psi (the
+last unit), one by the identity at the source of psi (every earlier unit).
+`mor_product` fills an entry on first use, at most one per coset; a product
+that raises is not stored, so an unknown decoration raises on every call. To act on a chain, act on its `unit_split`; to compose
+two chains, concatenate their edges. The identity at a canonical object x is
+the neutral chain `to_chain((neutral_unit(x),))`, a two-sided unit under
+concatenation.
 """
 
 from __future__ import annotations
@@ -113,6 +112,17 @@ State = tuple  # tuple of Units
 FOLD_START = (None, None, (), None, None)  # the fold state of the empty state
 
 
+class _Products(dict):
+    """phi -> phi times a fixed coset, filled on first use."""
+
+    def __init__(self, product: Callable, factor: str):
+        self.product, self.factor = product, factor
+
+    def __missing__(self, phi: str) -> str:
+        value = self[phi] = self.product(phi, self.factor)
+        return value
+
+
 class BundleSpace:
     """All bundle-level operations for one cocycle and quotient fiber.
 
@@ -128,9 +138,10 @@ class BundleSpace:
         self._keys: dict[tuple, tuple] = {}
         self._interned: dict[tuple, tuple] = {}  # one object per distinct walk or key
         # psi -> (phi -> phi psi, phi -> phi times the identity at s(psi))
-        self._actions: dict[str, tuple[Callable, Callable]] = {}
+        self._actions: dict[str, tuple[_Products, _Products]] = {}
         # memos keyed by their arguments
         self.gbar = cache(self.gbar)
+        self._theta = cache(self._theta)
         self.edge_endpoints = cache(self.edge_endpoints)
         self._step_walk = cache(self._step_walk)
         self.unit_s_obj = cache(self.unit_s_obj)
@@ -150,7 +161,10 @@ class BundleSpace:
         if not self.cover.overlap(indices).issuperset(walk.visited):
             raise DomainError(
                 f"walk through {list(walk.visited)} leaves the overlap of {indices}")
-        return self.q.q_mor(eval_theta(self.gc, to_chart, from_chart, walk.start, walk.end))
+        return self._theta(to_chart, from_chart, walk.start, walk.end)
+
+    def _theta(self, to_chart: str, from_chart: str, u: str, v: str) -> str:
+        return self.q.q_mor(eval_theta(self.gc, to_chart, from_chart, u, v))
 
     # ----- objects ----------------------------------------------------------
 
@@ -256,24 +270,21 @@ class BundleSpace:
         return BundleObject(x.chart, x.vertex, self.q.obj_product(x.fiber, obj_rep))
 
     def act_state(self, state: State, psi: str) -> State:
-        """Right action by a morphism coset on a unit state: the last unit's
-        decoration is multiplied by psi, every earlier one by the identity
-        coset at the source object of psi."""
+        """Right action by the morphism coset psi on a unit state."""
         tables = self._actions.get(psi)
         if tables is None:
             q = self.q
             if psi not in q.source:
                 raise SchemaError(f"{psi!r} is not a morphism coset rep")
-            e = q.identity_mor_at(q.source[psi])
-            tables = self._actions[psi] = (cache(lambda phi: q.mor_product(phi, psi)),
-                                           cache(lambda phi: q.mor_product(phi, e)))
+            tables = self._actions[psi] = (
+                _Products(q.mor_product, psi),
+                _Products(q.mor_product, q.identity_mor_at(q.source[psi])))
         last, head = tables
+        if len(state) == 2:
+            (c0, step0, phi0), (c, step, phi) = state
+            return (c0, step0, head[phi0]), (c, step, last[phi])
         *init, (c, step, phi) = state
-        acted = []
-        for c0, step0, phi0 in init:
-            acted.append((c0, step0, head(phi0)))
-        acted.append((c, step, last(phi)))
-        return tuple(acted)
+        return (*[(c0, step0, head[phi0]) for c0, step0, phi0 in init], (c, step, last[phi]))
 
     # ----- unit-split states and their normal form ---------------------------
 

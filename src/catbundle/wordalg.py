@@ -211,14 +211,16 @@ def _classes(labels: list) -> list[list[int]]:
 
 
 def word_chains(space: BundleSpace, oracle: WordOracle) -> list[tuple]:
-    """(chain, `mor_key`, (walk start, walk steps)) of each word, in
-    `all_words` order: each word is chained, keyed and projected once for
-    both checks below."""
+    """(unit state, `mor_key`, (walk start, walk steps)) of each word, in
+    `all_words` order: each word is chained, split, keyed and projected once
+    for both checks below."""
     out = []
     for w in oracle.all_words():
         m = BundleMorphism.chain(w)
         walk = space.project(m)
-        out.append((m, space.mor_key(m), (walk.start, walk.steps)))
+        ends = space.mor_endpoints(m)
+        state = space.unit_split(m)
+        out.append((state, (ends, space.component_of(state)), (walk.start, walk.steps)))
     return out
 
 
@@ -274,19 +276,18 @@ def check_congruence_invariants(space: BundleSpace, oracle: WordOracle,
     """Equal words must share projection and endpoints and stay equal under
     the fiber action.
 
-    Each word's chain, key and walk come from `chains`. A word
-    compared under the action is split into units once, and its state acted
-    on by psi is keyed with `composed_key` once per (word, psi), on the first
-    comparison that needs it; an acted state that does not compose fails the
-    law with its own witness. Each law is an equality, so it compares each
-    member of a class with the class's first member n. If some pair of a
+    Each word's unit state, key and walk come from `chains`. A compared
+    word's state acted on by psi is keyed with `composed_key` once per (word,
+    psi), on the first comparison that needs it; an acted state that does not
+    compose fails the law with its own witness. Each law is an equality, so
+    it compares each member of a class with the class's first member n. If some pair of a
     class breaks the law, then n and some member do, so the first such
     (n, m), class by class, is also the first broken pair in `equal_pairs`
     order."""
     rep = Report("oracle")
     words = oracle.all_words()
     classes = _classes([oracle.label(w) for w in words])
-    mors = [m for m, _, _ in chains]
+    states = [state for state, _, _ in chains]
     ends = [key[0] for _, key, _ in chains]
     walks = [walk for _, _, walk in chains]
     pairs = [(cls[0], m) for cls in classes for m in cls[1:]]
@@ -299,8 +300,7 @@ def check_congruence_invariants(space: BundleSpace, oracle: WordOracle,
         f"equal words with different endpoints: {_word_key(words[n])}"
         for n, m in pairs if ends[n] != ends[m]))
 
-    split = cache(lambda n: space.unit_split(mors[n]))
-    acted_key = cache(lambda n, psi: space.composed_key(space.act_state(split(n), psi)))
+    acted_key = cache(lambda n, psi: space.composed_key(space.act_state(states[n], psi)))
 
     def separations():
         for n, m in pairs:

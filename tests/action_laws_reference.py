@@ -9,9 +9,20 @@ check that the pass reports the same verdicts and witnesses. Only
 `component_of`, `_merge_units`, the unit endpoints and the coset tables
 (`morphisms.reps`, `source`, `target`, `identity_mor_at`) come from the
 package.
+
+`unitwise_action` writes the action itself, one unit at a time from
+`mor_product`, for a test of `act_state`'s paths.
 """
 
 from catbundle.battery import enumerate_chains
+
+
+def unitwise_action(space, state, psi):
+    """The right action by psi on a unit state: the last unit's decoration
+    times psi, every earlier one times the identity at the source of psi."""
+    q = space.q
+    factors = [q.identity_mor_at(q.source[psi])] * (len(state) - 1) + [psi]
+    return tuple((c, step, q.mor_product(phi, f)) for (c, step, phi), f in zip(state, factors))
 
 
 def action_law_witnesses(space):

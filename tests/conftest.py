@@ -87,6 +87,11 @@ def inst_line5w():
 
 
 @pytest.fixture(scope="session")
+def inst_s4_line5w():
+    return build_instance("s4-line5w", 5, True)
+
+
+@pytest.fixture(scope="session")
 def inst_dirline3():
     return build_instance("oracle-dirline3", 3, True)
 

@@ -50,12 +50,6 @@ ALLOWED = (
      'f"rewrite produced a word outside the inventory: {exc}") from exc', _INVARIANT),
     ("battery.py", "check_bundle_axioms.<locals>.unlifted",
      'yield f"lift of {w.start}:{list(w.steps)} projects elsewhere"', _WITNESS),
-    ("battery.py", "check_bundle_axioms.<locals>.unfree_objects",
-     'yield f"action by {a} moved {x} off its vertex"', _WITNESS),
-    ("battery.py", "check_bundle_axioms.<locals>.unfree_objects",
-     'yield f"object action by {a} is not free at {x}"', _WITNESS),
-    ("battery.py", "_check_keyed_laws",
-     'walk_witness = f"chain {st} is equal to a morphism over another walk"', _WITNESS),
     ("battery.py", "_check_keyed_laws.<locals>.representative_dependence",
      'yield "composition depends on chain representatives"', _WITNESS),
     ("wordalg.py", "check_congruence_invariants.<locals>.<genexpr>",

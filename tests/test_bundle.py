@@ -29,7 +29,7 @@ from catbundle.presets import build_instance, cover_cycle6, cover_line5w
 from catbundle.report import Report
 from catbundle.schema import Instance
 from catbundle.suites import InstanceContext, run_suite
-from action_laws_reference import action_law_witnesses
+from action_laws_reference import action_law_witnesses, unitwise_action
 from normal_form_reference import compact, reference_key
 from rewrite_reference import RewriteReference
 from trivialization_reference import (
@@ -130,6 +130,34 @@ def test_act_obj_is_a_free_right_action(space_line5):
             for b in q.objects.reps:
                 assert space.act_obj(y, b) == \
                     space.act_obj(x, q.obj_product(a, b))
+
+
+def faulty_act_objs(space):
+    """Two faulty `act_obj`s: one moves every object to the previous vertex,
+    one fixes every object under the first object coset off the identity."""
+    act_obj, fixer = space.act_obj, moving_obj(space)
+    verts = sorted(space.cover.vertex_set)
+    return {
+        "off_vertex": lambda x, a: act_obj(x, a)._replace(
+            vertex=verts[verts.index(x.vertex) - 1]),
+        "fixed": lambda x, a: x if a == fixer else act_obj(x, a),
+    }
+
+
+def moving_obj(space):
+    return next(a for a in space.q.objects.reps if a != space.q.identity_obj())
+
+
+@pytest.mark.parametrize("plant,witness", [
+    ("off_vertex", "action by {a} moved {x} off its vertex"),
+    ("fixed", "object action by {fixer} is not free at {x}"),
+])
+def test_object_action_plants_fail_obj_free(inst_line5, monkeypatch, plant, witness):
+    space = fresh_space(inst_line5)
+    monkeypatch.setattr(space, "act_obj", faulty_act_objs(space)[plant])
+    failed = {c.check_id: c.witness for c in check_bundle_axioms(space, 1).failures()}
+    assert failed == {"bundle.action.obj_free": witness.format(
+        a=space.q.objects.reps[0], fixer=moving_obj(space), x=space.objects_all()[0])}
 
 
 def test_neutral_chain_is_a_two_sided_unit(space_line5):
@@ -1308,7 +1336,8 @@ def plant_id(v):
 
 # on the A3/J3 fiber every coset is a loop at its one object: a head unit
 # multiplied by that object's identity is unchanged, and no coset moves a
-# target object, so `neutral_moves` has no mover there
+# target object, so `neutral_moves` has no mover there. The `s4-line5w` rows
+# run the pass on the widest preset's 6,804 states
 @pytest.mark.parametrize("fixture,plant,fails", [
     ("inst_line5w", None, set()),
     ("inst_line5w", chart_swap, LAWS),
@@ -1325,6 +1354,9 @@ def plant_id(v):
     ("inst_a3j3_line5w", reversed_step, LAWS),
     ("inst_a3j3_line5w", member_moved, EXCHANGE | EQUIVARIANT),
     ("inst_a3j3_line5w", second_loop_swapped, LAWS),
+    ("inst_s4_line5w", chart_swap, LAWS),
+    ("inst_s4_line5w", member_moved, EQUIVARIANT),
+    ("inst_s4_line5w", second_loop_swapped, LAWS),
 ], ids=plant_id)
 def test_action_plant_witnesses_match_the_per_law_reference(request, monkeypatch, fixture,
                                                             plant, fails):
@@ -1342,6 +1374,24 @@ def test_action_plant_witnesses_match_the_per_law_reference(request, monkeypatch
     assert got == [("pass", None) if w is None else ("fail", w)
                    for w in action_law_witnesses(spaces[1])]
     assert {law for law, (status, _) in zip(ACTION_LAWS, got) if status == "fail"} == fails
+
+
+def test_a_key_over_another_walk_fails_class_invariant(inst_line5w, monkeypatch):
+    # a key holds its walk, so a `component_of` that moves it makes the first
+    # keyed state equal to a morphism over another walk
+    space = fresh_space(inst_line5w)
+    component_of = space.component_of
+
+    def moved(state):
+        src, _sig, decs = component_of(state)
+        return src, ("elsewhere", ()), decs
+    monkeypatch.setattr(space, "component_of", moved)
+    monkeypatch.setattr(battery.LocalTrivialization, "check",
+                        lambda self, *args: Report("bundle"))
+    failed = {c.check_id: c.witness for c in check_bundle_axioms(space, 2).failures()}
+    first = enumerate_chains(space, 2)[0]
+    assert failed["bundle.proj.class_invariant"] == (
+        f"chain {first} is equal to a morphism over another walk")
 
 
 def test_battery_acts_each_state_by_each_coset_once(inst_line5w, monkeypatch):
@@ -1374,10 +1424,53 @@ def test_act_state_raises_on_an_unknown_coset_every_call(inst_line5):
         space.act_state(state, "not-a-coset")
 
 
+@pytest.mark.parametrize("fixture", ["inst_line5w", "inst_a3j3_line5w"])
+def test_act_state_matches_the_unitwise_product(request, fixture):
+    # one- and two-unit states take the unpacking path, a trivialization's
+    # images of three steps the general one
+    space = fresh_space(request.getfixturevalue(fixture))
+    reps = space.q.morphisms.reps
+    states = enumerate_chains(space, 2)
+    for i in space.cover.index_order:
+        image = LocalTrivialization(space, i).image
+        states += [image(w.start, w.steps, phi)[1] for w in enumerate_paths(space.cover, (i,), 3)
+                   if len(w.steps) == 3 for phi in reps]
+    assert {len(st) for st in states} == {1, 2, 3}
+    for st in states:
+        for psi in reps:
+            assert space.act_state(st, psi) == unitwise_action(space, st, psi), (st, psi)
+
+
+def test_act_state_stores_nothing_for_an_unknown_coset_or_decoration(inst_line5w):
+    # every path raises the quotient's SchemaError on every call, and no table
+    # stores an entry for the unknown name
+    space = fresh_space(inst_line5w)
+    reps, i = space.q.morphisms.reps, space.cover.index_order[0]
+    w = next(w for w in enumerate_paths(space.cover, (i,), 3) if len(w.steps) == 3)
+    three = LocalTrivialization(space, i).image(w.start, w.steps, reps[0])[1]
+    for psi in reps:
+        space.act_state(three, psi)
+    sizes = [(psi, len(last), len(head)) for psi, (last, head) in space._actions.items()]
+    bad = "not-a-coset"
+    # the bad decoration on the first or the last of one, two and three units
+    states = [st[:m] + ((*st[m][:2], bad),) + st[m + 1:]
+              for st in (three[:1], three[:2], three) for m in (0, len(st) - 1)]
+    for st in states:
+        for psi in reps:
+            for _ in range(2):
+                with pytest.raises(SchemaError, match=f"'{bad}' is not in"):
+                    space.act_state(st, psi)
+    for _ in range(2):
+        with pytest.raises(SchemaError, match="is not a morphism coset rep"):
+            space.act_state(three, bad)
+    assert [(psi, len(last), len(head))
+            for psi, (last, head) in space._actions.items()] == sizes
+
+
 @pytest.fixture(scope="module")
-def checked_space_s4():
+def checked_space_s4(inst_s4_line5w):
     """A space after a clean length-2 battery on `s4-line5w` seed 5."""
-    space = fresh_space(build_instance("s4-line5w", 5, True))
+    space = fresh_space(inst_s4_line5w)
     rep = check_bundle_axioms(space, 2)
     assert rep.ok, rep.failures()
     return space
@@ -1387,7 +1480,7 @@ def test_action_tables_stay_within_units_times_cosets(checked_space_s4):
     # each table holds one product per decoration, so none grows with states
     space = checked_space_s4
     cosets = len(space.q.morphisms.reps)
-    sizes = [table.cache_info().currsize for pair in space._actions.values() for table in pair]
+    sizes = [len(table) for pair in space._actions.values() for table in pair]
     assert len(space._actions) == cosets
     assert max(sizes) <= cosets
     assert sum(sizes) <= len(battery.enumerate_units(space)) * cosets

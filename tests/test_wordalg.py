@@ -11,9 +11,10 @@ import pytest
 from echelon_reference import EchelonReference
 from normal_form_reference import reference_key
 
+from catbundle import bundle
 from catbundle.bundle import BundleMorphism
 from catbundle.complexes import CoverComplex
-from catbundle.errors import PreconditionError
+from catbundle.errors import DomainError, PreconditionError
 from catbundle.generation import generate_gerbal
 from catbundle.presets import build_instance
 from catbundle.schema import Instance
@@ -157,14 +158,14 @@ def test_each_word_and_each_action_keyed_once(space_dirline3, word_oracle, monke
             return real(*args)
         monkeypatch.setattr(space, name, recorded)
 
-    record("mor_key", keyed, lambda m: m.edges)
+    record("component_of", keyed, lambda state: state)
     record("unit_split", split, lambda m: m.edges)
     record("act_state", acted, lambda state, psi: (state, psi))
     record("composed_key", acted_keyed, lambda state: state)
     chains = word_chains(space, word_oracle)
-    # each word is keyed once, with one split, on the chain `word_chains` built
-    assert len(keyed) == len(set(keyed)) == len(word_oracle.all_words())
-    assert split == keyed
+    # each word is split once, and keyed once on the unit state it keeps
+    assert len(split) == len(set(split)) == len(word_oracle.all_words())
+    assert keyed == [state for state, _, _ in chains]
 
     keyed.clear()
     split.clear()
@@ -174,14 +175,35 @@ def test_each_word_and_each_action_keyed_once(space_dirline3, word_oracle, monke
     assert not split
     assert not acted
 
-    split.clear()
     check_congruence_invariants(space, word_oracle, chains)
-    # each compared word is split once and acted on once per coset (words
-    # with equal units included), and each acted state is keyed once
-    assert not keyed
-    assert split and len(split) == len(set(split))
-    assert len(acted) == len(split) * len(space.q.morphisms.reps)
+    # the kept states are acted on, with no second split: each compared word
+    # once per coset (words with equal units included), and each acted state
+    # is keyed once
+    compared = {w for pair in word_oracle.equal_pairs() for w in pair}
+    assert not split
+    assert len(acted) == len(compared) * len(space.q.morphisms.reps)
     assert len(acted_keyed) == len(acted)
+
+
+def test_the_oracle_computes_each_theta_value_once(monkeypatch):
+    # theta reads a walk's endpoints only, so the oracle's re-indexings and
+    # merges evaluate it once per (to chart, from chart, start, end); a walk
+    # that leaves the overlap raises on every call
+    inst = build_instance("oracle-dirline3", 5, True)
+    calls = []
+    eval_theta = bundle.eval_theta
+    monkeypatch.setattr(bundle, "eval_theta",
+                        lambda gc, *args: calls.append(args) or eval_theta(gc, *args))
+    rep = run_suite(inst, "oracle", 3)
+    assert rep.ok, rep.failures()
+    assert len(calls) == len(set(calls)) == 4
+    space = InstanceContext(inst, 3).space[0]
+    walk = space.cover.walk("0", (("e01", 1), ("e12", 1), ("e23", 1)))
+    calls.clear()
+    for _ in range(2):
+        with pytest.raises(DomainError, match="leaves the overlap"):
+            space.thetabar("2", "1", walk)
+    assert not calls
 
 
 def test_the_oracle_suite_chains_each_word_once(monkeypatch):
