@@ -1,12 +1,14 @@
 """The law battery of a glued `BundleSpace`.
 
 It keys each enumerated unit state of at most two units once, through its
-compaction, and composes by concatenation, so it builds no chain. One pass
-acts each state by each coset once with `act_state`, which reads two dicts
-of decoration products per coset, and decides the three action laws on the
+compaction, and composes by concatenation, so it builds no chain; a two-unit
+state's walk and endpoints are built from those of its units. One pass acts
+each state by each coset once with `act_state`, which reads two dicts of
+decoration products per coset, and decides the three action laws on the
 state's row of acted states and their keys, keeping no row. The local
 trivialization of a chart builds, validates, keys and splits the image
-`on_pair(walk, phi)` of each (walk, fiber morphism) pair once. Its `functorial` and `equivariant`
+`on_pair(walk, phi)` of each (walk, fiber morphism) pair once, into one row
+per walk that its scans index by coset. Its `functorial` and `equivariant`
 checks key two images concatenated and an image acted on by `act_state` with
 `composed_key`, the one junction check on unit states. `mor_surjective` folds
 distinct layer states (`fold_layers`), keys no chain and names each state by
@@ -140,9 +142,26 @@ def fold_layers(space: BundleSpace, i: str, region: frozenset,
                  for (sig, fs, x, coset, t), st in states.items())
 
 
+class _ImageRow(dict):
+    """Coset -> `image` of one walk with that coset, built on first use."""
+    __slots__ = ("triv", "start", "steps")
+
+    def __init__(self, triv: "LocalTrivialization", start: str, steps: tuple):
+        self.triv, self.start, self.steps = triv, start, steps
+
+    def __missing__(self, phi: str) -> tuple[tuple, State]:
+        value = self[phi] = self.triv.image(self.start, self.steps, phi)
+        return value
+
+
 class LocalTrivialization:
     """The comparison functor from (walks inside chart i) x (fiber 2-group)
-    to the bundle restricted over chart i."""
+    to the bundle restricted over chart i.
+
+    Its images are kept in one `_ImageRow` per walk, keyed by (start, steps):
+    a scan looks a walk's row up once and indexes it by coset, and each image
+    is built where a scan first reads it, so an image that raises fails the
+    row whose scan reaches it first."""
 
     def __init__(self, space: BundleSpace, i: str):
         if not space.cover.identity_edges:
@@ -151,7 +170,7 @@ class LocalTrivialization:
         self.space = space
         self.i = i
         self.region = space.cover.chart(i)  # names an unknown chart
-        self.images: dict[tuple, tuple[tuple, State]] = {}
+        self.images: dict[tuple, _ImageRow] = {}
 
     def on_object(self, u: str, orep: str) -> BundleObject:
         if u not in self.region:
@@ -164,19 +183,22 @@ class LocalTrivialization:
         return BundleMorphism.chain(
             [QuiverEdge(self.i, (self.i,), walk, self.space.q.morphisms.rep(mrep))])
 
+    def row(self, start: str, steps: tuple) -> _ImageRow:
+        """The images of the walk (start, steps), one per coset read so far."""
+        row = self.images.get((start, steps))
+        if row is None:
+            row = self.images[start, steps] = _ImageRow(self, start, steps)
+        return row
+
     def image(self, start: str, steps: tuple, phi: str) -> tuple[tuple, State]:
-        """(mor_key, unit_split) of on_pair(walk, phi), memoized by (start,
-        steps, phi): the only place an image is validated and keyed. It
-        splits the image once, so the state it keeps is the one
-        `component_of` stored its key under."""
-        hit = self.images.get((start, steps, phi))
-        if hit is None:
-            space = self.space
-            m = self.on_pair(space.cover.walk(start, steps), phi)
-            ends = space.mor_endpoints(m)
-            state = space.unit_split(m)
-            hit = self.images[start, steps, phi] = ((ends, space.component_of(state)), state)
-        return hit
+        """(mor_key, unit_split) of on_pair(walk, phi): the only place an
+        image is validated and keyed. It splits the image once, so the state
+        the walk's row keeps is the one `component_of` stored its key under."""
+        space = self.space
+        m = self.on_pair(space.cover.walk(start, steps), phi)
+        ends = space.mor_endpoints(m)
+        state = space.unit_split(m)
+        return (ends, space.component_of(state)), state
 
     def check(self, max_len: int = 3, max_units: int = 3) -> Report:
         """The comparison-functor laws over walks of at most max_len steps.
@@ -191,12 +213,7 @@ class LocalTrivialization:
         rep = Report("bundle")
         walks = enumerate_paths(space.cover, (self.i,), max_len)
         mreps = q.morphisms.reps
-
-        def pair_key(start: str, steps: tuple, phi: str) -> tuple:
-            return self.image(start, steps, phi)[0]
-
-        def pair_state(w: PathMor, phi: str) -> State:
-            return self.image(w.start, w.steps, phi)[1]
+        row = self.row
 
         def object_misses():
             # each (u, f) has its own target (i0, u, f), so when every object
@@ -214,7 +231,8 @@ class LocalTrivialization:
 
         def collisions():
             for w in walks:
-                keys = [pair_key(w.start, w.steps, m) for m in mreps]
+                images = row(w.start, w.steps)
+                keys = [images[m][0] for m in mreps]
                 for n, key in enumerate(keys):
                     if key in keys[n + 1:]:
                         yield (f"({w.start}:{list(w.steps)}, {mreps[n]}) and (same walk, "
@@ -223,22 +241,31 @@ class LocalTrivialization:
                    "distinct fiber morphisms over one walk stay distinct", collisions())
 
         def misses():
+            last = images = None
             for sig, coset, key, st in fold_layers(space, self.i, self.region, max_units):
-                if key != pair_key(*sig, coset):
+                if sig != last:
+                    last, images = sig, row(*sig)
+                if key != images[coset][0]:
                     yield f"chain {st} is not equal to its chart-{self.i} reduction"
         rep.search(f"{tag}.mor_surjective",
                    "every bounded chain over its chart is hit by the functor", misses())
 
+        # each m1 with the (m2, m2 m1) it composes with
+        composable = [(m1, [(m2, q.compose_of(m2, m1)) for m2 in q.mors_with_source(q.target[m1])])
+                      for m1 in mreps]
+
         def bad_composites():
             for w1 in walks:
+                row1 = row(w1.start, w1.steps)
                 for w2 in walks:
                     if w1.end != w2.start or len(w1.steps) + len(w2.steps) > max_len:
                         continue
                     w21 = compose_paths(space.cover, w2, w1)
-                    for m1 in mreps:
-                        for m2 in q.mors_with_source(q.target[m1]):
-                            lhs = pair_key(w21.start, w21.steps, q.compose_of(m2, m1))
-                            key = space.composed_key(pair_state(w1, m1) + pair_state(w2, m2))
+                    row2, row21 = row(w2.start, w2.steps), row(w21.start, w21.steps)
+                    for m1, after in composable:
+                        for m2, m21 in after:
+                            lhs = row21[m21][0]
+                            key = space.composed_key(row1[m1][1] + row2[m2][1])
                             if key is None:
                                 yield (f"composite of ({w1.steps}, {m1}) then "
                                        f"({w2.steps}, {m2}) breaks a junction")
@@ -250,11 +277,11 @@ class LocalTrivialization:
 
         def unequivariant():
             for w in walks:
+                images = row(w.start, w.steps)
                 for m1 in mreps:
                     for psi in mreps:
-                        lhs = pair_key(w.start, w.steps, q.mor_product(m1, psi))
-                        acted_key = space.composed_key(
-                            space.act_state(pair_state(w, m1), psi))
+                        lhs = images[q.mor_product(m1, psi)][0]
+                        acted_key = space.composed_key(space.act_state(images[m1][1], psi))
                         if acted_key is None:
                             yield f"action by {psi} breaks a junction of ({w.steps}, {m1})"
                         elif acted_key != lhs:
@@ -265,8 +292,9 @@ class LocalTrivialization:
         def moved_walks():
             # the walk of an image's key is the walk of its edges
             for w in walks:
+                images = row(w.start, w.steps)
                 for m1 in mreps:
-                    if pair_key(w.start, w.steps, m1)[1][1] != (w.start, w.steps):
+                    if images[m1][0][1][1] != (w.start, w.steps):
                         yield f"projection of ({w.steps}, {m1}) is not the walk itself"
         rep.search(f"{tag}.projection",
                    "projection after the functor returns the base walk", moved_walks())
@@ -322,9 +350,10 @@ def _check_transition(space: BundleSpace, ti: LocalTrivialization,
     def morphism_moves():
         for w in enumerate_paths(cover, (i, k), max_len):
             theta = space.thetabar(k, i, w)
+            row_i, row_k = ti.row(w.start, w.steps), tk.row(w.start, w.steps)
             for phi in q.morphisms.reps:
                 psi = q.mor_product(theta, phi)
-                if ti.image(w.start, w.steps, phi)[0] != tk.image(w.start, w.steps, psi)[0]:
+                if row_i[phi][0] != row_k[psi][0]:
                     yield (f"({w.start}:{list(w.steps)}, {phi}) of chart {i} is not "
                            f"(same walk, {psi}) of chart {k}")
     rep.search(f"transition.{i}{k}.mor",
@@ -345,22 +374,37 @@ def _check_keyed_laws(space: BundleSpace, rep: Report) -> None:
     states = enumerate_chains(space, 2)
     classes: dict[tuple, dict[State, None]] = {}
     keys: dict[State, tuple] = {}
+    # unit -> (walk, source, target), read apart from its key; a two-unit
+    # state's walk and endpoints are built from those of its units
+    ends: dict[Unit, tuple] = {}
+    interned = space._interned
     walk_witness = None
     try:
         for st in states:
             merges = len(st) == 2 and "v" in (st[0][1][0], st[1][1][0])
-            key = space._keys[st] = space.component_of(
-                (space._merge_units(*st),) if merges else st)
-            if walk_witness is None and space._walk_sig(st) != key[1]:
+            if merges:
+                key = space._keys[st] = space.component_of((space._merge_units(*st),))
+            else:
+                key = space.component_of(st)
+            if len(st) == 1:
+                un, = st
+                walk, x, y = ends[un] = (space._walk_sig(st), space.unit_s_obj(un),
+                                         space.unit_t_obj(un))
+            else:
+                (w1, x, _), (w2, _, y) = ends[st[0]], ends[st[1]]
+                walk = (w1[0], w1[1] + w2[1]) if w2[1] else w1
+                walk = interned.setdefault(walk, walk)
+            if walk_witness is None and walk != key[1]:
                 walk_witness = f"chain {st} is equal to a morphism over another walk"
             if not merges:
                 classes.setdefault(key, {})[st] = None
-            keys[st] = (space.unit_s_obj(st[0]), space.unit_t_obj(st[-1])), key
+            keys[st] = (x, y), key
     except (CompositionError, DomainError) as err:
         # each row that reads the keys fails with the state that could not be keyed
         for check_id, law in KEYED_LAWS.items():
             rep.record(check_id, law, False, unevaluated(err))
         return
+    del ends
 
     def broken(psi: str, st: State) -> str:
         return f"action by {psi} breaks a junction of chain {st}"

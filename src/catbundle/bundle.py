@@ -70,6 +70,7 @@ concatenation.
 from __future__ import annotations
 
 from functools import cache, reduce
+from operator import eq
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .complexes import PathMor, compose_paths
@@ -432,9 +433,9 @@ class BundleSpace:
     def composed_key(self, state: State) -> Optional[tuple]:
         """`state_key` of a state of valid units, or None if some unit does
         not end where the next one starts."""
-        for u1, u2 in zip(state, state[1:]):
-            if self.unit_t_obj(u1) != self.unit_s_obj(u2):
-                return None
+        if len(state) > 1 and not all(map(eq, map(self.unit_t_obj, state[:-1]),
+                                          map(self.unit_s_obj, state[1:]))):
+            return None
         return self.state_key(state)
 
     def mor_equal(self, a: BundleMorphism, b: BundleMorphism) -> bool:

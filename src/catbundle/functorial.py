@@ -16,7 +16,9 @@ and a defect
 
 theta and Theta read a walk only through its endpoints, so they take them.
 Callers pass vertices of the overlap, and each evaluation reads the
-cocycle's dense h table and the g and h_ikm tables of its tower.
+cocycle's dense h table and the g and h_ikm tables of its tower. theta is
+computed once per cocycle and (i, k, u0, u1): `eval_theta` keeps its values
+in the cocycle's `theta` dict, and a call that raises stores nothing.
 
 The checks below verify functoriality, the naturality square relating T and
 theta, and the product relation Theta theta_ik theta_km = theta_im. Each
@@ -33,8 +35,12 @@ from .report import Report
 
 
 def eval_theta(gc: GerbalCocycle, i: str, k: str, u0: str, u1: str) -> Arrow:
-    H, h = gc.chain.H, gc.h
-    return Arrow(H.op(h[(i, k, u1)], H.inverse(h[(i, k, u0)])), gc.tower.g[(i, k, u0)])
+    arrow = gc.theta.get((i, k, u0, u1))
+    if arrow is None:
+        H, h = gc.chain.H, gc.h
+        arrow = gc.theta[i, k, u0, u1] = Arrow(
+            H.op(h[(i, k, u1)], H.inverse(h[(i, k, u0)])), gc.tower.g[(i, k, u0)])
+    return arrow
 
 
 def eval_T(gc: GerbalCocycle, i: str, k: str, m: str, u: str) -> Arrow:

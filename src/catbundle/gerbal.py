@@ -11,7 +11,8 @@ with the diagonal normalized to h_ii(u) = e. Like every table, h and j are
 checked once, by `groups.checked_table`, when a GerbalCocycle is built: a
 missing or extra entry, or a value outside its group, is a SchemaError, so
 every later layer reads the tables without re-checking them. The cocycle
-derives its tower on first read, so `generate` never derives one. Law
+derives its tower on first read, so `generate` never derives one, and
+keeps each theta_ik(u0, u1) that `functorial.eval_theta` computes. Law
 violations are reported with witnesses.
 """
 
@@ -21,7 +22,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .complexes import CoverComplex
-from .crossed import ChainedCrossedModules
+from .crossed import Arrow, ChainedCrossedModules
 from .groups import checked_table
 from .report import Report
 
@@ -42,6 +43,8 @@ class GerbalCocycle:
                         for u in cover.overlap((i, k, m)))
         self.h = checked_table("h", h, h_keys, chain.H)
         self.j = checked_table("j", j, j_keys, chain.J)
+        # (i, k, u0, u1) -> theta_ik(u0, u1), filled by `functorial.eval_theta`
+        self.theta: dict[tuple[str, str, str, str], Arrow] = {}
 
     @cached_property
     def tower(self) -> DerivedTower:

@@ -748,6 +748,75 @@ def test_clean_battery_builds_each_trivialization_image_once(monkeypatch):
     assert len(built) == len(set(built)) == 1908
 
 
+def test_each_chart_check_builds_each_walk_and_coset_image_once(monkeypatch):
+    # run alone, each chart's check builds its images in `mor_injective`'s
+    # order, walk by walk and coset by coset, and no later scan builds one
+    space = fresh_space(build_instance("s3-line5w", 5, True))
+    built = []
+    on_pair = LocalTrivialization.on_pair
+
+    def counted(self, walk, mrep):
+        built.append((self.i, walk.start, walk.steps, mrep))
+        return on_pair(self, walk, mrep)
+    monkeypatch.setattr(LocalTrivialization, "on_pair", counted)
+    mreps = space.q.morphisms.reps
+    for i in space.cover.index_order:
+        built.clear()
+        rep = LocalTrivialization(space, i).check(2, 2)
+        assert rep.ok, rep.failures()
+        assert built == [(i, w.start, w.steps, m)
+                         for w in enumerate_paths(space.cover, (i,), 2) for m in mreps]
+        assert len(built) == {"1": 80, "2": 80, "3": 108}[i]
+
+
+@pytest.mark.parametrize("raising,first", [("one", "((12),(123))"), ("family", "((123),(12))")],
+                         ids=["one", "family"])
+def test_an_image_that_raises_fails_the_rows_that_first_need_it(inst_line5w, monkeypatch,
+                                                                raising, first):
+    # chart 2's image of (4:[], first coset) is the second coset's, so
+    # `mor_injective` stops at that walk, before any image that raises: the
+    # one over 1:[e12] with the second coset, or each over a walk of one or
+    # more steps with the second or third coset. Each later scan fails with
+    # the first fault it reaches in its own order, and an image is built
+    # only where a scan first reads it: reading a walk's row whole would
+    # raise at the second coset first
+    space = fresh_space(inst_line5w)
+    reps = space.q.morphisms.reps
+    on_pair = LocalTrivialization.on_pair
+
+    def raises(walk, mrep):
+        if raising == "one":
+            return (walk.start, walk.steps, mrep) == ("1", (("e12", 1),), reps[1])
+        return len(walk.steps) > 0 and mrep in reps[1:3]
+
+    def planted(self, walk, mrep):
+        if (self.i, walk.start, walk.steps, mrep) == ("2", "4", (), reps[0]):
+            mrep = reps[1]
+        elif self.i == "2" and raises(walk, mrep):
+            raise DomainError(f"no image of {walk.start}:{list(walk.steps)} with {mrep}")
+        return on_pair(self, walk, mrep)
+    monkeypatch.setattr(LocalTrivialization, "on_pair", planted)
+    rows = [(c.check_id, c.status, c.witness) for c in check_bundle_axioms(space, 2).checks
+            if c.check_id.startswith(("triv.", "transition."))]
+    unbuilt = "DomainError: no image of 1:[('e12', 1)] with "
+    assert len(rows) == 24
+    assert [row for row in rows if row[1] == "fail"] == [
+        ("triv.2.2.mor_injective", "fail",
+         "(4:[], ((12),(12))) and (same walk, ((12),(123))) map to equal morphisms"),
+        ("triv.2.2.mor_surjective", "fail",
+         "chain (('2', ('v', '4'), '((12),(12))'),) is not equal to its chart-2 reduction"),
+        ("triv.2.2.functorial", "fail", unbuilt + first),
+        ("triv.2.2.equivariant", "fail", "action by ((12),(12)) breaks on ((), ((12),(12)))"),
+        ("triv.2.2.projection", "fail", unbuilt + "((12),(123))"),
+        ("transition.12.mor", "fail", unbuilt + first),
+        ("transition.21.mor", "fail", unbuilt + "((12),(123))"),
+        ("transition.23.mor", "fail",
+         "(4:[], ((12),(12))) of chart 2 is not (same walk, ((12),(12))) of chart 3"),
+        ("transition.32.mor", "fail",
+         "(4:[], ((12),(12))) of chart 3 is not (same walk, ((12),(12))) of chart 2"),
+    ]
+
+
 def test_lift_walk_rejects_a_broken_chain(inst_line5):
     space = fresh_space(inst_line5)
     for start, step in (("0", ("e01", 1)), ("2", ("e23", 1))):
@@ -866,7 +935,8 @@ def test_keys_hold_only_battery_states_and_images(monkeypatch):
     monkeypatch.setattr(LocalTrivialization, "check", recorded)
     rep = check_bundle_axioms(space, 3)
     assert rep.ok, rep.failures()
-    images = {st for triv in checked for _key, st in triv.images.values()}
+    images = {st for triv in checked for row in triv.images.values()
+              for _key, st in row.values()}
     states = set(enumerate_chains(space, 2)) | images
     states |= {space.act_state(st, psi) for st in images for psi in space.q.morphisms.reps}
     states |= {a + b for a in images for b in images
@@ -1392,6 +1462,41 @@ def test_a_key_over_another_walk_fails_class_invariant(inst_line5w, monkeypatch)
     first = enumerate_chains(space, 2)[0]
     assert failed["bundle.proj.class_invariant"] == (
         f"chain {first} is equal to a morphism over another walk")
+
+
+def stub_trivializations(monkeypatch):
+    """Leave the trivializations and the transition rows out of the battery."""
+    monkeypatch.setattr(battery.LocalTrivialization, "check",
+                        lambda self, *args: Report("bundle"))
+    monkeypatch.setattr(battery, "_check_transition", lambda *args: None)
+
+
+def test_a_lift_over_the_first_step_alone_fails_mor_surjective(inst_line5w, monkeypatch):
+    # a walk of two or more steps is lifted over its first step only, so the
+    # first such walk's lift projects to a shorter walk
+    space = fresh_space(inst_line5w)
+    lift_walk = space.lift_walk
+
+    def planted(walk):
+        if len(walk.steps) > 1:
+            walk = walk._replace(steps=walk.steps[:1], visited=walk.visited[:2])
+        return lift_walk(walk)
+    monkeypatch.setattr(space, "lift_walk", planted)
+    stub_trivializations(monkeypatch)
+    assert [(c.check_id, c.witness) for c in check_bundle_axioms(space, 2).failures()] == [
+        ("bundle.proj.mor_surjective", "lift of 0:[('e01', 1), ('e01', -1)] projects elsewhere")]
+
+
+def test_a_key_that_reads_the_first_chart_fails_representative_free(inst_line5w,
+                                                                    monkeypatch):
+    # members of one class can start in different charts, so the sampled
+    # composite of two other members gets another key
+    space = fresh_space(inst_line5w)
+    state_key = space.state_key
+    monkeypatch.setattr(space, "state_key", lambda state: state_key(state) + (state[0][0],))
+    stub_trivializations(monkeypatch)
+    assert [(c.check_id, c.witness) for c in check_bundle_axioms(space, 2).failures()] == [
+        ("bundle.compose.representative_free", "composition depends on chain representatives")]
 
 
 def test_battery_acts_each_state_by_each_coset_once(inst_line5w, monkeypatch):

@@ -10,15 +10,18 @@ on every preset and on the A3/J3 chain, whose fiber is not thin.
 """
 
 import sys
+from collections import Counter
 
 import pytest
 from transition_laws_reference import distances, walk_scans
 
 from catbundle import functorial
 from catbundle.crossed import Arrow
+from catbundle.gerbal import GerbalCocycle
 from catbundle.presets import build_instance, preset_names
 from catbundle.quotient import build_quotient, check_classical_cocycle
 from catbundle.report import Report
+from catbundle.suites import run_suite
 
 SOURCES = preset_names() + ["inst_a3j3_line5w", "inst_a3j3_dirline3", "inst_a3j3_cycle6"]
 
@@ -156,3 +159,50 @@ def test_a_fault_farther_than_the_walk_bound_is_caught_by_the_pair_checks(monkey
     assert all(ref == "pass" for ref, _ in reference_statuses(gc, q, 1).values())
     failed = {cid for cid, s in pair_statuses(gc, q).items() if s == "fail"}
     assert {f"theta.{i}{k}.compose" for (i, k), _ in far} <= failed
+
+
+def cocycle_copy(gc):
+    """A cocycle over the same tables with nothing derived or memoized yet."""
+    return GerbalCocycle(gc.chain, gc.cover, gc.h, gc.j)
+
+
+def test_theta_is_computed_once_per_chart_pair_and_endpoint_pair(monkeypatch):
+    # `all` on the widest preset reads theta thousands of times, and the
+    # cocycle computes each (i, k, u0, u1) value once: every call returns
+    # the value it keeps
+    inst = build_instance("s4-line5w", seed=5, noise=True)
+    calls = Counter()
+    kept = []
+
+    def counted(original):
+        def planted(gc, *args):
+            calls[args] += 1
+            arrow = original(gc, *args)
+            kept.append(arrow is gc.theta[args])
+            return arrow
+        return planted
+    plant(monkeypatch, "eval_theta", counted)
+    assert run_suite(inst, "all", 2).ok
+    assert sum(calls.values()) == 5150 and all(kept)
+    assert set(inst.gc.theta) == set(calls) and len(calls) == 139
+    fresh = cocycle_copy(inst.gc)
+    for key, arrow in inst.gc.theta.items():
+        assert functorial.eval_theta(fresh, *key) == arrow
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_every_plant_fails_its_rows_after_a_clean_run_fills_the_theta_memo(
+        request, monkeypatch, source):
+    # a plant wraps each call, so theta values computed before it was
+    # installed still reach the rows moved
+    inst = instance(request, source)
+    q = build_quotient(inst.chain)
+    filled = cocycle_copy(inst.gc)
+    assert all(s == "pass" for s in pair_statuses(filled, q).values())
+    assert filled.theta
+    for name, planted in plants(filled).items():
+        with monkeypatch.context() as m:
+            plant(m, *planted)
+            statuses = pair_statuses(filled, q)
+            assert "fail" in statuses.values(), name
+            assert statuses == pair_statuses(cocycle_copy(inst.gc), q), name
