@@ -12,19 +12,17 @@ identity decoration).
 
 Equality is decided by a normal form that pushes every decoration to the last
 unit, read in one left fold over a chain's unit steps (`_fold`). Its state is
-the source object, the running (chart, step, decoration), the finished
-decorations, the last edge unit and the merged run of pending zero-length
-units. An edge unit first absorbs the pending run (`_merge_units`), and the
-edge unit before it is pushed into the running decoration: both are
-re-indexed into the first chart holding both steps and composed there, which
-re-splits the pair with an identity on the earlier step. Where no chart holds
-both steps, the running decoration is moved to its step's first chart,
-re-split onto a neutral unit at the junction vertex and re-indexed along that
-vertex's identity walk into the next step's first chart; on a base without
-zero-length edges a decoration is finished there instead. At the end a
-trailing run merges back into the last edge unit, and the last decoration is
-moved into its step's first chart. The key is (source object, walk,
-decorations).
+the source object, the running (chart, step, decoration) and the finished
+decorations. The first unit starts the run. A zero-length unit, and any unit
+after a zero-length run, merges into the run (`_merge_units`). An edge unit
+after an edge run absorbs it: both are re-indexed into the first chart holding
+both steps and composed there, which re-splits the pair with an identity on
+the earlier step. Where no chart holds both steps, the running decoration is
+moved to its step's first chart, re-split onto a neutral unit at the junction
+vertex and re-indexed along that vertex's identity walk into the next step's
+first chart; on a base without zero-length edges a decoration is finished
+there instead. At the end the run is moved into its step's first chart. The
+key is (source object, walk, decorations).
 
 Soundness: each step is one of the rewrites above, and every chart it picks
 depends on the walk alone, so the units it leaves behind are identities fixed
@@ -51,7 +49,7 @@ split once, so it raises on an invalid edge or junction in either argument.
 `_keys` maps each keyed state to its key, the battery's two-unit states
 included, and `_interned` holds one object per distinct walk and key. Every
 chart move of a decoration goes through `_move_unit`. It, the merge steps and
-the pushes are memos on units and steps; none grows with the chains.
+`_absorb` are memos on units and steps; none grows with the chains.
 
 `BundleObject`, `QuiverEdge` and `BundleMorphism` are named tuples, like
 `PathMor`, so they are built, hashed and compared in C; their reprs are the
@@ -110,7 +108,7 @@ class BundleMorphism(NamedTuple):
 Step = tuple
 Unit = tuple  # (chart, Step, phi rep)
 State = tuple  # tuple of Units
-FOLD_START = (None, None, (), None, None)  # the fold state of the empty state
+FOLD_START = (None, None, ())  # the fold state of the empty state
 
 
 class _Products(dict):
@@ -369,37 +367,24 @@ class BundleSpace:
 
     def _fold(self, fs, unit):
         """Read one raw unit into the fold state (source object, running
-        (chart, step, decoration), finished decorations, last edge unit,
-        merged run of pending zero-length units)."""
-        src, run, decs, held, pending = fs
-        if pending:
-            unit = self._merge_units(pending, unit)
-        if unit[1][0] == "v":
-            return src, run, decs, held, unit
-        if held:
-            src, run, decs = self._push(src, run, decs, held)
-        return src, run, decs, unit, None
+        (chart, step, decoration), finished decorations)."""
+        src, run, decs = fs
+        if not run:
+            return self.unit_s_obj(unit), unit, decs
+        if unit[1][0] == "v" or run[1][0] == "v":
+            return src, self._merge_units(run, unit), decs
+        run, settled = self._absorb(run, unit)
+        return src, run, decs + settled
 
     def _fold_key(self, folded):
-        """The key of a (walk, fold state) pair: a trailing run merges back
-        into the last edge unit, which is read last."""
-        sig, (src, run, decs, held, pending) = folded
-        last = self._merge_units(held, pending) if held and pending else held or pending
-        src, run, decs = self._push(src, run, decs, last)
+        """The key of a (walk, fold state) pair: the run is settled last."""
+        sig, (src, run, decs) = folded
         key = src, sig, decs + (self._settle(run),)
         return self._interned.setdefault(key, key)
 
     def _settle(self, run):
         """A running decoration moved into the first chart of its step."""
         return self._move_unit(self._charts_of(self._step_walk(run[1]).visited)[0], run)
-
-    def _push(self, src, run, decs, unit):
-        """Read one compacted unit into (source object, running triple,
-        finished decorations)."""
-        if not run:
-            return self.unit_s_obj(unit), unit, decs
-        run, settled = self._absorb(run, unit)
-        return src, run, decs + settled
 
     def _absorb(self, run, unit):
         cover = self.cover

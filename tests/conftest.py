@@ -7,6 +7,7 @@ from catbundle.groups import GroupHom
 from catbundle.permutations import (
     alternating_group,
     conjugation_action,
+    klein_four,
     symmetric_group,
     trivial_action,
 )
@@ -53,6 +54,30 @@ def a3j3_chain():
                           GroupHom("tau_p", j3, a3, dict.fromkeys(j3.elements, a3.identity)),
                           name="j3-inner")
     return ChainedCrossedModules(outer, inner, "a3j3-chain")
+
+
+def s4v4z2_chain():
+    """A fat fiber with trivial taus. Outer: the Klein four group in S4, acted
+    on by conjugation; inner: Z2, acted on trivially by V4. The fiber quotient
+    has one object and four morphisms."""
+    s4, v4, z2 = symmetric_group(4), klein_four(), symmetric_group(2, "Z2")
+    outer = CrossedModule(s4, v4, conjugation_action(s4, v4, "conj_outer"),
+                          GroupHom("tau", v4, s4, dict.fromkeys(v4.elements, s4.identity)),
+                          name="v4-outer")
+    inner = CrossedModule(v4, z2, trivial_action(v4, z2, "triv_inner"),
+                          GroupHom("tau_p", z2, v4, dict.fromkeys(z2.elements, v4.identity)),
+                          name="z2-inner")
+    return ChainedCrossedModules(outer, inner, "s4v4z2-chain")
+
+
+@pytest.fixture(scope="session")
+def chain_a3j3():
+    return a3j3_chain()
+
+
+@pytest.fixture(scope="session")
+def chain_s4v4z2():
+    return s4v4z2_chain()
 
 
 def a3j3_instance(name, cover_builder):
@@ -129,12 +154,3 @@ def space_dirline3(inst_dirline3):
 @pytest.fixture(scope="session")
 def space_cycle6(inst_cycle6):
     return glued_space(inst_cycle6)
-
-
-@pytest.fixture(scope="session")
-def space_cycle6_noisy(chain_s3):
-    # no preset pairs the cycle's chart-free junction at vertex 0 with a
-    # nontrivial transport; seed 3 gives thetabar_13 != identity there
-    cover = cover_cycle6()
-    gc = generate_gerbal(chain_s3, cover, 3, noise=True)
-    return glued_space(Instance("cycle6-noisy", 3, True, chain_s3, cover, gc))

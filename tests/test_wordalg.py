@@ -12,7 +12,7 @@ from echelon_reference import EchelonReference
 from normal_form_reference import reference_key
 
 from catbundle import bundle
-from catbundle.bundle import BundleMorphism
+from catbundle.bundle import BundleMorphism, BundleSpace
 from catbundle.complexes import CoverComplex
 from catbundle.errors import DomainError, PreconditionError
 from catbundle.generation import generate_gerbal
@@ -406,6 +406,19 @@ def test_action_plant_on_the_head_units_fails_the_invariants_instead_of_raising(
         "action by ((12),(12)) breaks a junction of word "
         "(('0', (('e01', 1),), '1', ('1',), '((12),(12))'), "
         "('1', (('e12', 1),), '1', ('1',), '((123),(123))'))")
+
+
+def test_planted_projection_fails_only_the_projection_invariant(monkeypatch):
+    # a `project` that keeps only the first edge's walk splits the walks of
+    # equal words, and no other row of the whole battery reads it
+    monkeypatch.setattr(BundleSpace, "project", lambda self, m: m.edges[0].walk)
+    rep = run_suite(build_instance("oracle-dirline3", 5, True), "all", 3)
+    assert {c.check_id: c.witness for c in rep.failures()} == {
+        "congruence.proj_invariant":
+            "equal words project apart: "
+            "(('0', (('e01', 1),), '1', ('1',), '((12),(12))'), "
+            "('1', (('e12', 1),), '1', ('1',), '((123),(123))')) vs "
+            "(('0', (('e01', 1), ('e12', 1)), '1', ('1',), '((12),(12))'),)"}
 
 
 def test_oracle_requires_zero_length_edges_disabled():
