@@ -70,16 +70,6 @@ def s4v4z2_chain():
     return ChainedCrossedModules(outer, inner, "s4v4z2-chain")
 
 
-@pytest.fixture(scope="session")
-def chain_a3j3():
-    return a3j3_chain()
-
-
-@pytest.fixture(scope="session")
-def chain_s4v4z2():
-    return s4v4z2_chain()
-
-
 def a3j3_instance(name, cover_builder):
     """The A3/J3 chain over a preset base, cocycle drawn at seed 5 with noise."""
     chain, cover = a3j3_chain(), cover_builder()

@@ -4,6 +4,7 @@ morphism equality, lifts, and local trivializations."""
 import json
 import re
 from collections import Counter
+from functools import cache
 
 import pytest
 
@@ -31,11 +32,14 @@ from catbundle.presets import (
     cover_dirline3,
     cover_line5,
     cover_line5w,
+    s3_chain,
+    s4_chain,
 )
 from catbundle.report import Report
 from catbundle.schema import Instance
 from catbundle.suites import InstanceContext, run_suite
 from action_laws_reference import action_law_witnesses, unitwise_action
+from conftest import a3j3_chain, s4v4z2_chain
 from normal_form_reference import compact, reference_key
 from rewrite_reference import RewriteReference
 from trivialization_reference import (
@@ -449,23 +453,30 @@ SWEEP_COVERS = {
     "cycle6-noid": lambda: flipped(cover_cycle6(), identity_edges=False),
     "dirline3-undirected": lambda: flipped(cover_dirline3(), directed=False),
 }
+SWEEP_CHAINS = {name: cache(build) for name, build in [
+    ("s3", s3_chain), ("s4", s4_chain), ("a3j3", a3j3_chain), ("s4v4z2", s4v4z2_chain)]}
 # with zero-length edges the line covers hold 14,000 to 118,000 reference
 # chains on the larger fibers, seconds each, so they run on S3 alone; the
-# cycle runs on every chain but S4
+# cycle runs on every chain but S4. Entries are (chain, cover, cocycle seed,
+# trivial cocycle); at seed 3 with noise the S3 cycle pairs its chart-free
+# junction at vertex 0 with thetabar_13 != identity, and the S3 cycle also
+# runs under the trivial cocycle
 SMALL_COVERS = ["dirline3", "line5-noid", "line5w-noid", "cycle6-noid", "dirline3-undirected"]
-SWEEP = ([("s3", cover) for cover in SWEEP_COVERS]
-         + [(chain, cover) for chain in ("a3j3", "s4", "s4v4z2") for cover in SMALL_COVERS]
-         + [("a3j3", "cycle6"), ("s4v4z2", "cycle6")])
+SWEEP = ([("s3", cover, 3, False) for cover in SWEEP_COVERS if cover != "line5w"]
+         + [("s3", "line5w", 7, False), ("s3", "cycle6", 1, True)]
+         + [(chain, cover, 3, False) for chain in ("a3j3", "s4", "s4v4z2")
+            for cover in SMALL_COVERS]
+         + [("a3j3", "cycle6", 3, False), ("s4v4z2", "cycle6", 3, False)])
 
 
-@pytest.mark.parametrize("chain,cover", SWEEP, ids=[f"{c}-{v}" for c, v in SWEEP])
-def test_rewrite_reference_partition_matches_mor_equal(request, chain, cover):
+@pytest.mark.parametrize("chain,cover,seed,trivial", SWEEP, ids=[
+    f"{c}-{v}" + (seed != 3) * f"-seed{seed}" + trivial * "-trivial" for c, v, seed, trivial in SWEEP])
+def test_rewrite_reference_partition_matches_mor_equal(chain, cover, seed, trivial):
     # each reference class has one full key and each key one class, over the
-    # reference's whole universe; at seed 3 the S3 cycle pairs its chart-free
-    # junction at vertex 0 with thetabar_13 != identity
-    chain, cover = request.getfixturevalue(f"chain_{chain}"), SWEEP_COVERS[cover]()
-    gc = generate_gerbal(chain, cover, 3, noise=True)
-    space = fresh_space(Instance("sweep", 3, True, chain, cover, gc))
+    # reference's whole universe
+    chain, cover = SWEEP_CHAINS[chain](), SWEEP_COVERS[cover]()
+    gc = generate_gerbal(chain, cover, seed, noise=not trivial, trivial=trivial)
+    space = fresh_space(Instance("sweep", seed, not trivial, chain, cover, gc))
     ref = RewriteReference(space)
     pairs = {(ref.class_of(c), space.mor_key(space.to_chain(c))) for c in ref.chains}
     assert len({c for c, _ in pairs}) == len({k for _, k in pairs}) == len(pairs)
