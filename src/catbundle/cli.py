@@ -216,7 +216,3 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (SchemaError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, determinism of emitted bytes, and the
 diagnostic stream."""
 
+import gc
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 
 import catbundle
 import cli_reference
+from catbundle import __main__ as entry
 from catbundle import cli
 from catbundle.cli import main
 
@@ -232,6 +234,72 @@ def test_a_failed_write_to_stdout_is_a_usage_error(tmp_path, capsys, monkeypatch
         assert code == 2
         assert err.startswith("error: cannot write to stdout: ")
         assert err.count("\n") == 1
+
+
+def _entry_argv(tmp_path, capsys, argv):
+    """`argv` with DOC a passing s3-line5 document and BAD one whose A3
+    table breaks the group law."""
+    good = tmp_path / "good.json"
+    run(capsys, "generate", "s3-line5", "--seed", "3", "--out", str(good))
+    bad = _edited(tmp_path, capsys, "s3-line5", 3,
+                  ("groups", "A3", "mul", "(132)", "(132)"), "(132)")
+    return [{"DOC": str(good), "BAD": str(bad)}.get(word, word) for word in argv]
+
+
+# (argv, exit code): a passing check, a failing check, --help, a usage error
+ENTRY_CASES = [(["check", "DOC", "--suite", "all", "--max-path-len", "1"], 0),
+               (["check", "BAD", "--suite", "peiffer"], 1),
+               (["--help"], 0),
+               (["frobnicate"], 2)]
+
+
+@pytest.mark.parametrize("argv, expected", ENTRY_CASES, ids=["pass", "fail", "help", "usage"])
+def test_process_entry_freezes_once_after_the_report(tmp_path, capsys, monkeypatch,
+                                                     argv, expected):
+    argv = _entry_argv(tmp_path, capsys, argv)
+    frozen = []
+    monkeypatch.setattr(gc, "freeze", lambda: frozen.append(capsys.readouterr()))
+    code, out, err = run(capsys, *argv)
+    # main run in process never freezes
+    assert (code, frozen) == (expected, [])
+    monkeypatch.setattr(sys, "argv", ["catbundle", *argv])
+    with pytest.raises(SystemExit) as exit_:
+        entry.run()
+    assert exit_.value.code == expected
+    assert frozen == [(out, err)]
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("argv, expected", [*ENTRY_CASES[:3], (["validate", "DOC"], 2)],
+                         ids=["pass", "fail", "help", "full"])
+def test_python_m_catbundle_writes_what_main_writes(tmp_path, capsys, monkeypatch,
+                                                     argv, expected):
+    # the full case writes to /dev/full: exit 2 and one error line
+    full = expected == 2
+    if full and not os.path.exists("/dev/full"):
+        pytest.skip("needs /dev/full")
+    argv = _entry_argv(tmp_path, capsys, argv)
+    src = str(Path(catbundle.__file__).resolve().parent.parent)
+    seen = []
+    for child in (False, True):
+        target = "/dev/full" if full else tmp_path / f"child{child}.out"
+        with open(target, "w") as fh:
+            if child:
+                proc = subprocess.run([sys.executable, "-m", "catbundle", *argv],
+                                      stdout=fh, stderr=subprocess.PIPE, text=True,
+                                      env=dict(os.environ, PYTHONPATH=src), check=False)
+                code, err = proc.returncode, proc.stderr
+            else:
+                with monkeypatch.context() as m:
+                    m.setattr(sys, "stdout", fh)
+                    code = main(argv)
+                err = capsys.readouterr().err
+        seen.append((code, err, b"" if full else Path(target).read_bytes()))
+    assert seen[0] == seen[1]
+    code, err, out = seen[0]
+    assert code == expected
+    assert "Traceback" not in err
+    assert bool(out) != full
 
 
 # argv vectors run through `cli._parse` and the argparse reference: the forms
