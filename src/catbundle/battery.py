@@ -1,19 +1,19 @@
 """The law battery of a glued `BundleSpace`.
 
-It keys each enumerated unit state of at most two units once, through its
-compaction, and composes by concatenation, so it builds no chain; a two-unit
-state's walk and endpoints are built from those of its units. One pass acts
-each state by each coset once with `act_state`, which reads two dicts of
-decoration products per coset, and decides the three action laws on the
-state's row of acted states and their keys, keeping no row. The local
-trivialization of a chart builds, validates, keys and splits the image
-`on_pair(walk, phi)` of each (walk, fiber morphism) pair once, into one row
-per walk that its scans index by coset. Its `functorial` and `equivariant`
-checks key two images concatenated and an image acted on by `act_state` with
-`composed_key`, the one junction check on unit states. `mor_surjective` folds
-distinct layer states (`fold_layers`), keys no chain and names each state by
-its first chain. Over each overlap of two charts the transition functors are
-read back from the two trivializations' images.
+It keys each enumerated unit state of at most two units once, a pair with a
+zero-length unit through the one unit `_absorb` merges it into, and composes
+by concatenation, so it builds no chain; a two-unit state's walk and endpoints
+are built from those of its units. One pass acts each state by each coset
+once with `act_state`, which reads two dicts of decoration products per coset,
+and decides the three action laws on the state's row of acted states and
+their keys, keeping no row. The local trivialization of a chart builds,
+validates, keys and splits the image `on_pair(walk, phi)` of each (walk, fiber
+morphism) pair once, into one row per walk that its scans index by coset. Its
+`functorial` and `equivariant` checks key two images concatenated and an image
+acted on by `act_state` with `composed_key`, the one junction check on unit
+states. `mor_surjective` folds distinct layer states (`fold_layers`), keys no
+chain and names each state by its first chain. Over each overlap of two charts
+the transition functors are read back from the two trivializations' images.
 """
 
 from __future__ import annotations
@@ -200,14 +200,14 @@ class LocalTrivialization:
         state = space.unit_split(m)
         return (ends, space.component_of(state)), state
 
-    def check(self, max_len: int = 3, max_units: int = 3) -> Report:
+    def check(self, max_len: int = 3) -> Report:
         """The comparison-functor laws over walks of at most max_len steps.
 
-        `mor_surjective` compares each distinct layer state of the bounded
-        chains (`fold_layers`) with its chart-i image: chains with equal walk,
-        source, fold state, coset and target have equal keys and cosets under
-        every extension, so the layers make every comparison, and a state's
-        first chain is the witness."""
+        `mor_surjective` compares each distinct layer state of the chains of
+        at most min(max_len, 3) units (`fold_layers`) with its chart-i image:
+        chains with equal walk, source, fold state, coset and target have
+        equal keys and cosets under every extension, so the layers make every
+        comparison, and a state's first chain is the witness."""
         space, q = self.space, self.space.q
         tag = f"triv.{self.i}.{self.i}"
         rep = Report("bundle")
@@ -242,7 +242,7 @@ class LocalTrivialization:
 
         def misses():
             last = images = None
-            for sig, coset, key, st in fold_layers(space, self.i, self.region, max_units):
+            for sig, coset, key, st in fold_layers(space, self.i, self.region, min(max_len, 3)):
                 if sig != last:
                     last, images = sig, row(*sig)
                 if key != images[coset][0]:
@@ -331,7 +331,7 @@ def check_bundle_axioms(space: BundleSpace, max_len: int = 3) -> Report:
 
     trivs = {i: LocalTrivialization(space, i) for i in cover.index_order}
     for triv in trivs.values():
-        rep.merge(triv.check(max_len, min(max_len, 3)))
+        rep.merge(triv.check(max_len))
     for i, k in cover.overlapping(2):
         if i != k:
             _check_transition(space, trivs[i], trivs[k], max_len, rep)
@@ -364,11 +364,12 @@ def _check_transition(space: BundleSpace, ti: LocalTrivialization,
 def _check_keyed_laws(space: BundleSpace, rep: Report) -> None:
     """Key the states of at most two units, then record the KEYED_LAWS rows.
 
-    A state with a zero-length unit is keyed through its compaction, an
-    enumerated one-unit state keyed earlier into the same class, and adds no
-    member of its own. The action laws read an acted state's `state_key` from
-    `keys`; a state not there is no composable state of enumerated units, so
-    it is keyed only after its junctions are checked (`composed_key`)."""
+    A state with a zero-length unit is keyed through its compaction, the one
+    unit `_absorb` merges it into, an enumerated one-unit state keyed earlier
+    into the same class, and adds no member of its own. The action laws read
+    an acted state's `state_key` from `keys`; a state not there is no
+    composable state of enumerated units, so it is keyed only after its
+    junctions are checked (`composed_key`)."""
     q = space.q
     neutral = q.identity_mor_at(q.identity_obj())
     states = enumerate_chains(space, 2)
@@ -383,7 +384,7 @@ def _check_keyed_laws(space: BundleSpace, rep: Report) -> None:
         for st in states:
             merges = len(st) == 2 and "v" in (st[0][1][0], st[1][1][0])
             if merges:
-                key = space._keys[st] = space.component_of((space._merge_units(*st),))
+                key = space._keys[st] = space.component_of((space._absorb(*st)[0],))
             else:
                 key = space.component_of(st)
             if len(st) == 1:

@@ -13,16 +13,18 @@ identity decoration).
 Equality is decided by a normal form that pushes every decoration to the last
 unit, read in one left fold over a chain's unit steps (`_fold`). Its state is
 the source object, the running (chart, step, decoration) and the finished
-decorations. The first unit starts the run. A zero-length unit, and any unit
-after a zero-length run, merges into the run (`_merge_units`). An edge unit
-after an edge run absorbs it: both are re-indexed into the first chart holding
-both steps and composed there, which re-splits the pair with an identity on
-the earlier step. Where no chart holds both steps, the running decoration is
-moved to its step's first chart, re-split onto a neutral unit at the junction
-vertex and re-indexed along that vertex's identity walk into the next step's
-first chart; on a base without zero-length edges a decoration is finished
-there instead. At the end the run is moved into its step's first chart. The
-key is (source object, walk, decorations).
+decorations. The first unit starts the run; every later unit is absorbed into
+it by one junction rule (`_absorb`), whose choices depend on the two steps
+alone (`_junction`). Where a chart holds both steps, the run and the unit are
+re-indexed into the first such chart and composed there: this merges the pair
+and re-splits it with an identity on the dropped step, and the kept step is
+the unit's, or the run's own when the unit is zero-length. Where no chart holds
+both steps, the running decoration is moved to its step's first chart,
+re-split onto a neutral unit at the junction vertex and re-indexed along that
+vertex's identity walk into the next step's first chart; on a base without
+zero-length edges a decoration is finished there instead. At the end the run
+is moved into its step's first chart. The key is (source object, walk,
+decorations).
 
 Soundness: each step is one of the rewrites above, and every chart it picks
 depends on the walk alone, so the units it leaves behind are identities fixed
@@ -48,8 +50,9 @@ normal-form key; `mor_equal` compares two full keys, each side validated and
 split once, so it raises on an invalid edge or junction in either argument.
 `_keys` maps each keyed state to its key, the battery's two-unit states
 included, and `_interned` holds one object per distinct walk and key. Every
-chart move of a decoration goes through `_move_unit`. It, the merge steps and
-`_absorb` are memos on units and steps; none grows with the chains.
+chart move of a decoration goes through `_move_unit`, a memo on (chart, unit);
+`_junction` is a memo on step pairs and `_step_walk` on steps, and none grows
+with the chains.
 
 `BundleObject`, `QuiverEdge` and `BundleMorphism` are named tuples, like
 `PathMor`, so they are built, hashed and compared in C; their reprs are the
@@ -146,8 +149,7 @@ class BundleSpace:
         self.unit_s_obj = cache(self.unit_s_obj)
         self.unit_t_obj = cache(self.unit_t_obj)
         self._move_unit = cache(self._move_unit)
-        self._merge_step = cache(self._merge_step)
-        self._absorb = cache(self._absorb)
+        self._junction = cache(self._junction)
         self._charts_of = cache(self.cover.charts_containing)
 
     # ----- transported cocycle values on cosets ----------------------------
@@ -332,21 +334,6 @@ class BundleSpace:
             QuiverEdge(c, (c,), self._step_walk(step), phi) for c, step, phi in state
         )
 
-    def _merge_units(self, u1: Unit, u2: Unit) -> Unit:
-        """Fold an adjacent pair into one unit over a fixed common chart.
-
-        This is the merge half of the pair rewrite, so the folded state stays
-        in the congruence class of the original."""
-        k, step = self._merge_step(u1[1], u2[1])
-        return (k, step, self.q.compose_of(self._move_unit(k, u2), self._move_unit(k, u1)))
-
-    def _merge_step(self, st1: Step, st2: Step) -> tuple[str, Step]:
-        """The (first chart, step) of the walk of st1 then st2."""
-        w1, w2 = self._step_walk(st1), self._step_walk(st2)
-        w = compose_paths(self.cover, w2, w1)
-        step = ("v", w.start) if len(w.steps) == 0 else st1 if len(w1.steps) == 1 else st2
-        return self._charts_of(w.visited)[0], step
-
     def _walk_sig(self, state: State) -> tuple:
         steps = []
         for _c, step, _phi in state:
@@ -367,12 +354,11 @@ class BundleSpace:
 
     def _fold(self, fs, unit):
         """Read one raw unit into the fold state (source object, running
-        (chart, step, decoration), finished decorations)."""
+        (chart, step, decoration), finished decorations): the first unit
+        starts the run, and every later one is absorbed into it."""
         src, run, decs = fs
         if not run:
             return self.unit_s_obj(unit), unit, decs
-        if unit[1][0] == "v" or run[1][0] == "v":
-            return src, self._merge_units(run, unit), decs
         run, settled = self._absorb(run, unit)
         return src, run, decs + settled
 
@@ -386,21 +372,35 @@ class BundleSpace:
         """A running decoration moved into the first chart of its step."""
         return self._move_unit(self._charts_of(self._step_walk(run[1]).visited)[0], run)
 
-    def _absorb(self, run, unit):
-        cover = self.cover
-        w1, w2 = self._step_walk(run[1]), self._step_walk(unit[1])
-        common = self._charts_of(compose_paths(cover, w2, w1).visited)
+    def _junction(self, st1: Step, st2: Step) -> Optional[tuple]:
+        """What the junction of step st1 then step st2 decides, as (chart k,
+        kept step, slide). Where a chart holds both steps, k is the first one
+        and there is no slide. Where none does, k is st2's first chart and
+        slide the (chart, step) of the neutral unit at the junction in st1's
+        first chart; on a base without zero-length edges there is no such
+        unit, and the junction is None."""
+        w1, w2 = self._step_walk(st1), self._step_walk(st2)
+        common = self._charts_of(compose_paths(self.cover, w2, w1).visited)
         if common:
-            k = common[0]
-            a = self._move_unit(k, run)
-        elif cover.identity_edges:
-            # slide the decoration off its step onto the neutral unit at the
-            # junction, then re-index it there into the next step's first chart
-            c0, k = self._charts_of(w1.visited)[0], self._charts_of(w2.visited)[0]
-            a = self._move_unit(k, (c0, ("v", w2.start), self._move_unit(c0, run)))
-        else:
+            return common[0], st1 if st2[0] == "v" else st2, None
+        if self.cover.identity_edges:
+            return (self._charts_of(w2.visited)[0], st2,
+                    (self._charts_of(w1.visited)[0], ("v", w2.start)))
+        return None
+
+    def _absorb(self, run: Unit, unit: Unit) -> tuple[Unit, tuple]:
+        """(new run, finished decorations) after `unit` follows `run`: both
+        are re-indexed into the junction's chart and composed there, which
+        merges the pair and re-splits it with an identity on the dropped
+        step; a slide first moves the run's decoration onto the neutral unit
+        at the junction; with no chart to meet in, the run is finished."""
+        junction = self._junction(run[1], unit[1])
+        if junction is None:
             return unit, (self._settle(run),)
-        return (k, unit[1], self.q.compose_of(self._move_unit(k, unit), a)), ()
+        k, step, slide = junction
+        if slide:
+            run = (*slide, self._move_unit(slide[0], run))
+        return (k, step, self.q.compose_of(self._move_unit(k, unit), self._move_unit(k, run))), ()
 
     # ----- equality ---------------------------------------------------------
 

@@ -273,8 +273,9 @@ def check_oracle_agreement(space: BundleSpace, oracle: WordOracle, chains: list)
 
 def check_congruence_invariants(space: BundleSpace, oracle: WordOracle,
                                 chains: list) -> Report:
-    """Equal words must share projection and endpoints and stay equal under
-    the fiber action.
+    """Equal words must share projection and stay equal under the fiber
+    action; that they share endpoints is `oracle.agreement`, whose keys hold
+    them.
 
     Each word's unit state, key and walk come from `chains`. A compared
     word's state acted on by psi is keyed with `composed_key` once per (word,
@@ -288,17 +289,12 @@ def check_congruence_invariants(space: BundleSpace, oracle: WordOracle,
     words = oracle.all_words()
     classes = _classes([oracle.label(w) for w in words])
     states = [state for state, _, _ in chains]
-    ends = [key[0] for _, key, _ in chains]
     walks = [walk for _, _, walk in chains]
     pairs = [(cls[0], m) for cls in classes for m in cls[1:]]
 
     rep.search("congruence.proj_invariant", "equal words project to the same base walk", (
         f"equal words project apart: {_word_key(words[n])} vs {_word_key(words[m])}"
         for n, m in pairs if walks[n] != walks[m]))
-
-    rep.search("congruence.endpoints", "equal words share source and target objects", (
-        f"equal words with different endpoints: {_word_key(words[n])}"
-        for n, m in pairs if ends[n] != ends[m]))
 
     acted_key = cache(lambda n, psi: space.composed_key(space.act_state(states[n], psi)))
 

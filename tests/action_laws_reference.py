@@ -6,7 +6,7 @@ one pass. This module keeps the three laws as separate scans, each acting
 every state it reads itself and stopping at its first witness, so a test can
 check that the pass reports the same verdicts and witnesses. Only
 `enumerate_chains`, `act_state`, `composed_key`, `state_key`,
-`component_of`, `_merge_units`, the unit endpoints and the coset tables
+`component_of`, `_absorb`, the unit endpoints and the coset tables
 (`morphisms.reps`, `source`, `target`, `identity_mor_at`) come from the
 package.
 
@@ -35,7 +35,7 @@ def action_law_witnesses(space):
 
     classes, keys = {}, {}
     for st in states:
-        compacted = (space._merge_units(*st),) if len(st) == 2 and "v" in (
+        compacted = (space._absorb(*st)[0],) if len(st) == 2 and "v" in (
             st[0][1][0], st[1][1][0]) else st
         key = space._keys[st] = space.component_of(compacted)
         classes.setdefault(key, {})[compacted] = None

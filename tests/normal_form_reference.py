@@ -6,8 +6,8 @@ unit, and a trailing run merges back into the last one. `normal_form` then
 reads the compacted state once from left to right, pushing every decoration
 to the last unit. `BundleSpace` reads the same key in one left fold over the
 raw units and keeps no compacted state; this module checks that fold. Only
-`_merge_units`, `thetabar`, the coset products, the step walks, the charts
-of a walk and canonical objects come from the package.
+`thetabar`, the coset products, the step walks, the charts of a walk and
+canonical objects come from the package.
 """
 
 from catbundle.complexes import compose_paths
@@ -16,6 +16,17 @@ from catbundle.complexes import compose_paths
 def reindex(space, k, c, w, phi):
     """Move a decoration over walk w from chart c into chart k."""
     return phi if k == c else space.q.mor_product(space.thetabar(k, c, w), phi)
+
+
+def merge(space, u1, u2):
+    """One unit for an adjacent pair with a zero-step unit: both decorations
+    re-indexed into the first chart holding the pair's walk and composed
+    there, over the pair's edge step if it has one."""
+    (c1, st1, a), (c2, st2, b) = u1, u2
+    w1, w2 = space._step_walk(st1), space._step_walk(st2)
+    k = space._charts_of(compose_paths(space.cover, w2, w1).visited)[0]
+    step = st2 if st1[0] == "v" else st1
+    return k, step, space.q.compose_of(reindex(space, k, c2, w2, b), reindex(space, k, c1, w1, a))
 
 
 def compact(space, state):
@@ -28,9 +39,9 @@ def compact(space, state):
             n += 1
             continue
         if n + 1 < len(units):
-            units[n:n + 2] = [space._merge_units(units[n], units[n + 1])]
+            units[n:n + 2] = [merge(space, units[n], units[n + 1])]
         else:
-            units[n - 1:n + 1] = [space._merge_units(units[n - 1], units[n])]
+            units[n - 1:n + 1] = [merge(space, units[n - 1], units[n])]
             n -= 1
     return tuple(units)
 

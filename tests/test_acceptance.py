@@ -270,8 +270,7 @@ def test_criterion_09_congruence_invariants():
         rep = check_congruence_invariants(space, oracle, word_chains(space, oracle))
         _report_problems(problems, rep, "invariants")
         ids = {c.check_id for c in rep.checks}
-        missing = {"congruence.proj_invariant", "congruence.endpoints",
-                   "congruence.action_equivariant"} - ids
+        missing = {"congruence.proj_invariant", "congruence.action_equivariant"} - ids
         if missing:
             problems.append(f"invariant checks missing {sorted(missing)}")
 

@@ -339,9 +339,9 @@ def test_trivialization_needs_identity_edges(space_dirline3):
 
 def test_trivialization_checks_pass_on_line5(space_line5):
     triv = MultiChartTrivialization(space_line5, "1", ("1", "2"))
-    rep = triv.check(max_len=2, max_units=2)
+    rep = triv.check(max_len=2)
     assert rep.ok, rep.failures()
-    rep = LocalTrivialization(space_line5, "1").check(max_len=2, max_units=2)
+    rep = LocalTrivialization(space_line5, "1").check(max_len=2)
     assert rep.ok, rep.failures()
 
 
@@ -378,7 +378,7 @@ def class_pair_composites(space):
     pairs and the set of their composites' keys."""
     classes: dict[tuple, dict] = {}
     for st in enumerate_chains(space, 2):
-        compacted = (space._merge_units(*st),) if len(st) == 2 and "v" in (
+        compacted = (space._absorb(*st)[0],) if len(st) == 2 and "v" in (
             st[0][1][0], st[1][1][0]) else st
         classes.setdefault(space.state_key(compacted), {})[compacted] = None
     by_source: dict[BundleObject, list] = {}
@@ -684,8 +684,11 @@ def test_a_broken_on_pair_fails_composition_at_the_junction(inst_line5, monkeypa
         e = m.edges[0]
         return BundleMorphism.chain([e._replace(phi=q.mor_product(e.phi, shift))])
     monkeypatch.setattr(triv, "on_pair", planted)
-    rep = triv.check(max_len=2, max_units=1)
+    rep = triv.check(max_len=2)
     assert [(c.check_id, c.witness) for c in rep.failures()] == [
+        ("triv.1.1.mor_surjective",
+         "chain (('1', ('e', 'e01', 1), '((12),(12))'), ('1', ('e', 'e01', -1), "
+         "'((12),(123))')) is not equal to its chart-1 reduction"),
         ("triv.1.1.functorial",
          "composite of ((), ((12),(12))) then ((('e01', 1), ('e01', -1)), ((12),(123))) "
          "breaks a junction")]
@@ -707,7 +710,7 @@ def test_on_pair_plant_over_the_reversed_step_fails_instead_of_raising(inst_line
         reversed_walk = space.cover.walk(walk.end, [(eid, -o)])
         return BundleMorphism.chain([m.edges[0]._replace(walk=reversed_walk)])
     monkeypatch.setattr(triv, "on_pair", planted)
-    rep = triv.check(2, 2)
+    rep = triv.check(2)
     assert [(c.check_id, c.witness) for c in rep.failures()] == [
         ("triv.1.1.mor_surjective",
          "chain (('1', ('e', 'e01', 1), '((12),(12))'),) is not equal to its chart-1 reduction"),
@@ -795,7 +798,7 @@ def test_each_chart_check_builds_each_walk_and_coset_image_once(monkeypatch):
     mreps = space.q.morphisms.reps
     for i in space.cover.index_order:
         built.clear()
-        rep = LocalTrivialization(space, i).check(2, 2)
+        rep = LocalTrivialization(space, i).check(2)
         assert rep.ok, rep.failures()
         assert built == [(i, w.start, w.steps, m)
                          for w in enumerate_paths(space.cover, (i,), 2) for m in mreps]
@@ -883,13 +886,14 @@ def test_battery_compacts_each_state_once(inst_line5w, monkeypatch):
     # own, are left out.
     space = fresh_space(inst_line5w)
     seen = Counter()
-    merge_units = BundleSpace._merge_units
+    absorb = BundleSpace._absorb
 
     def counted(self, u1, u2):
-        seen[u1, u2] += 1
-        return merge_units(self, u1, u2)
+        if "v" in (u1[1][0], u2[1][0]):
+            seen[u1, u2] += 1
+        return absorb(self, u1, u2)
 
-    monkeypatch.setattr(BundleSpace, "_merge_units", counted)
+    monkeypatch.setattr(BundleSpace, "_absorb", counted)
     monkeypatch.setattr(LocalTrivialization, "check", lambda self, *args: Report("bundle"))
     monkeypatch.setattr(battery, "_check_transition", lambda *args: None)
     rep = check_bundle_axioms(space, 2)
@@ -948,7 +952,7 @@ def test_a_clean_mor_surjective_scan_keys_no_chain(inst_line5, monkeypatch):
     for indices in index_family(space.cover):
         triv = (LocalTrivialization(space, indices[0]) if len(indices) == 1
                 else MultiChartTrivialization(space, indices[0], indices))
-        rep = triv.check(3, 3)
+        rep = triv.check(3)
         assert rep.ok, rep.failures()
     assert len(sizes) == 2 * len(index_family(space.cover))
     assert sizes[::2] == sizes[1::2]
@@ -1012,7 +1016,7 @@ def test_obj_bijective_names_its_first_miss(inst_line5, monkeypatch):
     for triv in (MultiChartTrivialization(space, "2", ("1", "2")),
                  LocalTrivialization(space, "2")):
         tag = f"triv.2.{''.join(getattr(triv, 'indices', '2'))}"
-        assert [(c.check_id, c.witness) for c in triv.check(1, 1).failures()] == [
+        assert [(c.check_id, c.witness) for c in triv.check(1).failures()] == [
             (f"{tag}.obj_bijective", f"object (1, {moved}) does not land on (1, 1, {first})")]
 
 
@@ -1069,7 +1073,7 @@ def test_a_multi_chart_set_finds_its_own_witness_when_chart_i_fails(inst_line5w,
     for indices in index_family(space.cover):
         if "3" not in indices or len(indices) == 1:
             continue
-        ours = MultiChartTrivialization(space, "3", indices).check(2, 2).failures()
+        ours = MultiChartTrivialization(space, "3", indices).check(2).failures()
         surjective = f"triv.3.{''.join(indices)}.mor_surjective"
         assert [c.witness for c in ours if c.check_id == surjective] == [failed[surjective]]
         witnesses.add(failed[surjective])
@@ -1080,7 +1084,7 @@ def one_chart_rows(space, max_len):
     """The rows of each chart's trivialization at max_len, as the battery
     bounds them."""
     return [c for i in space.cover.index_order
-            for c in LocalTrivialization(space, i).check(max_len, min(max_len, 3)).checks]
+            for c in LocalTrivialization(space, i).check(max_len).checks]
 
 
 def wider_than_chart_i(pairs):
@@ -1102,7 +1106,7 @@ def test_multi_chart_verdicts_equal_chart_i_on_clean_data(request, source, max_l
     assert pairs and all(status == alone == "pass" for _, status, alone in pairs)
     # the reference over (i,) alone gives the battery's rows, witnesses included
     ref = [c for i in space.cover.index_order
-           for c in MultiChartTrivialization(space, i, (i,)).check(max_len, min(max_len, 3))
+           for c in MultiChartTrivialization(space, i, (i,)).check(max_len)
            .checks]
     assert ref == rows
 
@@ -1630,9 +1634,8 @@ def test_memos_stay_within_charts_times_units_and_cosets_squared(checked_space_s
     units = battery.enumerate_units(space)
     assert len(space._keys) > charts * len(units)
     assert 0 < space._move_unit.cache_info().currsize <= charts * len(units)
-    assert 0 < space._absorb.cache_info().currsize <= len(units) ** 2
     steps = {step for _c, step, _phi in units}
-    assert 0 < space._merge_step.cache_info().currsize <= len(steps) ** 2
+    assert 0 < space._junction.cache_info().currsize <= len(steps) ** 2
     assert 0 < space._step_walk.cache_info().currsize <= len(steps)
     assert 0 < space.unit_s_obj.cache_info().currsize <= len(units)
     assert 0 < space.unit_t_obj.cache_info().currsize <= len(units)

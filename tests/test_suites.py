@@ -41,7 +41,7 @@ GOLDEN_ALL = [
      "371fbba30adf3e8c59c8b1245fc820718562c19f42de55f8285075e2f7061a9e"),
     ("oracle-dirline3", 3,
      "be681f120706fdcb3fc5128ba2495146a50eb7be81bd7243f2ee7104b7053e3c",
-     "ef579dcd2675ba941350520ad2006896f096d53ee9a912a8104f7b931671b733"),
+     "f03a9016bac7d96b106b7957b73614c750cb2ab9e7f65bfc4cf6fc4dd28c887d"),
     ("s4-line5w", 1,
      "8d06cdeb08e6df077f938bdbf0cd5404983afeb1146e5d6e2d9fdfed95caa313",
      "94155f9550289699fbce107189a38f44035e2eef0790d6ccd2c12d9be6a0726b"),
@@ -55,7 +55,7 @@ GOLDEN_NON_THIN = [
      "0968b4024a2530b1210f83ea642352b48c8f39667fda4324a8bd73ec56fa7ffe"),
     ("inst_a3j3_dirline3",
      "a2b1bd9f5c16f961b413d310b4d69f3a3ba5fbf1248e0a62e2fc21b4f81ab5bb",
-     "fa0fdc054e9c2cef024c45550f43dbd28fe8065fa02004b1f3382a20eaf95ccb"),
+     "81e52d1bbadd80436003aac50fffe637da2a3927fbd4432e69717117ce5c45a4"),
 ]
 
 # One-cell edits of preset documents at seed 3 (the ones tests/test_cli.py
@@ -153,8 +153,9 @@ LAYERS = ("derive_tower", "build_quotient", "check_classical_cocycle",
 # the Peiffer identities imply the J_H laws that jh.normal_full runs behind
 # and the quotient laws of the member scans in quotient_reference
 # (IMPLIED_QUOTIENT), the classical.* checks a bundle space is built behind
-# imply that the gluing relation is an equivalence, and theta, which takes a
-# walk's endpoints as its arguments, depends only on them.
+# imply that the gluing relation is an equivalence, theta, which takes a
+# walk's endpoints as its arguments, depends only on them, and the oracle's
+# agreement compares full keys, whose first half is a word's endpoints.
 IMPLIED_JH = (("jh.taubar", "(j,h) -> (tau'(j), tau(h)) is a homomorphism"),
               ("jh.subgroup", "J_H is a subgroup of H x| G"),
               ("jh.normal", "J_H is normal in H x| tau(H)"))
@@ -163,6 +164,7 @@ IMPLIED_GLUE = (("bundle.glue.reflexive", "gbar_ii(u) = identity coset"),
                 ("bundle.glue.transitive", "gbar_kj(u) gbar_ji(u) = gbar_ki(u)"))
 IMPLIED_ENDPOINTS = "theta(gamma) depends only on (gamma_0, gamma_1)"
 IMPLIED_NORMAL = "g tau(H) g^-1 = tau(H)"
+IMPLIED_WORD_ENDS = ("congruence.endpoints", "equal words share source and target objects")
 
 
 def with_implied_rows(rep, inst):
@@ -173,7 +175,8 @@ def with_implied_rows(rep, inst):
     where it passes, as the first Peiffer identity implies that tau(H) is
     normal in G; the IMPLIED_JH, IMPLIED_QUOTIENT and IMPLIED_GLUE
     passes; a `theta.<ik>.endpoints` pass beside each `theta.<ik>.compose`
-    row; and a copy of each `triv.<i>.<i>.<law>` row for each index set J of
+    row; a `congruence.endpoints` pass beside an `oracle.agreement` pass; and
+    a copy of each `triv.<i>.<i>.<law>` row for each index set J of
     two or more charts holding i, which restricts it
     (`trivialization_reference`). The `transition.*` rows, which the report
     lists since the multi-chart rows went, are left out."""
@@ -206,6 +209,8 @@ def with_implied_rows(rep, inst):
         if c.check_id.startswith("theta.") and c.check_id.endswith(".compose"):
             extra.append(CheckResult(c.check_id.replace(".compose", ".endpoints"),
                                      IMPLIED_ENDPOINTS, "pass"))
+        if c.check_id == "oracle.agreement" and c.status == "pass":
+            extra.append(CheckResult(*IMPLIED_WORD_ENDS, "pass"))
         if c.check_id.startswith("triv."):
             _, i, _, law = c.check_id.split(".")
             extra += [c._replace(check_id=f"triv.{i}.{''.join(indices)}.{law}")

@@ -103,8 +103,7 @@ def test_congruence_invariants(space_dirline3, word_oracle):
     rep = invariants(space_dirline3, word_oracle)
     assert rep.ok, rep.failures()
     ids = {c.check_id for c in rep.checks}
-    assert {"congruence.proj_invariant", "congruence.endpoints",
-            "congruence.action_equivariant"} <= ids
+    assert ids == {"congruence.proj_invariant", "congruence.action_equivariant"}
 
 
 def act_edgewise(space, word, psi):
@@ -229,7 +228,6 @@ def test_the_oracle_suite_reports_on_an_oracle_without_words():
     assert rep.to_dict()["checks"] == [
         {"check": check_id, "law": law, "status": "pass"} for check_id, law in (
             ("congruence.action_equivariant", "the fiber action preserves word equality"),
-            ("congruence.endpoints", "equal words share source and target objects"),
             ("congruence.proj_invariant", "equal words project to the same base walk"),
             ("oracle.agreement",
              "congruence closure matches exact ideal membership on all pairs"))
@@ -313,7 +311,7 @@ def test_planted_action_disagreement_names_the_first_pair(space_dirline3, word_o
     rep = invariants(space_dirline3, word_oracle)
     got = {c.check_id: c for c in rep.checks}
     w1 = next(a for a, b in pairs if chosen in (a, b))
-    assert got["congruence.proj_invariant"].status == got["congruence.endpoints"].status == "pass"
+    assert got["congruence.proj_invariant"].status == "pass"
     assert got["congruence.action_equivariant"].status == "fail"
     assert got["congruence.action_equivariant"].witness == (
         f"action by {psi} separates an equal pair {_word_key(w1)}")

@@ -75,7 +75,7 @@ class MultiChartTrivialization:
             hit = self.images[start, steps, phi] = ((ends, space.component_of(state)), state)
         return hit
 
-    def check(self, max_len=3, max_units=3):
+    def check(self, max_len=3):
         """The six laws of `LocalTrivialization.check`, over J's walks and
         bounded chains, each scanned in full; the row ids read
         `triv.<i>.<J>.<law>`."""
@@ -114,7 +114,7 @@ class MultiChartTrivialization:
 
         def misses():
             for sig, coset, k, st in battery.fold_layers(space, self.i, self.region,
-                                                         max_units):
+                                                         min(max_len, 3)):
                 if k != self.image(*sig, coset)[0]:
                     yield f"chain {st} is not equal to its chart-{self.i} reduction"
         rep.search(f"{tag}.mor_surjective",
@@ -167,7 +167,7 @@ def multi_chart_report(space, max_len):
     as `check_bundle_axioms` bounds them."""
     rep = Report("bundle")
     for i, indices in multi_chart_sets(space.cover):
-        rep.merge(MultiChartTrivialization(space, i, indices).check(max_len, min(max_len, 3)))
+        rep.merge(MultiChartTrivialization(space, i, indices).check(max_len))
     return rep
 
 
